@@ -14,6 +14,15 @@ The certificates here combine three exact facts:
 A failed saturation retries other primes and finally falls back to exact
 rational elimination, so a reported pass is never probabilistic.
 
+Each piece is ranked block by block: its rows and columns are split into
+the connected components of its nonzero pattern (computed once per piece and
+shared by every prime and the exact fallback), and the rank over any field
+is the sum of the block ranks.  The skeleton strands have entries +-x_i and
+are multigraded, so their pieces fall apart into thousands of small blocks;
+a piece with one component goes to the dense kernel whole.  The dense
+kernel reduces every entry mod p in integer arithmetic before it enters a
+float64 array, so no rounding reaches a rank.
+
 For d >= 5 the full graded pieces are too large even for mod-p elimination,
 so exactness is instead reduced to the skeleton: the short exact sequence
 0 -> B(-1) -> B -> B/x1 B -> 0 and its homology long exact sequence show
@@ -28,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, lcm
 
 import numpy as np
@@ -63,7 +72,8 @@ def rank_mod_p(nrows: int, ncols: int, triples, p: int) -> int:
         triples = [(j, i, v) for i, j, v in triples]
     m = np.zeros((nrows, ncols), dtype=np.float64)
     for i, j, v in triples:
-        m[i, j] = (m[i, j] + v) % p
+        # reduce in Python ints first: float64 rounds integers above 2^53
+        m[i, j] = (m[i, j] + v % p) % p
     rank = 0
     c0 = 0
     while c0 < ncols and rank < nrows:
@@ -117,14 +127,51 @@ class Piece:
     def size(self) -> int:
         return self.nrows * self.ncols
 
+    @cached_property
+    def blocks(self) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
+        """The connected components of the nonzero pattern as reindexed submatrices.
+
+        Row i and column j are joined when a triple (i, j, v) exists, so the
+        piece is block diagonal after permuting rows and columns, and its rank
+        over any field is the sum of the block ranks.  Empty rows and columns
+        belong to no block; a piece with a single component is its own block.
+        """
+        nrows = self.nrows
+        parent = list(range(nrows + self.ncols))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for i, j, _ in self.triples:
+            a, b = find(i), find(nrows + j)
+            if a != b:
+                parent[a] = b
+        root = [find(i) for i in range(nrows)]
+        roots = {root[i] for i, _, _ in self.triples}
+        if len(roots) <= 1:
+            return [(self.nrows, self.ncols, self.triples)] if roots else []
+        index = {r: k for k, r in enumerate(roots)}
+        shapes = [({}, {}) for _ in roots]
+        blocks: list[list[tuple[int, int, int]]] = [[] for _ in roots]
+        for i, j, v in self.triples:
+            k = index[root[i]]
+            rmap, cmap = shapes[k]
+            blocks[k].append((rmap.setdefault(i, len(rmap)), cmap.setdefault(j, len(cmap)), v))
+        return [(len(rmap), len(cmap), block) for (rmap, cmap), block in zip(shapes, blocks)]
+
     def rank_mod(self, p: int) -> int:
-        return rank_mod_p(self.nrows, self.ncols, self.triples, p)
+        return sum(rank_mod_p(nr, nc, triples, p) for nr, nc, triples in self.blocks)
 
     def rank_exact(self) -> int:
-        rows = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
-        for i, j, v in self.triples:
-            rows[i][j] += v
-        return linalg.rank(rows)
+        total = 0
+        for nr, nc, triples in self.blocks:
+            rows = [[Fraction(0)] * nc for _ in range(nr)]
+            for i, j, v in triples:
+                rows[i][j] += v
+            total += linalg.rank(rows)
+        return total
 
 
 def denominator_lcm(mat: PolyMatrix) -> int:
@@ -159,7 +206,12 @@ def graded_piece(mat: PolyMatrix, row_deg: int, col_deg: int, low_var: int = 1,
         for j, p in enumerate(row):
             if p.is_zero():
                 continue
-            terms = [(mhat, int(c * scale)) for mhat, c in p.terms.items()]
+            terms = []
+            for mhat, c in p.terms.items():
+                c *= scale
+                if c.denominator != 1:
+                    raise AssertionError(f"scale {scale} leaves a fraction in entry ({i}, {j})")
+                terms.append((mhat, c.numerator))
             base_j = j * nc
             for k, u in enumerate(col_monos):
                 col = base_j + k

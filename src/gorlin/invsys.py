@@ -111,15 +111,6 @@ def contract_poly(g: Poly, nu: Dual) -> Dual:
     return out
 
 
-def dual_str(nu: Dual) -> str:
-    from .monomials import mono_str
-
-    if not nu:
-        return "0"
-    items = sorted(nu.items(), key=lambda t: sort_key(t[0]))
-    return " + ".join(f"{c}*({mono_str(m)})*" for m, c in items)
-
-
 def catalecticant_matrix(phi: InverseSystem, j: int) -> linalg.Matrix:
     """Pairing matrix (t_{m_row * m_col}) with rows of degree j, columns of degree 2n-2-j."""
     if not 0 <= j <= phi.socle_degree:

@@ -24,9 +24,6 @@ class PolyMatrix:
     def d(self) -> int:
         return self.rows.d
 
-    def entry(self, i: int, j: int) -> Poly:
-        return self.entries[i][j]
-
     def column(self, j: int) -> list[Poly]:
         return [row[j] for row in self.entries]
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .monomials import Mono, mono_str, monomials_of_degree, mul, sort_key, unit
+from .monomials import Mono, mono_str, mul, sort_key, unit
 
 Scalar = Fraction | int
 
@@ -130,20 +130,3 @@ def poly_str(p: Poly) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-def coeff_vector(p: Poly, monos: tuple[Mono, ...] | list[Mono]) -> list[Fraction]:
-    """Coefficients of p on an ordered monomial list (p must be supported there)."""
-    vec = [p.coeff(m) for m in monos]
-    if sum(1 for v in vec if v) != len(p.terms):
-        raise ValueError("polynomial has terms outside the given monomial list")
-    return vec
-
-
-def from_coeff_vector(d: int, monos, vec) -> Poly:
-    return Poly(d, {m: Fraction(c) for m, c in zip(monos, vec) if c})
-
-
-def graded_basis(d: int, deg: int) -> tuple[Mono, ...]:
-    """Monomial basis of the degree-deg graded piece of the full polynomial ring."""
-    return monomials_of_degree(d, deg)

@@ -1,0 +1,122 @@
+"""The mod-p rank kernel and its block split, on inputs where they can break."""
+
+import copy
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gorlin import exactness, linalg
+from gorlin.exactness import PRIMES, Piece, denominator_lcm, graded_piece, rank_mod_p, strand_certificate
+from gorlin.monomials import mul_var, unit
+from gorlin.polynomials import Poly
+
+from conftest import grid_resolution
+
+KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+BIG = 2**80
+
+
+def dense_rows(piece: Piece) -> list[list[Fraction]]:
+    rows = [[Fraction(0)] * piece.ncols for _ in range(piece.nrows)]
+    for i, j, v in piece.triples:
+        rows[i][j] += v
+    return rows
+
+
+@st.composite
+def shuffled(draw, blocks):
+    """Place the blocks (lists of rows) on the diagonal, pad, then permute rows and columns."""
+    triples = []
+    r0 = c0 = 0
+    for block in blocks:
+        triples += [(r0 + i, c0 + j, v) for i, row in enumerate(block) for j, v in enumerate(row) if v]
+        r0 += len(block)
+        c0 += len(block[0])
+    nrows = r0 + draw(st.integers(0, 2))
+    ncols = c0 + draw(st.integers(0, 2))
+    rperm = draw(st.permutations(range(nrows)))
+    cperm = draw(st.permutations(range(ncols)))
+    return Piece(nrows, ncols, [(rperm[i], cperm[j], v) for i, j, v in triples])
+
+
+@st.composite
+def low_rank_block(draw):
+    """An integer block U V of rank <= k with entries below 2^80 in absolute value."""
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(nr, nc)))
+    factor = st.integers(-(2**38), 2**38)
+    u = [[draw(factor) for _ in range(k)] for _ in range(nr)]
+    w = [[draw(factor) for _ in range(nc)] for _ in range(k)]
+    return [[sum(u[i][t] * w[t][j] for t in range(k)) for j in range(nc)] for i in range(nr)]
+
+
+@st.composite
+def entrywise_block(draw, entry):
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+
+
+sparse_block = entrywise_block(st.one_of(st.just(0), st.integers(-BIG, BIG)))
+block_diagonal = st.lists(st.one_of(low_rank_block(), sparse_block), max_size=5).flatmap(shuffled)
+# every entry nonzero, so the block is one component
+connected = entrywise_block(st.integers(-BIG, BIG).filter(bool)).map(lambda block: [block]).flatmap(shuffled)
+
+
+def test_rank_mod_p_reduces_before_float64():
+    # the second row is 3 times the first; A rounds in float64, A % p does not
+    a = 2**60 + 100
+    triples = [(0, 0, a), (0, 1, 1), (1, 0, 3 * a), (1, 1, 3)]
+    assert Piece(2, 2, triples).rank_exact() == 1
+    for p in PRIMES:
+        assert rank_mod_p(2, 2, triples, p) <= 1
+
+
+@KERNEL
+@given(block_diagonal)
+def test_block_ranks_sum_to_the_unsplit_rank(piece):
+    exact = piece.rank_exact()
+    assert exact == linalg.rank(dense_rows(piece))
+    for p in PRIMES:
+        mod_p = piece.rank_mod(p)
+        assert mod_p == rank_mod_p(piece.nrows, piece.ncols, piece.triples, p)
+        assert mod_p <= exact
+
+
+@KERNEL
+@given(connected)
+def test_single_component_passes_its_triples_through(piece):
+    seen = []
+    kernel = exactness.rank_mod_p
+
+    def spy(nrows, ncols, triples, p):
+        seen.append((nrows, ncols, triples))
+        return kernel(nrows, ncols, triples, p)
+
+    exactness.rank_mod_p = spy
+    try:
+        piece.rank_mod(PRIMES[0])
+    finally:
+        exactness.rank_mod_p = kernel
+    assert len(seen) == 1
+    nrows, ncols, triples = seen[0]
+    assert (nrows, ncols) == (piece.nrows, piece.ncols) and triples is piece.triples
+
+
+def test_empty_piece_has_rank_zero():
+    piece = Piece(3, 4, [])
+    assert piece.blocks == [] and piece.rank_mod(PRIMES[0]) == 0 and piece.rank_exact() == 0
+
+
+def test_graded_piece_refuses_a_scale_that_leaves_a_fraction():
+    mat = copy.deepcopy(grid_resolution(3, 2).matrix(2))
+    mat.entries[0][0] = mat.entries[0][0] + Poly.monomial(mul_var(unit(3), 1), Fraction(1, 2))
+    with pytest.raises(AssertionError, match="leaves a fraction"):
+        graded_piece(mat, 1, 0)
+    assert graded_piece(mat, 1, 0, scale=denominator_lcm(mat)).triples
+
+
+def test_strand_certificate_d6_n2_saturates_mod_p():
+    cert = strand_certificate(6, 2, 10)
+    assert cert.ok, cert.failures
+    assert "exact-rank fallback used" not in cert.notes
