@@ -1,35 +1,33 @@
 """Command-line front end: build, verify, and inspect resolutions.
 
 Exit codes: 0 success, 1 check failure, 2 inadmissible inverse system,
-3 malformed input or bad arguments.
+3 malformed input, unwritable output or bad arguments, 4 internal error
+(the traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import linalg
 from .differentials import build_resolution
+from .exactness import Session
 from .export import report_json, resolution_cas_script, resolution_json, resolution_text
-from .invsys import (
-    InadmissibleSystemError,
-    InverseSystem,
-    ann_degree,
-    delta_and_Q,
-    load_invsys,
-    random_invsys,
-)
-from .monomials import monomials_of_degree
+from .invsys import InadmissibleSystemError, InverseSystem, ann_degree, load_invsys, random_invsys
 from .polynomials import poly_str
-from .verify import CHECK_NAMES, run_checks
+from .verify import CHECK_NAMES, check_ann_match, run_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_INADMISSIBLE = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
+
+
+class InputError(Exception):
+    """The input could not be read or the output could not be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,6 +66,11 @@ class Config:
             parser.error("--bound must be nonnegative")
         if self.dmax is not None and self.dmax < 0:
             parser.error("--dmax must be nonnegative")
+        if self.degree is not None and self.degree < 0:
+            parser.error("--degree must be nonnegative")
+        unknown = [c for c in self.checks or () if c not in CHECK_NAMES]
+        if unknown:
+            parser.error(f"unknown checks: {unknown}; available: {CHECK_NAMES}")
 
 
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
@@ -121,15 +124,21 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
 
 
 def _load_phi(cfg: Config) -> InverseSystem:
-    if cfg.input is not None:
+    if cfg.input is None:
+        return random_invsys(cfg.d, cfg.n, cfg.seed, cfg.bound)
+    try:
         return load_invsys(cfg.input)
-    return random_invsys(cfg.d, cfg.n, cfg.seed, cfg.bound)
+    except (OSError, ValueError) as exc:
+        raise InputError(exc) from exc
 
 
 def _emit(cfg: Config, text: str) -> None:
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(exc) from exc
     else:
         sys.stdout.write(text)
 
@@ -165,32 +174,21 @@ def cmd_ann(cfg: Config) -> int:
     for g in oracle:
         lines.append(f"  {poly_str(g)}")
     if j == phi.n:
-        cat = delta_and_Q(phi)
-        if not cat.admissible:
+        try:
+            res = build_resolution(phi, ordering="selfdual")
+        except InadmissibleSystemError:
             lines.append("inverse system is inadmissible (delta = 0); no resolution comparison")
         else:
-            res = build_resolution(phi, ordering="selfdual")
             lines.append(f"generators from the first matrix ({res.betti[1]} columns):")
-            cols = res.matrix(1).entries[0]
-            for g in cols:
+            for g in res.matrix(1).entries[0]:
                 lines.append(f"  {poly_str(g)}")
-            monos = monomials_of_degree(phi.d, j)
-            midx = {m: i for i, m in enumerate(monos)}
-
-            def vec(p):
-                v = [Fraction(0)] * len(monos)
-                for m, c in p.terms.items():
-                    v[midx[m]] = c
-                return v
-
-            spans_equal = (
-                linalg.rank([vec(g) for g in cols]) ==
-                linalg.rank([vec(g) for g in oracle]) ==
-                linalg.rank([vec(g) for g in cols + oracle])
-            )
+            spans_equal = check_ann_match(Session(res, phi)).passed
             lines.append(f"spans agree: {'yes' if spans_equal else 'NO'}")
     _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_OK
+
+
+COMMANDS = {"resolve": cmd_resolve, "verify": cmd_verify, "ann": cmd_ann}
 
 
 def main(argv=None) -> int:
@@ -198,20 +196,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = _config_from_args(args, parser)
     try:
-        if cfg.command == "resolve":
-            return cmd_resolve(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "ann":
-            return cmd_ann(cfg)
-        parser.error(f"unknown command {cfg.command!r}")
+        return COMMANDS[cfg.command](cfg)
     except InadmissibleSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    except (OSError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    return EXIT_OK
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -31,6 +31,11 @@ H_i(B)_e = x1 * H_i(B)_{e-1} for i >= 2, hence H_i(B) = 0 by induction on
 e, while positions 1 and 0 reduce to small exact computations: the degree
 growth of the ideal generated by the first matrix, and the bottom homology
 of the dual skeleton strand over d-1 variables.
+
+The facts both routes rest on (the complex property and the skeleton
+structure) are verdicts of their own as well.  A Session proves each of them
+once per verification run, together with the Hilbert function and the
+degree-n annihilator, and every check that needs a fact reads it there.
 """
 
 from __future__ import annotations
@@ -45,10 +50,10 @@ import numpy as np
 from . import linalg
 from .differentials import Resolution, twist_list
 from .hookbasis import enumerate_basis, rank_formulas
-from .invsys import InverseSystem, hf_value
+from .invsys import InverseSystem, ann_degree, hilbert_function
 from .monomials import monomials_of_degree, mul, mul_var
 from .polymatrix import PolyMatrix
-from .polynomials import Poly
+from .polynomials import Poly, coeff_rows
 
 PRIMES = (65521, 65519, 65497, 65479, 65449)
 _PANEL = 256
@@ -381,14 +386,7 @@ def ideal_dims(res: Resolution, dmax: int) -> dict[int, int]:
     if dmax < n:
         return dims
     monos = monomials_of_degree(d, n)
-    midx = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for g in gens:
-        v = [Fraction(0)] * len(monos)
-        for m, c in g.terms.items():
-            v[midx[m]] = c
-        rows.append(v)
-    basis, _ = linalg.rref(rows)
+    basis, _ = linalg.rref(coeff_rows(gens, monos))
     basis = [r for r in basis if any(r)]
     dims[n] = len(basis)
     for e in range(n + 1, dmax + 1):
@@ -428,54 +426,100 @@ class ExactnessOutcome:
     notes: list[str] = field(default_factory=list)
 
 
-def _complex_holds(res: Resolution) -> tuple[bool, str]:
-    for r in range(1, res.d):
-        prod = res.matrix(r).mul(res.matrix(r + 1))
-        for i, row in enumerate(prod):
-            for j, p in enumerate(row):
-                if not p.is_zero():
-                    return False, f"b_{r} b_{r + 1} has a nonzero entry at ({i}, {j})"
-    return True, ""
+class Session:
+    """The facts about one resolution that several checks read, each proved once.
+
+    A session lives for one verification run.  Its facts are computed on
+    first use and kept on the session, never on the resolution or the
+    inverse system, so a copy of a resolution that is then altered starts
+    from nothing in a session of its own.
+    """
+
+    def __init__(self, res: Resolution, phi: InverseSystem, dmax: int | None = None):
+        self.res = res
+        self.phi = phi
+        self.dmax = 2 * res.n + res.d if dmax is None else dmax
+
+    @cached_property
+    def complex_failure(self) -> tuple[int, int, int, Poly] | None:
+        """None when b_r b_{r+1} = 0 for all r, else the first (r, i, j, entry) that is not 0."""
+        res = self.res
+        for r in range(1, res.d):
+            prod = res.matrix(r).mul(res.matrix(r + 1))
+            for i, row in enumerate(prod):
+                for j, p in enumerate(row):
+                    if not p.is_zero():
+                        return r, i, j, p
+        return None
+
+    @cached_property
+    def skeleton_failure(self) -> str | None:
+        return skeleton_block_failure(self.res)
+
+    @cached_property
+    def hilbert(self) -> list[int]:
+        """dim (S/ann(phi))_j for j = 0..2n-2."""
+        return hilbert_function(self.phi)
+
+    def hf(self, e: int) -> int:
+        """dim (S/ann(phi))_e for any e (zero outside 0..2n-2)."""
+        return self.hilbert[e] if 0 <= e < len(self.hilbert) else 0
+
+    @cached_property
+    def ann_n(self) -> list[Poly]:
+        """Basis of the degree-n annihilator of phi, from the catalecticant kernel."""
+        return ann_degree(self.phi, self.res.n)
 
 
-def _h0_dims_ok(res: Resolution, phi: InverseSystem, dmax: int,
-                failures: list[str]) -> dict[int, int] | None:
+def _not_a_complex(s: Session, out: ExactnessOutcome) -> bool:
+    if s.complex_failure is None:
+        return False
+    r, i, j, _ = s.complex_failure
+    out.ok = False
+    out.failures.append(f"not a complex: b_{r} b_{r + 1} has a nonzero entry at ({i}, {j})")
+    return True
+
+
+def _h0_dims_ok(s: Session, failures: list[str]) -> dict[int, int] | None:
     """Exact dims of coker(b_1) degreewise; None (with a failure) on mismatch."""
-    idims = ideal_dims(res, dmax)
+    res = s.res
+    idims = ideal_dims(res, s.dmax)
     h0: dict[int, int] = {}
-    for e in range(0, dmax + 1):
+    for e in range(0, s.dmax + 1):
         dim_se = comb(e + res.d - 1, res.d - 1)
         h0[e] = dim_se - idims[e]
-        if h0[e] != hf_value(phi, e):
+        if h0[e] != s.hf(e):
             failures.append(
                 f"coker(b_1) has dimension {h0[e]} in degree {e}, "
-                f"Hilbert function of the quotient gives {hf_value(phi, e)}"
+                f"Hilbert function of the quotient gives {s.hf(e)}"
             )
             return None
     return h0
 
 
-def certify_exactness_direct(res: Resolution, phi: InverseSystem, dmax: int) -> ExactnessOutcome:
+def _position_dims(res: Resolution, e: int) -> list[int]:
+    """dim (B_r)_e for r = 0..d."""
+    d = res.d
+    return [b * comb(e - t + d - 1, d - 1) if e >= t else 0 for b, t in zip(res.betti, res.twists)]
+
+
+def certify_exactness_direct(s: Session) -> ExactnessOutcome:
     """Saturated-rank certification on the full graded pieces of the resolution."""
+    res, dmax = s.res, s.dmax
     out = ExactnessOutcome(ok=True, method="direct", dmax=dmax)
-    ok, witness = _complex_holds(res)
-    if not ok:
-        out.ok = False
-        out.failures.append(f"not a complex: {witness}")
+    if _not_a_complex(s, out):
         return out
     d = res.d
     twists = res.twists
-    betti = res.betti
     scales = [denominator_lcm(res.matrix(r)) for r in range(1, d + 1)]
     for e in range(0, dmax + 1):
-        ms = [betti[r] * comb(e - twists[r] + d - 1, d - 1) if e >= twists[r] else 0
-              for r in range(d + 1)]
+        ms = _position_dims(res, e)
         pieces = {
             r: graded_piece(res.matrix(r), e - twists[r - 1], e - twists[r], scale=scales[r - 1])
             for r in range(1, d + 1)
             if ms[r] > 0
         }
-        ok, _, witness = _certify_chain(pieces, ms, hf_value(phi, e), 1, out.notes)
+        ok, _, witness = _certify_chain(pieces, ms, s.hf(e), 1, out.notes)
         if not ok:
             out.ok = False
             out.failures.append(f"exactness fails in degree {e}: {witness}")
@@ -504,7 +548,7 @@ def skeleton_block_failure(res: Resolution) -> str | None:
     return None
 
 
-def certify_exactness_les(res: Resolution, phi: InverseSystem, dmax: int) -> ExactnessOutcome:
+def certify_exactness_les(s: Session) -> ExactnessOutcome:
     """Skeleton-filtration certification (for sizes where direct pieces are too large).
 
     Uses the homology long exact sequence of 0 -> B(-1) -> B -> B/x1 -> 0:
@@ -513,16 +557,13 @@ def certify_exactness_les(res: Resolution, phi: InverseSystem, dmax: int) -> Exa
         dim H_1(B)_e = h1k(e) - h0(e-1) + h0(e) - dim(S/(x1, m^n))_e
     (with exactly computed right side) pins H_1.
     """
+    res, dmax = s.res, s.dmax
     out = ExactnessOutcome(ok=True, method="skeleton-les", dmax=dmax)
-    ok, witness = _complex_holds(res)
-    if not ok:
-        out.ok = False
-        out.failures.append(f"not a complex: {witness}")
+    if _not_a_complex(s, out):
         return out
-    witness = skeleton_block_failure(res)
-    if witness is not None:
+    if s.skeleton_failure is not None:
         out.ok = False
-        out.failures.append(witness)
+        out.failures.append(s.skeleton_failure)
         return out
     cert = strand_certificate(res.d, res.n, dmax)
     out.notes.extend(cert.notes)
@@ -530,7 +571,7 @@ def certify_exactness_les(res: Resolution, phi: InverseSystem, dmax: int) -> Exa
         out.ok = False
         out.failures.extend(cert.failures)
         return out
-    h0 = _h0_dims_ok(res, phi, dmax, out.failures)
+    h0 = _h0_dims_ok(s, out.failures)
     if h0 is None:
         out.ok = False
         return out
@@ -546,22 +587,16 @@ def certify_exactness_les(res: Resolution, phi: InverseSystem, dmax: int) -> Exa
     return out
 
 
-def certify_exactness(res: Resolution, phi: InverseSystem, dmax: int,
-                      method: str = "auto") -> ExactnessOutcome:
+def certify_exactness(s: Session, method: str = "auto") -> ExactnessOutcome:
     """Certify H_r(B)_e = 0 for 1 <= r <= d, e <= dmax, and coker(b_1) = the quotient."""
     if method == "auto":
-        d = res.d
-        twists = res.twists
-        betti = res.betti
         biggest = 0
-        for e in range(0, dmax + 1):
-            dims = [betti[r] * comb(e - twists[r] + d - 1, d - 1) if e >= twists[r] else 0
-                    for r in range(d + 1)]
-            for r in range(1, d + 1):
-                biggest = max(biggest, dims[r] * dims[r - 1])
+        for e in range(0, s.dmax + 1):
+            dims = _position_dims(s.res, e)
+            biggest = max(biggest, max(a * b for a, b in zip(dims, dims[1:])))
         method = "direct" if biggest <= _DIRECT_ENTRY_LIMIT else "les"
     if method == "direct":
-        return certify_exactness_direct(res, phi, dmax)
+        return certify_exactness_direct(s)
     if method == "les":
-        return certify_exactness_les(res, phi, dmax)
+        return certify_exactness_les(s)
     raise ValueError(f"unknown exactness method {method!r}")

@@ -6,38 +6,8 @@ import json
 
 from .differentials import Resolution
 from .invsys import to_json_dict
-from .monomials import Mono
-from .polynomials import Poly
+from .polynomials import poly_str
 from .verify import Report
-
-
-def _mono_str(m: Mono, var: str = "x", sep: str = "*") -> str:
-    parts = []
-    for k, e in enumerate(m):
-        if e == 1:
-            parts.append(f"{var}{k + 1}")
-        elif e > 1:
-            parts.append(f"{var}{k + 1}^{e}")
-    return sep.join(parts) if parts else "1"
-
-
-def _poly_str(p: Poly, var: str = "x") -> str:
-    if p.is_zero():
-        return "0"
-    parts: list[str] = []
-    for m, c in p.sorted_terms():
-        ms = _mono_str(m, var)
-        if ms == "1":
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = ms
-        else:
-            body = f"{abs(c)}*{ms}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
 
 
 def resolution_text(res: Resolution) -> str:
@@ -64,7 +34,7 @@ def resolution_text(res: Resolution) -> str:
         for i, row in enumerate(mat.entries):
             for j, p in enumerate(row):
                 if not p.is_zero():
-                    lines.append(f"    ({i + 1}, {j + 1}) {_poly_str(p)}")
+                    lines.append(f"    ({i + 1}, {j + 1}) {poly_str(p)}")
         lines.append("")
     return "\n".join(lines)
 
@@ -109,13 +79,10 @@ def resolution_cas_script(res: Resolution) -> str:
         f"R = QQ[x_1..x_{d}];",
     ]
 
-    def m2poly(p: Poly) -> str:
-        return _poly_str(p, var="x_")
-
     for r in range(1, d + 1):
         mat = res.matrix(r)
         rows = ",\n  ".join(
-            "{" + ", ".join(m2poly(p) for p in row) + "}" for row in mat.entries
+            "{" + ", ".join(poly_str(p, var="x_") for p in row) + "}" for row in mat.entries
         )
         lines.append(f"b{r} = matrix(R, {{\n  {rows}\n}});")
     for r in range(1, d):

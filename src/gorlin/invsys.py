@@ -200,12 +200,13 @@ def ann_degree(phi: InverseSystem, j: int) -> list[Poly]:
 def hilbert_function(phi: InverseSystem) -> list[int]:
     """dim (S/ann(phi))_j for j = 0..2n-2, as catalecticant ranks.
 
-    Only meaningful for admissible systems; delta = 0 raises.
+    Only meaningful for admissible systems; delta = 0 raises.  The middle
+    catalecticant is square, so delta != 0 exactly when its rank is full.
     """
-    cat = delta_and_Q(phi)
-    if not cat.admissible:
+    hf = [hf_value(phi, j) for j in range(phi.socle_degree + 1)]
+    if hf[phi.n - 1] != len(monomials_of_degree(phi.d, phi.n - 1)):
         raise InadmissibleSystemError("hilbert_function needs delta != 0")
-    return [linalg.rank(catalecticant_matrix(phi, j)) for j in range(phi.socle_degree + 1)]
+    return hf
 
 
 def hf_value(phi: InverseSystem, e: int) -> int:

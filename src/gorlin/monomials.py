@@ -103,12 +103,12 @@ def monomials_of_degree(d: int, deg: int, low_var: int = 1) -> tuple[Mono, ...]:
     return tuple(out)
 
 
-def mono_str(m: Mono) -> str:
-    """Readable form, e.g. 'x1^2*x3'; '1' for the unit."""
+def mono_str(m: Mono, var: str = "x") -> str:
+    """Readable form, e.g. 'x1^2*x3'; '1' for the unit; var names the variables."""
     parts = []
     for k, e in enumerate(m):
         if e == 1:
-            parts.append(f"x{k + 1}")
+            parts.append(f"{var}{k + 1}")
         elif e > 1:
-            parts.append(f"x{k + 1}^{e}")
+            parts.append(f"{var}{k + 1}^{e}")
     return "*".join(parts) if parts else "1"

@@ -112,13 +112,13 @@ class Poly:
         return f"Poly({poly_str(self)})"
 
 
-def poly_str(p: Poly) -> str:
-    """Deterministic readable form, e.g. 'x2^2 - x1^2'."""
+def poly_str(p: Poly, var: str = "x") -> str:
+    """Deterministic readable form, e.g. 'x2^2 - x1^2'; var names the variables."""
     if p.is_zero():
         return "0"
     parts: list[str] = []
     for m, c in p.sorted_terms():
-        ms = mono_str(m)
+        ms = mono_str(m, var)
         if ms == "1":
             body = str(c) if c > 0 else str(-c)
         elif abs(c) == 1:
@@ -130,3 +130,15 @@ def poly_str(p: Poly) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
+
+
+def coeff_rows(polys, monos) -> list[list[Fraction]]:
+    """The coefficient vector of each polynomial over the monomials monos, one row each."""
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for p in polys:
+        row = [Fraction(0)] * len(monos)
+        for m, c in p.terms.items():
+            row[index[m]] = c
+        rows.append(row)
+    return rows

@@ -14,12 +14,12 @@ from math import comb
 
 from . import linalg
 from .differentials import Resolution
-from .exactness import certify_exactness, skeleton_block_failure, strand_certificate
+from .exactness import Session, certify_exactness, strand_certificate
 from .hookbasis import pp_value, rank_formulas
-from .invsys import InverseSystem, ann_degree, contract_poly, hf_value, hilbert_function
+from .invsys import InverseSystem, contract_poly
 from .monomials import monomials_of_degree, mul_var, unit
 from .polymatrix import entries_transpose
-from .polynomials import Poly, poly_str
+from .polynomials import Poly, coeff_rows, poly_str
 
 CHECK_NAMES = ("complex", "betti", "euler", "ann", "skeleton", "duality", "exactness", "wlp")
 
@@ -67,22 +67,18 @@ class Report:
         }
 
 
-def check_complex(res: Resolution) -> CheckResult:
+def check_complex(s: Session) -> CheckResult:
     """All consecutive products of the differential matrices vanish exactly."""
-    for r in range(1, res.d):
-        prod = res.matrix(r).mul(res.matrix(r + 1))
-        for i, row in enumerate(prod):
-            for j, p in enumerate(row):
-                if not p.is_zero():
-                    return CheckResult(
-                        "complex", False, "differentials do not compose to zero",
-                        f"b_{r} b_{r + 1} at ({i}, {j}) = {poly_str(p)}",
-                    )
+    if s.complex_failure is not None:
+        r, i, j, p = s.complex_failure
+        return CheckResult("complex", False, "differentials do not compose to zero",
+                           f"b_{r} b_{r + 1} at ({i}, {j}) = {poly_str(p)}")
     return CheckResult("complex", True, "b_r b_{r+1} = 0 for all r")
 
 
-def check_betti_and_degrees(res: Resolution) -> CheckResult:
+def check_betti_and_degrees(s: Session) -> CheckResult:
     """Shapes, twists, entry degrees (n, 1, ..., 1, n), and minimality."""
+    res = s.res
     d, n = res.d, res.n
     expected = (1,) + tuple(rank_formulas(d, n, r)[2] for r in range(1, d)) + (1,)
     if res.betti != expected:
@@ -111,14 +107,15 @@ def check_betti_and_degrees(res: Resolution) -> CheckResult:
                        f"Betti numbers {res.betti}, twists {res.twists}, degrees (n,1,...,1,n), minimal")
 
 
-def check_euler_hilbert(res: Resolution, phi: InverseSystem) -> CheckResult:
+def check_euler_hilbert(s: Session) -> CheckResult:
     """sum_r (-1)^r beta_r t^{twist_r} equals (1-t)^d times the Hilbert series."""
+    res = s.res
     d = res.d
     top = res.twists[-1]
     lhs = [0] * (top + 1)
     for r in range(d + 1):
         lhs[res.twists[r]] += (-1) ** r * res.betti[r]
-    hs = hilbert_function(phi)
+    hs = s.hilbert
     binom = [comb(d, k) * (-1) ** k for k in range(d + 1)]
     rhs = [0] * (top + 1)
     for i, h in enumerate(hs):
@@ -131,26 +128,19 @@ def check_euler_hilbert(res: Resolution, phi: InverseSystem) -> CheckResult:
     return CheckResult("euler", True, f"alternating Betti polynomial = (1-t)^{d} * HS, coefficients {lhs}")
 
 
-def check_ann_match(res: Resolution, phi: InverseSystem) -> CheckResult:
+def check_ann_match(s: Session) -> CheckResult:
     """The b_1 columns span exactly the degree-n annihilator of phi."""
+    res = s.res
     d, n = res.d, res.n
     cols = res.matrix(1).entries[0]
     for j, g in enumerate(cols):
-        if contract_poly(g, phi.dual_element()):
+        if contract_poly(g, s.phi.dual_element()):
             return CheckResult("ann", False, "a first-matrix column does not annihilate the system",
                                f"column {j} = {poly_str(g)}")
     monos = monomials_of_degree(d, n)
-    midx = {m: i for i, m in enumerate(monos)}
-
-    def vec(p: Poly) -> list[Fraction]:
-        v = [Fraction(0)] * len(monos)
-        for m, c in p.terms.items():
-            v[midx[m]] = c
-        return v
-
-    col_vecs = [vec(g) for g in cols]
-    oracle = ann_degree(phi, n)
-    oracle_vecs = [vec(g) for g in oracle]
+    col_vecs = coeff_rows(cols, monos)
+    oracle = s.ann_n
+    oracle_vecs = coeff_rows(oracle, monos)
     rank_cols = linalg.rank(col_vecs)
     rank_oracle = linalg.rank(oracle_vecs)
     rank_union = linalg.rank(col_vecs + oracle_vecs)
@@ -230,7 +220,7 @@ def golden_skeleton_d4_n2(d: int = 4) -> tuple[list[list[Poly]], ...]:
     return b1, b2, b3, b4
 
 
-def check_skeleton(res: Resolution, dmax: int | None = None) -> CheckResult:
+def check_skeleton(s: Session) -> CheckResult:
     """Skeleton structure: block diagonal, equal to delta times the Koszul strands.
 
     For d = 4, n = 2 in the self-dual ordering the matrices are compared
@@ -238,10 +228,11 @@ def check_skeleton(res: Resolution, dmax: int | None = None) -> CheckResult:
     is certified to resolve the quotient by the n-th power of the d-1
     variable maximal ideal, degreewise up to dmax.
     """
+    res = s.res
     d, n = res.d, res.n
-    witness = skeleton_block_failure(res)
-    if witness is not None:
-        return CheckResult("skeleton", False, "skeleton is not delta times the canonical strands", witness)
+    if s.skeleton_failure is not None:
+        return CheckResult("skeleton", False, "skeleton is not delta times the canonical strands",
+                           s.skeleton_failure)
     golden_note = ""
     if (d, n) == (4, 2) and res.ordering == "selfdual":
         delta_inv = Fraction(1) / res.delta
@@ -253,8 +244,7 @@ def check_skeleton(res: Resolution, dmax: int | None = None) -> CheckResult:
                                    "skeleton differs from the golden d=4, n=2 matrices",
                                    f"matrix {r}")
         golden_note = "; golden d=4, n=2 match"
-    if dmax is None:
-        dmax = 2 * n + d
+    dmax = s.dmax
     cert = strand_certificate(d, n, dmax)
     if not cert.ok:
         return CheckResult("skeleton", False, "monomial strand is not a resolution degreewise",
@@ -273,8 +263,9 @@ def _product_rule_pairs(res: Resolution, r: int, rng: random.Random | None):
     return pairs
 
 
-def check_duality(res: Resolution, sample_seed: int = 0) -> CheckResult:
+def check_duality(s: Session) -> CheckResult:
     """Self-duality: last matrix transposed to the first, pairing product rule, d<=4 shapes."""
+    res = s.res
     d = res.d
     if res.ordering != "selfdual":
         return CheckResult("duality", False,
@@ -300,7 +291,7 @@ def check_duality(res: Resolution, sample_seed: int = 0) -> CheckResult:
         if want != b3:
             return CheckResult("duality", False,
                                "interior matrices do not satisfy the signed block-transpose relation")
-    rng = random.Random(sample_seed) if d >= 5 else None
+    rng = random.Random(0) if d >= 5 else None
     for r in range(0, d):
         b_next = res.matrix(r + 1)
         b_comp = res.matrix(d - r)
@@ -326,12 +317,10 @@ def check_duality(res: Resolution, sample_seed: int = 0) -> CheckResult:
                        "transpose relation, d<=4 matrix shapes, pairing product rule" + sampled)
 
 
-def check_exactness_up_to(res: Resolution, phi: InverseSystem, dmax: int | None = None,
-                          method: str = "auto") -> CheckResult:
+def check_exactness_up_to(s: Session) -> CheckResult:
     """Degreewise exactness and cokernel identification up to total degree dmax."""
-    if dmax is None:
-        dmax = 2 * res.n + res.d
-    out = certify_exactness(res, phi, dmax, method=method)
+    dmax = s.dmax
+    out = certify_exactness(s)
     if not out.ok:
         return CheckResult("exactness", False,
                            f"exactness fails below degree {dmax}", "; ".join(out.failures[:3]))
@@ -340,23 +329,14 @@ def check_exactness_up_to(res: Resolution, phi: InverseSystem, dmax: int | None 
                        f"exact in all positions for every degree <= {dmax} via {out.method}{notes}")
 
 
-def check_wlp(res: Resolution, phi: InverseSystem) -> CheckResult:
+def check_wlp(s: Session) -> CheckResult:
     """Multiplication by x1 from degree n-1 to degree n of the quotient is surjective."""
-    d, n = res.d, res.n
+    d, n = s.res.d, s.res.n
     monos_n = monomials_of_degree(d, n)
-    midx = {m: i for i, m in enumerate(monos_n)}
-    ann_rows = []
-    for g in ann_degree(phi, n):
-        v = [Fraction(0)] * len(monos_n)
-        for m, c in g.terms.items():
-            v[midx[m]] = c
-        ann_rows.append(v)
-    mult_rows = []
-    for u in monomials_of_degree(d, n - 1):
-        v = [Fraction(0)] * len(monos_n)
-        v[midx[mul_var(u, 1)]] = Fraction(1)
-        mult_rows.append(v)
-    dim_an = hf_value(phi, n)
+    ann_rows = coeff_rows(s.ann_n, monos_n)
+    x1_multiples = [Poly.monomial(mul_var(u, 1)) for u in monomials_of_degree(d, n - 1)]
+    mult_rows = coeff_rows(x1_multiples, monos_n)
+    dim_an = s.hf(n)
     image_dim = linalg.rank(mult_rows + ann_rows) - linalg.rank(ann_rows)
     if image_dim != dim_an:
         return CheckResult("wlp", False, "x1 is not a weak Lefschetz element",
@@ -366,30 +346,24 @@ def check_wlp(res: Resolution, phi: InverseSystem) -> CheckResult:
 
 
 def run_checks(res: Resolution, phi: InverseSystem, checks=None,
-               dmax: int | None = None, exactness_method: str = "auto") -> Report:
-    """Run the selected checks (default: all) and collect a report."""
+               dmax: int | None = None) -> Report:
+    """Run the selected checks (default: all) on one session and collect a report."""
+    # built per call, so a check rebound on this module (bench/tracer.py) is the one run
+    table = {
+        "complex": check_complex,
+        "betti": check_betti_and_degrees,
+        "euler": check_euler_hilbert,
+        "ann": check_ann_match,
+        "skeleton": check_skeleton,
+        "duality": check_duality,
+        "exactness": check_exactness_up_to,
+        "wlp": check_wlp,
+    }
     selected = tuple(checks) if checks else CHECK_NAMES
-    unknown = [c for c in selected if c not in CHECK_NAMES]
+    unknown = [c for c in selected if c not in table]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {CHECK_NAMES}")
+    s = Session(res, phi, dmax)
     report = Report(d=res.d, n=res.n, delta=str(res.delta))
-    for name in CHECK_NAMES:
-        if name not in selected:
-            continue
-        if name == "complex":
-            report.results.append(check_complex(res))
-        elif name == "betti":
-            report.results.append(check_betti_and_degrees(res))
-        elif name == "euler":
-            report.results.append(check_euler_hilbert(res, phi))
-        elif name == "ann":
-            report.results.append(check_ann_match(res, phi))
-        elif name == "skeleton":
-            report.results.append(check_skeleton(res, dmax))
-        elif name == "duality":
-            report.results.append(check_duality(res))
-        elif name == "exactness":
-            report.results.append(check_exactness_up_to(res, phi, dmax, exactness_method))
-        elif name == "wlp":
-            report.results.append(check_wlp(res, phi))
+    report.results = [table[name](s) for name in CHECK_NAMES if name in selected]
     return report

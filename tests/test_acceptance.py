@@ -14,7 +14,7 @@ from gorlin.differentials import (
     build_resolution,
     build_resolution_via_straightening,
 )
-from gorlin.exactness import certify_exactness
+from gorlin.exactness import Session, certify_exactness
 from gorlin.invsys import (
     InverseSystem,
     ann_degree,
@@ -130,12 +130,13 @@ def test_criterion_6_degreewise_exactness_and_euler():
     for d, n in GRID:
         phi = grid_phi(d, n)
         res = grid_resolution(d, n)
-        out = certify_exactness(res, phi, 2 * n + d)
+        session = Session(res, phi, 2 * n + d)
+        out = certify_exactness(session)
         assert out.ok, (d, n, out.failures)
-        euler = check_euler_hilbert(res, phi)
+        euler = check_euler_hilbert(session)
         assert euler.passed, (d, n)
     res42 = grid_resolution(4, 2)
-    euler42 = check_euler_hilbert(res42, grid_phi(4, 2))
+    euler42 = check_euler_hilbert(Session(res42, grid_phi(4, 2)))
     assert "[1, 0, -9, 16, -9, 0, 1]" in euler42.summary
     elapsed = time.time() - t0
     assert elapsed < 120.0
@@ -146,7 +147,7 @@ def test_criterion_7_duality_suite():
     for d, n in GRID:
         res = grid_resolution(d, n, ordering="selfdual")
         assert entries_transpose(res.matrix(1).entries) == res.matrix(d).entries, (d, n)
-        out = check_duality(res)
+        out = check_duality(Session(res, res.phi))
         assert out.passed, (d, n, out.line())
     # d=3 alternating middle matrix, spelled out
     res3 = grid_resolution(3, 2, ordering="selfdual")
@@ -164,10 +165,10 @@ def test_criterion_7_duality_suite():
 def test_criterion_8_weak_lefschetz():
     for d, n in GRID:
         phi = grid_phi(d, n)
-        assert check_wlp(grid_resolution(d, n), phi).passed, (d, n)
+        assert check_wlp(Session(grid_resolution(d, n), phi)).passed, (d, n)
         promoted = phi.swap_variables(1, 2)
         res2 = build_resolution(promoted)
-        assert check_wlp(res2, promoted).passed, (d, n, "promoted x2")
+        assert check_wlp(Session(res2, promoted)).passed, (d, n, "promoted x2")
     passline(8, "multiplication by the distinguished variable is surjective in the critical degree "
                 "(grid, and again with x2 promoted)")
 

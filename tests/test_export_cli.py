@@ -208,3 +208,25 @@ def test_cli_ann_command(tmp_path):
 
 def test_cli_main_function_direct():
     assert main(["ann", "--d", "3", "--n", "2", "--seed", "1"]) == 0
+
+
+def test_cli_internal_error_is_not_an_input_error(monkeypatch, capsys):
+    import gorlin.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("shape mismatch (1, 5) @ (4, 5)")
+
+    monkeypatch.setattr(cli, "run_checks", broken)
+    assert cli.main(["verify", "--d", "3", "--n", "2", "--seed", "1"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "shape mismatch" in err
+
+
+def test_cli_argument_and_output_errors_exit_3(tmp_path):
+    code, _, stderr = run_cli(["verify", "--d", "3", "--n", "2", "--seed", "1", "--checks", "nope"])
+    assert code == 3 and "nope" in stderr
+    code, _, _ = run_cli(["ann", "--d", "3", "--n", "2", "--seed", "1", "--degree", "-1"])
+    assert code == 3
+    code, _, _ = run_cli(["resolve", "--d", "3", "--n", "2", "--seed", "1",
+                          "--out", str(tmp_path / "missing" / "out.txt")])
+    assert code == 3

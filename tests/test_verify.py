@@ -1,14 +1,17 @@
 """The check suite: passes on good instances, fails with witnesses on broken ones."""
 
 import copy
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from gorlin.differentials import build_resolution, build_resolution_via_straightening
-from gorlin.exactness import certify_exactness, ideal_dims, rank_mod_p
+from gorlin.exactness import Session, certify_exactness, ideal_dims, rank_mod_p
 from gorlin.invsys import hf_value, random_invsys
 from gorlin.monomials import mul_var, unit
+from gorlin.polymatrix import PolyMatrix
 from gorlin.polynomials import Poly
 from gorlin.verify import (
     check_ann_match,
@@ -51,37 +54,37 @@ def test_all_checks_pass_d4_random():
 def test_check_complex_witness():
     res = grid_resolution(4, 2)
     bad = perturbed(res, r=2, i=1, j=2, bump=Poly.monomial(mul_var(unit(4), 1)))
-    out = check_complex(bad)
+    out = check_complex(Session(bad, bad.phi))
     assert not out.passed and "(1, 2)" in (out.witness or "") or "b_" in (out.witness or "")
 
 
 def test_check_betti_catches_quadratic_entry():
     res = grid_resolution(3, 2)
     bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial((0, 2, 0)))
-    out = check_betti_and_degrees(bad)
+    out = check_betti_and_degrees(Session(bad, bad.phi))
     assert not out.passed
 
 
 def test_check_betti_catches_constant():
     res = grid_resolution(3, 2)
     bad = perturbed(res, r=1, i=0, j=0, bump=Poly.constant(3, 1))
-    out = check_betti_and_degrees(bad)
+    out = check_betti_and_degrees(Session(bad, bad.phi))
     assert not out.passed
 
 
 def test_euler_identity_values():
     # (1-t)^4 (1+4t+t^2) and (1-t)^3 (1+3t+t^2)
-    out = check_euler_hilbert(grid_resolution(4, 2), grid_phi(4, 2))
+    out = check_euler_hilbert(Session(grid_resolution(4, 2), grid_phi(4, 2)))
     assert out.passed and "[1, 0, -9, 16, -9, 0, 1]" in out.summary
-    out = check_euler_hilbert(grid_resolution(3, 2), grid_phi(3, 2))
+    out = check_euler_hilbert(Session(grid_resolution(3, 2), grid_phi(3, 2)))
     assert out.passed and "[1, 0, -5, 5, 0, -1]" in out.summary
 
 
 def test_ann_check_and_witness():
-    out = check_ann_match(squares_resolution(3), squares_phi(3))
+    out = check_ann_match(Session(squares_resolution(3), squares_phi(3)))
     assert out.passed
     bad = perturbed(squares_resolution(3), r=1, i=0, j=0, bump=Poly.monomial((0, 2, 0)))
-    out = check_ann_match(bad, squares_phi(3))
+    out = check_ann_match(Session(bad, squares_phi(3)))
     assert not out.passed
 
 
@@ -95,48 +98,48 @@ def test_golden_skeleton_data_shapes():
 
 def test_check_skeleton_golden_and_witness():
     res = grid_resolution(4, 2, ordering="selfdual")
-    out = check_skeleton(res)
+    out = check_skeleton(Session(res, res.phi))
     assert out.passed and "golden" in out.summary
     bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial((0, 1, 0, 0)))
-    out = check_skeleton(bad)
+    out = check_skeleton(Session(bad, bad.phi))
     assert not out.passed
 
 
 def test_check_duality_needs_selfdual_ordering():
     res = grid_resolution(4, 2)
-    out = check_duality(res)
+    out = check_duality(Session(res, res.phi))
     assert not out.passed and "ordering" in (out.witness or "")
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
 def test_check_duality(d, n):
     res = grid_resolution(d, n, ordering="selfdual")
-    out = check_duality(res)
+    out = check_duality(Session(res, res.phi))
     assert out.passed, out.line()
 
 
 def test_check_wlp_passes_and_swapped_variable():
     phi = grid_phi(4, 2)
     res = grid_resolution(4, 2)
-    assert check_wlp(res, phi).passed
+    assert check_wlp(Session(res, phi)).passed
     swapped = phi.swap_variables(1, 2)
     res2 = build_resolution(swapped)
-    assert check_wlp(res2, swapped).passed
+    assert check_wlp(Session(res2, swapped)).passed
 
 
 def test_exactness_methods_agree():
     for d, n in [(3, 2), (4, 2)]:
         phi = grid_phi(d, n)
         res = grid_resolution(d, n)
-        direct = certify_exactness(res, phi, 2 * n + d, method="direct")
-        les = certify_exactness(res, phi, 2 * n + d, method="les")
+        direct = certify_exactness(Session(res, phi, 2 * n + d), method="direct")
+        les = certify_exactness(Session(res, phi, 2 * n + d), method="les")
         assert direct.ok and les.ok
 
 
 def test_exactness_detects_broken_complex():
     res = grid_resolution(3, 2)
     bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial((1, 0, 0)))
-    out = certify_exactness(bad, grid_phi(3, 2), 7, method="direct")
+    out = certify_exactness(Session(bad, grid_phi(3, 2), 7), method="direct")
     assert not out.ok and "complex" in out.failures[0]
 
 
@@ -149,9 +152,9 @@ def test_exactness_detects_missing_syzygies():
         for i in range(len(mat.rows)):
             for j in range(len(mat.cols)):
                 mat.entries[i][j] = Poly.zero(3)
-    out = certify_exactness(bad, grid_phi(3, 2), 7, method="direct")
+    out = certify_exactness(Session(bad, grid_phi(3, 2), 7), method="direct")
     assert not out.ok and any("degree" in f for f in out.failures)
-    out = certify_exactness(bad, grid_phi(3, 2), 7, method="les")
+    out = certify_exactness(Session(bad, grid_phi(3, 2), 7), method="les")
     assert not out.ok  # the skeleton no longer matches the canonical strands
 
 
@@ -161,8 +164,8 @@ def test_exactness_distinguishes_only_dimensions():
     phi = grid_phi(3, 2)
     other = random_invsys(3, 2, seed=99)
     res_other = build_resolution(other)
-    assert certify_exactness(res_other, phi, 7, method="direct").ok
-    assert not check_ann_match(res_other, phi).passed
+    assert certify_exactness(Session(res_other, phi, 7), method="direct").ok
+    assert not check_ann_match(Session(res_other, phi)).passed
 
 
 def test_ideal_dims_growth():
@@ -236,7 +239,7 @@ def test_exactness_against_naive_rank_oracle():
             ker = dims[r] - ranks[r]
             assert ker == ranks[r + 1], (r, e)
         assert comb(e + d - 1, d - 1) - ranks[1] == hf_value(phi, e)
-    out = certify_exactness(res, phi, 7, method="direct")
+    out = certify_exactness(Session(res, phi, 7), method="direct")
     assert out.ok
 
 
@@ -262,8 +265,8 @@ def test_fractional_coefficients_full_pipeline():
 def test_exactness_beyond_default_bound():
     phi = grid_phi(3, 2)
     res = grid_resolution(3, 2)
-    assert certify_exactness(res, phi, 12, method="direct").ok
-    assert certify_exactness(res, phi, 12, method="les").ok
+    assert certify_exactness(Session(res, phi, 12), method="direct").ok
+    assert certify_exactness(Session(res, phi, 12), method="les").ok
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -282,3 +285,54 @@ def test_report_serialization():
     assert "PASS complex" in txt and "ALL CHECKS PASSED" in txt
     doc = report.to_json_dict()
     assert doc["passed"] is True and doc["checks"][0]["name"] == "complex"
+
+
+def test_session_facts_do_not_carry_into_a_perturbed_copy():
+    phi = grid_phi(4, 2)
+    res = grid_resolution(4, 2, ordering="selfdual")
+    assert run_checks(res, phi).passed
+    bad = perturbed(res, r=2, i=1, j=2, bump=Poly.monomial(mul_var(unit(4), 2)))
+    verdicts = {r.name: r.passed for r in run_checks(bad, phi).results}
+    assert not verdicts["complex"]
+    assert not verdicts["exactness"]
+
+
+def _count_calls(monkeypatch, counts, name, original, wanted=lambda *args: True):
+    """Count the wanted calls of original under every gorlin name bound to it."""
+    def wrapper(*args, **kwargs):
+        if wanted(*args):
+            counts[name] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("gorlin") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
+def test_run_checks_proves_each_fact_once(monkeypatch):
+    from gorlin import exactness, invsys
+
+    phi = grid_phi(4, 2)
+    res = grid_resolution(4, 2, ordering="selfdual")
+    n = res.n
+    counts = Counter()
+    mul = PolyMatrix.mul
+
+    def counting_mul(self, other):
+        for r in range(1, res.d):
+            if self is res.matrix(r) and other is res.matrix(r + 1):
+                counts[f"b_{r} b_{r + 1}"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(PolyMatrix, "mul", counting_mul)
+    _count_calls(monkeypatch, counts, "skeleton_block_failure", exactness.skeleton_block_failure)
+    _count_calls(monkeypatch, counts, "ann_degree", invsys.ann_degree,
+                 lambda p, j: p is phi and j == n)
+    _count_calls(monkeypatch, counts, "hilbert_function", invsys.hilbert_function)
+    assert run_checks(res, phi).passed
+    assert counts == Counter({
+        **{f"b_{r} b_{r + 1}": 1 for r in range(1, res.d)},
+        "skeleton_block_failure": 1,
+        "ann_degree": 1,
+        "hilbert_function": 1,
+    })
