@@ -23,16 +23,19 @@ a piece with one component goes to the dense kernel whole.  The dense
 kernel reduces every entry mod p in integer arithmetic before it enters a
 float64 array, so no rounding reaches a rank.
 
-For d >= 5 the full graded pieces are too large even for mod-p elimination,
-so exactness is instead reduced to the skeleton: the short exact sequence
-0 -> B(-1) -> B -> B/x1 B -> 0 and its homology long exact sequence show
-that vanishing of the skeleton homology in positions >= 2 forces
+Exactness of B is reduced to its skeleton for every d: the short exact
+sequence 0 -> B(-1) -> B -> B/x1 B -> 0 and its homology long exact sequence
+show that vanishing of the skeleton homology in positions >= 2 forces
 H_i(B)_e = x1 * H_i(B)_{e-1} for i >= 2, hence H_i(B) = 0 by induction on
 e, while positions 1 and 0 reduce to small exact computations: the degree
 growth of the ideal generated by the first matrix, and the bottom homology
-of the dual skeleton strand over d-1 variables.
+of the dual skeleton strand over d-1 variables.  The skeleton depends only
+on (d, n), so the only pieces ever ranked are those of the canonical
+strands, certified once per (d, n).  certify_exactness_direct ranks the
+full graded pieces of B instead; it is the reference the tests compare the
+skeleton route against.
 
-The facts both routes rest on (the complex property and the skeleton
+The facts the certificate rests on (the complex property and the skeleton
 structure) are verdicts of their own as well.  A Session proves each of them
 once per verification run, together with the Hilbert function and the
 degree-n annihilator, and every check that needs a fact reads it there.
@@ -57,7 +60,6 @@ from .polynomials import Poly, coeff_rows
 
 PRIMES = (65521, 65519, 65497, 65479, 65449)
 _PANEL = 256
-_DIRECT_ENTRY_LIMIT = 6_000_000
 _EXACT_ENTRY_LIMIT = 1_200_000
 
 
@@ -412,7 +414,7 @@ def ideal_dims(res: Resolution, dmax: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# the two exactness routes
+# exactness of B: the skeleton route, and the direct route it is tested against
 # ---------------------------------------------------------------------------
 
 
@@ -548,8 +550,8 @@ def skeleton_block_failure(res: Resolution) -> str | None:
     return None
 
 
-def certify_exactness_les(s: Session) -> ExactnessOutcome:
-    """Skeleton-filtration certification (for sizes where direct pieces are too large).
+def certify_exactness(s: Session) -> ExactnessOutcome:
+    """Certify H_r(B)_e = 0 for 1 <= r <= d, e <= dmax, and coker(b_1) = the quotient.
 
     Uses the homology long exact sequence of 0 -> B(-1) -> B -> B/x1 -> 0:
     strand exactness kills H_i for i >= 2 by induction on the degree, and the
@@ -585,18 +587,3 @@ def certify_exactness_les(s: Session) -> ExactnessOutcome:
         else:
             out.checked_positions += d
     return out
-
-
-def certify_exactness(s: Session, method: str = "auto") -> ExactnessOutcome:
-    """Certify H_r(B)_e = 0 for 1 <= r <= d, e <= dmax, and coker(b_1) = the quotient."""
-    if method == "auto":
-        biggest = 0
-        for e in range(0, s.dmax + 1):
-            dims = _position_dims(s.res, e)
-            biggest = max(biggest, max(a * b for a, b in zip(dims, dims[1:])))
-        method = "direct" if biggest <= _DIRECT_ENTRY_LIMIT else "les"
-    if method == "direct":
-        return certify_exactness_direct(s)
-    if method == "les":
-        return certify_exactness_les(s)
-    raise ValueError(f"unknown exactness method {method!r}")

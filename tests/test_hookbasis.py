@@ -204,23 +204,26 @@ def test_kos_block_column_structure():
 
 
 def test_pp_value_structure():
-    d, n = 4, 2
-    for r in range(d + 1):
-        br = enumerate_basis(d, n, r)
-        bdr = enumerate_basis(d, n, d - r)
-        rows = []
-        for _, e1 in br:
-            rows.append([pp_value(e1, e2) for _, e2 in bdr])
-        # signed permutation: one nonzero entry per row and per column
-        for row in rows:
-            assert sum(1 for v in row if v) == 1 and all(v in (-1, 0, 1) for v in row)
-        for j in range(len(bdr)):
-            assert sum(1 for row in rows if row[j]) == 1
-        # X-X and Y-Y pairs vanish
-        for s1, e1 in br:
-            for s2, e2 in bdr:
-                if e1.kind == e2.kind and 0 < r < d:
-                    assert pp_value(e1, e2) == 0
+    # the complete duality check reads the pairing of the self-dual bases as a
+    # signed permutation; at even d their middle pairing is not the identity
+    cases = [(4, 2, enumerate_basis)] + [(d, n, duality_basis) for d, n in [(3, 2), (4, 3), (5, 2), (6, 2)]]
+    for d, n, bases in cases:
+        for r in range(d + 1):
+            br = bases(d, n, r)
+            bdr = bases(d, n, d - r)
+            rows = []
+            for _, e1 in br:
+                rows.append([pp_value(e1, e2) for _, e2 in bdr])
+            # signed permutation: one nonzero entry per row and per column
+            for row in rows:
+                assert sum(1 for v in row if v) == 1 and all(v in (-1, 0, 1) for v in row)
+            for j in range(len(bdr)):
+                assert sum(1 for row in rows if row[j]) == 1
+            # X-X and Y-Y pairs vanish
+            for s1, e1 in br:
+                for s2, e2 in bdr:
+                    if e1.kind == e2.kind and 0 < r < d:
+                        assert pp_value(e1, e2) == 0
 
 
 def test_pp_graded_commutativity():

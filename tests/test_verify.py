@@ -6,11 +6,18 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gorlin.differentials import build_resolution, build_resolution_via_straightening
-from gorlin.exactness import Session, certify_exactness, ideal_dims, rank_mod_p
-from gorlin.invsys import hf_value, random_invsys
-from gorlin.monomials import mul_var, unit
+from gorlin.exactness import (
+    Session,
+    certify_exactness,
+    certify_exactness_direct,
+    ideal_dims,
+    rank_mod_p,
+)
+from gorlin.invsys import InverseSystem, delta_and_Q, hf_value, random_invsys
+from gorlin.monomials import monomials_of_degree, mul_var, unit
 from gorlin.polymatrix import PolyMatrix
 from gorlin.polynomials import Poly
 from gorlin.verify import (
@@ -19,6 +26,7 @@ from gorlin.verify import (
     check_complex,
     check_duality,
     check_euler_hilbert,
+    check_exactness_up_to,
     check_skeleton,
     check_wlp,
     golden_skeleton_d4_n2,
@@ -118,6 +126,15 @@ def test_check_duality(d, n):
     assert out.passed, out.line()
 
 
+def test_check_duality_reaches_every_pair():
+    # b_2 entry (0, 1) enters the product rule only at r = 1, pair (1, 0), and
+    # at r = 3, both outside the 200 pairs per r a random.Random(0) sample draws
+    res = grid_resolution(5, 2, ordering="selfdual")
+    bad = perturbed(res, r=2, i=0, j=1, bump=Poly.monomial(mul_var(unit(5), 2)))
+    out = check_duality(Session(bad, bad.phi))
+    assert not out.passed and out.witness == "r=1, pair (1, 0)", out.line()
+
+
 def test_check_wlp_passes_and_swapped_variable():
     phi = grid_phi(4, 2)
     res = grid_resolution(4, 2)
@@ -131,15 +148,44 @@ def test_exactness_methods_agree():
     for d, n in [(3, 2), (4, 2)]:
         phi = grid_phi(d, n)
         res = grid_resolution(d, n)
-        direct = certify_exactness(Session(res, phi, 2 * n + d), method="direct")
-        les = certify_exactness(Session(res, phi, 2 * n + d), method="les")
+        direct = certify_exactness_direct(Session(res, phi, 2 * n + d))
+        les = certify_exactness(Session(res, phi, 2 * n + d))
         assert direct.ok and les.ok
+
+
+@st.composite
+def permuted_systems(draw):
+    """An inverse system with large or fractional coefficients, and a permutation of x2..xd."""
+    d, n = draw(st.sampled_from([(3, 2), (3, 3), (4, 2)]))
+    coeff = st.one_of(st.integers(-2**40, 2**40),
+                      st.fractions(min_value=-2**40, max_value=2**40, max_denominator=1000))
+    phi = InverseSystem(d, n, {m: draw(coeff) for m in monomials_of_degree(d, 2 * n - 2)})
+    return phi, draw(st.permutations(range(2, d + 1)))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(permuted_systems())
+def test_routes_agree_and_verdicts_survive_a_permutation(case):
+    phi, perm = case
+    assume(delta_and_Q(phi).admissible)
+    res = build_resolution(phi, ordering="selfdual")
+    s = Session(res, phi)
+    assert certify_exactness(s).ok == certify_exactness_direct(s).ok
+    swapped, perm = phi, list(perm)
+    for k in range(len(perm)):  # one swap puts each variable in its place
+        j = perm.index(k + 2)
+        if j != k:
+            perm[j], perm[k] = perm[k], perm[j]
+            swapped = swapped.swap_variables(k + 2, j + 2)
+    verdicts = [(r.name, r.passed) for r in run_checks(res, phi).results]
+    res2 = build_resolution(swapped, ordering="selfdual")
+    assert [(r.name, r.passed) for r in run_checks(res2, swapped).results] == verdicts
 
 
 def test_exactness_detects_broken_complex():
     res = grid_resolution(3, 2)
     bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial((1, 0, 0)))
-    out = certify_exactness(Session(bad, grid_phi(3, 2), 7), method="direct")
+    out = certify_exactness_direct(Session(bad, grid_phi(3, 2), 7))
     assert not out.ok and "complex" in out.failures[0]
 
 
@@ -152,10 +198,12 @@ def test_exactness_detects_missing_syzygies():
         for i in range(len(mat.rows)):
             for j in range(len(mat.cols)):
                 mat.entries[i][j] = Poly.zero(3)
-    out = certify_exactness(Session(bad, grid_phi(3, 2), 7), method="direct")
+    out = certify_exactness_direct(Session(bad, grid_phi(3, 2), 7))
     assert not out.ok and any("degree" in f for f in out.failures)
-    out = certify_exactness(Session(bad, grid_phi(3, 2), 7), method="les")
+    out = certify_exactness(Session(bad, grid_phi(3, 2), 7))
     assert not out.ok  # the skeleton no longer matches the canonical strands
+    out = check_exactness_up_to(Session(bad, grid_phi(3, 2), 7))
+    assert not out.passed and out.summary == "exactness fails up to degree 7"
 
 
 def test_exactness_distinguishes_only_dimensions():
@@ -164,7 +212,7 @@ def test_exactness_distinguishes_only_dimensions():
     phi = grid_phi(3, 2)
     other = random_invsys(3, 2, seed=99)
     res_other = build_resolution(other)
-    assert certify_exactness(Session(res_other, phi, 7), method="direct").ok
+    assert certify_exactness_direct(Session(res_other, phi, 7)).ok
     assert not check_ann_match(Session(res_other, phi)).passed
 
 
@@ -239,7 +287,7 @@ def test_exactness_against_naive_rank_oracle():
             ker = dims[r] - ranks[r]
             assert ker == ranks[r + 1], (r, e)
         assert comb(e + d - 1, d - 1) - ranks[1] == hf_value(phi, e)
-    out = certify_exactness(Session(res, phi, 7), method="direct")
+    out = certify_exactness_direct(Session(res, phi, 7))
     assert out.ok
 
 
@@ -265,8 +313,8 @@ def test_fractional_coefficients_full_pipeline():
 def test_exactness_beyond_default_bound():
     phi = grid_phi(3, 2)
     res = grid_resolution(3, 2)
-    assert certify_exactness(Session(res, phi, 12), method="direct").ok
-    assert certify_exactness(Session(res, phi, 12), method="les").ok
+    assert certify_exactness_direct(Session(res, phi, 12)).ok
+    assert certify_exactness(Session(res, phi, 12)).ok
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
