@@ -13,13 +13,10 @@ from .differentials import (
     bd_matrix,
     build_resolution,
     build_resolution_via_straightening,
-    pp_matrix,
-    skeleton,
 )
 from .hookbasis import (
     BasisElement,
     OrderedBasis,
-    dual_ordered_basis,
     duality_basis,
     enumerate_basis,
     rank_formulas,
@@ -55,17 +52,14 @@ __all__ = [
     "catalecticant_matrix",
     "contract",
     "delta_and_Q",
-    "dual_ordered_basis",
     "duality_basis",
     "enumerate_basis",
     "hilbert_function",
     "load_invsys",
-    "pp_matrix",
     "random_invsys",
     "rank_formulas",
     "Report",
     "run_checks",
     "save_invsys",
-    "skeleton",
     "sum_of_powers",
 ]

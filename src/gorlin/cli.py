@@ -145,7 +145,7 @@ def _emit(cfg: Config, text: str) -> None:
 
 def cmd_resolve(cfg: Config) -> int:
     phi = _load_phi(cfg)
-    res = build_resolution(phi, ordering="selfdual")
+    res = build_resolution(phi)
     print(f"delta  = {res.delta}")
     print(f"betti  = {' '.join(str(b) for b in res.betti)}")
     print(f"twists = {' '.join(str(t) for t in res.twists)}")
@@ -160,7 +160,7 @@ def cmd_resolve(cfg: Config) -> int:
 
 def cmd_verify(cfg: Config) -> int:
     phi = _load_phi(cfg)
-    res = build_resolution(phi, ordering="selfdual")
+    res = build_resolution(phi)
     report = run_checks(res, phi, checks=cfg.checks, dmax=cfg.dmax)
     _emit(cfg, report.to_text() if cfg.fmt == "text" else report_json(report))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILURE
@@ -175,7 +175,7 @@ def cmd_ann(cfg: Config) -> int:
         lines.append(f"  {poly_str(g)}")
     if j == phi.n:
         try:
-            res = build_resolution(phi, ordering="selfdual")
+            res = build_resolution(phi)
         except InadmissibleSystemError:
             lines.append("inverse system is inadmissible (delta = 0); no resolution comparison")
         else:

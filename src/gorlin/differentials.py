@@ -1,26 +1,33 @@
 """Construction of the resolution matrices from an admissible inverse system.
 
 Two independent routes are provided.  The production route writes each
-column of the interior differentials directly in the standard basis using
-the closed-form coefficient sums in t and Q.  The alternative route applies
-the contraction formulas to elementary wedge generators and straightens the
-result with expand_eta / expand_kappa; it exists as a cross-check oracle.
+column of the interior differentials directly in the standard basis elements
+using the closed-form coefficient sums in t and Q.  The alternative route
+applies the contraction formulas to elementary wedge generators and
+straightens the result with expand_eta / expand_kappa; it exists as a
+cross-check oracle.  Both assemble the matrices in one basis family, the
+self-dual bases of hookbasis.duality_basis, in which the pairing between
+complementary positions is a signed permutation.
+
+canonical_skeleton(d, n) writes the Koszul strands that every resolution
+reduces to mod x1, up to the factor delta, in the same bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .hookbasis import (
     BasisElement,
     OrderedBasis,
     duality_basis,
-    enumerate_basis,
     expand_eta,
     expand_kappa,
     gamma_of,
-    pp_value,
+    kos_expansion,
+    y0,
 )
 from .invsys import Catalecticant, InadmissibleSystemError, InverseSystem, delta_and_Q
 from .monomials import (
@@ -146,26 +153,17 @@ def b1_column(ctx: BuildContext, elt: BasisElement) -> Poly:
 
 
 def b1_matrix(phi: InverseSystem) -> PolyMatrix:
-    """The first differential as a 1 x beta_1 matrix in the standard basis.
+    """The first differential as a 1 x beta_1 matrix, equal to build_resolution(phi).matrix(1).
 
     Well defined for every inverse system, including inadmissible ones
     (delta = 0 only degrades the columns, it does not break the formulas).
     """
-    ctx = BuildContext(phi)
-    rows = enumerate_basis(phi.d, phi.n, 0)
-    cols = enumerate_basis(phi.d, phi.n, 1)
-    entries = [[b1_column(ctx, e).scale(s) for s, e in cols]]
-    return PolyMatrix(rows=rows, cols=cols, entries=entries)
+    return _first_matrix(BuildContext(phi))
 
 
 def bd_matrix(phi: InverseSystem) -> PolyMatrix:
-    """The last differential as a beta_{d-1} x 1 matrix in the standard basis."""
-    ctx = BuildContext(phi)
-    rows = enumerate_basis(phi.d, phi.n, phi.d - 1)
-    cols = enumerate_basis(phi.d, phi.n, phi.d)
-    data = bd_rows(ctx)
-    entries = [[data.get(e, Poly.zero(phi.d)).scale(s)] for s, e in rows]
-    return PolyMatrix(rows=rows, cols=cols, entries=entries)
+    """The last differential as a beta_{d-1} x 1 matrix, equal to build_resolution(phi).matrix(d)."""
+    return _last_matrix(BuildContext(phi))
 
 
 def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, Poly]:
@@ -410,11 +408,10 @@ def br_column_alt(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEle
 
 @dataclass
 class Resolution:
-    """The assembled resolution: ordered bases, matrices, twists, and metadata."""
+    """The assembled resolution: self-dual bases, matrices, twists, and metadata."""
 
     phi: InverseSystem
     delta: Fraction
-    ordering: str
     bases: tuple[OrderedBasis, ...]
     matrices: tuple[PolyMatrix, ...]
     twists: tuple[int, ...]
@@ -436,8 +433,7 @@ class Resolution:
         return tuple(len(b) for b in self.bases)
 
     def __repr__(self) -> str:
-        return (f"Resolution(d={self.d}, n={self.n}, delta={self.delta}, "
-                f"betti={self.betti}, ordering={self.ordering!r})")
+        return f"Resolution(d={self.d}, n={self.n}, delta={self.delta}, betti={self.betti})"
 
 
 def twist_list(d: int, n: int) -> tuple[int, ...]:
@@ -445,6 +441,7 @@ def twist_list(d: int, n: int) -> tuple[int, ...]:
 
 
 def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions) -> PolyMatrix:
+    """The matrix whose column j is expansions[j] (target element -> polynomial), signed by the bases."""
     d = rows.d
     pos = rows.position()
     entries = [[Poly.zero(d) for _ in range(len(cols))] for _ in range(len(rows))]
@@ -455,7 +452,18 @@ def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions) -> PolyMatrix:
     return PolyMatrix(rows=rows, cols=cols, entries=entries)
 
 
-def _build(phi: InverseSystem, ordering: str, column_fn) -> Resolution:
+def _first_matrix(ctx: BuildContext) -> PolyMatrix:
+    d, n = ctx.d, ctx.n
+    cols = duality_basis(d, n, 1)
+    return _assemble(duality_basis(d, n, 0), cols, [{y0(d): b1_column(ctx, e)} for _, e in cols])
+
+
+def _last_matrix(ctx: BuildContext) -> PolyMatrix:
+    d, n = ctx.d, ctx.n
+    return _assemble(duality_basis(d, n, d - 1), duality_basis(d, n, d), [bd_rows(ctx)])
+
+
+def _build(phi: InverseSystem, column_fn) -> Resolution:
     cat = delta_and_Q(phi)
     if not cat.admissible:
         raise InadmissibleSystemError(
@@ -465,25 +473,15 @@ def _build(phi: InverseSystem, ordering: str, column_fn) -> Resolution:
         )
     ctx = BuildContext(phi, cat)
     d, n = phi.d, phi.n
-    if ordering == "standard":
-        bases = tuple(enumerate_basis(d, n, r) for r in range(d + 1))
-    elif ordering == "selfdual":
-        bases = tuple(duality_basis(d, n, r) for r in range(d + 1))
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
-    matrices: list[PolyMatrix] = []
-
-    expans1 = [{bases[0].elements[0][1]: b1_column(ctx, e)} for _, e in bases[1]]
-    matrices.append(_assemble(bases[0], bases[1], expans1))
+    bases = tuple(duality_basis(d, n, r) for r in range(d + 1))
+    matrices = [_first_matrix(ctx)]
     for r in range(2, d):
         expans = [column_fn(ctx, r, e) for _, e in bases[r]]
         matrices.append(_assemble(bases[r - 1], bases[r], expans))
-    rowsd = bd_rows(ctx)
-    matrices.append(_assemble(bases[d - 1], bases[d], [rowsd]))
+    matrices.append(_last_matrix(ctx))
     return Resolution(
         phi=phi,
         delta=cat.delta,
-        ordering=ordering,
         bases=bases,
         matrices=tuple(matrices),
         twists=twist_list(d, n),
@@ -494,76 +492,45 @@ def _column_direct(ctx: BuildContext, r: int, elt: BasisElement):
     return br_column_X(ctx, r, elt) if elt.kind == "X" else br_column_Y(ctx, r, elt)
 
 
-def build_resolution(phi: InverseSystem, ordering: str = "standard") -> Resolution:
-    """Build the resolution with the closed-form column formulas."""
-    return _build(phi, ordering, _column_direct)
+def build_resolution(phi: InverseSystem, ordering: str = "selfdual") -> Resolution:
+    """Build the resolution with the closed-form column formulas, in the self-dual bases.
+
+    ordering names the basis family; "selfdual" (duality_basis) is the only one.
+    """
+    if ordering != "selfdual":
+        raise ValueError(f"unknown ordering {ordering!r}; the only basis family is 'selfdual'")
+    return _build(phi, _column_direct)
 
 
-def build_resolution_via_straightening(phi: InverseSystem, ordering: str = "standard") -> Resolution:
+def build_resolution_via_straightening(phi: InverseSystem) -> Resolution:
     """Build the resolution through elementary generators and straightening.
 
     Independent of build_resolution for the interior differentials; the two
     must agree matrix-for-matrix.
     """
-    return _build(phi, ordering, br_column_alt)
+    return _build(phi, br_column_alt)
 
 
-def canonical_skeleton(res: Resolution) -> list[PolyMatrix]:
-    """The matrices the skeleton must equal: delta times the two Koszul strands.
+@lru_cache(maxsize=None)
+def canonical_skeleton(d: int, n: int) -> tuple[PolyMatrix, ...]:
+    """The skeleton B/x1 B without its delta factor: the maps out of positions 1..d.
 
-    Expressed in the ordered (possibly signed) bases of res; independent of
-    the inverse system except through the scalar delta.
+    It depends on (d, n) alone.  It is the only place where the entries of
+    the two Koszul strands on x2..xd are written: the monomial strand L on
+    the Y elements and the dual strand K on the X elements, with no entry
+    between the two kinds.  Built in the self-dual bases of every resolution;
+    a built skeleton equals delta times these matrices.
     """
-    from .hookbasis import kos_expansion
-
-    d, n, delta = res.d, res.n, res.delta
-    out: list[PolyMatrix] = []
+    bases = [duality_basis(d, n, r) for r in range(d + 1)]
+    out = []
     for r in range(1, d + 1):
-        rows, cols = res.bases[r - 1], res.bases[r]
-        entries = [[Poly.zero(d) for _ in range(len(cols))] for _ in range(len(rows))]
+        rows, cols = bases[r - 1], bases[r]
         if r == 1:
-            s0 = rows.elements[0][0]
-            for j, (cs, e) in enumerate(cols):
-                if e.kind == "Y":
-                    entries[0][j] = Poly.monomial(mul_var(e.m, e.a[0]), delta * s0 * cs)
+            expans = [{y0(d): Poly.monomial(mul_var(e.m, e.a[0]))} if e.kind == "Y" else {}
+                      for _, e in cols]
         elif r == d:
-            cs = cols.elements[0][0]
-            for i, (rs, e) in enumerate(rows):
-                if e.kind == "X":
-                    entries[i][0] = Poly.monomial(e.m, delta * rs * cs)
+            expans = [{e: Poly.monomial(e.m) for _, e in rows if e.kind == "X"}]
         else:
-            pos = rows.position()
-            for j, (cs, e) in enumerate(cols):
-                for target, p in kos_expansion(e).items():
-                    i, rs = pos[target]
-                    entries[i][j] = p.scale(delta * rs * cs)
-        out.append(PolyMatrix(rows=rows, cols=cols, entries=entries))
-    return out
-
-
-def pp_matrix(basis_r: OrderedBasis, basis_dr: OrderedBasis) -> list[list[int]]:
-    """The pairing matrix (coefficients of the top generator) on two ordered bases."""
-    out = []
-    for s1, e1 in basis_r:
-        out.append([s1 * s2 * pp_value(e1, e2) for s2, e2 in basis_dr])
-    return out
-
-
-def skeleton(res: Resolution) -> list[PolyMatrix]:
-    """All matrices reduced mod x1.
-
-    For interior degrees the result must be block diagonal (X rows pair with
-    X columns, Y with Y); a mixed nonzero entry indicates a broken build.
-    """
-    out = []
-    for r in range(1, res.d + 1):
-        mat = res.matrix(r).mod_x1()
-        if 2 <= r <= res.d - 1:
-            for i, (_, re) in enumerate(mat.rows):
-                for j, (_, ce) in enumerate(mat.cols):
-                    if re.kind != ce.kind and not mat.entries[i][j].is_zero():
-                        raise AssertionError(
-                            f"skeleton of b_{r} has a mixed {re.kind}->{ce.kind} entry at ({i}, {j})"
-                        )
-        out.append(mat)
-    return out
+            expans = [kos_expansion(e) for _, e in cols]
+        out.append(_assemble(rows, cols, expans))
+    return tuple(out)

@@ -30,8 +30,10 @@ H_i(B)_e = x1 * H_i(B)_{e-1} for i >= 2, hence H_i(B) = 0 by induction on
 e, while positions 1 and 0 reduce to small exact computations: the degree
 growth of the ideal generated by the first matrix, and the bottom homology
 of the dual skeleton strand over d-1 variables.  The skeleton depends only
-on (d, n), so the only pieces ever ranked are those of the canonical
-strands, certified once per (d, n).  certify_exactness_direct ranks the
+on (d, n): differentials.canonical_skeleton(d, n) writes it once, its two
+diagonal blocks are the strands that strand_certificate ranks (once per
+(d, n)), and skeleton_block_failure compares the skeleton of each resolution
+with delta times the same matrices.  certify_exactness_direct ranks the
 full graded pieces of B instead; it is the reference the tests compare the
 skeleton route against.
 
@@ -51,8 +53,8 @@ from math import comb, lcm
 import numpy as np
 
 from . import linalg
-from .differentials import Resolution, twist_list
-from .hookbasis import enumerate_basis, rank_formulas
+from .differentials import Resolution, canonical_skeleton, twist_list
+from .hookbasis import rank_formulas, skeleton_kos_blocks
 from .invsys import InverseSystem, ann_degree, hilbert_function
 from .monomials import monomials_of_degree, mul, mul_var
 from .polymatrix import PolyMatrix
@@ -275,46 +277,26 @@ def _certify_chain(pieces: dict[int, Piece], ms: list[int], h0: int | None,
 # ---------------------------------------------------------------------------
 
 
-def canonical_l_bottom(d: int, n: int) -> PolyMatrix:
-    """Position 1 -> 0 of the monomial strand: the column for Y(1; a; m) is x_a * m."""
-    rows = enumerate_basis(d, n, 0)
-    cols = enumerate_basis(d, n, 1).y_part()
-    entries = [[Poly.monomial(mul_var(e.m, e.a[0])) for _, e in cols]]
-    return PolyMatrix(rows=rows, cols=cols, entries=entries)
+def first_nonzero_product(mats: dict[int, PolyMatrix]) -> tuple[int, int, int, Poly] | None:
+    """The first (r, i, j, entry) with a nonzero entry of mats[r] mats[r + 1], or None."""
+    for r in sorted(mats):
+        if r + 1 in mats:
+            for i, row in enumerate(mats[r].mul(mats[r + 1])):
+                for j, p in enumerate(row):
+                    if not p.is_zero():
+                        return r, i, j, p
+    return None
 
 
-def canonical_k_top(d: int, n: int) -> PolyMatrix:
-    """Position d -> d-1 of the dual strand: the row for X(d-1; 2..d; m) is m."""
-    rows = enumerate_basis(d, n, d - 1).x_part()
-    cols = enumerate_basis(d, n, d)
-    entries = [[Poly.monomial(e.m)] for _, e in rows]
-    return PolyMatrix(rows=rows, cols=cols, entries=entries)
-
-
-@lru_cache(maxsize=None)
 def strand_matrices(d: int, n: int) -> tuple[dict[int, PolyMatrix], dict[int, PolyMatrix]]:
-    """Canonical (determinant-free) skeleton strands: (L maps, K maps) by position."""
-    from .hookbasis import skeleton_kos_blocks
+    """The two skeleton strands by position, (L maps 1..d-1, K maps 2..d).
 
-    lmats: dict[int, PolyMatrix] = {1: canonical_l_bottom(d, n)}
-    kmats: dict[int, PolyMatrix] = {d: canonical_k_top(d, n)}
-    for r in range(2, d):
-        kblock, lblock = skeleton_kos_blocks(d, n, r)
-        lmats[r] = lblock
-        kmats[r] = kblock
-    return lmats, kmats
-
-
-@lru_cache(maxsize=None)
-def _strand_complexes_ok(d: int, n: int) -> bool:
-    lmats, kmats = strand_matrices(d, n)
-    for mats in (lmats, kmats):
-        for r in mats:
-            if r + 1 in mats:
-                prod = mats[r].mul(mats[r + 1])
-                if any(not p.is_zero() for row in prod for p in row):
-                    return False
-    return True
+    They are the diagonal blocks of canonical_skeleton(d, n), cut by
+    skeleton_kos_blocks, so the complex certified here is the one that the
+    skeleton of every resolution is compared against.
+    """
+    blocks = {r: skeleton_kos_blocks(d, n, r) for r in range(1, d + 1)}
+    return {r: blocks[r][1] for r in range(1, d)}, {r: blocks[r][0] for r in range(2, d + 1)}
 
 
 def sbar_dim(d: int, deg: int) -> int:
@@ -342,9 +324,9 @@ def strand_certificate(d: int, n: int, dmax: int) -> StrandCertificate:
     failures: list[str] = []
     notes: list[str] = []
     h1k: dict[int, int] = {}
-    if not _strand_complexes_ok(d, n):
-        return StrandCertificate(False, dmax, {}, ["strand matrices do not compose to zero"], notes)
     lmats, kmats = strand_matrices(d, n)
+    if first_nonzero_product(lmats) or first_nonzero_product(kmats):
+        return StrandCertificate(False, dmax, {}, ["strand matrices do not compose to zero"], notes)
     twists = twist_list(d, n)
     kdims = {r: rank_formulas(d, n, r)[0] for r in range(1, d)}
     ldims = {r: rank_formulas(d, n, r)[1] for r in range(1, d)}
@@ -445,14 +427,7 @@ class Session:
     @cached_property
     def complex_failure(self) -> tuple[int, int, int, Poly] | None:
         """None when b_r b_{r+1} = 0 for all r, else the first (r, i, j, entry) that is not 0."""
-        res = self.res
-        for r in range(1, res.d):
-            prod = res.matrix(r).mul(res.matrix(r + 1))
-            for i, row in enumerate(prod):
-                for j, p in enumerate(row):
-                    if not p.is_zero():
-                        return r, i, j, p
-        return None
+        return first_nonzero_product(dict(enumerate(self.res.matrices, 1)))
 
     @cached_property
     def skeleton_failure(self) -> str | None:
@@ -531,22 +506,20 @@ def certify_exactness_direct(s: Session) -> ExactnessOutcome:
 
 
 def skeleton_block_failure(res: Resolution) -> str | None:
-    """Check that the mod-x1 matrices are the canonical strands scaled by delta.
+    """Check that the mod-x1 matrices are delta times canonical_skeleton(d, n).
 
     Returns a witness string on failure, None on success.  This both
     validates the skeleton structure and licenses the use of the canonical
     strand certificates for the homology of res mod x1.
     """
-    from .differentials import canonical_skeleton
-
-    expected = canonical_skeleton(res)
-    for r in range(1, res.d + 1):
-        actual = res.matrix(r).mod_x1()
-        if not actual.same_entries(expected[r - 1]):
-            for i, (ra, re) in enumerate(zip(actual.entries, expected[r - 1].entries)):
-                for j, (a, b) in enumerate(zip(ra, re)):
-                    if a != b:
-                        return f"skeleton of b_{r} differs from the canonical strand form at ({i}, {j})"
+    for r, want in enumerate(canonical_skeleton(res.d, res.n), 1):
+        got = res.matrix(r).mod_x1()
+        if got.shape != want.shape:
+            return f"skeleton of b_{r} has shape {got.shape}, the canonical strand form {want.shape}"
+        for i, (row_got, row_want) in enumerate(zip(got.entries, want.entries)):
+            for j, (a, b) in enumerate(zip(row_got, row_want)):
+                if a != b.scale(res.delta):
+                    return f"skeleton of b_{r} differs from the canonical strand form at ({i}, {j})"
     return None
 
 

@@ -17,7 +17,7 @@ def resolution_text(res: Resolution) -> str:
         f"d = {res.d}  n = {res.n}  delta = {res.delta}",
         f"betti  = {' '.join(str(b) for b in res.betti)}",
         f"twists = {' '.join(str(t) for t in res.twists)}",
-        f"basis ordering = {res.ordering}",
+        "basis ordering = selfdual",
         "",
     ]
     for r in range(1, res.d + 1):
@@ -58,7 +58,7 @@ def resolution_json_dict(res: Resolution) -> dict:
         "d": res.d,
         "n": res.n,
         "delta": str(res.delta),
-        "ordering": res.ordering,
+        "ordering": "selfdual",
         "betti": list(res.betti),
         "twists": list(res.twists),
         "inverse_system": to_json_dict(res.phi),

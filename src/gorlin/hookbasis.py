@@ -9,8 +9,9 @@ kinds of elements indexed by a strictly increasing list a_1 < ... < a_r in
 
 Degree 0 has the single generator Y0, degree d the single generator Xd.
 This module provides enumeration, rank formulas, the straightening of
-elementary wedge generators into the standard basis, the Koszul blocks of
-the skeleton, and the perfect-pairing duality between bases.
+elementary wedge generators into the standard basis, the Koszul contraction
+and its strand blocks, the perfect-pairing duality between bases, and the
+self-dual family of ordered bases that every resolution is built in.
 """
 
 from __future__ import annotations
@@ -126,11 +127,9 @@ class OrderedBasis:
         """Map element -> (index, sign)."""
         return {e: (i, s) for i, (s, e) in enumerate(self.elements)}
 
-    def x_part(self) -> "OrderedBasis":
-        return OrderedBasis(self.d, self.n, self.r, tuple((s, e) for s, e in self.elements if e.kind == "X"))
-
-    def y_part(self) -> "OrderedBasis":
-        return OrderedBasis(self.d, self.n, self.r, tuple((s, e) for s, e in self.elements if e.kind == "Y"))
+    def part(self, kind: str) -> "OrderedBasis":
+        """The signed elements of one kind, "X" or "Y", in their order."""
+        return OrderedBasis(self.d, self.n, self.r, tuple((s, e) for s, e in self.elements if e.kind == kind))
 
 
 def rank_formulas(d: int, n: int, r: int) -> tuple[int, int, int]:
@@ -227,29 +226,18 @@ def kos_expansion(elt: BasisElement) -> dict[BasisElement, Poly]:
 
 
 def skeleton_kos_blocks(d: int, n: int, r: int):
-    """Matrices of the Koszul contraction on the X and Y blocks, degree r -> r-1.
+    """(K block, L block) of the skeleton map out of position r, for 1 <= r <= d.
 
-    Entries are linear forms in x2..xd in the enumerate_basis orderings;
-    the caller supplies any overall scalar factor.  Returns (K_block, L_block).
+    The X x X and Y x Y blocks of differentials.canonical_skeleton(d, n), in
+    the self-dual bases and without the delta factor: the dual strand K and
+    the monomial strand L.  K is empty at r = 1 and L at r = d.
     """
-    from .polymatrix import PolyMatrix
+    from .differentials import canonical_skeleton
 
-    if not 2 <= r <= d - 1:
-        raise ValueError(f"r={r} out of range 2..{d - 1}")
-    blocks = []
-    for part in ("X", "Y"):
-        rows = enumerate_basis(d, n, r - 1)
-        cols = enumerate_basis(d, n, r)
-        rows = rows.x_part() if part == "X" else rows.y_part()
-        cols = cols.x_part() if part == "X" else cols.y_part()
-        pos = rows.position()
-        entries = [[Poly.zero(d) for _ in range(len(cols))] for _ in range(len(rows))]
-        for j, (_, col_elt) in enumerate(cols):
-            for target, p in kos_expansion(col_elt).items():
-                i, s = pos[target]
-                entries[i][j] = p.scale(s)
-        blocks.append(PolyMatrix(rows=rows, cols=cols, entries=entries))
-    return blocks[0], blocks[1]
+    if not 1 <= r <= d:
+        raise ValueError(f"r={r} out of range 1..{d}")
+    mat = canonical_skeleton(d, n)[r - 1]
+    return mat.block("X"), mat.block("Y")
 
 
 def wedge_sign(seq: tuple[int, ...]) -> int:
@@ -316,11 +304,6 @@ def pp_dual_basis(basis: OrderedBasis) -> OrderedBasis:
     return OrderedBasis(basis.d, basis.n, basis.d - basis.r, tuple(out))
 
 
-def dual_ordered_basis(d: int, n: int, r: int) -> OrderedBasis:
-    """The basis of degree d - r dual to enumerate_basis(d, n, r) under the pairing."""
-    return pp_dual_basis(enumerate_basis(d, n, r))
-
-
 @lru_cache(maxsize=None)
 def duality_basis(d: int, n: int, r: int) -> OrderedBasis:
     """Self-dual family of ordered bases: raw below the middle, pairing-dual above.
@@ -335,6 +318,6 @@ def duality_basis(d: int, n: int, r: int) -> OrderedBasis:
         return enumerate_basis(d, n, r)
     if 2 * r > d:
         return pp_dual_basis(duality_basis(d, n, d - r))
-    xs = enumerate_basis(d, n, r).x_part()
+    xs = enumerate_basis(d, n, r).part("X")
     duals = pp_dual_basis(xs)
     return OrderedBasis(d, n, r, xs.elements + duals.elements)

@@ -59,6 +59,16 @@ class PolyMatrix:
             entries=[[p.scale(c) for p in row] for row in self.entries],
         )
 
+    def block(self, kind: str) -> "PolyMatrix":
+        """The submatrix on the rows and the columns of one basis kind, "X" or "Y"."""
+        rows = [i for i, (_, e) in enumerate(self.rows) if e.kind == kind]
+        cols = [j for j, (_, e) in enumerate(self.cols) if e.kind == kind]
+        return PolyMatrix(
+            rows=self.rows.part(kind),
+            cols=self.cols.part(kind),
+            entries=[[self.entries[i][j] for j in cols] for i in rows],
+        )
+
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
 
@@ -69,7 +79,3 @@ class PolyMatrix:
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.shape[0]}x{self.shape[1]})"
-
-
-def entries_transpose(entries: list[list[Poly]]) -> list[list[Poly]]:
-    return [list(col) for col in zip(*entries)] if entries else []

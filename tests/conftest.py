@@ -16,10 +16,10 @@ def grid_phi(d, n):
     return _cache[key]
 
 
-def grid_resolution(d, n, ordering="standard"):
-    key = ("res", d, n, ordering)
+def grid_resolution(d, n):
+    key = ("res", d, n)
     if key not in _cache:
-        _cache[key] = build_resolution(grid_phi(d, n), ordering=ordering)
+        _cache[key] = build_resolution(grid_phi(d, n))
     return _cache[key]
 
 
@@ -30,10 +30,10 @@ def squares_phi(d):
     return _cache[key]
 
 
-def squares_resolution(d, ordering="standard"):
-    key = ("sqres", d, ordering)
+def squares_resolution(d):
+    key = ("sqres", d)
     if key not in _cache:
-        _cache[key] = build_resolution(squares_phi(d), ordering=ordering)
+        _cache[key] = build_resolution(squares_phi(d))
     return _cache[key]
 
 

@@ -38,7 +38,7 @@ from gorlin.verify import run_checks  # noqa: E402
 
 def outputs(d: int, n: int) -> dict[str, str]:
     """Every pinned output at one grid point, by name."""
-    res = grid_resolution(d, n, ordering="selfdual")
+    res = grid_resolution(d, n)
     report = run_checks(res, grid_phi(d, n))
     out = {
         "verify-text": report.to_text(),

@@ -23,9 +23,8 @@ from gorlin.invsys import (
     save_invsys,
     sum_of_powers,
 )
-from gorlin.linalg import rank
+from gorlin.linalg import rank, transpose
 from gorlin.monomials import monomials_of_degree
-from gorlin.polymatrix import entries_transpose
 from gorlin.polynomials import poly_str
 from gorlin.verify import (
     check_duality,
@@ -56,7 +55,7 @@ def test_criterion_1_betti_shapes_d4_n2():
 def test_criterion_2_golden_skeleton_d4_n2():
     t0 = time.time()
     phi = random_invsys(4, 2, seed=7)
-    res = build_resolution(phi, ordering="selfdual")
+    res = build_resolution(phi)
     golden = golden_skeleton_d4_n2()
     delta_inv = Fraction(1) / res.delta
     for r in range(1, 5):
@@ -145,19 +144,19 @@ def test_criterion_6_degreewise_exactness_and_euler():
 
 def test_criterion_7_duality_suite():
     for d, n in GRID:
-        res = grid_resolution(d, n, ordering="selfdual")
-        assert entries_transpose(res.matrix(1).entries) == res.matrix(d).entries, (d, n)
+        res = grid_resolution(d, n)
+        assert transpose(res.matrix(1).entries) == res.matrix(d).entries, (d, n)
         out = check_duality(Session(res, res.phi))
         assert out.passed, (d, n, out.line())
     # d=3 alternating middle matrix, spelled out
-    res3 = grid_resolution(3, 2, ordering="selfdual")
+    res3 = grid_resolution(3, 2)
     m = res3.matrix(2).entries
     assert all(m[i][j] == -m[j][i] for i in range(5) for j in range(5))
     # d=4 block relation, spelled out
-    res4 = grid_resolution(4, 2, ordering="selfdual")
+    res4 = grid_resolution(4, 2)
     half = len(res4.bases[2]) // 2
     b2, b3 = res4.matrix(2).entries, res4.matrix(3).entries
-    blocks = entries_transpose([row[half:] for row in b2]) + entries_transpose([row[:half] for row in b2])
+    blocks = transpose([row[half:] for row in b2]) + transpose([row[:half] for row in b2])
     assert [[-p for p in row] for row in blocks] == b3
     passline(7, "b_d = b_1^T in dual bases; d=3 alternating; d=4 block relation; product rule on the grid")
 

@@ -15,11 +15,10 @@ from gorlin.differentials import (
     build_resolution,
     build_resolution_via_straightening,
     canonical_skeleton,
-    pp_matrix,
-    skeleton,
     twist_list,
 )
-from gorlin.hookbasis import BasisElement, enumerate_basis
+from gorlin.exactness import skeleton_block_failure
+from gorlin.hookbasis import BasisElement
 from gorlin.invsys import (
     InadmissibleSystemError,
     InverseSystem,
@@ -27,7 +26,7 @@ from gorlin.invsys import (
     random_invsys,
 )
 from gorlin.monomials import mul_var
-from gorlin.polymatrix import entries_transpose
+from gorlin.linalg import transpose
 from gorlin.polynomials import Poly, poly_str
 
 from conftest import GRID, grid_phi, grid_resolution, squares_phi, squares_resolution
@@ -87,16 +86,15 @@ def test_interior_columns_reduce_to_kos_blocks():
     # mod x1, interior matrices become delta times the canonical strands
     for d, n in [(3, 2), (4, 2), (4, 3)]:
         res = grid_resolution(d, n)
-        expected = canonical_skeleton(res)
+        expected = canonical_skeleton(d, n)
         for r in range(1, d + 1):
-            assert res.matrix(r).mod_x1().same_entries(expected[r - 1]), (d, n, r)
+            assert res.matrix(r).mod_x1().same_entries(expected[r - 1].scale(res.delta)), (d, n, r)
 
 
 def test_skeleton_block_assertion_and_content():
     res = grid_resolution(4, 2)
-    sk = skeleton(res)
     for r in range(2, 4):
-        mat = sk[r - 1]
+        mat = res.matrix(r).mod_x1()
         for i, (_, re) in enumerate(mat.rows):
             for j, (_, ce) in enumerate(mat.cols):
                 if re.kind != ce.kind:
@@ -109,16 +107,11 @@ def test_skeleton_asserts_block_structure():
     res = copy.deepcopy(grid_resolution(4, 2))
     mat = res.matrix(2)
     # plant a mixed-kind term that survives mod x1
-    for i, (_, re) in enumerate(mat.rows):
-        for j, (_, ce) in enumerate(mat.cols):
-            if re.kind != ce.kind:
-                mat.entries[i][j] = mat.entries[i][j] + Poly.monomial((0, 1, 0, 0))
-                break
-        else:
-            continue
-        break
-    with pytest.raises(AssertionError):
-        skeleton(res)
+    i, (_, re) = 0, mat.rows.elements[0]
+    j = next(j for j, (_, ce) in enumerate(mat.cols) if ce.kind != re.kind)
+    mat.entries[i][j] = mat.entries[i][j] + Poly.monomial((0, 1, 0, 0))
+    witness = skeleton_block_failure(res)
+    assert witness == f"skeleton of b_2 differs from the canonical strand form at ({i}, {j})"
 
 
 def test_skeleton_depends_only_on_delta():
@@ -128,15 +121,15 @@ def test_skeleton_depends_only_on_delta():
     r2 = build_resolution(phi2)
     ratio = r1.delta / r2.delta
     for r in range(1, 5):
-        a = skeleton(r1)[r - 1]
-        b = skeleton(r2)[r - 1].scale(ratio)
+        a = r1.matrix(r).mod_x1()
+        b = r2.matrix(r).mod_x1().scale(ratio)
         assert a.same_entries(b)
 
 
 def test_bd_transpose_of_b1_in_dual_bases():
     for d, n in [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3)]:
-        res = grid_resolution(d, n, ordering="selfdual")
-        assert entries_transpose(res.matrix(1).entries) == res.matrix(d).entries
+        res = grid_resolution(d, n)
+        assert transpose(res.matrix(1).entries) == res.matrix(d).entries
 
 
 def test_bd_rows_vs_b1_on_identity_instance():
@@ -174,6 +167,13 @@ def test_inadmissible_refused():
         build_resolution(rank_deficient)
 
 
+def test_selfdual_is_the_only_basis_family():
+    phi = grid_phi(3, 2)
+    assert build_resolution(phi, "selfdual").bases == grid_resolution(3, 2).bases
+    with pytest.raises(ValueError, match="standard"):
+        build_resolution(phi, "standard")
+
+
 def test_b1_matrix_defined_even_when_inadmissible():
     # the first-matrix formulas are polynomial in the coefficients, so they
     # survive delta = 0; only the full build refuses
@@ -193,28 +193,17 @@ def test_standalone_first_and_last_matrices():
     assert bd_matrix(phi).same_entries(res.matrix(4))
 
 
-def test_selfdual_and_standard_agree_up_to_basis():
-    # same resolution content: equal Betti data and both complexes
-    res_a = grid_resolution(4, 3)
-    res_b = grid_resolution(4, 3, ordering="selfdual")
-    assert res_a.betti == res_b.betti
-    for r in range(1, 5):
-        prod = res_b.matrix(r - 1).mul(res_b.matrix(r)) if r > 1 else None
-        if prod is not None:
-            assert all(p.is_zero() for row in prod for p in row)
-
-
 def test_d6_generality():
     # longer index lists exercise every straightening branch
     phi = random_invsys(6, 2, seed=21)
-    res = build_resolution(phi, ordering="selfdual")
+    res = build_resolution(phi)
     assert res.betti == (1, 20, 64, 90, 64, 20, 1)
     for r in range(1, 6):
         prod = res.matrix(r).mul(res.matrix(r + 1))
         assert all(p.is_zero() for row in prod for p in row), r
-    alt = build_resolution_via_straightening(phi, ordering="selfdual")
+    alt = build_resolution_via_straightening(phi)
     assert all(res.matrix(r).same_entries(alt.matrix(r)) for r in range(1, 7))
-    assert entries_transpose(res.matrix(1).entries) == res.matrix(6).entries
+    assert transpose(res.matrix(1).entries) == res.matrix(6).entries
 
 
 def test_deterministic_generation_anchor():
@@ -223,10 +212,3 @@ def test_deterministic_generation_anchor():
     assert build_resolution(phi).delta == Fraction(-75)
     assert random_invsys(4, 2, seed=7).t((0, 2, 0, 0)) == Fraction(4)
     assert build_resolution(random_invsys(4, 2, seed=7)).delta == Fraction(-164)
-
-
-def test_pp_matrix_boundary():
-    b0 = enumerate_basis(4, 2, 0)
-    b4 = enumerate_basis(4, 2, 4)
-    assert pp_matrix(b0, b4) == [[1]]
-    assert pp_matrix(b4, b0) == [[1]]

@@ -7,11 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gorlin import exactness, linalg
-from gorlin.exactness import PRIMES, Piece, denominator_lcm, graded_piece, rank_mod_p, strand_certificate
+from gorlin.differentials import canonical_skeleton
+from gorlin.exactness import (
+    PRIMES,
+    Piece,
+    denominator_lcm,
+    first_nonzero_product,
+    graded_piece,
+    rank_mod_p,
+    strand_certificate,
+    strand_matrices,
+)
 from gorlin.monomials import mul_var, unit
 from gorlin.polynomials import Poly
 
-from conftest import grid_resolution
+from conftest import GRID, grid_resolution
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 BIG = 2**80
@@ -120,3 +130,44 @@ def test_strand_certificate_d6_n2_saturates_mod_p():
     cert = strand_certificate(6, 2, 10)
     assert cert.ok, cert.failures
     assert "exact-rank fallback used" not in cert.notes
+
+
+# (ok, h1k, notes) of strand_certificate(d, n, 2n + d), written from the
+# certificate as computed when the strands were assembled in the raw bases
+STRAND_PINS = {
+    (3, 2): (True, [0, 0, 2, 1, 0, 0, 0, 0], []),
+    (3, 3): (True, [0, 0, 0, 3, 2, 1, 0, 0, 0, 0], []),
+    (4, 2): (True, [0, 0, 3, 1, 0, 0, 0, 0, 0], []),
+    (4, 3): (True, [0, 0, 0, 6, 3, 1, 0, 0, 0, 0, 0], []),
+    (5, 2): (True, [0, 0, 4, 1, 0, 0, 0, 0, 0, 0], []),
+    (5, 3): (True, [0, 0, 0, 10, 4, 1, 0, 0, 0, 0, 0, 0], []),
+}
+
+
+@pytest.mark.parametrize("d,n", GRID)
+def test_strand_certificate_pins(d, n):
+    cert = strand_certificate(d, n, 2 * n + d)
+    assert (cert.ok, cert.h1k, cert.notes) == (STRAND_PINS[d, n][0], dict(enumerate(STRAND_PINS[d, n][1])),
+                                               STRAND_PINS[d, n][2])
+
+
+def nonzero_entries(mat):
+    """{(signed row element, signed column element): entry} over the nonzero entries."""
+    return {(re, ce): p for re, row in zip(mat.rows, mat.entries) for ce, p in zip(mat.cols, row)
+            if not p.is_zero()}
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 2), (4, 3), (5, 2)])
+def test_strands_are_the_diagonal_blocks_of_the_canonical_skeleton(d, n):
+    skel = canonical_skeleton(d, n)
+    assert first_nonzero_product(dict(enumerate(skel, 1))) is None
+    lmats, kmats = strand_matrices(d, n)
+    assert sorted(lmats) == list(range(1, d)) and sorted(kmats) == list(range(2, d + 1))
+    for r, mat in enumerate(skel, 1):
+        strands = {kind: m[r] for kind, m in (("Y", lmats), ("X", kmats)) if r in m}
+        for kind, strand in strands.items():
+            assert strand.rows.elements == tuple(x for x in mat.rows if x[1].kind == kind)
+            assert strand.cols.elements == tuple(x for x in mat.cols if x[1].kind == kind)
+        # the strands hold every nonzero entry, so the mixed X/Y blocks are zero
+        in_strands = {k: p for strand in strands.values() for k, p in nonzero_entries(strand).items()}
+        assert nonzero_entries(mat) == in_strands, (d, n, r)

@@ -20,7 +20,7 @@ def run_cli(args):
 
 
 def test_resolution_text_dump():
-    txt = resolution_text(squares_resolution(3, ordering="selfdual"))
+    txt = resolution_text(squares_resolution(3))
     assert "d = 3  n = 2  delta = 1" in txt
     assert "matrix b1 (1 x 5)" in txt
     assert "X(1; 2; [0, 2, 0])" in txt
@@ -28,7 +28,7 @@ def test_resolution_text_dump():
 
 
 def test_resolution_json_round_shape():
-    doc = resolution_json_dict(grid_resolution(4, 2, ordering="selfdual"))
+    doc = resolution_json_dict(grid_resolution(4, 2))
     assert doc["betti"] == [1, 9, 16, 9, 1]
     assert doc["twists"] == [0, 2, 3, 4, 6]
     assert len(doc["matrices"]) == 4
@@ -41,7 +41,7 @@ def test_resolution_json_round_shape():
 
 
 def test_cas_script_content():
-    script = resolution_cas_script(squares_resolution(3, ordering="selfdual"))
+    script = resolution_cas_script(squares_resolution(3))
     assert "R = QQ[x_1..x_3];" in script
     assert "b1 = matrix(R, {" in script
     assert "assert(b1 * b2 == 0);" in script
@@ -54,7 +54,7 @@ def test_cas_script_reverifies_in_independent_cas():
 
     import sympy
 
-    res = grid_resolution(3, 2, ordering="selfdual")
+    res = grid_resolution(3, 2)
     script = resolution_cas_script(res)
     syms = {f"x_{i}": sympy.symbols(f"x_{i}") for i in range(1, 4)}
     mats = {}
@@ -88,7 +88,7 @@ def test_resolution_json_parses_back_to_the_same_matrices():
 
     from gorlin.polynomials import Poly
 
-    res = grid_resolution(3, 2, ordering="selfdual")
+    res = grid_resolution(3, 2)
     doc = resolution_json_dict(res)
     for mat_doc in doc["matrices"]:
         src = res.matrix(mat_doc["index"])
@@ -173,15 +173,19 @@ def test_cli_exit_code_input_error(tmp_path):
     assert code == 3
 
 
-def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
-    # a check failure (not an input error) exits 1: force one by requesting
-    # duality on a standard-ordering build through the API
-    from gorlin.verify import run_checks
-    from conftest import grid_phi
+def test_cli_verify_failure_exit_code(monkeypatch, capsys):
+    # a check failure (not an input error) exits 1; run_checks builds its
+    # table per call, so the patched check is the one that runs
+    import gorlin.cli as cli
+    import gorlin.verify as verify
 
-    res = grid_resolution(3, 2)  # standard ordering: duality check must fail
-    report = run_checks(res, grid_phi(3, 2), checks=["duality"])
-    assert not report.passed
+    def failing(s):
+        return verify.CheckResult("duality", False, "pairing product rule fails", "r=0, pair (0, 0)")
+
+    monkeypatch.setattr(verify, "check_duality", failing)
+    assert cli.main(["verify", "--d", "3", "--n", "2", "--seed", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL duality: pairing product rule fails" in out and "CHECK FAILURES PRESENT" in out
 
 
 def test_cli_ann_command(tmp_path):

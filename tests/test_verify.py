@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from gorlin.differentials import build_resolution, build_resolution_via_straightening
 from gorlin.exactness import (
@@ -46,14 +46,14 @@ def perturbed(res, r=2, i=0, j=0, bump=None):
 
 def test_all_checks_pass_d3_squares():
     phi = squares_phi(3)
-    res = squares_resolution(3, ordering="selfdual")
+    res = squares_resolution(3)
     report = run_checks(res, phi)
     assert report.passed, report.to_text()
 
 
 def test_all_checks_pass_d4_random():
     phi = grid_phi(4, 2)
-    res = grid_resolution(4, 2, ordering="selfdual")
+    res = grid_resolution(4, 2)
     report = run_checks(res, phi)
     assert report.passed, report.to_text()
     assert "golden" in next(r for r in report.results if r.name == "skeleton").summary
@@ -105,7 +105,7 @@ def test_golden_skeleton_data_shapes():
 
 
 def test_check_skeleton_golden_and_witness():
-    res = grid_resolution(4, 2, ordering="selfdual")
+    res = grid_resolution(4, 2)
     out = check_skeleton(Session(res, res.phi))
     assert out.passed and "golden" in out.summary
     bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial((0, 1, 0, 0)))
@@ -113,15 +113,22 @@ def test_check_skeleton_golden_and_witness():
     assert not out.passed
 
 
-def test_check_duality_needs_selfdual_ordering():
-    res = grid_resolution(4, 2)
-    out = check_duality(Session(res, res.phi))
-    assert not out.passed and "ordering" in (out.witness or "")
+def test_check_skeleton_names_the_failed_strand(monkeypatch):
+    from gorlin import verify
+    from gorlin.exactness import StrandCertificate
+
+    failure = "dual strand fails in degree 5: homology at position 2 (defect 1)"
+    cert = StrandCertificate(False, 7, {}, [failure], [])
+    monkeypatch.setattr(verify, "strand_certificate", lambda d, n, dmax: cert)
+    res = grid_resolution(3, 2)
+    out = check_skeleton(Session(res, res.phi))
+    assert not out.passed
+    assert out.summary == "a skeleton strand fails its certificate" and out.witness == failure
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
 def test_check_duality(d, n):
-    res = grid_resolution(d, n, ordering="selfdual")
+    res = grid_resolution(d, n)
     out = check_duality(Session(res, res.phi))
     assert out.passed, out.line()
 
@@ -129,7 +136,7 @@ def test_check_duality(d, n):
 def test_check_duality_reaches_every_pair():
     # b_2 entry (0, 1) enters the product rule only at r = 1, pair (1, 0), and
     # at r = 3, both outside the 200 pairs per r a random.Random(0) sample draws
-    res = grid_resolution(5, 2, ordering="selfdual")
+    res = grid_resolution(5, 2)
     bad = perturbed(res, r=2, i=0, j=1, bump=Poly.monomial(mul_var(unit(5), 2)))
     out = check_duality(Session(bad, bad.phi))
     assert not out.passed and out.witness == "r=1, pair (1, 0)", out.line()
@@ -163,12 +170,15 @@ def permuted_systems(draw):
     return phi, draw(st.permutations(range(2, d + 1)))
 
 
-@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+# no shrinking: every example builds and verifies two resolutions, so shrinking
+# a failure would take minutes before it is reported
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+          phases=[p for p in Phase if p is not Phase.shrink])
 @given(permuted_systems())
 def test_routes_agree_and_verdicts_survive_a_permutation(case):
     phi, perm = case
     assume(delta_and_Q(phi).admissible)
-    res = build_resolution(phi, ordering="selfdual")
+    res = build_resolution(phi)
     s = Session(res, phi)
     assert certify_exactness(s).ok == certify_exactness_direct(s).ok
     swapped, perm = phi, list(perm)
@@ -178,7 +188,7 @@ def test_routes_agree_and_verdicts_survive_a_permutation(case):
             perm[j], perm[k] = perm[k], perm[j]
             swapped = swapped.swap_variables(k + 2, j + 2)
     verdicts = [(r.name, r.passed) for r in run_checks(res, phi).results]
-    res2 = build_resolution(swapped, ordering="selfdual")
+    res2 = build_resolution(swapped)
     assert [(r.name, r.passed) for r in run_checks(res2, swapped).results] == verdicts
 
 
@@ -258,7 +268,7 @@ def test_rank_mod_p_matches_exact_on_random():
 
 def test_run_checks_selection_and_errors():
     phi = squares_phi(3)
-    res = squares_resolution(3, ordering="selfdual")
+    res = squares_resolution(3)
     report = run_checks(res, phi, checks=["complex", "betti"])
     assert len(report.results) == 2 and report.passed
     with pytest.raises(ValueError):
@@ -303,10 +313,10 @@ def test_fractional_coefficients_full_pipeline():
     from gorlin.invsys import InverseSystem
 
     phi = InverseSystem(3, 2, coeffs)
-    res = build_resolution(phi, ordering="selfdual")
+    res = build_resolution(phi)
     report = run_checks(res, phi)
     assert report.passed, report.to_text()
-    alt = build_resolution_via_straightening(phi, ordering="selfdual")
+    alt = build_resolution_via_straightening(phi)
     assert all(res.matrix(r).same_entries(alt.matrix(r)) for r in range(1, 4))
 
 
@@ -320,14 +330,14 @@ def test_exactness_beyond_default_bound():
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_full_suite_identity_catalecticant_family(d):
     phi = squares_phi(d)
-    res = build_resolution(phi, ordering="selfdual")
+    res = build_resolution(phi)
     report = run_checks(res, phi)
     assert report.passed, report.to_text()
 
 
 def test_report_serialization():
     phi = squares_phi(3)
-    res = squares_resolution(3, ordering="selfdual")
+    res = squares_resolution(3)
     report = run_checks(res, phi, checks=["complex"])
     txt = report.to_text()
     assert "PASS complex" in txt and "ALL CHECKS PASSED" in txt
@@ -337,7 +347,7 @@ def test_report_serialization():
 
 def test_session_facts_do_not_carry_into_a_perturbed_copy():
     phi = grid_phi(4, 2)
-    res = grid_resolution(4, 2, ordering="selfdual")
+    res = grid_resolution(4, 2)
     assert run_checks(res, phi).passed
     bad = perturbed(res, r=2, i=1, j=2, bump=Poly.monomial(mul_var(unit(4), 2)))
     verdicts = {r.name: r.passed for r in run_checks(bad, phi).results}
@@ -361,7 +371,7 @@ def test_run_checks_proves_each_fact_once(monkeypatch):
     from gorlin import exactness, invsys
 
     phi = grid_phi(4, 2)
-    res = grid_resolution(4, 2, ordering="selfdual")
+    res = grid_resolution(4, 2)
     n = res.n
     counts = Counter()
     mul = PolyMatrix.mul
