@@ -33,14 +33,19 @@ of the dual skeleton strand over d-1 variables.  The skeleton depends only
 on (d, n): differentials.canonical_skeleton(d, n) writes it once, its two
 diagonal blocks are the strands that strand_certificate ranks (once per
 (d, n)), and skeleton_block_failure compares the skeleton of each resolution
-with delta times the same matrices.  certify_exactness_direct ranks the
-full graded pieces of B instead; it is the reference the tests compare the
-skeleton route against.
+with delta times the same matrices.
 
-The facts the certificate rests on (the complex property and the skeleton
-structure) are verdicts of their own as well.  A Session proves each of them
-once per verification run, together with the Hilbert function and the
-degree-n annihilator, and every check that needs a fact reads it there.
+The ideal I of the first matrix is pinned by saturation as well: when every
+b_1 column annihilates phi (checked exactly by contraction), I lies in
+ann(phi), so dim S_e - hf(e) bounds dim I_e from above, and a mod-p rank of
+the degree-e piece that meets the bound pins it.  Without that fact, or when
+no prime meets the bound, the piece is ranked exactly.
+
+The facts the certificate rests on (the complex property, the skeleton
+structure and the annihilation by b_1) are verdicts of their own as well.  A
+Session proves each of them once per verification run, together with the
+Hilbert function, the degree-n annihilator and the dimensions of I, and
+every check that needs a fact reads it there.
 """
 
 from __future__ import annotations
@@ -48,17 +53,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
 from . import linalg
 from .differentials import Resolution, canonical_skeleton, twist_list
 from .hookbasis import rank_formulas, skeleton_kos_blocks
-from .invsys import InverseSystem, ann_degree, hilbert_function
-from .monomials import monomials_of_degree, mul, mul_var
-from .polymatrix import PolyMatrix
-from .polynomials import Poly, coeff_rows
+from .invsys import InverseSystem, ann_degree, contract_poly, hilbert_function
+from .monomials import monomials_of_degree, mul
+from .polymatrix import PolyMatrix, denominator_lcm
+from .polynomials import Poly
 
 PRIMES = (65521, 65519, 65497, 65479, 65449)
 _PANEL = 256
@@ -181,15 +186,6 @@ class Piece:
                 rows[i][j] += v
             total += linalg.rank(rows)
         return total
-
-
-def denominator_lcm(mat: PolyMatrix) -> int:
-    out = 1
-    for row in mat.entries:
-        for p in row:
-            for c in p.terms.values():
-                out = lcm(out, c.denominator)
-    return out
 
 
 def graded_piece(mat: PolyMatrix, row_deg: int, col_deg: int, low_var: int = 1,
@@ -362,41 +358,39 @@ def strand_certificate(d: int, n: int, dmax: int) -> StrandCertificate:
 # ---------------------------------------------------------------------------
 
 
-def ideal_dims(res: Resolution, dmax: int) -> dict[int, int]:
-    """dim of each graded piece, up to dmax, of the ideal spanned by the b_1 columns."""
+def ideal_dims(s: Session) -> dict[int, int]:
+    """dim I_e for e = 0..max(dmax, n), where I is the ideal of the b_1 columns.
+
+    dim I_e is the rank of graded_piece(b_1, e, e - n).  Its rank mod p is a
+    lower bound.  When every column annihilates phi, I lies in ann(phi) and
+    dim S_e - hf(e) is an upper bound, so a prime whose rank meets it pins
+    dim I_e.  Otherwise, and when no prime meets the bound, the piece is
+    ranked exactly.  Once I_{e-1} = S_{e-1}, also I_e = S_e.
+    """
+    res = s.res
     d, n = res.d, res.n
-    gens = res.matrix(1).entries[0]
-    dims: dict[int, int] = {e: 0 for e in range(0, min(n, dmax + 1))}
-    if dmax < n:
-        return dims
-    monos = monomials_of_degree(d, n)
-    basis, _ = linalg.rref(coeff_rows(gens, monos))
-    basis = [r for r in basis if any(r)]
-    dims[n] = len(basis)
-    for e in range(n + 1, dmax + 1):
-        prev_monos = monos
-        monos = monomials_of_degree(d, e)
-        if dims[e - 1] == len(prev_monos):
-            dims[e] = len(monos)
-            basis = None
-            continue
-        midx = {m: i for i, m in enumerate(monos)}
-        cand = []
-        for v in basis:
-            for i in range(1, d + 1):
-                w = [Fraction(0)] * len(monos)
-                for k, c in enumerate(v):
-                    if c:
-                        w[midx[mul_var(prev_monos[k], i)]] = c
-                cand.append(w)
-        basis, _ = linalg.rref(cand)
-        basis = [r for r in basis if any(r)]
-        dims[e] = len(basis)
+    b1 = res.matrix(1)
+    scale = denominator_lcm(b1)
+    annihilates = s.b1_annihilation_failure is None
+    dims: dict[int, int] = {}
+    for e in range(0, max(s.dmax, n) + 1):
+        dim_se = comb(e + d - 1, d - 1)
+        if e < n:
+            dims[e] = 0
+        elif dims[e - 1] == comb(e + d - 2, d - 1):
+            dims[e] = dim_se
+        else:
+            piece = graded_piece(b1, e, e - n, scale=scale)
+            bound = dim_se - s.hf(e)
+            if annihilates and any(piece.rank_mod(p) == bound for p in PRIMES):
+                dims[e] = bound
+            else:
+                dims[e] = piece.rank_exact()
     return dims
 
 
 # ---------------------------------------------------------------------------
-# exactness of B: the skeleton route, and the direct route it is tested against
+# exactness of B by the skeleton route
 # ---------------------------------------------------------------------------
 
 
@@ -447,6 +441,18 @@ class Session:
         """Basis of the degree-n annihilator of phi, from the catalecticant kernel."""
         return ann_degree(self.phi, self.res.n)
 
+    @cached_property
+    def b1_annihilation_failure(self) -> int | None:
+        """None when every b_1 column annihilates phi, else the index of the first that does not."""
+        nu = self.phi.dual_element()
+        return next((j for j, g in enumerate(self.res.matrix(1).entries[0]) if contract_poly(g, nu)),
+                    None)
+
+    @cached_property
+    def ideal_dims(self) -> dict[int, int]:
+        """dim I_e for e = 0..max(dmax, n), I the ideal of the b_1 columns (module ideal_dims)."""
+        return ideal_dims(self)
+
 
 def _not_a_complex(s: Session, out: ExactnessOutcome) -> bool:
     if s.complex_failure is None:
@@ -460,11 +466,10 @@ def _not_a_complex(s: Session, out: ExactnessOutcome) -> bool:
 def _h0_dims_ok(s: Session, failures: list[str]) -> dict[int, int] | None:
     """Exact dims of coker(b_1) degreewise; None (with a failure) on mismatch."""
     res = s.res
-    idims = ideal_dims(res, s.dmax)
     h0: dict[int, int] = {}
     for e in range(0, s.dmax + 1):
         dim_se = comb(e + res.d - 1, res.d - 1)
-        h0[e] = dim_se - idims[e]
+        h0[e] = dim_se - s.ideal_dims[e]
         if h0[e] != s.hf(e):
             failures.append(
                 f"coker(b_1) has dimension {h0[e]} in degree {e}, "
@@ -472,37 +477,6 @@ def _h0_dims_ok(s: Session, failures: list[str]) -> dict[int, int] | None:
             )
             return None
     return h0
-
-
-def _position_dims(res: Resolution, e: int) -> list[int]:
-    """dim (B_r)_e for r = 0..d."""
-    d = res.d
-    return [b * comb(e - t + d - 1, d - 1) if e >= t else 0 for b, t in zip(res.betti, res.twists)]
-
-
-def certify_exactness_direct(s: Session) -> ExactnessOutcome:
-    """Saturated-rank certification on the full graded pieces of the resolution."""
-    res, dmax = s.res, s.dmax
-    out = ExactnessOutcome(ok=True, method="direct", dmax=dmax)
-    if _not_a_complex(s, out):
-        return out
-    d = res.d
-    twists = res.twists
-    scales = [denominator_lcm(res.matrix(r)) for r in range(1, d + 1)]
-    for e in range(0, dmax + 1):
-        ms = _position_dims(res, e)
-        pieces = {
-            r: graded_piece(res.matrix(r), e - twists[r - 1], e - twists[r], scale=scales[r - 1])
-            for r in range(1, d + 1)
-            if ms[r] > 0
-        }
-        ok, _, witness = _certify_chain(pieces, ms, s.hf(e), 1, out.notes)
-        if not ok:
-            out.ok = False
-            out.failures.append(f"exactness fails in degree {e}: {witness}")
-        else:
-            out.checked_positions += sum(1 for r in range(1, d + 1) if ms[r] > 0)
-    return out
 
 
 def skeleton_block_failure(res: Resolution) -> str | None:

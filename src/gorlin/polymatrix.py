@@ -3,9 +3,28 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .hookbasis import OrderedBasis
+from .monomials import Mono
 from .polynomials import Poly
+
+
+def _pack(m: Mono, base: int) -> int:
+    """The monomial as the int sum of m[k] * base**k; multiplication is addition below base."""
+    key = 0
+    for e in reversed(m):
+        key = key * base + e
+    return key
+
+
+def _unpack(key: int, base: int, d: int) -> Mono:
+    out = []
+    for _ in range(d):
+        key, e = divmod(key, base)
+        out.append(e)
+    return tuple(out)
 
 
 @dataclass
@@ -28,22 +47,52 @@ class PolyMatrix:
         return [row[j] for row in self.entries]
 
     def mul(self, other: "PolyMatrix") -> list[list[Poly]]:
-        """Plain entrywise product self @ other (labels are not checked)."""
+        """Plain entrywise product self @ other (labels are not checked).
+
+        Each operand is cleared to integers once by its denominator_lcm, and
+        each monomial is packed into one int in a base above the product
+        degree, so a product of terms is one int multiplication and one int
+        addition.  A Poly is built only for a nonzero output entry, divided
+        by the two denominators, so the result equals the rational product.
+        """
         n, k = self.shape
         k2, p = other.shape
         if k != k2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = [[Poly.zero(self.d) for _ in range(p)] for _ in range(n)]
-        for i in range(n):
-            for t in range(k):
-                a = self.entries[i][t]
-                if a.is_zero():
-                    continue
-                for j in range(p):
-                    b = other.entries[t][j]
-                    if not b.is_zero():
-                        out[i][j] = out[i][j] + a * b
+        d = self.d
+        base = self.max_degree() + other.max_degree() + 1
+        scale_a, scale_b = denominator_lcm(self), denominator_lcm(other)
+        denom = scale_a * scale_b
+        b_rows = other._packed_rows(scale_b, base)
+        out = []
+        for cells in self._packed_rows(scale_a, base):
+            sums: dict[int, dict[int, int]] = {}
+            for t, a_terms in cells:
+                for j, b_terms in b_rows[t]:
+                    acc = sums.setdefault(j, {})
+                    for ka, ca in a_terms:
+                        for kb, cb in b_terms:
+                            key = ka + kb
+                            acc[key] = acc.get(key, 0) + ca * cb
+            row = [Poly.zero(d) for _ in range(p)]
+            for j, acc in sums.items():
+                terms = {_unpack(key, base, d): Fraction(c, denom) for key, c in acc.items() if c}
+                if terms:
+                    row[j] = Poly(d, terms)
+            out.append(row)
         return out
+
+    def max_degree(self) -> int:
+        """The largest total degree of an entry (0 for a zero matrix)."""
+        return max([0] + [p.degree() for row in self.entries for p in row])
+
+    def _packed_rows(self, scale: int, base: int) -> list[list[tuple[int, list[tuple[int, int]]]]]:
+        """Per row, each nonzero entry as (column, [(packed monomial, scale * coefficient)])."""
+        return [
+            [(j, [(_pack(m, base), c.numerator * (scale // c.denominator)) for m, c in p.terms.items()])
+             for j, p in enumerate(row) if p.terms]
+            for row in self.entries
+        ]
 
     def mod_x1(self) -> "PolyMatrix":
         return PolyMatrix(
@@ -79,3 +128,13 @@ class PolyMatrix:
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.shape[0]}x{self.shape[1]})"
+
+
+def denominator_lcm(mat: PolyMatrix) -> int:
+    """The least common multiple of the coefficient denominators of mat."""
+    out = 1
+    for row in mat.entries:
+        for p in row:
+            for c in p.terms.values():
+                out = lcm(out, c.denominator)
+    return out

@@ -1,27 +1,33 @@
-"""The mod-p rank kernel and its block split, on inputs where they can break."""
+"""The mod-p rank kernel, its block split, and the saturated ideal dimensions, where they can break."""
 
 import copy
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gorlin import exactness, linalg
-from gorlin.differentials import canonical_skeleton
+from gorlin.differentials import build_resolution, canonical_skeleton
 from gorlin.exactness import (
     PRIMES,
     Piece,
+    Session,
+    _h0_dims_ok,
     denominator_lcm,
     first_nonzero_product,
     graded_piece,
+    ideal_dims,
     rank_mod_p,
     strand_certificate,
     strand_matrices,
 )
+from gorlin.invsys import InverseSystem
 from gorlin.monomials import mul_var, unit
 from gorlin.polynomials import Poly
 
-from conftest import GRID, grid_resolution
+from conftest import GRID, grid_phi, grid_resolution
+from oracles import ideal_dims_by_rref
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 BIG = 2**80
@@ -171,3 +177,71 @@ def test_strands_are_the_diagonal_blocks_of_the_canonical_skeleton(d, n):
         # the strands hold every nonzero entry, so the mixed X/Y blocks are zero
         in_strands = {k: p for strand in strands.values() for k, p in nonzero_entries(strand).items()}
         assert nonzero_entries(mat) == in_strands, (d, n, r)
+
+
+def grid_session(d, n):
+    return Session(grid_resolution(d, n), grid_phi(d, n))
+
+
+def with_b1_column(res, j, entry):
+    bad = copy.deepcopy(res)
+    bad.matrix(1).entries[0][j] = entry
+    return bad
+
+
+def forbid_exact_rank(monkeypatch):
+    def refuse(self):
+        raise AssertionError("exact fallback used")
+
+    monkeypatch.setattr(Piece, "rank_exact", refuse)
+
+
+@pytest.mark.parametrize("d,n", GRID)
+def test_ideal_dims_saturate_and_match_the_rref_oracle(d, n, monkeypatch):
+    s = grid_session(d, n)
+    want = ideal_dims_by_rref(s.res, s.dmax)
+    forbid_exact_rank(monkeypatch)
+    assert ideal_dims(s) == want
+
+
+def test_ideal_dims_with_fractional_coefficients():
+    base = grid_phi(4, 2)
+    keys = sorted(base.coeffs)
+    coeffs = dict(base.coeffs)
+    coeffs[keys[0]] /= 3
+    coeffs[keys[1]] += Fraction(2, 7)
+    coeffs[keys[2]] = Fraction(2**70 + 1, 999)
+    phi = InverseSystem(4, 2, coeffs)
+    res = build_resolution(phi)
+    assert denominator_lcm(res.matrix(1)) > 1
+    assert ideal_dims(Session(res, phi)) == ideal_dims_by_rref(res, 8)
+
+
+@pytest.mark.parametrize("c", [1, prod(PRIMES)], ids=["c=1", "c=prod(PRIMES)"])
+def test_ideal_dims_of_a_column_that_does_not_annihilate_are_exact(c):
+    # c * x1^3 added to a column: I_4 is all of S_4, one more than dim S_4 - hf(4),
+    # so the annihilator bound does not hold and each degree is ranked exactly.
+    # With c the product of the primes every mod-p rank meets that false bound.
+    res = grid_resolution(3, 3)
+    bad = with_b1_column(res, 0, res.matrix(1).entries[0][0] + Poly.monomial((3, 0, 0), c))
+    s = Session(bad, grid_phi(3, 3))
+    assert s.b1_annihilation_failure == 0
+    dims = ideal_dims(s)
+    assert dims == ideal_dims_by_rref(bad, s.dmax)
+    assert dims[4] == 15 == comb(6, 2) > comb(6, 2) - s.hf(4)
+    failures = []
+    assert _h0_dims_ok(s, failures) is None
+    assert failures == ["coker(b_1) has dimension 0 in degree 4, Hilbert function of the quotient gives 1"]
+
+
+def test_ideal_dims_of_a_duplicated_column_fall_back_to_exact_rank(monkeypatch):
+    # the columns still annihilate, but their span is one short of the bound
+    res = grid_resolution(4, 2)
+    cols = res.matrix(1).entries[0]
+    s = Session(with_b1_column(res, 0, cols[1]), grid_phi(4, 2))
+    assert s.b1_annihilation_failure is None
+    calls = []
+    rank_exact = Piece.rank_exact
+    monkeypatch.setattr(Piece, "rank_exact", lambda self: calls.append(self) or rank_exact(self))
+    assert ideal_dims(s) == ideal_dims_by_rref(s.res, s.dmax)
+    assert s.ideal_dims[2] == 8 and calls
