@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import linalg
-from .differentials import Resolution, canonical_skeleton
+from .differentials import Resolution
 from .exactness import Session, certify_exactness, strand_certificate
 from .hookbasis import pp_dual_element, rank_formulas
 from .invsys import InverseSystem
-from .monomials import monomials_of_degree, mul_var, unit
+from .monomials import monomials_of_degree, mul_var
 from .polynomials import Poly, coeff_rows, poly_str
 
 CHECK_NAMES = ("complex", "betti", "euler", "ann", "skeleton", "duality", "exactness", "wlp")
@@ -150,103 +150,24 @@ def check_ann_match(s: Session) -> CheckResult:
                        f"b_1 columns are {beta1} independent forms spanning the degree-{n} annihilator")
 
 
-_GOLDEN_D4_N2_B2 = (
-    "x3 -x2 0 0 0 x4 0 -x2 0 0 0 0 0 0 0 0",
-    "0 x3 0 -x2 0 0 x4 0 0 0 0 0 0 0 0 0",
-    "0 0 x3 0 -x2 0 0 x4 0 0 0 0 0 0 0 0",
-    "0 0 0 0 0 0 0 0 x4 0 0 0 0 -x3 0 0",
-    "0 0 0 0 0 0 0 0 0 x4 0 0 0 x2 -x3 0",
-    "0 0 0 0 0 0 0 0 -x2 0 x4 0 0 0 0 -x3",
-    "0 0 0 0 0 0 0 0 0 0 0 x4 0 0 x2 0",
-    "0 0 0 0 0 0 0 0 0 -x2 0 -x3 x4 0 0 x2",
-    "0 0 0 0 0 0 0 0 0 0 -x2 0 -x3 0 0 0",
-)
-
-_GOLDEN_D4_N2_B3 = (
-    "0 0 0 -x4 0 x2 0 0 0",
-    "0 0 0 0 -x4 0 0 x2 0",
-    "0 0 0 0 0 -x4 0 0 x2",
-    "0 0 0 0 0 0 -x4 x3 0",
-    "0 0 0 0 0 0 0 -x4 x3",
-    "0 0 0 x3 -x2 0 0 0 0",
-    "0 0 0 0 x3 0 -x2 0 0",
-    "0 0 0 0 0 x3 0 -x2 0",
-    "-x3 0 0 0 0 0 0 0 0",
-    "x2 -x3 0 0 0 0 0 0 0",
-    "0 0 -x3 0 0 0 0 0 0",
-    "0 x2 0 0 0 0 0 0 0",
-    "0 0 x2 0 0 0 0 0 0",
-    "-x4 0 0 0 0 0 0 0 0",
-    "0 -x4 0 0 0 0 0 0 0",
-    "x2 0 -x4 0 0 0 0 0 0",
-)
-
-_GOLDEN_D4_N2_B1 = ("0 0 0 x2^2 x2*x3 x2*x4 x3^2 x3*x4 x4^2",)
-
-
-def _parse_entry(token: str, d: int) -> Poly:
-    sign = 1
-    if token.startswith("-"):
-        sign = -1
-        token = token[1:]
-    if token == "0":
-        return Poly.zero(d)
-    mono = unit(d)
-    for factor in token.split("*"):
-        if "^" in factor:
-            name, e = factor.split("^")
-            e = int(e)
-        else:
-            name, e = factor, 1
-        i = int(name[1:])
-        for _ in range(e):
-            mono = mul_var(mono, i)
-    return Poly.monomial(mono, sign)
-
-
-def golden_skeleton_d4_n2(d: int = 4) -> tuple[list[list[Poly]], ...]:
-    """Golden mod-x1 matrices for d = 4, n = 2 (without the delta factor)."""
-    def parse(rows):
-        return [[_parse_entry(tok, d) for tok in line.split()] for line in rows]
-
-    b1 = parse(_GOLDEN_D4_N2_B1)
-    b2 = parse(_GOLDEN_D4_N2_B2)
-    b3 = parse(_GOLDEN_D4_N2_B3)
-    b4 = linalg.transpose(b1)
-    return b1, b2, b3, b4
-
-
 def check_skeleton(s: Session) -> CheckResult:
     """Skeleton structure: block diagonal, equal to delta times the Koszul strands.
 
-    For d = 4, n = 2 the matrices are compared verbatim against the golden
-    matrices; in addition the strand certificate must hold up to dmax: the
-    monomial strand resolves the quotient by the n-th power of the d-1
-    variable maximal ideal, and the dual strand is exact above its bottom.
+    In addition the strand certificate must hold up to dmax: the monomial
+    strand resolves the quotient by the n-th power of the d-1 variable
+    maximal ideal, and the dual strand is exact above its bottom.
     """
     res = s.res
-    d, n = res.d, res.n
     if s.skeleton_failure is not None:
         return CheckResult("skeleton", False, "skeleton is not delta times the canonical strands",
                            s.skeleton_failure)
-    golden_note = ""
-    if (d, n) == (4, 2):
-        # the skeleton is delta times canonical_skeleton(4, 2), so that is what must match
-        golden = golden_skeleton_d4_n2()
-        for r, mat in enumerate(canonical_skeleton(4, 2), 1):
-            if mat.entries != golden[r - 1]:
-                return CheckResult("skeleton", False,
-                                   "skeleton differs from the golden d=4, n=2 matrices",
-                                   f"matrix {r}")
-        golden_note = "; golden d=4, n=2 match"
     dmax = s.dmax
-    cert = strand_certificate(d, n, dmax)
+    cert = strand_certificate(res.d, res.n, dmax)
     if not cert.ok:
         return CheckResult("skeleton", False, "a skeleton strand fails its certificate",
                            "; ".join(cert.failures[:2]))
     return CheckResult("skeleton", True,
-                       f"block structure, delta * Koszul strands, strand resolution to degree {dmax}"
-                       + golden_note)
+                       f"block structure, delta * Koszul strands, strand resolution to degree {dmax}")
 
 
 def _pairing(res: Resolution, k: int) -> list[tuple[int, int]]:

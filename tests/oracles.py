@@ -9,6 +9,9 @@ another way, by a route that is slower or more literal.
 * ``ideal_dims_by_rref`` finds dim I_e, for I the ideal of the b_1 columns,
   by exact rational elimination degree by degree, where
   ``exactness.ideal_dims`` pins it by saturation against the annihilator.
+* ``golden_skeleton_d4_n2`` parses the mod-x1 matrices at d = 4, n = 2,
+  written out entry by entry, which ``differentials.canonical_skeleton(4, 2)``
+  must reproduce verbatim.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from gorlin.exactness import (
     _not_a_complex,
     graded_piece,
 )
-from gorlin.monomials import monomials_of_degree, mul_var
+from gorlin.monomials import monomials_of_degree, mul_var, unit
 from gorlin.polymatrix import denominator_lcm
-from gorlin.polynomials import coeff_rows
+from gorlin.polynomials import Poly, coeff_rows
 
 
 def position_dims(res: Resolution, e: int) -> list[int]:
@@ -96,3 +99,69 @@ def ideal_dims_by_rref(res: Resolution, dmax: int) -> dict[int, int]:
         basis = [r for r in basis if any(r)]
         dims[e] = len(basis)
     return dims
+
+
+_GOLDEN_D4_N2_B2 = (
+    "x3 -x2 0 0 0 x4 0 -x2 0 0 0 0 0 0 0 0",
+    "0 x3 0 -x2 0 0 x4 0 0 0 0 0 0 0 0 0",
+    "0 0 x3 0 -x2 0 0 x4 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 x4 0 0 0 0 -x3 0 0",
+    "0 0 0 0 0 0 0 0 0 x4 0 0 0 x2 -x3 0",
+    "0 0 0 0 0 0 0 0 -x2 0 x4 0 0 0 0 -x3",
+    "0 0 0 0 0 0 0 0 0 0 0 x4 0 0 x2 0",
+    "0 0 0 0 0 0 0 0 0 -x2 0 -x3 x4 0 0 x2",
+    "0 0 0 0 0 0 0 0 0 0 -x2 0 -x3 0 0 0",
+)
+
+_GOLDEN_D4_N2_B3 = (
+    "0 0 0 -x4 0 x2 0 0 0",
+    "0 0 0 0 -x4 0 0 x2 0",
+    "0 0 0 0 0 -x4 0 0 x2",
+    "0 0 0 0 0 0 -x4 x3 0",
+    "0 0 0 0 0 0 0 -x4 x3",
+    "0 0 0 x3 -x2 0 0 0 0",
+    "0 0 0 0 x3 0 -x2 0 0",
+    "0 0 0 0 0 x3 0 -x2 0",
+    "-x3 0 0 0 0 0 0 0 0",
+    "x2 -x3 0 0 0 0 0 0 0",
+    "0 0 -x3 0 0 0 0 0 0",
+    "0 x2 0 0 0 0 0 0 0",
+    "0 0 x2 0 0 0 0 0 0",
+    "-x4 0 0 0 0 0 0 0 0",
+    "0 -x4 0 0 0 0 0 0 0",
+    "x2 0 -x4 0 0 0 0 0 0",
+)
+
+_GOLDEN_D4_N2_B1 = ("0 0 0 x2^2 x2*x3 x2*x4 x3^2 x3*x4 x4^2",)
+
+
+def _parse_entry(token: str, d: int) -> Poly:
+    sign = 1
+    if token.startswith("-"):
+        sign = -1
+        token = token[1:]
+    if token == "0":
+        return Poly.zero(d)
+    mono = unit(d)
+    for factor in token.split("*"):
+        if "^" in factor:
+            name, e = factor.split("^")
+            e = int(e)
+        else:
+            name, e = factor, 1
+        i = int(name[1:])
+        for _ in range(e):
+            mono = mul_var(mono, i)
+    return Poly.monomial(mono, sign)
+
+
+def golden_skeleton_d4_n2(d: int = 4) -> tuple[list[list[Poly]], ...]:
+    """Golden mod-x1 matrices for d = 4, n = 2 (without the delta factor)."""
+    def parse(rows):
+        return [[_parse_entry(tok, d) for tok in line.split()] for line in rows]
+
+    b1 = parse(_GOLDEN_D4_N2_B1)
+    b2 = parse(_GOLDEN_D4_N2_B2)
+    b3 = parse(_GOLDEN_D4_N2_B3)
+    b4 = linalg.transpose(b1)
+    return b1, b2, b3, b4

@@ -26,14 +26,10 @@ from gorlin.invsys import (
 from gorlin.linalg import rank, transpose
 from gorlin.monomials import monomials_of_degree
 from gorlin.polynomials import poly_str
-from gorlin.verify import (
-    check_duality,
-    check_euler_hilbert,
-    check_wlp,
-    golden_skeleton_d4_n2,
-)
+from gorlin.verify import check_duality, check_euler_hilbert, check_wlp
 
 from conftest import GRID, grid_phi, grid_resolution
+from oracles import golden_skeleton_d4_n2
 
 
 def passline(num, text):

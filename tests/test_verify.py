@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from gorlin.differentials import build_resolution, build_resolution_via_straightening
+from gorlin.differentials import build_resolution, build_resolution_via_straightening, canonical_skeleton
 from gorlin.exactness import (
     Session,
     certify_exactness,
@@ -28,12 +28,11 @@ from gorlin.verify import (
     check_exactness_up_to,
     check_skeleton,
     check_wlp,
-    golden_skeleton_d4_n2,
     run_checks,
 )
 
 from conftest import grid_phi, grid_resolution, squares_phi, squares_resolution
-from oracles import certify_exactness_direct
+from oracles import certify_exactness_direct, golden_skeleton_d4_n2
 
 
 def perturbed(res, r=2, i=0, j=0, bump=None):
@@ -56,7 +55,7 @@ def test_all_checks_pass_d4_random():
     res = grid_resolution(4, 2)
     report = run_checks(res, phi)
     assert report.passed, report.to_text()
-    assert "golden" in next(r for r in report.results if r.name == "skeleton").summary
+    assert tuple(m.entries for m in canonical_skeleton(4, 2)) == golden_skeleton_d4_n2()
 
 
 def test_check_complex_witness():
@@ -122,7 +121,8 @@ def test_golden_skeleton_data_shapes():
 def test_check_skeleton_golden_and_witness():
     res = grid_resolution(4, 2)
     out = check_skeleton(Session(res, res.phi))
-    assert out.passed and "golden" in out.summary
+    assert out.passed
+    assert tuple(m.entries for m in canonical_skeleton(4, 2)) == golden_skeleton_d4_n2()
     bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial((0, 1, 0, 0)))
     out = check_skeleton(Session(bad, bad.phi))
     assert not out.passed
