@@ -179,28 +179,21 @@ def test_strands_are_the_diagonal_blocks_of_the_canonical_skeleton(d, n):
         assert nonzero_entries(mat) == in_strands, (d, n, r)
 
 
-def grid_session(d, n):
-    return Session(grid_resolution(d, n), grid_phi(d, n))
-
-
 def with_b1_column(res, j, entry):
     bad = copy.deepcopy(res)
     bad.matrix(1).entries[0][j] = entry
     return bad
 
 
-def forbid_exact_rank(monkeypatch):
+@pytest.mark.parametrize("d,n", GRID)
+def test_ideal_dims_saturate_and_match_the_rref_oracle(d, n, monkeypatch):
+    s = Session(grid_resolution(d, n), grid_phi(d, n))
+    want = ideal_dims_by_rref(s.res, s.dmax)
+
     def refuse(self):
         raise AssertionError("exact fallback used")
 
     monkeypatch.setattr(Piece, "rank_exact", refuse)
-
-
-@pytest.mark.parametrize("d,n", GRID)
-def test_ideal_dims_saturate_and_match_the_rref_oracle(d, n, monkeypatch):
-    s = grid_session(d, n)
-    want = ideal_dims_by_rref(s.res, s.dmax)
-    forbid_exact_rank(monkeypatch)
     assert ideal_dims(s) == want
 
 

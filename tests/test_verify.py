@@ -402,10 +402,12 @@ def test_run_checks_proves_each_fact_once(monkeypatch):
     _count_calls(monkeypatch, counts, "ann_degree", invsys.ann_degree,
                  lambda p, j: p is phi and j == n)
     _count_calls(monkeypatch, counts, "hilbert_function", invsys.hilbert_function)
+    _count_calls(monkeypatch, counts, "ideal_dims", exactness.ideal_dims)
     assert run_checks(res, phi).passed
     assert counts == Counter({
         **{f"b_{r} b_{r + 1}": 1 for r in range(1, res.d)},
         "skeleton_block_failure": 1,
         "ann_degree": 1,
         "hilbert_function": 1,
+        "ideal_dims": 1,
     })
