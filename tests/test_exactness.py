@@ -236,5 +236,6 @@ def test_ideal_dims_of_a_duplicated_column_fall_back_to_exact_rank(monkeypatch):
     calls = []
     rank_exact = Piece.rank_exact
     monkeypatch.setattr(Piece, "rank_exact", lambda self: calls.append(self) or rank_exact(self))
-    assert ideal_dims(s) == ideal_dims_by_rref(s.res, s.dmax)
-    assert s.ideal_dims[2] == 8 and calls
+    dims = ideal_dims(s)
+    assert dims == ideal_dims_by_rref(s.res, s.dmax)
+    assert dims[2] == 8 and calls
