@@ -44,7 +44,6 @@ class Config:
     n: int | None
     seed: int | None
     bound: int
-    dmax: int | None
     fmt: str
     out: str | None
     checks: list[str] | None
@@ -64,8 +63,6 @@ class Config:
                 parser.error("--n must be at least 2")
         if self.bound < 0:
             parser.error("--bound must be nonnegative")
-        if self.dmax is not None and self.dmax < 0:
-            parser.error("--dmax must be nonnegative")
         if self.degree is not None and self.degree < 0:
             parser.error("--degree must be nonnegative")
         unknown = [c for c in self.checks or () if c not in CHECK_NAMES]
@@ -96,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p_ver)
     p_ver.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     p_ver.add_argument("--checks", help="comma-separated subset of: " + ",".join(CHECK_NAMES))
-    p_ver.add_argument("--dmax", type=int, help="degree bound for the exactness check (default 2n+d)")
 
     p_ann = subs.add_parser("ann", help="print annihilator generators",
                             description="Print the annihilator basis from the oracle and from the resolution.")
@@ -113,7 +109,6 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
         n=args.n,
         seed=args.seed,
         bound=args.bound,
-        dmax=getattr(args, "dmax", None),
         fmt=getattr(args, "fmt", "text"),
         out=args.out,
         checks=args.checks.split(",") if getattr(args, "checks", None) else None,
@@ -161,7 +156,7 @@ def cmd_resolve(cfg: Config) -> int:
 def cmd_verify(cfg: Config) -> int:
     phi = _load_phi(cfg)
     res = build_resolution(phi)
-    report = run_checks(res, phi, checks=cfg.checks, dmax=cfg.dmax)
+    report = run_checks(res, phi, checks=cfg.checks)
     _emit(cfg, report.to_text() if cfg.fmt == "text" else report_json(report))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILURE
 

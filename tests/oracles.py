@@ -39,10 +39,10 @@ def position_dims(res: Resolution, e: int) -> list[int]:
     return [b * comb(e - t + d - 1, d - 1) if e >= t else 0 for b, t in zip(res.betti, res.twists)]
 
 
-def certify_exactness_direct(s: Session) -> ExactnessOutcome:
-    """Saturated-rank certification on the full graded pieces of the resolution."""
-    res, dmax = s.res, s.dmax
-    out = ExactnessOutcome(ok=True, method="direct", dmax=dmax)
+def certify_exactness_direct(s: Session, dmax: int) -> ExactnessOutcome:
+    """Saturated-rank certification on the full graded pieces of the resolution, up to degree dmax."""
+    res = s.res
+    out = ExactnessOutcome(ok=True, method="direct")
     if _not_a_complex(s, out):
         return out
     d = res.d
@@ -55,12 +55,12 @@ def certify_exactness_direct(s: Session) -> ExactnessOutcome:
             for r in range(1, d + 1)
             if ms[r] > 0
         }
-        ok, _, witness = _certify_chain(pieces, ms, s.hf(e), 1, out.notes)
+        ok, ns, witness = _certify_chain(pieces, ms, 1, out.notes)
+        if ok and ms[0] - ns[1] != s.hf(e):
+            ok, witness = False, f"cokernel dimension {ms[0] - ns[1]} != {s.hf(e)}"
         if not ok:
             out.ok = False
             out.failures.append(f"exactness fails in degree {e}: {witness}")
-        else:
-            out.checked_positions += sum(1 for r in range(1, d + 1) if ms[r] > 0)
     return out
 
 

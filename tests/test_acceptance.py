@@ -125,7 +125,7 @@ def test_criterion_6_degreewise_exactness_and_euler():
     for d, n in GRID:
         phi = grid_phi(d, n)
         res = grid_resolution(d, n)
-        session = Session(res, phi, 2 * n + d)
+        session = Session(res, phi)
         out = certify_exactness(session)
         assert out.ok, (d, n, out.failures)
         euler = check_euler_hilbert(session)

@@ -1,4 +1,4 @@
-"""The mod-p rank kernel, its block split, and the saturated ideal dimensions, where they can break."""
+"""The mod-p rank kernel, the fine-graded strand certificate and the saturated ideal dimensions, where they can break."""
 
 import copy
 from fractions import Fraction
@@ -15,6 +15,7 @@ from gorlin.exactness import (
     Session,
     _h0_dims_ok,
     denominator_lcm,
+    fine_degree,
     first_nonzero_product,
     graded_piece,
     ideal_dims,
@@ -22,9 +23,10 @@ from gorlin.exactness import (
     strand_certificate,
     strand_matrices,
 )
+from gorlin.hookbasis import OrderedBasis
 from gorlin.invsys import InverseSystem
 from gorlin.monomials import mul_var, unit
-from gorlin.polynomials import Poly
+from gorlin.polynomials import Poly, poly_str
 
 from conftest import GRID, grid_phi, grid_resolution
 from oracles import ideal_dims_by_rref
@@ -121,7 +123,7 @@ def test_single_component_passes_its_triples_through(piece):
 
 def test_empty_piece_has_rank_zero():
     piece = Piece(3, 4, [])
-    assert piece.blocks == [] and piece.rank_mod(PRIMES[0]) == 0 and piece.rank_exact() == 0
+    assert piece.rank_mod(PRIMES[0]) == 0 and piece.rank_exact() == 0
 
 
 def test_graded_piece_refuses_a_scale_that_leaves_a_fraction():
@@ -133,13 +135,13 @@ def test_graded_piece_refuses_a_scale_that_leaves_a_fraction():
 
 
 def test_strand_certificate_d6_n2_saturates_mod_p():
-    cert = strand_certificate(6, 2, 10)
+    cert = strand_certificate(6, 2)
     assert cert.ok, cert.failures
     assert "exact-rank fallback used" not in cert.notes
 
 
-# (ok, h1k, notes) of strand_certificate(d, n, 2n + d), written from the
-# certificate as computed when the strands were assembled in the raw bases
+# (ok, h1k by degree 0..2n+d, notes) of the certificate bounded to degree 2n+d,
+# written from it as computed when the strands were assembled in the raw bases
 STRAND_PINS = {
     (3, 2): (True, [0, 0, 2, 1, 0, 0, 0, 0], []),
     (3, 3): (True, [0, 0, 0, 3, 2, 1, 0, 0, 0, 0], []),
@@ -152,9 +154,9 @@ STRAND_PINS = {
 
 @pytest.mark.parametrize("d,n", GRID)
 def test_strand_certificate_pins(d, n):
-    cert = strand_certificate(d, n, 2 * n + d)
-    assert (cert.ok, cert.h1k, cert.notes) == (STRAND_PINS[d, n][0], dict(enumerate(STRAND_PINS[d, n][1])),
-                                               STRAND_PINS[d, n][2])
+    cert = strand_certificate(d, n)
+    ok, h1k, notes = STRAND_PINS[d, n]
+    assert (cert.ok, cert.h1k, cert.notes) == (ok, {e: h for e, h in enumerate(h1k) if h}, notes)
 
 
 def nonzero_entries(mat):
@@ -179,6 +181,79 @@ def test_strands_are_the_diagonal_blocks_of_the_canonical_skeleton(d, n):
         assert nonzero_entries(mat) == in_strands, (d, n, r)
 
 
+def certificate_of_mutated_strands(monkeypatch, d, n, mutate):
+    """strand_certificate(d, n) computed afresh on deep copies of the strands that mutate alters."""
+    lmats, kmats = copy.deepcopy(strand_matrices(d, n))
+    mutate({"monomial": lmats, "dual": kmats})
+    monkeypatch.setattr(exactness, "strand_matrices", lambda d, n: (lmats, kmats))
+    return strand_certificate.__wrapped__(d, n)
+
+
+def first_entry(mat):
+    return next((i, j) for i, row in enumerate(mat.entries) for j, p in enumerate(row) if not p.is_zero())
+
+
+@pytest.mark.parametrize("strand,r", [("monomial", 1), ("monomial", 3), ("dual", 2), ("dual", 4)])
+def test_strand_certificate_fails_on_a_sign_flip(monkeypatch, strand, r):
+    def flip(strands):
+        mat = strands[strand][r]
+        i, j = first_entry(mat)
+        mat.entries[i][j] = -mat.entries[i][j]
+
+    cert = certificate_of_mutated_strands(monkeypatch, 4, 2, flip)
+    assert not cert.ok and cert.failures
+
+
+@pytest.mark.parametrize("strand,r", [("monomial", 2), ("dual", 3)])
+def test_strand_certificate_names_an_entry_moved_to_another_multidegree(monkeypatch, strand, r):
+    moved = []
+
+    def move(strands):
+        mat = strands[strand][r]
+        i, j = first_entry(mat)
+        degs = [fine_degree(e) for _, e in mat.cols]
+        j2 = next(k for k, p in enumerate(mat.entries[i]) if p.is_zero() and degs[k] != degs[j])
+        mat.entries[i][j2], mat.entries[i][j] = mat.entries[i][j], mat.entries[i][j2]
+        moved.append((i, j2, mat.entries[i][j2]))
+
+    cert = certificate_of_mutated_strands(monkeypatch, 4, 2, move)
+    (i, j2, p), = moved
+    assert not cert.ok
+    assert cert.failures == [f"{strand} strand is not finely graded: entry ({i}, {j2}) of the map out of "
+                             f"position {r} is {poly_str(p)}, expected +-x^v with c(column) = c(row) + v"]
+
+
+def test_strand_certificate_ranks_a_zeroed_column(monkeypatch):
+    # still finely graded and a complex, so only the ranks in the box can fail it
+    def zero(strands):
+        for row in strands["monomial"][3].entries:
+            row[0] = Poly.zero(4)
+
+    cert = certificate_of_mutated_strands(monkeypatch, 4, 2, zero)
+    assert not cert.ok
+    assert cert.failures[0] == "monomial strand fails in multidegree (2, 1, 1): homology at position 2 (defect 1)"
+
+
+@pytest.mark.parametrize("strand,r,first", [
+    ("monomial", 1, "monomial strand has bottom homology 2 in multidegree (0, 0, 0), not that of the quotient"),
+    ("dual", 2, "dual strand has bottom homology at (-1, 0, 1) on the upper face of the box, "
+                "so it is not of finite length"),
+])
+def test_strand_certificate_fails_on_an_unreached_bottom_element(monkeypatch, strand, r, first):
+    # a copy of the first bottom element that no map reaches: the strand stays
+    # finely graded, a complex, and exact above its bottom, but its bottom
+    # homology grows by one in every multidegree from that element's on,
+    # upper faces of the box included
+    def extend(strands):
+        mat = strands[strand][r]
+        mat.rows = OrderedBasis(mat.rows.d, mat.rows.n, mat.rows.r, mat.rows.elements + mat.rows.elements[:1])
+        mat.entries.append([Poly.zero(4) for _ in mat.cols])
+
+    cert = certificate_of_mutated_strands(monkeypatch, 4, 2, extend)
+    assert not cert.ok and cert.failures[0] == first
+    assert any(f.endswith("on the upper face of the box, so it is not of finite length") for f in cert.failures)
+
+
 def with_b1_column(res, j, entry):
     bad = copy.deepcopy(res)
     bad.matrix(1).entries[0][j] = entry
@@ -188,7 +263,7 @@ def with_b1_column(res, j, entry):
 @pytest.mark.parametrize("d,n", GRID)
 def test_ideal_dims_saturate_and_match_the_rref_oracle(d, n, monkeypatch):
     s = Session(grid_resolution(d, n), grid_phi(d, n))
-    want = ideal_dims_by_rref(s.res, s.dmax)
+    want = ideal_dims_by_rref(s.res, 2 * n)
 
     def refuse(self):
         raise AssertionError("exact fallback used")
@@ -207,7 +282,7 @@ def test_ideal_dims_with_fractional_coefficients():
     phi = InverseSystem(4, 2, coeffs)
     res = build_resolution(phi)
     assert denominator_lcm(res.matrix(1)) > 1
-    assert ideal_dims(Session(res, phi)) == ideal_dims_by_rref(res, 8)
+    assert ideal_dims(Session(res, phi)) == ideal_dims_by_rref(res, 4)
 
 
 @pytest.mark.parametrize("c", [1, prod(PRIMES)], ids=["c=1", "c=prod(PRIMES)"])
@@ -220,7 +295,7 @@ def test_ideal_dims_of_a_column_that_does_not_annihilate_are_exact(c):
     s = Session(bad, grid_phi(3, 3))
     assert s.b1_annihilation_failure == 0
     dims = ideal_dims(s)
-    assert dims == ideal_dims_by_rref(bad, s.dmax)
+    assert dims == ideal_dims_by_rref(bad, 6)
     assert dims[4] == 15 == comb(6, 2) > comb(6, 2) - s.hf(4)
     failures = []
     assert _h0_dims_ok(s, failures) is None
@@ -237,5 +312,5 @@ def test_ideal_dims_of_a_duplicated_column_fall_back_to_exact_rank(monkeypatch):
     rank_exact = Piece.rank_exact
     monkeypatch.setattr(Piece, "rank_exact", lambda self: calls.append(self) or rank_exact(self))
     dims = ideal_dims(s)
-    assert dims == ideal_dims_by_rref(s.res, s.dmax)
+    assert dims == ideal_dims_by_rref(s.res, 4)
     assert dims[2] == 8 and calls

@@ -132,10 +132,11 @@ def test_cli_verify_passes():
     assert doc["passed"] is True
 
 
-def test_cli_verify_dmax_plumbing():
-    code, stdout, _ = run_cli(["verify", "--d", "3", "--n", "2", "--seed", "1",
-                               "--checks", "exactness", "--dmax", "6"])
-    assert code == 0 and "degree <= 6" in stdout
+def test_cli_verify_rejects_dmax():
+    # exactness is certified in every degree, so there is no degree bound to set
+    code, stdout, stderr = run_cli(["verify", "--d", "3", "--n", "2", "--seed", "1",
+                                    "--checks", "exactness", "--dmax", "6"])
+    assert code == 3 and stdout == "" and "--dmax" in stderr
 
 
 def test_cli_exit_code_inadmissible(tmp_path):

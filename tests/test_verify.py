@@ -133,8 +133,8 @@ def test_check_skeleton_names_the_failed_strand(monkeypatch):
     from gorlin.exactness import StrandCertificate
 
     failure = "dual strand fails in degree 5: homology at position 2 (defect 1)"
-    cert = StrandCertificate(False, 7, {}, [failure], [])
-    monkeypatch.setattr(verify, "strand_certificate", lambda d, n, dmax: cert)
+    cert = StrandCertificate(False, {}, [failure], [])
+    monkeypatch.setattr(verify, "strand_certificate", lambda d, n: cert)
     res = grid_resolution(3, 2)
     out = check_skeleton(Session(res, res.phi))
     assert not out.passed
@@ -166,12 +166,25 @@ def test_check_wlp_passes_and_swapped_variable():
     assert check_wlp(Session(res2, swapped)).passed
 
 
+def test_check_wlp_ranks_one_matrix(monkeypatch):
+    # the annihilator rows are a kernel basis, so only the union needs a rank
+    from gorlin import linalg
+
+    s = Session(grid_resolution(4, 2), grid_phi(4, 2))
+    s.ann_n, s.hilbert  # proved before counting
+    calls = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(rows) or rank(rows))
+    assert check_wlp(s).passed
+    assert len(calls) == 1
+
+
 def test_exactness_methods_agree():
     for d, n in [(3, 2), (4, 2)]:
         phi = grid_phi(d, n)
         res = grid_resolution(d, n)
-        direct = certify_exactness_direct(Session(res, phi, 2 * n + d))
-        les = certify_exactness(Session(res, phi, 2 * n + d))
+        direct = certify_exactness_direct(Session(res, phi), 2 * n + d)
+        les = certify_exactness(Session(res, phi))
         assert direct.ok and les.ok
 
 
@@ -195,7 +208,7 @@ def test_routes_agree_and_verdicts_survive_a_permutation(case):
     assume(delta_and_Q(phi).admissible)
     res = build_resolution(phi)
     s = Session(res, phi)
-    assert certify_exactness(s).ok == certify_exactness_direct(s).ok
+    assert certify_exactness(s).ok == certify_exactness_direct(s, 2 * phi.n + phi.d).ok
     swapped, perm = phi, list(perm)
     for k in range(len(perm)):  # one swap puts each variable in its place
         j = perm.index(k + 2)
@@ -210,7 +223,7 @@ def test_routes_agree_and_verdicts_survive_a_permutation(case):
 def test_exactness_detects_broken_complex():
     res = grid_resolution(3, 2)
     bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial((1, 0, 0)))
-    out = certify_exactness_direct(Session(bad, grid_phi(3, 2), 7))
+    out = certify_exactness_direct(Session(bad, grid_phi(3, 2)), 7)
     assert not out.ok and "complex" in out.failures[0]
 
 
@@ -223,12 +236,12 @@ def test_exactness_detects_missing_syzygies():
         for i in range(len(mat.rows)):
             for j in range(len(mat.cols)):
                 mat.entries[i][j] = Poly.zero(3)
-    out = certify_exactness_direct(Session(bad, grid_phi(3, 2), 7))
+    out = certify_exactness_direct(Session(bad, grid_phi(3, 2)), 7)
     assert not out.ok and any("degree" in f for f in out.failures)
-    out = certify_exactness(Session(bad, grid_phi(3, 2), 7))
+    out = certify_exactness(Session(bad, grid_phi(3, 2)))
     assert not out.ok  # the skeleton no longer matches the canonical strands
-    out = check_exactness_up_to(Session(bad, grid_phi(3, 2), 7))
-    assert not out.passed and out.summary == "exactness fails up to degree 7"
+    out = check_exactness_up_to(Session(bad, grid_phi(3, 2)))
+    assert not out.passed and out.summary == "B is not certified to resolve S/ann(phi)"
 
 
 def test_exactness_distinguishes_only_dimensions():
@@ -237,14 +250,14 @@ def test_exactness_distinguishes_only_dimensions():
     phi = grid_phi(3, 2)
     other = random_invsys(3, 2, seed=99)
     res_other = build_resolution(other)
-    assert certify_exactness_direct(Session(res_other, phi, 7)).ok
+    assert certify_exactness_direct(Session(res_other, phi), 7).ok
     assert not check_ann_match(Session(res_other, phi)).passed
 
 
 def test_ideal_dims_growth():
     phi = grid_phi(3, 2)
     res = grid_resolution(3, 2)
-    dims = ideal_dims(Session(res, phi, 6))
+    dims = ideal_dims(Session(res, phi))
     assert dims[0] == 0 and dims[1] == 0
     assert dims[2] == 5
     # matches dim S_e - HF for every degree
@@ -312,7 +325,7 @@ def test_exactness_against_naive_rank_oracle():
             ker = dims[r] - ranks[r]
             assert ker == ranks[r + 1], (r, e)
         assert comb(e + d - 1, d - 1) - ranks[1] == hf_value(phi, e)
-    out = certify_exactness_direct(Session(res, phi, 7))
+    out = certify_exactness_direct(Session(res, phi), 7)
     assert out.ok
 
 
@@ -338,8 +351,22 @@ def test_fractional_coefficients_full_pipeline():
 def test_exactness_beyond_default_bound():
     phi = grid_phi(3, 2)
     res = grid_resolution(3, 2)
-    assert certify_exactness_direct(Session(res, phi, 12)).ok
-    assert certify_exactness(Session(res, phi, 12)).ok
+    assert certify_exactness_direct(Session(res, phi), 12).ok
+    assert certify_exactness(Session(res, phi)).ok
+
+
+@pytest.mark.parametrize("e", [2, 4, 9])
+def test_h1_identity_is_checked_wherever_h1k_is_nonzero(monkeypatch, e):
+    # one more dimension of dual-strand bottom homology in degree e, below,
+    # at and past the bound 2n = 4, is homology of B in position 1
+    from gorlin import exactness
+
+    cert = copy.deepcopy(exactness.strand_certificate(3, 2))
+    cert.h1k[e] = cert.h1k.get(e, 0) + 1
+    monkeypatch.setattr(exactness, "strand_certificate", lambda d, n: cert)
+    out = certify_exactness(Session(grid_resolution(3, 2), grid_phi(3, 2)))
+    assert not out.ok
+    assert out.failures == [f"homology at position 1 in degree {e} has dimension 1"]
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
