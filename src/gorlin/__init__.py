@@ -9,8 +9,6 @@ Betti numbers, skeleton, duality, degreewise exactness, weak Lefschetz).
 
 from .differentials import (
     Resolution,
-    b1_matrix,
-    bd_matrix,
     build_resolution,
     build_resolution_via_straightening,
 )
@@ -45,8 +43,6 @@ __all__ = [
     "OrderedBasis",
     "Resolution",
     "ann_degree",
-    "b1_matrix",
-    "bd_matrix",
     "build_resolution",
     "build_resolution_via_straightening",
     "catalecticant_matrix",

@@ -1,5 +1,8 @@
 """Construction of the resolution matrices from an admissible inverse system.
 
+invsys.delta_and_Q is the admissibility gate: every build starts there, and
+an inverse system with delta = 0 is refused before any matrix is written.
+
 Two independent routes are provided.  The production route writes each
 column of the interior differentials directly in the standard basis elements
 using the closed-form coefficient sums in t and Q.  The alternative route
@@ -29,7 +32,7 @@ from .hookbasis import (
     kos_expansion,
     y0,
 )
-from .invsys import Catalecticant, InadmissibleSystemError, InverseSystem, delta_and_Q
+from .invsys import Catalecticant, InverseSystem, delta_and_Q
 from .monomials import (
     Mono,
     div_var,
@@ -47,9 +50,9 @@ from .polynomials import Poly
 class BuildContext:
     """Shared catalecticant data and memoized coefficient sums for one build."""
 
-    def __init__(self, phi: InverseSystem, cat: Catalecticant | None = None):
+    def __init__(self, phi: InverseSystem, cat: Catalecticant):
         self.phi = phi
-        self.cat = cat if cat is not None else delta_and_Q(phi)
+        self.cat = cat
         self.d = phi.d
         self.n = phi.n
         self.delta = self.cat.delta
@@ -135,10 +138,6 @@ def _add(out: dict[BasisElement, Poly], target: BasisElement, p: Poly) -> None:
     out[target] = p if cur is None else cur + p
 
 
-def _x1_term(d: int, c: Fraction) -> Poly:
-    return Poly(d, {mul_var(unit(d), 1): c}) if c else Poly.zero(d)
-
-
 def _var_term(d: int, i: int, c: Fraction) -> Poly:
     return Poly(d, {mul_var(unit(d), i): c}) if c else Poly.zero(d)
 
@@ -150,20 +149,6 @@ def b1_column(ctx: BuildContext, elt: BasisElement) -> Poly:
         return _times_x1(ctx.q_row_poly(div_var(elt.m, a1)))
     u = mul_var(elt.m, a1)
     return Poly.monomial(u, ctx.delta) - _times_x1(ctx.y_correction(u))
-
-
-def b1_matrix(phi: InverseSystem) -> PolyMatrix:
-    """The first differential as a 1 x beta_1 matrix, equal to build_resolution(phi).matrix(1).
-
-    Well defined for every inverse system, including inadmissible ones
-    (delta = 0 only degrades the columns, it does not break the formulas).
-    """
-    return _first_matrix(BuildContext(phi))
-
-
-def bd_matrix(phi: InverseSystem) -> PolyMatrix:
-    """The last differential as a beta_{d-1} x 1 matrix, equal to build_resolution(phi).matrix(d)."""
-    return _last_matrix(BuildContext(phi))
 
 
 def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, Poly]:
@@ -189,7 +174,7 @@ def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                     c -= ctx.tq(mul_var(m2, ak), div_var(m, ell))
                 if c:
                     target = BasisElement("X", r - 1, rest, mul_var(m2, ell))
-                    _add(out, target, _x1_term(d, (-1) ** k * c))
+                    _add(out, target, _var_term(d, 1, (-1) ** k * c))
     for j in range(g, r + 1):
         for k in range(j + 1, r + 1):
             aj, ak = a[j - 1], a[k - 1]
@@ -203,7 +188,7 @@ def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                     c -= ctx.tq(mul_var(m2, ak), div_var(m, aj))
                 if c:
                     target = BasisElement("X", r - 1, rest, mul_var(m2, g + 1))
-                    _add(out, target, _x1_term(d, (-1) ** (g + j + k) * c))
+                    _add(out, target, _var_term(d, 1, (-1) ** (g + j + k) * c))
 
     # X targets, coefficient delta times a variable
     for j in range(1, lm):
@@ -231,7 +216,7 @@ def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
             if var_divides(ak, m1) and x_a1_divides_m:
                 c -= ctx.Q(div_var(mul_var(m1, a1), ak), div_var(m, a1))
             if c:
-                _add(out, BasisElement("Y", r - 1, rest, m1), _x1_term(d, (-1) ** k * c))
+                _add(out, BasisElement("Y", r - 1, rest, m1), _var_term(d, 1, (-1) ** k * c))
     if x_a1_divides_m:
         m_div_a1 = div_var(m, a1)
         for ell in range(a1 + 1, a[1]):
@@ -243,11 +228,11 @@ def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                         continue
                     c = ctx.Q(div_var(mul_var(m1, ell), ak), m_div_a1)
                     if c:
-                        _add(out, BasisElement("Y", r - 1, rest, m1), _x1_term(d, (-1) ** (k + 1) * c))
+                        _add(out, BasisElement("Y", r - 1, rest, m1), _var_term(d, 1, (-1) ** (k + 1) * c))
         for m1 in monomials_of_degree(d, ctx.n - 1, low_var=a[1]):
             c = ctx.Q(m1, m_div_a1)
             if c:
-                _add(out, BasisElement("Y", r - 1, a[1:], m1), _x1_term(d, -c))
+                _add(out, BasisElement("Y", r - 1, a[1:], m1), _var_term(d, 1, -c))
     return {t: p for t, p in out.items() if not p.is_zero()}
 
 
@@ -271,7 +256,7 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                 c = ctx.W(mul_var(m, ell), mul_var(m3, ak)) - ctx.W(mul_var(m, ak), mul_var(m3, ell))
                 if c:
                     target = BasisElement("X", r - 1, rest, mul_var(m3, ell))
-                    _add(out, target, _x1_term(d, (-1) ** k * c))
+                    _add(out, target, _var_term(d, 1, (-1) ** k * c))
     for j in range(g, r + 1):
         for k in range(j + 1, r + 1):
             aj, ak = a[j - 1], a[k - 1]
@@ -281,7 +266,7 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                 c = ctx.W(mul_var(m, aj), mul_var(m3, ak)) - ctx.W(mul_var(m, ak), mul_var(m3, aj))
                 if c:
                     target = BasisElement("X", r - 1, rest, mul_var(m3, g + 1))
-                    _add(out, target, _x1_term(d, (-1) ** (j + g + k) * c))
+                    _add(out, target, _var_term(d, 1, (-1) ** (j + g + k) * c))
 
     # Y targets, coefficient x1 times a rational
     for ell in range(2, a1):
@@ -296,7 +281,7 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                     if var_divides(ak, m1):
                         c -= ctx.tq(mul_var(m, aj), div_var(mul_var(m1, ell), ak))
                     if c:
-                        _add(out, BasisElement("Y", r - 1, rest, m1), _x1_term(d, (-1) ** (k + j) * c))
+                        _add(out, BasisElement("Y", r - 1, rest, m1), _var_term(d, 1, (-1) ** (k + j) * c))
     for k in range(2, r + 1):
         ak = a[k - 1]
         rest = a[:k - 1] + a[k:]
@@ -306,7 +291,7 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                 c += ctx.tq(mul_var(m, a1), div_var(mul_var(m1, a1), ak))
             c -= ctx.tq(mul_var(m, ak), m1)
             if c:
-                _add(out, BasisElement("Y", r - 1, rest, m1), _x1_term(d, (-1) ** k * c))
+                _add(out, BasisElement("Y", r - 1, rest, m1), _var_term(d, 1, (-1) ** k * c))
     for ell in range(a1 + 1, a2):
         for k in range(2, r + 1):
             ak = a[k - 1]
@@ -316,11 +301,11 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                     continue
                 c = ctx.tq(mul_var(m, a1), div_var(mul_var(m1, ell), ak))
                 if c:
-                    _add(out, BasisElement("Y", r - 1, rest, m1), _x1_term(d, (-1) ** k * c))
+                    _add(out, BasisElement("Y", r - 1, rest, m1), _var_term(d, 1, (-1) ** k * c))
     for m1 in monomials_of_degree(d, ctx.n - 1, low_var=a2):
         c = ctx.tq(mul_var(m, a1), m1)
         if c:
-            _add(out, BasisElement("Y", r - 1, a[1:], m1), _x1_term(d, c))
+            _add(out, BasisElement("Y", r - 1, a[1:], m1), _var_term(d, 1, c))
 
     # Y targets, coefficient delta times a variable
     for j in range(2, r + 1):
@@ -376,12 +361,12 @@ def br_column_alt(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEle
                     c = ctx.tq(m2, w)
                     if c:
                         for sgn, tgt in expand_eta(rest, m2):
-                            _add(out, tgt, _x1_term(d, -slot * sgn * c))
+                            _add(out, tgt, _var_term(d, 1, -slot * sgn * c))
                 for m1 in monomials_of_degree(d, ctx.n - 1, low_var=2):
                     c = ctx.Q(m1, w)
                     if c:
                         for sgn, tgt in expand_kappa(rest, m1):
-                            _add(out, tgt, _x1_term(d, -slot * sgn * c))
+                            _add(out, tgt, _var_term(d, 1, -slot * sgn * c))
             for sgn, tgt in expand_eta(rest, m):
                 _add(out, tgt, _var_term(d, aj, -slot * sgn * delta))
         else:
@@ -390,12 +375,12 @@ def br_column_alt(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEle
                 c = ctx.W(u, m3)
                 if c:
                     for sgn, tgt in expand_eta(rest, m3):
-                        _add(out, tgt, _x1_term(d, slot * sgn * c))
+                        _add(out, tgt, _var_term(d, 1, slot * sgn * c))
             for m1 in monomials_of_degree(d, ctx.n - 1, low_var=2):
                 c = ctx.tq(u, m1)
                 if c:
                     for sgn, tgt in expand_kappa(rest, m1):
-                        _add(out, tgt, _x1_term(d, slot * sgn * c))
+                        _add(out, tgt, _var_term(d, 1, slot * sgn * c))
             for sgn, tgt in expand_kappa(rest, m):
                 _add(out, tgt, _var_term(d, aj, -slot * sgn * delta))
     return {t: p for t, p in out.items() if not p.is_zero()}
@@ -464,14 +449,7 @@ def _last_matrix(ctx: BuildContext) -> PolyMatrix:
 
 
 def _build(phi: InverseSystem, column_fn) -> Resolution:
-    cat = delta_and_Q(phi)
-    if not cat.admissible:
-        raise InadmissibleSystemError(
-            "inverse system is inadmissible: the middle catalecticant has determinant 0, "
-            "so the quotient algebra has no Gorenstein-linear minimal resolution "
-            "(equivalently, the degree-(n-1) pairing is degenerate)"
-        )
-    ctx = BuildContext(phi, cat)
+    ctx = BuildContext(phi, delta_and_Q(phi))
     d, n = phi.d, phi.n
     bases = tuple(duality_basis(d, n, r) for r in range(d + 1))
     matrices = [_first_matrix(ctx)]
@@ -481,7 +459,7 @@ def _build(phi: InverseSystem, column_fn) -> Resolution:
     matrices.append(_last_matrix(ctx))
     return Resolution(
         phi=phi,
-        delta=cat.delta,
+        delta=ctx.delta,
         bases=bases,
         matrices=tuple(matrices),
         twists=twist_list(d, n),

@@ -13,8 +13,9 @@ certificates here combine three exact facts:
 
 A failed saturation retries other primes and finally falls back to exact
 rational elimination, so a reported pass is never probabilistic.  The dense
-kernel reduces every entry mod p in integer arithmetic before it enters a
-float64 array, so no rounding reaches a rank.
+kernel (rank_mod_p, one elimination loop) reduces every entry mod p in
+integer arithmetic before it enters a float64 array and keeps the unreduced
+entries below p + ncols * p^2 < 2^53, so no rounding reaches a rank.
 
 Exactness of B is reduced to its skeleton for every d: the short exact
 sequence 0 -> B(-1) -> B -> B/x1 B -> 0 and its homology long exact sequence
@@ -51,8 +52,9 @@ no prime meets the bound, the piece is ranked exactly.
 The facts the certificate rests on (the complex property, the skeleton
 structure and the annihilation by b_1) are verdicts of their own as well.  A
 Session proves each of them once per verification run, together with the
-Hilbert function, the degree-n annihilator and the dimensions of I, and
-every check that needs a fact reads it there.
+Hilbert function (fixed by delta != 0 and read off one catalecticant rank),
+the degree-n annihilator and the dimensions of I, and every check that
+needs a fact reads it there.
 """
 
 from __future__ import annotations
@@ -75,67 +77,47 @@ from .polymatrix import PolyMatrix, denominator_lcm
 from .polynomials import Poly, poly_str
 
 PRIMES = (65521, 65519, 65497, 65479, 65449)
-_PANEL = 256
 _EXACT_ENTRY_LIMIT = 1_200_000
 
 
 def rank_mod_p(nrows: int, ncols: int, triples, p: int) -> int:
-    """Rank over GF(p) by blocked Gaussian elimination (float64 GEMM updates).
+    """Rank over GF(p) by Gaussian elimination on a float64 array.
 
-    Within a panel the trailing values are kept unreduced; they stay below
-    p + panel * p^2 < 2^53, so float64 arithmetic is exact.  Only the pivot
-    column and pivot row are reduced mod p before use.
+    Each step updates only the rows that meet the pivot column.  Only the
+    pivot column and pivot row are reduced mod p before use; every other
+    entry changes by less than p^2 per step, so it stays below
+    p + ncols * p^2 < 2^53 and float64 arithmetic is exact.
     """
     if nrows == 0 or ncols == 0:
         return 0
     if ncols > nrows:
-        # trailing updates sweep the matrix once per column panel, so keep
-        # the column count small; the rank is invariant under transpose
+        # the step count and the float64 bound grow with the column count,
+        # so keep it small; the rank is invariant under transpose
         nrows, ncols = ncols, nrows
         triples = [(j, i, v) for i, j, v in triples]
+    assert p + ncols * p * p < 2**53, f"{ncols} columns mod {p} overflow float64"
     m = np.zeros((nrows, ncols), dtype=np.float64)
     for i, j, v in triples:
         # reduce in Python ints first: float64 rounds integers above 2^53
         m[i, j] = (m[i, j] + v % p) % p
-    rank = 0
-    c0 = 0
-    while c0 < ncols and rank < nrows:
-        c1 = min(c0 + _PANEL, ncols)
-        pcols: list[int] = []
-        r = rank
-        for c in range(c0, c1):
-            if r == nrows:
-                break
-            m[r:, c] %= p
-            nz = np.flatnonzero(m[r:, c])
-            if nz.size == 0:
-                continue
-            piv = r + int(nz[0])
-            if piv != r:
-                m[[r, piv], c0:] = m[[piv, r], c0:]
-            m[r, c:c1] %= p
-            inv = pow(int(m[r, c]), p - 2, p)
-            if r + 1 < nrows:
-                m[r + 1:, c] = (m[r + 1:, c] * inv) % p
-                if c + 1 < c1:
-                    col = m[r + 1:, c]
-                    if np.any(col):
-                        m[r + 1:, c + 1:c1] -= np.outer(col, m[r, c + 1:c1])
-            pcols.append(c)
-            r += 1
-        k = len(pcols)
-        if k and c1 < ncols:
-            a12 = m[rank:rank + k, c1:]
-            for t in range(1, k):
-                lrow = m[rank + t, pcols[:t]]
-                if np.any(lrow):
-                    a12[t, :] = (a12[t, :] - lrow @ a12[:t, :]) % p
-            l21 = m[rank + k:, pcols]
-            if l21.size and a12.size:
-                m[rank + k:, c1:] = (m[rank + k:, c1:] - l21 @ a12) % p
-        rank += k
-        c0 = c1
-    return rank
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        m[r:, c] %= p
+        nz = r + np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            continue
+        if nz[0] != r:
+            m[[r, nz[0]], c:] = m[[nz[0], r], c:]
+        m[r, c:] %= p
+        # after the swap the rows below the pivot that meet column c are nz[1:]
+        below = nz[1:]
+        if below.size and c + 1 < ncols:
+            col = (m[below, c] * pow(int(m[r, c]), p - 2, p)) % p
+            m[below, c + 1:] -= np.outer(col, m[r, c + 1:])
+        r += 1
+    return r
 
 
 @dataclass
@@ -407,7 +389,6 @@ def ideal_dims(s: Session) -> dict[int, int]:
 @dataclass
 class ExactnessOutcome:
     ok: bool
-    method: str
     failures: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
@@ -515,7 +496,7 @@ def certify_exactness(s: Session) -> ExactnessOutcome:
     and the quotient from n on, so the identity is checked up to 2n and up
     to the last degree where h1k is nonzero; beyond both every term is zero.
     """
-    out = ExactnessOutcome(ok=True, method="skeleton-les")
+    out = ExactnessOutcome(ok=True)
     if _not_a_complex(s, out):
         return out
     if s.skeleton_failure is not None:

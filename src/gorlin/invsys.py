@@ -4,6 +4,11 @@ An inverse system phi of socle degree 2n-2 in d variables is stored as a map
 from degree-(2n-2) monomials to rational coefficients t_m.  Dual-space
 elements sum c_m * m^* are plain dicts monomial -> Fraction; the module
 action is the coefficient-free divisibility rule x^a(m^*) = (m/x^a)^*.
+
+A system is admissible when its middle catalecticant T is invertible
+(delta = det T != 0).  delta_and_Q decides this by one determinant and
+refuses the rest; admissibility alone fixes the Hilbert function, which is
+compressed (hilbert_function).
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from . import linalg
 from .monomials import (
@@ -122,7 +128,7 @@ def catalecticant_matrix(phi: InverseSystem, j: int) -> linalg.Matrix:
 
 @dataclass(frozen=True)
 class Catalecticant:
-    """The middle catalecticant T with its determinant delta and adjugate Q."""
+    """The middle catalecticant T with its determinant delta != 0 and adjugate Q."""
 
     phi: InverseSystem
     monos: tuple[Mono, ...]
@@ -131,19 +137,25 @@ class Catalecticant:
     Q: linalg.Matrix
     index: dict[Mono, int]
 
-    @property
-    def admissible(self) -> bool:
-        return self.delta != 0
-
     def q_entry(self, m1: Mono, m2: Mono) -> Fraction:
         return self.Q[self.index[m1]][self.index[m2]]
 
 
 def delta_and_Q(phi: InverseSystem) -> Catalecticant:
-    """delta = det T and Q = adjugate(T) for the degree-(n-1) catalecticant."""
+    """delta = det T and Q = adjugate(T) for the degree-(n-1) catalecticant.
+
+    This is the admissibility gate: delta = 0 raises InadmissibleSystemError
+    after the one determinant, with no adjugate computed.
+    """
     monos = monomials_of_degree(phi.d, phi.n - 1)
     T = catalecticant_matrix(phi, phi.n - 1)
     delta, Q = linalg.det_and_adjugate(T)
+    if Q is None:
+        raise InadmissibleSystemError(
+            "inverse system is inadmissible: the middle catalecticant has determinant 0, "
+            "so the quotient algebra has no Gorenstein-linear minimal resolution "
+            "(equivalently, the degree-(n-1) pairing is degenerate)"
+        )
     index = {m: i for i, m in enumerate(monos)}
     return Catalecticant(phi=phi, monos=monos, T=T, delta=delta, Q=Q, index=index)
 
@@ -198,13 +210,22 @@ def ann_degree(phi: InverseSystem, j: int) -> list[Poly]:
 
 
 def hilbert_function(phi: InverseSystem) -> list[int]:
-    """dim (S/ann(phi))_j for j = 0..2n-2, as catalecticant ranks.
+    """dim (S/ann(phi))_j for j = 0..2n-2: the compressed values dim S_min(j, 2n-2-j).
 
-    Only meaningful for admissible systems; delta = 0 raises.  The middle
-    catalecticant is square, so delta != 0 exactly when its rank is full.
+    delta = 0 raises; it is tested as a rank deficit of the middle
+    catalecticant T = Cat_{n-1}, which is square.  Once ker T = 0:
+
+    * for e <= n-1, a g in ann(phi)_e gives x1^(n-1-e) g in ann(phi)_{n-1} = ker T = 0,
+      so g = 0 and the value is dim S_e;
+    * Cat_{2n-2-e} is the transpose of Cat_e, so the values are symmetric.
+
+    (Iarrobino and Kanev, "Power Sums, Gorenstein Algebras, and
+    Determinantal Loci", 1999.)  hf_value ranks any one catalecticant and
+    stays the reference.
     """
-    hf = [hf_value(phi, j) for j in range(phi.socle_degree + 1)]
-    if hf[phi.n - 1] != len(monomials_of_degree(phi.d, phi.n - 1)):
+    d, top = phi.d, phi.socle_degree
+    hf = [comb(min(j, top - j) + d - 1, d - 1) for j in range(top + 1)]
+    if hf_value(phi, phi.n - 1) != hf[phi.n - 1]:
         raise InadmissibleSystemError("hilbert_function needs delta != 0")
     return hf
 
@@ -228,15 +249,16 @@ def sum_of_powers(d: int, n: int = 2) -> InverseSystem:
 def random_invsys(d: int, n: int, seed: int, coeff_bound: int = 5, max_tries: int = 64) -> InverseSystem:
     """Deterministic pseudo-random admissible inverse system with integer coefficients.
 
-    Retries with a counter mixed into the stream until delta != 0; raises
-    InadmissibleSystemError when the retry budget is exhausted (e.g. bound 0).
+    Retries with a counter mixed into the stream until delta != 0 (one
+    determinant per draw); raises InadmissibleSystemError when the retry
+    budget is exhausted (e.g. bound 0).
     """
     monos = monomials_of_degree(d, 2 * n - 2)
     for attempt in range(max_tries):
         rng = random.Random(seed * 1_000_003 + attempt)
         coeffs = {m: Fraction(rng.randint(-coeff_bound, coeff_bound)) for m in monos}
         phi = InverseSystem(d, n, coeffs)
-        if delta_and_Q(phi).admissible:
+        if linalg.det_bareiss(catalecticant_matrix(phi, n - 1)) != 0:
             return phi
     raise InadmissibleSystemError(
         f"could not find an admissible inverse system for d={d}, n={n}, "

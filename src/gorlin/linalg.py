@@ -2,6 +2,7 @@
 
 Matrices are lists of rows of Fractions.  Elimination for determinants is
 fraction-free (Bareiss) to keep intermediate entries small on integer input.
+The adjugate is computed only for a nonsingular matrix, by one solve.
 """
 
 from __future__ import annotations
@@ -124,20 +125,6 @@ def det_bareiss(m: Matrix) -> Fraction:
     return sign * a[n - 1][n - 1]
 
 
-def _cofactor_adjugate(m: Matrix) -> Matrix:
-    n = len(m)
-    adj = zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * det_bareiss(minor)
-    return adj
-
-
 def solve_right(m: Matrix, rhs: Matrix) -> Matrix | None:
     """Solve m X = rhs for square nonsingular m; None when singular."""
     n = len(m)
@@ -149,17 +136,18 @@ def solve_right(m: Matrix, rhs: Matrix) -> Matrix | None:
     return [red[i][n:n + k] for i in range(n)]
 
 
-def det_and_adjugate(m: Matrix) -> tuple[Fraction, Matrix]:
+def det_and_adjugate(m: Matrix) -> tuple[Fraction, Matrix | None]:
     """(det m, adj m) with m*adj = adj*m = det*I exactly.
 
-    Singular input falls back to the cofactor definition of the adjugate.
+    A singular m costs one determinant and gives (0, None), as solve_right
+    gives None.
     """
     n = len(m)
     if n == 0:
         return Fraction(1), []
     d = det_bareiss(m)
     if d == 0:
-        return d, _cofactor_adjugate(m)
+        return d, None
     rhs = zeros(n, n)
     for i in range(n):
         rhs[i][i] = d

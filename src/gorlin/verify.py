@@ -216,7 +216,7 @@ def check_exactness_up_to(s: Session) -> CheckResult:
                            "; ".join(out.failures[:3]))
     notes = "".join(f"; {t}" for t in dict.fromkeys(out.notes))
     return CheckResult("exactness", True,
-                       f"B resolves S/ann(phi): exact in every degree via {out.method}{notes}")
+                       f"B resolves S/ann(phi): exact in every degree via skeleton-les{notes}")
 
 
 def check_wlp(s: Session) -> CheckResult:

@@ -42,7 +42,7 @@ def position_dims(res: Resolution, e: int) -> list[int]:
 def certify_exactness_direct(s: Session, dmax: int) -> ExactnessOutcome:
     """Saturated-rank certification on the full graded pieces of the resolution, up to degree dmax."""
     res = s.res
-    out = ExactnessOutcome(ok=True, method="direct")
+    out = ExactnessOutcome(ok=True)
     if _not_a_complex(s, out):
         return out
     d = res.d

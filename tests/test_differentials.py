@@ -7,8 +7,6 @@ import pytest
 from gorlin.differentials import (
     BuildContext,
     b1_column,
-    b1_matrix,
-    bd_matrix,
     bd_rows,
     br_column_X,
     br_column_Y,
@@ -23,6 +21,7 @@ from gorlin.invsys import (
     InadmissibleSystemError,
     InverseSystem,
     contract_poly,
+    delta_and_Q,
     random_invsys,
 )
 from gorlin.monomials import mul_var
@@ -139,7 +138,7 @@ def test_bd_rows_vs_b1_on_identity_instance():
         return poly_str(p.scale(1 / lead))
 
     phi = squares_phi(3)
-    ctx = BuildContext(phi)
+    ctx = BuildContext(phi, delta_and_Q(phi))
     got = {normalize(p) for p in bd_rows(ctx).values()}
     want = {normalize(p) for p in squares_resolution(3).matrix(1).entries[0]}
     assert got == want
@@ -147,7 +146,7 @@ def test_bd_rows_vs_b1_on_identity_instance():
 
 def test_column_input_validation():
     phi = grid_phi(4, 2)
-    ctx = BuildContext(phi)
+    ctx = BuildContext(phi, delta_and_Q(phi))
     xelt = BasisElement("X", 2, (2, 3), (0, 2, 0, 0))
     yelt = BasisElement("Y", 2, (2, 3), (0, 1, 0, 0))
     with pytest.raises(ValueError):
@@ -172,25 +171,6 @@ def test_selfdual_is_the_only_basis_family():
     assert build_resolution(phi, "selfdual").bases == grid_resolution(3, 2).bases
     with pytest.raises(ValueError, match="standard"):
         build_resolution(phi, "standard")
-
-
-def test_b1_matrix_defined_even_when_inadmissible():
-    # the first-matrix formulas are polynomial in the coefficients, so they
-    # survive delta = 0; only the full build refuses
-    phi = InverseSystem(3, 2, {(2, 0, 0): Fraction(1)})
-    mat = b1_matrix(phi)
-    assert mat.shape == (1, 5)
-    # with delta = 0 only the x1 parts of the socle columns remain
-    for (_, e), p in zip(mat.cols, mat.entries[0]):
-        for m in p.terms:
-            assert m[0] >= 1
-
-
-def test_standalone_first_and_last_matrices():
-    phi = grid_phi(4, 2)
-    res = grid_resolution(4, 2)
-    assert b1_matrix(phi).same_entries(res.matrix(1))
-    assert bd_matrix(phi).same_entries(res.matrix(4))
 
 
 def test_d6_generality():

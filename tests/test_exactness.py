@@ -1,6 +1,7 @@
 """The mod-p rank kernel, the fine-graded strand certificate and the saturated ideal dimensions, where they can break."""
 
 import copy
+import random
 from fractions import Fraction
 from math import comb, prod
 
@@ -88,6 +89,28 @@ def test_rank_mod_p_reduces_before_float64():
     assert Piece(2, 2, triples).rank_exact() == 1
     for p in PRIMES:
         assert rank_mod_p(2, 2, triples, p) <= 1
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_rank_mod_p_of_a_piece_wider_than_256_columns(transpose):
+    # any set of rows of a unit upper-triangular block is independent over
+    # every GF(p); copies of rows and one row replaced by a sum of two others
+    # pin the rank at 300 and 299
+    rng = random.Random(11)
+    n = 300
+    block = [[0] * i + [1] + [rng.randint(-BIG, BIG) if rng.random() < 0.3 else 0 for _ in range(n - 1 - i)]
+             for i in range(n)]
+    deficient = block[:7] + [[a + b for a, b in zip(block[3], block[250])]] + block[8:]
+    for rows, want in ((block, n), (deficient, n - 1)):
+        rows = rows + [rows[rng.randrange(n)] for _ in range(60)]
+        rng.shuffle(rows)
+        triples = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+        shape = (len(rows), n)
+        if transpose:
+            triples = [(j, i, v) for i, j, v in triples]
+            shape = shape[::-1]
+        for p in PRIMES:
+            assert rank_mod_p(*shape, triples, p) == want
 
 
 @KERNEL

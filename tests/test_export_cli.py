@@ -1,12 +1,16 @@
 """Dump formats and the command-line interface (including exit codes)."""
 
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
+from math import prod
 
 from gorlin.cli import main
 from gorlin.export import resolution_cas_script, resolution_json_dict, resolution_text
-from gorlin.invsys import save_invsys, sum_of_powers
+from gorlin.invsys import InverseSystem, save_invsys, sum_of_powers
+from gorlin.monomials import monomials_of_degree
 
 from conftest import grid_resolution, squares_resolution
 
@@ -154,6 +158,19 @@ def test_cli_exit_code_inadmissible(tmp_path):
     code, _, stderr = run_cli(["verify", "--input", str(path)])
     assert code == 2
     assert "determinant 0" in stderr or "inadmissible" in stderr
+
+
+def test_cli_refuses_a_rank_deficient_d4_n4_system_fast(tmp_path, capsys):
+    # t_m = sum of a^m over 19 points a: the middle catalecticant is a sum of
+    # 19 rank-one matrices of size 20, so delta = 0 and verify exits 2
+    rng = random.Random(0)
+    points = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(19)]
+    coeffs = {m: Fraction(sum(prod(x ** k for x, k in zip(a, m)) for a in points))
+              for m in monomials_of_degree(4, 6)}
+    path = tmp_path / "rank_deficient.json"
+    save_invsys(InverseSystem(4, 4, coeffs), str(path))
+    assert main(["verify", "--input", str(path)]) == 2
+    assert "determinant 0" in capsys.readouterr().err
 
 
 def test_cli_exit_code_input_error(tmp_path):

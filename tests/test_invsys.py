@@ -14,6 +14,7 @@ from gorlin.invsys import (
     contract_poly,
     delta_and_Q,
     from_json_dict,
+    hf_value,
     hilbert_function,
     load_invsys,
     q_of,
@@ -63,7 +64,6 @@ def test_catalecticant_symmetric_middle():
 def test_delta_and_q(d3_squares):
     cat = delta_and_Q(d3_squares)
     assert cat.delta == 1 and cat.Q == linalg.identity(3)
-    assert cat.admissible
     phi4 = random_invsys(4, 2, seed=7)
     cat4 = delta_and_Q(phi4)
     assert len(cat4.T) == comb(2 + 4 - 2, 4 - 1) == 4
@@ -148,6 +148,22 @@ def test_hilbert_function(d3_squares):
     assert hf == hf[::-1] and hf[0] == 1 and hf[1] == 4
 
 
+def test_hilbert_function_is_read_off_one_catalecticant(monkeypatch):
+    from gorlin import invsys
+
+    rng = random.Random(3)
+    fractional = InverseSystem(4, 3, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                      for m in monomials_of_degree(4, 4)})
+    cases = [grid_phi(d, n) for d, n in GRID] + [fractional, grid_phi(4, 3).swap_variables(1, 4)]
+    for phi in cases:
+        want = [hf_value(phi, e) for e in range(phi.socle_degree + 1)]
+        calls = []
+        monkeypatch.setattr(invsys, "hf_value", lambda p, e: calls.append(e) or hf_value(p, e))
+        assert hilbert_function(phi) == want
+        monkeypatch.undo()
+        assert calls == [phi.n - 1]
+
+
 def test_hilbert_needs_admissible():
     zero = InverseSystem(3, 2, {})
     with pytest.raises(InadmissibleSystemError):
@@ -158,7 +174,7 @@ def test_random_invsys_deterministic():
     a = random_invsys(3, 2, seed=1, coeff_bound=5)
     b = random_invsys(3, 2, seed=1, coeff_bound=5)
     assert a.coeffs == b.coeffs
-    assert delta_and_Q(a).admissible
+    delta_and_Q(a)  # admissible: does not raise
     c = random_invsys(3, 2, seed=2, coeff_bound=5)
     assert c.coeffs != a.coeffs
     with pytest.raises(InadmissibleSystemError):
@@ -167,7 +183,18 @@ def test_random_invsys_deterministic():
 
 def test_grid_instances_admissible():
     for d, n in GRID:
-        assert delta_and_Q(grid_phi(d, n)).admissible
+        delta_and_Q(grid_phi(d, n))  # does not raise
+
+
+def test_inadmissible_system_costs_one_determinant(monkeypatch):
+    # rank 2 middle catalecticant of size 10: refused after one determinant, no adjugate
+    calls = []
+    det = linalg.det_bareiss
+    monkeypatch.setattr(linalg, "det_bareiss", lambda m: calls.append(len(m)) or det(m))
+    phi = InverseSystem(4, 3, {(4, 0, 0, 0): Fraction(1), (0, 4, 0, 0): Fraction(1)})
+    with pytest.raises(InadmissibleSystemError, match="determinant 0"):
+        delta_and_Q(phi)
+    assert calls == [10]
 
 
 def test_swap_variables():
