@@ -1,12 +1,34 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from gorlin.differentials import build_resolution
-from gorlin.invsys import random_invsys, sum_of_powers
+from gorlin.invsys import InverseSystem, random_invsys, sum_of_powers
+from gorlin.monomials import monomials_of_degree
 
 GRID = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
 GRID_SEEDS = {(3, 2): 1, (3, 3): 2, (4, 2): 7, (4, 3): 3, (5, 2): 5, (5, 3): 11}
 
+# systems pinned beside the grid, by label: the first instance of the
+# d=4, n=4 benchmark workload, and a (4, 3) system whose coefficients have
+# mixed denominators and numerators near 2^70
+EXTRA = ("d=4 n=4 seed=0", "d=4 n=3 large-rational")
+
 _cache = {}
+
+
+def _large_rational(d, n, seed):
+    rng = random.Random(seed)
+    return InverseSystem(d, n, {m: Fraction(rng.randint(-2**70, 2**70), rng.randint(1, 12))
+                                for m in monomials_of_degree(d, 2 * n - 2)})
+
+
+def extra_phi(label):
+    key = ("extra", label)
+    if key not in _cache:
+        _cache[key] = random_invsys(4, 4, 0) if label == EXTRA[0] else _large_rational(4, 3, 70)
+    return _cache[key]
 
 
 def grid_phi(d, n):

@@ -5,6 +5,9 @@
 For each grid point of ``conftest.GRID`` (self-dual ordering) the outputs
 are the ``verify`` text and JSON reports and the ``resolve`` text, JSON and
 Macaulay2 dumps; at (3, 2) and (4, 2) also the output of ``gorlin ann``.
+For each system of ``conftest.EXTRA`` (the d=4, n=4 benchmark point and a
+system with mixed denominators and numerators near 2^70) they are the
+``verify`` text and JSON reports and the ``resolve`` JSON dump.
 The pins record the outputs of the code they were made with, so regenerate
 them only with a change that alters an output on purpose.
 """
@@ -25,8 +28,9 @@ ANN_POINTS = ((3, 2), (4, 2))
 
 sys.path.insert(0, str(HERE.parent / "src"))
 
-from conftest import GRID, GRID_SEEDS, grid_phi, grid_resolution  # noqa: E402
+from conftest import EXTRA, GRID, GRID_SEEDS, extra_phi, grid_phi, grid_resolution  # noqa: E402
 from gorlin import cli  # noqa: E402
+from gorlin.differentials import build_resolution  # noqa: E402
 from gorlin.export import (  # noqa: E402
     report_json,
     resolution_cas_script,
@@ -56,9 +60,28 @@ def outputs(d: int, n: int) -> dict[str, str]:
     return out
 
 
+def extra_outputs(label: str) -> dict[str, str]:
+    """The verify reports and the resolve JSON dump of one EXTRA system, by name."""
+    phi = extra_phi(label)
+    res = build_resolution(phi)
+    report = run_checks(res, phi)
+    return {
+        "verify-text": report.to_text(),
+        "verify-json": report_json(report),
+        "resolve-json": resolution_json(res),
+    }
+
+
+def _sha(texts: dict[str, str], suffix: str) -> dict[str, str]:
+    return {f"{name} {suffix}": hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+
+
 def digests(d: int, n: int) -> dict[str, str]:
-    return {f"{name} d={d} n={n}": hashlib.sha256(text.encode()).hexdigest()
-            for name, text in outputs(d, n).items()}
+    return _sha(outputs(d, n), f"d={d} n={n}")
+
+
+def extra_digests(label: str) -> dict[str, str]:
+    return _sha(extra_outputs(label), label)
 
 
 def main() -> int:
@@ -69,6 +92,8 @@ def main() -> int:
     pins: dict[str, str] = {}
     for d, n in GRID:
         pins.update(digests(d, n))
+    for label in EXTRA:
+        pins.update(extra_digests(label))
     with open(PINS, "w") as fh:
         json.dump(pins, fh, indent=0, sort_keys=True)
         fh.write("\n")

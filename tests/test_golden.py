@@ -7,8 +7,8 @@ import json
 
 import pytest
 
-from conftest import GRID
-from golden import PINS, digests
+from conftest import EXTRA, GRID
+from golden import PINS, digests, extra_digests
 
 PINNED = json.loads(PINS.read_text())
 
@@ -18,3 +18,10 @@ def test_outputs_match_pins(d, n):
     want = {k: v for k, v in PINNED.items() if k.endswith(f" d={d} n={n}")}
     assert want, "no pins for this grid point"
     assert digests(d, n) == want
+
+
+@pytest.mark.parametrize("label", EXTRA)
+def test_extra_outputs_match_pins(label):
+    want = {k: v for k, v in PINNED.items() if k.endswith(f" {label}")}
+    assert want, "no pins for this system"
+    assert extra_digests(label) == want
