@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, seed, settings, strategies as st
 
 from gorlin.differentials import build_resolution, build_resolution_via_straightening, canonical_skeleton
 from gorlin.exactness import (
@@ -200,8 +200,11 @@ def permuted_systems(draw):
 
 
 # no shrinking: every example builds and verifies two resolutions, so shrinking
-# a failure would take minutes before it is reported
-@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+# a failure would take minutes before it is reported.  A fixed seed keeps the
+# draws (all three (d, n), about 1 s in total) when the body is edited; with
+# derandomize=True they would follow a digest of the source text.
+@seed(15)
+@settings(max_examples=12, deadline=None, database=None,
           phases=[p for p in Phase if p is not Phase.shrink])
 @given(permuted_systems())
 def test_routes_agree_and_verdicts_survive_a_permutation(case):
