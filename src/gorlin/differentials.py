@@ -14,6 +14,11 @@ complementary positions is a signed permutation.
 
 canonical_skeleton(d, n) writes the Koszul strands that every resolution
 reduces to mod x1, up to the factor delta, in the same bases.
+
+The entries are polynomial in t, delta and Q, and both routes evaluate them
+in Python ints (BuildContext): every coefficient is an integer numerator
+over one power of the lcm L of phi's denominators, and becomes a Fraction
+only when _assemble writes it into a Poly.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .hookbasis import (
     kos_expansion,
     y0,
 )
-from .invsys import Catalecticant, InverseSystem, delta_and_Q
+from .invsys import Catalecticant, InverseSystem, delta_and_Q, integer_coeffs
 from .monomials import (
     Mono,
     div_var,
@@ -48,110 +53,110 @@ from .polynomials import Poly
 
 
 class BuildContext:
-    """Shared catalecticant data and memoized coefficient sums for one build."""
+    """Shared catalecticant data and memoized coefficient sums for one build, in integers.
+
+    Every coefficient is carried as an int numerator over the one
+    denominator D = L^(N+1) (denom), where L is the lcm of phi's denominators
+    and N = dim S_{n-1}: with t' = L t, Q = adj T' / L^(N-1) and
+    delta = det T' / L^N (invsys.Catalecticant), the numerators of Q and
+    delta are L^2 adj T' and L det T', and each sum of t' times numerators
+    over D, divided by L, is again a numerator over D.  The Fraction of a
+    coefficient is formed once, when _assemble writes the entry.
+    """
 
     def __init__(self, phi: InverseSystem, cat: Catalecticant):
-        self.phi = phi
-        self.cat = cat
         self.d = phi.d
         self.n = phi.n
-        self.delta = self.cat.delta
+        self.scale, self.t = integer_coeffs(phi)
+        self.index = cat.index
+        self.denom = self.scale ** (len(cat.monos) + 1)
+        self.delta = self.scale * cat.det
+        self.q = [[self.scale**2 * v for v in row] for row in cat.adj]
+        self.var = [None] + [mul_var(unit(phi.d), i) for i in range(1, phi.d + 1)]
         self.nm1_all = monomials_of_degree(phi.d, phi.n - 1)
         self.nm2_all = monomials_of_degree(phi.d, phi.n - 2)
-        self._tq: dict[tuple[Mono, Mono], Fraction] = {}
-        self._w: dict[tuple[Mono, Mono], Fraction] = {}
-        self._qrow: dict[Mono, Poly] = {}
-        self._ycorr: dict[Mono, Poly] = {}
+        self._x1_nm2 = [cat.index[mul_var(m2, 1)] for m2 in self.nm2_all]
+        self._t_row: dict[Mono, list[int]] = {}
+        self._tq: dict[tuple[Mono, Mono], int] = {}
+        self._w: dict[tuple[Mono, Mono], int] = {}
+        self._qrow: dict[Mono, dict[Mono, int]] = {}
+        self._ycorr: dict[Mono, dict[Mono, int]] = {}
 
-    def Q(self, m1: Mono, m2: Mono) -> Fraction:
-        return self.cat.q_entry(m1, m2)
+    def Q(self, m1: Mono, m2: Mono) -> int:
+        return self.q[self.index[m1]][self.index[m2]]
 
-    def tq(self, u: Mono, w: Mono) -> Fraction:
+    def tq(self, u: Mono, w: Mono) -> int:
         """sum over m2 of degree n-2 of t_{u*m2} * Q[w, x1*m2]  (u deg n, w deg n-1)."""
         key = (u, w)
         val = self._tq.get(key)
         if val is None:
-            t = self.phi.t
-            val = Fraction(0)
-            for m2 in self.nm2_all:
-                c = t(mul(u, m2))
-                if c:
-                    val += c * self.Q(w, mul_var(m2, 1))
+            row = self._t_row.get(u)
+            if row is None:
+                row = self._t_row[u] = [self.t.get(mul(u, m2), 0) for m2 in self.nm2_all]
+            qw = self.q[self.index[w]]
+            val = sum(c * qw[k] for c, k in zip(row, self._x1_nm2) if c) // self.scale
             self._tq[key] = val
         return val
 
-    def W(self, u: Mono, v: Mono) -> Fraction:
-        """double sum of Q[x1*m1, x1*m2] t_{u*m2} t_{v*m1} over degree-(n-2) pairs."""
+    def W(self, u: Mono, v: Mono) -> int:
+        """double sum of Q[x1*m1, x1*m2] t_{u*m2} t_{v*m1} over degree-(n-2) pairs.
+
+        The inner sum over m2 is tq(u, x1*m1).
+        """
         key = (u, v)
         val = self._w.get(key)
         if val is None:
-            t = self.phi.t
-            val = Fraction(0)
-            for m1 in self.nm2_all:
-                cv = t(mul(v, m1))
-                if not cv:
-                    continue
-                x1m1 = mul_var(m1, 1)
-                inner = Fraction(0)
-                for m2 in self.nm2_all:
-                    cu = t(mul(u, m2))
-                    if cu:
-                        inner += cu * self.Q(x1m1, mul_var(m2, 1))
-                val += cv * inner
+            t = self.t
+            val = sum(c * self.tq(u, mul_var(m1, 1))
+                      for m1 in self.nm2_all if (c := t.get(mul(v, m1), 0))) // self.scale
             self._w[key] = val
             self._w[(v, u)] = val
         return val
 
-    def q_row_poly(self, w: Mono) -> Poly:
-        """sum over m1 of degree n-1 of Q[m1, w] * m1, a polynomial of degree n-1."""
+    def q_row(self, w: Mono) -> dict[Mono, int]:
+        """sum over m1 of degree n-1 of Q[m1, w] * m1, a form of degree n-1."""
         p = self._qrow.get(w)
         if p is None:
-            p = Poly.zero(self.d)
-            for m1 in self.nm1_all:
-                c = self.Q(m1, w)
-                if c:
-                    p.add_term(m1, c)
-            self._qrow[w] = p
+            p = self._qrow[w] = {m1: c for m1 in self.nm1_all if (c := self.Q(m1, w))}
         return p
 
-    def y_correction(self, u: Mono) -> Poly:
+    def y_correction(self, u: Mono) -> dict[Mono, int]:
         """sum over m2 of degree n-1 of tq(u, m2) * m2 (the x1 part of a socle column)."""
         p = self._ycorr.get(u)
         if p is None:
-            p = Poly.zero(self.d)
-            for m2 in self.nm1_all:
-                c = self.tq(u, m2)
-                if c:
-                    p.add_term(m2, c)
-            self._ycorr[u] = p
+            p = self._ycorr[u] = {m2: c for m2 in self.nm1_all if (c := self.tq(u, m2))}
         return p
 
 
-def _times_x1(p: Poly) -> Poly:
-    return Poly(p.d, {mul_var(m, 1): c for m, c in p.terms.items()})
+Terms = dict[Mono, int]
 
 
-def _add(out: dict[BasisElement, Poly], target: BasisElement, p: Poly) -> None:
-    if p.is_zero():
-        return
-    cur = out.get(target)
-    out[target] = p if cur is None else cur + p
+def _minus_x1(terms: Terms, p: Terms) -> Terms:
+    """terms - x1 * p."""
+    out = dict(terms)
+    for m, c in p.items():
+        key = mul_var(m, 1)
+        out[key] = out.get(key, 0) - c
+    return out
 
 
-def _var_term(d: int, i: int, c: Fraction) -> Poly:
-    return Poly(d, {mul_var(unit(d), i): c}) if c else Poly.zero(d)
+def _add(out: dict[BasisElement, Terms], target: BasisElement, m: Mono, c: int) -> None:
+    """Add c * m to the entry at target."""
+    if c:
+        terms = out.setdefault(target, {})
+        terms[m] = terms.get(m, 0) + c
 
 
-def b1_column(ctx: BuildContext, elt: BasisElement) -> Poly:
+def b1_column(ctx: BuildContext, elt: BasisElement) -> Terms:
     """The degree-n generator of the ideal attached to a degree-1 basis element."""
     a1 = elt.a[0]
     if elt.kind == "X":
-        return _times_x1(ctx.q_row_poly(div_var(elt.m, a1)))
+        return {mul_var(m, 1): c for m, c in ctx.q_row(div_var(elt.m, a1)).items()}
     u = mul_var(elt.m, a1)
-    return Poly.monomial(u, ctx.delta) - _times_x1(ctx.y_correction(u))
+    return _minus_x1({u: ctx.delta}, ctx.y_correction(u))
 
 
-def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, Poly]:
+def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, Terms]:
     """Column of the interior differential on an X generator, in the standard basis."""
     if not 2 <= r <= ctx.d - 1 or elt.kind != "X" or elt.r != r:
         raise ValueError(f"invalid X generator for degree {r}: {elt}")
@@ -159,7 +164,7 @@ def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
     a, m = elt.a, elt.m
     g = gamma_of(a)
     lm = least(m)
-    out: dict[BasisElement, Poly] = {}
+    out: dict[BasisElement, Terms] = {}
 
     # X targets, coefficient x1 times a rational
     for ell in range(2, g + 1):
@@ -167,28 +172,28 @@ def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
             ak = a[k - 1]
             rest = a[:k - 1] + a[k:]
             for m2 in monomials_of_degree(d, ctx.n - 1, low_var=ell):
-                c = Fraction(0)
+                c = 0
                 if var_divides(ak, m):
                     c += ctx.tq(mul_var(m2, ell), div_var(m, ak))
                 if var_divides(ell, m):
                     c -= ctx.tq(mul_var(m2, ak), div_var(m, ell))
                 if c:
                     target = BasisElement("X", r - 1, rest, mul_var(m2, ell))
-                    _add(out, target, _var_term(d, 1, (-1) ** k * c))
+                    _add(out, target, ctx.var[1], (-1) ** k * c)
     for j in range(g, r + 1):
         for k in range(j + 1, r + 1):
             aj, ak = a[j - 1], a[k - 1]
             prefix = a[:g - 1] + (g + 1,)
             rest = prefix + tuple(x for x in a[g - 1:] if x != aj and x != ak)
             for m2 in monomials_of_degree(d, ctx.n - 1, low_var=g + 1):
-                c = Fraction(0)
+                c = 0
                 if var_divides(ak, m):
                     c += ctx.tq(mul_var(m2, aj), div_var(m, ak))
                 if var_divides(aj, m):
                     c -= ctx.tq(mul_var(m2, ak), div_var(m, aj))
                 if c:
                     target = BasisElement("X", r - 1, rest, mul_var(m2, g + 1))
-                    _add(out, target, _var_term(d, 1, (-1) ** (g + j + k) * c))
+                    _add(out, target, ctx.var[1], (-1) ** (g + j + k) * c)
 
     # X targets, coefficient delta times a variable
     for j in range(1, lm):
@@ -197,11 +202,11 @@ def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
             ak = a[k - 1]
             if var_divides(ak, m):
                 target = BasisElement("X", r - 1, a[:k - 1] + a[k:], mul_var(div_var(m, ak), aj))
-                _add(out, target, _var_term(d, aj, (-1) ** (k + 1) * delta))
+                _add(out, target, ctx.var[aj], (-1) ** (k + 1) * delta)
     for j in range(lm, r + 1):
         aj = a[j - 1]
         target = BasisElement("X", r - 1, a[:j - 1] + a[j:], m)
-        _add(out, target, _var_term(d, aj, (-1) ** j * delta))
+        _add(out, target, ctx.var[aj], (-1) ** j * delta)
 
     # Y targets, coefficient x1 times a rational
     a1 = elt.a[0]
@@ -210,13 +215,13 @@ def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
         ak = a[k - 1]
         rest = a[:k - 1] + a[k:]
         for m1 in monomials_of_degree(d, ctx.n - 1, low_var=a1):
-            c = Fraction(0)
+            c = 0
             if var_divides(ak, m):
                 c += ctx.Q(m1, div_var(m, ak))
             if var_divides(ak, m1) and x_a1_divides_m:
                 c -= ctx.Q(div_var(mul_var(m1, a1), ak), div_var(m, a1))
             if c:
-                _add(out, BasisElement("Y", r - 1, rest, m1), _var_term(d, 1, (-1) ** k * c))
+                _add(out, BasisElement("Y", r - 1, rest, m1), ctx.var[1], (-1) ** k * c)
     if x_a1_divides_m:
         m_div_a1 = div_var(m, a1)
         for ell in range(a1 + 1, a[1]):
@@ -228,15 +233,15 @@ def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                         continue
                     c = ctx.Q(div_var(mul_var(m1, ell), ak), m_div_a1)
                     if c:
-                        _add(out, BasisElement("Y", r - 1, rest, m1), _var_term(d, 1, (-1) ** (k + 1) * c))
+                        _add(out, BasisElement("Y", r - 1, rest, m1), ctx.var[1], (-1) ** (k + 1) * c)
         for m1 in monomials_of_degree(d, ctx.n - 1, low_var=a[1]):
             c = ctx.Q(m1, m_div_a1)
             if c:
-                _add(out, BasisElement("Y", r - 1, a[1:], m1), _var_term(d, 1, -c))
-    return {t: p for t, p in out.items() if not p.is_zero()}
+                _add(out, BasisElement("Y", r - 1, a[1:], m1), ctx.var[1], -c)
+    return out
 
 
-def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, Poly]:
+def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, Terms]:
     """Column of the interior differential on a Y generator, in the standard basis."""
     if not 2 <= r <= ctx.d - 1 or elt.kind != "Y" or elt.r != r:
         raise ValueError(f"invalid Y generator for degree {r}: {elt}")
@@ -245,7 +250,7 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
     g = gamma_of(a)
     lm = least(m)
     a1, a2 = a[0], a[1]
-    out: dict[BasisElement, Poly] = {}
+    out: dict[BasisElement, Terms] = {}
 
     # X targets, coefficient x1 times a rational
     for ell in range(2, g + 1):
@@ -256,7 +261,7 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                 c = ctx.W(mul_var(m, ell), mul_var(m3, ak)) - ctx.W(mul_var(m, ak), mul_var(m3, ell))
                 if c:
                     target = BasisElement("X", r - 1, rest, mul_var(m3, ell))
-                    _add(out, target, _var_term(d, 1, (-1) ** k * c))
+                    _add(out, target, ctx.var[1], (-1) ** k * c)
     for j in range(g, r + 1):
         for k in range(j + 1, r + 1):
             aj, ak = a[j - 1], a[k - 1]
@@ -266,7 +271,7 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                 c = ctx.W(mul_var(m, aj), mul_var(m3, ak)) - ctx.W(mul_var(m, ak), mul_var(m3, aj))
                 if c:
                     target = BasisElement("X", r - 1, rest, mul_var(m3, g + 1))
-                    _add(out, target, _var_term(d, 1, (-1) ** (j + g + k) * c))
+                    _add(out, target, ctx.var[1], (-1) ** (j + g + k) * c)
 
     # Y targets, coefficient x1 times a rational
     for ell in range(2, a1):
@@ -275,23 +280,23 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                 aj, ak = a[j - 1], a[k - 1]
                 rest = (ell,) + tuple(x for x in a if x != aj and x != ak)
                 for m1 in monomials_of_degree(d, ctx.n - 1, low_var=ell):
-                    c = Fraction(0)
+                    c = 0
                     if var_divides(aj, m1):
                         c += ctx.tq(mul_var(m, ak), div_var(mul_var(m1, ell), aj))
                     if var_divides(ak, m1):
                         c -= ctx.tq(mul_var(m, aj), div_var(mul_var(m1, ell), ak))
                     if c:
-                        _add(out, BasisElement("Y", r - 1, rest, m1), _var_term(d, 1, (-1) ** (k + j) * c))
+                        _add(out, BasisElement("Y", r - 1, rest, m1), ctx.var[1], (-1) ** (k + j) * c)
     for k in range(2, r + 1):
         ak = a[k - 1]
         rest = a[:k - 1] + a[k:]
         for m1 in monomials_of_degree(d, ctx.n - 1, low_var=a1):
-            c = Fraction(0)
+            c = 0
             if var_divides(ak, m1):
                 c += ctx.tq(mul_var(m, a1), div_var(mul_var(m1, a1), ak))
             c -= ctx.tq(mul_var(m, ak), m1)
             if c:
-                _add(out, BasisElement("Y", r - 1, rest, m1), _var_term(d, 1, (-1) ** k * c))
+                _add(out, BasisElement("Y", r - 1, rest, m1), ctx.var[1], (-1) ** k * c)
     for ell in range(a1 + 1, a2):
         for k in range(2, r + 1):
             ak = a[k - 1]
@@ -301,39 +306,38 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                     continue
                 c = ctx.tq(mul_var(m, a1), div_var(mul_var(m1, ell), ak))
                 if c:
-                    _add(out, BasisElement("Y", r - 1, rest, m1), _var_term(d, 1, (-1) ** k * c))
+                    _add(out, BasisElement("Y", r - 1, rest, m1), ctx.var[1], (-1) ** k * c)
     for m1 in monomials_of_degree(d, ctx.n - 1, low_var=a2):
         c = ctx.tq(mul_var(m, a1), m1)
         if c:
-            _add(out, BasisElement("Y", r - 1, a[1:], m1), _var_term(d, 1, c))
+            _add(out, BasisElement("Y", r - 1, a[1:], m1), ctx.var[1], c)
 
     # Y targets, coefficient delta times a variable
     for j in range(2, r + 1):
         aj = a[j - 1]
         target = BasisElement("Y", r - 1, a[:j - 1] + a[j:], m)
-        _add(out, target, _var_term(d, aj, (-1) ** j * delta))
+        _add(out, target, ctx.var[aj], (-1) ** j * delta)
     if a2 <= lm:
-        _add(out, BasisElement("Y", r - 1, a[1:], m), _var_term(d, a1, -delta))
+        _add(out, BasisElement("Y", r - 1, a[1:], m), ctx.var[a1], -delta)
     else:
         m_red = div_var(m, lm)
         for k in range(2, r + 1):
             ak = a[k - 1]
             rest = (lm,) + a[1:k - 1] + a[k:]
             target = BasisElement("Y", r - 1, rest, mul_var(m_red, ak))
-            _add(out, target, _var_term(d, a1, -((-1) ** k) * delta))
-    return {t: p for t, p in out.items() if not p.is_zero()}
+            _add(out, target, ctx.var[a1], -((-1) ** k) * delta)
+    return out
 
 
-def bd_rows(ctx: BuildContext) -> dict[BasisElement, Poly]:
+def bd_rows(ctx: BuildContext) -> dict[BasisElement, Terms]:
     """Row coefficients of the last differential on the top generator."""
     d = ctx.d
     full = tuple(range(2, d + 1))
-    out: dict[BasisElement, Poly] = {}
+    out: dict[BasisElement, Terms] = {}
     for m in monomials_of_degree(d, ctx.n, low_var=2):
-        p = Poly.monomial(m, ctx.delta) - _times_x1(ctx.y_correction(m))
-        _add(out, BasisElement("X", d - 1, full, m), p)
+        out[BasisElement("X", d - 1, full, m)] = _minus_x1({m: ctx.delta}, ctx.y_correction(m))
     for m in monomials_of_degree(d, ctx.n - 1, low_var=2):
-        _add(out, BasisElement("Y", d - 1, full, m), -_times_x1(ctx.q_row_poly(m)))
+        out[BasisElement("Y", d - 1, full, m)] = _minus_x1({}, ctx.q_row(m))
     return out
 
 
@@ -343,13 +347,13 @@ def bd_rows(ctx: BuildContext) -> dict[BasisElement, Poly]:
 # ---------------------------------------------------------------------------
 
 
-def br_column_alt(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, Poly]:
+def br_column_alt(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, Terms]:
     """Interior column computed from elementary-generator contraction formulas."""
     if not 2 <= r <= ctx.d - 1:
         raise ValueError(f"r={r} out of range 2..{ctx.d - 1}")
     d, delta = ctx.d, ctx.delta
     a, m = elt.a, elt.m
-    out: dict[BasisElement, Poly] = {}
+    out: dict[BasisElement, Terms] = {}
     for j in range(1, r + 1):
         aj = a[j - 1]
         rest = a[:j - 1] + a[j:]
@@ -361,29 +365,29 @@ def br_column_alt(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEle
                     c = ctx.tq(m2, w)
                     if c:
                         for sgn, tgt in expand_eta(rest, m2):
-                            _add(out, tgt, _var_term(d, 1, -slot * sgn * c))
+                            _add(out, tgt, ctx.var[1], -slot * sgn * c)
                 for m1 in monomials_of_degree(d, ctx.n - 1, low_var=2):
                     c = ctx.Q(m1, w)
                     if c:
                         for sgn, tgt in expand_kappa(rest, m1):
-                            _add(out, tgt, _var_term(d, 1, -slot * sgn * c))
+                            _add(out, tgt, ctx.var[1], -slot * sgn * c)
             for sgn, tgt in expand_eta(rest, m):
-                _add(out, tgt, _var_term(d, aj, -slot * sgn * delta))
+                _add(out, tgt, ctx.var[aj], -slot * sgn * delta)
         else:
             u = mul_var(m, aj)
             for m3 in monomials_of_degree(d, ctx.n, low_var=2):
                 c = ctx.W(u, m3)
                 if c:
                     for sgn, tgt in expand_eta(rest, m3):
-                        _add(out, tgt, _var_term(d, 1, slot * sgn * c))
+                        _add(out, tgt, ctx.var[1], slot * sgn * c)
             for m1 in monomials_of_degree(d, ctx.n - 1, low_var=2):
                 c = ctx.tq(u, m1)
                 if c:
                     for sgn, tgt in expand_kappa(rest, m1):
-                        _add(out, tgt, _var_term(d, 1, slot * sgn * c))
+                        _add(out, tgt, ctx.var[1], slot * sgn * c)
             for sgn, tgt in expand_kappa(rest, m):
-                _add(out, tgt, _var_term(d, aj, -slot * sgn * delta))
-    return {t: p for t, p in out.items() if not p.is_zero()}
+                _add(out, tgt, ctx.var[aj], -slot * sgn * delta)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -425,41 +429,47 @@ def twist_list(d: int, n: int) -> tuple[int, ...]:
     return (0,) + tuple(n + r - 1 for r in range(1, d)) + (2 * n + d - 2,)
 
 
-def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions) -> PolyMatrix:
-    """The matrix whose column j is expansions[j] (target element -> polynomial), signed by the bases."""
+def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions, denom: int = 1) -> PolyMatrix:
+    """The matrix whose column j is expansions[j], signed by the bases.
+
+    expansions[j] maps a target element to the int numerators, over denom,
+    of the entry's terms; each nonzero coefficient becomes a Fraction here.
+    """
     d = rows.d
     pos = rows.position()
     entries = [[Poly.zero(d) for _ in range(len(cols))] for _ in range(len(rows))]
     for j, (csign, _) in enumerate(cols.elements):
-        for target, p in expansions[j].items():
+        for target, terms in expansions[j].items():
             i, rsign = pos[target]
-            entries[i][j] = p.scale(csign * rsign)
+            s = csign * rsign
+            entries[i][j] = Poly(d, {m: Fraction(s * c, denom) for m, c in terms.items() if c})
     return PolyMatrix(rows=rows, cols=cols, entries=entries)
 
 
 def _first_matrix(ctx: BuildContext) -> PolyMatrix:
     d, n = ctx.d, ctx.n
     cols = duality_basis(d, n, 1)
-    return _assemble(duality_basis(d, n, 0), cols, [{y0(d): b1_column(ctx, e)} for _, e in cols])
+    return _assemble(duality_basis(d, n, 0), cols, [{y0(d): b1_column(ctx, e)} for _, e in cols], ctx.denom)
 
 
 def _last_matrix(ctx: BuildContext) -> PolyMatrix:
     d, n = ctx.d, ctx.n
-    return _assemble(duality_basis(d, n, d - 1), duality_basis(d, n, d), [bd_rows(ctx)])
+    return _assemble(duality_basis(d, n, d - 1), duality_basis(d, n, d), [bd_rows(ctx)], ctx.denom)
 
 
 def _build(phi: InverseSystem, column_fn) -> Resolution:
-    ctx = BuildContext(phi, delta_and_Q(phi))
+    cat = delta_and_Q(phi)
+    ctx = BuildContext(phi, cat)
     d, n = phi.d, phi.n
     bases = tuple(duality_basis(d, n, r) for r in range(d + 1))
     matrices = [_first_matrix(ctx)]
     for r in range(2, d):
         expans = [column_fn(ctx, r, e) for _, e in bases[r]]
-        matrices.append(_assemble(bases[r - 1], bases[r], expans))
+        matrices.append(_assemble(bases[r - 1], bases[r], expans, ctx.denom))
     matrices.append(_last_matrix(ctx))
     return Resolution(
         phi=phi,
-        delta=ctx.delta,
+        delta=cat.delta,
         bases=bases,
         matrices=tuple(matrices),
         twists=twist_list(d, n),
@@ -504,11 +514,10 @@ def canonical_skeleton(d: int, n: int) -> tuple[PolyMatrix, ...]:
     for r in range(1, d + 1):
         rows, cols = bases[r - 1], bases[r]
         if r == 1:
-            expans = [{y0(d): Poly.monomial(mul_var(e.m, e.a[0]))} if e.kind == "Y" else {}
-                      for _, e in cols]
+            expans = [{y0(d): {mul_var(e.m, e.a[0]): 1}} if e.kind == "Y" else {} for _, e in cols]
         elif r == d:
-            expans = [{e: Poly.monomial(e.m) for _, e in rows if e.kind == "X"}]
+            expans = [{e: {e.m: 1} for _, e in rows if e.kind == "X"}]
         else:
-            expans = [kos_expansion(e) for _, e in cols]
+            expans = [{t: p.terms for t, p in kos_expansion(e).items()} for _, e in cols]
         out.append(_assemble(rows, cols, expans))
     return tuple(out)

@@ -61,17 +61,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
 from . import linalg
 from .differentials import Resolution, canonical_skeleton
 from .hookbasis import BasisElement, skeleton_kos_blocks
-from .invsys import InverseSystem, ann_degree, contract_poly, hilbert_function
+from .invsys import InverseSystem, ann_degree, hilbert_function, integer_coeffs
 from .monomials import monomials_of_degree, mul
 from .polymatrix import PolyMatrix, denominator_lcm
 from .polynomials import Poly, poly_str
@@ -136,7 +135,7 @@ class Piece:
         return rank_mod_p(self.nrows, self.ncols, self.triples, p)
 
     def rank_exact(self) -> int:
-        rows = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
+        rows = [[0] * self.ncols for _ in range(self.nrows)]
         for i, j, v in self.triples:
             rows[i][j] += v
         return linalg.rank(rows)
@@ -431,10 +430,29 @@ class Session:
 
     @cached_property
     def b1_annihilation_failure(self) -> int | None:
-        """None when every b_1 column annihilates phi, else the index of the first that does not."""
-        nu = self.phi.dual_element()
-        return next((j for j, g in enumerate(self.res.matrix(1).entries[0]) if contract_poly(g, nu)),
-                    None)
+        """None when every b_1 column annihilates phi, else the index of the first that does not.
+
+        A term c_m m of a column contracts phi to sum_q c_m t_{m*q} q^* over the
+        monomials q of degree 2n-2-deg(m).  Each column is cleared by the lcm
+        of its denominators and phi by integer_coeffs; that scales the
+        contraction by a nonzero integer, so the test is made in ints
+        (invsys.contract_poly is the rational reference).
+        """
+        d, top = self.res.d, self.phi.socle_degree
+        _, t = integer_coeffs(self.phi)
+        quotients = [monomials_of_degree(d, k) for k in range(top + 1)]
+        for j, g in enumerate(self.res.matrix(1).entries[0]):
+            scale = lcm(*(c.denominator for c in g.terms.values()))
+            out: dict[tuple[int, ...], int] = {}
+            for m, c in g.terms.items():
+                c = c.numerator * (scale // c.denominator)
+                for q in quotients[top - sum(m)] if sum(m) <= top else ():
+                    v = t.get(mul(m, q))
+                    if v:
+                        out[q] = out.get(q, 0) + c * v
+            if any(out.values()):
+                return j
+        return None
 
     @cached_property
     def ideal_dims(self) -> dict[int, int]:

@@ -9,6 +9,12 @@ A system is admissible when its middle catalecticant T is invertible
 (delta = det T != 0).  delta_and_Q decides this by one determinant and
 refuses the rest; admissibility alone fixes the Hilbert function, which is
 compressed (hilbert_function).
+
+The catalecticant data are kept in integers.  With L the lcm of the
+denominators of phi (integer_coeffs), t' = L t and T' = L T are integer,
+and delta = det T' / L^N and Q = adj T' / L^(N-1) for N = dim S_{n-1}.
+contract_poly is the rational reference for the annihilation test that
+verification makes in these integers.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from . import linalg
 from .monomials import (
@@ -40,8 +46,14 @@ class InadmissibleSystemError(ValueError):
     """Raised when an operation needs an invertible middle catalecticant (delta != 0)."""
 
 
-def _parse_rational(s: str) -> Fraction:
-    return Fraction(s)
+def _parse_rational(m, c) -> Fraction:
+    """A coefficient from a JSON document: a JSON integer or a rational string such as "-3/7"."""
+    if isinstance(c, bool) or not isinstance(c, (int, str)):
+        raise ValueError(f"coefficient of {m} is {c!r}; give a JSON integer or a rational string")
+    try:
+        return Fraction(c)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient of {m} is {c!r}, which has denominator 0") from None
 
 
 @dataclass(frozen=True)
@@ -117,6 +129,12 @@ def contract_poly(g: Poly, nu: Dual) -> Dual:
     return out
 
 
+def integer_coeffs(phi: InverseSystem) -> tuple[int, dict[Mono, int]]:
+    """(L, t') with L the lcm of the denominators of phi and t'_m = L * t_m, all integers."""
+    scale = lcm(*(c.denominator for c in phi.coeffs.values()))
+    return scale, {m: c.numerator * (scale // c.denominator) for m, c in phi.coeffs.items()}
+
+
 def catalecticant_matrix(phi: InverseSystem, j: int) -> linalg.Matrix:
     """Pairing matrix (t_{m_row * m_col}) with rows of degree j, columns of degree 2n-2-j."""
     if not 0 <= j <= phi.socle_degree:
@@ -128,50 +146,59 @@ def catalecticant_matrix(phi: InverseSystem, j: int) -> linalg.Matrix:
 
 @dataclass(frozen=True)
 class Catalecticant:
-    """The middle catalecticant T with its determinant delta != 0 and adjugate Q."""
+    """The middle catalecticant in integers: T' = L T, its determinant and adjugate.
+
+    scale is L (integer_coeffs), T the integer matrix T', det = det T' != 0 and
+    adj = adj T'.  The catalecticant of phi has determinant delta = det / L^N
+    and adjugate Q = adj / L^(N-1), N = len(monos).
+    """
 
     phi: InverseSystem
     monos: tuple[Mono, ...]
-    T: linalg.Matrix
-    delta: Fraction
-    Q: linalg.Matrix
+    scale: int
+    T: list[list[int]]
+    det: int
+    adj: list[list[int]]
     index: dict[Mono, int]
 
-    def q_entry(self, m1: Mono, m2: Mono) -> Fraction:
-        return self.Q[self.index[m1]][self.index[m2]]
+    @property
+    def delta(self) -> Fraction:
+        return Fraction(self.det, self.scale ** len(self.monos))
 
 
 def delta_and_Q(phi: InverseSystem) -> Catalecticant:
-    """delta = det T and Q = adjugate(T) for the degree-(n-1) catalecticant.
+    """det T' and adj T' for the degree-(n-1) catalecticant T' = L T of L phi.
 
-    This is the admissibility gate: delta = 0 raises InadmissibleSystemError
+    This is the admissibility gate: det T' = 0 raises InadmissibleSystemError
     after the one determinant, with no adjugate computed.
     """
     monos = monomials_of_degree(phi.d, phi.n - 1)
-    T = catalecticant_matrix(phi, phi.n - 1)
-    delta, Q = linalg.det_and_adjugate(T)
-    if Q is None:
+    scale, t = integer_coeffs(phi)
+    T = [[t.get(mul(a, b), 0) for b in monos] for a in monos]
+    det, adj = linalg.det_and_adjugate(T)
+    if adj is None:
         raise InadmissibleSystemError(
             "inverse system is inadmissible: the middle catalecticant has determinant 0, "
             "so the quotient algebra has no Gorenstein-linear minimal resolution "
             "(equivalently, the degree-(n-1) pairing is degenerate)"
         )
     index = {m: i for i, m in enumerate(monos)}
-    return Catalecticant(phi=phi, monos=monos, T=T, delta=delta, Q=Q, index=index)
+    return Catalecticant(phi=phi, monos=monos, scale=scale, T=T, det=det, adj=adj, index=index)
 
 
 def q_of(cat: Catalecticant, nu: Dual) -> Poly:
     """q(nu) = sum_{m1} Q_{m1,m2} m1 extended linearly over nu = sum c_{m2} m2^*."""
     d = cat.phi.d
+    q = cat.scale ** (len(cat.monos) - 1)
     out = Poly.zero(d)
     for m2, c in nu.items():
         if degree(m2) != cat.phi.n - 1:
             raise ValueError("q is defined on dual elements of degree n-1")
         j = cat.index[m2]
         for i, m1 in enumerate(cat.monos):
-            v = cat.Q[i][j]
+            v = cat.adj[i][j]
             if v:
-                out.add_term(m1, c * v)
+                out.add_term(m1, c * Fraction(v, q))
     return out
 
 
@@ -279,7 +306,7 @@ def from_json_dict(data: dict) -> InverseSystem:
     try:
         d = int(data["d"])
         n = int(data["n"])
-        coeffs = {tuple(int(e) for e in m): _parse_rational(c) for m, c in data["coefficients"]}
+        coeffs = {tuple(int(e) for e in m): _parse_rational(m, c) for m, c in data["coefficients"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed inverse-system document: {exc}") from exc
     return InverseSystem(d, n, coeffs)

@@ -1,13 +1,18 @@
 """Exact dense linear algebra over Q: rank, kernel, determinant, adjugate.
 
-Matrices are lists of rows of Fractions.  Elimination for determinants is
-fraction-free (Bareiss) to keep intermediate entries small on integer input.
-The adjugate is computed only for a nonsingular matrix, by one solve.
+A matrix is a list of rows whose entries are ints or Fractions.  Rank,
+determinant and adjugate clear the denominators and run one integer
+fraction-free (Bareiss) elimination, _eliminate, in which every
+intermediate entry is a minor of the cleared matrix, so each division is
+exact and no Fraction is formed.  On an integer matrix they return ints.
+kernel_basis keeps the rational reduced row echelon form (rref), because a
+kernel basis is rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Row = list[Fraction]
 Matrix = list[Row]
@@ -58,7 +63,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
+        inv = Fraction(1) / a[r][c]
         a[r] = [v * inv for v in a[r]]
         for i in range(nrows):
             if i != r and a[i][c]:
@@ -71,10 +76,60 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return a, pivots
 
 
+def _eliminate(a: list[list[int]], width: int, jordan: bool = False) -> tuple[list[int], int]:
+    """Fraction-free elimination in place on the integer rows a; (pivot columns, sign of the row swaps).
+
+    Pivots are sought in columns 0..width-1.  At the step with pivot p in
+    column c, each other row x (below the pivot row y, or every other row
+    when jordan) becomes (p * x - x[c] * y) / prev for the previous pivot
+    prev.  Its entries are minors of the input, so the division is exact
+    (Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 22, 1968).  Only columns c onward are updated:
+    no later step reads the columns to the left.
+    """
+    nrows = len(a)
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(width):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            sign = -sign
+        row, p = a[r][c:], a[r][c]
+        for i in range(0 if jordan else r + 1, nrows):
+            if i != r:
+                ai, f = a[i], a[i][c]
+                ai[c:] = [(p * x - f * y) // prev for x, y in zip(ai[c:], row)]
+        pivots.append(c)
+        prev = p
+    return pivots, sign
+
+
+def _cleared(m: Matrix) -> tuple[int, list[list[int]]]:
+    """(L, L * m) for L the lcm of the denominators of m; L * m has int entries."""
+    scale = lcm(*(v.denominator for row in m for v in row))
+    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in m]
+
+
+def _over(x: int, q: int) -> int | Fraction:
+    """x / q, an int when q = 1."""
+    return x if q == 1 else Fraction(x, q)
+
+
 def rank(m: Matrix) -> int:
+    """Rank, after clearing each row by the lcm of its denominators (a nonzero row scaling)."""
     if not m or not m[0]:
         return 0
-    return len(rref(m)[1])
+    rows = []
+    for row in m:
+        scale = lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
+    return len(_eliminate(rows, len(rows[0]))[0])
 
 
 def kernel_basis(m: Matrix, ncols: int | None = None) -> list[Row]:
@@ -99,58 +154,35 @@ def kernel_basis(m: Matrix, ncols: int | None = None) -> list[Row]:
     return basis
 
 
-def det_bareiss(m: Matrix) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination."""
+def det_bareiss(m: Matrix) -> int | Fraction:
+    """Determinant by fraction-free (Bareiss) elimination: det(L m) / L^n."""
     n = len(m)
     if n == 0:
-        return Fraction(1)
+        return 1
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    a = [row[:] for row in m]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if not a[k][k]:
-            pr = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pr is None:
-                return Fraction(0)
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pk - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = pk
-    return sign * a[n - 1][n - 1]
+    scale, a = _cleared(m)
+    pivots, sign = _eliminate(a, n)
+    return _over(sign * a[n - 1][n - 1], scale**n) if len(pivots) == n else 0
 
 
-def solve_right(m: Matrix, rhs: Matrix) -> Matrix | None:
-    """Solve m X = rhs for square nonsingular m; None when singular."""
-    n = len(m)
-    k = len(rhs[0]) if rhs else 0
-    aug = [m[i][:] + rhs[i][:] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [red[i][n:n + k] for i in range(n)]
-
-
-def det_and_adjugate(m: Matrix) -> tuple[Fraction, Matrix | None]:
+def det_and_adjugate(m: Matrix) -> tuple[int | Fraction, Matrix | None]:
     """(det m, adj m) with m*adj = adj*m = det*I exactly.
 
-    A singular m costs one determinant and gives (0, None), as solve_right
-    gives None.
+    A singular m costs one determinant and gives (0, None).  Otherwise
+    fraction-free Gauss-Jordan on [L m | I] leaves E in the right half, with
+    E (L m) = D I for the last pivot D = sign * det(L m), so that
+    adj(L m) = sign * E and adj m = adj(L m) / L^(n-1).
     """
     n = len(m)
     if n == 0:
-        return Fraction(1), []
+        return 1, []
     d = det_bareiss(m)
     if d == 0:
         return d, None
-    rhs = zeros(n, n)
-    for i in range(n):
-        rhs[i][i] = d
-    adj = solve_right(m, rhs)
-    assert adj is not None
-    return d, adj
+    scale, a = _cleared(m)
+    for i, row in enumerate(a):
+        row.extend(int(i == j) for j in range(n))
+    _, sign = _eliminate(a, n, jordan=True)
+    q = scale ** (n - 1)
+    return d, [[_over(sign * v, q) for v in row[n:]] for row in a]

@@ -20,7 +20,8 @@ class Poly:
         if terms:
             for m, c in terms.items():
                 if c:
-                    self.terms[m] = Fraction(c)
+                    # a Fraction is immutable, so one passed in is kept, not copied
+                    self.terms[m] = c if type(c) is Fraction else Fraction(c)
 
     @staticmethod
     def zero(d: int) -> "Poly":

@@ -9,6 +9,10 @@ another way, by a route that is slower or more literal.
 * ``ideal_dims_by_rref`` finds dim I_e, for I the ideal of the b_1 columns,
   by exact rational elimination degree by degree, where
   ``exactness.ideal_dims`` pins it by saturation against the annihilator.
+* ``det_and_adjugate_by_solve`` finds a determinant by Bareiss elimination
+  in ``Fraction`` arithmetic and the adjugate by solving ``m X = det * I``
+  with ``linalg.rref``, where ``linalg.det_and_adjugate`` runs one integer
+  fraction-free Gauss-Jordan elimination.
 * ``golden_skeleton_d4_n2`` parses the mod-x1 matrices at d = 4, n = 2,
   written out entry by entry, which ``differentials.canonical_skeleton(4, 2)``
   must reproduce verbatim.
@@ -62,6 +66,34 @@ def certify_exactness_direct(s: Session, dmax: int) -> ExactnessOutcome:
             out.ok = False
             out.failures.append(f"exactness fails in degree {e}: {witness}")
     return out
+
+
+def det_and_adjugate_by_solve(m: list[list[Fraction]]):
+    """(det m, adj m) in Fraction arithmetic; (0, None) for a singular m."""
+    n = len(m)
+    a = [[Fraction(v) for v in row] for row in m]
+    sign, prev = 1, Fraction(1)
+    for k in range(n - 1):
+        if not a[k][k]:
+            pr = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pr is None:
+                return 0, None
+            a[k], a[pr] = a[pr], a[k]
+            sign = -sign
+        pk = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pk - a[i][k] * a[k][j]) / prev
+            a[i][k] = Fraction(0)
+        prev = pk
+    det = sign * a[n - 1][n - 1] if n else Fraction(1)
+    if det == 0:
+        return 0, None
+    aug = [[Fraction(v) for v in row] + [det if i == j else Fraction(0) for j in range(n)]
+           for i, row in enumerate(m)]
+    red, pivots = linalg.rref(aug)
+    assert pivots[:n] == list(range(n))
+    return det, [row[n:] for row in red]
 
 
 def ideal_dims_by_rref(res: Resolution, dmax: int) -> dict[int, int]:

@@ -25,7 +25,7 @@ from gorlin.exactness import (
     strand_matrices,
 )
 from gorlin.hookbasis import OrderedBasis
-from gorlin.invsys import InverseSystem
+from gorlin.invsys import InverseSystem, contract_poly
 from gorlin.monomials import mul_var, unit
 from gorlin.polynomials import Poly, poly_str
 
@@ -337,3 +337,24 @@ def test_ideal_dims_of_a_duplicated_column_fall_back_to_exact_rank(monkeypatch):
     dims = ideal_dims(s)
     assert dims == ideal_dims_by_rref(s.res, 4)
     assert dims[2] == 8 and calls
+
+
+@pytest.mark.parametrize("bump", [
+    Poly.monomial((3, 0, 0, 0), 5),                 # a degree-n term that does not annihilate
+    Poly.monomial((0, 0, 0, 0), Fraction(1, 3)),    # a constant contracts phi to a multiple of phi
+    Poly.monomial((7, 0, 0, 0), 2),                 # beyond the socle degree: contracts to 0
+    None,                                            # a second copy of the next column
+], ids=["degree-n", "constant", "above-socle", "copy"])
+def test_annihilation_fact_agrees_with_contract_poly(bump):
+    # a (4, 3) system with denominators, so that the integer test clears both sides
+    base = grid_phi(4, 3)
+    phi = InverseSystem(4, 3, {m: c / (k % 5 + 1) for k, (m, c) in enumerate(sorted(base.coeffs.items()))})
+    res = build_resolution(phi)
+    cols = res.matrix(1).entries[0]
+    entry = cols[3] if bump is None else cols[2] + bump
+    bad = with_b1_column(res, 2, entry)
+    nu = phi.dual_element()
+    want = next((j for j, g in enumerate(bad.matrix(1).entries[0]) if contract_poly(g, nu)), None)
+    assert want == (None if bump is None or bump.degree() > 4 else 2)
+    assert Session(bad, phi).b1_annihilation_failure == want
+    assert Session(res, phi).b1_annihilation_failure is None

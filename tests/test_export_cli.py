@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 from math import prod
 
+import pytest
+
 from gorlin.cli import main
 from gorlin.export import resolution_cas_script, resolution_json_dict, resolution_text
 from gorlin.invsys import InverseSystem, save_invsys, sum_of_powers
@@ -189,6 +191,29 @@ def test_cli_exit_code_input_error(tmp_path):
     # both input sources at once
     code, _, _ = run_cli(["resolve", "--input", str(bad), "--d", "3", "--n", "2", "--seed", "1"])
     assert code == 3
+
+
+@pytest.mark.parametrize("coeff,why", [
+    ("1/0", "'1/0', which has denominator 0"),
+    (0.1, "0.1; give a JSON integer or a rational string"),
+    (True, "True; give a JSON integer or a rational string"),
+], ids=["zero-denominator", "json-float", "json-bool"])
+def test_cli_malformed_coefficient_exits_3(tmp_path, capsys, coeff, why):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"d": 3, "n": 2, "coefficients": [[[2, 0, 0], 1], [[0, 2, 0], coeff]]}))
+    assert main(["verify", "--input", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed inverse-system document: coefficient of [0, 2, 0] is ")
+    assert why in err and "Traceback" not in err
+
+
+def test_cli_accepts_json_integers_and_rational_strings(tmp_path):
+    path = tmp_path / "phi.json"
+    coeffs = [[[2, 0, 0], 1], [[0, 2, 0], "-3/7"], [[0, 0, 2], "5"]]
+    path.write_text(json.dumps({"d": 3, "n": 2, "coefficients": coeffs}))
+    out = tmp_path / "res.json"
+    assert main(["resolve", "--input", str(path), "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["delta"] == "-15/7"
 
 
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):

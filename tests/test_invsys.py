@@ -63,12 +63,24 @@ def test_catalecticant_symmetric_middle():
 
 def test_delta_and_q(d3_squares):
     cat = delta_and_Q(d3_squares)
-    assert cat.delta == 1 and cat.Q == linalg.identity(3)
+    assert cat.delta == 1 and cat.scale == 1 and cat.adj == linalg.identity(3)
     phi4 = random_invsys(4, 2, seed=7)
     cat4 = delta_and_Q(phi4)
     assert len(cat4.T) == comb(2 + 4 - 2, 4 - 1) == 4
-    prod = linalg.mat_mul(cat4.T, cat4.Q)
-    assert prod == [[cat4.delta if i == j else Fraction(0) for j in range(4)] for i in range(4)]
+    prod = linalg.mat_mul(cat4.T, cat4.adj)
+    assert prod == [[cat4.det if i == j else Fraction(0) for j in range(4)] for i in range(4)]
+
+
+def test_delta_and_q_clear_denominators():
+    # T' = L T for L = 6; delta = det T' / L^N and Q = adj T' / L^(N-1), N = 3
+    phi = InverseSystem(3, 2, {(2, 0, 0): Fraction(1, 2), (0, 2, 0): Fraction(1, 3), (0, 0, 2): Fraction(-5),
+                               (1, 1, 0): Fraction(1, 6)})
+    cat = delta_and_Q(phi)
+    assert cat.scale == 6 and all(isinstance(v, int) for row in cat.T + cat.adj for v in row)
+    T = catalecticant_matrix(phi, 1)
+    assert cat.T == [[6 * v for v in row] for row in T]
+    assert cat.delta == linalg.det_bareiss(T) == Fraction(cat.det, 6**3)
+    assert linalg.det_and_adjugate(T)[1] == [[Fraction(v, 6**2) for v in row] for row in cat.adj]
 
 
 def test_q_map_identities():

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from gorlin.linalg import (
     det_and_adjugate,
     det_bareiss,
@@ -11,6 +13,8 @@ from gorlin.linalg import (
     rref,
     transpose,
 )
+
+from oracles import det_and_adjugate_by_solve
 
 
 def F(rows):
@@ -95,3 +99,54 @@ def test_rref_and_transpose():
     red, pivots = rref(a)
     assert pivots == [0, 1]
     assert rank(a) == rank(transpose(a)) == 2
+
+
+# entries up to 2^80 in size, fractions, and many zeros, so that pivots are
+# sought below the diagonal
+ENTRY = st.one_of(
+    st.integers(-2**80, 2**80),
+    st.fractions(min_value=-2**80, max_value=2**80, max_denominator=2**20),
+    st.sampled_from([0, 0, 0, 1, -1]),
+)
+
+
+@st.composite
+def square_matrices(draw):
+    """A square matrix with its rows permuted, and whether one row was made a combination of others."""
+    n = draw(st.integers(1, 6))
+    rows = [[Fraction(draw(ENTRY)) for _ in range(n)] for _ in range(n)]
+    dependent = n > 1 and draw(st.booleans())
+    if dependent:
+        i, j, *rest = draw(st.permutations(range(n)))
+        a, b = draw(ENTRY), draw(ENTRY)
+        rows[i] = [a * x + (b * y if rest else 0) for x, y in zip(rows[j], rows[rest[0] if rest else j])]
+    return [rows[k] for k in draw(st.permutations(range(n)))], dependent
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(square_matrices())
+def test_integer_adjugate_matches_the_fraction_reference(case):
+    m, dependent = case
+    n = len(m)
+    d, adj = det_and_adjugate(m)
+    assert (d, adj) == det_and_adjugate_by_solve(m)
+    assert det_bareiss(m) == d
+    rk = rank(m)
+    assert rk == len(rref(m)[1])
+    if dependent or d == 0:
+        assert d == 0 and adj is None and rk < n
+        return
+    target = [[d if i == j else 0 for j in range(n)] for i in range(n)]
+    assert mat_mul(m, adj) == target == mat_mul(adj, m)
+    if all(v.denominator == 1 for row in m for v in row):
+        ints = [[int(v) for v in row] for row in m]
+        d2, adj2 = det_and_adjugate(ints)
+        assert type(d2) is int and all(type(v) is int for row in adj2 for v in row)
+        assert (d2, adj2) == (d, adj)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 7).flatmap(lambda c: st.lists(st.lists(ENTRY, min_size=c, max_size=c), min_size=1, max_size=7)))
+def test_integer_rank_matches_rref(rows):
+    m = [[Fraction(v) for v in row] for row in rows]
+    assert rank(m) == len(rref(m)[1]) == rank(transpose(m))
