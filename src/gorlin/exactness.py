@@ -63,7 +63,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
@@ -73,7 +73,7 @@ from .hookbasis import BasisElement, skeleton_kos_blocks
 from .invsys import InverseSystem, ann_degree, hilbert_function, integer_coeffs
 from .monomials import monomials_of_degree, mul
 from .polymatrix import PolyMatrix, denominator_lcm
-from .polynomials import Poly, poly_str
+from .polynomials import Poly, clear_denominators, poly_str
 
 PRIMES = (65521, 65519, 65497, 65479, 65449)
 _EXACT_ENTRY_LIMIT = 1_200_000
@@ -442,10 +442,8 @@ class Session:
         _, t = integer_coeffs(self.phi)
         quotients = [monomials_of_degree(d, k) for k in range(top + 1)]
         for j, g in enumerate(self.res.matrix(1).entries[0]):
-            scale = lcm(*(c.denominator for c in g.terms.values()))
             out: dict[tuple[int, ...], int] = {}
-            for m, c in g.terms.items():
-                c = c.numerator * (scale // c.denominator)
+            for m, c in zip(g.terms, clear_denominators(g.terms.values())[1]):
                 for q in quotients[top - sum(m)] if sum(m) <= top else ():
                     v = t.get(mul(m, q))
                     if v:

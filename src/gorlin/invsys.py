@@ -23,7 +23,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from . import linalg
 from .monomials import (
@@ -37,7 +37,7 @@ from .monomials import (
     sort_key,
     var_divides,
 )
-from .polynomials import Poly
+from .polynomials import Poly, clear_denominators
 
 Dual = dict[Mono, Fraction]
 
@@ -131,8 +131,8 @@ def contract_poly(g: Poly, nu: Dual) -> Dual:
 
 def integer_coeffs(phi: InverseSystem) -> tuple[int, dict[Mono, int]]:
     """(L, t') with L the lcm of the denominators of phi and t'_m = L * t_m, all integers."""
-    scale = lcm(*(c.denominator for c in phi.coeffs.values()))
-    return scale, {m: c.numerator * (scale // c.denominator) for m, c in phi.coeffs.items()}
+    scale, ints = clear_denominators(phi.coeffs.values())
+    return scale, dict(zip(phi.coeffs, ints))
 
 
 def catalecticant_matrix(phi: InverseSystem, j: int) -> linalg.Matrix:

@@ -12,7 +12,8 @@ kernel basis is rational.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+
+from .polynomials import clear_denominators
 
 Row = list[Fraction]
 Matrix = list[Row]
@@ -110,10 +111,11 @@ def _eliminate(a: list[list[int]], width: int, jordan: bool = False) -> tuple[li
     return pivots, sign
 
 
-def _cleared(m: Matrix) -> tuple[int, list[list[int]]]:
-    """(L, L * m) for L the lcm of the denominators of m; L * m has int entries."""
-    scale = lcm(*(v.denominator for row in m for v in row))
-    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in m]
+def _cleared_square(m: Matrix) -> tuple[int, list[list[int]]]:
+    """(L, L * m) for the square matrix m, L the lcm of its denominators."""
+    n = len(m)
+    scale, flat = clear_denominators(v for row in m for v in row)
+    return scale, [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
 def _over(x: int, q: int) -> int | Fraction:
@@ -125,10 +127,7 @@ def rank(m: Matrix) -> int:
     """Rank, after clearing each row by the lcm of its denominators (a nonzero row scaling)."""
     if not m or not m[0]:
         return 0
-    rows = []
-    for row in m:
-        scale = lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (scale // v.denominator) for v in row])
+    rows = [clear_denominators(row)[1] for row in m]
     return len(_eliminate(rows, len(rows[0]))[0])
 
 
@@ -161,7 +160,7 @@ def det_bareiss(m: Matrix) -> int | Fraction:
         return 1
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    scale, a = _cleared(m)
+    scale, a = _cleared_square(m)
     pivots, sign = _eliminate(a, n)
     return _over(sign * a[n - 1][n - 1], scale**n) if len(pivots) == n else 0
 
@@ -180,7 +179,7 @@ def det_and_adjugate(m: Matrix) -> tuple[int | Fraction, Matrix | None]:
     d = det_bareiss(m)
     if d == 0:
         return d, None
-    scale, a = _cleared(m)
+    scale, a = _cleared_square(m)
     for i, row in enumerate(a):
         row.extend(int(i == j) for j in range(n))
     _, sign = _eliminate(a, n, jordan=True)

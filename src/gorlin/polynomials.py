@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .monomials import Mono, mono_str, mul, sort_key, unit
 
@@ -143,3 +144,10 @@ def coeff_rows(polys, monos) -> list[list[Fraction]]:
             row[index[m]] = c
         rows.append(row)
     return rows
+
+
+def clear_denominators(values) -> tuple[int, list[int]]:
+    """(L, [L * v for v in values]) for L the lcm of the denominators; the list holds ints."""
+    values = list(values)
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
