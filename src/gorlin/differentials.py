@@ -17,8 +17,10 @@ reduces to mod x1, up to the factor delta, in the same bases.
 
 The entries are polynomial in t, delta and Q, and both routes evaluate them
 in Python ints (BuildContext): every coefficient is an integer numerator
-over one power of the lcm L of phi's denominators, and becomes a Fraction
-only when _assemble writes it into a Poly.
+over one power of the lcm L of phi's denominators.  _assemble divides it out
+when it writes the entry, so a coefficient is an int whenever it is
+integral (always, for phi with integer coefficients: L = 1) and a Fraction
+only otherwise.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .monomials import (
     var_divides,
 )
 from .polymatrix import PolyMatrix
-from .polynomials import Poly
+from .polynomials import Poly, over
 
 
 class BuildContext:
@@ -60,8 +62,8 @@ class BuildContext:
     and N = dim S_{n-1}: with t' = L t, Q = adj T' / L^(N-1) and
     delta = det T' / L^N (invsys.Catalecticant), the numerators of Q and
     delta are L^2 adj T' and L det T', and each sum of t' times numerators
-    over D, divided by L, is again a numerator over D.  The Fraction of a
-    coefficient is formed once, when _assemble writes the entry.
+    over D, divided by L, is again a numerator over D.  The coefficient
+    itself is formed once, when _assemble writes the entry.
     """
 
     def __init__(self, phi: InverseSystem, cat: Catalecticant):
@@ -433,7 +435,8 @@ def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions, denom: int = 1
     """The matrix whose column j is expansions[j], signed by the bases.
 
     expansions[j] maps a target element to the int numerators, over denom,
-    of the entry's terms; each nonzero coefficient becomes a Fraction here.
+    of the entry's terms; a coefficient that denom divides is written as the
+    int quotient, any other as a Fraction.
     """
     d = rows.d
     pos = rows.position()
@@ -442,7 +445,7 @@ def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions, denom: int = 1
         for target, terms in expansions[j].items():
             i, rsign = pos[target]
             s = csign * rsign
-            entries[i][j] = Poly(d, {m: Fraction(s * c, denom) for m, c in terms.items() if c})
+            entries[i][j] = Poly(d, {m: over(s * c, denom) for m, c in terms.items() if c})
     return PolyMatrix(rows=rows, cols=cols, entries=entries)
 
 

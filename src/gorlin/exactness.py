@@ -52,9 +52,15 @@ no prime meets the bound, the piece is ranked exactly.
 The facts the certificate rests on (the complex property, the skeleton
 structure and the annihilation by b_1) are verdicts of their own as well.  A
 Session proves each of them once per verification run, together with the
-Hilbert function (fixed by delta != 0 and read off one catalecticant rank),
-the degree-n annihilator and the dimensions of I, and every check that
-needs a fact reads it there.
+self-duality of B, the Hilbert function (fixed by delta != 0 and read off
+one catalecticant rank), the degree-n annihilator and the dimensions of I,
+and every check that needs a fact reads it there.  The complex property
+rests on the self-duality: the pairing rule
+b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} (duality_failure) mirrors product
+d - r onto product r, so once the rule holds only the products with
+r <= d // 2 are multiplied out.  On a system with integer coefficients
+every entry of B is an int polynomial, and these facts are proved without
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -69,11 +75,11 @@ import numpy as np
 
 from . import linalg
 from .differentials import Resolution, canonical_skeleton
-from .hookbasis import BasisElement, skeleton_kos_blocks
+from .hookbasis import BasisElement, pp_dual_element, skeleton_kos_blocks
 from .invsys import InverseSystem, ann_degree, hilbert_function, integer_coeffs
 from .monomials import monomials_of_degree, mul
-from .polymatrix import PolyMatrix, denominator_lcm
-from .polynomials import Poly, clear_denominators, poly_str
+from .polymatrix import PolyMatrix, denominator_lcm, pack
+from .polynomials import Poly, clear_denominators, exact, poly_str
 
 PRIMES = (65521, 65519, 65497, 65479, 65449)
 _EXACT_ENTRY_LIMIT = 1_200_000
@@ -145,7 +151,11 @@ def graded_piece(mat: PolyMatrix, row_deg: int, col_deg: int, scale: int = 1) ->
     """The degree piece of mat sending (columns x S_col_deg) to (rows x S_row_deg).
 
     Entries are premultiplied by scale (a denominator-clearing integer);
-    global scaling never changes the rank.
+    global scaling never changes the rank.  Monomials are packed into ints
+    (PolyMatrix.packed_rows) in a base above the degree of every row
+    monomial and of every product of an entry term with a column monomial.
+    The packing is then one-to-one on them, so a term of the wrong degree
+    finds no row (KeyError) instead of landing on another one.
     """
     d = mat.d
     row_monos = monomials_of_degree(d, row_deg)
@@ -154,26 +164,16 @@ def graded_piece(mat: PolyMatrix, row_deg: int, col_deg: int, scale: int = 1) ->
     ncols = len(mat.cols) * len(col_monos)
     if nrows == 0 or ncols == 0:
         return Piece(nrows, ncols, [])
-    ridx = {m: k for k, m in enumerate(row_monos)}
-    nr = len(row_monos)
-    nc = len(col_monos)
+    base = max(row_deg, mat.max_degree() + col_deg) + 1
+    ridx = {pack(m, base): k for k, m in enumerate(row_monos)}
+    ukeys = [pack(u, base) for u in col_monos]
+    nr, nc = len(row_monos), len(col_monos)
     triples: list[tuple[int, int, int]] = []
-    for i, row in enumerate(mat.entries):
+    for i, cells in enumerate(mat.packed_rows(scale, base)):
         base_i = i * nr
-        for j, p in enumerate(row):
-            if p.is_zero():
-                continue
-            terms = []
-            for mhat, c in p.terms.items():
-                c *= scale
-                if c.denominator != 1:
-                    raise AssertionError(f"scale {scale} leaves a fraction in entry ({i}, {j})")
-                terms.append((mhat, c.numerator))
-            base_j = j * nc
-            for k, u in enumerate(col_monos):
-                col = base_j + k
-                for mhat, c in terms:
-                    triples.append((base_i + ridx[mul(mhat, u)], col, c))
+        for j, packed in cells:
+            for col, ku in enumerate(ukeys, j * nc):
+                triples.extend([(base_i + ridx[km + ku], col, c) for km, c in packed])
     return Piece(nrows, ncols, triples)
 
 
@@ -273,6 +273,26 @@ def _fine_strand(name: str, mats: dict[int, PolyMatrix]):
     return degs, triples
 
 
+def _composes_to_zero(triples: dict[int, list[tuple[int, int, int]]]) -> bool:
+    """Whether consecutive maps of a finely graded strand compose to zero, from their +-1 triples.
+
+    Every term of entry (i, k) of a product of two consecutive maps is a
+    multiple of x^(c(k) - c(i)), so the entry is zero exactly when the sum
+    of a_ij b_jk over j is.
+    """
+    for r, first in triples.items():
+        by_row: dict[int, list[tuple[int, int]]] = {}
+        for j, k, b in triples.get(r + 1, ()):
+            by_row.setdefault(j, []).append((k, b))
+        sums: Counter[tuple[int, int]] = Counter()
+        for i, j, a in first:
+            for k, b in by_row.get(j, ()):
+                sums[i, k] += a * b
+        if any(sums.values()):
+            return False
+    return True
+
+
 def _box_pieces(degs: dict[int, list[tuple[int, ...]]], triples: dict[int, list[tuple[int, int, int]]]):
     """Yield (a, on an upper face, dims by position, pieces by map) over the box of one strand.
 
@@ -320,7 +340,7 @@ def strand_certificate(d: int, n: int) -> StrandCertificate:
     witnesses = [s for s in strands.values() if isinstance(s, str)]
     if witnesses:
         return StrandCertificate(False, {}, witnesses, notes)
-    if first_nonzero_product(lmats) or first_nonzero_product(kmats):
+    if not all(_composes_to_zero(triples) for _, triples in strands.values()):
         return StrandCertificate(False, {}, ["strand matrices do not compose to zero"], notes)
     failures: list[str] = []
     h1k: Counter[int] = Counter()
@@ -406,9 +426,23 @@ class Session:
         self.phi = phi
 
     @cached_property
+    def duality_failure(self) -> tuple[int, int, int] | None:
+        """None when the pairing rule holds on every pair (module duality_failure), else (r, jj, kk)."""
+        return duality_failure(self.res)
+
+    @cached_property
     def complex_failure(self) -> tuple[int, int, int, Poly] | None:
-        """None when b_r b_{r+1} = 0 for all r, else the first (r, i, j, entry) that is not 0."""
-        return first_nonzero_product(dict(enumerate(self.res.matrices, 1)))
+        """None when b_r b_{r+1} = 0 for all r, else the first (r, i, j, entry) that is not 0.
+
+        Under the pairing rule, b_{d-r} b_{d-r+1} = -P_{r+1}^{-1} (b_r b_{r+1})^T P_{r-1}
+        with P_k invertible, so product d - r vanishes exactly when product r
+        does.  The nonzero products are then symmetric under r -> d - r and
+        the first lies at r <= d // 2, so only those are multiplied.
+        """
+        mats = dict(enumerate(self.res.matrices, 1))
+        if self.duality_failure is None:
+            mats = {r: m for r, m in mats.items() if r <= self.res.d // 2 + 1}
+        return first_nonzero_product(mats)
 
     @cached_property
     def skeleton_failure(self) -> str | None:
@@ -490,14 +524,52 @@ def skeleton_block_failure(res: Resolution) -> str | None:
     validates the skeleton structure and licenses the use of the canonical
     strand certificates for the homology of res mod x1.
     """
+    delta = exact(res.delta)
     for r, want in enumerate(canonical_skeleton(res.d, res.n), 1):
         got = res.matrix(r).mod_x1()
         if got.shape != want.shape:
             return f"skeleton of b_{r} has shape {got.shape}, the canonical strand form {want.shape}"
         for i, (row_got, row_want) in enumerate(zip(got.entries, want.entries)):
             for j, (a, b) in enumerate(zip(row_got, row_want)):
-                if a != b.scale(res.delta):
+                # an int and a Fraction of equal value compare equal, so no scaled Poly is built
+                if a.terms != {m: c * delta for m, c in b.terms.items()}:
                     return f"skeleton of b_{r} differs from the canonical strand form at ({i}, {j})"
+    return None
+
+
+def _pairing(res: Resolution, k: int) -> list[tuple[int, int]]:
+    """P_k, the pairing of bases[k] with bases[d-k], as (partner index, sign) per element.
+
+    In these bases the pairing is a signed permutation: each element pairs to
+    its pp_dual_element partner and to no other element.
+    """
+    pos = res.bases[res.d - k].position()
+    out = []
+    for s, e in res.bases[k]:
+        v, partner = pp_dual_element(e)
+        j, s2 = pos[partner]
+        out.append((j, s * s2 * v))
+    return out
+
+
+def duality_failure(res: Resolution) -> tuple[int, int, int] | None:
+    """Check b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} for every r, on every pair.
+
+    P_k is the pairing between bases[k] and bases[d-k].  Returns None when
+    the rule holds, else the first (r, jj, kk) at which entry (jj, kk) of
+    the two sides differs.
+    """
+    d = res.d
+    pairings = [_pairing(res, k) for k in range(d + 1)]
+    for r in range(d):
+        b_next = res.matrix(r + 1).entries
+        b_comp = res.matrix(d - r).entries
+        for jj, (ii, s1) in enumerate(pairings[r + 1]):
+            for i, (kk, s2) in enumerate(pairings[r]):
+                # entry (jj, kk) of b_{r+1}^T P_r and of (-1)^r P_{r+1} b_{d-r}
+                want = b_comp[ii][kk]
+                if b_next[i][jj] != (want if (-1) ** r * s1 * s2 > 0 else -want):
+                    return r, jj, kk
     return None
 
 

@@ -17,7 +17,6 @@ self-dual family of ordered bases that every resolution is built in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -221,7 +220,7 @@ def kos_expansion(elt: BasisElement) -> dict[BasisElement, Poly]:
         sign = (-1) ** j
         for coeff, target in expand(rest, elt.m):
             p = out.setdefault(target, Poly.zero(d))
-            p.add_term(mul_var(unit(d), aj), Fraction(sign * coeff))
+            p.add_term(mul_var(unit(d), aj), sign * coeff)
     return {t: p for t, p in out.items() if not p.is_zero()}
 
 

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .hookbasis import OrderedBasis
 from .monomials import Mono
-from .polynomials import Poly
+from .polynomials import Poly, over
 
 
-def _pack(m: Mono, base: int) -> int:
+def pack(m: Mono, base: int) -> int:
     """The monomial as the int sum of m[k] * base**k; multiplication is addition below base."""
     key = 0
     for e in reversed(m):
@@ -19,7 +18,7 @@ def _pack(m: Mono, base: int) -> int:
     return key
 
 
-def _unpack(key: int, base: int, d: int) -> Mono:
+def unpack(key: int, base: int, d: int) -> Mono:
     out = []
     for _ in range(d):
         key, e = divmod(key, base)
@@ -49,11 +48,12 @@ class PolyMatrix:
     def mul(self, other: "PolyMatrix") -> list[list[Poly]]:
         """Plain entrywise product self @ other (labels are not checked).
 
-        Each operand is cleared to integers once by its denominator_lcm, and
-        each monomial is packed into one int in a base above the product
-        degree, so a product of terms is one int multiplication and one int
-        addition.  A Poly is built only for a nonzero output entry, divided
-        by the two denominators, so the result equals the rational product.
+        Each operand is cleared to integers once by its denominator_lcm (1 for
+        a matrix of int coefficients), and each monomial is packed into one
+        int in a base above the product degree, so a product of terms is one
+        int multiplication and one int addition.  A Poly is built only for a
+        nonzero output entry, divided by the two denominators, so the result
+        equals the rational product.
         """
         n, k = self.shape
         k2, p = other.shape
@@ -63,9 +63,9 @@ class PolyMatrix:
         base = self.max_degree() + other.max_degree() + 1
         scale_a, scale_b = denominator_lcm(self), denominator_lcm(other)
         denom = scale_a * scale_b
-        b_rows = other._packed_rows(scale_b, base)
+        b_rows = other.packed_rows(scale_b, base)
         out = []
-        for cells in self._packed_rows(scale_a, base):
+        for cells in self.packed_rows(scale_a, base):
             sums: dict[int, dict[int, int]] = {}
             for t, a_terms in cells:
                 for j, b_terms in b_rows[t]:
@@ -76,7 +76,7 @@ class PolyMatrix:
                             acc[key] = acc.get(key, 0) + ca * cb
             row = [Poly.zero(d) for _ in range(p)]
             for j, acc in sums.items():
-                terms = {_unpack(key, base, d): Fraction(c, denom) for key, c in acc.items() if c}
+                terms = {unpack(key, base, d): over(c, denom) for key, c in acc.items() if c}
                 if terms:
                     row[j] = Poly(d, terms)
             out.append(row)
@@ -86,13 +86,29 @@ class PolyMatrix:
         """The largest total degree of an entry (0 for a zero matrix)."""
         return max([0] + [p.degree() for row in self.entries for p in row])
 
-    def _packed_rows(self, scale: int, base: int) -> list[list[tuple[int, list[tuple[int, int]]]]]:
-        """Per row, each nonzero entry as (column, [(packed monomial, scale * coefficient)])."""
-        return [
-            [(j, [(_pack(m, base), c.numerator * (scale // c.denominator)) for m, c in p.terms.items()])
-             for j, p in enumerate(row) if p.terms]
-            for row in self.entries
-        ]
+    def packed_rows(self, scale: int, base: int) -> list[list[tuple[int, list[tuple[int, int]]]]]:
+        """Per row, each nonzero entry as (column, [(packed monomial, scale * coefficient)]).
+
+        scale must clear every denominator; an entry where it does not is an
+        AssertionError.
+        """
+        out = []
+        for i, row in enumerate(self.entries):
+            cells = []
+            for j, p in enumerate(row):
+                if p.terms:
+                    terms = []
+                    for m, c in p.terms.items():
+                        if type(c) is int:
+                            c *= scale
+                        elif scale % c.denominator:
+                            raise AssertionError(f"scale {scale} leaves a fraction in entry ({i}, {j})")
+                        else:
+                            c = c.numerator * (scale // c.denominator)
+                        terms.append((pack(m, base), c))
+                    cells.append((j, terms))
+            out.append(cells)
+        return out
 
     def mod_x1(self) -> "PolyMatrix":
         return PolyMatrix(
@@ -136,5 +152,6 @@ def denominator_lcm(mat: PolyMatrix) -> int:
     for row in mat.entries:
         for p in row:
             for c in p.terms.values():
-                out = lcm(out, c.denominator)
+                if type(c) is not int:
+                    out = lcm(out, c.denominator)
     return out

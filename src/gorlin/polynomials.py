@@ -1,28 +1,55 @@
-"""Sparse multivariate polynomials over Q with exact coefficients."""
+"""Sparse multivariate polynomials over Q with exact coefficients.
+
+A coefficient is stored as an int when it is integral and as a Fraction
+only otherwise, so a polynomial with integer coefficients is added,
+scaled and compared in int arithmetic.  The two forms of one number are
+equal, hash equal and print the same (str(3) == str(Fraction(3))), so the
+choice never shows in an output.  A float is refused: it is not exact.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 
 from .monomials import Mono, mono_str, mul, sort_key, unit
 
 Scalar = Fraction | int
 
 
+def exact(c: Scalar) -> Scalar:
+    """c as an int when it is integral, else as a Fraction; anything but a rational is a TypeError."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if not isinstance(c, Rational):
+            raise TypeError(f"a polynomial coefficient is an int or a Fraction, not {type(c).__name__}")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def over(num: int, den: int) -> Scalar:
+    """num / den for ints: the int quotient when den divides num, else a Fraction."""
+    if den == 1:
+        return num
+    q, rem = divmod(num, den)
+    return Fraction(num, den) if rem else q
+
+
 class Poly:
-    """Polynomial in x1..xd as a map monomial -> nonzero rational coefficient."""
+    """Polynomial in x1..xd as a map monomial -> nonzero coefficient (an int or a Fraction)."""
 
     __slots__ = ("d", "terms")
 
-    def __init__(self, d: int, terms: dict[Mono, Fraction] | None = None):
+    def __init__(self, d: int, terms: dict[Mono, Scalar] | None = None):
         self.d = d
-        self.terms: dict[Mono, Fraction] = {}
+        self.terms: dict[Mono, Scalar] = {}
         if terms:
             for m, c in terms.items():
+                c = exact(c)
                 if c:
-                    # a Fraction is immutable, so one passed in is kept, not copied
-                    self.terms[m] = c if type(c) is Fraction else Fraction(c)
+                    self.terms[m] = c
 
     @staticmethod
     def zero(d: int) -> "Poly":
@@ -30,11 +57,11 @@ class Poly:
 
     @staticmethod
     def monomial(m: Mono, coeff: Scalar = 1) -> "Poly":
-        return Poly(len(m), {m: Fraction(coeff)})
+        return Poly(len(m), {m: coeff})
 
     @staticmethod
     def constant(d: int, coeff: Scalar) -> "Poly":
-        return Poly(d, {unit(d): Fraction(coeff)})
+        return Poly(d, {unit(d): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -42,14 +69,14 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coeff(self, m: Mono) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+    def coeff(self, m: Mono) -> Scalar:
+        return self.terms.get(m, 0)
 
     def add_term(self, m: Mono, c: Scalar) -> None:
         """In-place accumulation; zero results are pruned."""
-        v = self.terms.get(m, Fraction(0)) + c
+        v = self.terms.get(m, 0) + exact(c)
         if v:
-            self.terms[m] = v
+            self.terms[m] = exact(v)
         else:
             self.terms.pop(m, None)
 
@@ -69,7 +96,7 @@ class Poly:
         return Poly(self.d, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> "Poly":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return Poly.zero(self.d)
         return Poly(self.d, {m: v * c for m, v in self.terms.items()})
@@ -100,14 +127,14 @@ class Poly:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(unit(self.d), Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.terms.get(unit(self.d), 0)
 
     def subs_x1_zero(self) -> "Poly":
         """Reduction mod x1: drop every term divisible by x1."""
         return Poly(self.d, {m: c for m, c in self.terms.items() if m[0] == 0})
 
-    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Mono, Scalar]]:
         return sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
 
     def __repr__(self) -> str:
@@ -134,12 +161,12 @@ def poly_str(p: Poly, var: str = "x") -> str:
     return " ".join(parts)
 
 
-def coeff_rows(polys, monos) -> list[list[Fraction]]:
+def coeff_rows(polys, monos) -> list[list[Scalar]]:
     """The coefficient vector of each polynomial over the monomials monos, one row each."""
     index = {m: i for i, m in enumerate(monos)}
     rows = []
     for p in polys:
-        row = [Fraction(0)] * len(monos)
+        row = [0] * len(monos)
         for m, c in p.terms.items():
             row[index[m]] = c
         rows.append(row)
@@ -147,7 +174,10 @@ def coeff_rows(polys, monos) -> list[list[Fraction]]:
 
 
 def clear_denominators(values) -> tuple[int, list[int]]:
-    """(L, [L * v for v in values]) for L the lcm of the denominators; the list holds ints."""
+    """(L, [L * v for v in values]) for L the lcm of the denominators; the list holds ints.
+
+    The values are ints or Fractions (an int has denominator 1).
+    """
     values = list(values)
     scale = lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]

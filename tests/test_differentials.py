@@ -135,7 +135,7 @@ def test_bd_rows_vs_b1_on_identity_instance():
     # the last-matrix entries are the first-matrix generators up to sign/order
     def normalize(p):
         lead = p.sorted_terms()[0][1]
-        return poly_str(p.scale(1 / lead))
+        return poly_str(p.scale(Fraction(1, lead)))
 
     phi = squares_phi(3)
     ctx = BuildContext(phi, delta_and_Q(phi))

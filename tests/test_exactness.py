@@ -2,6 +2,7 @@
 
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, prod
 
@@ -26,7 +27,7 @@ from gorlin.exactness import (
 )
 from gorlin.hookbasis import OrderedBasis
 from gorlin.invsys import InverseSystem, contract_poly
-from gorlin.monomials import mul_var, unit
+from gorlin.monomials import monomials_of_degree, mul, mul_var, unit
 from gorlin.polynomials import Poly, poly_str
 
 from conftest import GRID, grid_phi, grid_resolution
@@ -157,6 +158,32 @@ def test_graded_piece_refuses_a_scale_that_leaves_a_fraction():
     assert graded_piece(mat, 1, 0, scale=denominator_lcm(mat)).triples
 
 
+def test_graded_piece_refuses_a_term_of_the_wrong_degree():
+    # under a packing base of row_deg + 1 = 3, x1^4 would share the key of
+    # x1*x2 and land on that row; the piece must refuse the term instead
+    mat = copy.deepcopy(grid_resolution(3, 2).matrix(1))
+    mat.entries[0][0] = mat.entries[0][0] + Poly.monomial((4, 0, 0))
+    with pytest.raises(KeyError):
+        graded_piece(mat, 2, 0)
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 3)])
+def test_graded_piece_matches_the_monomial_products(d, n):
+    b1 = grid_resolution(d, n).matrix(1)
+    for e in range(n, 2 * n + 1):
+        row_monos = monomials_of_degree(d, e)
+        col_monos = monomials_of_degree(d, e - n)
+        want = Counter()
+        for j, p in enumerate(b1.entries[0]):
+            for k, u in enumerate(col_monos):
+                for m, c in p.terms.items():
+                    want[row_monos.index(mul(m, u)), j * len(col_monos) + k] += c
+        got = Counter()
+        for i, j, c in graded_piece(b1, e, e - n).triples:
+            got[i, j] += c
+        assert {k: v for k, v in got.items() if v} == {k: v for k, v in want.items() if v}
+
+
 def test_strand_certificate_d6_n2_saturates_mod_p():
     cert = strand_certificate(6, 2)
     assert cert.ok, cert.failures
@@ -218,13 +245,16 @@ def first_entry(mat):
 
 @pytest.mark.parametrize("strand,r", [("monomial", 1), ("monomial", 3), ("dual", 2), ("dual", 4)])
 def test_strand_certificate_fails_on_a_sign_flip(monkeypatch, strand, r):
+    # the flipped strand is still finely graded, so the complex property on
+    # its +-1 triples is what fails
     def flip(strands):
         mat = strands[strand][r]
         i, j = first_entry(mat)
         mat.entries[i][j] = -mat.entries[i][j]
+        assert not isinstance(exactness._fine_strand(strand, strands[strand]), str)
 
     cert = certificate_of_mutated_strands(monkeypatch, 4, 2, flip)
-    assert not cert.ok and cert.failures
+    assert not cert.ok and cert.failures == ["strand matrices do not compose to zero"]
 
 
 @pytest.mark.parametrize("strand,r", [("monomial", 2), ("dual", 3)])

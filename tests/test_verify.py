@@ -12,6 +12,7 @@ from gorlin.differentials import build_resolution, build_resolution_via_straight
 from gorlin.exactness import (
     Session,
     certify_exactness,
+    first_nonzero_product,
     ideal_dims,
     rank_mod_p,
 )
@@ -19,7 +20,7 @@ from gorlin.invsys import InverseSystem, catalecticant_matrix, hf_value, random_
 from gorlin.linalg import det_bareiss
 from gorlin.monomials import monomials_of_degree, mul_var, unit
 from gorlin.polymatrix import PolyMatrix
-from gorlin.polynomials import Poly
+from gorlin.polynomials import Poly, poly_str
 from gorlin.verify import (
     check_ann_match,
     check_betti_and_degrees,
@@ -44,6 +45,10 @@ def perturbed(res, r=2, i=0, j=0, bump=None):
     return bad
 
 
+def x1_power(d, e):
+    return Poly.monomial(tuple(e if k == 0 else 0 for k in range(d)))
+
+
 def test_all_checks_pass_d3_squares():
     phi = squares_phi(3)
     res = squares_resolution(3)
@@ -65,6 +70,41 @@ def test_check_complex_witness():
     out = check_complex(Session(bad, bad.phi))
     assert not out.passed
     assert out.witness == "b_1 b_2 at (0, 2) = -24*x1^3 - 38*x1^2*x2 - 36*x1^2*x3 - 16*x1^2*x4"
+
+
+def complex_witness(res):
+    """The witness check_complex prints for the first nonzero product over all matrices."""
+    r, i, j, p = first_nonzero_product(dict(enumerate(res.matrices, 1)))
+    return f"b_{r} b_{r + 1} at ({i}, {j}) = {poly_str(p)}"
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 2), (5, 2)])
+def test_complex_check_multiplies_past_the_middle_when_duality_fails(d, n):
+    # a bump in b_d alone breaks the pairing rule at r = 0 and makes only
+    # b_{d-1} b_d nonzero, a product past the middle
+    res = grid_resolution(d, n)
+    bad = perturbed(res, r=d, i=0, j=0, bump=x1_power(d, n))
+    assert Session(bad, bad.phi).duality_failure[0] == 0
+    assert first_nonzero_product(dict(enumerate(bad.matrices, 1)))[0] == d - 1
+    (out,) = run_checks(bad, bad.phi, checks=["complex"]).results
+    assert not out.passed and out.witness == complex_witness(bad)
+
+
+def test_complex_check_finds_a_self_dual_defect_before_the_middle():
+    # bump b_1 and the paired entry of b_d so that the pairing rule still
+    # holds: b_1 b_2 and its mirror b_3 b_4 are both nonzero, and the first
+    # is the witness
+    res = grid_resolution(4, 2)
+    bump = x1_power(4, 2)
+    half = perturbed(res, r=1, i=0, j=0, bump=bump)
+    dual = next(cand for i in range(half.betti[3]) for sign in (1, -1)
+                if Session(cand := perturbed(half, r=4, i=i, j=0, bump=bump.scale(sign)), res.phi)
+                .duality_failure is None)
+    s = Session(dual, res.phi)
+    assert s.complex_failure[0] == 1
+    assert dual.matrix(3).mul(dual.matrix(4)) != [[Poly.zero(4)] for _ in range(dual.betti[2])]
+    (out,) = run_checks(dual, res.phi, checks=["complex"]).results
+    assert not out.passed and out.witness == complex_witness(dual)
 
 
 def test_check_betti_catches_quadratic_entry():
@@ -434,9 +474,12 @@ def test_run_checks_proves_each_fact_once(monkeypatch):
                  lambda p, j: p is phi and j == n)
     _count_calls(monkeypatch, counts, "hilbert_function", invsys.hilbert_function)
     _count_calls(monkeypatch, counts, "ideal_dims", exactness.ideal_dims)
+    _count_calls(monkeypatch, counts, "duality_failure", exactness.duality_failure)
     assert run_checks(res, phi).passed
+    # under the proved duality the products past the middle mirror those before it
     assert counts == Counter({
-        **{f"b_{r} b_{r + 1}": 1 for r in range(1, res.d)},
+        **{f"b_{r} b_{r + 1}": 1 for r in range(1, res.d // 2 + 1)},
+        "duality_failure": 1,
         "skeleton_block_failure": 1,
         "ann_degree": 1,
         "hilbert_function": 1,
