@@ -1,21 +1,7 @@
 """Certified exactness of the resolution in every degree, with exact conclusions.
 
 For each degree the graded pieces of the differentials are finite rational
-matrices, and exactness in that degree is a set of rank equalities.  The
-certificates here combine three exact facts:
-
-  * the complex property b_r b_{r+1} = 0, verified in exact arithmetic,
-    gives rank[b_r]_e + rank[b_{r+1}]_e <= dim(B_r)_e;
-  * a rank over GF(p) is a lower bound for the rank over Q;
-  * when the mod-p ranks meet the upper bounds with equality (the chain
-    "saturates"), the rational ranks are pinned exactly and exactness in
-    degree e is proved.
-
-A failed saturation retries other primes and finally falls back to exact
-rational elimination, so a reported pass is never probabilistic.  The dense
-kernel (rank_mod_p, one elimination loop) reduces every entry mod p in
-integer arithmetic before it enters a float64 array and keeps the unreduced
-entries below p + ncols * p^2 < 2^53, so no rounding reaches a rank.
+matrices, and exactness in that degree is a set of rank equalities.
 
 Exactness of B is reduced to its skeleton for every d: the short exact
 sequence 0 -> B(-1) -> B -> B/x1 B -> 0 and its homology long exact sequence
@@ -23,31 +9,48 @@ show that vanishing of the skeleton homology in positions >= 2 forces
 H_i(B)_e = x1 * H_i(B)_{e-1} for i >= 2, hence H_i(B) = 0 by induction on
 e, while positions 1 and 0 reduce to small exact computations: the degree
 growth of the ideal generated by the first matrix, and the bottom homology
-of the dual skeleton strand over d-1 variables.  The skeleton depends only
-on (d, n): differentials.canonical_skeleton(d, n) writes it once, its two
-diagonal blocks are the strands that strand_certificate ranks (once per
-(d, n)), and skeleton_block_failure compares the skeleton of each resolution
-with delta times the same matrices.
+h1k of the dual skeleton strand over d-1 variables.  The skeleton depends
+only on (d, n): differentials.canonical_skeleton(d, n) writes it once, its
+two diagonal blocks are the strands that strand_certificate certifies (once
+per (d, n)), and skeleton_block_failure compares the skeleton of each
+resolution with delta times the same matrices.
 
-The strands are certified in every degree through their fine grading over
-x2..xd.  A strand basis element b has the multidegree c(b): the unit vectors
-of its index list plus its monomial (Y) or minus it (X).  Every nonzero
-entry is checked to be +-x^v with c(column) = c(row) + v, so the piece in
-multidegree a is the +-1 coefficient matrix restricted to {b : c(b) <= a}.
-Below the componentwise minimum of c the pieces are empty, and past its
-maximum u in coordinate i the piece at a equals the piece at a - e_i, so
-the box [min c, u] decides every multidegree (Bayer and Sturmfels,
-"Cellular resolutions of monomial modules", 1998, section 1).  A point on
-an upper face stands for every multidegree beyond it, so the homology
-expected there must vanish; for the dual strand this proves that its bottom
-homology h1k has finite length, and the long exact sequence then closes at
-degree 2n (certify_exactness).
+The monomial strand L must resolve R/m^n, for R = k[x2..xd] and m its
+maximal ideal.  It is certified in every degree through its fine grading
+over x2..xd.  A strand basis element b has the multidegree c(b): the unit
+vectors of its index list plus its monomial.  Every nonzero entry is checked
+to be +-x^v with c(column) = c(row) + v, so the piece in multidegree a is
+the +-1 coefficient matrix restricted to {b : c(b) <= a}.  Below the
+componentwise minimum of c the pieces are empty, and past its maximum u in
+coordinate i the piece at a equals the piece at a - e_i, so the box
+[min c, u] decides every multidegree (Bayer and Sturmfels, "Cellular
+resolutions of monomial modules", 1998, section 1).  Each piece of the box
+is ranked exactly (Piece.rank_exact), and the homology must be that of R/m^n
+at every point.  The box reaches n in every coordinate, so the quotient is
+zero on its upper faces, and the comparison there also rules out homology
+in the multidegrees beyond the box.
 
-The ideal I of the first matrix is pinned by saturation as well: when every
-b_1 column annihilates phi (checked exactly by contraction), I lies in
-ann(phi), so dim S_e - hf(e) bounds dim I_e from above, and a mod-p rank of
-the degree-e piece that meets the bound pins it.  Without that fact, or when
-no prime meets the bound, the piece is ranked exactly.
+The dual strand K is not ranked.  The pairing rule (duality_failure) holds
+on the whole skeleton, and it pairs the X elements of each position with
+the Y elements of the complementary one, so K is the signed pairing
+transpose of L: Hom(L, R) up to twists.  L resolves R/m^n, a perfect module
+of grade d-1 = dim R, so Hom(L, R) has homology only at its end,
+Ext^{d-1}_R(R/m^n, R): the canonical module of R/m^n up to a shift, whose
+Hilbert function is that of R/m^n reversed (Bruns and Herzog,
+"Cohen-Macaulay Rings", sections 3.3 and 3.6).  The top element of K has
+fine degree (1, ..., 1), that of the generator of the canonical module of
+R, so this bottom homology lies in the fine degrees -a, a >= 0, |a| < n.
+An X element of fine degree c has twist |c| + 2n - 1, so by total degree
+    h1k(e) = dim (R/m^n)_{2n-1-e} = C(2n-1-e+d-2, d-2),   n <= e <= 2n-1,
+and h1k is zero elsewhere.  The long exact sequence then closes at degree
+2n (certify_exactness).
+
+The ideal I of the first matrix is pinned by saturation: a rank over GF(p)
+(rank_mod_p) is a lower bound for the rank over Q.  When every b_1 column
+annihilates phi (checked exactly by contraction), I lies in ann(phi), so
+dim S_e - hf(e) bounds dim I_e from above, and a mod-p rank of the degree-e
+piece that meets the bound pins it.  Without that fact, or when no prime
+meets the bound, the piece is ranked exactly.
 
 The facts the certificate rests on (the complex property, the skeleton
 structure and the annihilation by b_1) are verdicts of their own as well.  A
@@ -69,20 +72,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
-from . import linalg
 from .differentials import Resolution, canonical_skeleton
-from .hookbasis import BasisElement, pp_dual_element, skeleton_kos_blocks
+from .hookbasis import BasisElement, OrderedBasis, pp_dual_element, skeleton_kos_blocks
 from .invsys import InverseSystem, ann_degree, hilbert_function, integer_coeffs
 from .monomials import monomials_of_degree, mul
 from .polymatrix import PolyMatrix, denominator_lcm, pack
 from .polynomials import Poly, clear_denominators, exact, poly_str
 
 PRIMES = (65521, 65519, 65497, 65479, 65449)
-_EXACT_ENTRY_LIMIT = 1_200_000
 
 
 def rank_mod_p(nrows: int, ncols: int, triples, p: int) -> int:
@@ -133,18 +134,48 @@ class Piece:
     ncols: int
     triples: list[tuple[int, int, int]]
 
-    @property
-    def size(self) -> int:
-        return self.nrows * self.ncols
-
     def rank_mod(self, p: int) -> int:
         return rank_mod_p(self.nrows, self.ncols, self.triples, p)
 
     def rank_exact(self) -> int:
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
+        """Rank over Q by fraction-free elimination on sparse integer rows.
+
+        Duplicate triples are summed.  Each row is reduced by the pivot row
+        of its leading column c, row <- (p/g) row - (a/g) pivot with a and p
+        their entries at c and g = gcd(a, p), until it is zero or leads in a
+        new column, where it becomes the pivot row.  A new pivot row and a
+        scaled row are divided by the gcd of their entries, so the entries
+        stay small.
+        """
+        rows: dict[int, dict[int, int]] = {}
         for i, j, v in self.triples:
-            rows[i][j] += v
-        return linalg.rank(rows)
+            row = rows.setdefault(i, {})
+            row[j] = row.get(j, 0) + v
+        pivots: dict[int, dict[int, int]] = {}
+        for row in rows.values():
+            row = {j: v for j, v in row.items() if v}
+            while row:
+                c = min(row)
+                pivot = pivots.get(c)
+                if pivot is None:
+                    g = gcd(*row.values())
+                    pivots[c] = {j: v // g for j, v in row.items()} if g != 1 else row
+                    break
+                g = gcd(row[c], pivot[c])
+                scale, times = pivot[c] // g, row[c] // g
+                if scale != 1:
+                    row = {j: scale * v for j, v in row.items()}
+                for j, v in pivot.items():
+                    w = row.get(j, 0) - times * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+                if row and scale != 1:
+                    g = gcd(*row.values())
+                    if g != 1:
+                        row = {j: v // g for j, v in row.items()}
+        return len(pivots)
 
 
 def graded_piece(mat: PolyMatrix, row_deg: int, col_deg: int, scale: int = 1) -> Piece:
@@ -175,45 +206,6 @@ def graded_piece(mat: PolyMatrix, row_deg: int, col_deg: int, scale: int = 1) ->
             for col, ku in enumerate(ukeys, j * nc):
                 triples.extend([(base_i + ridx[km + ku], col, c) for km, c in packed])
     return Piece(nrows, ncols, triples)
-
-
-def _certify_chain(pieces: dict[int, Piece], ms: list[int], exact_from: int, notes: list[str]):
-    """Certify rank saturation of one degree piece of a complex.
-
-    ms[r] is the dimension at position r (r = 0..top); pieces[r] is the
-    graded piece of the map out of position r; exactness is required at
-    positions exact_from..top.  Returns (ok, ranks, witness); on success the
-    ranks are the exact rational ranks of all pieces.
-    """
-    top = len(ms) - 1
-
-    def check(ns: list[int]) -> str | None:
-        for r in range(exact_from, top + 1):
-            if ms[r] - ns[r] - ns[r + 1] != 0:
-                return f"homology at position {r} (defect {ms[r] - ns[r] - ns[r + 1]})"
-        return None
-
-    def ranks_with(rank_fn) -> list[int]:
-        ns = [0] * (top + 2)
-        for r, piece in pieces.items():
-            ns[r] = rank_fn(piece)
-        return ns
-
-    witness = ""
-    for p in PRIMES:
-        ns = ranks_with(lambda piece: piece.rank_mod(p))
-        witness = check(ns)
-        if witness is None:
-            return True, ns, ""
-    big = max((piece.size for piece in pieces.values()), default=0)
-    if big <= _EXACT_ENTRY_LIMIT:
-        ns = ranks_with(lambda piece: piece.rank_exact())
-        witness = check(ns)
-        if witness is None:
-            notes.append("exact-rank fallback used")
-            return True, ns, ""
-        return False, ns, witness
-    return False, None, f"{witness}; saturation failed for all primes (largest piece {big} entries)"
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +286,10 @@ def _composes_to_zero(triples: dict[int, list[tuple[int, int, int]]]) -> bool:
 
 
 def _box_pieces(degs: dict[int, list[tuple[int, ...]]], triples: dict[int, list[tuple[int, int, int]]]):
-    """Yield (a, on an upper face, dims by position, pieces by map) over the box of one strand.
+    """Yield (a, dims by position, pieces by map) over the box of one strand.
 
-    The box runs from the componentwise minimum to the maximum u of the fine
-    degrees; a is on an upper face when some a_i = u_i.
+    The box runs from the componentwise minimum to the maximum of the fine
+    degrees.
     """
     cs = {pos: np.array(c, dtype=np.int64) for pos, c in degs.items()}
     every = np.concatenate(list(cs.values()))
@@ -314,7 +306,7 @@ def _box_pieces(degs: dict[int, list[tuple[int, ...]]], triples: dict[int, list[
                 t = t[keep[r][t[:, 1]]]
                 pieces[r] = Piece(ms[r - 1], ms[r], list(zip(index[r - 1][t[:, 0]].tolist(),
                                                               index[r][t[:, 1]].tolist(), t[:, 2].tolist())))
-        yield a, any(x == h for x, h in zip(a, hi)), ms, pieces
+        yield a, ms, pieces
 
 
 @dataclass
@@ -322,46 +314,44 @@ class StrandCertificate:
     ok: bool
     h1k: dict[int, int]
     failures: list[str]
-    notes: list[str]
 
 
 @lru_cache(maxsize=None)
 def strand_certificate(d: int, n: int) -> StrandCertificate:
-    """Exactness of both canonical strands in every degree, on the box of fine degrees.
+    """Exactness of both canonical strands in every degree (the argument is in the module docstring).
 
-    The monomial strand must resolve the quotient of k[x2..xd] by the n-th
-    power of its maximal ideal; the dual strand must be exact above its
-    bottom position, whose homology is recorded by total degree (h1k,
-    nonzero dimensions only).
+    The monomial strand L must be finely graded, a complex, and have the
+    homology of R/m^n, R = k[x2..xd], at every point of its box, by exact
+    ranks.  The dual strand must be the pairing transpose of L (the pairing
+    rule on canonical_skeleton(d, n)); then it is Hom(L, R) up to twists, and
+    its bottom homology h1k is dim Ext^{d-1}_R(R/m^n, R) (Bruns and Herzog,
+    sections 3.3 and 3.6): h1k(e) = dim (R/m^n)_{2n-1-e}, nonzero dimensions only.
     """
-    notes: list[str] = []
-    lmats, kmats = strand_matrices(d, n)
-    strands = {"monomial": _fine_strand("monomial", lmats), "dual": _fine_strand("dual", kmats)}
-    witnesses = [s for s in strands.values() if isinstance(s, str)]
-    if witnesses:
-        return StrandCertificate(False, {}, witnesses, notes)
-    if not all(_composes_to_zero(triples) for _, triples in strands.values()):
-        return StrandCertificate(False, {}, ["strand matrices do not compose to zero"], notes)
+    lmats, _ = strand_matrices(d, n)
+    strand = _fine_strand("monomial", lmats)
+    if isinstance(strand, str):
+        return StrandCertificate(False, {}, [strand])
+    degs, triples = strand
+    if not _composes_to_zero(triples):
+        return StrandCertificate(False, {}, ["monomial strand does not compose to zero"])
     failures: list[str] = []
-    h1k: Counter[int] = Counter()
-    for name, (degs, triples) in strands.items():
-        bottom = min(degs)
-        for a, face, ms, pieces in _box_pieces(degs, triples):
-            ok, ns, witness = _certify_chain(pieces, ms, bottom + 1, notes)
-            if not ok:
-                failures.append(f"{name} strand fails in multidegree {a}: {witness}")
-                continue
-            h = ms[bottom] - ns[bottom + 1]
-            if h and face:
-                failures.append(f"{name} strand has bottom homology at {a} on the upper face of the box, "
-                                "so it is not of finite length")
-            elif name == "dual":
-                # an X element at position r has |c| = r - n and twist n + r - 1
-                h1k[sum(a) + 2 * n - 1] += h
-            elif h != (min(a) >= 0 and sum(a) < n):
-                failures.append(f"monomial strand has bottom homology {h} in multidegree {a}, "
-                                "not that of the quotient")
-    return StrandCertificate(not failures, {e: h for e, h in sorted(h1k.items()) if h}, failures, notes)
+    for a, ms, pieces in _box_pieces(degs, triples):
+        ns = {r: piece.rank_exact() for r, piece in pieces.items()}
+        hs = [ms[r] - ns.get(r, 0) - ns.get(r + 1, 0) for r in range(len(ms))]
+        r = next((r for r in range(1, len(hs)) if hs[r]), None)
+        if r is not None:
+            failures.append(f"monomial strand fails in multidegree {a}: homology at position {r} (defect {hs[r]})")
+        elif hs[0] != (min(a) >= 0 and sum(a) < n):
+            failures.append(f"monomial strand has bottom homology {hs[0]} in multidegree {a}, "
+                            "not that of the quotient")
+    skel = canonical_skeleton(d, n)
+    pairing = duality_failure((skel[0].rows, *(m.cols for m in skel)), skel)
+    if pairing is not None:
+        failures.append("dual strand is not the pairing transpose of the monomial strand: "
+                        "the pairing rule fails at r={}, pair ({}, {})".format(*pairing))
+    if failures:
+        return StrandCertificate(False, {}, failures)
+    return StrandCertificate(True, {e: comb(2 * n - 1 - e + d - 2, d - 2) for e in range(n, 2 * n)}, [])
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +399,6 @@ def ideal_dims(s: Session) -> dict[int, int]:
 class ExactnessOutcome:
     ok: bool
     failures: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
 
 class Session:
@@ -428,7 +417,7 @@ class Session:
     @cached_property
     def duality_failure(self) -> tuple[int, int, int] | None:
         """None when the pairing rule holds on every pair (module duality_failure), else (r, jj, kk)."""
-        return duality_failure(self.res)
+        return duality_failure(self.res.bases, self.res.matrices)
 
     @cached_property
     def complex_failure(self) -> tuple[int, int, int, Poly] | None:
@@ -537,33 +526,35 @@ def skeleton_block_failure(res: Resolution) -> str | None:
     return None
 
 
-def _pairing(res: Resolution, k: int) -> list[tuple[int, int]]:
+def _pairing(bases: tuple[OrderedBasis, ...], k: int) -> list[tuple[int, int]]:
     """P_k, the pairing of bases[k] with bases[d-k], as (partner index, sign) per element.
 
     In these bases the pairing is a signed permutation: each element pairs to
     its pp_dual_element partner and to no other element.
     """
-    pos = res.bases[res.d - k].position()
+    pos = bases[len(bases) - 1 - k].position()
     out = []
-    for s, e in res.bases[k]:
+    for s, e in bases[k]:
         v, partner = pp_dual_element(e)
         j, s2 = pos[partner]
         out.append((j, s * s2 * v))
     return out
 
 
-def duality_failure(res: Resolution) -> tuple[int, int, int] | None:
+def duality_failure(bases: tuple[OrderedBasis, ...], mats: tuple[PolyMatrix, ...]) -> tuple[int, int, int] | None:
     """Check b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} for every r, on every pair.
 
-    P_k is the pairing between bases[k] and bases[d-k].  Returns None when
-    the rule holds, else the first (r, jj, kk) at which entry (jj, kk) of
-    the two sides differs.
+    bases[k] is the basis at position k = 0..d and mats[r - 1] = b_r maps
+    position r to r - 1: a resolution, or the skeleton that
+    strand_certificate reads.  P_k is the pairing between bases[k] and
+    bases[d-k].  Returns None when the rule holds, else the first
+    (r, jj, kk) at which entry (jj, kk) of the two sides differs.
     """
-    d = res.d
-    pairings = [_pairing(res, k) for k in range(d + 1)]
+    d = len(mats)
+    pairings = [_pairing(bases, k) for k in range(d + 1)]
     for r in range(d):
-        b_next = res.matrix(r + 1).entries
-        b_comp = res.matrix(d - r).entries
+        b_next = mats[r].entries
+        b_comp = mats[d - r - 1].entries
         for jj, (ii, s1) in enumerate(pairings[r + 1]):
             for i, (kk, s2) in enumerate(pairings[r]):
                 # entry (jj, kk) of b_{r+1}^T P_r and of (-1)^r P_{r+1} b_{d-r}
@@ -593,7 +584,6 @@ def certify_exactness(s: Session) -> ExactnessOutcome:
         return out
     d, n = s.res.d, s.res.n
     cert = strand_certificate(d, n)
-    out.notes.extend(cert.notes)
     if not cert.ok:
         out.ok = False
         out.failures.extend(cert.failures)

@@ -4,8 +4,13 @@ None of these runs in ``verify``: each computes a fact the package proves
 another way, by a route that is slower or more literal.
 
 * ``certify_exactness_direct`` certifies exactness on the full graded
-  pieces of B, where ``exactness.certify_exactness`` goes through the
-  skeleton strands and the long exact sequence.
+  pieces of B by saturated mod-p ranks (``certify_chain``), where
+  ``exactness.certify_exactness`` goes through the skeleton strands and the
+  long exact sequence.
+* ``dual_strand_h1k_by_ranking`` ranks the dual skeleton strand over its box
+  of fine degrees, where ``exactness.strand_certificate`` proves it to be
+  the pairing transpose of the monomial strand and takes its bottom
+  homology from the closed form.
 * ``ideal_dims_by_rref`` finds dim I_e, for I the ideal of the b_1 columns,
   by exact rational elimination degree by degree, where
   ``exactness.ideal_dims`` pins it by saturation against the annihilator.
@@ -20,21 +25,70 @@ another way, by a route that is slower or more literal.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 from gorlin import linalg
 from gorlin.differentials import Resolution
 from gorlin.exactness import (
+    PRIMES,
     ExactnessOutcome,
+    Piece,
     Session,
-    _certify_chain,
+    _box_pieces,
+    _composes_to_zero,
+    _fine_strand,
     _not_a_complex,
     graded_piece,
+    strand_matrices,
 )
 from gorlin.monomials import monomials_of_degree, mul_var, unit
 from gorlin.polymatrix import denominator_lcm
 from gorlin.polynomials import Poly, coeff_rows
+
+
+EXACT_ENTRY_LIMIT = 1_200_000
+
+
+def certify_chain(pieces: dict[int, Piece], ms: list[int], exact_from: int):
+    """Certify rank saturation of one degree piece of a complex.
+
+    ms[r] is the dimension at position r (r = 0..top); pieces[r] is the
+    graded piece of the map out of position r; exactness is required at
+    positions exact_from..top.  The complex property bounds each rank from
+    above and a rank over GF(p) bounds it from below, so ranks that meet
+    the bounds are the rational ranks.  A failed saturation retries the
+    other primes and then ranks exactly when the largest piece has at most
+    EXACT_ENTRY_LIMIT entries.  Returns (ok, ranks, witness); on success the
+    ranks are the exact rational ranks of all pieces.
+    """
+    top = len(ms) - 1
+
+    def check(ns: list[int]) -> str | None:
+        for r in range(exact_from, top + 1):
+            if ms[r] - ns[r] - ns[r + 1] != 0:
+                return f"homology at position {r} (defect {ms[r] - ns[r] - ns[r + 1]})"
+        return None
+
+    def ranks_with(rank_fn) -> list[int]:
+        ns = [0] * (top + 2)
+        for r, piece in pieces.items():
+            ns[r] = rank_fn(piece)
+        return ns
+
+    witness = ""
+    for p in PRIMES:
+        ns = ranks_with(lambda piece: piece.rank_mod(p))
+        witness = check(ns)
+        if witness is None:
+            return True, ns, ""
+    big = max((piece.nrows * piece.ncols for piece in pieces.values()), default=0)
+    if big <= EXACT_ENTRY_LIMIT:
+        ns = ranks_with(lambda piece: piece.rank_exact())
+        witness = check(ns)
+        return witness is None, ns, witness or ""
+    return False, None, f"{witness}; saturation failed for all primes (largest piece {big} entries)"
 
 
 def position_dims(res: Resolution, e: int) -> list[int]:
@@ -59,13 +113,40 @@ def certify_exactness_direct(s: Session, dmax: int) -> ExactnessOutcome:
             for r in range(1, d + 1)
             if ms[r] > 0
         }
-        ok, ns, witness = _certify_chain(pieces, ms, 1, out.notes)
+        ok, ns, witness = certify_chain(pieces, ms, 1)
         if ok and ms[0] - ns[1] != s.hf(e):
             ok, witness = False, f"cokernel dimension {ms[0] - ns[1]} != {s.hf(e)}"
         if not ok:
             out.ok = False
             out.failures.append(f"exactness fails in degree {e}: {witness}")
     return out
+
+
+def dual_strand_h1k_by_ranking(d: int, n: int) -> dict[int, int]:
+    """The bottom homology of the dual skeleton strand by total degree, from ranks.
+
+    The dual strand is checked to be finely graded (an X element has the
+    multidegree of its index list minus its monomial) and a complex, and is
+    ranked by certify_chain over the box of its fine degrees, exact above its
+    bottom position.  A point on an upper face of the box stands for every
+    multidegree beyond it, so the bottom homology must vanish there: then it
+    has finite length.  An X element of fine degree c has twist |c| + 2n - 1.
+    Nonzero dimensions only.
+    """
+    _, kmats = strand_matrices(d, n)
+    strand = _fine_strand("dual", kmats)
+    assert not isinstance(strand, str), strand
+    degs, triples = strand
+    assert _composes_to_zero(triples)
+    hi = [max(c[i] for cs in degs.values() for c in cs) for i in range(d - 1)]
+    h1k: Counter[int] = Counter()
+    for a, ms, pieces in _box_pieces(degs, triples):
+        ok, ns, witness = certify_chain(pieces, ms, 2)
+        assert ok, f"dual strand fails in multidegree {a}: {witness}"
+        h = ms[1] - ns[2]
+        assert not (h and any(x == u for x, u in zip(a, hi))), f"bottom homology on the upper face at {a}"
+        h1k[sum(a) + 2 * n - 1] += h
+    return {e: h for e, h in sorted(h1k.items()) if h}
 
 
 def det_and_adjugate_by_solve(m: list[list[Fraction]]):

@@ -1,4 +1,4 @@
-"""The mod-p rank kernel, the fine-graded strand certificate and the saturated ideal dimensions, where they can break."""
+"""The rank kernels, the strand certificate and the saturated ideal dimensions, where they can break."""
 
 import copy
 import random
@@ -9,7 +9,7 @@ from math import comb, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gorlin import exactness, linalg
+from gorlin import differentials, exactness, linalg
 from gorlin.differentials import build_resolution, canonical_skeleton
 from gorlin.exactness import (
     PRIMES,
@@ -17,6 +17,7 @@ from gorlin.exactness import (
     Session,
     _h0_dims_ok,
     denominator_lcm,
+    duality_failure,
     fine_degree,
     first_nonzero_product,
     graded_piece,
@@ -31,7 +32,7 @@ from gorlin.monomials import monomials_of_degree, mul, mul_var, unit
 from gorlin.polynomials import Poly, poly_str
 
 from conftest import GRID, grid_phi, grid_resolution
-from oracles import ideal_dims_by_rref
+from oracles import dual_strand_h1k_by_ranking, ideal_dims_by_rref
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 BIG = 2**80
@@ -81,6 +82,30 @@ sparse_block = entrywise_block(st.one_of(st.just(0), st.integers(-BIG, BIG)))
 block_diagonal = st.lists(st.one_of(low_rank_block(), sparse_block), max_size=5).flatmap(shuffled)
 # every entry nonzero, so the block is one component
 connected = entrywise_block(st.integers(-BIG, BIG).filter(bool)).map(lambda block: [block]).flatmap(shuffled)
+
+
+@st.composite
+def with_duplicates(draw, piece):
+    """The same matrix with each entry split into two triples, cancelling pairs added, in a drawn order."""
+    triples = []
+    for i, j, v in piece.triples:
+        part = draw(st.integers(-BIG, BIG))
+        triples += [(i, j, part), (i, j, v - part)]
+    if piece.nrows and piece.ncols:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.integers(0, piece.nrows - 1)), draw(st.integers(0, piece.ncols - 1))
+            w = draw(st.integers(-BIG, BIG))
+            triples += [(i, j, w), (i, j, -w)]
+    return Piece(piece.nrows, piece.ncols, draw(st.permutations(triples)))
+
+
+zero_piece = st.builds(Piece, st.integers(0, 6), st.integers(0, 6), st.builds(list))
+
+
+@KERNEL
+@given(st.one_of(block_diagonal, connected, zero_piece).flatmap(with_duplicates))
+def test_rank_exact_sums_duplicate_triples_and_matches_the_dense_rank(piece):
+    assert piece.rank_exact() == linalg.rank(dense_rows(piece))
 
 
 def test_rank_mod_p_reduces_before_float64():
@@ -184,29 +209,50 @@ def test_graded_piece_matches_the_monomial_products(d, n):
         assert {k: v for k, v in got.items() if v} == {k: v for k, v in want.items() if v}
 
 
-def test_strand_certificate_d6_n2_saturates_mod_p():
+def test_strand_certificate_d6_n2_holds():
     cert = strand_certificate(6, 2)
     assert cert.ok, cert.failures
-    assert "exact-rank fallback used" not in cert.notes
+    assert cert.h1k == {2: 5, 3: 1}
 
 
-# (ok, h1k by degree 0..2n+d, notes) of the certificate bounded to degree 2n+d,
-# written from it as computed when the strands were assembled in the raw bases
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 3), (5, 2)])
+def test_strand_certificate_ranks_exactly_and_uses_no_prime(monkeypatch, d, n):
+    def refuse(*args):
+        raise AssertionError("rank_mod_p called")
+
+    calls = []
+    rank_exact = Piece.rank_exact
+    monkeypatch.setattr(exactness, "rank_mod_p", refuse)
+    monkeypatch.setattr(Piece, "rank_exact", lambda self: calls.append(self) or rank_exact(self))
+    assert strand_certificate.__wrapped__(d, n).ok
+    assert calls
+
+
+# (ok, h1k by degree 0..2n+d) of the certificate, written from it as computed
+# when the strands were assembled in the raw bases and both strands were ranked
 STRAND_PINS = {
-    (3, 2): (True, [0, 0, 2, 1, 0, 0, 0, 0], []),
-    (3, 3): (True, [0, 0, 0, 3, 2, 1, 0, 0, 0, 0], []),
-    (4, 2): (True, [0, 0, 3, 1, 0, 0, 0, 0, 0], []),
-    (4, 3): (True, [0, 0, 0, 6, 3, 1, 0, 0, 0, 0, 0], []),
-    (5, 2): (True, [0, 0, 4, 1, 0, 0, 0, 0, 0, 0], []),
-    (5, 3): (True, [0, 0, 0, 10, 4, 1, 0, 0, 0, 0, 0, 0], []),
+    (3, 2): (True, [0, 0, 2, 1, 0, 0, 0, 0]),
+    (3, 3): (True, [0, 0, 0, 3, 2, 1, 0, 0, 0, 0]),
+    (4, 2): (True, [0, 0, 3, 1, 0, 0, 0, 0, 0]),
+    (4, 3): (True, [0, 0, 0, 6, 3, 1, 0, 0, 0, 0, 0]),
+    (5, 2): (True, [0, 0, 4, 1, 0, 0, 0, 0, 0, 0]),
+    (5, 3): (True, [0, 0, 0, 10, 4, 1, 0, 0, 0, 0, 0, 0]),
 }
 
 
 @pytest.mark.parametrize("d,n", GRID)
 def test_strand_certificate_pins(d, n):
     cert = strand_certificate(d, n)
-    ok, h1k, notes = STRAND_PINS[d, n]
-    assert (cert.ok, cert.h1k, cert.notes) == (ok, {e: h for e, h in enumerate(h1k) if h}, notes)
+    ok, h1k = STRAND_PINS[d, n]
+    assert (cert.ok, cert.h1k) == (ok, {e: h for e, h in enumerate(h1k) if h})
+
+
+@pytest.mark.parametrize("d,n", [*GRID, (4, 4), (6, 2)])
+def test_dual_strand_ranks_give_the_closed_form_h1k(d, n):
+    # the reference ranks the dual strand over its box; the certificate takes
+    # the dimensions of Ext^{d-1}(R/m^n, R) instead
+    want = {e: comb(2 * n - 1 - e + d - 2, d - 2) for e in range(n, 2 * n)}
+    assert dual_strand_h1k_by_ranking(d, n) == strand_certificate(d, n).h1k == want
 
 
 def nonzero_entries(mat):
@@ -231,80 +277,115 @@ def test_strands_are_the_diagonal_blocks_of_the_canonical_skeleton(d, n):
         assert nonzero_entries(mat) == in_strands, (d, n, r)
 
 
-def certificate_of_mutated_strands(monkeypatch, d, n, mutate):
-    """strand_certificate(d, n) computed afresh on deep copies of the strands that mutate alters."""
-    lmats, kmats = copy.deepcopy(strand_matrices(d, n))
-    mutate({"monomial": lmats, "dual": kmats})
-    monkeypatch.setattr(exactness, "strand_matrices", lambda d, n: (lmats, kmats))
-    return strand_certificate.__wrapped__(d, n)
+KIND = {"monomial": "Y", "dual": "X"}
 
 
-def first_entry(mat):
-    return next((i, j) for i, row in enumerate(mat.entries) for j, p in enumerate(row) if not p.is_zero())
+def certificate_of_mutated_skeleton(monkeypatch, d, n, mutate):
+    """(strand_certificate(d, n) computed afresh, the skeleton it read) for a mutated skeleton.
+
+    mutate alters a deep copy of canonical_skeleton(d, n) in place.  The
+    certificate cuts the monomial strand from the skeleton and runs the
+    pairing rule on all of it, so both read the mutated copy.
+    """
+    skel = copy.deepcopy(canonical_skeleton(d, n))
+    mutate(skel)
+    for module in (differentials, exactness):
+        monkeypatch.setattr(module, "canonical_skeleton", lambda d, n: skel)
+    return strand_certificate.__wrapped__(d, n), skel
+
+
+def strand_cells(mat, strand):
+    """The row and column indices of a skeleton map that hold the elements of one strand."""
+    kind = KIND[strand]
+    return ([i for i, (_, e) in enumerate(mat.rows) if e.kind == kind],
+            [j for j, (_, e) in enumerate(mat.cols) if e.kind == kind])
+
+
+def first_entry(mat, strand):
+    rows, cols = strand_cells(mat, strand)
+    return next((i, j) for i in rows for j in cols if not mat.entries[i][j].is_zero())
+
+
+def pairing_witness(skel):
+    """(r, the failure the certificate prints) for the first pair at which the pairing rule fails."""
+    r, jj, kk = duality_failure((skel[0].rows, *(m.cols for m in skel)), skel)
+    return r, ("dual strand is not the pairing transpose of the monomial strand: "
+               f"the pairing rule fails at r={r}, pair ({jj}, {kk})")
 
 
 @pytest.mark.parametrize("strand,r", [("monomial", 1), ("monomial", 3), ("dual", 2), ("dual", 4)])
 def test_strand_certificate_fails_on_a_sign_flip(monkeypatch, strand, r):
-    # the flipped strand is still finely graded, so the complex property on
-    # its +-1 triples is what fails
-    def flip(strands):
-        mat = strands[strand][r]
-        i, j = first_entry(mat)
+    # a flipped monomial map is still finely graded, so the complex property
+    # on its +-1 triples is what fails; a flipped dual map breaks the pairing
+    # rule where map r first enters it, as b_{r'+1} or as b_{d-r'}
+    def flip(skel):
+        mat = skel[r - 1]
+        i, j = first_entry(mat, strand)
         mat.entries[i][j] = -mat.entries[i][j]
-        assert not isinstance(exactness._fine_strand(strand, strands[strand]), str)
 
-    cert = certificate_of_mutated_strands(monkeypatch, 4, 2, flip)
-    assert not cert.ok and cert.failures == ["strand matrices do not compose to zero"]
+    cert, skel = certificate_of_mutated_skeleton(monkeypatch, 4, 2, flip)
+    assert not cert.ok
+    if strand == "monomial":
+        assert cert.failures == ["monomial strand does not compose to zero"]
+    else:
+        at, failure = pairing_witness(skel)
+        assert at == min(r - 1, 4 - r) and cert.failures == [failure]
 
 
 @pytest.mark.parametrize("strand,r", [("monomial", 2), ("dual", 3)])
 def test_strand_certificate_names_an_entry_moved_to_another_multidegree(monkeypatch, strand, r):
     moved = []
 
-    def move(strands):
-        mat = strands[strand][r]
-        i, j = first_entry(mat)
-        degs = [fine_degree(e) for _, e in mat.cols]
-        j2 = next(k for k, p in enumerate(mat.entries[i]) if p.is_zero() and degs[k] != degs[j])
+    def move(skel):
+        mat = skel[r - 1]
+        rows, cols = strand_cells(mat, strand)
+        i, j = first_entry(mat, strand)
+        degs = {k: fine_degree(mat.cols.elements[k][1]) for k in cols}
+        j2 = next(k for k in cols if mat.entries[i][k].is_zero() and degs[k] != degs[j])
         mat.entries[i][j2], mat.entries[i][j] = mat.entries[i][j], mat.entries[i][j2]
-        moved.append((i, j2, mat.entries[i][j2]))
+        moved.append((rows.index(i), cols.index(j2), mat.entries[i][j2]))
 
-    cert = certificate_of_mutated_strands(monkeypatch, 4, 2, move)
+    cert, skel = certificate_of_mutated_skeleton(monkeypatch, 4, 2, move)
     (i, j2, p), = moved
     assert not cert.ok
-    assert cert.failures == [f"{strand} strand is not finely graded: entry ({i}, {j2}) of the map out of "
-                             f"position {r} is {poly_str(p)}, expected +-x^v with c(column) = c(row) + v"]
+    if strand == "monomial":
+        assert cert.failures == [f"monomial strand is not finely graded: entry ({i}, {j2}) of the map out of "
+                                 f"position {r} is {poly_str(p)}, expected +-x^v with c(column) = c(row) + v"]
+    else:
+        at, failure = pairing_witness(skel)
+        assert at == min(r - 1, 4 - r) and cert.failures == [failure]
 
 
 def test_strand_certificate_ranks_a_zeroed_column(monkeypatch):
-    # still finely graded and a complex, so only the ranks in the box can fail it
-    def zero(strands):
-        for row in strands["monomial"][3].entries:
-            row[0] = Poly.zero(4)
+    # still finely graded and a complex, so the ranks in the box fail it
+    # first, and the pairing rule after them
+    def zero(skel):
+        _, cols = strand_cells(skel[2], "monomial")
+        for row in skel[2].entries:
+            row[cols[0]] = Poly.zero(4)
 
-    cert = certificate_of_mutated_strands(monkeypatch, 4, 2, zero)
+    cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, zero)
     assert not cert.ok
     assert cert.failures[0] == "monomial strand fails in multidegree (2, 1, 1): homology at position 2 (defect 1)"
+    assert cert.failures[-1].startswith("dual strand is not the pairing transpose of the monomial strand")
 
 
 @pytest.mark.parametrize("strand,r,first", [
     ("monomial", 1, "monomial strand has bottom homology 2 in multidegree (0, 0, 0), not that of the quotient"),
-    ("dual", 2, "dual strand has bottom homology at (-1, 0, 1) on the upper face of the box, "
-                "so it is not of finite length"),
 ])
 def test_strand_certificate_fails_on_an_unreached_bottom_element(monkeypatch, strand, r, first):
-    # a copy of the first bottom element that no map reaches: the strand stays
+    # a copy of the bottom element that no map reaches: the strand stays
     # finely graded, a complex, and exact above its bottom, but its bottom
     # homology grows by one in every multidegree from that element's on,
-    # upper faces of the box included
-    def extend(strands):
-        mat = strands[strand][r]
-        mat.rows = OrderedBasis(mat.rows.d, mat.rows.n, mat.rows.r, mat.rows.elements + mat.rows.elements[:1])
+    # which the comparison with the quotient rejects
+    def extend(skel):
+        mat = skel[r - 1]
+        rows, _ = strand_cells(mat, strand)
+        mat.rows = OrderedBasis(mat.rows.d, mat.rows.n, mat.rows.r, mat.rows.elements + (mat.rows.elements[rows[0]],))
         mat.entries.append([Poly.zero(4) for _ in mat.cols])
 
-    cert = certificate_of_mutated_strands(monkeypatch, 4, 2, extend)
+    cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, extend)
     assert not cert.ok and cert.failures[0] == first
-    assert any(f.endswith("on the upper face of the box, so it is not of finite length") for f in cert.failures)
 
 
 def with_b1_column(res, j, entry):

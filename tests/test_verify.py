@@ -174,7 +174,7 @@ def test_check_skeleton_names_the_failed_strand(monkeypatch):
     from gorlin.exactness import StrandCertificate
 
     failure = "dual strand fails in degree 5: homology at position 2 (defect 1)"
-    cert = StrandCertificate(False, {}, [failure], [])
+    cert = StrandCertificate(False, {}, [failure])
     monkeypatch.setattr(verify, "strand_certificate", lambda d, n: cert)
     res = grid_resolution(3, 2)
     out = check_skeleton(Session(res, res.phi))
@@ -474,7 +474,9 @@ def test_run_checks_proves_each_fact_once(monkeypatch):
                  lambda p, j: p is phi and j == n)
     _count_calls(monkeypatch, counts, "hilbert_function", invsys.hilbert_function)
     _count_calls(monkeypatch, counts, "ideal_dims", exactness.ideal_dims)
-    _count_calls(monkeypatch, counts, "duality_failure", exactness.duality_failure)
+    # the strand certificate runs the pairing rule on the skeleton as well, once per (d, n)
+    _count_calls(monkeypatch, counts, "duality_failure", exactness.duality_failure,
+                 lambda bases, mats: mats is res.matrices)
     assert run_checks(res, phi).passed
     # under the proved duality the products past the middle mirror those before it
     assert counts == Counter({
