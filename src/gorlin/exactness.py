@@ -47,10 +47,14 @@ and h1k is zero elsewhere.  The long exact sequence then closes at degree
 
 The ideal I of the first matrix is pinned by saturation: a rank over GF(p)
 (rank_mod_p) is a lower bound for the rank over Q.  When every b_1 column
-annihilates phi (checked exactly by contraction), I lies in ann(phi), so
+annihilates phi (checked exactly by contraction), I lies in J = ann(phi), so
 dim S_e - hf(e) bounds dim I_e from above, and a mod-p rank of the degree-e
 piece that meets the bound pins it.  Without that fact, or when no prime
-meets the bound, the piece is ranked exactly.
+meets the bound, the piece is ranked exactly.  Degree 2n-1, the largest
+piece, is not ranked at all when I lies in J, I_{2n-2} = J_{2n-2} and
+hf(1) >= 2: by Macaulay duality S_1 J_{2n-2} = S_{2n-1} unless phi is a
+power of one linear form (ideal_dims; Iarrobino and Kanev, "Power Sums,
+Gorenstein Algebras, and Determinantal Loci", 1999).
 
 The facts the certificate rests on (the complex property, the skeleton
 structure and the annihilation by b_1) are verdicts of their own as well.  A
@@ -363,10 +367,20 @@ def ideal_dims(s: Session) -> dict[int, int]:
     """dim I_e for e = 0..2n, where I is the ideal of the b_1 columns.
 
     dim I_e is the rank of graded_piece(b_1, e, e - n).  Its rank mod p is a
-    lower bound.  When every column annihilates phi, I lies in ann(phi) and
-    dim S_e - hf(e) is an upper bound, so a prime whose rank meets it pins
+    lower bound.  When every column annihilates phi, I lies in J = ann(phi)
+    and dim S_e - hf(e) is an upper bound, so a prime whose rank meets it pins
     dim I_e.  Otherwise, and when no prime meets the bound, the piece is
     ranked exactly.  Once I_{e-1} = S_{e-1}, also I_e = S_e.
+
+    Degree 2n-1 is not ranked when I lies in J, I_s = J_s for s = 2n-2 (the
+    bound is met there) and hf(1) >= 2: then I_{s+1} = S_{s+1} by Macaulay
+    duality.  A functional on S_{s+1} that vanishes on S_1 J_s is a form Psi
+    of degree s+1 with l o Psi in J_s^perp = k phi for every linear l.  If
+    Psi != 0, then l -> l o Psi is a nonzero map to k phi, its kernel has
+    dimension d-1, and in suitable coordinates Psi = a Y_1^[s+1], so phi is
+    a multiple of Y_1^[s] and hf(1) = 1 (Iarrobino and Kanev, "Power Sums,
+    Gorenstein Algebras, and Determinantal Loci", 1999).  When one of the
+    three facts fails, degree 2n-1 is ranked as any other.
     """
     res = s.res
     d, n = res.d, res.n
@@ -379,6 +393,9 @@ def ideal_dims(s: Session) -> dict[int, int]:
         if e < n:
             dims[e] = 0
         elif dims[e - 1] == comb(e + d - 2, d - 1):
+            dims[e] = dim_se
+        elif (e == 2 * n - 1 and annihilates and s.hf(1) >= 2
+              and dims[e - 1] == comb(e + d - 2, d - 1) - s.hf(e - 1)):
             dims[e] = dim_se
         else:
             piece = graded_piece(b1, e, e - n, scale=scale)
@@ -556,10 +573,14 @@ def duality_failure(bases: tuple[OrderedBasis, ...], mats: tuple[PolyMatrix, ...
         b_next = mats[r].entries
         b_comp = mats[d - r - 1].entries
         for jj, (ii, s1) in enumerate(pairings[r + 1]):
+            row_comp, sign = b_comp[ii], (-1) ** r * s1
             for i, (kk, s2) in enumerate(pairings[r]):
-                # entry (jj, kk) of b_{r+1}^T P_r and of (-1)^r P_{r+1} b_{d-r}
-                want = b_comp[ii][kk]
-                if b_next[i][jj] != (want if (-1) ** r * s1 * s2 > 0 else -want):
+                # entry (jj, kk) of b_{r+1}^T P_r and of (-1)^r P_{r+1} b_{d-r}, compared
+                # term by term with the sign folded in, so no negated Poly is built;
+                # a zero entry is its own negative
+                got, want = b_next[i][jj].terms, row_comp[kk].terms
+                if (got != want if sign * s2 > 0 or not got else
+                        len(got) != len(want) or any(want.get(m) != -c for m, c in got.items())):
                     return r, jj, kk
     return None
 

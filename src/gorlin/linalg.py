@@ -1,19 +1,19 @@
 """Exact dense linear algebra over Q: rank, kernel, determinant, adjugate.
 
 A matrix is a list of rows whose entries are ints or Fractions.  Rank,
-determinant and adjugate clear the denominators and run one integer
-fraction-free (Bareiss) elimination, _eliminate, in which every
-intermediate entry is a minor of the cleared matrix, so each division is
-exact and no Fraction is formed.  On an integer matrix they return ints.
-kernel_basis keeps the rational reduced row echelon form (rref), because a
-kernel basis is rational.
+determinant, adjugate and the reduced row echelon form (rref, behind
+kernel_basis) clear the denominators and run one integer fraction-free
+(Bareiss) elimination, _eliminate, in which every intermediate entry is a
+minor of the cleared matrix, so each division is exact and no Fraction is
+formed.  On an integer matrix the determinant and adjugate are ints; rref
+forms a Fraction only when it divides a row by its pivot at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomials import clear_denominators
+from .polynomials import clear_denominators, over
 
 Row = list[Fraction]
 Matrix = list[Row]
@@ -52,31 +52,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (copy) and the list of pivot columns."""
-    a = [row[:] for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
-
-
 def _eliminate(a: list[list[int]], width: int, jordan: bool = False) -> tuple[list[int], int]:
     """Fraction-free elimination in place on the integer rows a; (pivot columns, sign of the row swaps).
 
@@ -85,8 +60,11 @@ def _eliminate(a: list[list[int]], width: int, jordan: bool = False) -> tuple[li
     when jordan) becomes (p * x - x[c] * y) / prev for the previous pivot
     prev.  Its entries are minors of the input, so the division is exact
     (Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-    elimination", Math. Comp. 22, 1968).  Only columns c onward are updated:
-    no later step reads the columns to the left.
+    elimination", Math. Comp. 22, 1968).  Without jordan only columns c
+    onward are updated: no later step reads the columns to the left.  With
+    jordan whole rows are updated, so every pivot row ends with the last
+    pivot in its pivot column and the rows stay a multiple of the reduced
+    form.
     """
     nrows = len(a)
     pivots: list[int] = []
@@ -101,11 +79,12 @@ def _eliminate(a: list[list[int]], width: int, jordan: bool = False) -> tuple[li
         if pr != r:
             a[r], a[pr] = a[pr], a[r]
             sign = -sign
-        row, p = a[r][c:], a[r][c]
+        start = 0 if jordan else c
+        row, p = a[r][start:], a[r][c]
         for i in range(0 if jordan else r + 1, nrows):
             if i != r:
                 ai, f = a[i], a[i][c]
-                ai[c:] = [(p * x - f * y) // prev for x, y in zip(ai[c:], row)]
+                ai[start:] = [(p * x - f * y) // prev for x, y in zip(ai[start:], row)]
         pivots.append(c)
         prev = p
     return pivots, sign
@@ -129,6 +108,18 @@ def rank(m: Matrix) -> int:
         return 0
     rows = [clear_denominators(row)[1] for row in m]
     return len(_eliminate(rows, len(rows[0]))[0])
+
+
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form (a new matrix) and the list of pivot columns.
+
+    Each row is cleared of its denominators and _eliminate runs in
+    Gauss-Jordan mode; each pivot row is then divided by its pivot once.
+    The reduced form is unique, so it is the rational one.
+    """
+    a = [clear_denominators(row)[1] for row in m]
+    pivots, _ = _eliminate(a, len(a[0]) if a else 0, jordan=True)
+    return [[over(x, row[c]) for x in row] for row, c in zip(a, pivots)] + a[len(pivots):], pivots
 
 
 def kernel_basis(m: Matrix, ncols: int | None = None) -> list[Row]:

@@ -11,13 +11,17 @@ another way, by a route that is slower or more literal.
   of fine degrees, where ``exactness.strand_certificate`` proves it to be
   the pairing transpose of the monomial strand and takes its bottom
   homology from the closed form.
+* ``rref_by_fractions`` row-reduces in ``Fraction`` arithmetic, pivot by
+  pivot, where ``linalg.rref`` runs the integer fraction-free Gauss-Jordan
+  elimination and divides once at the end.
 * ``ideal_dims_by_rref`` finds dim I_e, for I the ideal of the b_1 columns,
-  by exact rational elimination degree by degree, where
-  ``exactness.ideal_dims`` pins it by saturation against the annihilator.
+  by exact rational elimination degree by degree (``rref_by_fractions``),
+  where ``exactness.ideal_dims`` pins it by saturation against the
+  annihilator and by Macaulay duality.
 * ``det_and_adjugate_by_solve`` finds a determinant by Bareiss elimination
   in ``Fraction`` arithmetic and the adjugate by solving ``m X = det * I``
-  with ``linalg.rref``, where ``linalg.det_and_adjugate`` runs one integer
-  fraction-free Gauss-Jordan elimination.
+  with ``rref_by_fractions``, where ``linalg.det_and_adjugate`` runs one
+  integer fraction-free Gauss-Jordan elimination.
 * ``golden_skeleton_d4_n2`` parses the mod-x1 matrices at d = 4, n = 2,
   written out entry by entry, which ``differentials.canonical_skeleton(4, 2)``
   must reproduce verbatim.
@@ -149,6 +153,31 @@ def dual_strand_h1k_by_ranking(d: int, n: int) -> dict[int, int]:
     return {e: h for e, h in sorted(h1k.items()) if h}
 
 
+def rref_by_fractions(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form (a copy) and the list of pivot columns, in Fraction arithmetic."""
+    a = [[Fraction(v) for v in row] for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = Fraction(1) / a[r][c]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
 def det_and_adjugate_by_solve(m: list[list[Fraction]]):
     """(det m, adj m) in Fraction arithmetic; (0, None) for a singular m."""
     n = len(m)
@@ -172,7 +201,7 @@ def det_and_adjugate_by_solve(m: list[list[Fraction]]):
         return 0, None
     aug = [[Fraction(v) for v in row] + [det if i == j else Fraction(0) for j in range(n)]
            for i, row in enumerate(m)]
-    red, pivots = linalg.rref(aug)
+    red, pivots = rref_by_fractions(aug)
     assert pivots[:n] == list(range(n))
     return det, [row[n:] for row in red]
 
@@ -189,7 +218,7 @@ def ideal_dims_by_rref(res: Resolution, dmax: int) -> dict[int, int]:
     if dmax < n:
         return dims
     monos = monomials_of_degree(d, n)
-    basis, _ = linalg.rref(coeff_rows(gens, monos))
+    basis, _ = rref_by_fractions(coeff_rows(gens, monos))
     basis = [r for r in basis if any(r)]
     dims[n] = len(basis)
     for e in range(n + 1, dmax + 1):
@@ -208,7 +237,7 @@ def ideal_dims_by_rref(res: Resolution, dmax: int) -> dict[int, int]:
                     if c:
                         w[midx[mul_var(prev_monos[k], i)]] = c
                 cand.append(w)
-        basis, _ = linalg.rref(cand)
+        basis, _ = rref_by_fractions(cand)
         basis = [r for r in basis if any(r)]
         dims[e] = len(basis)
     return dims

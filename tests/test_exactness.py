@@ -27,11 +27,11 @@ from gorlin.exactness import (
     strand_matrices,
 )
 from gorlin.hookbasis import OrderedBasis
-from gorlin.invsys import InverseSystem, contract_poly
+from gorlin.invsys import InverseSystem, contract_poly, random_invsys
 from gorlin.monomials import monomials_of_degree, mul, mul_var, unit
 from gorlin.polynomials import Poly, poly_str
 
-from conftest import GRID, grid_phi, grid_resolution
+from conftest import EXTRA, GRID, extra_phi, grid_phi, grid_resolution
 from oracles import dual_strand_h1k_by_ranking, ideal_dims_by_rref
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -388,10 +388,72 @@ def test_strand_certificate_fails_on_an_unreached_bottom_element(monkeypatch, st
     assert not cert.ok and cert.failures[0] == first
 
 
+def duality_failure_by_negation(bases, mats):
+    """The pairing rule on Poly entries, one side negated as a Poly when the sign is negative."""
+    d = len(mats)
+    pairings = [exactness._pairing(bases, k) for k in range(d + 1)]
+    for r in range(d):
+        for jj, (ii, s1) in enumerate(pairings[r + 1]):
+            for i, (kk, s2) in enumerate(pairings[r]):
+                want = mats[d - r - 1].entries[ii][kk]
+                if mats[r].entries[i][jj] != (want if (-1) ** r * s1 * s2 > 0 else -want):
+                    return r, jj, kk
+    return None
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 2)])
+def test_duality_failure_witness_matches_the_poly_comparison(d, n):
+    # an extra term, a negated entry or a zeroed entry, anywhere in B: the first
+    # pair that fails is the one a comparison of whole Polys finds, also when the
+    # extra term lies only on the negated side of that pair
+    res = grid_resolution(d, n)
+    rng = random.Random(d)
+    seen = set()
+    for _ in range(40):
+        bad = copy.deepcopy(res)
+        mat = bad.matrix(rng.randint(1, d))
+        i, j = rng.randrange(len(mat.rows)), rng.randrange(len(mat.cols))
+        entry = mat.entries[i][j]
+        mat.entries[i][j] = rng.choice([
+            entry + Poly.monomial(mul_var(unit(d), rng.randint(1, d)), rng.choice([1, -2])),
+            -entry,
+            Poly.zero(d),
+        ])
+        want = duality_failure_by_negation(bad.bases, bad.matrices)
+        assert duality_failure(bad.bases, bad.matrices) == want
+        seen.add(want is None)
+    assert seen == {True, False}
+
+
 def with_b1_column(res, j, entry):
     bad = copy.deepcopy(res)
     bad.matrix(1).entries[0][j] = entry
     return bad
+
+
+def ranked_degrees(monkeypatch) -> list[int]:
+    """The row degrees of the graded pieces built from now on, in call order."""
+    degrees = []
+    build = exactness.graded_piece
+
+    def record(mat, row_deg, col_deg, scale=1):
+        degrees.append(row_deg)
+        return build(mat, row_deg, col_deg, scale)
+
+    monkeypatch.setattr(exactness, "graded_piece", record)
+    return degrees
+
+
+@pytest.mark.parametrize("d,n", [*GRID, (4, 4)])
+def test_ideal_dims_rank_nothing_from_degree_2n_minus_1(d, n, monkeypatch):
+    # every hypothesis of the duality step holds, so degree 2n-1 is S_{2n-1}
+    # unranked, and 2n follows from it
+    phi = extra_phi(EXTRA[0]) if (d, n) == (4, 4) else grid_phi(d, n)
+    s = Session(build_resolution(phi) if (d, n) == (4, 4) else grid_resolution(d, n), phi)
+    degrees = ranked_degrees(monkeypatch)
+    dims = ideal_dims(s)
+    assert degrees == list(range(n, 2 * n - 1))
+    assert dims == {e: comb(e + d - 1, d - 1) - s.hf(e) for e in range(2 * n + 1)}
 
 
 @pytest.mark.parametrize("d,n", GRID)
@@ -420,7 +482,7 @@ def test_ideal_dims_with_fractional_coefficients():
 
 
 @pytest.mark.parametrize("c", [1, prod(PRIMES)], ids=["c=1", "c=prod(PRIMES)"])
-def test_ideal_dims_of_a_column_that_does_not_annihilate_are_exact(c):
+def test_ideal_dims_of_a_column_that_does_not_annihilate_are_exact(c, monkeypatch):
     # c * x1^3 added to a column: I_4 is all of S_4, one more than dim S_4 - hf(4),
     # so the annihilator bound does not hold and each degree is ranked exactly.
     # With c the product of the primes every mod-p rank meets that false bound.
@@ -428,9 +490,12 @@ def test_ideal_dims_of_a_column_that_does_not_annihilate_are_exact(c):
     bad = with_b1_column(res, 0, res.matrix(1).entries[0][0] + Poly.monomial((3, 0, 0), c))
     s = Session(bad, grid_phi(3, 3))
     assert s.b1_annihilation_failure == 0
+    degrees = ranked_degrees(monkeypatch)
     dims = ideal_dims(s)
     assert dims == ideal_dims_by_rref(bad, 6)
     assert dims[4] == 15 == comb(6, 2) > comb(6, 2) - s.hf(4)
+    # as before the duality step: I_4 = S_4 gives degree 5 unranked
+    assert degrees == [3, 4]
     failures = []
     assert _h0_dims_ok(s, failures) is None
     assert failures == ["coker(b_1) has dimension 0 in degree 4, Hilbert function of the quotient gives 1"]
@@ -445,9 +510,36 @@ def test_ideal_dims_of_a_duplicated_column_fall_back_to_exact_rank(monkeypatch):
     calls = []
     rank_exact = Piece.rank_exact
     monkeypatch.setattr(Piece, "rank_exact", lambda self: calls.append(self) or rank_exact(self))
+    degrees = ranked_degrees(monkeypatch)
     dims = ideal_dims(s)
     assert dims == ideal_dims_by_rref(s.res, 4)
     assert dims[2] == 8 and calls
+    # I_2 misses J_2, so the duality step does not apply and degree 2n-1 = 3 is ranked
+    assert degrees == [2, 3]
+    failures = []
+    assert _h0_dims_ok(s, failures) is None
+    assert failures == ["coker(b_1) has dimension 2 in degree 2, Hilbert function of the quotient gives 1"]
+
+
+def test_ideal_dims_of_another_systems_ideal_rank_degree_2n_minus_1(monkeypatch):
+    # the b_1 columns of another (3, 3) system: I_4 has the codimension of J_4
+    # but I is not in J, so the duality step does not apply to degree 5
+    s = Session(build_resolution(random_invsys(3, 3, seed=99)), grid_phi(3, 3))
+    assert s.b1_annihilation_failure == 0
+    degrees = ranked_degrees(monkeypatch)
+    dims = ideal_dims(s)
+    assert dims[4] == comb(6, 2) - s.hf(4)
+    assert degrees == [3, 4, 5]
+    assert dims == ideal_dims_by_rref(s.res, 6)
+
+
+def test_ideal_dims_without_hf1_at_least_2_rank_degree_2n_minus_1(monkeypatch):
+    # hf(1) = 1 would allow phi = Y_1^[2n-2], for which S_1 J_{2n-2} misses S_{2n-1}
+    s = Session(grid_resolution(4, 2), grid_phi(4, 2))
+    s.hilbert = [1, 1, 1]
+    degrees = ranked_degrees(monkeypatch)
+    assert ideal_dims(s) == ideal_dims_by_rref(s.res, 4)
+    assert degrees == [2, 3]
 
 
 @pytest.mark.parametrize("bump", [

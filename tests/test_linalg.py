@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gorlin.linalg import (
     det_and_adjugate,
@@ -14,7 +14,7 @@ from gorlin.linalg import (
     transpose,
 )
 
-from oracles import det_and_adjugate_by_solve
+from oracles import det_and_adjugate_by_solve, rref_by_fractions
 
 
 def F(rows):
@@ -150,3 +150,50 @@ def test_integer_adjugate_matches_the_fraction_reference(case):
 def test_integer_rank_matches_rref(rows):
     m = [[Fraction(v) for v in row] for row in rows]
     assert rank(m) == len(rref(m)[1]) == rank(transpose(m))
+
+
+def test_rref_updates_the_columns_left_of_a_later_pivot():
+    # column 1 is not a pivot column but lies left of the pivot in column 2,
+    # so the pivot row 0 must be rescaled there when column 2 is cleared
+    assert rref(F([[2, 4, 1], [1, 2, 3]])) == (F([[1, 2, 0], [0, 0, 1]]), [0, 2])
+    assert rref(F([[2, 4, 1, 1], [1, 2, 3, 1]])) == (
+        [[1, 2, 0, Fraction(2, 5)], [0, 0, 1, Fraction(1, 5)]], [0, 2])
+
+
+@st.composite
+def rref_cases(draw):
+    """A wide, square or tall matrix with combined, zeroed and permuted rows and zeroed columns."""
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rows = [[Fraction(draw(ENTRY)) for _ in range(ncols)] for _ in range(nrows)]
+    for i in draw(st.lists(st.integers(0, nrows - 1), max_size=3)):
+        # row i becomes a combination of two other rows, so the rank drops
+        j, k = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        a, b = Fraction(draw(ENTRY)), Fraction(draw(ENTRY))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    for i in draw(st.lists(st.integers(0, nrows - 1), max_size=2)):
+        rows[i] = [Fraction(0)] * ncols
+    for c in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[c] = Fraction(0)
+    return [rows[k] for k in draw(st.permutations(range(nrows)))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rref_cases())
+@example(F([[2, 4, 1], [1, 2, 3]]))
+@example(F([[2, 4, 1, 1], [1, 2, 3, 1]]))
+@example([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)], [Fraction(1, 7), Fraction(1, 11), Fraction(1, 13)]])
+@example(F([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 0, 0]]))       # wide, rank 1, a zero row
+@example(F([[0, 1], [0, 2], [0, 3], [0, 2**80]]))              # tall, rank 1, a zero column
+@example(F([[0, 0, 0], [2**80 + 1, 3, 0], [0, 0, 0], [2**80, 1, 0], [1, 2, 0]]))
+def test_rref_and_kernel_match_the_fraction_reference(m):
+    red, pivots = rref(m)
+    assert (red, pivots) == rref_by_fractions(m)
+    assert len(pivots) == rank(m)
+    ncols = len(m[0])
+    kb = kernel_basis(m)
+    assert len(kb) == ncols - len(pivots)
+    assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m for v in kb)
+    assert rank(kb) == len(kb)
+    if all(v.denominator == 1 for row in m for v in row):
+        assert rref([[int(v) for v in row] for row in m]) == (red, pivots)
