@@ -3,17 +3,22 @@
 invsys.delta_and_Q is the admissibility gate: every build starts there, and
 an inverse system with delta = 0 is refused before any matrix is written.
 
-Two independent routes are provided.  The production route writes each
-column of the interior differentials directly in the standard basis elements
-using the closed-form coefficient sums in t and Q.  The alternative route
-applies the contraction formulas to elementary wedge generators and
-straightens the result with expand_eta / expand_kappa; it exists as a
-cross-check oracle.  Both assemble the matrices in one basis family, the
-self-dual bases of hookbasis.duality_basis, in which the pairing between
-complementary positions is a signed permutation.
+Every differential is the lift b_r = delta * S_r + x1 * C_r of its skeleton
+S_r = canonical_skeleton(d, n)[r - 1]: the Koszul strands on x2..xd, which
+depend on (d, n) alone and are written once, there.  The inverse system
+enters only through the cofactor C_r of x1, a constant matrix for
+2 <= r <= d-1 and of degree n-1 for r = 1 and r = d.  _lift is the one place
+that multiplies by x1 and scales by delta.
 
-canonical_skeleton(d, n) writes the Koszul strands that every resolution
-reduces to mod x1, up to the factor delta, in the same bases.
+Two independent routes write the interior cofactors.  The production route
+writes each column of C_r directly in the standard basis elements using the
+closed-form coefficient sums in t and Q.  The alternative route applies the
+contraction formulas to elementary wedge generators and straightens the
+result with expand_eta / expand_kappa; it exists as a cross-check oracle.
+The routes share S_r, b_1 and b_d and differ only in the interior C_r.  All
+matrices are written in one basis family, the self-dual bases of
+hookbasis.duality_basis, in which the pairing between complementary
+positions is a signed permutation.
 
 The entries are polynomial in t, delta and Q, and both routes evaluate them
 in Python ints (BuildContext): every coefficient is an integer numerator
@@ -43,7 +48,6 @@ from .invsys import Catalecticant, InverseSystem, delta_and_Q, integer_coeffs
 from .monomials import (
     Mono,
     div_var,
-    least,
     monomials_of_degree,
     mul,
     mul_var,
@@ -74,7 +78,6 @@ class BuildContext:
         self.denom = self.scale ** (len(cat.monos) + 1)
         self.delta = self.scale * cat.det
         self.q = [[self.scale**2 * v for v in row] for row in cat.adj]
-        self.var = [None] + [mul_var(unit(phi.d), i) for i in range(1, phi.d + 1)]
         self.nm1_all = monomials_of_degree(phi.d, phi.n - 1)
         self.nm2_all = monomials_of_degree(phi.d, phi.n - 2)
         self._x1_nm2 = [cat.index[mul_var(m2, 1)] for m2 in self.nm2_all]
@@ -123,52 +126,39 @@ class BuildContext:
         return p
 
     def y_correction(self, u: Mono) -> dict[Mono, int]:
-        """sum over m2 of degree n-1 of tq(u, m2) * m2 (the x1 part of a socle column)."""
+        """minus the sum over m2 of degree n-1 of tq(u, m2) * m2 (the x1 cofactor of a socle column)."""
         p = self._ycorr.get(u)
         if p is None:
-            p = self._ycorr[u] = {m2: c for m2 in self.nm1_all if (c := self.tq(u, m2))}
+            p = self._ycorr[u] = {m2: -c for m2 in self.nm1_all if (c := self.tq(u, m2))}
         return p
 
 
 Terms = dict[Mono, int]
 
 
-def _minus_x1(terms: Terms, p: Terms) -> Terms:
-    """terms - x1 * p."""
-    out = dict(terms)
-    for m, c in p.items():
-        key = mul_var(m, 1)
-        out[key] = out.get(key, 0) - c
-    return out
-
-
-def _add(out: dict[BasisElement, Terms], target: BasisElement, m: Mono, c: int) -> None:
-    """Add c * m to the entry at target."""
+def _add(out: dict[BasisElement, int], target: BasisElement, c: int) -> None:
+    """Add c to the constant cofactor entry at target."""
     if c:
-        terms = out.setdefault(target, {})
-        terms[m] = terms.get(m, 0) + c
+        out[target] = out.get(target, 0) + c
 
 
 def b1_column(ctx: BuildContext, elt: BasisElement) -> Terms:
-    """The degree-n generator of the ideal attached to a degree-1 basis element."""
-    a1 = elt.a[0]
+    """The x1 cofactor of the degree-n generator of the ideal attached to a degree-1 basis element."""
     if elt.kind == "X":
-        return {mul_var(m, 1): c for m, c in ctx.q_row(div_var(elt.m, a1)).items()}
-    u = mul_var(elt.m, a1)
-    return _minus_x1({u: ctx.delta}, ctx.y_correction(u))
+        return ctx.q_row(div_var(elt.m, elt.a[0]))
+    return ctx.y_correction(mul_var(elt.m, elt.a[0]))
 
 
-def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, Terms]:
-    """Column of the interior differential on an X generator, in the standard basis."""
+def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, int]:
+    """Column of the interior cofactor C_r on an X generator, in the standard basis."""
     if not 2 <= r <= ctx.d - 1 or elt.kind != "X" or elt.r != r:
         raise ValueError(f"invalid X generator for degree {r}: {elt}")
-    d, delta = ctx.d, ctx.delta
+    d = ctx.d
     a, m = elt.a, elt.m
     g = gamma_of(a)
-    lm = least(m)
-    out: dict[BasisElement, Terms] = {}
+    out: dict[BasisElement, int] = {}
 
-    # X targets, coefficient x1 times a rational
+    # X targets
     for ell in range(2, g + 1):
         for k in range(ell, r + 1):
             ak = a[k - 1]
@@ -181,7 +171,7 @@ def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                     c -= ctx.tq(mul_var(m2, ak), div_var(m, ell))
                 if c:
                     target = BasisElement("X", r - 1, rest, mul_var(m2, ell))
-                    _add(out, target, ctx.var[1], (-1) ** k * c)
+                    _add(out, target, (-1) ** k * c)
     for j in range(g, r + 1):
         for k in range(j + 1, r + 1):
             aj, ak = a[j - 1], a[k - 1]
@@ -195,22 +185,9 @@ def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                     c -= ctx.tq(mul_var(m2, ak), div_var(m, aj))
                 if c:
                     target = BasisElement("X", r - 1, rest, mul_var(m2, g + 1))
-                    _add(out, target, ctx.var[1], (-1) ** (g + j + k) * c)
+                    _add(out, target, (-1) ** (g + j + k) * c)
 
-    # X targets, coefficient delta times a variable
-    for j in range(1, lm):
-        aj = a[j - 1]
-        for k in range(j + 1, r + 1):
-            ak = a[k - 1]
-            if var_divides(ak, m):
-                target = BasisElement("X", r - 1, a[:k - 1] + a[k:], mul_var(div_var(m, ak), aj))
-                _add(out, target, ctx.var[aj], (-1) ** (k + 1) * delta)
-    for j in range(lm, r + 1):
-        aj = a[j - 1]
-        target = BasisElement("X", r - 1, a[:j - 1] + a[j:], m)
-        _add(out, target, ctx.var[aj], (-1) ** j * delta)
-
-    # Y targets, coefficient x1 times a rational
+    # Y targets
     a1 = elt.a[0]
     x_a1_divides_m = var_divides(a1, m)
     for k in range(2, r + 1):
@@ -223,7 +200,7 @@ def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
             if var_divides(ak, m1) and x_a1_divides_m:
                 c -= ctx.Q(div_var(mul_var(m1, a1), ak), div_var(m, a1))
             if c:
-                _add(out, BasisElement("Y", r - 1, rest, m1), ctx.var[1], (-1) ** k * c)
+                _add(out, BasisElement("Y", r - 1, rest, m1), (-1) ** k * c)
     if x_a1_divides_m:
         m_div_a1 = div_var(m, a1)
         for ell in range(a1 + 1, a[1]):
@@ -235,26 +212,25 @@ def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                         continue
                     c = ctx.Q(div_var(mul_var(m1, ell), ak), m_div_a1)
                     if c:
-                        _add(out, BasisElement("Y", r - 1, rest, m1), ctx.var[1], (-1) ** (k + 1) * c)
+                        _add(out, BasisElement("Y", r - 1, rest, m1), (-1) ** (k + 1) * c)
         for m1 in monomials_of_degree(d, ctx.n - 1, low_var=a[1]):
             c = ctx.Q(m1, m_div_a1)
             if c:
-                _add(out, BasisElement("Y", r - 1, a[1:], m1), ctx.var[1], -c)
+                _add(out, BasisElement("Y", r - 1, a[1:], m1), -c)
     return out
 
 
-def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, Terms]:
-    """Column of the interior differential on a Y generator, in the standard basis."""
+def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, int]:
+    """Column of the interior cofactor C_r on a Y generator, in the standard basis."""
     if not 2 <= r <= ctx.d - 1 or elt.kind != "Y" or elt.r != r:
         raise ValueError(f"invalid Y generator for degree {r}: {elt}")
-    d, delta = ctx.d, ctx.delta
+    d = ctx.d
     a, m = elt.a, elt.m
     g = gamma_of(a)
-    lm = least(m)
     a1, a2 = a[0], a[1]
-    out: dict[BasisElement, Terms] = {}
+    out: dict[BasisElement, int] = {}
 
-    # X targets, coefficient x1 times a rational
+    # X targets
     for ell in range(2, g + 1):
         for k in range(ell, r + 1):
             ak = a[k - 1]
@@ -263,7 +239,7 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                 c = ctx.W(mul_var(m, ell), mul_var(m3, ak)) - ctx.W(mul_var(m, ak), mul_var(m3, ell))
                 if c:
                     target = BasisElement("X", r - 1, rest, mul_var(m3, ell))
-                    _add(out, target, ctx.var[1], (-1) ** k * c)
+                    _add(out, target, (-1) ** k * c)
     for j in range(g, r + 1):
         for k in range(j + 1, r + 1):
             aj, ak = a[j - 1], a[k - 1]
@@ -273,9 +249,9 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                 c = ctx.W(mul_var(m, aj), mul_var(m3, ak)) - ctx.W(mul_var(m, ak), mul_var(m3, aj))
                 if c:
                     target = BasisElement("X", r - 1, rest, mul_var(m3, g + 1))
-                    _add(out, target, ctx.var[1], (-1) ** (j + g + k) * c)
+                    _add(out, target, (-1) ** (j + g + k) * c)
 
-    # Y targets, coefficient x1 times a rational
+    # Y targets
     for ell in range(2, a1):
         for j in range(1, r + 1):
             for k in range(j + 1, r + 1):
@@ -288,7 +264,7 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                     if var_divides(ak, m1):
                         c -= ctx.tq(mul_var(m, aj), div_var(mul_var(m1, ell), ak))
                     if c:
-                        _add(out, BasisElement("Y", r - 1, rest, m1), ctx.var[1], (-1) ** (k + j) * c)
+                        _add(out, BasisElement("Y", r - 1, rest, m1), (-1) ** (k + j) * c)
     for k in range(2, r + 1):
         ak = a[k - 1]
         rest = a[:k - 1] + a[k:]
@@ -298,7 +274,7 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                 c += ctx.tq(mul_var(m, a1), div_var(mul_var(m1, a1), ak))
             c -= ctx.tq(mul_var(m, ak), m1)
             if c:
-                _add(out, BasisElement("Y", r - 1, rest, m1), ctx.var[1], (-1) ** k * c)
+                _add(out, BasisElement("Y", r - 1, rest, m1), (-1) ** k * c)
     for ell in range(a1 + 1, a2):
         for k in range(2, r + 1):
             ak = a[k - 1]
@@ -308,38 +284,21 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                     continue
                 c = ctx.tq(mul_var(m, a1), div_var(mul_var(m1, ell), ak))
                 if c:
-                    _add(out, BasisElement("Y", r - 1, rest, m1), ctx.var[1], (-1) ** k * c)
+                    _add(out, BasisElement("Y", r - 1, rest, m1), (-1) ** k * c)
     for m1 in monomials_of_degree(d, ctx.n - 1, low_var=a2):
         c = ctx.tq(mul_var(m, a1), m1)
         if c:
-            _add(out, BasisElement("Y", r - 1, a[1:], m1), ctx.var[1], c)
-
-    # Y targets, coefficient delta times a variable
-    for j in range(2, r + 1):
-        aj = a[j - 1]
-        target = BasisElement("Y", r - 1, a[:j - 1] + a[j:], m)
-        _add(out, target, ctx.var[aj], (-1) ** j * delta)
-    if a2 <= lm:
-        _add(out, BasisElement("Y", r - 1, a[1:], m), ctx.var[a1], -delta)
-    else:
-        m_red = div_var(m, lm)
-        for k in range(2, r + 1):
-            ak = a[k - 1]
-            rest = (lm,) + a[1:k - 1] + a[k:]
-            target = BasisElement("Y", r - 1, rest, mul_var(m_red, ak))
-            _add(out, target, ctx.var[a1], -((-1) ** k) * delta)
+            _add(out, BasisElement("Y", r - 1, a[1:], m1), c)
     return out
 
 
 def bd_rows(ctx: BuildContext) -> dict[BasisElement, Terms]:
-    """Row coefficients of the last differential on the top generator."""
+    """The x1 cofactors of the last differential on the top generator, by row."""
     d = ctx.d
     full = tuple(range(2, d + 1))
-    out: dict[BasisElement, Terms] = {}
-    for m in monomials_of_degree(d, ctx.n, low_var=2):
-        out[BasisElement("X", d - 1, full, m)] = _minus_x1({m: ctx.delta}, ctx.y_correction(m))
+    out = {BasisElement("X", d - 1, full, m): ctx.y_correction(m) for m in monomials_of_degree(d, ctx.n, low_var=2)}
     for m in monomials_of_degree(d, ctx.n - 1, low_var=2):
-        out[BasisElement("Y", d - 1, full, m)] = _minus_x1({}, ctx.q_row(m))
+        out[BasisElement("Y", d - 1, full, m)] = {m1: -c for m1, c in ctx.q_row(m).items()}
     return out
 
 
@@ -349,13 +308,13 @@ def bd_rows(ctx: BuildContext) -> dict[BasisElement, Terms]:
 # ---------------------------------------------------------------------------
 
 
-def br_column_alt(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, Terms]:
-    """Interior column computed from elementary-generator contraction formulas."""
+def br_column_alt(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, int]:
+    """Interior cofactor column computed from elementary-generator contraction formulas."""
     if not 2 <= r <= ctx.d - 1:
         raise ValueError(f"r={r} out of range 2..{ctx.d - 1}")
-    d, delta = ctx.d, ctx.delta
+    d = ctx.d
     a, m = elt.a, elt.m
-    out: dict[BasisElement, Terms] = {}
+    out: dict[BasisElement, int] = {}
     for j in range(1, r + 1):
         aj = a[j - 1]
         rest = a[:j - 1] + a[j:]
@@ -367,28 +326,24 @@ def br_column_alt(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEle
                     c = ctx.tq(m2, w)
                     if c:
                         for sgn, tgt in expand_eta(rest, m2):
-                            _add(out, tgt, ctx.var[1], -slot * sgn * c)
+                            _add(out, tgt, -slot * sgn * c)
                 for m1 in monomials_of_degree(d, ctx.n - 1, low_var=2):
                     c = ctx.Q(m1, w)
                     if c:
                         for sgn, tgt in expand_kappa(rest, m1):
-                            _add(out, tgt, ctx.var[1], -slot * sgn * c)
-            for sgn, tgt in expand_eta(rest, m):
-                _add(out, tgt, ctx.var[aj], -slot * sgn * delta)
+                            _add(out, tgt, -slot * sgn * c)
         else:
             u = mul_var(m, aj)
             for m3 in monomials_of_degree(d, ctx.n, low_var=2):
                 c = ctx.W(u, m3)
                 if c:
                     for sgn, tgt in expand_eta(rest, m3):
-                        _add(out, tgt, ctx.var[1], slot * sgn * c)
+                        _add(out, tgt, slot * sgn * c)
             for m1 in monomials_of_degree(d, ctx.n - 1, low_var=2):
                 c = ctx.tq(u, m1)
                 if c:
                     for sgn, tgt in expand_kappa(rest, m1):
-                        _add(out, tgt, ctx.var[1], slot * sgn * c)
-            for sgn, tgt in expand_kappa(rest, m):
-                _add(out, tgt, ctx.var[aj], -slot * sgn * delta)
+                        _add(out, tgt, slot * sgn * c)
     return out
 
 
@@ -449,15 +404,20 @@ def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions, denom: int = 1
     return PolyMatrix(rows=rows, cols=cols, entries=entries)
 
 
-def _first_matrix(ctx: BuildContext) -> PolyMatrix:
-    d, n = ctx.d, ctx.n
-    cols = duality_basis(d, n, 1)
-    return _assemble(duality_basis(d, n, 0), cols, [{y0(d): b1_column(ctx, e)} for _, e in cols], ctx.denom)
+def _lift(ctx: BuildContext, skel: PolyMatrix, cofactors) -> PolyMatrix:
+    """delta * skel + x1 * C, C the matrix whose column j is cofactors[j], signed by the bases.
 
-
-def _last_matrix(ctx: BuildContext) -> PolyMatrix:
-    d, n = ctx.d, ctx.n
-    return _assemble(duality_basis(d, n, d - 1), duality_basis(d, n, d), [bd_rows(ctx)], ctx.denom)
+    cofactors[j] maps a target element to the int numerators, over ctx.denom,
+    of its entry of C.  No term of skel has x1 and every term of x1 * C has,
+    so the two parts share no monomial.
+    """
+    # (m[0] + 1,) + m[1:] is x1 * m
+    cols = [{t: {(m[0] + 1,) + m[1:]: c for m, c in cof.items()} for t, cof in col.items()} for col in cofactors]
+    for (rsign, target), row in zip(skel.rows, skel.entries):
+        for (csign, _), col, p in zip(skel.cols, cols, row):
+            if p:
+                col.setdefault(target, {}).update((m, rsign * csign * ctx.delta * c) for m, c in p.terms.items())
+    return _assemble(skel.rows, skel.cols, cols, ctx.denom)
 
 
 def _build(phi: InverseSystem, column_fn) -> Resolution:
@@ -465,16 +425,16 @@ def _build(phi: InverseSystem, column_fn) -> Resolution:
     ctx = BuildContext(phi, cat)
     d, n = phi.d, phi.n
     bases = tuple(duality_basis(d, n, r) for r in range(d + 1))
-    matrices = [_first_matrix(ctx)]
+    one = unit(d)
+    cofactors = [[{y0(d): b1_column(ctx, e)} for _, e in bases[1]]]
     for r in range(2, d):
-        expans = [column_fn(ctx, r, e) for _, e in bases[r]]
-        matrices.append(_assemble(bases[r - 1], bases[r], expans, ctx.denom))
-    matrices.append(_last_matrix(ctx))
+        cofactors.append([{t: {one: c} for t, c in column_fn(ctx, r, e).items()} for _, e in bases[r]])
+    cofactors.append([bd_rows(ctx)])
     return Resolution(
         phi=phi,
         delta=cat.delta,
         bases=bases,
-        matrices=tuple(matrices),
+        matrices=tuple(_lift(ctx, skel, cof) for skel, cof in zip(canonical_skeleton(d, n), cofactors)),
         twists=twist_list(d, n),
     )
 
@@ -496,8 +456,8 @@ def build_resolution(phi: InverseSystem, ordering: str = "selfdual") -> Resoluti
 def build_resolution_via_straightening(phi: InverseSystem) -> Resolution:
     """Build the resolution through elementary generators and straightening.
 
-    Independent of build_resolution for the interior differentials; the two
-    must agree matrix-for-matrix.
+    Independent of build_resolution for the interior cofactors C_r, the only
+    part in which the two routes differ; they must agree matrix-for-matrix.
     """
     return _build(phi, br_column_alt)
 
@@ -510,7 +470,7 @@ def canonical_skeleton(d: int, n: int) -> tuple[PolyMatrix, ...]:
     the two Koszul strands on x2..xd are written: the monomial strand L on
     the Y elements and the dual strand K on the X elements, with no entry
     between the two kinds.  Built in the self-dual bases of every resolution;
-    a built skeleton equals delta times these matrices.
+    _build lifts these matrices to the differentials.
     """
     bases = [duality_basis(d, n, r) for r in range(d + 1)]
     out = []

@@ -83,7 +83,7 @@ import numpy as np
 from .differentials import Resolution, canonical_skeleton
 from .hookbasis import BasisElement, OrderedBasis, pp_dual_element, skeleton_kos_blocks
 from .invsys import InverseSystem, ann_degree, hilbert_function, integer_coeffs
-from .monomials import monomials_of_degree, mul
+from .monomials import monomials_of_degree
 from .polymatrix import PolyMatrix, denominator_lcm, pack
 from .polynomials import Poly, clear_denominators, exact, poly_str
 
@@ -476,18 +476,23 @@ class Session:
         monomials q of degree 2n-2-deg(m).  Each column is cleared by the lcm
         of its denominators and phi by integer_coeffs; that scales the
         contraction by a nonzero integer, so the test is made in ints
-        (invsys.contract_poly is the rational reference).
+        (invsys.contract_poly is the rational reference).  Monomials are
+        packed in base top + 1, above every exponent of m, q and m*q, so each
+        product m*q is one int addition.
         """
         d, top = self.res.d, self.phi.socle_degree
-        _, t = integer_coeffs(self.phi)
-        quotients = [monomials_of_degree(d, k) for k in range(top + 1)]
+        base = top + 1
+        t = {pack(m, base): v for m, v in integer_coeffs(self.phi)[1].items()}
+        quotients = [[pack(q, base) for q in monomials_of_degree(d, k)] for k in range(top + 1)]
         for j, g in enumerate(self.res.matrix(1).entries[0]):
-            out: dict[tuple[int, ...], int] = {}
+            out: dict[int, int] = {}
             for m, c in zip(g.terms, clear_denominators(g.terms.values())[1]):
-                for q in quotients[top - sum(m)] if sum(m) <= top else ():
-                    v = t.get(mul(m, q))
-                    if v:
-                        out[q] = out.get(q, 0) + c * v
+                if sum(m) <= top:
+                    km = pack(m, base)
+                    for kq in quotients[top - sum(m)]:
+                        v = t.get(km + kq)
+                        if v:
+                            out[kq] = out.get(kq, 0) + c * v
             if any(out.values()):
                 return j
         return None

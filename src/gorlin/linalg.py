@@ -6,7 +6,7 @@ kernel_basis) clear the denominators and run one integer fraction-free
 (Bareiss) elimination, _eliminate, in which every intermediate entry is a
 minor of the cleared matrix, so each division is exact and no Fraction is
 formed.  On an integer matrix the determinant and adjugate are ints; rref
-forms a Fraction only when it divides a row by its pivot at the end.
+forms a Fraction only when it divides a row by the last pivot at the end.
 """
 
 from __future__ import annotations
@@ -60,14 +60,16 @@ def _eliminate(a: list[list[int]], width: int, jordan: bool = False) -> tuple[li
     when jordan) becomes (p * x - x[c] * y) / prev for the previous pivot
     prev.  Its entries are minors of the input, so the division is exact
     (Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-    elimination", Math. Comp. 22, 1968).  Without jordan only columns c
-    onward are updated: no later step reads the columns to the left.  With
-    jordan whole rows are updated, so every pivot row ends with the last
-    pivot in its pivot column and the rows stay a multiple of the reduced
-    form.
+    elimination", Math. Comp. 22, 1968).  Only columns c onward are updated,
+    and with jordan also the non-pivot columns left of c: a pivot column
+    left of c is zero off its pivot row, and no caller reads its pivot
+    entry.  Without jordan no later step reads the columns to the left.
+    With jordan the rows stay, off the pivot entries, the last pivot times
+    the reduced form.
     """
     nrows = len(a)
     pivots: list[int] = []
+    free: list[int] = []
     sign, prev = 1, 1
     for c in range(width):
         r = len(pivots)
@@ -75,16 +77,19 @@ def _eliminate(a: list[list[int]], width: int, jordan: bool = False) -> tuple[li
             break
         pr = next((i for i in range(r, nrows) if a[i][c]), None)
         if pr is None:
+            free.append(c)
             continue
         if pr != r:
             a[r], a[pr] = a[pr], a[r]
             sign = -sign
-        start = 0 if jordan else c
-        row, p = a[r][start:], a[r][c]
+        row, p = a[r][c:], a[r][c]
+        lead = [(k, a[r][k]) for k in free] if jordan else []
         for i in range(0 if jordan else r + 1, nrows):
             if i != r:
                 ai, f = a[i], a[i][c]
-                ai[start:] = [(p * x - f * y) // prev for x, y in zip(ai[start:], row)]
+                for k, y in lead:
+                    ai[k] = (p * ai[k] - f * y) // prev
+                ai[c:] = [(p * x - f * y) // prev for x, y in zip(ai[c:], row)]
         pivots.append(c)
         prev = p
     return pivots, sign
@@ -95,11 +100,6 @@ def _cleared_square(m: Matrix) -> tuple[int, list[list[int]]]:
     n = len(m)
     scale, flat = clear_denominators(v for row in m for v in row)
     return scale, [flat[i * n:(i + 1) * n] for i in range(n)]
-
-
-def _over(x: int, q: int) -> int | Fraction:
-    """x / q, an int when q = 1."""
-    return x if q == 1 else Fraction(x, q)
 
 
 def rank(m: Matrix) -> int:
@@ -114,12 +114,17 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form (a new matrix) and the list of pivot columns.
 
     Each row is cleared of its denominators and _eliminate runs in
-    Gauss-Jordan mode; each pivot row is then divided by its pivot once.
-    The reduced form is unique, so it is the rational one.
+    Gauss-Jordan mode; each pivot row is then divided by the last pivot once
+    and its pivot entry written as 1.  The reduced form is unique, so it is
+    the rational one.
     """
     a = [clear_denominators(row)[1] for row in m]
     pivots, _ = _eliminate(a, len(a[0]) if a else 0, jordan=True)
-    return [[over(x, row[c]) for x in row] for row, c in zip(a, pivots)] + a[len(pivots):], pivots
+    last = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    for row, c in zip(a, pivots):
+        row[:] = [over(x, last) for x in row]
+        row[c] = 1
+    return a, pivots
 
 
 def kernel_basis(m: Matrix, ncols: int | None = None) -> list[Row]:
@@ -153,7 +158,7 @@ def det_bareiss(m: Matrix) -> int | Fraction:
         raise ValueError("determinant of a non-square matrix")
     scale, a = _cleared_square(m)
     pivots, sign = _eliminate(a, n)
-    return _over(sign * a[n - 1][n - 1], scale**n) if len(pivots) == n else 0
+    return over(sign * a[n - 1][n - 1], scale**n) if len(pivots) == n else 0
 
 
 def det_and_adjugate(m: Matrix) -> tuple[int | Fraction, Matrix | None]:
@@ -175,4 +180,4 @@ def det_and_adjugate(m: Matrix) -> tuple[int | Fraction, Matrix | None]:
         row.extend(int(i == j) for j in range(n))
     _, sign = _eliminate(a, n, jordan=True)
     q = scale ** (n - 1)
-    return d, [[_over(sign * v, q) for v in row[n:]] for row in a]
+    return d, [[over(sign * v, q) for v in row[n:]] for row in a]

@@ -8,6 +8,7 @@ from gorlin.differentials import (
     BuildContext,
     b1_column,
     bd_rows,
+    br_column_alt,
     br_column_X,
     br_column_Y,
     build_resolution,
@@ -16,7 +17,7 @@ from gorlin.differentials import (
     twist_list,
 )
 from gorlin.exactness import skeleton_block_failure
-from gorlin.hookbasis import BasisElement
+from gorlin.hookbasis import BasisElement, xd, y0
 from gorlin.invsys import (
     InadmissibleSystemError,
     InverseSystem,
@@ -24,11 +25,11 @@ from gorlin.invsys import (
     delta_and_Q,
     random_invsys,
 )
-from gorlin.monomials import mul_var
+from gorlin.monomials import mul_var, unit
 from gorlin.linalg import transpose
 from gorlin.polynomials import Poly, poly_str
 
-from conftest import GRID, grid_phi, grid_resolution, squares_phi, squares_resolution
+from conftest import GRID, grid_phi, grid_resolution, squares_resolution
 
 
 def test_b1_identity_catalecticant_columns():
@@ -132,17 +133,40 @@ def test_bd_transpose_of_b1_in_dual_bases():
 
 
 def test_bd_rows_vs_b1_on_identity_instance():
-    # the last-matrix entries are the first-matrix generators up to sign/order
-    def normalize(p):
-        lead = p.sorted_terms()[0][1]
-        return poly_str(p.scale(Fraction(1, lead)))
+    # the last matrix, lifted from the cofactors of bd_rows, is the first one transposed
+    res = squares_resolution(3)
+    assert transpose(res.matrix(1).entries) == res.matrix(3).entries
 
-    phi = squares_phi(3)
+
+ROUTES = {"closed": (build_resolution, lambda ctx, r, e: (br_column_X if e.kind == "X" else br_column_Y)(ctx, r, e)),
+          "straightening": (build_resolution_via_straightening, br_column_alt)}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("d,n", GRID)
+def test_matrices_are_the_lift_of_the_skeleton(d, n, route):
+    # b_r = delta * S_r + x1 * C_r, C_r constant inside and of degree n-1 at both ends
+    build, column = ROUTES[route]
+    phi = grid_phi(d, n)
+    res = build(phi)
     ctx = BuildContext(phi, delta_and_Q(phi))
-    # bd_rows gives int numerators over ctx.denom, which normalize divides out
-    got = {normalize(Poly(3, terms)) for terms in bd_rows(ctx).values()}
-    want = {normalize(p) for p in squares_resolution(3).matrix(1).entries[0]}
-    assert got == want
+    x1 = Poly.monomial(mul_var(unit(d), 1))
+    for r, skel in enumerate(canonical_skeleton(d, n), 1):
+        if r == 1:
+            cof = {(y0(d), e): b1_column(ctx, e) for _, e in res.bases[1]}
+        elif r == d:
+            cof = {(e, xd(d)): terms for e, terms in bd_rows(ctx).items()}
+        else:
+            cof = {(t, e): {unit(d): c} for _, e in res.bases[r] for t, c in column(ctx, r, e).items()}
+        cdeg = n - 1 if r in (1, d) else 0
+        mat = res.matrix(r)
+        for i, (rs, re) in enumerate(mat.rows):
+            for j, (cs, ce) in enumerate(mat.cols):
+                c = Poly(d, {m: Fraction(rs * cs * v, ctx.denom) for m, v in cof.get((re, ce), {}).items()})
+                assert all(sum(m) == cdeg for m in c.terms), (r, i, j)
+                rest = mat.entries[i][j] - skel.entries[i][j].scale(res.delta)
+                assert all(m[0] >= 1 and sum(m) == cdeg + 1 for m in rest.terms), (r, i, j)
+                assert rest == x1 * c, (r, i, j)
 
 
 def test_column_input_validation():

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from gorlin.differentials import _assemble
 from gorlin.hookbasis import (
     BasisElement,
     duality_basis,
@@ -168,14 +169,16 @@ def test_enumerate_counts_match_rank_formulas(d, n):
 
 
 def test_basis_element_validation():
-    with pytest.raises(ValueError):
-        BasisElement("X", 2, (3, 4), M(0, 0, 1, 1))  # least(m)=3 > gamma=1
-    with pytest.raises(ValueError):
-        BasisElement("Y", 2, (3, 4), M(0, 1, 0, 0))  # least(m)=2 < a1
-    with pytest.raises(ValueError):
-        BasisElement("X", 2, (3, 2), M(0, 2, 0, 0))  # unsorted index list
-    with pytest.raises(ValueError):
-        BasisElement("Y", 1, (2,), M(1, 1, 0, 0))  # x1 in the monomial
+    # a malformed element is not a basis element, so assembly refuses it as a target
+    for elt in [
+        BasisElement("X", 2, (3, 4), M(0, 0, 1, 1)),  # least(m)=3 > gamma=1
+        BasisElement("Y", 2, (3, 4), M(0, 1, 0, 0)),  # least(m)=2 < a1
+        BasisElement("X", 2, (3, 2), M(0, 2, 0, 0)),  # unsorted index list
+        BasisElement("Y", 1, (2,), M(1, 1, 0, 0)),  # x1 in the monomial
+    ]:
+        rows, cols = duality_basis(4, 2, elt.r), duality_basis(4, 2, elt.r + 1)
+        with pytest.raises(KeyError):
+            _assemble(rows, cols, [{elt: {M(0, 0, 0, 0): 1}}] + [{}] * (len(cols) - 1))
 
 
 def test_kos_blocks_compose_to_zero():
