@@ -10,11 +10,13 @@ enters only through the cofactor C_r of x1, a constant matrix for
 2 <= r <= d-1 and of degree n-1 for r = 1 and r = d.  _lift is the one place
 that multiplies by x1 and scales by delta.
 
-Two independent routes write the interior cofactors.  The production route
-writes each column of C_r directly in the standard basis elements using the
-closed-form coefficient sums in t and Q.  The alternative route applies the
-contraction formulas to elementary wedge generators and straightens the
-result with expand_eta / expand_kappa; it exists as a cross-check oracle.
+Two independent routes write the interior cofactors.  The production route,
+br_column, writes each column of C_r directly in the standard basis elements
+using the closed-form coefficient sums in t and Q; one writer serves the X
+and the Y generators, which differ only in two coefficient forms.  The
+alternative route applies the contraction formulas to elementary wedge
+generators and straightens the result with expand_eta / expand_kappa; it
+exists as a cross-check oracle.
 The routes share S_r, b_1 and b_d and differ only in the interior C_r.  All
 matrices are written in one basis family, the self-dual bases of
 hookbasis.duality_basis, in which the pairing between complementary
@@ -149,14 +151,41 @@ def b1_column(ctx: BuildContext, elt: BasisElement) -> Terms:
     return ctx.y_correction(mul_var(elt.m, elt.a[0]))
 
 
-def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, int]:
-    """Column of the interior cofactor C_r on an X generator, in the standard basis."""
-    if not 2 <= r <= ctx.d - 1 or elt.kind != "X" or elt.r != r:
-        raise ValueError(f"invalid X generator for degree {r}: {elt}")
+def br_column(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, int]:
+    """Column of the interior cofactor C_r on an X or Y generator, in the standard basis.
+
+    The two kinds share every block and differ only in the coefficient forms
+    of the X targets, eta(s, u), and of the Y targets, kappa(u, s):
+
+      X generator:  eta(s, u) = [x_s | m] tq(u, m/x_s),  kappa(u, s) = [x_s | m] Q(u, m/x_s);
+      Y generator:  eta(s, u) = -W(m*x_s, u),            kappa(u, s) = -tq(m*x_s, u).
+
+    The first Y block is empty on an X generator, whose index list starts
+    with a_1 = 2.
+    """
+    if not 2 <= r <= ctx.d - 1 or elt.r != r:
+        raise ValueError(f"invalid generator for degree {r}: {elt}")
     d = ctx.d
     a, m = elt.a, elt.m
     g = gamma_of(a)
+    a1, a2 = a[0], a[1]
     out: dict[BasisElement, int] = {}
+    if elt.kind == "X":
+        quot = {s: div_var(m, s) for s in range(2, d + 1) if var_divides(s, m)}
+
+        def eta(s: int, u: Mono) -> int:
+            return ctx.tq(u, quot[s]) if s in quot else 0
+
+        def kappa(u: Mono, s: int) -> int:
+            return ctx.Q(u, quot[s]) if s in quot else 0
+    else:
+        prod = {s: mul_var(m, s) for s in range(2, d + 1)}
+
+        def eta(s: int, u: Mono) -> int:
+            return -ctx.W(prod[s], u)
+
+        def kappa(u: Mono, s: int) -> int:
+            return -ctx.tq(prod[s], u)
 
     # X targets
     for ell in range(2, g + 1):
@@ -164,92 +193,18 @@ def br_column_X(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
             ak = a[k - 1]
             rest = a[:k - 1] + a[k:]
             for m2 in monomials_of_degree(d, ctx.n - 1, low_var=ell):
-                c = 0
-                if var_divides(ak, m):
-                    c += ctx.tq(mul_var(m2, ell), div_var(m, ak))
-                if var_divides(ell, m):
-                    c -= ctx.tq(mul_var(m2, ak), div_var(m, ell))
+                u = mul_var(m2, ell)
+                c = eta(ak, u) - eta(ell, mul_var(m2, ak))
                 if c:
-                    target = BasisElement("X", r - 1, rest, mul_var(m2, ell))
-                    _add(out, target, (-1) ** k * c)
+                    _add(out, BasisElement("X", r - 1, rest, u), (-1) ** k * c)
     for j in range(g, r + 1):
         for k in range(j + 1, r + 1):
             aj, ak = a[j - 1], a[k - 1]
-            prefix = a[:g - 1] + (g + 1,)
-            rest = prefix + tuple(x for x in a[g - 1:] if x != aj and x != ak)
+            rest = a[:g - 1] + (g + 1,) + tuple(x for x in a[g - 1:] if x != aj and x != ak)
             for m2 in monomials_of_degree(d, ctx.n - 1, low_var=g + 1):
-                c = 0
-                if var_divides(ak, m):
-                    c += ctx.tq(mul_var(m2, aj), div_var(m, ak))
-                if var_divides(aj, m):
-                    c -= ctx.tq(mul_var(m2, ak), div_var(m, aj))
+                c = eta(ak, mul_var(m2, aj)) - eta(aj, mul_var(m2, ak))
                 if c:
-                    target = BasisElement("X", r - 1, rest, mul_var(m2, g + 1))
-                    _add(out, target, (-1) ** (g + j + k) * c)
-
-    # Y targets
-    a1 = elt.a[0]
-    x_a1_divides_m = var_divides(a1, m)
-    for k in range(2, r + 1):
-        ak = a[k - 1]
-        rest = a[:k - 1] + a[k:]
-        for m1 in monomials_of_degree(d, ctx.n - 1, low_var=a1):
-            c = 0
-            if var_divides(ak, m):
-                c += ctx.Q(m1, div_var(m, ak))
-            if var_divides(ak, m1) and x_a1_divides_m:
-                c -= ctx.Q(div_var(mul_var(m1, a1), ak), div_var(m, a1))
-            if c:
-                _add(out, BasisElement("Y", r - 1, rest, m1), (-1) ** k * c)
-    if x_a1_divides_m:
-        m_div_a1 = div_var(m, a1)
-        for ell in range(a1 + 1, a[1]):
-            for k in range(2, r + 1):
-                ak = a[k - 1]
-                rest = (ell,) + a[1:k - 1] + a[k:]
-                for m1 in monomials_of_degree(d, ctx.n - 1, low_var=ell):
-                    if not var_divides(ak, m1):
-                        continue
-                    c = ctx.Q(div_var(mul_var(m1, ell), ak), m_div_a1)
-                    if c:
-                        _add(out, BasisElement("Y", r - 1, rest, m1), (-1) ** (k + 1) * c)
-        for m1 in monomials_of_degree(d, ctx.n - 1, low_var=a[1]):
-            c = ctx.Q(m1, m_div_a1)
-            if c:
-                _add(out, BasisElement("Y", r - 1, a[1:], m1), -c)
-    return out
-
-
-def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, int]:
-    """Column of the interior cofactor C_r on a Y generator, in the standard basis."""
-    if not 2 <= r <= ctx.d - 1 or elt.kind != "Y" or elt.r != r:
-        raise ValueError(f"invalid Y generator for degree {r}: {elt}")
-    d = ctx.d
-    a, m = elt.a, elt.m
-    g = gamma_of(a)
-    a1, a2 = a[0], a[1]
-    out: dict[BasisElement, int] = {}
-
-    # X targets
-    for ell in range(2, g + 1):
-        for k in range(ell, r + 1):
-            ak = a[k - 1]
-            rest = a[:k - 1] + a[k:]
-            for m3 in monomials_of_degree(d, ctx.n - 1, low_var=ell):
-                c = ctx.W(mul_var(m, ell), mul_var(m3, ak)) - ctx.W(mul_var(m, ak), mul_var(m3, ell))
-                if c:
-                    target = BasisElement("X", r - 1, rest, mul_var(m3, ell))
-                    _add(out, target, (-1) ** k * c)
-    for j in range(g, r + 1):
-        for k in range(j + 1, r + 1):
-            aj, ak = a[j - 1], a[k - 1]
-            prefix = a[:g - 1] + (g + 1,)
-            rest = prefix + tuple(x for x in a[g - 1:] if x != aj and x != ak)
-            for m3 in monomials_of_degree(d, ctx.n - 1, low_var=g + 1):
-                c = ctx.W(mul_var(m, aj), mul_var(m3, ak)) - ctx.W(mul_var(m, ak), mul_var(m3, aj))
-                if c:
-                    target = BasisElement("X", r - 1, rest, mul_var(m3, g + 1))
-                    _add(out, target, (-1) ** (j + g + k) * c)
+                    _add(out, BasisElement("X", r - 1, rest, mul_var(m2, g + 1)), (-1) ** (g + j + k) * c)
 
     # Y targets
     for ell in range(2, a1):
@@ -259,20 +214,19 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
                 rest = (ell,) + tuple(x for x in a if x != aj and x != ak)
                 for m1 in monomials_of_degree(d, ctx.n - 1, low_var=ell):
                     c = 0
-                    if var_divides(aj, m1):
-                        c += ctx.tq(mul_var(m, ak), div_var(mul_var(m1, ell), aj))
                     if var_divides(ak, m1):
-                        c -= ctx.tq(mul_var(m, aj), div_var(mul_var(m1, ell), ak))
+                        c += kappa(div_var(mul_var(m1, ell), ak), aj)
+                    if var_divides(aj, m1):
+                        c -= kappa(div_var(mul_var(m1, ell), aj), ak)
                     if c:
-                        _add(out, BasisElement("Y", r - 1, rest, m1), (-1) ** (k + j) * c)
+                        _add(out, BasisElement("Y", r - 1, rest, m1), (-1) ** (j + k) * c)
     for k in range(2, r + 1):
         ak = a[k - 1]
         rest = a[:k - 1] + a[k:]
         for m1 in monomials_of_degree(d, ctx.n - 1, low_var=a1):
-            c = 0
+            c = kappa(m1, ak)
             if var_divides(ak, m1):
-                c += ctx.tq(mul_var(m, a1), div_var(mul_var(m1, a1), ak))
-            c -= ctx.tq(mul_var(m, ak), m1)
+                c -= kappa(div_var(mul_var(m1, a1), ak), a1)
             if c:
                 _add(out, BasisElement("Y", r - 1, rest, m1), (-1) ** k * c)
     for ell in range(a1 + 1, a2):
@@ -280,15 +234,10 @@ def br_column_Y(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEleme
             ak = a[k - 1]
             rest = (ell,) + a[1:k - 1] + a[k:]
             for m1 in monomials_of_degree(d, ctx.n - 1, low_var=ell):
-                if not var_divides(ak, m1):
-                    continue
-                c = ctx.tq(mul_var(m, a1), div_var(mul_var(m1, ell), ak))
-                if c:
-                    _add(out, BasisElement("Y", r - 1, rest, m1), (-1) ** k * c)
+                if var_divides(ak, m1) and (c := kappa(div_var(mul_var(m1, ell), ak), a1)):
+                    _add(out, BasisElement("Y", r - 1, rest, m1), (-1) ** (k + 1) * c)
     for m1 in monomials_of_degree(d, ctx.n - 1, low_var=a2):
-        c = ctx.tq(mul_var(m, a1), m1)
-        if c:
-            _add(out, BasisElement("Y", r - 1, a[1:], m1), c)
+        _add(out, BasisElement("Y", r - 1, a[1:], m1), -kappa(m1, a1))
     return out
 
 
@@ -439,10 +388,6 @@ def _build(phi: InverseSystem, column_fn) -> Resolution:
     )
 
 
-def _column_direct(ctx: BuildContext, r: int, elt: BasisElement):
-    return br_column_X(ctx, r, elt) if elt.kind == "X" else br_column_Y(ctx, r, elt)
-
-
 def build_resolution(phi: InverseSystem, ordering: str = "selfdual") -> Resolution:
     """Build the resolution with the closed-form column formulas, in the self-dual bases.
 
@@ -450,7 +395,7 @@ def build_resolution(phi: InverseSystem, ordering: str = "selfdual") -> Resoluti
     """
     if ordering != "selfdual":
         raise ValueError(f"unknown ordering {ordering!r}; the only basis family is 'selfdual'")
-    return _build(phi, _column_direct)
+    return _build(phi, br_column)
 
 
 def build_resolution_via_straightening(phi: InverseSystem) -> Resolution:

@@ -235,7 +235,7 @@ def strand_matrices(d: int, n: int) -> tuple[dict[int, PolyMatrix], dict[int, Po
     skeleton_kos_blocks, so the complex certified here is the one that the
     skeleton of every resolution is compared against.
     """
-    blocks = {r: skeleton_kos_blocks(d, n, r) for r in range(1, d + 1)}
+    blocks = {r: skeleton_kos_blocks(mat) for r, mat in enumerate(canonical_skeleton(d, n), 1)}
     return {r: blocks[r][1] for r in range(1, d)}, {r: blocks[r][0] for r in range(2, d + 1)}
 
 

@@ -201,18 +201,13 @@ def kos_expansion(elt: BasisElement) -> dict[BasisElement, Poly]:
     return {t: p for t, p in out.items() if not p.is_zero()}
 
 
-def skeleton_kos_blocks(d: int, n: int, r: int):
-    """(K block, L block) of the skeleton map out of position r, for 1 <= r <= d.
+def skeleton_kos_blocks(mat):
+    """(K block, L block) of one skeleton matrix: its X x X and Y x Y blocks.
 
-    The X x X and Y x Y blocks of differentials.canonical_skeleton(d, n), in
-    the self-dual bases and without the delta factor: the dual strand K and
-    the monomial strand L.  K is empty at r = 1 and L at r = d.
+    For the map out of position r of differentials.canonical_skeleton(d, n),
+    in the self-dual bases and without the delta factor, these are the dual
+    strand K and the monomial strand L.  K is empty at r = 1 and L at r = d.
     """
-    from .differentials import canonical_skeleton
-
-    if not 1 <= r <= d:
-        raise ValueError(f"r={r} out of range 1..{d}")
-    mat = canonical_skeleton(d, n)[r - 1]
     return mat.block("X"), mat.block("Y")
 
 

@@ -74,6 +74,8 @@ class InverseSystem:
             m = tuple(m)
             if len(m) != self.d or degree(m) != 2 * self.n - 2:
                 raise ValueError(f"coefficient key {m} is not a degree-{2 * self.n - 2} monomial in {self.d} variables")
+            if type(c) is not int and not isinstance(c, Fraction):
+                raise TypeError(f"coefficient of {m} must be an int or a Fraction, got {c!r}")
             c = Fraction(c)
             if c:
                 clean[m] = c

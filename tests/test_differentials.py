@@ -8,9 +8,8 @@ from gorlin.differentials import (
     BuildContext,
     b1_column,
     bd_rows,
+    br_column,
     br_column_alt,
-    br_column_X,
-    br_column_Y,
     build_resolution,
     build_resolution_via_straightening,
     canonical_skeleton,
@@ -29,7 +28,7 @@ from gorlin.monomials import mul_var, unit
 from gorlin.linalg import transpose
 from gorlin.polynomials import Poly, poly_str
 
-from conftest import GRID, grid_phi, grid_resolution, squares_resolution
+from conftest import EXTRA, GRID, extra_phi, grid_phi, grid_resolution, squares_resolution
 
 
 def test_b1_identity_catalecticant_columns():
@@ -65,13 +64,14 @@ def test_complex_property(d, n):
         assert all(p.is_zero() for row in prod for p in row), (d, n, r)
 
 
-@pytest.mark.parametrize("d,n", GRID)
-def test_dual_path_equality(d, n):
-    phi = grid_phi(d, n)
-    res = grid_resolution(d, n)
+@pytest.mark.parametrize("system", [f"{d}-{n}" for d, n in GRID] + list(EXTRA))
+def test_dual_path_equality(system):
+    # the large-rational EXTRA system has a nontrivial // scale in tq and W
+    phi = extra_phi(system) if system in EXTRA else grid_phi(*map(int, system.split("-")))
+    res = build_resolution(phi)
     alt = build_resolution_via_straightening(phi)
-    for r in range(1, d + 1):
-        assert res.matrix(r).same_entries(alt.matrix(r)), (d, n, r)
+    for r in range(1, phi.d + 1):
+        assert res.matrix(r).same_entries(alt.matrix(r)), (system, r)
 
 
 def test_shapes_and_twists():
@@ -138,7 +138,7 @@ def test_bd_rows_vs_b1_on_identity_instance():
     assert transpose(res.matrix(1).entries) == res.matrix(3).entries
 
 
-ROUTES = {"closed": (build_resolution, lambda ctx, r, e: (br_column_X if e.kind == "X" else br_column_Y)(ctx, r, e)),
+ROUTES = {"closed": (build_resolution, br_column),
           "straightening": (build_resolution_via_straightening, br_column_alt)}
 
 
@@ -174,12 +174,12 @@ def test_column_input_validation():
     ctx = BuildContext(phi, delta_and_Q(phi))
     xelt = BasisElement("X", 2, (2, 3), (0, 2, 0, 0))
     yelt = BasisElement("Y", 2, (2, 3), (0, 1, 0, 0))
-    with pytest.raises(ValueError):
-        br_column_X(ctx, 2, yelt)
-    with pytest.raises(ValueError):
-        br_column_Y(ctx, 2, xelt)
-    with pytest.raises(ValueError):
-        br_column_X(ctx, 3, xelt)
+    assert br_column(ctx, 2, xelt) and br_column(ctx, 2, yelt)
+    bad = [(3, xelt), (3, yelt),  # r is not the degree of the generator
+           (1, BasisElement("Y", 1, (2,), (0, 1, 0, 0))), (4, xd(4))]  # r outside 2..d-1
+    for r, elt in bad:
+        with pytest.raises(ValueError):
+            br_column(ctx, r, elt)
 
 
 def test_inadmissible_refused():

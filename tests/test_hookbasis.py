@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from gorlin.differentials import _assemble
+from gorlin.differentials import _assemble, canonical_skeleton
 from gorlin.hookbasis import (
     BasisElement,
     duality_basis,
@@ -184,8 +184,8 @@ def test_basis_element_validation():
 def test_kos_blocks_compose_to_zero():
     for d, n in [(4, 2), (5, 3)]:
         for r in range(2, d - 1):
-            k_hi, l_hi = skeleton_kos_blocks(d, n, r + 1)
-            k_lo, l_lo = skeleton_kos_blocks(d, n, r)
+            k_hi, l_hi = skeleton_kos_blocks(canonical_skeleton(d, n)[r])
+            k_lo, l_lo = skeleton_kos_blocks(canonical_skeleton(d, n)[r - 1])
             for lo, hi in [(k_lo, k_hi), (l_lo, l_hi)]:
                 prod = lo.mul(hi)
                 assert all(p.is_zero() for row in prod for p in row)
@@ -197,7 +197,7 @@ def test_kos_block_column_structure():
     # 2r-1 entries (not r: that bound only holds before straightening)
     for d, n in [(4, 2), (5, 3)]:
         for r in range(2, d):
-            for blk in skeleton_kos_blocks(d, n, r):
+            for blk in skeleton_kos_blocks(canonical_skeleton(d, n)[r - 1]):
                 for j in range(len(blk.cols)):
                     nz = [p for p in blk.column(j) if not p.is_zero()]
                     assert len(nz) <= 2 * r - 1

@@ -38,6 +38,11 @@ def test_construction_validation():
         InverseSystem(3, 2, {(1, 0, 0): Fraction(1)})
     phi = InverseSystem(3, 2, {(2, 0, 0): Fraction(0), (0, 2, 0): Fraction(1)})
     assert (2, 0, 0) not in phi.coeffs  # zeros dropped
+    # an inexact coefficient is refused, not rounded: 0.1 is not 1/10, and True is not 1
+    for bad in (0.1, True, False):
+        with pytest.raises(TypeError, match=r"\(2, 0, 0\)"):
+            InverseSystem(3, 2, {(2, 0, 0): bad})
+    assert InverseSystem(3, 2, {(2, 0, 0): 3}).t((2, 0, 0)) == 3
 
 
 def test_contract_examples():

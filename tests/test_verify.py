@@ -115,10 +115,14 @@ def test_check_betti_catches_quadratic_entry():
 
 
 def test_check_betti_catches_constant():
+    # a constant bump breaks the degree pattern, in a zero entry and in a nonzero one
     res = grid_resolution(3, 2)
-    bad = perturbed(res, r=1, i=0, j=0, bump=Poly.constant(3, 1))
-    out = check_betti_and_degrees(Session(bad, bad.phi))
-    assert not out.passed
+    zero = next((2, i, j) for i, row in enumerate(res.matrix(2).entries) for j, p in enumerate(row) if not p)
+    assert res.matrix(1).entries[0][0]
+    for r, i, j in (zero, (1, 0, 0)):
+        bad = perturbed(res, r=r, i=i, j=j, bump=Poly.constant(3, 1))
+        out = check_betti_and_degrees(Session(bad, bad.phi))
+        assert not out.passed and out.summary == "entry degree pattern broken", (r, i, j)
 
 
 def test_euler_identity_values():
