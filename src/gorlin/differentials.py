@@ -7,8 +7,7 @@ Every differential is the lift b_r = delta * S_r + x1 * C_r of its skeleton
 S_r = canonical_skeleton(d, n)[r - 1]: the Koszul strands on x2..xd, which
 depend on (d, n) alone and are written once, there.  The inverse system
 enters only through the cofactor C_r of x1, a constant matrix for
-2 <= r <= d-1 and of degree n-1 for r = 1 and r = d.  _lift is the one place
-that multiplies by x1 and scales by delta.
+2 <= r <= d-1 and of degree n-1 for r = 1 and r = d.
 
 Two independent routes write the interior cofactors.  The production route,
 br_column, writes each column of C_r directly in the standard basis elements
@@ -22,12 +21,17 @@ matrices are written in one basis family, the self-dual bases of
 hookbasis.duality_basis, in which the pairing between complementary
 positions is a signed permutation.
 
-The entries are polynomial in t, delta and Q, and both routes evaluate them
-in Python ints (BuildContext): every coefficient is an integer numerator
-over one power of the lcm L of phi's denominators.  _assemble divides it out
-when it writes the entry, so a coefficient is an int whenever it is
-integral (always, for phi with integer coefficients: L = 1) and a Fraction
-only otherwise.
+The entries are Z-linear in delta and in the coefficient sums Q, tq and W
+(BuildContext), and which sums meet in which entry depends on (d, n) alone.
+So the writers run once per (d, n) and route, on a PlanContext whose sums
+are formal keys: build_plan records every entry of every b_r as integer
+combinations of the keys, delta * S_r included.  A build fills one value
+per key from the numeric BuildContext and evaluates the plan (_evaluate).
+Every coefficient is an integer numerator over one power of the lcm L of
+phi's denominators; _evaluate divides it out when it writes the entry, so
+a coefficient is an int whenever it is integral (always, for phi with
+integer coefficients: L = 1) and a Fraction only otherwise.  A sum that is
+zero for this phi leaves no term.
 """
 
 from __future__ import annotations
@@ -60,7 +64,36 @@ from .polymatrix import PolyMatrix
 from .polynomials import Poly, over
 
 
-class BuildContext:
+class _Forms:
+    """The coefficient forms that the column writers read, over the Q and tq of a subclass.
+
+    q_row and y_correction are formed once per argument.
+    """
+
+    def __init__(self, d: int, n: int):
+        self.d = d
+        self.n = n
+        self.nm1_all = monomials_of_degree(d, n - 1)
+        self.nm2_all = monomials_of_degree(d, n - 2)
+        self._qrow: dict[Mono, dict] = {}
+        self._ycorr: dict[Mono, dict] = {}
+
+    def q_row(self, w: Mono) -> dict:
+        """sum over m1 of degree n-1 of Q[m1, w] * m1, a form of degree n-1."""
+        p = self._qrow.get(w)
+        if p is None:
+            p = self._qrow[w] = {m1: c for m1 in self.nm1_all if (c := self.Q(m1, w))}
+        return p
+
+    def y_correction(self, u: Mono) -> dict:
+        """minus the sum over m2 of degree n-1 of tq(u, m2) * m2 (the x1 cofactor of a socle column)."""
+        p = self._ycorr.get(u)
+        if p is None:
+            p = self._ycorr[u] = {m2: -c for m2 in self.nm1_all if (c := self.tq(u, m2))}
+        return p
+
+
+class BuildContext(_Forms):
     """Shared catalecticant data and memoized coefficient sums for one build, in integers.
 
     Every coefficient is carried as an int numerator over the one
@@ -69,25 +102,20 @@ class BuildContext:
     delta = det T' / L^N (invsys.Catalecticant), the numerators of Q and
     delta are L^2 adj T' and L det T', and each sum of t' times numerators
     over D, divided by L, is again a numerator over D.  The coefficient
-    itself is formed once, when _assemble writes the entry.
+    itself is formed once, when _evaluate writes the entry.
     """
 
     def __init__(self, phi: InverseSystem, cat: Catalecticant):
-        self.d = phi.d
-        self.n = phi.n
+        super().__init__(phi.d, phi.n)
         self.scale, self.t = integer_coeffs(phi)
         self.index = cat.index
         self.denom = self.scale ** (len(cat.monos) + 1)
         self.delta = self.scale * cat.det
         self.q = [[self.scale**2 * v for v in row] for row in cat.adj]
-        self.nm1_all = monomials_of_degree(phi.d, phi.n - 1)
-        self.nm2_all = monomials_of_degree(phi.d, phi.n - 2)
         self._x1_nm2 = [cat.index[mul_var(m2, 1)] for m2 in self.nm2_all]
         self._t_row: dict[Mono, list[int]] = {}
         self._tq: dict[tuple[Mono, Mono], int] = {}
         self._w: dict[tuple[Mono, Mono], int] = {}
-        self._qrow: dict[Mono, dict[Mono, int]] = {}
-        self._ycorr: dict[Mono, dict[Mono, int]] = {}
 
     def Q(self, m1: Mono, m2: Mono) -> int:
         return self.q[self.index[m1]][self.index[m2]]
@@ -120,19 +148,91 @@ class BuildContext:
             self._w[(v, u)] = val
         return val
 
-    def q_row(self, w: Mono) -> dict[Mono, int]:
-        """sum over m1 of degree n-1 of Q[m1, w] * m1, a form of degree n-1."""
-        p = self._qrow.get(w)
-        if p is None:
-            p = self._qrow[w] = {m1: c for m1 in self.nm1_all if (c := self.Q(m1, w))}
-        return p
 
-    def y_correction(self, u: Mono) -> dict[Mono, int]:
-        """minus the sum over m2 of degree n-1 of tq(u, m2) * m2 (the x1 cofactor of a socle column)."""
-        p = self._ycorr.get(u)
-        if p is None:
-            p = self._ycorr[u] = {m2: -c for m2 in self.nm1_all if (c := self.tq(u, m2))}
-        return p
+class Lin:
+    """A formal Z-linear combination of coefficient keys: key index -> nonzero int.
+
+    It supports what the column writers do with a coefficient: sums and
+    differences (with each other and with the int 0), negation, int
+    multiples and the zero test.  A Lin is never changed after it is made.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[int, int]):
+        self.terms = terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def _combine(self, other, sign: int):
+        if type(other) is not Lin:
+            return self if other == 0 else NotImplemented
+        out = self.terms.copy()
+        for k, c in other.terms.items():
+            v = out.get(k, 0) + sign * c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        return Lin(out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __rsub__(self, other):
+        return -self if other == 0 else NotImplemented
+
+    def __neg__(self) -> "Lin":
+        return Lin({k: -v for k, v in self.terms.items()})
+
+    def __mul__(self, c):
+        if type(c) is not int:
+            return NotImplemented
+        if c == 1:
+            return self
+        return Lin({k: c * v for k, v in self.terms.items()} if c else {})
+
+    __rmul__ = __mul__
+
+
+# the key index of delta in every plan; the coefficient sums follow it
+DELTA = 0
+
+
+class PlanContext(_Forms):
+    """The coefficient sums of a BuildContext as formal keys, for recording a plan.
+
+    Q, tq and W return a Lin leaf on the key (name, u, v), interned in keys
+    from index 1 on.  Q and W are symmetric, so their two arguments are
+    keyed in sorted order.
+    """
+
+    def __init__(self, d: int, n: int):
+        super().__init__(d, n)
+        self.keys: list[tuple[str, Mono, Mono]] = []
+        self._leaves: dict[tuple[str, Mono, Mono], Lin] = {}
+
+    def _leaf(self, key: tuple[str, Mono, Mono]) -> Lin:
+        leaf = self._leaves.get(key)
+        if leaf is None:
+            self.keys.append(key)
+            leaf = self._leaves[key] = Lin({len(self.keys): 1})
+        return leaf
+
+    def Q(self, m1: Mono, m2: Mono) -> Lin:
+        return self._leaf(("Q", m1, m2) if m1 <= m2 else ("Q", m2, m1))
+
+    def tq(self, u: Mono, w: Mono) -> Lin:
+        return self._leaf(("tq", u, w))
+
+    def W(self, u: Mono, v: Mono) -> Lin:
+        return self._leaf(("W", u, v) if u <= v else ("W", v, u))
 
 
 Terms = dict[Mono, int]
@@ -335,12 +435,11 @@ def twist_list(d: int, n: int) -> tuple[int, ...]:
     return (0,) + tuple(n + r - 1 for r in range(1, d)) + (2 * n + d - 2,)
 
 
-def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions, denom: int = 1) -> PolyMatrix:
+def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions) -> PolyMatrix:
     """The matrix whose column j is expansions[j], signed by the bases.
 
-    expansions[j] maps a target element to the int numerators, over denom,
-    of the entry's terms; a coefficient that denom divides is written as the
-    int quotient, any other as a Fraction.
+    expansions[j] maps a target element to the int coefficients of the
+    entry's terms.  A target outside the row basis is a KeyError.
     """
     d = rows.d
     pos = rows.position()
@@ -349,41 +448,105 @@ def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions, denom: int = 1
         for target, terms in expansions[j].items():
             i, rsign = pos[target]
             s = csign * rsign
-            entries[i][j] = Poly(d, {m: over(s * c, denom) for m, c in terms.items() if c})
+            entries[i][j] = Poly(d, {m: s * c for m, c in terms.items()})
     return PolyMatrix(rows=rows, cols=cols, entries=entries)
 
 
-def _lift(ctx: BuildContext, skel: PolyMatrix, cofactors) -> PolyMatrix:
-    """delta * skel + x1 * C, C the matrix whose column j is cofactors[j], signed by the bases.
+Cell = tuple[int, int, list[tuple[Mono, list[tuple[int, int]]]]]
 
-    cofactors[j] maps a target element to the int numerators, over ctx.denom,
-    of its entry of C.  No term of skel has x1 and every term of x1 * C has,
-    so the two parts share no monomial.
+
+@dataclass(frozen=True)
+class Plan:
+    """The entries of every b_r of one (d, n) and route, as integer combinations of keys.
+
+    keys[k - 1] is the key (name, u, v) whose value is ctx.name(u, v) on a
+    BuildContext; key index DELTA stands for ctx.delta.  cells[r - 1] lists
+    the nonzero entries (i, j, terms) of b_r, each term a monomial with its
+    (coefficient, key index) pairs.
     """
-    # (m[0] + 1,) + m[1:] is x1 * m
-    cols = [{t: {(m[0] + 1,) + m[1:]: c for m, c in cof.items()} for t, cof in col.items()} for col in cofactors]
-    for (rsign, target), row in zip(skel.rows, skel.entries):
-        for (csign, _), col, p in zip(skel.cols, cols, row):
+
+    keys: tuple[tuple[str, Mono, Mono], ...]
+    cells: tuple[tuple[Cell, ...], ...]
+
+
+def _record(skel: PolyMatrix, cofactors) -> tuple[Cell, ...]:
+    """The cells of delta * skel + x1 * C, C the matrix whose column j is cofactors[j].
+
+    cofactors[j] maps a target element to its entry of C, monomial -> Lin,
+    and is signed by the bases; skel is signed already.  A target outside
+    the row basis is a KeyError.  No term of skel has x1 and every term of
+    x1 * C has, so the two parts share no monomial.
+    """
+    pos = skel.rows.position()
+    cells: dict[tuple[int, int], list] = {}
+    for j, ((csign, _), col) in enumerate(zip(skel.cols, cofactors)):
+        for target, cof in col.items():
+            i, rsign = pos[target]
+            s = csign * rsign
+            # (m[0] + 1,) + m[1:] is x1 * m
+            terms = [((m[0] + 1,) + m[1:], [(s * c, k) for k, c in lin.terms.items()])
+                     for m, lin in cof.items() if lin]
+            if terms:
+                cells[i, j] = terms
+    for i, row in enumerate(skel.entries):
+        for j, p in enumerate(row):
             if p:
-                col.setdefault(target, {}).update((m, rsign * csign * ctx.delta * c) for m, c in p.terms.items())
-    return _assemble(skel.rows, skel.cols, cols, ctx.denom)
+                cells.setdefault((i, j), []).extend((m, [(c, DELTA)]) for m, c in p.terms.items())
+    return tuple((i, j, terms) for (i, j), terms in cells.items())
 
 
-def _build(phi: InverseSystem, column_fn) -> Resolution:
-    cat = delta_and_Q(phi)
-    ctx = BuildContext(phi, cat)
-    d, n = phi.d, phi.n
-    bases = tuple(duality_basis(d, n, r) for r in range(d + 1))
+@lru_cache(maxsize=None)
+def build_plan(d: int, n: int, column_fn) -> Plan:
+    """The plan of every b_r at (d, n), with column_fn writing the interior cofactors.
+
+    b1_column, column_fn and bd_rows run once, on a PlanContext; the plan is
+    then evaluated for each inverse system (_evaluate).
+    """
+    ctx = PlanContext(d, n)
+    bases = [duality_basis(d, n, r) for r in range(d + 1)]
     one = unit(d)
     cofactors = [[{y0(d): b1_column(ctx, e)} for _, e in bases[1]]]
     for r in range(2, d):
         cofactors.append([{t: {one: c} for t, c in column_fn(ctx, r, e).items()} for _, e in bases[r]])
     cofactors.append([bd_rows(ctx)])
+    cells = tuple(_record(skel, cof) for skel, cof in zip(canonical_skeleton(d, n), cofactors))
+    return Plan(tuple(ctx.keys), cells)
+
+
+def _evaluate(plan: Plan, ctx: BuildContext, bases: tuple[OrderedBasis, ...]) -> tuple[PolyMatrix, ...]:
+    """The matrices of the plan for the inverse system of ctx, in the bases it was recorded in.
+
+    Each key is evaluated once; a term whose numerator is zero is dropped,
+    and a nonzero numerator is divided by ctx.denom (polynomials.over).
+    """
+    values = [ctx.delta] + [getattr(ctx, name)(u, v) for name, u, v in plan.keys]
+    d, denom = ctx.d, ctx.denom
+    out = []
+    for r, cells in enumerate(plan.cells, 1):
+        rows, cols = bases[r - 1], bases[r]
+        entries = [[Poly(d) for _ in range(len(cols))] for _ in range(len(rows))]
+        for i, j, terms in cells:
+            poly = entries[i][j].terms
+            for m, lin in terms:
+                num = 0
+                for c, k in lin:
+                    num += c * values[k]
+                if num:
+                    # over gives an int when it is integral, as Poly stores it
+                    poly[m] = over(num, denom)
+        out.append(PolyMatrix(rows=rows, cols=cols, entries=entries))
+    return tuple(out)
+
+
+def _build(phi: InverseSystem, column_fn) -> Resolution:
+    cat = delta_and_Q(phi)
+    d, n = phi.d, phi.n
+    bases = tuple(duality_basis(d, n, r) for r in range(d + 1))
     return Resolution(
         phi=phi,
         delta=cat.delta,
         bases=bases,
-        matrices=tuple(_lift(ctx, skel, cof) for skel, cof in zip(canonical_skeleton(d, n), cofactors)),
+        matrices=_evaluate(build_plan(d, n, column_fn), BuildContext(phi, cat), bases),
         twists=twist_list(d, n),
     )
 

@@ -13,7 +13,8 @@ h1k of the dual skeleton strand over d-1 variables.  The skeleton depends
 only on (d, n): differentials.canonical_skeleton(d, n) writes it once, its
 two diagonal blocks are the strands that strand_certificate certifies (once
 per (d, n)), and skeleton_block_failure compares the skeleton of each
-resolution with delta times the same matrices.
+resolution, the terms free of x1 in the one-pass split x1_split, with delta
+times the same matrices.
 
 The monomial strand L must resolve R/m^n, for R = k[x2..xd] and m its
 maximal ideal.  It is certified in every degree through its fine grading
@@ -65,9 +66,18 @@ and every check that needs a fact reads it there.  The complex property
 rests on the self-duality: the pairing rule
 b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} (duality_failure) mirrors product
 d - r onto product r, so once the rule holds only the products with
-r <= d // 2 are multiplied out.  On a system with integer coefficients
-every entry of B is an int polynomial, and these facts are proved without
-Fraction arithmetic.
+r <= d // 2 are considered.  Of those, an interior product
+(2 <= r, r + 1 <= d - 1) is read off the x1-split of its two matrices: once
+the skeleton holds and every term with x1 is a multiple of x1 itself,
+b_r = delta S_r + x1 C_r with C_r constant, and
+    b_r b_{r+1} = delta^2 S_r S_{r+1} + delta x1 (S_r C_{r+1} + C_r S_{r+1})
+                  + x1^2 C_r C_{r+1},
+three parts with disjoint monomials.  S_r S_{r+1} = 0 is proved once per
+(d, n) (skeleton_product_failure), and the two other parts are checked in
+constants; only the products at the ends, and an interior one whose split
+does not vanish, are multiplied out.  On a system with integer
+coefficients every entry of B is an int polynomial, and these facts are
+proved without Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -76,16 +86,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import numpy as np
 
 from .differentials import Resolution, canonical_skeleton
 from .hookbasis import BasisElement, OrderedBasis, pp_dual_element, skeleton_kos_blocks
 from .invsys import InverseSystem, ann_degree, hilbert_function, integer_coeffs
-from .monomials import monomials_of_degree
+from .monomials import Mono, monomials_of_degree
 from .polymatrix import PolyMatrix, denominator_lcm, pack
-from .polynomials import Poly, clear_denominators, exact, poly_str
+from .polynomials import Poly, Scalar, clear_denominators, exact, poly_str
 
 PRIMES = (65521, 65519, 65497, 65479, 65449)
 
@@ -226,6 +236,97 @@ def first_nonzero_product(mats: dict[int, PolyMatrix]) -> tuple[int, int, int, P
                     if not p.is_zero():
                         return r, i, j, p
     return None
+
+
+@lru_cache(maxsize=None)
+def skeleton_product_failure(d: int, n: int) -> tuple[int, int, int, Poly] | None:
+    """first_nonzero_product on the interior maps of canonical_skeleton(d, n).
+
+    None when S_r S_{r+1} = 0 for 2 <= r <= d-2, the products that
+    Session.complex_failure reads off the x1-split.
+    """
+    return first_nonzero_product({r: canonical_skeleton(d, n)[r - 1] for r in range(2, d)})
+
+
+@lru_cache(maxsize=None)
+def _skeleton_rows(d: int, n: int) -> tuple[list[dict[int, dict]], ...]:
+    """canonical_skeleton(d, n) by map and row: column -> the terms of each nonzero entry."""
+    return tuple([{j: p.terms for j, p in enumerate(row) if p.terms} for row in mat.entries]
+                 for mat in canonical_skeleton(d, n))
+
+
+Split = tuple[list[dict[int, dict]], list[dict[int, Scalar]] | None]
+
+
+def x1_split(mat: PolyMatrix) -> Split:
+    """One pass over the terms of mat: (x1-free terms, x1 cofactor) by row.
+
+    free[i] maps a column j to the terms free of x1 of entry (i, j), for the
+    entries that have any.  cof[i] maps j to c when the terms of entry
+    (i, j) that have x1 are c * x1; cof is None when some term with x1 is
+    not a multiple of x1 itself, as at both ends of B.
+    """
+    x1 = (1,) + (0,) * (mat.d - 1)
+    free: list[dict[int, dict]] = []
+    cof: list[dict[int, Scalar]] | None = []
+    for row in mat.entries:
+        frow: dict[int, dict] = {}
+        crow: dict[int, Scalar] = {}
+        for j, p in enumerate(row):
+            if p.terms:
+                for m, c in p.terms.items():
+                    if not m[0]:
+                        frow.setdefault(j, {})[m] = c
+                    elif m == x1:
+                        crow[j] = c
+                    else:
+                        cof = None
+        free.append(frow)
+        if cof is not None:
+            cof.append(crow)
+    return free, cof
+
+
+def _split_product_vanishes(s_rows, c_rows, s_next, c_next, ncols: int) -> bool:
+    """Whether S_r C_{r+1} + C_r S_{r+1} = 0 and C_r C_{r+1} = 0.
+
+    s_rows, s_next are skeleton maps as from _skeleton_rows, with int
+    coefficients on monomials free of x1; c_rows, c_next are constant
+    matrices as the x1 cofactors of x1_split, and ncols is the number of
+    columns of C_{r+1}.  Both C are cleared by one common denominator, which
+    scales the two products by nonzero integers.
+
+    Row i of S_r C_{r+1} + C_r S_{r+1} is summed in a dict, the coefficient
+    of the k-th skeleton monomial at column j under the key k * ncols + j.
+    Row i of C_r C_{r+1}, which is dense, is one int: row k of C_{r+1} is
+    packed with entry j in bits [w j, w j + w), where 2^(w-1) exceeds every
+    sum that an entry of the product can reach, and a sum of c_j 2^(w j)
+    with |c_j| < 2^(w-1) is zero only when every c_j is.
+    """
+    scale = lcm(*(c.denominator for row in (*c_rows, *c_next) for c in row.values()))
+    if scale != 1:
+        c_rows, c_next = ([{j: int(c * scale) for j, c in row.items()} for row in rows] for rows in (c_rows, c_next))
+    top = max([1, *(abs(c) for row in (*c_rows, *c_next) for c in row.values())])
+    w = (len(c_next) * top * top).bit_length() + 1
+    packed = [sum(c << (w * j) for j, c in row.items()) for row in c_next]
+    slots: dict[Mono, int] = {}
+    firsts = [[(c_next[k], ncols * slots.setdefault(m, len(slots)), v) for k, terms in row.items()
+               for m, v in terms.items()] for row in s_rows]
+    seconds = [[(ncols * slots.setdefault(m, len(slots)) + j, v) for j, terms in row.items()
+                for m, v in terms.items()] for row in s_next]
+    for first, crow in zip(firsts, c_rows):
+        quad = 0
+        lin: dict[int, int] = {}
+        for row, base, v in first:
+            for j, c in row.items():
+                lin[base + j] = lin.get(base + j, 0) + v * c
+        for k, c in crow.items():
+            quad += c * packed[k]
+            for key, v in seconds[k]:
+                lin[key] = lin.get(key, 0) + c * v
+        if quad or any(lin.values()):
+            return False
+    return True
 
 
 def strand_matrices(d: int, n: int) -> tuple[dict[int, PolyMatrix], dict[int, PolyMatrix]]:
@@ -443,16 +544,47 @@ class Session:
         Under the pairing rule, b_{d-r} b_{d-r+1} = -P_{r+1}^{-1} (b_r b_{r+1})^T P_{r-1}
         with P_k invertible, so product d - r vanishes exactly when product r
         does.  The nonzero products are then symmetric under r -> d - r and
-        the first lies at r <= d // 2, so only those are multiplied.
+        the first lies at r <= d // 2, so only those are considered.
+
+        An interior product (2 <= r, r + 1 <= d - 1) is proved zero from the
+        x1-split when skeleton_failure is None and every term with x1 of b_r
+        and b_{r+1} is c * x1: then b_r = delta S_r + x1 C_r with C_r
+        constant, read off the matrix (x1_split), and
+            b_r b_{r+1} = delta^2 S_r S_{r+1}
+                          + delta x1 (S_r C_{r+1} + C_r S_{r+1}) + x1^2 C_r C_{r+1},
+        where S_r S_{r+1} = 0 is the cached (d, n) fact
+        skeleton_product_failure, and the other two parts are checked in
+        constants (_split_product_vanishes).  Any other product, and an
+        interior one whose split does not vanish, is multiplied out, so the
+        witness is that of first_nonzero_product.
         """
-        mats = dict(enumerate(self.res.matrices, 1))
-        if self.duality_failure is None:
-            mats = {r: m for r, m in mats.items() if r <= self.res.d // 2 + 1}
-        return first_nonzero_product(mats)
+        d, mats = self.res.d, self.res.matrices
+        last = d // 2 if self.duality_failure is None else d - 1
+        for r in range(1, last + 1):
+            if not (2 <= r <= d - 2 and self._interior_product_vanishes(r)):
+                found = first_nonzero_product({r: mats[r - 1], r + 1: mats[r]})
+                if found is not None:
+                    return found
+        return None
+
+    def _interior_product_vanishes(self, r: int) -> bool:
+        """Whether b_r b_{r+1} = 0 follows from the x1-split (complex_failure)."""
+        d, n = self.res.d, self.res.n
+        (_, c_r), (_, c_next) = self.x1_splits[r - 1], self.x1_splits[r]
+        if (c_r is None or c_next is None or self.skeleton_failure is not None
+                or skeleton_product_failure(d, n) is not None):
+            return False
+        rows = _skeleton_rows(d, n)
+        return _split_product_vanishes(rows[r - 1], c_r, rows[r], c_next, self.res.matrix(r + 1).shape[1])
+
+    @cached_property
+    def x1_splits(self) -> tuple[Split, ...]:
+        """x1_split of every b_r, by r - 1."""
+        return tuple(x1_split(m) for m in self.res.matrices)
 
     @cached_property
     def skeleton_failure(self) -> str | None:
-        return skeleton_block_failure(self.res)
+        return skeleton_block_failure(self.res, self.x1_splits)
 
     @cached_property
     def hilbert(self) -> list[int]:
@@ -528,23 +660,30 @@ def _h0_dims_ok(s: Session, failures: list[str]) -> dict[int, int] | None:
     return h0
 
 
-def skeleton_block_failure(res: Resolution) -> str | None:
+def skeleton_block_failure(res: Resolution, splits: tuple[Split, ...] | None = None) -> str | None:
     """Check that the mod-x1 matrices are delta times canonical_skeleton(d, n).
 
     Returns a witness string on failure, None on success.  This both
     validates the skeleton structure and licenses the use of the canonical
-    strand certificates for the homology of res mod x1.
+    strand certificates for the homology of res mod x1.  The terms free of
+    x1 come from splits (x1_split of every matrix, computed here when not
+    given) and are compared with delta times the skeleton terms, entry by
+    entry, with no matrix or dict built for the comparison.
     """
     delta = exact(res.delta)
-    for r, want in enumerate(canonical_skeleton(res.d, res.n), 1):
-        got = res.matrix(r).mod_x1()
-        if got.shape != want.shape:
-            return f"skeleton of b_{r} has shape {got.shape}, the canonical strand form {want.shape}"
-        for i, (row_got, row_want) in enumerate(zip(got.entries, want.entries)):
-            for j, (a, b) in enumerate(zip(row_got, row_want)):
-                # an int and a Fraction of equal value compare equal, so no scaled Poly is built
-                if a.terms != {m: c * delta for m, c in b.terms.items()}:
-                    return f"skeleton of b_{r} differs from the canonical strand form at ({i}, {j})"
+    d, n = res.d, res.n
+    for r, (skel, want) in enumerate(zip(canonical_skeleton(d, n), _skeleton_rows(d, n)), 1):
+        got = res.matrix(r)
+        if got.shape != skel.shape:
+            return f"skeleton of b_{r} has shape {got.shape}, the canonical strand form {skel.shape}"
+        free = (splits[r - 1] if splits else x1_split(got))[0]
+        for i, (got_row, want_row) in enumerate(zip(free, want)):
+            # an int and a Fraction of equal value compare equal
+            bad = [j for j in got_row.keys() | want_row.keys()
+                   if len(a := got_row.get(j, {})) != len(b := want_row.get(j, {}))
+                   or any(a.get(m) != c * delta for m, c in b.items())]
+            if bad:
+                return f"skeleton of b_{r} differs from the canonical strand form at ({i}, {min(bad)})"
     return None
 
 

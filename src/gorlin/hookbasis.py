@@ -49,8 +49,8 @@ class BasisElement:
     """One standard basis element of the free module in homological degree r.
 
     It is not checked when it is made: the bases are formed only by
-    enumerate_basis and duality_basis, and differentials._assemble refuses
-    any target outside them.
+    enumerate_basis and duality_basis, and differentials._assemble and
+    differentials._record refuse any target outside them.
     """
 
     kind: str  # "X" or "Y"

@@ -54,12 +54,12 @@ def div_var(m: Mono, i: int) -> Mono:
     """m / x_i; requires x_i | m."""
     if m[i - 1] == 0:
         raise ValueError(f"x{i} does not divide {m}")
-    return tuple(e - 1 if k == i - 1 else e for k, e in enumerate(m))
+    return m[:i - 1] + (m[i - 1] - 1,) + m[i:]
 
 
 def mul_var(m: Mono, i: int) -> Mono:
     """m * x_i."""
-    return tuple(e + 1 if k == i - 1 else e for k, e in enumerate(m))
+    return m[:i - 1] + (m[i - 1] + 1,) + m[i:]
 
 
 def least(m: Mono) -> int:

@@ -74,7 +74,7 @@ class PolyMatrix:
                         for kb, cb in b_terms:
                             key = ka + kb
                             acc[key] = acc.get(key, 0) + ca * cb
-            row = [Poly.zero(d) for _ in range(p)]
+            row = [Poly(d) for _ in range(p)]
             for j, acc in sums.items():
                 terms = {unpack(key, base, d): over(c, denom) for key, c in acc.items() if c}
                 if terms:
@@ -84,7 +84,7 @@ class PolyMatrix:
 
     def max_degree(self) -> int:
         """The largest total degree of an entry (0 for a zero matrix)."""
-        return max([0] + [p.degree() for row in self.entries for p in row])
+        return max((sum(m) for row in self.entries for p in row if p.terms for m in p.terms), default=0)
 
     def packed_rows(self, scale: int, base: int) -> list[list[tuple[int, list[tuple[int, int]]]]]:
         """Per row, each nonzero entry as (column, [(packed monomial, scale * coefficient)]).

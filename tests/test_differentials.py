@@ -6,10 +6,12 @@ import pytest
 
 from gorlin.differentials import (
     BuildContext,
+    PlanContext,
     b1_column,
     bd_rows,
     br_column,
     br_column_alt,
+    build_plan,
     build_resolution,
     build_resolution_via_straightening,
     canonical_skeleton,
@@ -64,10 +66,14 @@ def test_complex_property(d, n):
         assert all(p.is_zero() for row in prod for p in row), (d, n, r)
 
 
+def _system(label):
+    return extra_phi(label) if label in EXTRA else grid_phi(*map(int, label.split("-")))
+
+
 @pytest.mark.parametrize("system", [f"{d}-{n}" for d, n in GRID] + list(EXTRA))
 def test_dual_path_equality(system):
     # the large-rational EXTRA system has a nontrivial // scale in tq and W
-    phi = extra_phi(system) if system in EXTRA else grid_phi(*map(int, system.split("-")))
+    phi = _system(system)
     res = build_resolution(phi)
     alt = build_resolution_via_straightening(phi)
     for r in range(1, phi.d + 1):
@@ -143,11 +149,14 @@ ROUTES = {"closed": (build_resolution, br_column),
 
 
 @pytest.mark.parametrize("route", ROUTES)
-@pytest.mark.parametrize("d,n", GRID)
-def test_matrices_are_the_lift_of_the_skeleton(d, n, route):
-    # b_r = delta * S_r + x1 * C_r, C_r constant inside and of degree n-1 at both ends
+@pytest.mark.parametrize("system", [f"{d}-{n}" for d, n in GRID] + list(EXTRA))
+def test_matrices_are_the_lift_of_the_skeleton(system, route):
+    # b_r = delta * S_r + x1 * C_r, C_r constant inside and of degree n-1 at both ends;
+    # each C_r of the evaluated plan is compared, column by column, with the
+    # writers run on the numeric BuildContext
     build, column = ROUTES[route]
-    phi = grid_phi(d, n)
+    phi = _system(system)
+    d, n = phi.d, phi.n
     res = build(phi)
     ctx = BuildContext(phi, delta_and_Q(phi))
     x1 = Poly.monomial(mul_var(unit(d), 1))
@@ -167,6 +176,33 @@ def test_matrices_are_the_lift_of_the_skeleton(d, n, route):
                 rest = mat.entries[i][j] - skel.entries[i][j].scale(res.delta)
                 assert all(m[0] >= 1 and sum(m) == cdeg + 1 for m in rest.terms), (r, i, j)
                 assert rest == x1 * c, (r, i, j)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_second_build_reuses_the_plan(route):
+    build, _ = ROUTES[route]
+    first = build(random_invsys(4, 3, 40))
+    before = build_plan.cache_info()
+    res = build(random_invsys(4, 3, 41))
+    after = build_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    # every build writes entries of its own, so altering one leaves the other intact
+    assert all(p is not q for a, b in zip(first.matrices, res.matrices)
+               for ra, rb in zip(a.entries, b.entries) for p, q in zip(ra, rb))
+
+
+def test_plan_context_keys_each_sum_once():
+    # Q and W are symmetric, so an unordered pair has one key; tq is not
+    ctx = PlanContext(4, 2)
+    u, v = (0, 1, 0, 0), (0, 0, 1, 0)
+    assert ctx.Q(u, v) is ctx.Q(v, u) and ctx.W(u, v) is ctx.W(v, u)
+    assert ctx.tq(u, v) is not ctx.tq(v, u)
+    assert len(ctx.keys) == 4
+    q, t = ctx.Q(u, v), ctx.tq(u, v)
+    kq, kt = ctx.keys.index(("Q", v, u)) + 1, ctx.keys.index(("tq", u, v)) + 1
+    assert (2 * t + q - t).terms == {kt: 1, kq: 1}
+    assert (0 - t).terms == {kt: -1} and (t - 0) is t and (0 + t) is t
+    assert not (t - t) and not 0 * t and (-(-t)).terms == t.terms
 
 
 def test_column_input_validation():

@@ -16,6 +16,7 @@ from gorlin.exactness import (
     Piece,
     Session,
     _h0_dims_ok,
+    _split_product_vanishes,
     denominator_lcm,
     duality_failure,
     fine_degree,
@@ -23,8 +24,10 @@ from gorlin.exactness import (
     graded_piece,
     ideal_dims,
     rank_mod_p,
+    skeleton_block_failure,
     strand_certificate,
     strand_matrices,
+    x1_split,
 )
 from gorlin.hookbasis import OrderedBasis
 from gorlin.invsys import InverseSystem, contract_poly, random_invsys
@@ -275,6 +278,44 @@ def test_strands_are_the_diagonal_blocks_of_the_canonical_skeleton(d, n):
         # the strands hold every nonzero entry, so the mixed X/Y blocks are zero
         in_strands = {k: p for strand in strands.values() for k, p in nonzero_entries(strand).items()}
         assert nonzero_entries(mat) == in_strands, (d, n, r)
+
+
+def test_split_product_packs_the_rows_without_carries():
+    # the rows (2^(k+1), -1) of C_r C_{r+1} would cancel in a packing of k + 1 bits per entry
+    for k in range(1, 90):
+        assert not _split_product_vanishes([{}], [{0: 1, 1: 1}], [{}, {}], [{0: 2**k}, {0: 2**k, 1: -1}], 2)
+    # Fraction cofactors are cleared by one common denominator
+    assert _split_product_vanishes([{}], [{0: Fraction(1, 3), 1: Fraction(-1, 3)}], [{}, {}],
+                                   [{0: 5, 1: Fraction(7, 2)}, {0: 5, 1: Fraction(7, 2)}], 2)
+    assert not _split_product_vanishes([{}], [{0: Fraction(1, 3), 1: Fraction(-1, 2)}], [{}, {}],
+                                       [{0: 5}, {0: 5}], 2)
+
+
+def test_split_product_sums_the_skeleton_parts_by_monomial():
+    # S_r C_{r+1} = x2 at column 0 and C_r S_{r+1} = c * m there, while C_r C_{r+1} = 0
+    x2, x3 = (0, 1, 0), (0, 0, 1)
+    for c, m, vanishes in [(-1, x2, True), (-2, x2, False), (-1, x3, False)]:
+        got = _split_product_vanishes([{1: {x2: 1}}], [{0: 1}], [{0: {m: c}}, {}], [{}, {0: 1}], 1)
+        assert got == vanishes, (c, m)
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 3), (5, 2)])
+def test_x1_split_reads_the_cofactors_of_the_interior_maps(d, n):
+    res = grid_resolution(d, n)
+    splits = [x1_split(m) for m in res.matrices]
+    assert splits[0][1] is None and splits[-1][1] is None  # degree-n cofactors at both ends
+    x1 = mul_var(unit(d), 1)
+    for r in range(2, d):
+        free, cof = splits[r - 1]
+        mat = res.matrix(r)
+        for i, row in enumerate(mat.entries):
+            for j, p in enumerate(row):
+                assert p == Poly(d, {**free[i].get(j, {}), **({x1: cof[i][j]} if j in cof[i] else {})})
+    assert skeleton_block_failure(res, tuple(splits)) is None
+    assert skeleton_block_failure(res) is None
+    bad = copy.deepcopy(res)
+    bad.matrix(2).entries[0][0] = bad.matrix(2).entries[0][0] + Poly.monomial(mul_var(x1, 2))
+    assert x1_split(bad.matrix(2))[1] is None
 
 
 KIND = {"monomial": "Y", "dual": "X"}

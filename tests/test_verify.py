@@ -107,6 +107,116 @@ def test_complex_check_finds_a_self_dual_defect_before_the_middle():
     assert not out.passed and out.witness == complex_witness(dual)
 
 
+def _counting_products(monkeypatch, res):
+    """Count the products b_r b_{r+1} of res that PolyMatrix.mul forms, by "b_r b_{r+1}"."""
+    counts = Counter()
+    mul = PolyMatrix.mul
+
+    def counting_mul(self, other):
+        for r in range(1, res.d):
+            if self is res.matrix(r) and other is res.matrix(r + 1):
+                counts[f"b_{r} b_{r + 1}"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(PolyMatrix, "mul", counting_mul)
+    return counts
+
+
+def _entry_of_kind(res, r, kind):
+    """The first (i, j) of b_r whose row and column elements are both of the kind, and nonzero."""
+    mat = res.matrix(r)
+    return next((i, j) for i, (_, re) in enumerate(mat.rows) for j, (_, ce) in enumerate(mat.cols)
+                if re.kind == ce.kind == kind and mat.entries[i][j])
+
+
+@pytest.mark.parametrize("bump", ["3*x1", "x1*x2"])
+@pytest.mark.parametrize("d,n,r,kind", [(4, 2, 3, "Y"), (5, 2, 3, "X"), (5, 3, 3, "Y"), (4, 3, 3, "X"), (5, 2, 4, "Y")])
+def test_complex_check_on_a_changed_x1_cofactor(monkeypatch, d, n, r, kind, bump):
+    # only the terms with x1 of b_r change, for an r >= 3 that leaves b_1 b_2
+    # zero: the skeleton still holds, and the split of an interior product
+    # does not vanish (3*x1) or is not read at all (x1*x2, not a multiple of
+    # x1 alone); that product is multiplied out for the witness of the full product
+    res = grid_resolution(d, n)
+    i, j = _entry_of_kind(res, r, kind)
+    x1 = x1_power(d, 1)
+    x1x2 = x1 * Poly.monomial(mul_var(unit(d), 2))
+    bad = perturbed(res, r=r, i=i, j=j, bump=x1.scale(3) if bump == "3*x1" else x1x2)
+    s = Session(bad, bad.phi)
+    assert s.skeleton_failure is None
+    counts = _counting_products(monkeypatch, bad)
+    want = first_nonzero_product(dict(enumerate(bad.matrices, 1)))
+    assert want is not None and 2 <= want[0] <= d - 2
+    assert s.complex_failure == want
+    k = want[0]
+    assert counts[f"b_{k} b_{k + 1}"] == 2  # once in the full product above, once as the fallback
+    (out,) = run_checks(bad, bad.phi, checks=["complex"]).results
+    assert not out.passed and out.witness == complex_witness(bad)
+
+
+@pytest.mark.parametrize("d,n,r", [(4, 2, 3), (5, 2, 3), (5, 3, 3), (5, 2, 4)])
+def test_complex_check_on_a_changed_skeleton_term(monkeypatch, d, n, r):
+    # only the skeleton part of b_r changes: the skeleton fact fails, so the
+    # fast path falls back and every product up to the witness, which lies
+    # at an interior r, is multiplied out; the witness is that of the full product
+    res = grid_resolution(d, n)
+    i, j = _entry_of_kind(res, r, "Y")
+    (m, c), = res.matrix(r).entries[i][j].subs_x1_zero().terms.items()
+    bad = perturbed(res, r=r, i=i, j=j, bump=Poly.monomial(m, -2 * c))
+    s = Session(bad, bad.phi)
+    assert s.skeleton_failure is not None
+    assert all(bad.matrix(k).same_entries(res.matrix(k)) or k == r for k in range(1, d + 1))
+    counts = _counting_products(monkeypatch, bad)
+    want = first_nonzero_product(dict(enumerate(bad.matrices, 1)))
+    assert want is not None and 2 <= want[0] <= d - 2
+    assert s.complex_failure == want
+    assert set(counts) == {f"b_{k} b_{k + 1}" for k in range(1, want[0] + 1)}
+    (out,) = run_checks(bad, bad.phi, checks=["complex"]).results
+    assert not out.passed and out.witness == complex_witness(bad)
+
+
+def test_complex_check_reads_only_multiples_of_x1_as_the_cofactor():
+    # every c*x1 of b_2 becomes c*x1*x2 and every c*x1 of b_3 becomes c*x1*x3:
+    # the skeleton still holds and neither matrix has a term c*x1 left, but
+    # b_2 b_3 is not zero, so the split must not prove it
+    res = grid_resolution(4, 2)
+    bad = copy.deepcopy(res)
+    x1 = x1_power(4, 1)
+    (m1,) = x1.terms
+    for r, v in ((2, 2), (3, 3)):
+        x1xv = x1 * Poly.monomial(mul_var(unit(4), v))
+        for row in bad.matrix(r).entries:
+            for j, p in enumerate(row):
+                if m1 in p.terms:
+                    row[j] = p - x1.scale(p.terms[m1]) + x1xv.scale(p.terms[m1])
+    s = Session(bad, bad.phi)
+    assert s.skeleton_failure is None
+    assert not s._interior_product_vanishes(2)
+    assert first_nonzero_product({2: bad.matrix(2), 3: bad.matrix(3)}) is not None
+    assert s.complex_failure == first_nonzero_product(dict(enumerate(bad.matrices, 1)))
+
+
+def test_complex_check_proves_the_interior_products_without_multiplying(monkeypatch):
+    # (6, 2) has two interior products below the middle, and the
+    # large-rational (4, 3) system has Fraction cofactors
+    from conftest import EXTRA, extra_phi
+
+    for res in (build_resolution(random_invsys(6, 2, 1)), build_resolution(extra_phi(EXTRA[1]))):
+        counts = _counting_products(monkeypatch, res)
+        assert Session(res, res.phi).complex_failure is None
+        assert counts == Counter({"b_1 b_2": 1})
+        monkeypatch.undo()
+
+
+def test_complex_check_multiplies_the_interior_products_without_the_skeleton_fact(monkeypatch):
+    from gorlin import exactness
+
+    res = grid_resolution(5, 2)
+    counts = _counting_products(monkeypatch, res)
+    monkeypatch.setattr(exactness, "skeleton_product_failure", lambda d, n: (2, 0, 0, Poly.zero(d)))
+    assert Session(res, res.phi).complex_failure is None
+    assert counts == Counter({"b_1 b_2": 1, "b_2 b_3": 1})
+
+
 def test_check_betti_catches_quadratic_entry():
     res = grid_resolution(3, 2)
     bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial((0, 2, 0)))
@@ -463,16 +573,7 @@ def test_run_checks_proves_each_fact_once(monkeypatch):
     phi = grid_phi(4, 2)
     res = grid_resolution(4, 2)
     n = res.n
-    counts = Counter()
-    mul = PolyMatrix.mul
-
-    def counting_mul(self, other):
-        for r in range(1, res.d):
-            if self is res.matrix(r) and other is res.matrix(r + 1):
-                counts[f"b_{r} b_{r + 1}"] += 1
-        return mul(self, other)
-
-    monkeypatch.setattr(PolyMatrix, "mul", counting_mul)
+    counts = _counting_products(monkeypatch, res)
     _count_calls(monkeypatch, counts, "skeleton_block_failure", exactness.skeleton_block_failure)
     _count_calls(monkeypatch, counts, "ann_degree", invsys.ann_degree,
                  lambda p, j: p is phi and j == n)
@@ -481,10 +582,14 @@ def test_run_checks_proves_each_fact_once(monkeypatch):
     # the strand certificate runs the pairing rule on the skeleton as well, once per (d, n)
     _count_calls(monkeypatch, counts, "duality_failure", exactness.duality_failure,
                  lambda bases, mats: mats is res.matrices)
+    _count_calls(monkeypatch, counts, "skeleton_product_failure", exactness.skeleton_product_failure)
     assert run_checks(res, phi).passed
-    # under the proved duality the products past the middle mirror those before it
+    # under the proved duality the products past the middle mirror those before it,
+    # and the interior product b_2 b_3 is read off the x1-split on the skeleton fact
+    # S_2 S_3 = 0, a cached fact of (d, n)
     assert counts == Counter({
-        **{f"b_{r} b_{r + 1}": 1 for r in range(1, res.d // 2 + 1)},
+        "b_1 b_2": 1,
+        "skeleton_product_failure": 1,
         "duality_failure": 1,
         "skeleton_block_failure": 1,
         "ann_degree": 1,
