@@ -17,19 +17,22 @@ resolution, the terms free of x1 in the one-pass split x1_split, with delta
 times the same matrices.
 
 The monomial strand L must resolve R/m^n, for R = k[x2..xd] and m its
-maximal ideal.  It is certified in every degree through its fine grading
-over x2..xd.  A strand basis element b has the multidegree c(b): the unit
-vectors of its index list plus its monomial.  Every nonzero entry is checked
-to be +-x^v with c(column) = c(row) + v, so the piece in multidegree a is
-the +-1 coefficient matrix restricted to {b : c(b) <= a}.  Below the
-componentwise minimum of c the pieces are empty, and past its maximum u in
-coordinate i the piece at a equals the piece at a - e_i, so the box
-[min c, u] decides every multidegree (Bayer and Sturmfels, "Cellular
-resolutions of monomial modules", 1998, section 1).  Each piece of the box
-is ranked exactly (Piece.rank_exact), and the homology must be that of R/m^n
-at every point.  The box reaches n in every coordinate, so the quotient is
-zero on its upper faces, and the comparison there also rules out homology
-in the multidegrees beyond the box.
+maximal ideal.  A strand basis element b has the multidegree c(b) over
+x2..xd: the unit vectors of its index list plus its monomial.  Every nonzero
+entry is checked to be +-x^v with c(column) = c(row) + v, so each minor of a
+map phi_k of L, on rows I and columns J, is a monomial lambda x^a with
+a = c(J) - c(I).  At the coordinate point e_j (x_j = 1, the other variables
+0) phi_k(e_j) keeps the +-1 entries whose v is supported on j alone, and its
+rank rho_k is exact (Piece.rank_exact).  Once rho_k + rho_{k+1} = rank L_k
+for k = 1..d-1 (rho_d = 0) at every point, the complex property
+(r_k + r_{k+1} <= rank L_k for the generic ranks) and specialization
+(rho_k <= r_k) give rho_k = r_k: a nonzero r_k-minor of phi_k(e_j) is a
+minor lambda x_j^N of phi_k.  So the ideal of r_k-minors holds a power of
+every variable and has depth d-1 >= k, and L is exact by the criterion of
+Buchsbaum and Eisenbud ("What makes a complex exact?", J. Algebra 25, 1973;
+Eisenbud, "Commutative Algebra", Thm 20.9).  Its cokernel is R/m^n once
+L_0 has one element and the entries of phi_1 are the monomials of degree n,
+each once.
 
 The dual strand K is not ranked.  The pairing rule (duality_failure) holds
 on the whole skeleton, and it pairs the X elements of each position with
@@ -73,11 +76,12 @@ b_r = delta S_r + x1 C_r with C_r constant, and
     b_r b_{r+1} = delta^2 S_r S_{r+1} + delta x1 (S_r C_{r+1} + C_r S_{r+1})
                   + x1^2 C_r C_{r+1},
 three parts with disjoint monomials.  S_r S_{r+1} = 0 is proved once per
-(d, n) (skeleton_product_failure), and the two other parts are checked in
-constants; only the products at the ends, and an interior one whose split
-does not vanish, are multiplied out.  On a system with integer
-coefficients every entry of B is an int polynomial, and these facts are
-proved without Fraction arithmetic.
+(d, n) without multiplying (skeleton_complex_failure): the skeleton has no
+entry between an X and a Y element, L composes to zero, and so does K, its
+pairing transpose.  The two other parts are checked in constants; only the
+products at the ends, and an interior one whose split does not vanish, are
+multiplied out.  On a system with integer coefficients every entry of B is
+an int polynomial, and these facts are proved without Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -85,7 +89,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
 from math import comb, gcd, lcm
 
 import numpy as np
@@ -239,13 +242,20 @@ def first_nonzero_product(mats: dict[int, PolyMatrix]) -> tuple[int, int, int, P
 
 
 @lru_cache(maxsize=None)
-def skeleton_product_failure(d: int, n: int) -> tuple[int, int, int, Poly] | None:
-    """first_nonzero_product on the interior maps of canonical_skeleton(d, n).
+def skeleton_complex_failure(d: int, n: int) -> str | None:
+    """None when canonical_skeleton(d, n) is a complex, else why it is not proved one.
 
-    None when S_r S_{r+1} = 0 for 2 <= r <= d-2, the products that
-    Session.complex_failure reads off the x1-split.
+    No entry may join an X and a Y element, so S_r is K_r beside L_r.  Once
+    strand_certificate(d, n) holds, L composes to zero and K is its signed
+    pairing transpose, so K composes to zero as well.
     """
-    return first_nonzero_product({r: canonical_skeleton(d, n)[r - 1] for r in range(2, d)})
+    for r, (mat, rows) in enumerate(zip(canonical_skeleton(d, n), _skeleton_rows(d, n)), 1):
+        kinds = [e.kind for _, e in mat.cols]
+        for i, ((_, e), row) in enumerate(zip(mat.rows, rows)):
+            if any(kinds[j] != e.kind for j in row):
+                return f"skeleton map out of position {r} joins an X and a Y element in row {i}"
+    cert = strand_certificate(d, n)
+    return None if cert.ok else cert.failures[0]
 
 
 @lru_cache(maxsize=None)
@@ -390,28 +400,32 @@ def _composes_to_zero(triples: dict[int, list[tuple[int, int, int]]]) -> bool:
     return True
 
 
-def _box_pieces(degs: dict[int, list[tuple[int, ...]]], triples: dict[int, list[tuple[int, int, int]]]):
-    """Yield (a, dims by position, pieces by map) over the box of one strand.
+def _acyclicity_failures(degs: dict, triples: dict[int, list[tuple[int, int, int]]], n: int) -> list[str]:
+    """Why a finely graded complex (from _fine_strand) is not proved to resolve R/m^n; [] when it is.
 
-    The box runs from the componentwise minimum to the maximum of the fine
-    degrees.
+    The criterion at the coordinate points is in the module docstring; a
+    failing point names its variable x_j and its first failing position k.
     """
-    cs = {pos: np.array(c, dtype=np.int64) for pos, c in degs.items()}
-    every = np.concatenate(list(cs.values()))
-    lo, hi = every.min(axis=0).tolist(), every.max(axis=0).tolist()
-    ts = {r: np.array(t, dtype=np.int64).reshape(len(t), 3) for r, t in triples.items()}
-    for a in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        keep = {pos: (c <= a).all(axis=1) for pos, c in cs.items()}
-        index = {pos: np.cumsum(k) - 1 for pos, k in keep.items()}
-        ms = [int(keep[pos].sum()) if pos in keep else 0 for pos in range(max(degs) + 1)]
-        pieces = {}
-        for r, t in ts.items():
-            if ms[r]:
-                # fine homogeneity puts the row of every kept column inside the piece
-                t = t[keep[r][t[:, 1]]]
-                pieces[r] = Piece(ms[r - 1], ms[r], list(zip(index[r - 1][t[:, 0]].tolist(),
-                                                              index[r][t[:, 1]].tolist(), t[:, 2].tolist())))
-        yield a, ms, pieces
+    top = max(degs)  # the positions are 0..d-1, and R has d-1 variables
+    ms = [len(degs[k]) for k in range(top + 1)]
+    # each triple with the coordinates of x2..xd that its monomial c(column) - c(row) involves
+    support = {r: [(i, k, v, {c for c, (a, b) in enumerate(zip(degs[r][k], degs[r - 1][i])) if a != b})
+                   for i, k, v in ts] for r, ts in triples.items()}
+    failures: list[str] = []
+    for t in range(top):
+        rho = [0] * (top + 2)
+        for r, ts in support.items():
+            rho[r] = Piece(ms[r - 1], ms[r], [(i, k, v) for i, k, v, s in ts if s <= {t}]).rank_exact()
+        k = next((k for k in range(1, top + 1) if rho[k] + rho[k + 1] != ms[k]), None)
+        if k is not None:
+            failures.append(f"monomial strand fails the acyclicity criterion at the point x{t + 2} = 1: "
+                            f"rho_{k} + rho_{k + 1} = {rho[k]} + {rho[k + 1]}, rank L_{k} = {ms[k]}")
+    monos = sorted(tuple(a - b for a, b in zip(degs[1][k], degs[0][i])) for i, k, _ in triples.get(1, ()))
+    if ms[0] != 1 or monos != sorted(monomials_of_degree(top, n)):
+        failures.append(f"monomial strand does not present R/m^{n}: L_0 has {ms[0]} elements and the first map "
+                        f"{len(monos)} nonzero entries, not one and the {comb(n + top - 1, n)} monomials "
+                        f"of degree {n}")
+    return failures
 
 
 @dataclass
@@ -425,10 +439,11 @@ class StrandCertificate:
 def strand_certificate(d: int, n: int) -> StrandCertificate:
     """Exactness of both canonical strands in every degree (the argument is in the module docstring).
 
-    The monomial strand L must be finely graded, a complex, and have the
-    homology of R/m^n, R = k[x2..xd], at every point of its box, by exact
-    ranks.  The dual strand must be the pairing transpose of L (the pairing
-    rule on canonical_skeleton(d, n)); then it is Hom(L, R) up to twists, and
+    The monomial strand L must be finely graded, a complex, meet the
+    acyclicity criterion by exact ranks at the d-1 coordinate points, and
+    present R/m^n, R = k[x2..xd] (_acyclicity_failures).  The dual strand
+    must be the pairing transpose of L (the pairing rule on
+    canonical_skeleton(d, n)); then it is Hom(L, R) up to twists, and
     its bottom homology h1k is dim Ext^{d-1}_R(R/m^n, R) (Bruns and Herzog,
     sections 3.3 and 3.6): h1k(e) = dim (R/m^n)_{2n-1-e}, nonzero dimensions only.
     """
@@ -439,16 +454,7 @@ def strand_certificate(d: int, n: int) -> StrandCertificate:
     degs, triples = strand
     if not _composes_to_zero(triples):
         return StrandCertificate(False, {}, ["monomial strand does not compose to zero"])
-    failures: list[str] = []
-    for a, ms, pieces in _box_pieces(degs, triples):
-        ns = {r: piece.rank_exact() for r, piece in pieces.items()}
-        hs = [ms[r] - ns.get(r, 0) - ns.get(r + 1, 0) for r in range(len(ms))]
-        r = next((r for r in range(1, len(hs)) if hs[r]), None)
-        if r is not None:
-            failures.append(f"monomial strand fails in multidegree {a}: homology at position {r} (defect {hs[r]})")
-        elif hs[0] != (min(a) >= 0 and sum(a) < n):
-            failures.append(f"monomial strand has bottom homology {hs[0]} in multidegree {a}, "
-                            "not that of the quotient")
+    failures = _acyclicity_failures(degs, triples, n)
     skel = canonical_skeleton(d, n)
     pairing = duality_failure((skel[0].rows, *(m.cols for m in skel)), skel)
     if pairing is not None:
@@ -553,7 +559,7 @@ class Session:
             b_r b_{r+1} = delta^2 S_r S_{r+1}
                           + delta x1 (S_r C_{r+1} + C_r S_{r+1}) + x1^2 C_r C_{r+1},
         where S_r S_{r+1} = 0 is the cached (d, n) fact
-        skeleton_product_failure, and the other two parts are checked in
+        skeleton_complex_failure, and the other two parts are checked in
         constants (_split_product_vanishes).  Any other product, and an
         interior one whose split does not vanish, is multiplied out, so the
         witness is that of first_nonzero_product.
@@ -572,7 +578,7 @@ class Session:
         d, n = self.res.d, self.res.n
         (_, c_r), (_, c_next) = self.x1_splits[r - 1], self.x1_splits[r]
         if (c_r is None or c_next is None or self.skeleton_failure is not None
-                or skeleton_product_failure(d, n) is not None):
+                or skeleton_complex_failure(d, n) is not None):
             return False
         rows = _skeleton_rows(d, n)
         return _split_product_vanishes(rows[r - 1], c_r, rows[r], c_next, self.res.matrix(r + 1).shape[1])

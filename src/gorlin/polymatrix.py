@@ -117,13 +117,6 @@ class PolyMatrix:
             entries=[[p.subs_x1_zero() for p in row] for row in self.entries],
         )
 
-    def scale(self, c) -> "PolyMatrix":
-        return PolyMatrix(
-            rows=self.rows,
-            cols=self.cols,
-            entries=[[p.scale(c) for p in row] for row in self.entries],
-        )
-
     def block(self, kind: str) -> "PolyMatrix":
         """The submatrix on the rows and the columns of one basis kind, "X" or "Y"."""
         rows = [i for i, (_, e) in enumerate(self.rows) if e.kind == kind]

@@ -123,13 +123,6 @@ class Poly:
         """Total degree; the zero polynomial has degree -1."""
         return max((sum(m) for m in self.terms), default=-1)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
-    def constant_term(self) -> Scalar:
-        return self.terms.get(unit(self.d), 0)
-
     def subs_x1_zero(self) -> "Poly":
         """Reduction mod x1: drop every term divisible by x1."""
         return Poly(self.d, {m: c for m, c in self.terms.items() if m[0] == 0})

@@ -5,7 +5,8 @@ import pytest
 
 from gorlin.differentials import build_resolution
 from gorlin.invsys import InverseSystem, random_invsys, sum_of_powers
-from gorlin.monomials import monomials_of_degree
+from gorlin.monomials import monomials_of_degree, unit
+from gorlin.polymatrix import PolyMatrix
 
 GRID = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
 GRID_SEEDS = {(3, 2): 1, (3, 3): 2, (4, 2): 7, (4, 3): 3, (5, 2): 5, (5, 3): 11}
@@ -57,6 +58,19 @@ def squares_resolution(d):
     if key not in _cache:
         _cache[key] = build_resolution(squares_phi(d))
     return _cache[key]
+
+
+def is_homogeneous(p):
+    return len({sum(m) for m in p.terms}) <= 1
+
+
+def constant_term(p):
+    return p.terms.get(unit(p.d), 0)
+
+
+def scaled(mat, c):
+    """mat with every entry multiplied by the scalar c."""
+    return PolyMatrix(mat.rows, mat.cols, [[p.scale(c) for p in row] for row in mat.entries])
 
 
 @pytest.fixture

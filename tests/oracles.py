@@ -7,6 +7,10 @@ another way, by a route that is slower or more literal.
   pieces of B by saturated mod-p ranks (``certify_chain``), where
   ``exactness.certify_exactness`` goes through the skeleton strands and the
   long exact sequence.
+* ``acyclicity_failures_by_box`` ranks every fine-graded piece of the
+  monomial strand over the box of its fine degrees, where
+  ``exactness.strand_certificate`` ranks its maps at the d-1 coordinate
+  points only, by the criterion of Buchsbaum and Eisenbud.
 * ``dual_strand_h1k_by_ranking`` ranks the dual skeleton strand over its box
   of fine degrees, where ``exactness.strand_certificate`` proves it to be
   the pairing transpose of the monomial strand and takes its bottom
@@ -31,7 +35,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb
+
+import numpy as np
 
 from gorlin import linalg
 from gorlin.differentials import Resolution
@@ -40,7 +47,6 @@ from gorlin.exactness import (
     ExactnessOutcome,
     Piece,
     Session,
-    _box_pieces,
     _composes_to_zero,
     _fine_strand,
     _not_a_complex,
@@ -124,6 +130,55 @@ def certify_exactness_direct(s: Session, dmax: int) -> ExactnessOutcome:
             out.ok = False
             out.failures.append(f"exactness fails in degree {e}: {witness}")
     return out
+
+
+def _box_pieces(degs: dict[int, list[tuple[int, ...]]], triples: dict[int, list[tuple[int, int, int]]]):
+    """Yield (a, dims by position, pieces by map) over the box of one finely graded strand.
+
+    The piece in multidegree a is the +-1 coefficient matrix restricted to
+    {b : c(b) <= a}.  The box runs from the componentwise minimum to the
+    maximum of the fine degrees: below the minimum the pieces are empty, and
+    past the maximum u in coordinate i the piece at a equals the piece at
+    a - e_i (Bayer and Sturmfels, "Cellular resolutions of monomial modules",
+    1998, section 1), so the box decides every multidegree.
+    """
+    cs = {pos: np.array(c, dtype=np.int64) for pos, c in degs.items()}
+    every = np.concatenate(list(cs.values()))
+    lo, hi = every.min(axis=0).tolist(), every.max(axis=0).tolist()
+    ts = {r: np.array(t, dtype=np.int64).reshape(len(t), 3) for r, t in triples.items()}
+    for a in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+        keep = {pos: (c <= a).all(axis=1) for pos, c in cs.items()}
+        index = {pos: np.cumsum(k) - 1 for pos, k in keep.items()}
+        ms = [int(keep[pos].sum()) if pos in keep else 0 for pos in range(max(degs) + 1)]
+        pieces = {}
+        for r, t in ts.items():
+            if ms[r]:
+                # fine homogeneity puts the row of every kept column inside the piece
+                t = t[keep[r][t[:, 1]]]
+                pieces[r] = Piece(ms[r - 1], ms[r], list(zip(index[r - 1][t[:, 0]].tolist(),
+                                                              index[r][t[:, 1]].tolist(), t[:, 2].tolist())))
+        yield a, ms, pieces
+
+
+def acyclicity_failures_by_box(degs, triples, n: int) -> list[str]:
+    """Why a finely graded complex (as from _fine_strand) does not resolve R/m^n, by ranking its box.
+
+    Every piece of the box is ranked exactly, and the homology must be that
+    of R/m^n at every point.  The box reaches n in every coordinate, so the
+    quotient is zero on its upper faces, and the comparison there also rules
+    out homology in the multidegrees beyond the box.  [] when it resolves.
+    """
+    failures: list[str] = []
+    for a, ms, pieces in _box_pieces(degs, triples):
+        ns = {r: piece.rank_exact() for r, piece in pieces.items()}
+        hs = [ms[r] - ns.get(r, 0) - ns.get(r + 1, 0) for r in range(len(ms))]
+        r = next((r for r in range(1, len(hs)) if hs[r]), None)
+        if r is not None:
+            failures.append(f"monomial strand fails in multidegree {a}: homology at position {r} (defect {hs[r]})")
+        elif hs[0] != (min(a) >= 0 and sum(a) < n):
+            failures.append(f"monomial strand has bottom homology {hs[0]} in multidegree {a}, "
+                            "not that of the quotient")
+    return failures
 
 
 def dual_strand_h1k_by_ranking(d: int, n: int) -> dict[int, int]:

@@ -30,7 +30,7 @@ from gorlin.monomials import mul_var, unit
 from gorlin.linalg import transpose
 from gorlin.polynomials import Poly, poly_str
 
-from conftest import EXTRA, GRID, extra_phi, grid_phi, grid_resolution, squares_resolution
+from conftest import EXTRA, GRID, extra_phi, grid_phi, grid_resolution, scaled, squares_resolution
 
 
 def test_b1_identity_catalecticant_columns():
@@ -94,7 +94,7 @@ def test_interior_columns_reduce_to_kos_blocks():
         res = grid_resolution(d, n)
         expected = canonical_skeleton(d, n)
         for r in range(1, d + 1):
-            assert res.matrix(r).mod_x1().same_entries(expected[r - 1].scale(res.delta)), (d, n, r)
+            assert res.matrix(r).mod_x1().same_entries(scaled(expected[r - 1], res.delta)), (d, n, r)
 
 
 def test_skeleton_block_assertion_and_content():
@@ -128,7 +128,7 @@ def test_skeleton_depends_only_on_delta():
     ratio = r1.delta / r2.delta
     for r in range(1, 5):
         a = r1.matrix(r).mod_x1()
-        b = r2.matrix(r).mod_x1().scale(ratio)
+        b = scaled(r2.matrix(r).mod_x1(), ratio)
         assert a.same_entries(b)
 
 

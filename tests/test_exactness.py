@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gorlin import differentials, exactness, linalg
 from gorlin.differentials import build_resolution, canonical_skeleton
@@ -15,6 +15,9 @@ from gorlin.exactness import (
     PRIMES,
     Piece,
     Session,
+    _acyclicity_failures,
+    _composes_to_zero,
+    _fine_strand,
     _h0_dims_ok,
     _split_product_vanishes,
     denominator_lcm,
@@ -25,6 +28,7 @@ from gorlin.exactness import (
     ideal_dims,
     rank_mod_p,
     skeleton_block_failure,
+    skeleton_complex_failure,
     strand_certificate,
     strand_matrices,
     x1_split,
@@ -32,12 +36,14 @@ from gorlin.exactness import (
 from gorlin.hookbasis import OrderedBasis
 from gorlin.invsys import InverseSystem, contract_poly, random_invsys
 from gorlin.monomials import monomials_of_degree, mul, mul_var, unit
+from gorlin.polymatrix import PolyMatrix
 from gorlin.polynomials import Poly, poly_str
 
 from conftest import EXTRA, GRID, extra_phi, grid_phi, grid_resolution
-from oracles import dual_strand_h1k_by_ranking, ideal_dims_by_rref
+from oracles import acyclicity_failures_by_box, dual_strand_h1k_by_ranking, ideal_dims_by_rref
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+MUTANTS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 BIG = 2**80
 
 
@@ -398,8 +404,8 @@ def test_strand_certificate_names_an_entry_moved_to_another_multidegree(monkeypa
 
 
 def test_strand_certificate_ranks_a_zeroed_column(monkeypatch):
-    # still finely graded and a complex, so the ranks in the box fail it
-    # first, and the pairing rule after them
+    # still finely graded and a complex, so the ranks at the coordinate
+    # points fail it first, and the pairing rule after them
     def zero(skel):
         _, cols = strand_cells(skel[2], "monomial")
         for row in skel[2].entries:
@@ -407,18 +413,20 @@ def test_strand_certificate_ranks_a_zeroed_column(monkeypatch):
 
     cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, zero)
     assert not cert.ok
-    assert cert.failures[0] == "monomial strand fails in multidegree (2, 1, 1): homology at position 2 (defect 1)"
+    assert cert.failures[0] == ("monomial strand fails the acyclicity criterion at the point x2 = 1: "
+                                "rho_2 + rho_3 = 5 + 2, rank L_2 = 8")
     assert cert.failures[-1].startswith("dual strand is not the pairing transpose of the monomial strand")
 
 
 @pytest.mark.parametrize("strand,r,first", [
-    ("monomial", 1, "monomial strand has bottom homology 2 in multidegree (0, 0, 0), not that of the quotient"),
+    ("monomial", 1, "monomial strand does not present R/m^2: L_0 has 2 elements and the first map "
+                    "6 nonzero entries, not one and the 6 monomials of degree 2"),
 ])
 def test_strand_certificate_fails_on_an_unreached_bottom_element(monkeypatch, strand, r, first):
     # a copy of the bottom element that no map reaches: the strand stays
-    # finely graded, a complex, and exact above its bottom, but its bottom
-    # homology grows by one in every multidegree from that element's on,
-    # which the comparison with the quotient rejects
+    # finely graded, a complex, and meets the rank criterion at every
+    # coordinate point, but its cokernel is no longer R/m^n, which the
+    # count of bottom elements rejects
     def extend(skel):
         mat = skel[r - 1]
         rows, _ = strand_cells(mat, strand)
@@ -427,6 +435,109 @@ def test_strand_certificate_fails_on_an_unreached_bottom_element(monkeypatch, st
 
     cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, extend)
     assert not cert.ok and cert.failures[0] == first
+
+
+@pytest.mark.parametrize("d,n", [*GRID, (4, 4), (6, 2)])
+def test_coordinate_points_and_box_give_the_same_verdict(d, n):
+    degs, triples = _fine_strand("monomial", strand_matrices(d, n)[0])
+    assert _acyclicity_failures(degs, triples, n) == acyclicity_failures_by_box(degs, triples, n) == []
+    assert strand_certificate(d, n).ok
+
+
+def test_coordinate_points_need_every_variable():
+    # R = k[x2, x3], L_1 = (x2, x3) and L_2 = x2 (x3, -x2)^T: a finely graded
+    # complex with the bottom of R/m, whose ideal of 1-minors of L_2 is
+    # x2 (x2, x3), not m-primary.  The ranks hold at x2 = 1 and at the point
+    # (1, 1), and fail at x3 = 1 only.
+    degs = {0: [(0, 0)], 1: [(1, 0), (0, 1)], 2: [(2, 1)]}
+    triples = {1: [(0, 0, 1), (0, 1, 1)], 2: [(0, 0, 1), (1, 0, -1)]}
+    assert _composes_to_zero(triples)
+    assert _acyclicity_failures(degs, triples, 1) == [
+        "monomial strand fails the acyclicity criterion at the point x3 = 1: rho_1 + rho_2 = 1 + 0, rank L_1 = 2"]
+    assert acyclicity_failures_by_box(degs, triples, 1)
+
+
+def _cells(mat, zero=False):
+    return [(i, j) for i, row in enumerate(mat.entries) for j, p in enumerate(row) if bool(p.terms) != zero]
+
+
+@MUTANTS
+@given(st.data())
+def test_coordinate_points_and_box_agree_on_mutated_strands(data):
+    # a whole map zeroed, one variable set to 0 in every map, or a duplicated
+    # bottom element keep the strand finely graded and a complex, so the
+    # ranks decide, and both reject it; a flipped or moved entry is mostly
+    # caught before the ranks, and both verdicts must still agree
+    d, n = data.draw(st.sampled_from([(3, 2), (4, 2), (5, 2), (4, 3)]), label="(d, n)")
+    kind = data.draw(st.sampled_from(["map", "variable", "bottom", "flip", "move"]), label="mutation")
+    mats = {r: PolyMatrix(m.rows, m.cols, [list(row) for row in m.entries])
+            for r, m in strand_matrices(d, n)[0].items()}
+    r = data.draw(st.integers(1, d - 1), label="map")
+    mat = mats[r]
+    if kind == "map":
+        for row in mat.entries:
+            row[:] = [Poly.zero(d)] * len(row)
+    elif kind == "variable":
+        v = data.draw(st.integers(2, d), label="variable")
+        for m in mats.values():
+            m.entries = [[Poly.zero(d) if any(e[v - 1] for e in p.terms) else p for p in row] for row in m.entries]
+    elif kind == "bottom":
+        b1 = mats[1]
+        b1.rows = OrderedBasis(d, n, 0, b1.rows.elements * 2)
+        b1.entries.append(list(b1.entries[0]) if data.draw(st.booleans(), label="copy entries")
+                          else [Poly.zero(d)] * len(b1.cols))
+    else:
+        i, j = data.draw(st.sampled_from(_cells(mat)), label="entry")
+        if kind == "flip":
+            mat.entries[i][j] = -mat.entries[i][j]
+        else:
+            targets = [(a, b) for a, b in _cells(mat, zero=True) if a == i or b == j]
+            assume(targets)  # the first map is one row without a zero entry
+            i2, j2 = data.draw(st.sampled_from(targets), label="target")
+            mat.entries[i][j], mat.entries[i2][j2] = mat.entries[i2][j2], mat.entries[i][j]
+    strand = _fine_strand("monomial", mats)
+    ranked = not isinstance(strand, str) and _composes_to_zero(strand[1])
+    if kind in ("map", "variable", "bottom"):
+        assert ranked
+    if ranked:
+        degs, triples = strand
+        by_points, by_box = _acyclicity_failures(degs, triples, n), acyclicity_failures_by_box(degs, triples, n)
+        assert bool(by_points) == bool(by_box), (by_points, by_box)
+        if kind in ("map", "variable", "bottom"):
+            assert by_points
+
+
+def test_skeleton_complex_fact_on_a_mixed_entry_and_a_sign_flip(monkeypatch):
+    # the fact reads the strand certificate, so a flip in either strand fails
+    # it with the certificate's first witness
+    assert skeleton_complex_failure(4, 2) is None
+    skeleton_rows, certificate = exactness._skeleton_rows.__wrapped__, strand_certificate.__wrapped__
+
+    def fact(mutate):
+        skel = copy.deepcopy(canonical_skeleton(4, 2))
+        mutate(skel)
+        for module in (differentials, exactness):
+            monkeypatch.setattr(module, "canonical_skeleton", lambda d, n: skel)
+        monkeypatch.setattr(exactness, "_skeleton_rows", skeleton_rows)
+        monkeypatch.setattr(exactness, "strand_certificate", certificate)
+        return skeleton_complex_failure.__wrapped__(4, 2), skel
+
+    def mix(skel):
+        mat = skel[1]
+        i = next(i for i, (_, e) in enumerate(mat.rows) if e.kind == "X")
+        j = next(j for j, (_, e) in enumerate(mat.cols) if e.kind == "Y")
+        mat.entries[i][j] = Poly.monomial(mul_var(unit(4), 2))
+
+    def flip(strand):
+        def mutate(skel):
+            i, j = first_entry(skel[1], strand)
+            skel[1].entries[i][j] = -skel[1].entries[i][j]
+        return mutate
+
+    assert fact(mix)[0].startswith("skeleton map out of position 2 joins an X and a Y element in row ")
+    assert fact(flip("monomial"))[0] == "monomial strand does not compose to zero"
+    failure, skel = fact(flip("dual"))
+    assert failure == pairing_witness(skel)[1]
 
 
 def duality_failure_by_negation(bases, mats):

@@ -212,7 +212,7 @@ def test_complex_check_multiplies_the_interior_products_without_the_skeleton_fac
 
     res = grid_resolution(5, 2)
     counts = _counting_products(monkeypatch, res)
-    monkeypatch.setattr(exactness, "skeleton_product_failure", lambda d, n: (2, 0, 0, Poly.zero(d)))
+    monkeypatch.setattr(exactness, "skeleton_complex_failure", lambda d, n: "dual strand does not compose to zero")
     assert Session(res, res.phi).complex_failure is None
     assert counts == Counter({"b_1 b_2": 1, "b_2 b_3": 1})
 
@@ -582,14 +582,14 @@ def test_run_checks_proves_each_fact_once(monkeypatch):
     # the strand certificate runs the pairing rule on the skeleton as well, once per (d, n)
     _count_calls(monkeypatch, counts, "duality_failure", exactness.duality_failure,
                  lambda bases, mats: mats is res.matrices)
-    _count_calls(monkeypatch, counts, "skeleton_product_failure", exactness.skeleton_product_failure)
+    _count_calls(monkeypatch, counts, "skeleton_complex_failure", exactness.skeleton_complex_failure)
     assert run_checks(res, phi).passed
     # under the proved duality the products past the middle mirror those before it,
-    # and the interior product b_2 b_3 is read off the x1-split on the skeleton fact
-    # S_2 S_3 = 0, a cached fact of (d, n)
+    # and the interior product b_2 b_3 is read off the x1-split on the fact that the
+    # skeleton is a complex, a cached fact of (d, n)
     assert counts == Counter({
         "b_1 b_2": 1,
-        "skeleton_product_failure": 1,
+        "skeleton_complex_failure": 1,
         "duality_failure": 1,
         "skeleton_block_failure": 1,
         "ann_degree": 1,
