@@ -7,11 +7,7 @@ arithmetic, and verifies the structural claims about it (complex property,
 Betti numbers, skeleton, duality, degreewise exactness, weak Lefschetz).
 """
 
-from .differentials import (
-    Resolution,
-    build_resolution,
-    build_resolution_via_straightening,
-)
+from .differentials import Resolution, build_resolution
 from .hookbasis import (
     BasisElement,
     OrderedBasis,
@@ -44,7 +40,6 @@ __all__ = [
     "Resolution",
     "ann_degree",
     "build_resolution",
-    "build_resolution_via_straightening",
     "catalecticant_matrix",
     "contract",
     "delta_and_Q",

@@ -9,21 +9,17 @@ depend on (d, n) alone and are written once, there.  The inverse system
 enters only through the cofactor C_r of x1, a constant matrix for
 2 <= r <= d-1 and of degree n-1 for r = 1 and r = d.
 
-Two independent routes write the interior cofactors.  The production route,
-br_column, writes each column of C_r directly in the standard basis elements
-using the closed-form coefficient sums in t and Q; one writer serves the X
-and the Y generators, which differ only in two coefficient forms.  The
-alternative route applies the contraction formulas to elementary wedge
-generators and straightens the result with expand_eta / expand_kappa; it
-exists as a cross-check oracle.
-The routes share S_r, b_1 and b_d and differ only in the interior C_r.  All
-matrices are written in one basis family, the self-dual bases of
+One writer, br_column, writes each column of an interior cofactor C_r
+directly in the standard basis elements using the closed-form coefficient
+sums in t and Q; it serves the X and the Y generators, which differ only in
+two coefficient forms.  b1_column and bd_rows write the cofactors at both
+ends.  All matrices are written in one basis family, the self-dual bases of
 hookbasis.duality_basis, in which the pairing between complementary
 positions is a signed permutation.
 
 The entries are Z-linear in delta and in the coefficient sums Q, tq and W
 (BuildContext), and which sums meet in which entry depends on (d, n) alone.
-So the writers run once per (d, n) and route, on a PlanContext whose sums
+So the writers run once per (d, n), on a PlanContext whose sums
 are formal keys: build_plan records every entry of every b_r as integer
 combinations of the keys, delta * S_r included.  A build fills one value
 per key from the numeric BuildContext and evaluates the plan (_evaluate).
@@ -44,8 +40,6 @@ from .hookbasis import (
     BasisElement,
     OrderedBasis,
     duality_basis,
-    expand_eta,
-    expand_kappa,
     gamma_of,
     kos_expansion,
     y0,
@@ -352,51 +346,6 @@ def bd_rows(ctx: BuildContext) -> dict[BasisElement, Terms]:
 
 
 # ---------------------------------------------------------------------------
-# Alternative route: contraction formulas on elementary generators, then
-# straightening.  Used as an independent oracle for the interior columns.
-# ---------------------------------------------------------------------------
-
-
-def br_column_alt(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, int]:
-    """Interior cofactor column computed from elementary-generator contraction formulas."""
-    if not 2 <= r <= ctx.d - 1:
-        raise ValueError(f"r={r} out of range 2..{ctx.d - 1}")
-    d = ctx.d
-    a, m = elt.a, elt.m
-    out: dict[BasisElement, int] = {}
-    for j in range(1, r + 1):
-        aj = a[j - 1]
-        rest = a[:j - 1] + a[j:]
-        slot = (-1) ** (j - 1)  # contraction sign of the j-th wedge slot
-        if elt.kind == "X":
-            if var_divides(aj, m):
-                w = div_var(m, aj)
-                for m2 in monomials_of_degree(d, ctx.n, low_var=2):
-                    c = ctx.tq(m2, w)
-                    if c:
-                        for sgn, tgt in expand_eta(rest, m2):
-                            _add(out, tgt, -slot * sgn * c)
-                for m1 in monomials_of_degree(d, ctx.n - 1, low_var=2):
-                    c = ctx.Q(m1, w)
-                    if c:
-                        for sgn, tgt in expand_kappa(rest, m1):
-                            _add(out, tgt, -slot * sgn * c)
-        else:
-            u = mul_var(m, aj)
-            for m3 in monomials_of_degree(d, ctx.n, low_var=2):
-                c = ctx.W(u, m3)
-                if c:
-                    for sgn, tgt in expand_eta(rest, m3):
-                        _add(out, tgt, slot * sgn * c)
-            for m1 in monomials_of_degree(d, ctx.n - 1, low_var=2):
-                c = ctx.tq(u, m1)
-                if c:
-                    for sgn, tgt in expand_kappa(rest, m1):
-                        _add(out, tgt, slot * sgn * c)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
 
@@ -457,7 +406,7 @@ Cell = tuple[int, int, list[tuple[Mono, list[tuple[int, int]]]]]
 
 @dataclass(frozen=True)
 class Plan:
-    """The entries of every b_r of one (d, n) and route, as integer combinations of keys.
+    """The entries of every b_r of one (d, n), as integer combinations of keys.
 
     keys[k - 1] is the key (name, u, v) whose value is ctx.name(u, v) on a
     BuildContext; key index DELTA stands for ctx.delta.  cells[r - 1] lists
@@ -496,10 +445,10 @@ def _record(skel: PolyMatrix, cofactors) -> tuple[Cell, ...]:
 
 
 @lru_cache(maxsize=None)
-def build_plan(d: int, n: int, column_fn) -> Plan:
-    """The plan of every b_r at (d, n), with column_fn writing the interior cofactors.
+def build_plan(d: int, n: int) -> Plan:
+    """The plan of every b_r at (d, n).
 
-    b1_column, column_fn and bd_rows run once, on a PlanContext; the plan is
+    b1_column, br_column and bd_rows run once, on a PlanContext; the plan is
     then evaluated for each inverse system (_evaluate).
     """
     ctx = PlanContext(d, n)
@@ -507,7 +456,7 @@ def build_plan(d: int, n: int, column_fn) -> Plan:
     one = unit(d)
     cofactors = [[{y0(d): b1_column(ctx, e)} for _, e in bases[1]]]
     for r in range(2, d):
-        cofactors.append([{t: {one: c} for t, c in column_fn(ctx, r, e).items()} for _, e in bases[r]])
+        cofactors.append([{t: {one: c} for t, c in br_column(ctx, r, e).items()} for _, e in bases[r]])
     cofactors.append([bd_rows(ctx)])
     cells = tuple(_record(skel, cof) for skel, cof in zip(canonical_skeleton(d, n), cofactors))
     return Plan(tuple(ctx.keys), cells)
@@ -538,19 +487,6 @@ def _evaluate(plan: Plan, ctx: BuildContext, bases: tuple[OrderedBasis, ...]) ->
     return tuple(out)
 
 
-def _build(phi: InverseSystem, column_fn) -> Resolution:
-    cat = delta_and_Q(phi)
-    d, n = phi.d, phi.n
-    bases = tuple(duality_basis(d, n, r) for r in range(d + 1))
-    return Resolution(
-        phi=phi,
-        delta=cat.delta,
-        bases=bases,
-        matrices=_evaluate(build_plan(d, n, column_fn), BuildContext(phi, cat), bases),
-        twists=twist_list(d, n),
-    )
-
-
 def build_resolution(phi: InverseSystem, ordering: str = "selfdual") -> Resolution:
     """Build the resolution with the closed-form column formulas, in the self-dual bases.
 
@@ -558,16 +494,16 @@ def build_resolution(phi: InverseSystem, ordering: str = "selfdual") -> Resoluti
     """
     if ordering != "selfdual":
         raise ValueError(f"unknown ordering {ordering!r}; the only basis family is 'selfdual'")
-    return _build(phi, br_column)
-
-
-def build_resolution_via_straightening(phi: InverseSystem) -> Resolution:
-    """Build the resolution through elementary generators and straightening.
-
-    Independent of build_resolution for the interior cofactors C_r, the only
-    part in which the two routes differ; they must agree matrix-for-matrix.
-    """
-    return _build(phi, br_column_alt)
+    cat = delta_and_Q(phi)
+    d, n = phi.d, phi.n
+    bases = tuple(duality_basis(d, n, r) for r in range(d + 1))
+    return Resolution(
+        phi=phi,
+        delta=cat.delta,
+        bases=bases,
+        matrices=_evaluate(build_plan(d, n), BuildContext(phi, cat), bases),
+        twists=twist_list(d, n),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -578,7 +514,7 @@ def canonical_skeleton(d: int, n: int) -> tuple[PolyMatrix, ...]:
     the two Koszul strands on x2..xd are written: the monomial strand L on
     the Y elements and the dual strand K on the X elements, with no entry
     between the two kinds.  Built in the self-dual bases of every resolution;
-    _build lifts these matrices to the differentials.
+    build_plan lifts these matrices to the differentials.
     """
     bases = [duality_basis(d, n, r) for r in range(d + 1)]
     out = []

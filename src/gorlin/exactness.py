@@ -10,11 +10,12 @@ H_i(B)_e = x1 * H_i(B)_{e-1} for i >= 2, hence H_i(B) = 0 by induction on
 e, while positions 1 and 0 reduce to small exact computations: the degree
 growth of the ideal generated by the first matrix, and the bottom homology
 h1k of the dual skeleton strand over d-1 variables.  The skeleton depends
-only on (d, n): differentials.canonical_skeleton(d, n) writes it once, its
-two diagonal blocks are the strands that strand_certificate certifies (once
-per (d, n)), and skeleton_block_failure compares the skeleton of each
-resolution, the terms free of x1 in the one-pass split x1_split, with delta
-times the same matrices.
+only on (d, n): differentials.canonical_skeleton(d, n) writes it once.
+strand_certificate proves, once per (d, n), the one fact about it: it is
+the dual strand K beside the monomial strand L, both exact, K the dual of
+L.  skeleton_block_failure compares the skeleton of each resolution, the
+terms free of x1 in the one-pass split x1_split, with delta times the same
+matrices.
 
 The monomial strand L must resolve R/m^n, for R = k[x2..xd] and m its
 maximal ideal.  A strand basis element b has the multidegree c(b) over
@@ -75,10 +76,11 @@ the skeleton holds and every term with x1 is a multiple of x1 itself,
 b_r = delta S_r + x1 C_r with C_r constant, and
     b_r b_{r+1} = delta^2 S_r S_{r+1} + delta x1 (S_r C_{r+1} + C_r S_{r+1})
                   + x1^2 C_r C_{r+1},
-three parts with disjoint monomials.  S_r S_{r+1} = 0 is proved once per
-(d, n) without multiplying (skeleton_complex_failure): the skeleton has no
-entry between an X and a Y element, L composes to zero, and so does K, its
-pairing transpose.  The two other parts are checked in constants; only the
+three parts with disjoint monomials.  S_r S_{r+1} = 0 needs no product:
+it follows from the strand certificate, which requires that no skeleton
+entry join an X and a Y element, so that S_r S_{r+1} is K_r K_{r+1}
+beside L_r L_{r+1}; L composes to zero, and so does K, its pairing
+transpose.  The two other parts are checked in constants; only the
 products at the ends, and an interior one whose split does not vanish, are
 multiplied out.  On a system with integer coefficients every entry of B is
 an int polynomial, and these facts are proved without Fraction arithmetic.
@@ -87,7 +89,7 @@ an int polynomial, and these facts are proved without Fraction arithmetic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
@@ -239,23 +241,6 @@ def first_nonzero_product(mats: dict[int, PolyMatrix]) -> tuple[int, int, int, P
                     if not p.is_zero():
                         return r, i, j, p
     return None
-
-
-@lru_cache(maxsize=None)
-def skeleton_complex_failure(d: int, n: int) -> str | None:
-    """None when canonical_skeleton(d, n) is a complex, else why it is not proved one.
-
-    No entry may join an X and a Y element, so S_r is K_r beside L_r.  Once
-    strand_certificate(d, n) holds, L composes to zero and K is its signed
-    pairing transpose, so K composes to zero as well.
-    """
-    for r, (mat, rows) in enumerate(zip(canonical_skeleton(d, n), _skeleton_rows(d, n)), 1):
-        kinds = [e.kind for _, e in mat.cols]
-        for i, ((_, e), row) in enumerate(zip(mat.rows, rows)):
-            if any(kinds[j] != e.kind for j in row):
-                return f"skeleton map out of position {r} joins an X and a Y element in row {i}"
-    cert = strand_certificate(d, n)
-    return None if cert.ok else cert.failures[0]
 
 
 @lru_cache(maxsize=None)
@@ -428,41 +413,48 @@ def _acyclicity_failures(degs: dict, triples: dict[int, list[tuple[int, int, int
     return failures
 
 
-@dataclass
-class StrandCertificate:
-    ok: bool
-    h1k: dict[int, int]
-    failures: list[str]
-
-
 @lru_cache(maxsize=None)
-def strand_certificate(d: int, n: int) -> StrandCertificate:
-    """Exactness of both canonical strands in every degree (the argument is in the module docstring).
+def strand_certificate(d: int, n: int) -> tuple[str, ...]:
+    """Why canonical_skeleton(d, n) is not proved to be K beside L, both exact; () when it is.
 
-    The monomial strand L must be finely graded, a complex, meet the
-    acyclicity criterion by exact ranks at the d-1 coordinate points, and
-    present R/m^n, R = k[x2..xd] (_acyclicity_failures).  The dual strand
-    must be the pairing transpose of L (the pairing rule on
-    canonical_skeleton(d, n)); then it is Hom(L, R) up to twists, and
-    its bottom homology h1k is dim Ext^{d-1}_R(R/m^n, R) (Bruns and Herzog,
-    sections 3.3 and 3.6): h1k(e) = dim (R/m^n)_{2n-1-e}, nonzero dimensions only.
+    The argument is in the module docstring.  No entry may join an X and a
+    Y element, so that S_r is K_r beside L_r.  The monomial strand L must be
+    finely graded, a complex, meet the acyclicity criterion by exact ranks
+    at the d-1 coordinate points, and present R/m^n, R = k[x2..xd]
+    (_acyclicity_failures).  The dual strand K must be the pairing
+    transpose of L (the pairing rule on canonical_skeleton(d, n)); then it
+    is Hom(L, R) up to twists, it composes to zero as L does, and its
+    bottom homology is dual_strand_h1k(d, n).  So once the certificate
+    holds, the skeleton is a complex as well.
     """
+    for r, (mat, rows) in enumerate(zip(canonical_skeleton(d, n), _skeleton_rows(d, n)), 1):
+        kinds = [e.kind for _, e in mat.cols]
+        for i, ((_, e), row) in enumerate(zip(mat.rows, rows)):
+            if any(kinds[j] != e.kind for j in row):
+                return (f"skeleton map out of position {r} joins an X and a Y element in row {i}",)
     lmats, _ = strand_matrices(d, n)
     strand = _fine_strand("monomial", lmats)
     if isinstance(strand, str):
-        return StrandCertificate(False, {}, [strand])
+        return (strand,)
     degs, triples = strand
     if not _composes_to_zero(triples):
-        return StrandCertificate(False, {}, ["monomial strand does not compose to zero"])
+        return ("monomial strand does not compose to zero",)
     failures = _acyclicity_failures(degs, triples, n)
     skel = canonical_skeleton(d, n)
     pairing = duality_failure((skel[0].rows, *(m.cols for m in skel)), skel)
     if pairing is not None:
         failures.append("dual strand is not the pairing transpose of the monomial strand: "
                         "the pairing rule fails at r={}, pair ({}, {})".format(*pairing))
-    if failures:
-        return StrandCertificate(False, {}, failures)
-    return StrandCertificate(True, {e: comb(2 * n - 1 - e + d - 2, d - 2) for e in range(n, 2 * n)}, [])
+    return tuple(failures)
+
+
+def dual_strand_h1k(d: int, n: int) -> dict[int, int]:
+    """The bottom homology of the dual strand by degree, nonzero dimensions only.
+
+    Once strand_certificate(d, n) holds it is dim Ext^{d-1}_R(R/m^n, R)
+    (Bruns and Herzog, sections 3.3 and 3.6): h1k(e) = dim (R/m^n)_{2n-1-e}.
+    """
+    return {e: comb(2 * n - 1 - e + d - 2, d - 2) for e in range(n, 2 * n)}
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +511,6 @@ def ideal_dims(s: Session) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExactnessOutcome:
-    ok: bool
-    failures: list[str] = field(default_factory=list)
-
-
 class Session:
     """The facts about one resolution that several checks read, each proved once.
 
@@ -558,8 +544,8 @@ class Session:
         constant, read off the matrix (x1_split), and
             b_r b_{r+1} = delta^2 S_r S_{r+1}
                           + delta x1 (S_r C_{r+1} + C_r S_{r+1}) + x1^2 C_r C_{r+1},
-        where S_r S_{r+1} = 0 is the cached (d, n) fact
-        skeleton_complex_failure, and the other two parts are checked in
+        where S_r S_{r+1} = 0 once the cached (d, n) fact strand_certificate
+        holds, and the other two parts are checked in
         constants (_split_product_vanishes).  Any other product, and an
         interior one whose split does not vanish, is multiplied out, so the
         witness is that of first_nonzero_product.
@@ -577,8 +563,7 @@ class Session:
         """Whether b_r b_{r+1} = 0 follows from the x1-split (complex_failure)."""
         d, n = self.res.d, self.res.n
         (_, c_r), (_, c_next) = self.x1_splits[r - 1], self.x1_splits[r]
-        if (c_r is None or c_next is None or self.skeleton_failure is not None
-                or skeleton_complex_failure(d, n) is not None):
+        if c_r is None or c_next is None or self.skeleton_failure is not None or strand_certificate(d, n):
             return False
         rows = _skeleton_rows(d, n)
         return _split_product_vanishes(rows[r - 1], c_r, rows[r], c_next, self.res.matrix(r + 1).shape[1])
@@ -641,40 +626,15 @@ class Session:
         return ideal_dims(self)
 
 
-def _not_a_complex(s: Session, out: ExactnessOutcome) -> bool:
-    if s.complex_failure is None:
-        return False
-    r, i, j, _ = s.complex_failure
-    out.ok = False
-    out.failures.append(f"not a complex: b_{r} b_{r + 1} has a nonzero entry at ({i}, {j})")
-    return True
-
-
-def _h0_dims_ok(s: Session, failures: list[str]) -> dict[int, int] | None:
-    """Exact dims of coker(b_1) for e = 0..2n; None (with a failure) on mismatch."""
-    res = s.res
-    h0: dict[int, int] = {}
-    for e in range(0, 2 * res.n + 1):
-        dim_se = comb(e + res.d - 1, res.d - 1)
-        h0[e] = dim_se - s.ideal_dims[e]
-        if h0[e] != s.hf(e):
-            failures.append(
-                f"coker(b_1) has dimension {h0[e]} in degree {e}, "
-                f"Hilbert function of the quotient gives {s.hf(e)}"
-            )
-            return None
-    return h0
-
-
-def skeleton_block_failure(res: Resolution, splits: tuple[Split, ...] | None = None) -> str | None:
+def skeleton_block_failure(res: Resolution, splits: tuple[Split, ...]) -> str | None:
     """Check that the mod-x1 matrices are delta times canonical_skeleton(d, n).
 
     Returns a witness string on failure, None on success.  This both
     validates the skeleton structure and licenses the use of the canonical
-    strand certificates for the homology of res mod x1.  The terms free of
-    x1 come from splits (x1_split of every matrix, computed here when not
-    given) and are compared with delta times the skeleton terms, entry by
-    entry, with no matrix or dict built for the comparison.
+    strand certificate for the homology of res mod x1.  The terms free of
+    x1 come from splits (x1_split of every matrix) and are compared with
+    delta times the skeleton terms, entry by entry, with no matrix or dict
+    built for the comparison.
     """
     delta = exact(res.delta)
     d, n = res.d, res.n
@@ -682,8 +642,7 @@ def skeleton_block_failure(res: Resolution, splits: tuple[Split, ...] | None = N
         got = res.matrix(r)
         if got.shape != skel.shape:
             return f"skeleton of b_{r} has shape {got.shape}, the canonical strand form {skel.shape}"
-        free = (splits[r - 1] if splits else x1_split(got))[0]
-        for i, (got_row, want_row) in enumerate(zip(free, want)):
+        for i, (got_row, want_row) in enumerate(zip(splits[r - 1][0], want)):
             # an int and a Fraction of equal value compare equal
             bad = [j for j in got_row.keys() | want_row.keys()
                    if len(a := got_row.get(j, {})) != len(b := want_row.get(j, {}))
@@ -735,38 +694,36 @@ def duality_failure(bases: tuple[OrderedBasis, ...], mats: tuple[PolyMatrix, ...
     return None
 
 
-def certify_exactness(s: Session) -> ExactnessOutcome:
-    """Certify H_r(B) = 0 for 1 <= r <= d in every degree, and coker(b_1) = the quotient.
+def certify_exactness(s: Session) -> list[str]:
+    """Why H_r(B) = 0 for 1 <= r <= d in every degree and coker(b_1) = the quotient are not certified.
 
-    Uses the homology long exact sequence of 0 -> B(-1) -> B -> B/x1 -> 0:
-    strand exactness kills H_i for i >= 2 by induction on the degree, and the
-    degree-by-degree identity
+    [] means certified.  Uses the homology long exact sequence of
+    0 -> B(-1) -> B -> B/x1 -> 0: strand exactness kills H_i for i >= 2 by
+    induction on the degree, and the degree-by-degree identity
         dim H_1(B)_e = h1k(e) - h0(e-1) + h0(e) - dim(S/(x1, m^n))_e
     (with exactly computed right side) pins H_1.  h0 vanishes from 2n - 1 on
     and the quotient from n on, so the identity is checked up to 2n and up
     to the last degree where h1k is nonzero; beyond both every term is zero.
     """
-    out = ExactnessOutcome(ok=True)
-    if _not_a_complex(s, out):
-        return out
+    if s.complex_failure is not None:
+        r, i, j, _ = s.complex_failure
+        return [f"not a complex: b_{r} b_{r + 1} has a nonzero entry at ({i}, {j})"]
     if s.skeleton_failure is not None:
-        out.ok = False
-        out.failures.append(s.skeleton_failure)
-        return out
+        return [s.skeleton_failure]
     d, n = s.res.d, s.res.n
     cert = strand_certificate(d, n)
-    if not cert.ok:
-        out.ok = False
-        out.failures.extend(cert.failures)
-        return out
-    h0 = _h0_dims_ok(s, out.failures)
-    if h0 is None:
-        out.ok = False
-        return out
-    for e in range(0, max([2 * n, *cert.h1k]) + 1):
+    if cert:
+        return list(cert)
+    # the exact dims of coker(b_1)
+    h0 = {e: comb(e + d - 1, d - 1) - s.ideal_dims[e] for e in range(2 * n + 1)}
+    for e, h in h0.items():
+        if h != s.hf(e):
+            return [f"coker(b_1) has dimension {h} in degree {e}, Hilbert function of the quotient gives {s.hf(e)}"]
+    h1k = dual_strand_h1k(d, n)
+    failures = []
+    for e in range(0, max([2 * n, *h1k]) + 1):
         quot = comb(e + d - 2, d - 2) if e < n else 0
-        h1 = cert.h1k.get(e, 0) - h0.get(e - 1, 0) + h0.get(e, 0) - quot
+        h1 = h1k.get(e, 0) - h0.get(e - 1, 0) + h0.get(e, 0) - quot
         if h1 != 0:
-            out.ok = False
-            out.failures.append(f"homology at position 1 in degree {e} has dimension {h1}")
-    return out
+            failures.append(f"homology at position 1 in degree {e} has dimension {h1}")
+    return failures

@@ -280,8 +280,10 @@ def duality_basis(d: int, n: int, r: int) -> OrderedBasis:
     """Self-dual family of ordered bases: raw below the middle, pairing-dual above.
 
     For even d the middle basis keeps its X block in the raw order and
-    completes the Y block as the pairing-dual of that X block, so that
-    all pairing matrices between these bases are identities.
+    completes the Y block as the pairing-dual of that X block.  The pairing
+    matrix P_k of positions k and d-k is then the identity for odd d.  For
+    even d, P_{d/2} is a signed swap of the X and Y blocks and P_k = -I for
+    odd k > d/2; every other P_k is the identity.
     """
     if not 0 <= r <= d:
         raise ValueError(f"r={r} out of range 0..{d}")

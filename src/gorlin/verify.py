@@ -149,18 +149,18 @@ def check_ann_match(s: Session) -> CheckResult:
 def check_skeleton(s: Session) -> CheckResult:
     """Skeleton structure: block diagonal, equal to delta times the Koszul strands.
 
-    In addition the strand certificate must hold in every degree: the
-    monomial strand resolves the quotient by the n-th power of the d-1
-    variable maximal ideal, and the dual strand is its pairing transpose.
+    The strand certificate must hold as well: the skeleton has no entry
+    between an X and a Y element, the monomial strand resolves the quotient
+    by the n-th power of the d-1 variable maximal ideal in every degree, and
+    the dual strand is its pairing transpose.
     """
     res = s.res
     if s.skeleton_failure is not None:
         return CheckResult("skeleton", False, "skeleton is not delta times the canonical strands",
                            s.skeleton_failure)
     cert = strand_certificate(res.d, res.n)
-    if not cert.ok:
-        return CheckResult("skeleton", False, "a skeleton strand fails its certificate",
-                           "; ".join(cert.failures[:2]))
+    if cert:
+        return CheckResult("skeleton", False, "a skeleton strand fails its certificate", "; ".join(cert[:2]))
     return CheckResult("skeleton", True,
                        "block structure, delta * Koszul strands, strand resolution in every degree")
 
@@ -183,10 +183,9 @@ def check_duality(s: Session) -> CheckResult:
 
 def check_exactness_up_to(s: Session) -> CheckResult:
     """Exactness in every degree and cokernel identification: B resolves S/ann(phi)."""
-    out = certify_exactness(s)
-    if not out.ok:
-        return CheckResult("exactness", False, "B is not certified to resolve S/ann(phi)",
-                           "; ".join(out.failures[:3]))
+    failures = certify_exactness(s)
+    if failures:
+        return CheckResult("exactness", False, "B is not certified to resolve S/ann(phi)", "; ".join(failures[:3]))
     return CheckResult("exactness", True, "B resolves S/ann(phi): exact in every degree via skeleton-les")
 
 

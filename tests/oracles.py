@@ -26,6 +26,12 @@ another way, by a route that is slower or more literal.
   in ``Fraction`` arithmetic and the adjugate by solving ``m X = det * I``
   with ``rref_by_fractions``, where ``linalg.det_and_adjugate`` runs one
   integer fraction-free Gauss-Jordan elimination.
+* ``br_column_alt`` writes an interior cofactor column by the contraction
+  formulas on elementary wedge generators, straightened with
+  ``hookbasis.expand_eta`` / ``expand_kappa``, where
+  ``differentials.br_column`` sums the closed-form coefficients directly;
+  ``route_disagreement`` compares the two on every interior ``C_r`` of a
+  built resolution.
 * ``golden_skeleton_d4_n2`` parses the mod-x1 matrices at d = 4, n = 2,
   written out entry by entry, which ``differentials.canonical_skeleton(4, 2)``
   must reproduce verbatim.
@@ -41,19 +47,20 @@ from math import comb
 import numpy as np
 
 from gorlin import linalg
-from gorlin.differentials import Resolution
+from gorlin.differentials import BuildContext, Resolution, _add
 from gorlin.exactness import (
     PRIMES,
-    ExactnessOutcome,
     Piece,
     Session,
     _composes_to_zero,
     _fine_strand,
-    _not_a_complex,
     graded_piece,
     strand_matrices,
+    x1_split,
 )
-from gorlin.monomials import monomials_of_degree, mul_var, unit
+from gorlin.hookbasis import BasisElement, expand_eta, expand_kappa
+from gorlin.invsys import delta_and_Q
+from gorlin.monomials import div_var, monomials_of_degree, mul_var, unit, var_divides
 from gorlin.polymatrix import denominator_lcm
 from gorlin.polynomials import Poly, coeff_rows
 
@@ -107,12 +114,16 @@ def position_dims(res: Resolution, e: int) -> list[int]:
     return [b * comb(e - t + d - 1, d - 1) if e >= t else 0 for b, t in zip(res.betti, res.twists)]
 
 
-def certify_exactness_direct(s: Session, dmax: int) -> ExactnessOutcome:
-    """Saturated-rank certification on the full graded pieces of the resolution, up to degree dmax."""
+def certify_exactness_direct(s: Session, dmax: int) -> list[str]:
+    """Saturated-rank certification on the full graded pieces of the resolution, up to degree dmax.
+
+    [] means certified, as for exactness.certify_exactness.
+    """
     res = s.res
-    out = ExactnessOutcome(ok=True)
-    if _not_a_complex(s, out):
-        return out
+    if s.complex_failure is not None:
+        r, i, j, _ = s.complex_failure
+        return [f"not a complex: b_{r} b_{r + 1} has a nonzero entry at ({i}, {j})"]
+    failures = []
     d = res.d
     twists = res.twists
     scales = [denominator_lcm(res.matrix(r)) for r in range(1, d + 1)]
@@ -127,9 +138,75 @@ def certify_exactness_direct(s: Session, dmax: int) -> ExactnessOutcome:
         if ok and ms[0] - ns[1] != s.hf(e):
             ok, witness = False, f"cokernel dimension {ms[0] - ns[1]} != {s.hf(e)}"
         if not ok:
-            out.ok = False
-            out.failures.append(f"exactness fails in degree {e}: {witness}")
+            failures.append(f"exactness fails in degree {e}: {witness}")
+    return failures
+
+
+def br_column_alt(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, int]:
+    """Interior cofactor column computed from elementary-generator contraction formulas."""
+    if not 2 <= r <= ctx.d - 1:
+        raise ValueError(f"r={r} out of range 2..{ctx.d - 1}")
+    d = ctx.d
+    a, m = elt.a, elt.m
+    out: dict[BasisElement, int] = {}
+    for j in range(1, r + 1):
+        aj = a[j - 1]
+        rest = a[:j - 1] + a[j:]
+        slot = (-1) ** (j - 1)  # contraction sign of the j-th wedge slot
+        if elt.kind == "X":
+            if var_divides(aj, m):
+                w = div_var(m, aj)
+                for m2 in monomials_of_degree(d, ctx.n, low_var=2):
+                    c = ctx.tq(m2, w)
+                    if c:
+                        for sgn, tgt in expand_eta(rest, m2):
+                            _add(out, tgt, -slot * sgn * c)
+                for m1 in monomials_of_degree(d, ctx.n - 1, low_var=2):
+                    c = ctx.Q(m1, w)
+                    if c:
+                        for sgn, tgt in expand_kappa(rest, m1):
+                            _add(out, tgt, -slot * sgn * c)
+        else:
+            u = mul_var(m, aj)
+            for m3 in monomials_of_degree(d, ctx.n, low_var=2):
+                c = ctx.W(u, m3)
+                if c:
+                    for sgn, tgt in expand_eta(rest, m3):
+                        _add(out, tgt, slot * sgn * c)
+            for m1 in monomials_of_degree(d, ctx.n - 1, low_var=2):
+                c = ctx.tq(u, m1)
+                if c:
+                    for sgn, tgt in expand_kappa(rest, m1):
+                        _add(out, tgt, slot * sgn * c)
     return out
+
+
+def route_disagreement(res: Resolution) -> tuple[int, int, int] | None:
+    """The first (r, i, j) at which an interior cofactor C_r of res differs from br_column_alt, or None.
+
+    C_r is read off x1_split of b_r, as the complex check reads it.  The
+    straightening route writes each column on the numeric BuildContext of
+    res.phi, as integer numerators over ctx.denom signed by the bases.  The
+    two construction routes share the skeleton and both end matrices, so
+    the interior cofactors are all they could disagree on.
+    """
+    phi = res.phi
+    ctx = BuildContext(phi, delta_and_Q(phi))
+    for r in range(2, res.d):
+        mat = res.matrix(r)
+        cof = x1_split(mat)[1]
+        assert cof is not None, f"b_{r} has a term with x1 that is not a multiple of x1"
+        got = {(i, j): c for i, row in enumerate(cof) for j, c in row.items()}
+        want = {}
+        pos = mat.rows.position()
+        for j, (cs, e) in enumerate(mat.cols):
+            for target, c in br_column_alt(ctx, r, e).items():
+                i, rs = pos[target]
+                want[i, j] = Fraction(cs * rs * c, ctx.denom)
+        bad = [k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0)]
+        if bad:
+            return (r, *min(bad))
+    return None
 
 
 def _box_pieces(degs: dict[int, list[tuple[int, ...]]], triples: dict[int, list[tuple[int, int, int]]]):

@@ -1,4 +1,4 @@
-"""Resolution construction: anchors, complex property, skeleton, duality, routes."""
+"""Resolution construction: anchors, complex property, skeleton, duality, route agreement."""
 
 from fractions import Fraction
 
@@ -10,14 +10,12 @@ from gorlin.differentials import (
     b1_column,
     bd_rows,
     br_column,
-    br_column_alt,
     build_plan,
     build_resolution,
-    build_resolution_via_straightening,
     canonical_skeleton,
     twist_list,
 )
-from gorlin.exactness import skeleton_block_failure
+from gorlin.exactness import skeleton_block_failure, x1_split
 from gorlin.hookbasis import BasisElement, xd, y0
 from gorlin.invsys import (
     InadmissibleSystemError,
@@ -31,6 +29,7 @@ from gorlin.linalg import transpose
 from gorlin.polynomials import Poly, poly_str
 
 from conftest import EXTRA, GRID, extra_phi, grid_phi, grid_resolution, scaled, squares_resolution
+from oracles import br_column_alt, route_disagreement
 
 
 def test_b1_identity_catalecticant_columns():
@@ -73,11 +72,15 @@ def _system(label):
 @pytest.mark.parametrize("system", [f"{d}-{n}" for d, n in GRID] + list(EXTRA))
 def test_dual_path_equality(system):
     # the large-rational EXTRA system has a nontrivial // scale in tq and W
-    phi = _system(system)
-    res = build_resolution(phi)
-    alt = build_resolution_via_straightening(phi)
-    for r in range(1, phi.d + 1):
-        assert res.matrix(r).same_entries(alt.matrix(r)), (system, r)
+    assert route_disagreement(build_resolution(_system(system))) is None, system
+
+
+def test_route_disagreement_names_an_altered_cofactor():
+    import copy
+
+    res = copy.deepcopy(grid_resolution(4, 2))
+    res.matrix(3).entries[2][1] = res.matrix(3).entries[2][1] + Poly.monomial(mul_var(unit(4), 1))
+    assert route_disagreement(res) == (3, 2, 1)
 
 
 def test_shapes_and_twists():
@@ -116,7 +119,7 @@ def test_skeleton_asserts_block_structure():
     i, (_, re) = 0, mat.rows.elements[0]
     j = next(j for j, (_, ce) in enumerate(mat.cols) if ce.kind != re.kind)
     mat.entries[i][j] = mat.entries[i][j] + Poly.monomial((0, 1, 0, 0))
-    witness = skeleton_block_failure(res)
+    witness = skeleton_block_failure(res, tuple(x1_split(m) for m in res.matrices))
     assert witness == f"skeleton of b_2 differs from the canonical strand form at ({i}, {j})"
 
 
@@ -144,8 +147,8 @@ def test_bd_rows_vs_b1_on_identity_instance():
     assert transpose(res.matrix(1).entries) == res.matrix(3).entries
 
 
-ROUTES = {"closed": (build_resolution, br_column),
-          "straightening": (build_resolution_via_straightening, br_column_alt)}
+# the interior column writer, and the straightening oracle it must agree with
+ROUTES = {"closed": br_column, "straightening": br_column_alt}
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -154,10 +157,10 @@ def test_matrices_are_the_lift_of_the_skeleton(system, route):
     # b_r = delta * S_r + x1 * C_r, C_r constant inside and of degree n-1 at both ends;
     # each C_r of the evaluated plan is compared, column by column, with the
     # writers run on the numeric BuildContext
-    build, column = ROUTES[route]
+    column = ROUTES[route]
     phi = _system(system)
     d, n = phi.d, phi.n
-    res = build(phi)
+    res = build_resolution(phi)
     ctx = BuildContext(phi, delta_and_Q(phi))
     x1 = Poly.monomial(mul_var(unit(d), 1))
     for r, skel in enumerate(canonical_skeleton(d, n), 1):
@@ -178,12 +181,10 @@ def test_matrices_are_the_lift_of_the_skeleton(system, route):
                 assert rest == x1 * c, (r, i, j)
 
 
-@pytest.mark.parametrize("route", ROUTES)
-def test_a_second_build_reuses_the_plan(route):
-    build, _ = ROUTES[route]
-    first = build(random_invsys(4, 3, 40))
+def test_a_second_build_reuses_the_plan():
+    first = build_resolution(random_invsys(4, 3, 40))
     before = build_plan.cache_info()
-    res = build(random_invsys(4, 3, 41))
+    res = build_resolution(random_invsys(4, 3, 41))
     after = build_plan.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     # every build writes entries of its own, so altering one leaves the other intact
@@ -242,8 +243,7 @@ def test_d6_generality():
     for r in range(1, 6):
         prod = res.matrix(r).mul(res.matrix(r + 1))
         assert all(p.is_zero() for row in prod for p in row), r
-    alt = build_resolution_via_straightening(phi)
-    assert all(res.matrix(r).same_entries(alt.matrix(r)) for r in range(1, 7))
+    assert route_disagreement(res) is None
     assert transpose(res.matrix(1).entries) == res.matrix(6).entries
 
 

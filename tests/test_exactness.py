@@ -18,9 +18,11 @@ from gorlin.exactness import (
     _acyclicity_failures,
     _composes_to_zero,
     _fine_strand,
-    _h0_dims_ok,
+    _skeleton_rows,
     _split_product_vanishes,
+    certify_exactness,
     denominator_lcm,
+    dual_strand_h1k,
     duality_failure,
     fine_degree,
     first_nonzero_product,
@@ -28,7 +30,6 @@ from gorlin.exactness import (
     ideal_dims,
     rank_mod_p,
     skeleton_block_failure,
-    skeleton_complex_failure,
     strand_certificate,
     strand_matrices,
     x1_split,
@@ -219,9 +220,8 @@ def test_graded_piece_matches_the_monomial_products(d, n):
 
 
 def test_strand_certificate_d6_n2_holds():
-    cert = strand_certificate(6, 2)
-    assert cert.ok, cert.failures
-    assert cert.h1k == {2: 5, 3: 1}
+    assert strand_certificate(6, 2) == ()
+    assert dual_strand_h1k(6, 2) == {2: 5, 3: 1}
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 3), (5, 2)])
@@ -233,7 +233,7 @@ def test_strand_certificate_ranks_exactly_and_uses_no_prime(monkeypatch, d, n):
     rank_exact = Piece.rank_exact
     monkeypatch.setattr(exactness, "rank_mod_p", refuse)
     monkeypatch.setattr(Piece, "rank_exact", lambda self: calls.append(self) or rank_exact(self))
-    assert strand_certificate.__wrapped__(d, n).ok
+    assert strand_certificate.__wrapped__(d, n) == ()
     assert calls
 
 
@@ -251,9 +251,8 @@ STRAND_PINS = {
 
 @pytest.mark.parametrize("d,n", GRID)
 def test_strand_certificate_pins(d, n):
-    cert = strand_certificate(d, n)
     ok, h1k = STRAND_PINS[d, n]
-    assert (cert.ok, cert.h1k) == (ok, {e: h for e, h in enumerate(h1k) if h})
+    assert (strand_certificate(d, n) == (), dual_strand_h1k(d, n)) == (ok, {e: h for e, h in enumerate(h1k) if h})
 
 
 @pytest.mark.parametrize("d,n", [*GRID, (4, 4), (6, 2)])
@@ -261,7 +260,8 @@ def test_dual_strand_ranks_give_the_closed_form_h1k(d, n):
     # the reference ranks the dual strand over its box; the certificate takes
     # the dimensions of Ext^{d-1}(R/m^n, R) instead
     want = {e: comb(2 * n - 1 - e + d - 2, d - 2) for e in range(n, 2 * n)}
-    assert dual_strand_h1k_by_ranking(d, n) == strand_certificate(d, n).h1k == want
+    assert strand_certificate(d, n) == ()
+    assert dual_strand_h1k_by_ranking(d, n) == dual_strand_h1k(d, n) == want
 
 
 def nonzero_entries(mat):
@@ -318,7 +318,6 @@ def test_x1_split_reads_the_cofactors_of_the_interior_maps(d, n):
             for j, p in enumerate(row):
                 assert p == Poly(d, {**free[i].get(j, {}), **({x1: cof[i][j]} if j in cof[i] else {})})
     assert skeleton_block_failure(res, tuple(splits)) is None
-    assert skeleton_block_failure(res) is None
     bad = copy.deepcopy(res)
     bad.matrix(2).entries[0][0] = bad.matrix(2).entries[0][0] + Poly.monomial(mul_var(x1, 2))
     assert x1_split(bad.matrix(2))[1] is None
@@ -331,13 +330,15 @@ def certificate_of_mutated_skeleton(monkeypatch, d, n, mutate):
     """(strand_certificate(d, n) computed afresh, the skeleton it read) for a mutated skeleton.
 
     mutate alters a deep copy of canonical_skeleton(d, n) in place.  The
-    certificate cuts the monomial strand from the skeleton and runs the
-    pairing rule on all of it, so both read the mutated copy.
+    certificate scans the skeleton rows for an entry between an X and a Y
+    element, cuts the monomial strand from the skeleton and runs the pairing
+    rule on all of it, so all three read the mutated copy.
     """
     skel = copy.deepcopy(canonical_skeleton(d, n))
     mutate(skel)
     for module in (differentials, exactness):
         monkeypatch.setattr(module, "canonical_skeleton", lambda d, n: skel)
+    monkeypatch.setattr(exactness, "_skeleton_rows", _skeleton_rows.__wrapped__)
     return strand_certificate.__wrapped__(d, n), skel
 
 
@@ -371,12 +372,12 @@ def test_strand_certificate_fails_on_a_sign_flip(monkeypatch, strand, r):
         mat.entries[i][j] = -mat.entries[i][j]
 
     cert, skel = certificate_of_mutated_skeleton(monkeypatch, 4, 2, flip)
-    assert not cert.ok
+    assert cert
     if strand == "monomial":
-        assert cert.failures == ["monomial strand does not compose to zero"]
+        assert cert == ("monomial strand does not compose to zero",)
     else:
         at, failure = pairing_witness(skel)
-        assert at == min(r - 1, 4 - r) and cert.failures == [failure]
+        assert at == min(r - 1, 4 - r) and cert == (failure,)
 
 
 @pytest.mark.parametrize("strand,r", [("monomial", 2), ("dual", 3)])
@@ -394,13 +395,13 @@ def test_strand_certificate_names_an_entry_moved_to_another_multidegree(monkeypa
 
     cert, skel = certificate_of_mutated_skeleton(monkeypatch, 4, 2, move)
     (i, j2, p), = moved
-    assert not cert.ok
+    assert cert
     if strand == "monomial":
-        assert cert.failures == [f"monomial strand is not finely graded: entry ({i}, {j2}) of the map out of "
-                                 f"position {r} is {poly_str(p)}, expected +-x^v with c(column) = c(row) + v"]
+        assert cert == (f"monomial strand is not finely graded: entry ({i}, {j2}) of the map out of "
+                        f"position {r} is {poly_str(p)}, expected +-x^v with c(column) = c(row) + v",)
     else:
         at, failure = pairing_witness(skel)
-        assert at == min(r - 1, 4 - r) and cert.failures == [failure]
+        assert at == min(r - 1, 4 - r) and cert == (failure,)
 
 
 def test_strand_certificate_ranks_a_zeroed_column(monkeypatch):
@@ -412,10 +413,10 @@ def test_strand_certificate_ranks_a_zeroed_column(monkeypatch):
             row[cols[0]] = Poly.zero(4)
 
     cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, zero)
-    assert not cert.ok
-    assert cert.failures[0] == ("monomial strand fails the acyclicity criterion at the point x2 = 1: "
-                                "rho_2 + rho_3 = 5 + 2, rank L_2 = 8")
-    assert cert.failures[-1].startswith("dual strand is not the pairing transpose of the monomial strand")
+    assert cert
+    assert cert[0] == ("monomial strand fails the acyclicity criterion at the point x2 = 1: "
+                       "rho_2 + rho_3 = 5 + 2, rank L_2 = 8")
+    assert cert[-1].startswith("dual strand is not the pairing transpose of the monomial strand")
 
 
 @pytest.mark.parametrize("strand,r,first", [
@@ -434,14 +435,14 @@ def test_strand_certificate_fails_on_an_unreached_bottom_element(monkeypatch, st
         mat.entries.append([Poly.zero(4) for _ in mat.cols])
 
     cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, extend)
-    assert not cert.ok and cert.failures[0] == first
+    assert cert and cert[0] == first
 
 
 @pytest.mark.parametrize("d,n", [*GRID, (4, 4), (6, 2)])
 def test_coordinate_points_and_box_give_the_same_verdict(d, n):
     degs, triples = _fine_strand("monomial", strand_matrices(d, n)[0])
     assert _acyclicity_failures(degs, triples, n) == acyclicity_failures_by_box(degs, triples, n) == []
-    assert strand_certificate(d, n).ok
+    assert strand_certificate(d, n) == ()
 
 
 def test_coordinate_points_need_every_variable():
@@ -508,19 +509,10 @@ def test_coordinate_points_and_box_agree_on_mutated_strands(data):
 
 
 def test_skeleton_complex_fact_on_a_mixed_entry_and_a_sign_flip(monkeypatch):
-    # the fact reads the strand certificate, so a flip in either strand fails
-    # it with the certificate's first witness
-    assert skeleton_complex_failure(4, 2) is None
-    skeleton_rows, certificate = exactness._skeleton_rows.__wrapped__, strand_certificate.__wrapped__
-
-    def fact(mutate):
-        skel = copy.deepcopy(canonical_skeleton(4, 2))
-        mutate(skel)
-        for module in (differentials, exactness):
-            monkeypatch.setattr(module, "canonical_skeleton", lambda d, n: skel)
-        monkeypatch.setattr(exactness, "_skeleton_rows", skeleton_rows)
-        monkeypatch.setattr(exactness, "strand_certificate", certificate)
-        return skeleton_complex_failure.__wrapped__(4, 2), skel
+    # the strand certificate is the skeleton's complex fact: it scans for an
+    # entry between an X and a Y element first, and a flip in either strand
+    # fails it with the strand's first witness
+    assert strand_certificate(4, 2) == ()
 
     def mix(skel):
         mat = skel[1]
@@ -534,10 +526,12 @@ def test_skeleton_complex_fact_on_a_mixed_entry_and_a_sign_flip(monkeypatch):
             skel[1].entries[i][j] = -skel[1].entries[i][j]
         return mutate
 
-    assert fact(mix)[0].startswith("skeleton map out of position 2 joins an X and a Y element in row ")
-    assert fact(flip("monomial"))[0] == "monomial strand does not compose to zero"
-    failure, skel = fact(flip("dual"))
-    assert failure == pairing_witness(skel)[1]
+    cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, mix)
+    assert cert[0].startswith("skeleton map out of position 2 joins an X and a Y element in row ")
+    cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, flip("monomial"))
+    assert cert[0] == "monomial strand does not compose to zero"
+    cert, skel = certificate_of_mutated_skeleton(monkeypatch, 4, 2, flip("dual"))
+    assert cert[0] == pairing_witness(skel)[1]
 
 
 def duality_failure_by_negation(bases, mats):
@@ -648,9 +642,9 @@ def test_ideal_dims_of_a_column_that_does_not_annihilate_are_exact(c, monkeypatc
     assert dims[4] == 15 == comb(6, 2) > comb(6, 2) - s.hf(4)
     # as before the duality step: I_4 = S_4 gives degree 5 unranked
     assert degrees == [3, 4]
-    failures = []
-    assert _h0_dims_ok(s, failures) is None
-    assert failures == ["coker(b_1) has dimension 0 in degree 4, Hilbert function of the quotient gives 1"]
+    # with the facts before it taken as proved, the cokernel dimensions fail the certificate first
+    s.complex_failure = s.skeleton_failure = None
+    assert certify_exactness(s) == ["coker(b_1) has dimension 0 in degree 4, Hilbert function of the quotient gives 1"]
 
 
 def test_ideal_dims_of_a_duplicated_column_fall_back_to_exact_rank(monkeypatch):
@@ -668,9 +662,8 @@ def test_ideal_dims_of_a_duplicated_column_fall_back_to_exact_rank(monkeypatch):
     assert dims[2] == 8 and calls
     # I_2 misses J_2, so the duality step does not apply and degree 2n-1 = 3 is ranked
     assert degrees == [2, 3]
-    failures = []
-    assert _h0_dims_ok(s, failures) is None
-    assert failures == ["coker(b_1) has dimension 2 in degree 2, Hilbert function of the quotient gives 1"]
+    s.complex_failure = s.skeleton_failure = None
+    assert certify_exactness(s) == ["coker(b_1) has dimension 2 in degree 2, Hilbert function of the quotient gives 1"]
 
 
 def test_ideal_dims_of_another_systems_ideal_rank_degree_2n_minus_1(monkeypatch):

@@ -287,6 +287,26 @@ def test_duality_basis_printed_examples():
                 assert s1 * s2 * pp_value(e1, e2) == expected
 
 
+@pytest.mark.parametrize("d", range(3, 9))
+def test_duality_basis_pairing_matrices(d):
+    # P_k, the pairing of positions k and d-k, is the identity for odd d; for
+    # even d it is a signed swap of the X and Y blocks at the middle and -I
+    # at every odd k past the middle
+    n = 2
+    for k in range(d + 1):
+        rows, cols = duality_basis(d, n, k), duality_basis(d, n, d - k)
+        got = {(i, j): v for i, (s1, e1) in enumerate(rows) for j, (s2, e2) in enumerate(cols)
+               if (v := s1 * s2 * pp_value(e1, e2))}
+        if 2 * k == d:
+            half = len(rows) // 2
+            assert [e.kind for _, e in rows] == ["X"] * half + ["Y"] * half
+            want = {(i, i + half): 1 for i in range(half)} | {(i + half, i): (-1) ** k for i in range(half)}
+        else:
+            sign = -1 if d % 2 == 0 and k % 2 == 1 and 2 * k > d else 1
+            want = {(i, i): sign for i in range(len(rows))}
+        assert got == want, (d, k)
+
+
 def test_pp_dual_element_roundtrip():
     d, n = 5, 3
     for r in range(d + 1):

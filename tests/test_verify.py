@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, assume, given, seed, settings, strategies as st
 
-from gorlin.differentials import build_resolution, build_resolution_via_straightening, canonical_skeleton
+from gorlin.differentials import build_resolution, canonical_skeleton
 from gorlin.exactness import (
     Session,
     certify_exactness,
@@ -34,7 +34,7 @@ from gorlin.verify import (
 )
 
 from conftest import grid_phi, grid_resolution, squares_phi, squares_resolution
-from oracles import certify_exactness_direct, golden_skeleton_d4_n2
+from oracles import certify_exactness_direct, golden_skeleton_d4_n2, route_disagreement
 
 
 def perturbed(res, r=2, i=0, j=0, bump=None):
@@ -212,7 +212,7 @@ def test_complex_check_multiplies_the_interior_products_without_the_skeleton_fac
 
     res = grid_resolution(5, 2)
     counts = _counting_products(monkeypatch, res)
-    monkeypatch.setattr(exactness, "skeleton_complex_failure", lambda d, n: "dual strand does not compose to zero")
+    monkeypatch.setattr(exactness, "strand_certificate", lambda d, n: ("dual strand does not compose to zero",))
     assert Session(res, res.phi).complex_failure is None
     assert counts == Counter({"b_1 b_2": 1, "b_2 b_3": 1})
 
@@ -285,15 +285,44 @@ def test_check_skeleton_golden_and_witness():
 
 def test_check_skeleton_names_the_failed_strand(monkeypatch):
     from gorlin import verify
-    from gorlin.exactness import StrandCertificate
 
     failure = "dual strand fails in degree 5: homology at position 2 (defect 1)"
-    cert = StrandCertificate(False, {}, [failure])
-    monkeypatch.setattr(verify, "strand_certificate", lambda d, n: cert)
+    monkeypatch.setattr(verify, "strand_certificate", lambda d, n: (failure,))
     res = grid_resolution(3, 2)
     out = check_skeleton(Session(res, res.phi))
     assert not out.passed
     assert out.summary == "a skeleton strand fails its certificate" and out.witness == failure
+
+
+def test_check_skeleton_fails_on_an_entry_between_an_x_and_a_y_element(monkeypatch):
+    # x2 at an X-row/Y-column zero of S_2 and its pairing mirror in S_3: the
+    # strands are untouched and the pairing rule still holds on the skeleton,
+    # so only the block scan of the strand certificate sees the mixed entry.
+    # B is altered to match, so the skeleton comparison passes as well.
+    from gorlin import differentials, exactness, verify
+    from gorlin.exactness import _pairing, _skeleton_rows, duality_failure, strand_certificate
+
+    res = copy.deepcopy(grid_resolution(4, 2))
+    skel = copy.deepcopy(canonical_skeleton(4, 2))
+    s2 = skel[1]
+    i = next(i for i, (_, e) in enumerate(s2.rows) if e.kind == "X")
+    j = next(j for j, (_, e) in enumerate(s2.cols) if e.kind == "Y" and not s2.entries[i][j])
+    (ii, s1), (kk, t1) = _pairing(res.bases, 2)[j], _pairing(res.bases, 1)[i]
+    x2 = Poly.monomial(mul_var(unit(4), 2))
+    for (r, a, b), c in (((2, i, j), 1), ((3, ii, kk), -s1 * t1)):
+        assert not skel[r - 1].entries[a][b]
+        skel[r - 1].entries[a][b] = x2.scale(c)
+        res.matrix(r).entries[a][b] = res.matrix(r).entries[a][b] + x2.scale(c * res.delta)
+    assert duality_failure(res.bases, skel) is None
+    for module in (differentials, exactness):
+        monkeypatch.setattr(module, "canonical_skeleton", lambda d, n: skel)
+    monkeypatch.setattr(exactness, "_skeleton_rows", _skeleton_rows.__wrapped__)
+    monkeypatch.setattr(verify, "strand_certificate", strand_certificate.__wrapped__)
+    s = Session(res, res.phi)
+    assert s.skeleton_failure is None and s.duality_failure is None
+    out = check_skeleton(s)
+    assert not out.passed, out.line()
+    assert out.witness == "skeleton map out of position 2 joins an X and a Y element in row 0"
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
@@ -340,7 +369,7 @@ def test_exactness_methods_agree():
         res = grid_resolution(d, n)
         direct = certify_exactness_direct(Session(res, phi), 2 * n + d)
         les = certify_exactness(Session(res, phi))
-        assert direct.ok and les.ok
+        assert direct == les == []
 
 
 @st.composite
@@ -366,7 +395,7 @@ def test_routes_agree_and_verdicts_survive_a_permutation(case):
     assume(det_bareiss(catalecticant_matrix(phi, phi.n - 1)) != 0)
     res = build_resolution(phi)
     s = Session(res, phi)
-    assert certify_exactness(s).ok == certify_exactness_direct(s, 2 * phi.n + phi.d).ok
+    assert (certify_exactness(s) == []) == (certify_exactness_direct(s, 2 * phi.n + phi.d) == [])
     swapped, perm = phi, list(perm)
     for k in range(len(perm)):  # one swap puts each variable in its place
         j = perm.index(k + 2)
@@ -382,7 +411,7 @@ def test_exactness_detects_broken_complex():
     res = grid_resolution(3, 2)
     bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial((1, 0, 0)))
     out = certify_exactness_direct(Session(bad, grid_phi(3, 2)), 7)
-    assert not out.ok and "complex" in out.failures[0]
+    assert out and "complex" in out[0]
 
 
 def test_exactness_detects_missing_syzygies():
@@ -395,9 +424,9 @@ def test_exactness_detects_missing_syzygies():
             for j in range(len(mat.cols)):
                 mat.entries[i][j] = Poly.zero(3)
     out = certify_exactness_direct(Session(bad, grid_phi(3, 2)), 7)
-    assert not out.ok and any("degree" in f for f in out.failures)
+    assert out and any("degree" in f for f in out)
     out = certify_exactness(Session(bad, grid_phi(3, 2)))
-    assert not out.ok  # the skeleton no longer matches the canonical strands
+    assert out  # the skeleton no longer matches the canonical strands
     out = check_exactness_up_to(Session(bad, grid_phi(3, 2)))
     assert not out.passed and out.summary == "B is not certified to resolve S/ann(phi)"
 
@@ -408,7 +437,7 @@ def test_exactness_distinguishes_only_dimensions():
     phi = grid_phi(3, 2)
     other = random_invsys(3, 2, seed=99)
     res_other = build_resolution(other)
-    assert certify_exactness_direct(Session(res_other, phi), 7).ok
+    assert certify_exactness_direct(Session(res_other, phi), 7) == []
     assert not check_ann_match(Session(res_other, phi)).passed
 
 
@@ -483,8 +512,7 @@ def test_exactness_against_naive_rank_oracle():
             ker = dims[r] - ranks[r]
             assert ker == ranks[r + 1], (r, e)
         assert comb(e + d - 1, d - 1) - ranks[1] == hf_value(phi, e)
-    out = certify_exactness_direct(Session(res, phi), 7)
-    assert out.ok
+    assert certify_exactness_direct(Session(res, phi), 7) == []
 
 
 def test_fractional_coefficients_full_pipeline():
@@ -502,15 +530,14 @@ def test_fractional_coefficients_full_pipeline():
     res = build_resolution(phi)
     report = run_checks(res, phi)
     assert report.passed, report.to_text()
-    alt = build_resolution_via_straightening(phi)
-    assert all(res.matrix(r).same_entries(alt.matrix(r)) for r in range(1, 4))
+    assert route_disagreement(res) is None
 
 
 def test_exactness_beyond_default_bound():
     phi = grid_phi(3, 2)
     res = grid_resolution(3, 2)
-    assert certify_exactness_direct(Session(res, phi), 12).ok
-    assert certify_exactness(Session(res, phi)).ok
+    assert certify_exactness_direct(Session(res, phi), 12) == []
+    assert certify_exactness(Session(res, phi)) == []
 
 
 @pytest.mark.parametrize("e", [2, 4, 9])
@@ -519,12 +546,11 @@ def test_h1_identity_is_checked_wherever_h1k_is_nonzero(monkeypatch, e):
     # at and past the bound 2n = 4, is homology of B in position 1
     from gorlin import exactness
 
-    cert = copy.deepcopy(exactness.strand_certificate(3, 2))
-    cert.h1k[e] = cert.h1k.get(e, 0) + 1
-    monkeypatch.setattr(exactness, "strand_certificate", lambda d, n: cert)
+    h1k = exactness.dual_strand_h1k(3, 2)
+    h1k[e] = h1k.get(e, 0) + 1
+    monkeypatch.setattr(exactness, "dual_strand_h1k", lambda d, n: h1k)
     out = certify_exactness(Session(grid_resolution(3, 2), grid_phi(3, 2)))
-    assert not out.ok
-    assert out.failures == [f"homology at position 1 in degree {e} has dimension 1"]
+    assert out == [f"homology at position 1 in degree {e} has dimension 1"]
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -574,6 +600,7 @@ def test_run_checks_proves_each_fact_once(monkeypatch):
     res = grid_resolution(4, 2)
     n = res.n
     counts = _counting_products(monkeypatch, res)
+    exactness.strand_certificate.cache_clear()
     _count_calls(monkeypatch, counts, "skeleton_block_failure", exactness.skeleton_block_failure)
     _count_calls(monkeypatch, counts, "ann_degree", invsys.ann_degree,
                  lambda p, j: p is phi and j == n)
@@ -582,14 +609,13 @@ def test_run_checks_proves_each_fact_once(monkeypatch):
     # the strand certificate runs the pairing rule on the skeleton as well, once per (d, n)
     _count_calls(monkeypatch, counts, "duality_failure", exactness.duality_failure,
                  lambda bases, mats: mats is res.matrices)
-    _count_calls(monkeypatch, counts, "skeleton_complex_failure", exactness.skeleton_complex_failure)
     assert run_checks(res, phi).passed
     # under the proved duality the products past the middle mirror those before it,
     # and the interior product b_2 b_3 is read off the x1-split on the fact that the
-    # skeleton is a complex, a cached fact of (d, n)
+    # skeleton is a complex, part of the strand certificate, a cached fact of (d, n)
+    assert exactness.strand_certificate.cache_info().misses == 1
     assert counts == Counter({
         "b_1 b_2": 1,
-        "skeleton_complex_failure": 1,
         "duality_failure": 1,
         "skeleton_block_failure": 1,
         "ann_degree": 1,
