@@ -11,11 +11,6 @@ from gorlin.polymatrix import PolyMatrix
 GRID = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
 GRID_SEEDS = {(3, 2): 1, (3, 3): 2, (4, 2): 7, (4, 3): 3, (5, 2): 5, (5, 3): 11}
 
-# systems pinned beside the grid, by label: the first instance of the
-# d=4, n=4 benchmark workload, and a (4, 3) system whose coefficients have
-# mixed denominators and numerators near 2^70
-EXTRA = ("d=4 n=4 seed=0", "d=4 n=3 large-rational")
-
 _cache = {}
 
 
@@ -25,10 +20,22 @@ def _large_rational(d, n, seed):
                                 for m in monomials_of_degree(d, 2 * n - 2)})
 
 
+# systems pinned beside the grid, by label: the first instance of the
+# d=4, n=4 benchmark workload, a (4, 3) system whose coefficients have
+# mixed denominators and numerators near 2^70, and a d=7 point, where the
+# skeleton and B are mostly zero cells
+EXTRA_SYSTEMS = {
+    "d=4 n=4 seed=0": lambda: random_invsys(4, 4, 0),
+    "d=4 n=3 large-rational": lambda: _large_rational(4, 3, 70),
+    "d=7 n=2 seed=1": lambda: random_invsys(7, 2, 1),
+}
+EXTRA = tuple(EXTRA_SYSTEMS)
+
+
 def extra_phi(label):
     key = ("extra", label)
     if key not in _cache:
-        _cache[key] = random_invsys(4, 4, 0) if label == EXTRA[0] else _large_rational(4, 3, 70)
+        _cache[key] = EXTRA_SYSTEMS[label]()
     return _cache[key]
 
 

@@ -5,9 +5,10 @@
 For each grid point of ``conftest.GRID`` (self-dual ordering) the outputs
 are the ``verify`` text and JSON reports and the ``resolve`` text, JSON and
 Macaulay2 dumps; at (3, 2) and (4, 2) also the output of ``gorlin ann``.
-For each system of ``conftest.EXTRA`` (the d=4, n=4 benchmark point and a
-system with mixed denominators and numerators near 2^70) they are the
-``verify`` text and JSON reports and the ``resolve`` JSON dump.
+For each system of ``conftest.EXTRA`` (the d=4, n=4 benchmark point, a
+system with mixed denominators and numerators near 2^70, and a d=7, n=2
+point whose matrices are mostly zero cells) they are the ``verify`` text
+and JSON reports and the ``resolve`` JSON dump.
 The pins record the outputs of the code they were made with, so regenerate
 them only with a change that alters an output on purpose.
 """
