@@ -27,7 +27,8 @@ Every coefficient is an integer numerator over one power of the lcm L of
 phi's denominators; _evaluate divides it out when it writes the entry, so
 a coefficient is an int whenever it is integral (always, for phi with
 integer coefficients: L = 1) and a Fraction only otherwise.  A sum that is
-zero for this phi leaves no term.
+zero for this phi leaves no term, and an entry left with no term is not
+stored (PolyMatrix keeps the nonzero entries only).
 """
 
 from __future__ import annotations
@@ -390,15 +391,14 @@ def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions) -> PolyMatrix:
     expansions[j] maps a target element to the int coefficients of the
     entry's terms.  A target outside the row basis is a KeyError.
     """
-    d = rows.d
     pos = rows.position()
-    entries = [[Poly.zero(d) for _ in range(len(cols))] for _ in range(len(rows))]
+    mat = PolyMatrix(rows, cols, [{} for _ in rows])
     for j, (csign, _) in enumerate(cols.elements):
         for target, terms in expansions[j].items():
             i, rsign = pos[target]
             s = csign * rsign
-            entries[i][j] = Poly(d, {m: s * c for m, c in terms.items()})
-    return PolyMatrix(rows=rows, cols=cols, entries=entries)
+            mat.set(i, j, Poly(rows.d, {m: s * c for m, c in terms.items()}))
+    return mat
 
 
 Cell = tuple[int, int, list[tuple[Mono, list[tuple[int, int]]]]]
@@ -410,8 +410,8 @@ class Plan:
 
     keys[k - 1] is the key (name, u, v) whose value is ctx.name(u, v) on a
     BuildContext; key index DELTA stands for ctx.delta.  cells[r - 1] lists
-    the nonzero entries (i, j, terms) of b_r, each term a monomial with its
-    (coefficient, key index) pairs.
+    the nonzero entries (i, j, terms) of b_r in row-major order, each term a
+    monomial with its (coefficient, key index) pairs.
     """
 
     keys: tuple[tuple[str, Mono, Mono], ...]
@@ -438,10 +438,10 @@ def _record(skel: PolyMatrix, cofactors) -> tuple[Cell, ...]:
             if terms:
                 cells[i, j] = terms
     for i, row in enumerate(skel.entries):
-        for j, p in enumerate(row):
-            if p:
-                cells.setdefault((i, j), []).extend((m, [(c, DELTA)]) for m, c in p.terms.items())
-    return tuple((i, j, terms) for (i, j), terms in cells.items())
+        for j, p in row.items():
+            cells.setdefault((i, j), []).extend((m, [(c, DELTA)]) for m, c in p.terms.items())
+    # in row-major order, so that _evaluate fills each row in column order
+    return tuple((i, j, terms) for (i, j), terms in sorted(cells.items()))
 
 
 @lru_cache(maxsize=None)
@@ -472,10 +472,10 @@ def _evaluate(plan: Plan, ctx: BuildContext, bases: tuple[OrderedBasis, ...]) ->
     d, denom = ctx.d, ctx.denom
     out = []
     for r, cells in enumerate(plan.cells, 1):
-        rows, cols = bases[r - 1], bases[r]
-        entries = [[Poly(d) for _ in range(len(cols))] for _ in range(len(rows))]
+        mat = PolyMatrix(bases[r - 1], bases[r], [{} for _ in bases[r - 1]])
         for i, j, terms in cells:
-            poly = entries[i][j].terms
+            p = Poly(d)
+            poly = p.terms
             for m, lin in terms:
                 num = 0
                 for c, k in lin:
@@ -483,7 +483,8 @@ def _evaluate(plan: Plan, ctx: BuildContext, bases: tuple[OrderedBasis, ...]) ->
                 if num:
                     # over gives an int when it is integral, as Poly stores it
                     poly[m] = over(num, denom)
-        out.append(PolyMatrix(rows=rows, cols=cols, entries=entries))
+            mat.set(i, j, p)
+        out.append(mat)
     return tuple(out)
 
 

@@ -233,21 +233,14 @@ def graded_piece(mat: PolyMatrix, row_deg: int, col_deg: int, scale: int = 1) ->
 
 
 def first_nonzero_product(mats: dict[int, PolyMatrix]) -> tuple[int, int, int, Poly] | None:
-    """The first (r, i, j, entry) with a nonzero entry of mats[r] mats[r + 1], or None."""
+    """The first (r, i, j, entry), in row-major order, with a nonzero entry of mats[r] mats[r + 1], or None."""
     for r in sorted(mats):
         if r + 1 in mats:
             for i, row in enumerate(mats[r].mul(mats[r + 1])):
-                for j, p in enumerate(row):
-                    if not p.is_zero():
-                        return r, i, j, p
+                if row:
+                    j = min(row)
+                    return r, i, j, row[j]
     return None
-
-
-@lru_cache(maxsize=None)
-def _skeleton_rows(d: int, n: int) -> tuple[list[dict[int, dict]], ...]:
-    """canonical_skeleton(d, n) by map and row: column -> the terms of each nonzero entry."""
-    return tuple([{j: p.terms for j, p in enumerate(row) if p.terms} for row in mat.entries]
-                 for mat in canonical_skeleton(d, n))
 
 
 Split = tuple[list[dict[int, dict]], list[dict[int, Scalar]] | None]
@@ -267,15 +260,14 @@ def x1_split(mat: PolyMatrix) -> Split:
     for row in mat.entries:
         frow: dict[int, dict] = {}
         crow: dict[int, Scalar] = {}
-        for j, p in enumerate(row):
-            if p.terms:
-                for m, c in p.terms.items():
-                    if not m[0]:
-                        frow.setdefault(j, {})[m] = c
-                    elif m == x1:
-                        crow[j] = c
-                    else:
-                        cof = None
+        for j, p in row.items():
+            for m, c in p.terms.items():
+                if not m[0]:
+                    frow.setdefault(j, {})[m] = c
+                elif m == x1:
+                    crow[j] = c
+                else:
+                    cof = None
         free.append(frow)
         if cof is not None:
             cof.append(crow)
@@ -285,7 +277,7 @@ def x1_split(mat: PolyMatrix) -> Split:
 def _split_product_vanishes(s_rows, c_rows, s_next, c_next, ncols: int) -> bool:
     """Whether S_r C_{r+1} + C_r S_{r+1} = 0 and C_r C_{r+1} = 0.
 
-    s_rows, s_next are skeleton maps as from _skeleton_rows, with int
+    s_rows, s_next are the rows of skeleton maps (PolyMatrix.entries), with int
     coefficients on monomials free of x1; c_rows, c_next are constant
     matrices as the x1 cofactors of x1_split, and ncols is the number of
     columns of C_{r+1}.  Both C are cleared by one common denominator, which
@@ -305,10 +297,10 @@ def _split_product_vanishes(s_rows, c_rows, s_next, c_next, ncols: int) -> bool:
     w = (len(c_next) * top * top).bit_length() + 1
     packed = [sum(c << (w * j) for j, c in row.items()) for row in c_next]
     slots: dict[Mono, int] = {}
-    firsts = [[(c_next[k], ncols * slots.setdefault(m, len(slots)), v) for k, terms in row.items()
-               for m, v in terms.items()] for row in s_rows]
-    seconds = [[(ncols * slots.setdefault(m, len(slots)) + j, v) for j, terms in row.items()
-                for m, v in terms.items()] for row in s_next]
+    firsts = [[(c_next[k], ncols * slots.setdefault(m, len(slots)), v) for k, p in row.items()
+               for m, v in p.terms.items()] for row in s_rows]
+    seconds = [[(ncols * slots.setdefault(m, len(slots)) + j, v) for j, p in row.items()
+                for m, v in p.terms.items()] for row in s_next]
     for first, crow in zip(firsts, c_rows):
         quad = 0
         lin: dict[int, int] = {}
@@ -352,16 +344,13 @@ def _fine_strand(name: str, mats: dict[int, PolyMatrix]):
     triples: dict[int, list[tuple[int, int, int]]] = {}
     for r, mat in mats.items():
         out = triples[r] = []
-        for i, row in enumerate(mat.entries):
-            for j, p in enumerate(row):
-                if p.is_zero():
-                    continue
-                (m, c), *rest = p.terms.items()
-                want = tuple(a - b for a, b in zip(degs[r][j], degs[r - 1][i]))
-                if rest or c not in (1, -1) or m[0] or m[1:] != want:
-                    return (f"{name} strand is not finely graded: entry ({i}, {j}) of the map out of "
-                            f"position {r} is {poly_str(p)}, expected +-x^v with c(column) = c(row) + v")
-                out.append((i, j, int(c)))
+        for i, j, p in mat.nonzero():
+            (m, c), *rest = p.terms.items()
+            want = tuple(a - b for a, b in zip(degs[r][j], degs[r - 1][i]))
+            if rest or c not in (1, -1) or m[0] or m[1:] != want:
+                return (f"{name} strand is not finely graded: entry ({i}, {j}) of the map out of "
+                        f"position {r} is {poly_str(p)}, expected +-x^v with c(column) = c(row) + v")
+            out.append((i, j, int(c)))
     return degs, triples
 
 
@@ -427,9 +416,9 @@ def strand_certificate(d: int, n: int) -> tuple[str, ...]:
     bottom homology is dual_strand_h1k(d, n).  So once the certificate
     holds, the skeleton is a complex as well.
     """
-    for r, (mat, rows) in enumerate(zip(canonical_skeleton(d, n), _skeleton_rows(d, n)), 1):
+    for r, mat in enumerate(canonical_skeleton(d, n), 1):
         kinds = [e.kind for _, e in mat.cols]
-        for i, ((_, e), row) in enumerate(zip(mat.rows, rows)):
+        for i, ((_, e), row) in enumerate(zip(mat.rows, mat.entries)):
             if any(kinds[j] != e.kind for j in row):
                 return (f"skeleton map out of position {r} joins an X and a Y element in row {i}",)
     lmats, _ = strand_matrices(d, n)
@@ -565,8 +554,8 @@ class Session:
         (_, c_r), (_, c_next) = self.x1_splits[r - 1], self.x1_splits[r]
         if c_r is None or c_next is None or self.skeleton_failure is not None or strand_certificate(d, n):
             return False
-        rows = _skeleton_rows(d, n)
-        return _split_product_vanishes(rows[r - 1], c_r, rows[r], c_next, self.res.matrix(r + 1).shape[1])
+        skel = canonical_skeleton(d, n)
+        return _split_product_vanishes(skel[r - 1].entries, c_r, skel[r].entries, c_next, skel[r].shape[1])
 
     @cached_property
     def x1_splits(self) -> tuple[Split, ...]:
@@ -607,7 +596,7 @@ class Session:
         base = top + 1
         t = {pack(m, base): v for m, v in integer_coeffs(self.phi)[1].items()}
         quotients = [[pack(q, base) for q in monomials_of_degree(d, k)] for k in range(top + 1)]
-        for j, g in enumerate(self.res.matrix(1).entries[0]):
+        for j, g in sorted(self.res.matrix(1).entries[0].items()):
             out: dict[int, int] = {}
             for m, c in zip(g.terms, clear_denominators(g.terms.values())[1]):
                 if sum(m) <= top:
@@ -638,14 +627,14 @@ def skeleton_block_failure(res: Resolution, splits: tuple[Split, ...]) -> str | 
     """
     delta = exact(res.delta)
     d, n = res.d, res.n
-    for r, (skel, want) in enumerate(zip(canonical_skeleton(d, n), _skeleton_rows(d, n)), 1):
+    for r, skel in enumerate(canonical_skeleton(d, n), 1):
         got = res.matrix(r)
         if got.shape != skel.shape:
             return f"skeleton of b_{r} has shape {got.shape}, the canonical strand form {skel.shape}"
-        for i, (got_row, want_row) in enumerate(zip(splits[r - 1][0], want)):
+        for i, (got_row, want_row) in enumerate(zip(splits[r - 1][0], skel.entries)):
             # an int and a Fraction of equal value compare equal
             bad = [j for j in got_row.keys() | want_row.keys()
-                   if len(a := got_row.get(j, {})) != len(b := want_row.get(j, {}))
+                   if len(a := got_row.get(j, {})) != len(b := skel.entry(i, j).terms)
                    or any(a.get(m) != c * delta for m, c in b.items())]
             if bad:
                 return f"skeleton of b_{r} differs from the canonical strand form at ({i}, {min(bad)})"
@@ -674,23 +663,38 @@ def duality_failure(bases: tuple[OrderedBasis, ...], mats: tuple[PolyMatrix, ...
     position r to r - 1: a resolution, or the skeleton that
     strand_certificate reads.  P_k is the pairing between bases[k] and
     bases[d-k].  Returns None when the rule holds, else the first
-    (r, jj, kk) at which entry (jj, kk) of the two sides differs.
+    (r, jj, kk) at which entry (jj, kk) of the two sides differs, first by
+    jj and then by the row i of b_{r+1} that P_r pairs with kk.  Only the
+    pairs where a side has a nonzero entry are compared.
     """
     d = len(mats)
     pairings = [_pairing(bases, k) for k in range(d + 1)]
     for r in range(d):
-        b_next = mats[r].entries
-        b_comp = mats[d - r - 1].entries
-        for jj, (ii, s1) in enumerate(pairings[r + 1]):
-            row_comp, sign = b_comp[ii], (-1) ** r * s1
-            for i, (kk, s2) in enumerate(pairings[r]):
+        next_rows, comp_rows = mats[r].entries, mats[d - r - 1].entries
+        bad = []
+        for i, row in enumerate(next_rows):
+            kk, s2 = pairings[r][i]
+            s2 *= (-1) ** r
+            for jj, p in row.items():
                 # entry (jj, kk) of b_{r+1}^T P_r and of (-1)^r P_{r+1} b_{d-r}, compared
-                # term by term with the sign folded in, so no negated Poly is built;
-                # a zero entry is its own negative
-                got, want = b_next[i][jj].terms, row_comp[kk].terms
-                if (got != want if sign * s2 > 0 or not got else
+                # term by term with the sign folded in, so no negated Poly is built
+                ii, s1 = pairings[r + 1][jj]
+                got, want = p.terms, q.terms if (q := comp_rows[ii].get(kk)) else {}
+                if (got != want if s1 * s2 > 0 else
                         len(got) != len(want) or any(want.get(m) != -c for m, c in got.items())):
-                    return r, jj, kk
+                    bad.append((jj, i))
+        # and every pair whose entry of b_{d-r} is nonzero and whose entry of b_{r+1} is zero
+        cols_of: dict[int, list[int]] = {}
+        rows_of: dict[int, list[int]] = {}
+        for jj, (ii, _) in enumerate(pairings[r + 1]):
+            cols_of.setdefault(ii, []).append(jj)
+        for i, (kk, _) in enumerate(pairings[r]):
+            rows_of.setdefault(kk, []).append(i)
+        bad += [(jj, i) for ii, row in enumerate(comp_rows) for kk in row
+                for jj in cols_of.get(ii, ()) for i in rows_of.get(kk, ()) if jj not in next_rows[i]]
+        if bad:
+            jj, i = min(bad)
+            return r, jj, pairings[r][i][0]
     return None
 
 

@@ -31,10 +31,8 @@ def resolution_text(res: Resolution) -> str:
         for j, lbl in enumerate(mat.cols.labels()):
             lines.append(f"    {j + 1}: {lbl}")
         lines.append("  entries (row, col) -> polynomial, zeros omitted:")
-        for i, row in enumerate(mat.entries):
-            for j, p in enumerate(row):
-                if not p.is_zero():
-                    lines.append(f"    ({i + 1}, {j + 1}) {poly_str(p)}")
+        for i, j, p in mat.nonzero():
+            lines.append(f"    ({i + 1}, {j + 1}) {poly_str(p)}")
         lines.append("")
     return "\n".join(lines)
 
@@ -44,10 +42,9 @@ def resolution_json_dict(res: Resolution) -> dict:
     matrices = []
     for r in range(1, res.d + 1):
         mat = res.matrix(r)
-        entries = [
-            [[[list(m), str(c)] for m, c in p.sorted_terms()] for p in row]
-            for row in mat.entries
-        ]
+        entries = [[[] for _ in mat.cols] for _ in mat.rows]
+        for i, j, p in mat.nonzero():
+            entries[i][j] = [[list(m), str(c)] for m, c in p.sorted_terms()]
         matrices.append({
             "index": r,
             "rows": mat.rows.labels(),
@@ -81,9 +78,10 @@ def resolution_cas_script(res: Resolution) -> str:
 
     for r in range(1, d + 1):
         mat = res.matrix(r)
-        rows = ",\n  ".join(
-            "{" + ", ".join(poly_str(p, var="x_") for p in row) + "}" for row in mat.entries
-        )
+        cells = [["0"] * len(mat.cols) for _ in mat.rows]
+        for i, j, p in mat.nonzero():
+            cells[i][j] = poly_str(p, var="x_")
+        rows = ",\n  ".join("{" + ", ".join(row) + "}" for row in cells)
         lines.append(f"b{r} = matrix(R, {{\n  {rows}\n}});")
     for r in range(1, d):
         lines.append(f"assert(b{r} * b{r + 1} == 0);")

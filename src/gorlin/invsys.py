@@ -33,9 +33,7 @@ from .monomials import (
     divides,
     monomials_of_degree,
     mul,
-    mul_var,
     sort_key,
-    var_divides,
 )
 from .polynomials import Poly, clear_denominators
 
@@ -65,6 +63,8 @@ class InverseSystem:
     coeffs: dict[Mono, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
+        if type(self.d) is not int or type(self.n) is not int:
+            raise ValueError(f"d and n must be ints, got {self.d!r} and {self.n!r}")
         if self.d < 3:
             raise ValueError(f"d must be at least 3, got {self.d}")
         if self.n < 2:
@@ -72,7 +72,8 @@ class InverseSystem:
         clean: dict[Mono, Fraction] = {}
         for m, c in self.coeffs.items():
             m = tuple(m)
-            if len(m) != self.d or degree(m) != 2 * self.n - 2:
+            # a monomial has nonnegative int exponents, so (3, -1, 0) is not a degree-2 monomial
+            if len(m) != self.d or any(type(e) is not int or e < 0 for e in m) or degree(m) != 2 * self.n - 2:
                 raise ValueError(f"coefficient key {m} is not a degree-{2 * self.n - 2} monomial in {self.d} variables")
             if type(c) is not int and not isinstance(c, Fraction):
                 raise TypeError(f"coefficient of {m} must be an int or a Fraction, got {c!r}")
@@ -188,41 +189,6 @@ def delta_and_Q(phi: InverseSystem) -> Catalecticant:
     return Catalecticant(phi=phi, monos=monos, scale=scale, T=T, det=det, adj=adj, index=index)
 
 
-def q_of(cat: Catalecticant, nu: Dual) -> Poly:
-    """q(nu) = sum_{m1} Q_{m1,m2} m1 extended linearly over nu = sum c_{m2} m2^*."""
-    d = cat.phi.d
-    q = cat.scale ** (len(cat.monos) - 1)
-    out = Poly.zero(d)
-    for m2, c in nu.items():
-        if degree(m2) != cat.phi.n - 1:
-            raise ValueError("q is defined on dual elements of degree n-1")
-        j = cat.index[m2]
-        for i, m1 in enumerate(cat.monos):
-            v = cat.adj[i][j]
-            if v:
-                out.add_term(m1, c * Fraction(v, q))
-    return out
-
-
-def tilde_contract(phi: InverseSystem, m: Mono) -> Dual:
-    """Contraction of the degree-(2n-1) lift of phi by a monomial free of x1.
-
-    m(lift) = sum_{m2} t_{m*m2} (x1*m2)^*; the lift is characterized by
-    x1(lift) = phi and mu(lift) = 0 for mu in the last d-1 variables of full degree.
-    """
-    if var_divides(1, m):
-        raise ValueError("tilde contraction is only defined for monomials free of x1")
-    r = degree(m)
-    if r > phi.socle_degree:
-        return {}
-    out: Dual = {}
-    for m2 in monomials_of_degree(phi.d, phi.socle_degree - r):
-        c = phi.t(mul(m, m2))
-        if c:
-            out[mul_var(m2, 1)] = c
-    return out
-
-
 def ann_degree(phi: InverseSystem, j: int) -> list[Poly]:
     """Exact basis of {g in S_j : g(phi) = 0}, via the kernel of the degree-j pairing."""
     if j < 0:
@@ -305,13 +271,16 @@ def to_json_dict(phi: InverseSystem) -> dict:
 
 
 def from_json_dict(data: dict) -> InverseSystem:
+    """The inverse system of a JSON document, with one exact coefficient per monomial, else a ValueError."""
     try:
-        d = int(data["d"])
-        n = int(data["n"])
-        coeffs = {tuple(int(e) for e in m): _parse_rational(m, c) for m, c in data["coefficients"]}
+        coeffs = {}
+        for m, c in data["coefficients"]:
+            if tuple(m) in coeffs:
+                raise ValueError(f"monomial {m} is listed twice")
+            coeffs[tuple(m)] = _parse_rational(m, c)
+        return InverseSystem(data["d"], data["n"], coeffs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed inverse-system document: {exc}") from exc
-    return InverseSystem(d, n, coeffs)
 
 
 def save_invsys(phi: InverseSystem, path: str) -> None:

@@ -28,11 +28,20 @@ def unpack(key: int, base: int, d: int) -> Mono:
 
 @dataclass
 class PolyMatrix:
-    """Matrix over the polynomial ring whose rows/columns carry an OrderedBasis."""
+    """Matrix over the polynomial ring whose rows/columns carry an OrderedBasis.
+
+    The storage is sparse: entries[i] maps a column j to the entry (i, j)
+    for the nonzero entries of row i only, and a zero is never stored.  A
+    single cell is read with entry(i, j), which gives a zero Poly for an
+    absent cell, and written with set(i, j, p), which drops a zero.  Every
+    whole-matrix reader iterates the nonzero entries alone.  A row dict keeps
+    its insertion order, so a reader whose result depends on the order
+    iterates nonzero(), which takes the columns of each row sorted.
+    """
 
     rows: OrderedBasis
     cols: OrderedBasis
-    entries: list[list[Poly]]
+    entries: list[dict[int, Poly]]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -42,22 +51,32 @@ class PolyMatrix:
     def d(self) -> int:
         return self.rows.d
 
-    def column(self, j: int) -> list[Poly]:
-        return [row[j] for row in self.entries]
+    def entry(self, i: int, j: int) -> Poly:
+        return self.entries[i].get(j) or Poly(self.d)
 
-    def mul(self, other: "PolyMatrix") -> list[list[Poly]]:
-        """Plain entrywise product self @ other (labels are not checked).
+    def set(self, i: int, j: int, p: Poly) -> None:
+        if p:
+            self.entries[i][j] = p
+        else:
+            self.entries[i].pop(j, None)
+
+    def nonzero(self):
+        """(i, j, entry) for every nonzero entry, in row-major order."""
+        for i, row in enumerate(self.entries):
+            for j in sorted(row):
+                yield i, j, row[j]
+
+    def mul(self, other: "PolyMatrix") -> list[dict[int, Poly]]:
+        """Plain product self @ other (labels are not checked), by row: column -> nonzero entry.
 
         Each operand is cleared to integers once by its denominator_lcm (1 for
         a matrix of int coefficients), and each monomial is packed into one
         int in a base above the product degree, so a product of terms is one
         int multiplication and one int addition.  A Poly is built only for a
         nonzero output entry, divided by the two denominators, so the result
-        equals the rational product.
+        equals the rational product.  A row dict is in no column order.
         """
-        n, k = self.shape
-        k2, p = other.shape
-        if k != k2:
+        if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         d = self.d
         base = self.max_degree() + other.max_degree() + 1
@@ -74,7 +93,7 @@ class PolyMatrix:
                         for kb, cb in b_terms:
                             key = ka + kb
                             acc[key] = acc.get(key, 0) + ca * cb
-            row = [Poly(d) for _ in range(p)]
+            row = {}
             for j, acc in sums.items():
                 terms = {unpack(key, base, d): over(c, denom) for key, c in acc.items() if c}
                 if terms:
@@ -84,7 +103,7 @@ class PolyMatrix:
 
     def max_degree(self) -> int:
         """The largest total degree of an entry (0 for a zero matrix)."""
-        return max((sum(m) for row in self.entries for p in row if p.terms for m in p.terms), default=0)
+        return max((sum(m) for row in self.entries for p in row.values() for m in p.terms), default=0)
 
     def packed_rows(self, scale: int, base: int) -> list[list[tuple[int, list[tuple[int, int]]]]]:
         """Per row, each nonzero entry as (column, [(packed monomial, scale * coefficient)]).
@@ -95,44 +114,32 @@ class PolyMatrix:
         out = []
         for i, row in enumerate(self.entries):
             cells = []
-            for j, p in enumerate(row):
-                if p.terms:
-                    terms = []
-                    for m, c in p.terms.items():
-                        if type(c) is int:
-                            c *= scale
-                        elif scale % c.denominator:
-                            raise AssertionError(f"scale {scale} leaves a fraction in entry ({i}, {j})")
-                        else:
-                            c = c.numerator * (scale // c.denominator)
-                        terms.append((pack(m, base), c))
-                    cells.append((j, terms))
+            for j, p in row.items():
+                terms = []
+                for m, c in p.terms.items():
+                    if type(c) is int:
+                        c *= scale
+                    elif scale % c.denominator:
+                        raise AssertionError(f"scale {scale} leaves a fraction in entry ({i}, {j})")
+                    else:
+                        c = c.numerator * (scale // c.denominator)
+                    terms.append((pack(m, base), c))
+                cells.append((j, terms))
             out.append(cells)
         return out
 
     def mod_x1(self) -> "PolyMatrix":
-        return PolyMatrix(
-            rows=self.rows,
-            cols=self.cols,
-            entries=[[p.subs_x1_zero() for p in row] for row in self.entries],
-        )
+        return PolyMatrix(self.rows, self.cols, [{j: q for j, p in row.items() if (q := p.subs_x1_zero())}
+                                                 for row in self.entries])
 
     def block(self, kind: str) -> "PolyMatrix":
         """The submatrix on the rows and the columns of one basis kind, "X" or "Y"."""
         rows = [i for i, (_, e) in enumerate(self.rows) if e.kind == kind]
-        cols = [j for j, (_, e) in enumerate(self.cols) if e.kind == kind]
+        cols = {j: k for k, j in enumerate(j for j, (_, e) in enumerate(self.cols) if e.kind == kind)}
         return PolyMatrix(
             rows=self.rows.part(kind),
             cols=self.cols.part(kind),
-            entries=[[self.entries[i][j] for j in cols] for i in rows],
-        )
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
-
-    def same_entries(self, other: "PolyMatrix") -> bool:
-        return self.shape == other.shape and all(
-            a == b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
+            entries=[{cols[j]: p for j, p in self.entries[i].items() if j in cols} for i in rows],
         )
 
     def __repr__(self) -> str:
@@ -141,10 +148,5 @@ class PolyMatrix:
 
 def denominator_lcm(mat: PolyMatrix) -> int:
     """The least common multiple of the coefficient denominators of mat."""
-    out = 1
-    for row in mat.entries:
-        for p in row:
-            for c in p.terms.values():
-                if type(c) is not int:
-                    out = lcm(out, c.denominator)
-    return out
+    return lcm(*(c.denominator for row in mat.entries for p in row.values() for c in p.terms.values()
+                 if type(c) is not int))

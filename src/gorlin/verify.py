@@ -87,15 +87,13 @@ def check_betti_and_degrees(s: Session) -> CheckResult:
                            f"got {res.twists}, expected {expected_twists}")
     for r in range(1, d + 1):
         want = n if r in (1, d) else 1
-        mat = res.matrix(r)
-        for i, row in enumerate(mat.entries):
-            for j, p in enumerate(row):
-                # homogeneous of degree n or 1, so no constant term: minimality follows
-                if p and {sum(m) for m in p.terms} != {want}:
-                    return CheckResult(
-                        "betti", False, "entry degree pattern broken",
-                        f"b_{r} entry ({i}, {j}) = {poly_str(p)}, expected degree {want}",
-                    )
+        for i, j, p in res.matrix(r).nonzero():
+            # homogeneous of degree n or 1, so no constant term: minimality follows
+            if {sum(m) for m in p.terms} != {want}:
+                return CheckResult(
+                    "betti", False, "entry degree pattern broken",
+                    f"b_{r} entry ({i}, {j}) = {poly_str(p)}, expected degree {want}",
+                )
     return CheckResult("betti", True,
                        f"Betti numbers {res.betti}, twists {res.twists}, degrees (n,1,...,1,n), minimal")
 
@@ -133,7 +131,7 @@ def check_ann_match(s: Session) -> CheckResult:
     j = s.b1_annihilation_failure
     if j is not None:
         return CheckResult("ann", False, "a first-matrix column does not annihilate the system",
-                           f"column {j} = {poly_str(res.matrix(1).entries[0][j])}")
+                           f"column {j} = {poly_str(res.matrix(1).entry(0, j))}")
     rank_cols = s.ideal_dims[n]
     rank_oracle = len(s.ann_n)
     beta1 = res.betti[1]

@@ -77,7 +77,31 @@ def constant_term(p):
 
 def scaled(mat, c):
     """mat with every entry multiplied by the scalar c."""
-    return PolyMatrix(mat.rows, mat.cols, [[p.scale(c) for p in row] for row in mat.entries])
+    return PolyMatrix(mat.rows, mat.cols, [{j: q for j, p in row.items() if (q := p.scale(c))}
+                                           for row in mat.entries])
+
+
+def sparse(rows, cols, cells):
+    """The PolyMatrix on the bases rows, cols whose entries are the dense list of lists cells."""
+    return PolyMatrix(rows, cols, [{j: p for j, p in enumerate(row) if p} for row in cells])
+
+
+def dense(mat):
+    """Every entry of mat as a list of rows, a zero Poly in each absent cell."""
+    return [[mat.entry(i, j) for j in range(len(mat.cols))] for i in range(len(mat.rows))]
+
+
+def column(mat, j):
+    return [mat.entry(i, j) for i in range(len(mat.rows))]
+
+
+def is_zero(mat):
+    return not any(mat.entries)
+
+
+def same_entries(a, b):
+    # no zero is stored, so equal matrices have equal row dicts
+    return a.shape == b.shape and a.entries == b.entries
 
 
 @pytest.fixture

@@ -32,6 +32,10 @@ another way, by a route that is slower or more literal.
   ``differentials.br_column`` sums the closed-form coefficients directly;
   ``route_disagreement`` compares the two on every interior ``C_r`` of a
   built resolution.
+* ``q_of`` and ``tilde_contract`` are the maps of the paper's degree-n
+  generators ``delta * mu - x1 * q(mu(lift))`` of the annihilator, written
+  literally over dual elements, where ``differentials.b1_column`` writes
+  their ``x1`` cofactors from the closed-form sums of ``BuildContext``.
 * ``golden_skeleton_d4_n2`` parses the mod-x1 matrices at d = 4, n = 2,
   written out entry by entry, which ``differentials.canonical_skeleton(4, 2)``
   must reproduce verbatim.
@@ -59,8 +63,8 @@ from gorlin.exactness import (
     x1_split,
 )
 from gorlin.hookbasis import BasisElement, expand_eta, expand_kappa
-from gorlin.invsys import delta_and_Q
-from gorlin.monomials import div_var, monomials_of_degree, mul_var, unit, var_divides
+from gorlin.invsys import Catalecticant, Dual, InverseSystem, delta_and_Q
+from gorlin.monomials import Mono, degree, div_var, monomials_of_degree, mul, mul_var, unit, var_divides
 from gorlin.polymatrix import denominator_lcm
 from gorlin.polynomials import Poly, coeff_rows
 
@@ -345,7 +349,7 @@ def ideal_dims_by_rref(res: Resolution, dmax: int) -> dict[int, int]:
     row-reduced in turn.
     """
     d, n = res.d, res.n
-    gens = res.matrix(1).entries[0]
+    gens = list(res.matrix(1).entries[0].values())
     dims: dict[int, int] = {e: 0 for e in range(0, min(n, dmax + 1))}
     if dmax < n:
         return dims
@@ -439,3 +443,38 @@ def golden_skeleton_d4_n2(d: int = 4) -> tuple[list[list[Poly]], ...]:
     b3 = parse(_GOLDEN_D4_N2_B3)
     b4 = linalg.transpose(b1)
     return b1, b2, b3, b4
+
+
+def q_of(cat: Catalecticant, nu: Dual) -> Poly:
+    """q(nu) = sum_{m1} Q_{m1,m2} m1 extended linearly over nu = sum c_{m2} m2^*."""
+    d = cat.phi.d
+    q = cat.scale ** (len(cat.monos) - 1)
+    out = Poly.zero(d)
+    for m2, c in nu.items():
+        if degree(m2) != cat.phi.n - 1:
+            raise ValueError("q is defined on dual elements of degree n-1")
+        j = cat.index[m2]
+        for i, m1 in enumerate(cat.monos):
+            v = cat.adj[i][j]
+            if v:
+                out.add_term(m1, c * Fraction(v, q))
+    return out
+
+
+def tilde_contract(phi: InverseSystem, m: Mono) -> Dual:
+    """Contraction of the degree-(2n-1) lift of phi by a monomial free of x1.
+
+    m(lift) = sum_{m2} t_{m*m2} (x1*m2)^*; the lift is characterized by
+    x1(lift) = phi and mu(lift) = 0 for mu in the last d-1 variables of full degree.
+    """
+    if var_divides(1, m):
+        raise ValueError("tilde contraction is only defined for monomials free of x1")
+    r = degree(m)
+    if r > phi.socle_degree:
+        return {}
+    out: Dual = {}
+    for m2 in monomials_of_degree(phi.d, phi.socle_degree - r):
+        c = phi.t(mul(m, m2))
+        if c:
+            out[mul_var(m2, 1)] = c
+    return out

@@ -25,7 +25,7 @@ from gorlin.monomials import monomials_of_degree
 from gorlin.polynomials import poly_str
 from gorlin.verify import check_duality, check_euler_hilbert, check_wlp
 
-from conftest import GRID, constant_term, grid_phi, grid_resolution, is_homogeneous, scaled
+from conftest import GRID, constant_term, dense, grid_phi, grid_resolution, is_homogeneous, scaled
 from oracles import golden_skeleton_d4_n2, route_disagreement
 
 
@@ -53,7 +53,7 @@ def test_criterion_2_golden_skeleton_d4_n2():
     delta_inv = Fraction(1) / res.delta
     for r in range(1, 5):
         reduced = scaled(res.matrix(r).mod_x1(), delta_inv)
-        assert reduced.entries == golden[r - 1], f"matrix {r}"
+        assert dense(reduced) == golden[r - 1], f"matrix {r}"
     elapsed = time.time() - t0
     assert elapsed < 1.0
     passline(2, f"mod-x1 matrices equal delta times the golden d=4, n=2 skeleton ({elapsed:.2f}s)")
@@ -66,14 +66,12 @@ def test_criterion_3_complex_minimality_linearity_grid():
         res = build_resolution(phi)
         for r in range(1, d):
             prod = res.matrix(r).mul(res.matrix(r + 1))
-            assert all(p.is_zero() for row in prod for p in row), (d, n, r)
+            assert not any(prod), (d, n, r)
         for r in range(1, d + 1):
             want = n if r in (1, d) else 1
-            for row in res.matrix(r).entries:
-                for p in row:
-                    if not p.is_zero():
-                        assert is_homogeneous(p) and p.degree() == want
-                        assert not constant_term(p)
+            for _, _, p in res.matrix(r).nonzero():
+                assert is_homogeneous(p) and p.degree() == want
+                assert not constant_term(p)
     elapsed = time.time() - t0
     assert elapsed < 60.0
     passline(3, f"complex, minimal, degree pattern (n,1,...,1,n) on all of {GRID} ({elapsed:.1f}s)")
@@ -89,7 +87,7 @@ def test_criterion_5_annihilator_oracle():
     for d, n in GRID:
         phi = grid_phi(d, n)
         res = grid_resolution(d, n)
-        cols = res.matrix(1).entries[0]
+        cols = dense(res.matrix(1))[0]
         for g in cols:
             assert contract_poly(g, phi.dual_element()) == {}
         monos = monomials_of_degree(d, n)
@@ -108,7 +106,7 @@ def test_criterion_5_annihilator_oracle():
         assert rank([vec(g) for g in cols + oracle]) == beta1
     # frozen columns on the identity-catalecticant instance
     res = build_resolution(sum_of_powers(3, 2))
-    cols = [poly_str(p) for p in res.matrix(1).entries[0]]
+    cols = [poly_str(p) for p in dense(res.matrix(1))[0]]
     assert cols == ["x1*x2", "x1*x3", "-x1^2 + x2^2", "x2*x3", "-x1^2 + x3^2"]
     passline(5, "b_1 columns = degree-n annihilator (all grid points; frozen d=3 columns)")
 
@@ -133,17 +131,17 @@ def test_criterion_6_degreewise_exactness_and_euler():
 def test_criterion_7_duality_suite():
     for d, n in GRID:
         res = grid_resolution(d, n)
-        assert transpose(res.matrix(1).entries) == res.matrix(d).entries, (d, n)
+        assert transpose(dense(res.matrix(1))) == dense(res.matrix(d)), (d, n)
         out = check_duality(Session(res, res.phi))
         assert out.passed, (d, n, out.line())
     # d=3 alternating middle matrix, spelled out
     res3 = grid_resolution(3, 2)
-    m = res3.matrix(2).entries
+    m = dense(res3.matrix(2))
     assert all(m[i][j] == -m[j][i] for i in range(5) for j in range(5))
     # d=4 block relation, spelled out
     res4 = grid_resolution(4, 2)
     half = len(res4.bases[2]) // 2
-    b2, b3 = res4.matrix(2).entries, res4.matrix(3).entries
+    b2, b3 = dense(res4.matrix(2)), dense(res4.matrix(3))
     blocks = transpose([row[half:] for row in b2]) + transpose([row[:half] for row in b2])
     assert [[-p for p in row] for row in blocks] == b3
     passline(7, "b_d = b_1^T in dual bases; d=3 alternating; d=4 block relation; product rule on the grid")

@@ -18,7 +18,6 @@ from gorlin.exactness import (
     _acyclicity_failures,
     _composes_to_zero,
     _fine_strand,
-    _skeleton_rows,
     _split_product_vanishes,
     certify_exactness,
     denominator_lcm,
@@ -40,7 +39,7 @@ from gorlin.monomials import monomials_of_degree, mul, mul_var, unit
 from gorlin.polymatrix import PolyMatrix
 from gorlin.polynomials import Poly, poly_str
 
-from conftest import EXTRA, GRID, extra_phi, grid_phi, grid_resolution
+from conftest import EXTRA, GRID, dense, extra_phi, grid_phi, grid_resolution
 from oracles import acyclicity_failures_by_box, dual_strand_h1k_by_ranking, ideal_dims_by_rref
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -187,7 +186,7 @@ def test_empty_piece_has_rank_zero():
 
 def test_graded_piece_refuses_a_scale_that_leaves_a_fraction():
     mat = copy.deepcopy(grid_resolution(3, 2).matrix(2))
-    mat.entries[0][0] = mat.entries[0][0] + Poly.monomial(mul_var(unit(3), 1), Fraction(1, 2))
+    mat.set(0, 0, mat.entry(0, 0) + Poly.monomial(mul_var(unit(3), 1), Fraction(1, 2)))
     with pytest.raises(AssertionError, match="leaves a fraction"):
         graded_piece(mat, 1, 0)
     assert graded_piece(mat, 1, 0, scale=denominator_lcm(mat)).triples
@@ -197,7 +196,7 @@ def test_graded_piece_refuses_a_term_of_the_wrong_degree():
     # under a packing base of row_deg + 1 = 3, x1^4 would share the key of
     # x1*x2 and land on that row; the piece must refuse the term instead
     mat = copy.deepcopy(grid_resolution(3, 2).matrix(1))
-    mat.entries[0][0] = mat.entries[0][0] + Poly.monomial((4, 0, 0))
+    mat.set(0, 0, mat.entry(0, 0) + Poly.monomial((4, 0, 0)))
     with pytest.raises(KeyError):
         graded_piece(mat, 2, 0)
 
@@ -209,7 +208,7 @@ def test_graded_piece_matches_the_monomial_products(d, n):
         row_monos = monomials_of_degree(d, e)
         col_monos = monomials_of_degree(d, e - n)
         want = Counter()
-        for j, p in enumerate(b1.entries[0]):
+        for j, p in b1.entries[0].items():
             for k, u in enumerate(col_monos):
                 for m, c in p.terms.items():
                     want[row_monos.index(mul(m, u)), j * len(col_monos) + k] += c
@@ -266,8 +265,7 @@ def test_dual_strand_ranks_give_the_closed_form_h1k(d, n):
 
 def nonzero_entries(mat):
     """{(signed row element, signed column element): entry} over the nonzero entries."""
-    return {(re, ce): p for re, row in zip(mat.rows, mat.entries) for ce, p in zip(mat.cols, row)
-            if not p.is_zero()}
+    return {(mat.rows.elements[i], mat.cols.elements[j]): p for i, j, p in mat.nonzero()}
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 2), (4, 3), (5, 2)])
@@ -301,7 +299,7 @@ def test_split_product_sums_the_skeleton_parts_by_monomial():
     # S_r C_{r+1} = x2 at column 0 and C_r S_{r+1} = c * m there, while C_r C_{r+1} = 0
     x2, x3 = (0, 1, 0), (0, 0, 1)
     for c, m, vanishes in [(-1, x2, True), (-2, x2, False), (-1, x3, False)]:
-        got = _split_product_vanishes([{1: {x2: 1}}], [{0: 1}], [{0: {m: c}}, {}], [{}, {0: 1}], 1)
+        got = _split_product_vanishes([{1: Poly(3, {x2: 1})}], [{0: 1}], [{0: Poly(3, {m: c})}, {}], [{}, {0: 1}], 1)
         assert got == vanishes, (c, m)
 
 
@@ -314,12 +312,12 @@ def test_x1_split_reads_the_cofactors_of_the_interior_maps(d, n):
     for r in range(2, d):
         free, cof = splits[r - 1]
         mat = res.matrix(r)
-        for i, row in enumerate(mat.entries):
+        for i, row in enumerate(dense(mat)):
             for j, p in enumerate(row):
                 assert p == Poly(d, {**free[i].get(j, {}), **({x1: cof[i][j]} if j in cof[i] else {})})
     assert skeleton_block_failure(res, tuple(splits)) is None
     bad = copy.deepcopy(res)
-    bad.matrix(2).entries[0][0] = bad.matrix(2).entries[0][0] + Poly.monomial(mul_var(x1, 2))
+    bad.matrix(2).set(0, 0, bad.matrix(2).entry(0, 0) + Poly.monomial(mul_var(x1, 2)))
     assert x1_split(bad.matrix(2))[1] is None
 
 
@@ -338,7 +336,6 @@ def certificate_of_mutated_skeleton(monkeypatch, d, n, mutate):
     mutate(skel)
     for module in (differentials, exactness):
         monkeypatch.setattr(module, "canonical_skeleton", lambda d, n: skel)
-    monkeypatch.setattr(exactness, "_skeleton_rows", _skeleton_rows.__wrapped__)
     return strand_certificate.__wrapped__(d, n), skel
 
 
@@ -351,7 +348,7 @@ def strand_cells(mat, strand):
 
 def first_entry(mat, strand):
     rows, cols = strand_cells(mat, strand)
-    return next((i, j) for i in rows for j in cols if not mat.entries[i][j].is_zero())
+    return next((i, j) for i in rows for j in cols if mat.entry(i, j))
 
 
 def pairing_witness(skel):
@@ -369,7 +366,7 @@ def test_strand_certificate_fails_on_a_sign_flip(monkeypatch, strand, r):
     def flip(skel):
         mat = skel[r - 1]
         i, j = first_entry(mat, strand)
-        mat.entries[i][j] = -mat.entries[i][j]
+        mat.set(i, j, -mat.entry(i, j))
 
     cert, skel = certificate_of_mutated_skeleton(monkeypatch, 4, 2, flip)
     assert cert
@@ -389,9 +386,10 @@ def test_strand_certificate_names_an_entry_moved_to_another_multidegree(monkeypa
         rows, cols = strand_cells(mat, strand)
         i, j = first_entry(mat, strand)
         degs = {k: fine_degree(mat.cols.elements[k][1]) for k in cols}
-        j2 = next(k for k in cols if mat.entries[i][k].is_zero() and degs[k] != degs[j])
-        mat.entries[i][j2], mat.entries[i][j] = mat.entries[i][j], mat.entries[i][j2]
-        moved.append((rows.index(i), cols.index(j2), mat.entries[i][j2]))
+        j2 = next(k for k in cols if not mat.entry(i, k) and degs[k] != degs[j])
+        mat.set(i, j2, mat.entry(i, j))
+        mat.set(i, j, Poly.zero(4))
+        moved.append((rows.index(i), cols.index(j2), mat.entry(i, j2)))
 
     cert, skel = certificate_of_mutated_skeleton(monkeypatch, 4, 2, move)
     (i, j2, p), = moved
@@ -409,8 +407,8 @@ def test_strand_certificate_ranks_a_zeroed_column(monkeypatch):
     # points fail it first, and the pairing rule after them
     def zero(skel):
         _, cols = strand_cells(skel[2], "monomial")
-        for row in skel[2].entries:
-            row[cols[0]] = Poly.zero(4)
+        for i in range(len(skel[2].rows)):
+            skel[2].set(i, cols[0], Poly.zero(4))
 
     cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, zero)
     assert cert
@@ -432,7 +430,7 @@ def test_strand_certificate_fails_on_an_unreached_bottom_element(monkeypatch, st
         mat = skel[r - 1]
         rows, _ = strand_cells(mat, strand)
         mat.rows = OrderedBasis(mat.rows.d, mat.rows.n, mat.rows.r, mat.rows.elements + (mat.rows.elements[rows[0]],))
-        mat.entries.append([Poly.zero(4) for _ in mat.cols])
+        mat.entries.append({})
 
     cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, extend)
     assert cert and cert[0] == first
@@ -459,7 +457,7 @@ def test_coordinate_points_need_every_variable():
 
 
 def _cells(mat, zero=False):
-    return [(i, j) for i, row in enumerate(mat.entries) for j, p in enumerate(row) if bool(p.terms) != zero]
+    return [(i, j) for i in range(len(mat.rows)) for j in range(len(mat.cols)) if bool(mat.entry(i, j)) != zero]
 
 
 @MUTANTS
@@ -471,31 +469,32 @@ def test_coordinate_points_and_box_agree_on_mutated_strands(data):
     # caught before the ranks, and both verdicts must still agree
     d, n = data.draw(st.sampled_from([(3, 2), (4, 2), (5, 2), (4, 3)]), label="(d, n)")
     kind = data.draw(st.sampled_from(["map", "variable", "bottom", "flip", "move"]), label="mutation")
-    mats = {r: PolyMatrix(m.rows, m.cols, [list(row) for row in m.entries])
+    mats = {r: PolyMatrix(m.rows, m.cols, [dict(row) for row in m.entries])
             for r, m in strand_matrices(d, n)[0].items()}
     r = data.draw(st.integers(1, d - 1), label="map")
     mat = mats[r]
     if kind == "map":
         for row in mat.entries:
-            row[:] = [Poly.zero(d)] * len(row)
+            row.clear()
     elif kind == "variable":
         v = data.draw(st.integers(2, d), label="variable")
         for m in mats.values():
-            m.entries = [[Poly.zero(d) if any(e[v - 1] for e in p.terms) else p for p in row] for row in m.entries]
+            m.entries = [{j: p for j, p in row.items() if not any(e[v - 1] for e in p.terms)} for row in m.entries]
     elif kind == "bottom":
         b1 = mats[1]
         b1.rows = OrderedBasis(d, n, 0, b1.rows.elements * 2)
-        b1.entries.append(list(b1.entries[0]) if data.draw(st.booleans(), label="copy entries")
-                          else [Poly.zero(d)] * len(b1.cols))
+        b1.entries.append(dict(b1.entries[0]) if data.draw(st.booleans(), label="copy entries") else {})
     else:
         i, j = data.draw(st.sampled_from(_cells(mat)), label="entry")
         if kind == "flip":
-            mat.entries[i][j] = -mat.entries[i][j]
+            mat.set(i, j, -mat.entry(i, j))
         else:
             targets = [(a, b) for a, b in _cells(mat, zero=True) if a == i or b == j]
             assume(targets)  # the first map is one row without a zero entry
             i2, j2 = data.draw(st.sampled_from(targets), label="target")
-            mat.entries[i][j], mat.entries[i2][j2] = mat.entries[i2][j2], mat.entries[i][j]
+            p, q = mat.entry(i, j), mat.entry(i2, j2)
+            mat.set(i, j, q)
+            mat.set(i2, j2, p)
     strand = _fine_strand("monomial", mats)
     ranked = not isinstance(strand, str) and _composes_to_zero(strand[1])
     if kind in ("map", "variable", "bottom"):
@@ -518,12 +517,12 @@ def test_skeleton_complex_fact_on_a_mixed_entry_and_a_sign_flip(monkeypatch):
         mat = skel[1]
         i = next(i for i, (_, e) in enumerate(mat.rows) if e.kind == "X")
         j = next(j for j, (_, e) in enumerate(mat.cols) if e.kind == "Y")
-        mat.entries[i][j] = Poly.monomial(mul_var(unit(4), 2))
+        mat.set(i, j, Poly.monomial(mul_var(unit(4), 2)))
 
     def flip(strand):
         def mutate(skel):
             i, j = first_entry(skel[1], strand)
-            skel[1].entries[i][j] = -skel[1].entries[i][j]
+            skel[1].set(i, j, -skel[1].entry(i, j))
         return mutate
 
     cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, mix)
@@ -541,8 +540,8 @@ def duality_failure_by_negation(bases, mats):
     for r in range(d):
         for jj, (ii, s1) in enumerate(pairings[r + 1]):
             for i, (kk, s2) in enumerate(pairings[r]):
-                want = mats[d - r - 1].entries[ii][kk]
-                if mats[r].entries[i][jj] != (want if (-1) ** r * s1 * s2 > 0 else -want):
+                want = mats[d - r - 1].entry(ii, kk)
+                if mats[r].entry(i, jj) != (want if (-1) ** r * s1 * s2 > 0 else -want):
                     return r, jj, kk
     return None
 
@@ -559,12 +558,12 @@ def test_duality_failure_witness_matches_the_poly_comparison(d, n):
         bad = copy.deepcopy(res)
         mat = bad.matrix(rng.randint(1, d))
         i, j = rng.randrange(len(mat.rows)), rng.randrange(len(mat.cols))
-        entry = mat.entries[i][j]
-        mat.entries[i][j] = rng.choice([
+        entry = mat.entry(i, j)
+        mat.set(i, j, rng.choice([
             entry + Poly.monomial(mul_var(unit(d), rng.randint(1, d)), rng.choice([1, -2])),
             -entry,
             Poly.zero(d),
-        ])
+        ]))
         want = duality_failure_by_negation(bad.bases, bad.matrices)
         assert duality_failure(bad.bases, bad.matrices) == want
         seen.add(want is None)
@@ -573,7 +572,7 @@ def test_duality_failure_witness_matches_the_poly_comparison(d, n):
 
 def with_b1_column(res, j, entry):
     bad = copy.deepcopy(res)
-    bad.matrix(1).entries[0][j] = entry
+    bad.matrix(1).set(0, j, entry)
     return bad
 
 
@@ -633,7 +632,7 @@ def test_ideal_dims_of_a_column_that_does_not_annihilate_are_exact(c, monkeypatc
     # so the annihilator bound does not hold and each degree is ranked exactly.
     # With c the product of the primes every mod-p rank meets that false bound.
     res = grid_resolution(3, 3)
-    bad = with_b1_column(res, 0, res.matrix(1).entries[0][0] + Poly.monomial((3, 0, 0), c))
+    bad = with_b1_column(res, 0, res.matrix(1).entry(0, 0) + Poly.monomial((3, 0, 0), c))
     s = Session(bad, grid_phi(3, 3))
     assert s.b1_annihilation_failure == 0
     degrees = ranked_degrees(monkeypatch)
@@ -650,8 +649,7 @@ def test_ideal_dims_of_a_column_that_does_not_annihilate_are_exact(c, monkeypatc
 def test_ideal_dims_of_a_duplicated_column_fall_back_to_exact_rank(monkeypatch):
     # the columns still annihilate, but their span is one short of the bound
     res = grid_resolution(4, 2)
-    cols = res.matrix(1).entries[0]
-    s = Session(with_b1_column(res, 0, cols[1]), grid_phi(4, 2))
+    s = Session(with_b1_column(res, 0, res.matrix(1).entry(0, 1)), grid_phi(4, 2))
     assert s.b1_annihilation_failure is None
     calls = []
     rank_exact = Piece.rank_exact
@@ -698,11 +696,11 @@ def test_annihilation_fact_agrees_with_contract_poly(bump):
     base = grid_phi(4, 3)
     phi = InverseSystem(4, 3, {m: c / (k % 5 + 1) for k, (m, c) in enumerate(sorted(base.coeffs.items()))})
     res = build_resolution(phi)
-    cols = res.matrix(1).entries[0]
+    cols = dense(res.matrix(1))[0]
     entry = cols[3] if bump is None else cols[2] + bump
     bad = with_b1_column(res, 2, entry)
     nu = phi.dual_element()
-    want = next((j for j, g in enumerate(bad.matrix(1).entries[0]) if contract_poly(g, nu)), None)
+    want = next((j for j, g in enumerate(dense(bad.matrix(1))[0]) if contract_poly(g, nu)), None)
     assert want == (None if bump is None or bump.degree() > 4 else 2)
     assert Session(bad, phi).b1_annihilation_failure == want
     assert Session(res, phi).b1_annihilation_failure is None

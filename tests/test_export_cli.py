@@ -83,7 +83,7 @@ def test_cas_script_reverifies_in_independent_cas():
                 poly = sum(
                     (sympy.Rational(c.numerator, c.denominator)
                      * sympy.prod([syms[f"x_{k + 1}"] ** e for k, e in enumerate(m)])
-                     for m, c in src.entries[i][j].terms.items()),
+                     for m, c in src.entry(i, j).terms.items()),
                     sympy.Integer(0),
                 )
                 assert sympy.expand(mats[name][i, j] - poly) == 0
@@ -101,7 +101,7 @@ def test_resolution_json_parses_back_to_the_same_matrices():
         for i, row in enumerate(mat_doc["entries"]):
             for j, terms in enumerate(row):
                 p = Poly(res.d, {tuple(m): Fraction(c) for m, c in terms})
-                assert p == src.entries[i][j]
+                assert p == src.entry(i, j)
 
 
 def test_cli_resolve_prints_and_writes(tmp_path):
@@ -205,6 +205,27 @@ def test_cli_malformed_coefficient_exits_3(tmp_path, capsys, coeff, why):
     err = capsys.readouterr().err
     assert err.startswith("error: malformed inverse-system document: coefficient of [0, 2, 0] is ")
     assert why in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc,why", [
+    ({"d": 3, "n": 2, "coefficients": [[[2, 0, 0], 1], [[3, -1, 0], 1]]},
+     "coefficient key (3, -1, 0) is not a degree-2 monomial in 3 variables"),
+    ({"d": 3, "n": 2, "coefficients": [[[2, 0, 0], 1], [[2.5, -0.5, 0], 1]]},
+     "coefficient key (2.5, -0.5, 0) is not a degree-2 monomial in 3 variables"),
+    ({"d": 3, "n": 2, "coefficients": [[[2, 0, 0], 1], [[0, 2, 0], 1], [[2, 0, 0], 5]]},
+     "monomial [2, 0, 0] is listed twice"),
+    ({"d": 3.7, "n": 2, "coefficients": [[[2, 0, 0], 1]]}, "d and n must be ints, got 3.7 and 2"),
+    ({"d": 3, "n": False, "coefficients": [[[2, 0, 0], 1]]}, "d and n must be ints, got 3 and False"),
+], ids=["negative-exponent", "float-exponent", "repeated-monomial", "float-d", "bool-n"])
+def test_cli_malformed_monomial_or_size_exits_3(tmp_path, capsys, doc, why):
+    # each of these was once read as a different system: the negative exponent
+    # was never looked up, 2.5 was truncated to 2, the later coefficient of a
+    # repeated monomial won, and d = 3.7 was read as 3
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: malformed inverse-system document: {why}\n"
 
 
 def test_cli_accepts_json_integers_and_rational_strings(tmp_path):

@@ -17,16 +17,15 @@ from gorlin.invsys import (
     hf_value,
     hilbert_function,
     load_invsys,
-    q_of,
     random_invsys,
     save_invsys,
-    tilde_contract,
     to_json_dict,
 )
 from gorlin.monomials import monomials_of_degree, mul, unit, variable
 from gorlin.polynomials import Poly
 
 from conftest import GRID, grid_phi
+from oracles import q_of, tilde_contract
 
 
 def test_construction_validation():
@@ -43,6 +42,25 @@ def test_construction_validation():
         with pytest.raises(TypeError, match=r"\(2, 0, 0\)"):
             InverseSystem(3, 2, {(2, 0, 0): bad})
     assert InverseSystem(3, 2, {(2, 0, 0): 3}).t((2, 0, 0)) == 3
+    # d and n are ints, and every exponent is a nonnegative int, though (3, -1, 0) has degree 2
+    for d, n in ((3.7, 2), (3, 2.0), (True, 2), (3, True)):
+        with pytest.raises(ValueError, match="must be ints"):
+            InverseSystem(d, n, {})
+    for key in ((3, -1, 0), (2.0, 0, 0), (True, 1, 0)):
+        with pytest.raises(ValueError, match=r"is not a degree-2 monomial in 3 variables"):
+            InverseSystem(3, 2, {key: 1})
+    # the JSON reader refuses the same, and a monomial listed twice
+    ok = [[[2, 0, 0], 1], [[0, 2, 0], "1/2"]]
+    for doc, why in [
+        ({"d": 3.7, "n": 2, "coefficients": ok}, "d and n must be ints"),
+        ({"d": 3, "n": True, "coefficients": ok}, "d and n must be ints"),
+        ({"d": 3, "n": 2, "coefficients": [[[3, -1, 0], 1]]}, r"coefficient key \(3, -1, 0\) is not a degree-2"),
+        ({"d": 3, "n": 2, "coefficients": [[[2.5, -0.5, 0], 1]]}, r"coefficient key \(2.5, -0.5, 0\) is not a"),
+        ({"d": 3, "n": 2, "coefficients": [*ok, [[0, 2, 0], 5]]}, r"monomial \[0, 2, 0\] is listed twice"),
+    ]:
+        with pytest.raises(ValueError, match="malformed inverse-system document: " + why):
+            from_json_dict(doc)
+    assert from_json_dict({"d": 3, "n": 2, "coefficients": ok}).coeffs == {(2, 0, 0): 1, (0, 2, 0): Fraction(1, 2)}
 
 
 def test_contract_examples():

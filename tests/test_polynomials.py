@@ -107,12 +107,12 @@ def test_int_and_fraction_coefficients_agree():
 
 def test_every_coefficient_of_an_integer_system_is_an_int():
     res = build_resolution(random_invsys(4, 4, 0))
-    assert all(type(c) is int for mat in res.matrices for row in mat.entries for p in row
+    assert all(type(c) is int for mat in res.matrices for row in mat.entries for p in row.values()
                for c in p.terms.values())
 
 
 def test_the_large_rational_system_keeps_its_fractions():
     res = build_resolution(extra_phi(EXTRA[1]))
-    coeffs = [c for mat in res.matrices for row in mat.entries for p in row for c in p.terms.values()]
+    coeffs = [c for mat in res.matrices for row in mat.entries for p in row.values() for c in p.terms.values()]
     assert any(type(c) is Fraction for c in coeffs)
     assert all(type(c) is int or c.denominator != 1 for c in coeffs)
