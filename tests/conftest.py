@@ -95,10 +95,6 @@ def column(mat, j):
     return [mat.entry(i, j) for i in range(len(mat.rows))]
 
 
-def is_zero(mat):
-    return not any(mat.entries)
-
-
 def same_entries(a, b):
     # no zero is stored, so equal matrices have equal row dicts
     return a.shape == b.shape and a.entries == b.entries
