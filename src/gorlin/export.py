@@ -42,14 +42,14 @@ def resolution_json_dict(res: Resolution) -> dict:
     matrices = []
     for r in range(1, res.d + 1):
         mat = res.matrix(r)
-        entries = [[[] for _ in mat.cols] for _ in mat.rows]
+        cells = [[[] for _ in mat.cols] for _ in mat.rows]
         for i, j, p in mat.nonzero():
-            entries[i][j] = [[list(m), str(c)] for m, c in p.sorted_terms()]
+            cells[i][j] = [[list(m), str(c)] for m, c in p.sorted_terms()]
         matrices.append({
             "index": r,
             "rows": mat.rows.labels(),
             "cols": mat.cols.labels(),
-            "entries": entries,
+            "entries": cells,
         })
     return {
         "d": res.d,
