@@ -8,7 +8,11 @@ Macaulay2 dumps; at (3, 2) and (4, 2) also the output of ``gorlin ann``.
 For each system of ``conftest.EXTRA`` (the d=4, n=4 benchmark point, a
 system with mixed denominators and numerators near 2^70, and a d=7, n=2
 point whose matrices are mostly zero cells) they are the ``verify`` text
-and JSON reports and the ``resolve`` JSON dump.
+and JSON reports and the ``resolve`` JSON dump.  At each point of
+``PLAN_POINTS`` the build plan ``differentials.build_plan(d, n)`` is pinned
+in a canonical form (``canonical_plan``) that names every key and sorts
+everything, so that how keys are interned or cells emitted does not move
+the pin, but every coefficient does.
 The pins record the outputs of the code they were made with, so regenerate
 them only with a change that alters an output on purpose.
 """
@@ -26,12 +30,13 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 PINS = HERE / "golden.json"
 ANN_POINTS = ((3, 2), (4, 2))
+PLAN_POINTS = ((3, 2), (4, 2), (5, 2), (4, 3), (4, 4), (7, 2))
 
 sys.path.insert(0, str(HERE.parent / "src"))
 
 from conftest import EXTRA, GRID, GRID_SEEDS, extra_phi, grid_phi, grid_resolution  # noqa: E402
 from gorlin import cli  # noqa: E402
-from gorlin.differentials import build_resolution  # noqa: E402
+from gorlin.differentials import build_plan, build_resolution  # noqa: E402
 from gorlin.export import (  # noqa: E402
     report_json,
     resolution_cas_script,
@@ -73,6 +78,32 @@ def extra_outputs(label: str) -> dict[str, str]:
     }
 
 
+def canonical_plan(d: int, n: int) -> str:
+    """build_plan(d, n) as sorted JSON: each (r, i, j) cell maps a monomial to {key name: coefficient}.
+
+    A key is named by its name and arguments, delta by "delta"; a
+    coefficient that sums to zero is left out.
+    """
+    plan = build_plan(d, n)
+    names = ["delta"] + [f"{name}{list(u)}{list(v)}" for name, u, v in plan.keys]
+    cells = []
+    for r, rcells in enumerate(plan.cells, 1):
+        for i, j, terms in rcells:
+            entry: dict[str, dict[str, int]] = {}
+            for m, lin in terms:
+                coeffs = entry.setdefault(str(list(m)), {})
+                for c, k in lin:
+                    coeffs[names[k]] = coeffs.get(names[k], 0) + c
+            entry = {m: {k: c for k, c in coeffs.items() if c} for m, coeffs in entry.items()}
+            cells.append([r, i, j, {m: coeffs for m, coeffs in entry.items() if coeffs}])
+    cells.sort(key=lambda cell: cell[:3])
+    return json.dumps(cells, sort_keys=True, separators=(",", ":"))
+
+
+def plan_digests(d: int, n: int) -> dict[str, str]:
+    return _sha({"plan": canonical_plan(d, n)}, f"of d={d}, n={n}")
+
+
 def _sha(texts: dict[str, str], suffix: str) -> dict[str, str]:
     return {f"{name} {suffix}": hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
 
@@ -95,6 +126,8 @@ def main() -> int:
         pins.update(digests(d, n))
     for label in EXTRA:
         pins.update(extra_digests(label))
+    for d, n in PLAN_POINTS:
+        pins.update(plan_digests(d, n))
     with open(PINS, "w") as fh:
         json.dump(pins, fh, indent=0, sort_keys=True)
         fh.write("\n")
