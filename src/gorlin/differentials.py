@@ -19,10 +19,14 @@ positions is a signed permutation.
 
 The entries are Z-linear in delta and in the coefficient sums Q, tq and W
 (BuildContext), and which sums meet in which entry depends on (d, n) alone.
-So the writers run once per (d, n), on a PlanContext whose sums
-are formal keys: build_plan records every entry of every b_r as integer
-combinations of the keys, delta * S_r included.  A build fills one value
-per key from the numeric BuildContext and evaluates the plan (_evaluate).
+So the writers run once per (d, n), on a PlanContext that names each sum by
+a key index.  A writer's coefficient is a signed key, +k or -k; it writes
+each term of C_r once, as a list of (coefficient, key index) pairs, and
+_record signs the terms by the bases and sets them beside delta * S_r.
+build_plan keeps the result: every entry of every b_r as integer
+combinations of the keys, in the cell format that _evaluate reads.  A
+build fills one value per key from the numeric BuildContext and evaluates
+the plan.
 Every coefficient is an integer numerator over one power of the lcm L of
 phi's denominators; _evaluate divides it out when it writes the entry, so
 a coefficient is an int whenever it is integral (always, for phi with
@@ -59,36 +63,7 @@ from .polymatrix import PolyMatrix
 from .polynomials import Poly, over
 
 
-class _Forms:
-    """The coefficient forms that the column writers read, over the Q and tq of a subclass.
-
-    q_row and y_correction are formed once per argument.
-    """
-
-    def __init__(self, d: int, n: int):
-        self.d = d
-        self.n = n
-        self.nm1_all = monomials_of_degree(d, n - 1)
-        self.nm2_all = monomials_of_degree(d, n - 2)
-        self._qrow: dict[Mono, dict] = {}
-        self._ycorr: dict[Mono, dict] = {}
-
-    def q_row(self, w: Mono) -> dict:
-        """sum over m1 of degree n-1 of Q[m1, w] * m1, a form of degree n-1."""
-        p = self._qrow.get(w)
-        if p is None:
-            p = self._qrow[w] = {m1: c for m1 in self.nm1_all if (c := self.Q(m1, w))}
-        return p
-
-    def y_correction(self, u: Mono) -> dict:
-        """minus the sum over m2 of degree n-1 of tq(u, m2) * m2 (the x1 cofactor of a socle column)."""
-        p = self._ycorr.get(u)
-        if p is None:
-            p = self._ycorr[u] = {m2: -c for m2 in self.nm1_all if (c := self.tq(u, m2))}
-        return p
-
-
-class BuildContext(_Forms):
+class BuildContext:
     """Shared catalecticant data and memoized coefficient sums for one build, in integers.
 
     Every coefficient is carried as an int numerator over the one
@@ -101,7 +76,8 @@ class BuildContext(_Forms):
     """
 
     def __init__(self, phi: InverseSystem, cat: Catalecticant):
-        super().__init__(phi.d, phi.n)
+        self.d, self.n = phi.d, phi.n
+        self.nm2_all = monomials_of_degree(phi.d, phi.n - 2)
         self.scale, self.t = integer_coeffs(phi)
         self.index = cat.index
         self.denom = self.scale ** (len(cat.monos) + 1)
@@ -144,109 +120,76 @@ class BuildContext(_Forms):
         return val
 
 
-class Lin:
-    """A formal Z-linear combination of coefficient keys: key index -> nonzero int.
-
-    It supports what the column writers do with a coefficient: sums and
-    differences (with each other and with the int 0), negation, int
-    multiples and the zero test.  A Lin is never changed after it is made.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, int]):
-        self.terms = terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def _combine(self, other, sign: int):
-        if type(other) is not Lin:
-            return self if other == 0 else NotImplemented
-        out = self.terms.copy()
-        for k, c in other.terms.items():
-            v = out.get(k, 0) + sign * c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        return Lin(out)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return -self if other == 0 else NotImplemented
-
-    def __neg__(self) -> "Lin":
-        return Lin({k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, c):
-        if type(c) is not int:
-            return NotImplemented
-        if c == 1:
-            return self
-        return Lin({k: c * v for k, v in self.terms.items()} if c else {})
-
-    __rmul__ = __mul__
-
-
 # the key index of delta in every plan; the coefficient sums follow it
 DELTA = 0
 
 
-class PlanContext(_Forms):
-    """The coefficient sums of a BuildContext as formal keys, for recording a plan.
+class PlanContext:
+    """The coefficient sums of a BuildContext as formal keys: the context the column writers run on.
 
-    Q, tq and W return a Lin leaf on the key (name, u, v), interned in keys
-    from index 1 on.  Q and W are symmetric, so their two arguments are
-    keyed in sorted order.
+    Q, tq and W return the index of the key (name, u, v), interned in keys
+    from index 1 on; Q and W are symmetric, so their two arguments are
+    keyed in sorted order.  A writer's coefficient is a signed key: k or -k
+    for plus or minus the sum of key k, 0 for none.  Signed keys are negated
+    and multiplied by signs, never added: _pairs writes a difference of two.
     """
 
     def __init__(self, d: int, n: int):
-        super().__init__(d, n)
+        self.d = d
+        self.n = n
+        self.nm1_all = monomials_of_degree(d, n - 1)
         self.keys: list[tuple[str, Mono, Mono]] = []
-        self._leaves: dict[tuple[str, Mono, Mono], Lin] = {}
+        self._index: dict[tuple[str, Mono, Mono], int] = {}
 
-    def _leaf(self, key: tuple[str, Mono, Mono]) -> Lin:
-        leaf = self._leaves.get(key)
-        if leaf is None:
+    def _key(self, key: tuple[str, Mono, Mono]) -> int:
+        k = self._index.get(key)
+        if k is None:
             self.keys.append(key)
-            leaf = self._leaves[key] = Lin({len(self.keys): 1})
-        return leaf
+            k = self._index[key] = len(self.keys)
+        return k
 
-    def Q(self, m1: Mono, m2: Mono) -> Lin:
-        return self._leaf(("Q", m1, m2) if m1 <= m2 else ("Q", m2, m1))
+    def Q(self, m1: Mono, m2: Mono) -> int:
+        return self._key(("Q", m1, m2) if m1 <= m2 else ("Q", m2, m1))
 
-    def tq(self, u: Mono, w: Mono) -> Lin:
-        return self._leaf(("tq", u, w))
+    def tq(self, u: Mono, w: Mono) -> int:
+        return self._key(("tq", u, w))
 
-    def W(self, u: Mono, v: Mono) -> Lin:
-        return self._leaf(("W", u, v) if u <= v else ("W", v, u))
-
-
-Terms = dict[Mono, int]
+    def W(self, u: Mono, v: Mono) -> int:
+        return self._key(("W", u, v) if u <= v else ("W", v, u))
 
 
-def _add(out: dict[BasisElement, int], target: BasisElement, c: int) -> None:
-    """Add c to the constant cofactor entry at target."""
-    if c:
-        out[target] = out.get(target, 0) + c
+# an integer combination of keys, as (coefficient, key index) pairs: the cell format of a Plan
+Pairs = tuple[tuple[int, int], ...]
+# (target, m, pairs): the term of monomial m of the cofactor entry at target, with coefficient pairs
+Contribution = tuple[BasisElement, Mono, Pairs]
 
 
-def b1_column(ctx: BuildContext, elt: BasisElement) -> Terms:
-    """The x1 cofactor of the degree-n generator of the ideal attached to a degree-1 basis element."""
+def _pairs(sign: int, plus: int, minus: int = 0) -> Pairs:
+    """sign * (plus - minus) as pairs, for signed keys plus != minus (0 for none)."""
+    if plus == -minus:
+        sign, minus = 2 * sign, 0
+    out = ((sign, plus) if plus > 0 else (-sign, -plus),) if plus else ()
+    if minus:
+        out += ((-sign, minus) if minus > 0 else (sign, -minus),)
+    return out
+
+
+def b1_column(ctx: PlanContext, elt: BasisElement) -> list[Contribution]:
+    """The x1 cofactor of the degree-n generator of the ideal attached to a degree-1 basis element.
+
+    On an X element X(1; a; m) it is the sum of Q(m1, m/x_a) m1, on a Y
+    element Y(1; a; m) minus the sum of tq(m x_a, m2) m2, over the monomials
+    of degree n-1.
+    """
+    y = y0(ctx.d)
     if elt.kind == "X":
-        return ctx.q_row(div_var(elt.m, elt.a[0]))
-    return ctx.y_correction(mul_var(elt.m, elt.a[0]))
+        w = div_var(elt.m, elt.a[0])
+        return [(y, m1, ((1, ctx.Q(m1, w)),)) for m1 in ctx.nm1_all]
+    u = mul_var(elt.m, elt.a[0])
+    return [(y, m2, ((-1, ctx.tq(u, m2)),)) for m2 in ctx.nm1_all]
 
 
-def br_column(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, int]:
+def br_column(ctx: PlanContext, r: int, elt: BasisElement) -> list[Contribution]:
     """Column of the interior cofactor C_r on an X or Y generator, in the standard basis.
 
     The two kinds share every block and differ only in the coefficient forms
@@ -256,15 +199,17 @@ def br_column(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement
       Y generator:  eta(s, u) = -W(m*x_s, u),            kappa(u, s) = -tq(m*x_s, u).
 
     The first Y block is empty on an X generator, whose index list starts
-    with a_1 = 2.
+    with a_1 = 2.  Every target is written in one place, as
+    sign * (plus - minus) with plus and minus signed keys or 0.
     """
     if not 2 <= r <= ctx.d - 1 or elt.r != r:
         raise ValueError(f"invalid generator for degree {r}: {elt}")
-    d = ctx.d
+    d, n = ctx.d, ctx.n
     a, m = elt.a, elt.m
     g = gamma_of(a)
     a1, a2 = a[0], a[1]
-    out: dict[BasisElement, int] = {}
+    one = unit(d)
+    out: list[Contribution] = []
     if elt.kind == "X":
         quot = {s: div_var(m, s) for s in range(2, d + 1) if var_divides(s, m)}
 
@@ -282,24 +227,26 @@ def br_column(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement
         def kappa(u: Mono, s: int) -> int:
             return -ctx.tq(prod[s], u)
 
+    def emit(kind: str, rest: tuple[int, ...], mono: Mono, sign: int, plus: int, minus: int = 0) -> None:
+        if plus != minus:
+            # the target as the plain tuple of its fields, which hashes and compares as the BasisElement
+            out.append(((kind, r - 1, rest, mono), one, _pairs(sign, plus, minus)))
+
     # X targets
     for ell in range(2, g + 1):
         for k in range(ell, r + 1):
             ak = a[k - 1]
             rest = a[:k - 1] + a[k:]
-            for m2 in monomials_of_degree(d, ctx.n - 1, low_var=ell):
+            for m2 in monomials_of_degree(d, n - 1, low_var=ell):
                 u = mul_var(m2, ell)
-                c = eta(ak, u) - eta(ell, mul_var(m2, ak))
-                if c:
-                    _add(out, BasisElement("X", r - 1, rest, u), (-1) ** k * c)
+                emit("X", rest, u, (-1) ** k, eta(ak, u), eta(ell, mul_var(m2, ak)))
     for j in range(g, r + 1):
         for k in range(j + 1, r + 1):
             aj, ak = a[j - 1], a[k - 1]
             rest = a[:g - 1] + (g + 1,) + tuple(x for x in a[g - 1:] if x != aj and x != ak)
-            for m2 in monomials_of_degree(d, ctx.n - 1, low_var=g + 1):
-                c = eta(ak, mul_var(m2, aj)) - eta(aj, mul_var(m2, ak))
-                if c:
-                    _add(out, BasisElement("X", r - 1, rest, mul_var(m2, g + 1)), (-1) ** (g + j + k) * c)
+            for m2 in monomials_of_degree(d, n - 1, low_var=g + 1):
+                emit("X", rest, mul_var(m2, g + 1), (-1) ** (g + j + k),
+                     eta(ak, mul_var(m2, aj)), eta(aj, mul_var(m2, ak)))
 
     # Y targets
     for ell in range(2, a1):
@@ -307,42 +254,44 @@ def br_column(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement
             for k in range(j + 1, r + 1):
                 aj, ak = a[j - 1], a[k - 1]
                 rest = (ell,) + tuple(x for x in a if x != aj and x != ak)
-                for m1 in monomials_of_degree(d, ctx.n - 1, low_var=ell):
-                    c = 0
-                    if var_divides(ak, m1):
-                        c += kappa(div_var(mul_var(m1, ell), ak), aj)
-                    if var_divides(aj, m1):
-                        c -= kappa(div_var(mul_var(m1, ell), aj), ak)
-                    if c:
-                        _add(out, BasisElement("Y", r - 1, rest, m1), (-1) ** (j + k) * c)
+                for m1 in monomials_of_degree(d, n - 1, low_var=ell):
+                    emit("Y", rest, m1, (-1) ** (j + k),
+                         kappa(div_var(mul_var(m1, ell), ak), aj) if var_divides(ak, m1) else 0,
+                         kappa(div_var(mul_var(m1, ell), aj), ak) if var_divides(aj, m1) else 0)
     for k in range(2, r + 1):
         ak = a[k - 1]
         rest = a[:k - 1] + a[k:]
-        for m1 in monomials_of_degree(d, ctx.n - 1, low_var=a1):
-            c = kappa(m1, ak)
-            if var_divides(ak, m1):
-                c -= kappa(div_var(mul_var(m1, a1), ak), a1)
-            if c:
-                _add(out, BasisElement("Y", r - 1, rest, m1), (-1) ** k * c)
+        for m1 in monomials_of_degree(d, n - 1, low_var=a1):
+            emit("Y", rest, m1, (-1) ** k, kappa(m1, ak),
+                 kappa(div_var(mul_var(m1, a1), ak), a1) if var_divides(ak, m1) else 0)
     for ell in range(a1 + 1, a2):
         for k in range(2, r + 1):
             ak = a[k - 1]
             rest = (ell,) + a[1:k - 1] + a[k:]
-            for m1 in monomials_of_degree(d, ctx.n - 1, low_var=ell):
-                if var_divides(ak, m1) and (c := kappa(div_var(mul_var(m1, ell), ak), a1)):
-                    _add(out, BasisElement("Y", r - 1, rest, m1), (-1) ** (k + 1) * c)
-    for m1 in monomials_of_degree(d, ctx.n - 1, low_var=a2):
-        _add(out, BasisElement("Y", r - 1, a[1:], m1), -kappa(m1, a1))
+            for m1 in monomials_of_degree(d, n - 1, low_var=ell):
+                if var_divides(ak, m1):
+                    emit("Y", rest, m1, (-1) ** (k + 1), kappa(div_var(mul_var(m1, ell), ak), a1))
+    for m1 in monomials_of_degree(d, n - 1, low_var=a2):
+        emit("Y", a[1:], m1, -1, kappa(m1, a1))
     return out
 
 
-def bd_rows(ctx: BuildContext) -> dict[BasisElement, Terms]:
-    """The x1 cofactors of the last differential on the top generator, by row."""
+def bd_rows(ctx: PlanContext) -> list[Contribution]:
+    """The x1 cofactor of the last differential on the top generator, row by row.
+
+    On a row X(d-1; 2..d; m) it is minus the sum of tq(m, m2) m2, on a row
+    Y(d-1; 2..d; m) minus the sum of Q(m1, m) m1, over the monomials of
+    degree n-1.
+    """
     d = ctx.d
     full = tuple(range(2, d + 1))
-    out = {BasisElement("X", d - 1, full, m): ctx.y_correction(m) for m in monomials_of_degree(d, ctx.n, low_var=2)}
+    out: list[Contribution] = []
+    for m in monomials_of_degree(d, ctx.n, low_var=2):
+        x = BasisElement("X", d - 1, full, m)
+        out += [(x, m2, ((-1, ctx.tq(m, m2)),)) for m2 in ctx.nm1_all]
     for m in monomials_of_degree(d, ctx.n - 1, low_var=2):
-        out[BasisElement("Y", d - 1, full, m)] = {m1: -c for m1, c in ctx.q_row(m).items()}
+        y = BasisElement("Y", d - 1, full, m)
+        out += [(y, m1, ((-1, ctx.Q(m1, m)),)) for m1 in ctx.nm1_all]
     return out
 
 
@@ -401,7 +350,7 @@ def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions) -> PolyMatrix:
     return mat
 
 
-Cell = tuple[int, int, list[tuple[Mono, list[tuple[int, int]]]]]
+Cell = tuple[int, int, tuple[tuple[Mono, Pairs], ...]]
 
 
 @dataclass(frozen=True)
@@ -411,7 +360,9 @@ class Plan:
     keys[k - 1] is the key (name, u, v) whose value is ctx.name(u, v) on a
     BuildContext; key index DELTA stands for ctx.delta.  cells[r - 1] lists
     the nonzero entries (i, j, terms) of b_r in row-major order, each term a
-    monomial with its (coefficient, key index) pairs.
+    monomial with its (coefficient, key index) pairs.  Every part is a tuple
+    of ints and tuples, which the garbage collector can stop tracking, so
+    the plan is not traversed again at each collection of the process.
     """
 
     keys: tuple[tuple[str, Mono, Mono], ...]
@@ -419,29 +370,37 @@ class Plan:
 
 
 def _record(skel: PolyMatrix, cofactors) -> tuple[Cell, ...]:
-    """The cells of delta * skel + x1 * C, C the matrix whose column j is cofactors[j].
+    """The cells of delta * skel + x1 * C, C the matrix whose column j is the sum of cofactors[j].
 
-    cofactors[j] maps a target element to its entry of C, monomial -> Lin,
-    and is signed by the bases; skel is signed already.  A target outside
-    the row basis is a KeyError.  No term of skel has x1 and every term of
-    x1 * C has, so the two parts share no monomial.
+    cofactors[j] lists the contributions of column j, signed as written; the
+    bases sign them here, and skel is signed already.  A writer reaches each
+    term once and sums its keys itself (_pairs), so a term is placed, not
+    added to.  A target outside the row basis is a KeyError.  No term of
+    skel has x1 and every term of x1 * C has, so the two parts share no
+    monomial.
     """
     pos = skel.rows.position()
-    cells: dict[tuple[int, int], list] = {}
+    lifts: dict[Mono, Mono] = {}
+    rows: list[dict[int, tuple[tuple[Mono, Pairs], ...]]] = [{} for _ in skel.rows]
     for j, ((csign, _), col) in enumerate(zip(skel.cols, cofactors)):
-        for target, cof in col.items():
+        for target, m, pairs in col:
             i, rsign = pos[target]
-            s = csign * rsign
-            # (m[0] + 1,) + m[1:] is x1 * m
-            terms = [((m[0] + 1,) + m[1:], [(s * c, k) for k, c in lin.terms.items()])
-                     for m, lin in cof.items() if lin]
-            if terms:
-                cells[i, j] = terms
-    for i, row in enumerate(skel.entries):
-        for j, p in row.items():
-            cells.setdefault((i, j), []).extend((m, [(c, DELTA)]) for m, c in p.terms.items())
-    # in row-major order, so that _evaluate fills each row in column order
-    return tuple((i, j, terms) for (i, j), terms in sorted(cells.items()))
+            if csign != rsign:
+                pairs = tuple([(-c, k) for c, k in pairs])
+            x1m = lifts.get(m)
+            if x1m is None:
+                # (m[0] + 1,) + m[1:] is x1 * m, made once per monomial
+                x1m = lifts[m] = (m[0] + 1,) + m[1:]
+            row = rows[i]
+            row[j] = row.get(j, ()) + ((x1m, pairs),)
+    out: list[Cell] = []
+    for i, (row, skel_row) in enumerate(zip(rows, skel.entries)):
+        for j, p in skel_row.items():
+            row[j] = row.get(j, ()) + tuple((m, ((c, DELTA),)) for m, c in p.terms.items())
+        # in row-major order, so that _evaluate fills each row in column order; the
+        # cofactor columns reach each row in increasing order
+        out += [(i, j, terms) for j, terms in (sorted(row.items()) if skel_row else row.items())]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -453,13 +412,17 @@ def build_plan(d: int, n: int) -> Plan:
     """
     ctx = PlanContext(d, n)
     bases = [duality_basis(d, n, r) for r in range(d + 1)]
-    one = unit(d)
-    cofactors = [[{y0(d): b1_column(ctx, e)} for _, e in bases[1]]]
-    for r in range(2, d):
-        cofactors.append([{t: {one: c} for t, c in br_column(ctx, r, e).items()} for _, e in bases[r]])
-    cofactors.append([bd_rows(ctx)])
-    cells = tuple(_record(skel, cof) for skel, cof in zip(canonical_skeleton(d, n), cofactors))
-    return Plan(tuple(ctx.keys), cells)
+    cells = []
+    for r, skel in enumerate(canonical_skeleton(d, n), 1):
+        if r == 1:
+            columns = (b1_column(ctx, e) for _, e in bases[1])
+        elif r == d:
+            columns = [bd_rows(ctx)]
+        else:
+            columns = (br_column(ctx, r, e) for _, e in bases[r])
+        # written column by column as _record places them, so no column outlives its placing
+        cells.append(_record(skel, columns))
+    return Plan(tuple(ctx.keys), tuple(cells))
 
 
 def _evaluate(plan: Plan, ctx: BuildContext, bases: tuple[OrderedBasis, ...]) -> tuple[PolyMatrix, ...]:

@@ -641,19 +641,21 @@ def skeleton_block_failure(res: Resolution, splits: tuple[Split, ...]) -> str | 
     return None
 
 
-def _pairing(bases: tuple[OrderedBasis, ...], k: int) -> list[tuple[int, int]]:
-    """P_k, the pairing of bases[k] with bases[d-k], as (partner index, sign) per element.
+@lru_cache(maxsize=None)
+def _pairing(basis: OrderedBasis, dual: OrderedBasis) -> tuple[tuple[int, int], ...]:
+    """The pairing of basis with the complementary dual, as (partner index, sign) per element.
 
     In these bases the pairing is a signed permutation: each element pairs to
-    its pp_dual_element partner and to no other element.
+    its pp_dual_element partner and to no other element.  It is kept by the
+    two bases, which a resolution and its skeleton share.
     """
-    pos = bases[len(bases) - 1 - k].position()
+    pos = dual.position()
     out = []
-    for s, e in bases[k]:
+    for s, e in basis:
         v, partner = pp_dual_element(e)
         j, s2 = pos[partner]
         out.append((j, s * s2 * v))
-    return out
+    return tuple(out)
 
 
 def duality_failure(bases: tuple[OrderedBasis, ...], mats: tuple[PolyMatrix, ...]) -> tuple[int, int, int] | None:
@@ -668,7 +670,7 @@ def duality_failure(bases: tuple[OrderedBasis, ...], mats: tuple[PolyMatrix, ...
     pairs where a side has a nonzero entry are compared.
     """
     d = len(mats)
-    pairings = [_pairing(bases, k) for k in range(d + 1)]
+    pairings = [_pairing(bases[k], bases[d - k]) for k in range(d + 1)]
     for r in range(d):
         next_rows, comp_rows = mats[r].entries, mats[d - r - 1].entries
         bad = []

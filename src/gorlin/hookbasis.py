@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .monomials import (
     Mono,
@@ -44,13 +45,13 @@ def gamma_of(a: tuple[int, ...]) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     """One standard basis element of the free module in homological degree r.
 
-    It is not checked when it is made: the bases are formed only by
-    enumerate_basis and duality_basis, and differentials._assemble and
-    differentials._record refuse any target outside them.
+    A tuple, hashed and compared in C.  It is not checked when it is made:
+    the bases are formed only by enumerate_basis and duality_basis, and
+    differentials._assemble and differentials._record refuse any target
+    outside them.
     """
 
     kind: str  # "X" or "Y"

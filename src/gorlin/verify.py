@@ -188,18 +188,34 @@ def check_exactness_up_to(s: Session) -> CheckResult:
 
 
 def check_wlp(s: Session) -> CheckResult:
-    """Multiplication by x1 from degree n-1 to degree n of the quotient is surjective."""
+    """Multiplication by x1 from degree n-1 to degree n of the quotient is surjective.
+
+    That is S_n = J_n + x1 S_{n-1}, J = ann(phi), and four facts the session
+    proves for its other checks give it with no rank.  Let mu be a monomial
+    of degree n in x2..xd.  The strand certificate has mu in exactly one
+    entry of the first map of L, at a column j of canonical_skeleton[0]
+    (+-mu there).  The skeleton holds, so the terms of b_1's column j free of
+    x1 are delta times that entry, and its other terms of degree n lie in
+    x1 S_{n-1}: (b1_j)_n = +-delta mu + x1 h.  Every column of b_1
+    annihilates phi, and J is homogeneous, so (b1_j)_n lies in J_n.  With
+    delta != 0, mu = +-(b1_j)_n / delta modulo x1 S_{n-1}, so every monomial of
+    degree n lies in J_n + x1 S_{n-1}, and the image is all of degree n of
+    the quotient, of dimension hf(n).  When a fact fails, the image is
+    ranked: the x1 multiples beside the degree-n annihilator.
+    """
     d, n = s.res.d, s.res.n
-    monos_n = monomials_of_degree(d, n)
-    ann_rows = coeff_rows(s.ann_n, monos_n)
-    x1_multiples = [Poly.monomial(mul_var(u, 1)) for u in monomials_of_degree(d, n - 1)]
-    mult_rows = coeff_rows(x1_multiples, monos_n)
     dim_an = s.hf(n)
-    # ann_n is a kernel basis, so its rank is its length
-    image_dim = linalg.rank(mult_rows + ann_rows) - len(s.ann_n)
-    if image_dim != dim_an:
-        return CheckResult("wlp", False, "x1 is not a weak Lefschetz element",
-                           f"image of multiplication has dimension {image_dim}, quotient piece {dim_an}")
+    if not (s.res.delta != 0 and s.skeleton_failure is None and not strand_certificate(d, n)
+            and s.b1_annihilation_failure is None):
+        monos_n = monomials_of_degree(d, n)
+        ann_rows = coeff_rows(s.ann_n, monos_n)
+        x1_multiples = [Poly.monomial(mul_var(u, 1)) for u in monomials_of_degree(d, n - 1)]
+        mult_rows = coeff_rows(x1_multiples, monos_n)
+        # ann_n is a kernel basis, so its rank is its length
+        image_dim = linalg.rank(mult_rows + ann_rows) - len(s.ann_n)
+        if image_dim != dim_an:
+            return CheckResult("wlp", False, "x1 is not a weak Lefschetz element",
+                               f"image of multiplication has dimension {image_dim}, quotient piece {dim_an}")
     return CheckResult("wlp", True,
                        f"x1 * (degree {n - 1}) covers degree {n} of the quotient (dimension {dim_an})")
 

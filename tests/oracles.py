@@ -29,13 +29,13 @@ another way, by a route that is slower or more literal.
 * ``br_column_alt`` writes an interior cofactor column by the contraction
   formulas on elementary wedge generators, straightened with
   ``hookbasis.expand_eta`` / ``expand_kappa``, where
-  ``differentials.br_column`` sums the closed-form coefficients directly;
+  ``differentials.br_column`` records the closed-form coefficients directly;
   ``route_disagreement`` compares the two on every interior ``C_r`` of a
   built resolution.
 * ``q_of`` and ``tilde_contract`` are the maps of the paper's degree-n
   generators ``delta * mu - x1 * q(mu(lift))`` of the annihilator, written
   literally over dual elements, where ``differentials.b1_column`` writes
-  their ``x1`` cofactors from the closed-form sums of ``BuildContext``.
+  their ``x1`` cofactors from the closed-form sums Q and tq.
 * ``golden_skeleton_d4_n2`` parses the mod-x1 matrices at d = 4, n = 2,
   written out entry by entry, which ``differentials.canonical_skeleton(4, 2)``
   must reproduce verbatim.
@@ -51,7 +51,7 @@ from math import comb
 import numpy as np
 
 from gorlin import linalg
-from gorlin.differentials import BuildContext, Resolution, _add
+from gorlin.differentials import BuildContext, Resolution
 from gorlin.exactness import (
     PRIMES,
     Piece,
@@ -144,6 +144,12 @@ def certify_exactness_direct(s: Session, dmax: int) -> list[str]:
         if not ok:
             failures.append(f"exactness fails in degree {e}: {witness}")
     return failures
+
+
+def _add(out: dict[BasisElement, int], target: BasisElement, c: int) -> None:
+    """Add c to the constant cofactor entry at target."""
+    if c:
+        out[target] = out.get(target, 0) + c
 
 
 def br_column_alt(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, int]:

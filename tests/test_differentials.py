@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 from gorlin.differentials import (
+    DELTA,
     BuildContext,
     PlanContext,
+    _pairs,
+    _record,
     b1_column,
     bd_rows,
     br_column,
@@ -16,7 +19,7 @@ from gorlin.differentials import (
     twist_list,
 )
 from gorlin.exactness import skeleton_block_failure, x1_split
-from gorlin.hookbasis import BasisElement, xd, y0
+from gorlin.hookbasis import BasisElement, duality_basis, xd, y0
 from gorlin.invsys import (
     InadmissibleSystemError,
     InverseSystem,
@@ -24,7 +27,7 @@ from gorlin.invsys import (
     delta_and_Q,
     random_invsys,
 )
-from gorlin.monomials import mul_var, unit
+from gorlin.monomials import div_var, monomials_of_degree, mul_var, unit
 from gorlin.linalg import transpose
 from gorlin.polynomials import Poly, poly_str
 
@@ -39,7 +42,7 @@ from conftest import (
     scaled,
     squares_resolution,
 )
-from oracles import br_column_alt, route_disagreement
+from oracles import br_column_alt, q_of, route_disagreement, tilde_contract
 
 
 def test_b1_identity_catalecticant_columns():
@@ -157,34 +160,75 @@ def test_bd_rows_vs_b1_on_identity_instance():
     assert transpose(dense(res.matrix(1))) == dense(res.matrix(3))
 
 
-# the interior column writer, and the straightening oracle it must agree with
-ROUTES = {"closed": br_column, "straightening": br_column_alt}
+def closed_cofactor(phi, r):
+    """C_r by the closed-form writers, as {(row element, column element): {monomial: value}}.
+
+    The writers run on a PlanContext, and each term is evaluated key by key
+    on the numeric BuildContext, apart from _record and _evaluate.
+    """
+    d, n = phi.d, phi.n
+    ctx, num = PlanContext(d, n), BuildContext(phi, delta_and_Q(phi))
+    if r == 1:
+        cols = [(e, b1_column(ctx, e)) for _, e in duality_basis(d, n, 1)]
+    elif r == d:
+        cols = [(xd(d), bd_rows(ctx))]
+    else:
+        cols = [(e, br_column(ctx, r, e)) for _, e in duality_basis(d, n, r)]
+    values = [num.delta] + [getattr(num, name)(u, v) for name, u, v in ctx.keys]
+    out = {}
+    for e, contributions in cols:
+        for t, m, pairs in contributions:
+            entry = out.setdefault((t, e), {})
+            entry[m] = entry.get(m, 0) + Fraction(sum(c * values[k] for c, k in pairs), num.denom)
+    return out
+
+
+def straightened_cofactor(phi, r):
+    """C_r by the oracles, in the form of closed_cofactor.
+
+    Inside it is br_column_alt on the numeric BuildContext; at the ends the
+    x1 cofactors of the paper's generators delta * mu - x1 * q(mu(lift)),
+    q_of(nu) on a dual element nu of degree n-1, and their pairing partners.
+    """
+    d, n = phi.d, phi.n
+    cat = delta_and_Q(phi)
+    full = tuple(range(2, d + 1))
+    if r == 1:
+        return {(y0(d), e): (q_of(cat, {div_var(e.m, e.a[0]): 1}) if e.kind == "X"
+                             else -q_of(cat, tilde_contract(phi, mul_var(e.m, e.a[0])))).terms
+                for _, e in duality_basis(d, n, 1)}
+    if r == d:
+        out = {(BasisElement("X", d - 1, full, m), xd(d)): (-q_of(cat, tilde_contract(phi, m))).terms
+               for m in monomials_of_degree(d, n, low_var=2)}
+        out.update({(BasisElement("Y", d - 1, full, m), xd(d)): (-q_of(cat, {m: 1})).terms
+                    for m in monomials_of_degree(d, n - 1, low_var=2)})
+        return out
+    num = BuildContext(phi, cat)
+    return {(t, e): {unit(d): Fraction(c, num.denom)}
+            for _, e in duality_basis(d, n, r) for t, c in br_column_alt(num, r, e).items()}
+
+
+# the closed-form writers, and the oracles the evaluated plan must agree with
+ROUTES = {"closed": closed_cofactor, "straightening": straightened_cofactor}
 
 
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("system", [f"{d}-{n}" for d, n in GRID] + list(EXTRA))
 def test_matrices_are_the_lift_of_the_skeleton(system, route):
     # b_r = delta * S_r + x1 * C_r, C_r constant inside and of degree n-1 at both ends;
-    # each C_r of the evaluated plan is compared, column by column, with the
-    # writers run on the numeric BuildContext
-    column = ROUTES[route]
+    # each C_r of the evaluated plan is compared, entry by entry, with the
+    # writers evaluated term by term, and with the oracles
     phi = _system(system)
     d, n = phi.d, phi.n
     res = build_resolution(phi)
-    ctx = BuildContext(phi, delta_and_Q(phi))
     x1 = Poly.monomial(mul_var(unit(d), 1))
     for r, skel in enumerate(canonical_skeleton(d, n), 1):
-        if r == 1:
-            cof = {(y0(d), e): b1_column(ctx, e) for _, e in res.bases[1]}
-        elif r == d:
-            cof = {(e, xd(d)): terms for e, terms in bd_rows(ctx).items()}
-        else:
-            cof = {(t, e): {unit(d): c} for _, e in res.bases[r] for t, c in column(ctx, r, e).items()}
+        cof = ROUTES[route](phi, r)
         cdeg = n - 1 if r in (1, d) else 0
         mat = res.matrix(r)
         for i, (rs, re) in enumerate(mat.rows):
             for j, (cs, ce) in enumerate(mat.cols):
-                c = Poly(d, {m: Fraction(rs * cs * v, ctx.denom) for m, v in cof.get((re, ce), {}).items()})
+                c = Poly(d, {m: rs * cs * v for m, v in cof.get((re, ce), {}).items()})
                 assert all(sum(m) == cdeg for m in c.terms), (r, i, j)
                 rest = mat.entry(i, j) - skel.entry(i, j).scale(res.delta)
                 assert all(m[0] >= 1 and sum(m) == cdeg + 1 for m in rest.terms), (r, i, j)
@@ -206,19 +250,40 @@ def test_plan_context_keys_each_sum_once():
     # Q and W are symmetric, so an unordered pair has one key; tq is not
     ctx = PlanContext(4, 2)
     u, v = (0, 1, 0, 0), (0, 0, 1, 0)
-    assert ctx.Q(u, v) is ctx.Q(v, u) and ctx.W(u, v) is ctx.W(v, u)
-    assert ctx.tq(u, v) is not ctx.tq(v, u)
+    assert ctx.Q(u, v) == ctx.Q(v, u) and ctx.W(u, v) == ctx.W(v, u)
+    assert ctx.tq(u, v) != ctx.tq(v, u)
     assert len(ctx.keys) == 4
     q, t = ctx.Q(u, v), ctx.tq(u, v)
-    kq, kt = ctx.keys.index(("Q", v, u)) + 1, ctx.keys.index(("tq", u, v)) + 1
-    assert (2 * t + q - t).terms == {kt: 1, kq: 1}
-    assert (0 - t).terms == {kt: -1} and (t - 0) is t and (0 + t) is t
-    assert not (t - t) and not 0 * t and (-(-t)).terms == t.terms
+    assert (ctx.keys[q - 1], ctx.keys[t - 1]) == (("Q", v, u), ("tq", u, v))
+    # sign * (plus - minus) on signed keys, as (coefficient, key index) pairs
+    assert _pairs(1, t, -q) == ((1, t), (1, q)) and _pairs(-1, -t) == ((1, t),)
+    assert _pairs(1, 0, t) == ((-1, t),) and _pairs(-1, t, -t) == ((-2, t),)
+    # _record signs each term by the bases and sets it beside delta times the skeleton
+    skel = canonical_skeleton(3, 2)[1]
+    (s0, e0), (s1, e1) = skel.rows.elements[:2]
+    cs, _ = skel.cols.elements[0]
+    one = unit(3)
+    cells = _record(skel, [[(e0, one, _pairs(1, t, -q)), (e1, one, _pairs(-1, q))]] + [[]] * (len(skel.cols) - 1))
+    x1 = mul_var(one, 1)
+    assert [(i, j, terms) for i, j, terms in cells if j == 0 and i < 2] == \
+        [(i, 0, ((x1, tuple((s * cs * c, k) for c, k in pairs)),)
+          + tuple((m, ((c, DELTA),)) for m, c in skel.entry(i, 0).terms.items()))
+         for i, s, pairs in ((0, s0, ((1, t), (1, q))), (1, s1, ((-1, q),)))]
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 3), (5, 2), (6, 2)])
+def test_writers_reach_each_term_once(d, n):
+    # _record places the term a writer gives and does not add to it
+    ctx = PlanContext(d, n)
+    columns = [b1_column(ctx, e) for _, e in duality_basis(d, n, 1)] + [bd_rows(ctx)]
+    columns += [br_column(ctx, r, e) for r in range(2, d) for _, e in duality_basis(d, n, r)]
+    for col in columns:
+        assert len({(t, m) for t, m, _ in col}) == len(col)
+        assert all(pairs and len({k for _, k in pairs}) == len(pairs) for _, _, pairs in col)
 
 
 def test_column_input_validation():
-    phi = grid_phi(4, 2)
-    ctx = BuildContext(phi, delta_and_Q(phi))
+    ctx = PlanContext(4, 2)
     xelt = BasisElement("X", 2, (2, 3), (0, 2, 0, 0))
     yelt = BasisElement("Y", 2, (2, 3), (0, 1, 0, 0))
     assert br_column(ctx, 2, xelt) and br_column(ctx, 2, yelt)

@@ -536,7 +536,7 @@ def test_skeleton_complex_fact_on_a_mixed_entry_and_a_sign_flip(monkeypatch):
 def duality_failure_by_negation(bases, mats):
     """The pairing rule on Poly entries, one side negated as a Poly when the sign is negative."""
     d = len(mats)
-    pairings = [exactness._pairing(bases, k) for k in range(d + 1)]
+    pairings = [exactness._pairing(bases[k], bases[d - k]) for k in range(d + 1)]
     for r in range(d):
         for jj, (ii, s1) in enumerate(pairings[r + 1]):
             for i, (kk, s2) in enumerate(pairings[r]):
@@ -568,6 +568,27 @@ def test_duality_failure_witness_matches_the_poly_comparison(d, n):
         assert duality_failure(bad.bases, bad.matrices) == want
         seen.add(want is None)
     assert seen == {True, False}
+
+
+def test_pairings_are_kept_by_their_own_bases():
+    # flipping the sign of one element of bases[1] is a change of basis: with
+    # column k of b_1 and row k of b_2 negated to match, the pairing rule holds
+    # again, but only under the pairing of the new bases, not the canonical one
+    res = grid_resolution(4, 2)
+    assert duality_failure(res.bases, res.matrices) is None  # the canonical pairings are kept
+    k = 3
+    b1, b2 = res.matrix(1), res.matrix(2)
+    flipped = OrderedBasis(4, 2, 1, tuple((-s if i == k else s, e) for i, (s, e) in enumerate(b1.cols)))
+    new_b1 = PolyMatrix(b1.rows, flipped, [{j: -p if j == k else p for j, p in row.items()} for row in b1.entries])
+    new_b2 = PolyMatrix(flipped, b2.cols, [({j: -p for j, p in row.items()} if i == k else row)
+                                           for i, row in enumerate(b2.entries)])
+    bases = (res.bases[0], flipped, *res.bases[2:])
+    mats = (new_b1, new_b2, *res.matrices[2:])
+    canonical, own = exactness._pairing(res.bases[1], res.bases[3]), exactness._pairing(flipped, res.bases[3])
+    assert [s for _, s in own] == [-s if i == k else s for i, (_, s) in enumerate(canonical)]
+    assert duality_failure(bases, mats) is None
+    # and the same matrices in the canonical bases break the rule
+    assert duality_failure(res.bases, mats) is not None
 
 
 def with_b1_column(res, j, entry):

@@ -308,7 +308,7 @@ def test_check_skeleton_fails_on_an_entry_between_an_x_and_a_y_element(monkeypat
     s2 = skel[1]
     i = next(i for i, (_, e) in enumerate(s2.rows) if e.kind == "X")
     j = next(j for j, (_, e) in enumerate(s2.cols) if e.kind == "Y" and not s2.entry(i, j))
-    (ii, s1), (kk, t1) = _pairing(res.bases, 2)[j], _pairing(res.bases, 1)[i]
+    (ii, s1), (kk, t1) = _pairing(res.bases[2], res.bases[2])[j], _pairing(res.bases[1], res.bases[3])[i]
     x2 = Poly.monomial(mul_var(unit(4), 2))
     for (r, a, b), c in (((2, i, j), 1), ((3, ii, kk), -s1 * t1)):
         assert not skel[r - 1].entry(a, b)
@@ -350,17 +350,40 @@ def test_check_wlp_passes_and_swapped_variable():
     assert check_wlp(Session(res2, swapped)).passed
 
 
-def test_check_wlp_ranks_one_matrix(monkeypatch):
-    # the annihilator rows are a kernel basis, so only the union needs a rank
+def _count_ranks(monkeypatch):
     from gorlin import linalg
 
-    s = Session(grid_resolution(4, 2), grid_phi(4, 2))
-    s.ann_n, s.hilbert  # proved before counting
     calls = []
     rank = linalg.rank
     monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(rows) or rank(rows))
-    assert check_wlp(s).passed
+    return calls
+
+
+def test_check_wlp_ranks_one_matrix(monkeypatch):
+    # with a fact of the session failing (here the skeleton of b_2), the image
+    # is ranked; the annihilator rows are a kernel basis, so only the union needs a rank
+    res = grid_resolution(4, 2)
+    bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial(mul_var(unit(4), 2)))
+    s = Session(bad, grid_phi(4, 2))
+    s.ann_n, s.hilbert, s.b1_annihilation_failure  # proved before counting
+    assert s.skeleton_failure is not None
+    calls = _count_ranks(monkeypatch)
+    out = check_wlp(s)
+    assert out.passed, out.line()
     assert len(calls) == 1
+    assert out == check_wlp(Session(res, grid_phi(4, 2)))
+
+
+def test_check_wlp_reads_the_session_facts(monkeypatch):
+    # delta != 0, the skeleton, the strand certificate and the annihilation by b_1
+    # give S_n = J_n + x1 S_{n-1}, so an intact resolution passes with no rank
+    for d, n in [(3, 2), (4, 2), (4, 3), (5, 2)]:
+        s = Session(grid_resolution(d, n), grid_phi(d, n))
+        s.hilbert  # proved before counting
+        calls = _count_ranks(monkeypatch)
+        out = check_wlp(s)
+        assert out.passed and not calls, (d, n)
+        assert out.summary == f"x1 * (degree {n - 1}) covers degree {n} of the quotient (dimension {s.hf(n)})"
 
 
 def test_exactness_methods_agree():
