@@ -7,15 +7,15 @@ Exactness of B is reduced to its skeleton for every d: the short exact
 sequence 0 -> B(-1) -> B -> B/x1 B -> 0 and its homology long exact sequence
 show that vanishing of the skeleton homology in positions >= 2 forces
 H_i(B)_e = x1 * H_i(B)_{e-1} for i >= 2, hence H_i(B) = 0 by induction on
-e, while positions 1 and 0 reduce to small exact computations: the degree
-growth of the ideal generated by the first matrix, and the bottom homology
-h1k of the dual skeleton strand over d-1 variables.  The skeleton depends
-only on (d, n): differentials.canonical_skeleton(d, n) writes it once.
-strand_certificate proves, once per (d, n), the one fact about it: it is
-the dual strand K beside the monomial strand L, both exact, K the dual of
-L.  skeleton_block_failure compares the skeleton of each resolution, the
-terms free of x1 in the one-pass split x1_split, with delta times the same
-matrices.
+e, while positions 1 and 0 reduce to small exact computations: the
+degree-n piece of the ideal generated by the first matrix, and the bottom
+homology h1k of the dual skeleton strand over d-1 variables.  The skeleton
+depends only on (d, n): differentials.canonical_skeleton(d, n) writes it
+once.  strand_certificate proves, once per (d, n), the one fact about it:
+it is the dual strand K beside the monomial strand L, both exact, K the
+dual of L.  skeleton_block_failure compares the skeleton of each
+resolution, the terms free of x1 in the one-pass split x1_split, with delta
+times the same matrices.
 
 The monomial strand L must resolve R/m^n, for R = k[x2..xd] and m its
 maximal ideal.  A strand basis element b has the multidegree c(b) over
@@ -50,23 +50,28 @@ An X element of fine degree c has twist |c| + 2n - 1, so by total degree
 and h1k is zero elsewhere.  The long exact sequence then closes at degree
 2n (certify_exactness).
 
-The ideal I of the first matrix is pinned by saturation: a rank over GF(p)
-(rank_mod_p) is a lower bound for the rank over Q.  When every b_1 column
-annihilates phi (checked exactly by contraction), I lies in J = ann(phi), so
-dim S_e - hf(e) bounds dim I_e from above, and a mod-p rank of the degree-e
-piece that meets the bound pins it.  Without that fact, or when no prime
-meets the bound, the piece is ranked exactly.  Degree 2n-1, the largest
-piece, is not ranked at all when I lies in J, I_{2n-2} = J_{2n-2} and
-hf(1) >= 2: by Macaulay duality S_1 J_{2n-2} = S_{2n-1} unless phi is a
-power of one linear form (ideal_dims; Iarrobino and Kanev, "Power Sums,
-Gorenstein Algebras, and Determinantal Loci", 1999).
+The ideal I of the first matrix is pinned in degree n alone, because
+J = ann(phi) is generated there.  Suppose J_j = 0 for j < n, the compressed
+Hilbert function that delta != 0 gives.  Then J_e = S_1 J_{e-1} for
+n < e <= 2n-1.  Take Psi in D_e orthogonal to S_1 J_{e-1}.  Then
+x_i o Psi lies in J_{e-1}^perp = S_{2n-1-e} o phi, so x_i o Psi = A_i o phi.
+Each x_k A_i - x_i A_k kills phi and has degree 2n-e < n, so it is 0.  By
+the exactness of the Koszul complex, A_i = x_i B for one B, so
+x_i o (Psi - B o phi) = 0 for every i, and Psi = B o phi lies in J_e^perp.
+So J = S J_n.  When every b_1 column annihilates phi (checked exactly by
+contraction), I lies in J; the columns are forms of degree n (graded_piece
+refuses a term of another degree), so I = S I_n, and once
+dim I_n = dim S_n - hf(n), I = S J_n = J in every degree.  A rank
+over GF(p) (rank_mod_p) bounds dim I_n from below and dim S_n - hf(n) from
+above, so a prime whose rank meets the bound pins it; when none does, the
+piece is ranked exactly (ideal_dims).
 
 The facts the certificate rests on (the complex property, the skeleton
 structure and the annihilation by b_1) are verdicts of their own as well.  A
 Session proves each of them once per verification run, together with the
 self-duality of B, the Hilbert function (fixed by delta != 0 and read off
-one catalecticant rank), the degree-n annihilator and the dimensions of I,
-and every check that needs a fact reads it there.  The complex property
+one catalecticant rank), the degree-n annihilator and dim I_n, and every
+check that needs a fact reads it there.  The complex property
 rests on the self-duality: the pairing rule
 b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} (duality_failure) mirrors product
 d - r onto product r, so once the rule holds only the products with
@@ -93,8 +98,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
-import numpy as np
-
 from .differentials import Resolution, canonical_skeleton
 from .hookbasis import BasisElement, OrderedBasis, pp_dual_element, skeleton_kos_blocks
 from .invsys import InverseSystem, ann_degree, hilbert_function, integer_coeffs
@@ -106,43 +109,35 @@ PRIMES = (65521, 65519, 65497, 65479, 65449)
 
 
 def rank_mod_p(nrows: int, ncols: int, triples, p: int) -> int:
-    """Rank over GF(p) by Gaussian elimination on a float64 array.
+    """Rank over GF(p) by elimination on sparse rows of residues.
 
-    Each step updates only the rows that meet the pivot column.  Only the
-    pivot column and pivot row are reduced mod p before use; every other
-    entry changes by less than p^2 per step, so it stays below
-    p + ncols * p^2 < 2^53 and float64 arithmetic is exact.
+    Duplicate triples are summed mod p.  Each row is reduced by the pivot
+    row of its leading column c, row <- row - a pivot with a its entry at c,
+    until it is zero or leads in a new column, where it becomes the pivot
+    row, scaled to lead with 1.  The rows are taken sparsest first, which
+    keeps the pivot rows sparse.  The shape only bounds the indices.
     """
-    if nrows == 0 or ncols == 0:
-        return 0
-    if ncols > nrows:
-        # the step count and the float64 bound grow with the column count,
-        # so keep it small; the rank is invariant under transpose
-        nrows, ncols = ncols, nrows
-        triples = [(j, i, v) for i, j, v in triples]
-    assert p + ncols * p * p < 2**53, f"{ncols} columns mod {p} overflow float64"
-    m = np.zeros((nrows, ncols), dtype=np.float64)
+    rows: dict[int, dict[int, int]] = {}
     for i, j, v in triples:
-        # reduce in Python ints first: float64 rounds integers above 2^53
-        m[i, j] = (m[i, j] + v % p) % p
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        m[r:, c] %= p
-        nz = r + np.flatnonzero(m[r:, c])
-        if nz.size == 0:
-            continue
-        if nz[0] != r:
-            m[[r, nz[0]], c:] = m[[nz[0], r], c:]
-        m[r, c:] %= p
-        # after the swap the rows below the pivot that meet column c are nz[1:]
-        below = nz[1:]
-        if below.size and c + 1 < ncols:
-            col = (m[below, c] * pow(int(m[r, c]), p - 2, p)) % p
-            m[below, c + 1:] -= np.outer(col, m[r, c + 1:])
-        r += 1
-    return r
+        row = rows.setdefault(i, {})
+        row[j] = (row.get(j, 0) + v) % p
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(({j: v for j, v in row.items() if v} for row in rows.values()), key=len):
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {j: v * inv % p for j, v in row.items()}
+                break
+            a = row[c]
+            for j, v in pivot.items():
+                w = (row.get(j, 0) - a * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return len(pivots)
 
 
 @dataclass
@@ -447,52 +442,26 @@ def dual_strand_h1k(d: int, n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# exact degreewise dimensions of the ideal generated by the first matrix
+# the degree-n dimension of the ideal generated by the first matrix
 # ---------------------------------------------------------------------------
 
 
-def ideal_dims(s: Session) -> dict[int, int]:
-    """dim I_e for e = 0..2n, where I is the ideal of the b_1 columns.
+def ideal_dims(s: Session) -> int:
+    """dim I_n, where I is the ideal of the b_1 columns: the rank of graded_piece(b_1, n, 0).
 
-    dim I_e is the rank of graded_piece(b_1, e, e - n).  Its rank mod p is a
-    lower bound.  When every column annihilates phi, I lies in J = ann(phi)
-    and dim S_e - hf(e) is an upper bound, so a prime whose rank meets it pins
-    dim I_e.  Otherwise, and when no prime meets the bound, the piece is
-    ranked exactly.  Once I_{e-1} = S_{e-1}, also I_e = S_e.
-
-    Degree 2n-1 is not ranked when I lies in J, I_s = J_s for s = 2n-2 (the
-    bound is met there) and hf(1) >= 2: then I_{s+1} = S_{s+1} by Macaulay
-    duality.  A functional on S_{s+1} that vanishes on S_1 J_s is a form Psi
-    of degree s+1 with l o Psi in J_s^perp = k phi for every linear l.  If
-    Psi != 0, then l -> l o Psi is a nonzero map to k phi, its kernel has
-    dimension d-1, and in suitable coordinates Psi = a Y_1^[s+1], so phi is
-    a multiple of Y_1^[s] and hf(1) = 1 (Iarrobino and Kanev, "Power Sums,
-    Gorenstein Algebras, and Determinantal Loci", 1999).  When one of the
-    three facts fails, degree 2n-1 is ranked as any other.
+    Its rank mod p is a lower bound.  When every column annihilates phi, I
+    lies in J = ann(phi) and dim S_n - hf(n) is an upper bound, so a prime
+    whose rank meets it pins dim I_n.  Otherwise, and when no prime meets
+    the bound, the piece is ranked exactly.  The other degrees of I follow
+    from this one (module docstring, certify_exactness).
     """
-    res = s.res
-    d, n = res.d, res.n
-    b1 = res.matrix(1)
-    scale = denominator_lcm(b1)
-    annihilates = s.b1_annihilation_failure is None
-    dims: dict[int, int] = {}
-    for e in range(0, 2 * n + 1):
-        dim_se = comb(e + d - 1, d - 1)
-        if e < n:
-            dims[e] = 0
-        elif dims[e - 1] == comb(e + d - 2, d - 1):
-            dims[e] = dim_se
-        elif (e == 2 * n - 1 and annihilates and s.hf(1) >= 2
-              and dims[e - 1] == comb(e + d - 2, d - 1) - s.hf(e - 1)):
-            dims[e] = dim_se
-        else:
-            piece = graded_piece(b1, e, e - n, scale=scale)
-            bound = dim_se - s.hf(e)
-            if annihilates and any(piece.rank_mod(p) == bound for p in PRIMES):
-                dims[e] = bound
-            else:
-                dims[e] = piece.rank_exact()
-    return dims
+    d, n = s.res.d, s.res.n
+    b1 = s.res.matrix(1)
+    piece = graded_piece(b1, n, 0, scale=denominator_lcm(b1))
+    bound = comb(n + d - 1, d - 1) - s.hf(n)
+    if s.b1_annihilation_failure is None and any(piece.rank_mod(p) == bound for p in PRIMES):
+        return bound
+    return piece.rank_exact()
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +579,8 @@ class Session:
         return None
 
     @cached_property
-    def ideal_dims(self) -> dict[int, int]:
-        """dim I_e for e = 0..2n, I the ideal of the b_1 columns (module ideal_dims)."""
+    def ideal_dim_n(self) -> int:
+        """dim I_n, I the ideal of the b_1 columns (module ideal_dims)."""
         return ideal_dims(self)
 
 
@@ -707,9 +676,12 @@ def certify_exactness(s: Session) -> list[str]:
     0 -> B(-1) -> B -> B/x1 -> 0: strand exactness kills H_i for i >= 2 by
     induction on the degree, and the degree-by-degree identity
         dim H_1(B)_e = h1k(e) - h0(e-1) + h0(e) - dim(S/(x1, m^n))_e
-    (with exactly computed right side) pins H_1.  h0 vanishes from 2n - 1 on
-    and the quotient from n on, so the identity is checked up to 2n and up
-    to the last degree where h1k is nonzero; beyond both every term is zero.
+    (with exactly computed right side) pins H_1.  h0 = dim coker(b_1) is hf
+    once I = J = ann(phi), which the module docstring proves from three
+    facts: every b_1 column annihilates phi, J_j = 0 for j < n, and
+    dim I_n = dim S_n - hf(n).  h0 vanishes from 2n - 1 on and the quotient
+    from n on, so the identity is checked up to 2n and up to the last
+    degree where h1k is nonzero; beyond both every term is zero.
     """
     if s.complex_failure is not None:
         r, i, j, _ = s.complex_failure
@@ -720,16 +692,20 @@ def certify_exactness(s: Session) -> list[str]:
     cert = strand_certificate(d, n)
     if cert:
         return list(cert)
-    # the exact dims of coker(b_1)
-    h0 = {e: comb(e + d - 1, d - 1) - s.ideal_dims[e] for e in range(2 * n + 1)}
-    for e, h in h0.items():
-        if h != s.hf(e):
-            return [f"coker(b_1) has dimension {h} in degree {e}, Hilbert function of the quotient gives {s.hf(e)}"]
+    if s.b1_annihilation_failure is not None:
+        return [f"column {s.b1_annihilation_failure} of b_1 does not annihilate phi, so I is not in ann(phi)"]
+    low = next((e for e in range(n) if s.hf(e) != comb(e + d - 1, d - 1)), None)
+    if low is not None:
+        return [f"Hilbert function of the quotient is {s.hf(low)} in degree {low} < n, not "
+                f"dim S_{low} = {comb(low + d - 1, d - 1)}, so ann(phi) is not known to be generated in degree n"]
+    h = comb(n + d - 1, d - 1) - s.ideal_dim_n
+    if h != s.hf(n):
+        return [f"coker(b_1) has dimension {h} in degree {n}, Hilbert function of the quotient gives {s.hf(n)}"]
     h1k = dual_strand_h1k(d, n)
     failures = []
     for e in range(0, max([2 * n, *h1k]) + 1):
         quot = comb(e + d - 2, d - 2) if e < n else 0
-        h1 = h1k.get(e, 0) - h0.get(e - 1, 0) + h0.get(e, 0) - quot
+        h1 = h1k.get(e, 0) - s.hf(e - 1) + s.hf(e) - quot
         if h1 != 0:
             failures.append(f"homology at position 1 in degree {e} has dimension {h1}")
     return failures

@@ -39,6 +39,8 @@ from .polynomials import Poly, clear_denominators
 
 Dual = dict[Mono, Fraction]
 
+RANDOM_TRIES = 64  # draws of random_invsys before it gives up
+
 
 class InadmissibleSystemError(ValueError):
     """Raised when an operation needs an invertible middle catalecticant (delta != 0)."""
@@ -241,15 +243,15 @@ def sum_of_powers(d: int, n: int = 2) -> InverseSystem:
     return InverseSystem(d, n, coeffs)
 
 
-def random_invsys(d: int, n: int, seed: int, coeff_bound: int = 5, max_tries: int = 64) -> InverseSystem:
+def random_invsys(d: int, n: int, seed: int, coeff_bound: int = 5) -> InverseSystem:
     """Deterministic pseudo-random admissible inverse system with integer coefficients.
 
     Retries with a counter mixed into the stream until delta != 0 (one
-    determinant per draw); raises InadmissibleSystemError when the retry
-    budget is exhausted (e.g. bound 0).
+    determinant per draw); raises InadmissibleSystemError after RANDOM_TRIES
+    draws (e.g. bound 0).
     """
     monos = monomials_of_degree(d, 2 * n - 2)
-    for attempt in range(max_tries):
+    for attempt in range(RANDOM_TRIES):
         rng = random.Random(seed * 1_000_003 + attempt)
         coeffs = {m: Fraction(rng.randint(-coeff_bound, coeff_bound)) for m in monos}
         phi = InverseSystem(d, n, coeffs)
@@ -257,7 +259,7 @@ def random_invsys(d: int, n: int, seed: int, coeff_bound: int = 5, max_tries: in
             return phi
     raise InadmissibleSystemError(
         f"could not find an admissible inverse system for d={d}, n={n}, "
-        f"seed={seed}, bound={coeff_bound} after {max_tries} tries"
+        f"seed={seed}, bound={coeff_bound} after {RANDOM_TRIES} tries"
     )
 
 

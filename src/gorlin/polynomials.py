@@ -69,9 +69,6 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coeff(self, m: Mono) -> Scalar:
-        return self.terms.get(m, 0)
-
     def add_term(self, m: Mono, c: Scalar) -> None:
         """In-place accumulation; zero results are pruned."""
         v = self.terms.get(m, 0) + exact(c)
@@ -108,9 +105,6 @@ class Poly:
                 for m2, c2 in other.terms.items():
                     out.add_term(mul(m1, m2), c1 * c2)
             return out
-        return self.scale(other)
-
-    def __rmul__(self, other):
         return self.scale(other)
 
     def __eq__(self, other) -> bool:

@@ -132,7 +132,7 @@ def check_ann_match(s: Session) -> CheckResult:
     if j is not None:
         return CheckResult("ann", False, "a first-matrix column does not annihilate the system",
                            f"column {j} = {poly_str(res.matrix(1).entry(0, j))}")
-    rank_cols = s.ideal_dims[n]
+    rank_cols = s.ideal_dim_n
     rank_oracle = len(s.ann_n)
     beta1 = res.betti[1]
     if not rank_cols == rank_oracle == beta1:

@@ -20,8 +20,9 @@ another way, by a route that is slower or more literal.
   elimination and divides once at the end.
 * ``ideal_dims_by_rref`` finds dim I_e, for I the ideal of the b_1 columns,
   by exact rational elimination degree by degree (``rref_by_fractions``),
-  where ``exactness.ideal_dims`` pins it by saturation against the
-  annihilator and by Macaulay duality.
+  where ``exactness.ideal_dims`` pins dim I_n by saturation against the
+  annihilator and ``exactness.certify_exactness`` takes every other degree
+  from the lemma that ann(phi) is generated in degree n.
 * ``det_and_adjugate_by_solve`` finds a determinant by Bareiss elimination
   in ``Fraction`` arithmetic and the adjugate by solving ``m X = det * I``
   with ``rref_by_fractions``, where ``linalg.det_and_adjugate`` runs one

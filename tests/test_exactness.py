@@ -118,7 +118,8 @@ def test_rank_exact_sums_duplicate_triples_and_matches_the_dense_rank(piece):
 
 
 def test_rank_mod_p_reduces_before_float64():
-    # the second row is 3 times the first; A rounds in float64, A % p does not
+    # the second row is 3 times the first, with an entry above 2^53 that must
+    # be reduced exactly mod p, not after a rounding conversion
     a = 2**60 + 100
     triples = [(0, 0, a), (0, 1, 1), (1, 0, 3 * a), (1, 1, 3)]
     assert Piece(2, 2, triples).rank_exact() == 1
@@ -612,20 +613,19 @@ def ranked_degrees(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("d,n", [*GRID, (4, 4)])
 def test_ideal_dims_rank_nothing_from_degree_2n_minus_1(d, n, monkeypatch):
-    # every hypothesis of the duality step holds, so degree 2n-1 is S_{2n-1}
-    # unranked, and 2n follows from it
+    # ann(phi) is generated in degree n, so degree n is the only piece ranked
     phi = extra_phi(EXTRA[0]) if (d, n) == (4, 4) else grid_phi(d, n)
     s = Session(build_resolution(phi) if (d, n) == (4, 4) else grid_resolution(d, n), phi)
     degrees = ranked_degrees(monkeypatch)
-    dims = ideal_dims(s)
-    assert degrees == list(range(n, 2 * n - 1))
-    assert dims == {e: comb(e + d - 1, d - 1) - s.hf(e) for e in range(2 * n + 1)}
+    assert ideal_dims(s) == comb(n + d - 1, d - 1) - s.hf(n)
+    assert degrees == [n]
+    assert certify_exactness(s) == []
 
 
 @pytest.mark.parametrize("d,n", GRID)
 def test_ideal_dims_saturate_and_match_the_rref_oracle(d, n, monkeypatch):
     s = Session(grid_resolution(d, n), grid_phi(d, n))
-    want = ideal_dims_by_rref(s.res, 2 * n)
+    want = ideal_dims_by_rref(s.res, n)[n]
 
     def refuse(self):
         raise AssertionError("exact fallback used")
@@ -634,37 +634,62 @@ def test_ideal_dims_saturate_and_match_the_rref_oracle(d, n, monkeypatch):
     assert ideal_dims(s) == want
 
 
-def test_ideal_dims_with_fractional_coefficients():
+def fractional_phi() -> InverseSystem:
+    """The (4, 2) grid system with three coefficients made fractional, one of them 70 bits wide."""
     base = grid_phi(4, 2)
     keys = sorted(base.coeffs)
     coeffs = dict(base.coeffs)
     coeffs[keys[0]] /= 3
     coeffs[keys[1]] += Fraction(2, 7)
     coeffs[keys[2]] = Fraction(2**70 + 1, 999)
-    phi = InverseSystem(4, 2, coeffs)
+    return InverseSystem(4, 2, coeffs)
+
+
+def test_ideal_dims_with_fractional_coefficients():
+    phi = fractional_phi()
     res = build_resolution(phi)
     assert denominator_lcm(res.matrix(1)) > 1
-    assert ideal_dims(Session(res, phi)) == ideal_dims_by_rref(res, 4)
+    s = Session(res, phi)
+    assert ideal_dims(s) == ideal_dims_by_rref(res, 2)[2]
+    assert certify_exactness(s) == []
+
+
+LEMMA_CASES = {
+    **{f"grid d={d} n={n}": (lambda d=d, n=n: grid_phi(d, n)) for d, n in GRID},
+    **{f"d=4 n=4 seed={k}": (lambda k=k: random_invsys(4, 4, k)) for k in (1, 2, 3)},
+    "fractional d=4 n=2": fractional_phi,
+    "d=4 n=3 x1<->x4": lambda: grid_phi(4, 3).swap_variables(1, 4),
+}
+
+
+@pytest.mark.parametrize("label", LEMMA_CASES)
+def test_the_ideal_of_b1_is_ann_phi_in_every_degree(label):
+    # the lemma of certify_exactness, against degree-by-degree rational elimination:
+    # I = ann(phi) up to 2n, where I_e = S_e from 2n-1 on
+    phi = LEMMA_CASES[label]()
+    d, n = phi.d, phi.n
+    s = Session(build_resolution(phi), phi)
+    assert ideal_dims_by_rref(s.res, 2 * n) == {e: comb(e + d - 1, d - 1) - s.hf(e) for e in range(2 * n + 1)}
 
 
 @pytest.mark.parametrize("c", [1, prod(PRIMES)], ids=["c=1", "c=prod(PRIMES)"])
 def test_ideal_dims_of_a_column_that_does_not_annihilate_are_exact(c, monkeypatch):
-    # c * x1^3 added to a column: I_4 is all of S_4, one more than dim S_4 - hf(4),
-    # so the annihilator bound does not hold and each degree is ranked exactly.
-    # With c the product of the primes every mod-p rank meets that false bound.
+    # c * x1^3 added to a column: I is no longer in ann(phi), so dim S_3 - hf(3)
+    # bounds nothing and degree 3 is ranked exactly.  With c the product of the
+    # primes the change vanishes mod every prime, so no mod-p rank could see it.
     res = grid_resolution(3, 3)
     bad = with_b1_column(res, 0, res.matrix(1).entry(0, 0) + Poly.monomial((3, 0, 0), c))
     s = Session(bad, grid_phi(3, 3))
     assert s.b1_annihilation_failure == 0
+    calls = []
+    rank_exact = Piece.rank_exact
+    monkeypatch.setattr(Piece, "rank_exact", lambda self: calls.append(self) or rank_exact(self))
     degrees = ranked_degrees(monkeypatch)
-    dims = ideal_dims(s)
-    assert dims == ideal_dims_by_rref(bad, 6)
-    assert dims[4] == 15 == comb(6, 2) > comb(6, 2) - s.hf(4)
-    # as before the duality step: I_4 = S_4 gives degree 5 unranked
-    assert degrees == [3, 4]
-    # with the facts before it taken as proved, the cokernel dimensions fail the certificate first
+    assert ideal_dims(s) == ideal_dims_by_rref(bad, 3)[3]
+    assert degrees == [3] and len(calls) == 1
+    # with the facts before it taken as proved, the annihilation fact fails the certificate first
     s.complex_failure = s.skeleton_failure = None
-    assert certify_exactness(s) == ["coker(b_1) has dimension 0 in degree 4, Hilbert function of the quotient gives 1"]
+    assert certify_exactness(s) == ["column 0 of b_1 does not annihilate phi, so I is not in ann(phi)"]
 
 
 def test_ideal_dims_of_a_duplicated_column_fall_back_to_exact_rank(monkeypatch):
@@ -676,34 +701,21 @@ def test_ideal_dims_of_a_duplicated_column_fall_back_to_exact_rank(monkeypatch):
     rank_exact = Piece.rank_exact
     monkeypatch.setattr(Piece, "rank_exact", lambda self: calls.append(self) or rank_exact(self))
     degrees = ranked_degrees(monkeypatch)
-    dims = ideal_dims(s)
-    assert dims == ideal_dims_by_rref(s.res, 4)
-    assert dims[2] == 8 and calls
-    # I_2 misses J_2, so the duality step does not apply and degree 2n-1 = 3 is ranked
-    assert degrees == [2, 3]
+    assert ideal_dims(s) == ideal_dims_by_rref(s.res, 2)[2] == 8
+    assert degrees == [2] and calls
     s.complex_failure = s.skeleton_failure = None
     assert certify_exactness(s) == ["coker(b_1) has dimension 2 in degree 2, Hilbert function of the quotient gives 1"]
 
 
-def test_ideal_dims_of_another_systems_ideal_rank_degree_2n_minus_1(monkeypatch):
-    # the b_1 columns of another (3, 3) system: I_4 has the codimension of J_4
-    # but I is not in J, so the duality step does not apply to degree 5
-    s = Session(build_resolution(random_invsys(3, 3, seed=99)), grid_phi(3, 3))
-    assert s.b1_annihilation_failure == 0
-    degrees = ranked_degrees(monkeypatch)
-    dims = ideal_dims(s)
-    assert dims[4] == comb(6, 2) - s.hf(4)
-    assert degrees == [3, 4, 5]
-    assert dims == ideal_dims_by_rref(s.res, 6)
-
-
-def test_ideal_dims_without_hf1_at_least_2_rank_degree_2n_minus_1(monkeypatch):
-    # hf(1) = 1 would allow phi = Y_1^[2n-2], for which S_1 J_{2n-2} misses S_{2n-1}
+def test_exactness_without_a_compressed_hilbert_function_fails_the_lemma_hypothesis(monkeypatch):
+    # hf(1) = 1 < dim S_1 puts a linear form in ann(phi), which is then not generated
+    # in degree n (phi = Y_1^[2n-2] has hf = [1, 1, 1]); nothing is ranked
     s = Session(grid_resolution(4, 2), grid_phi(4, 2))
     s.hilbert = [1, 1, 1]
     degrees = ranked_degrees(monkeypatch)
-    assert ideal_dims(s) == ideal_dims_by_rref(s.res, 4)
-    assert degrees == [2, 3]
+    assert certify_exactness(s) == ["Hilbert function of the quotient is 1 in degree 1 < n, not dim S_1 = 4, "
+                                    "so ann(phi) is not known to be generated in degree n"]
+    assert degrees == []
 
 
 @pytest.mark.parametrize("bump", [

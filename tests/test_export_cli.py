@@ -237,6 +237,21 @@ def test_cli_accepts_json_integers_and_rational_strings(tmp_path):
     assert json.loads(out.read_text())["delta"] == "-15/7"
 
 
+# numpy is needed by the tests and the benchmark only; a None entry in
+# sys.modules makes any import of it raise ImportError
+WITHOUT_NUMPY = 'import sys; sys.modules["numpy"] = None; from gorlin.cli import main; sys.exit(main(sys.argv[1:]))'
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--d", "4", "--n", "3", "--seed", "1"],
+    ["resolve", "--d", "4", "--n", "3", "--seed", "1", "--format", "json"],
+], ids=["verify", "resolve-json"])
+def test_cli_runs_without_numpy(args, capsys):
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *args], capture_output=True, text=True)
+    assert main(args) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):
     # a check failure (not an input error) exits 1; run_checks builds its
     # table per call, so the patched check is the one that runs

@@ -4,6 +4,7 @@ import copy
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import Phase, assume, given, seed, settings, strategies as st
@@ -454,7 +455,9 @@ def test_exactness_detects_missing_syzygies():
 
 def test_exactness_distinguishes_only_dimensions():
     # a resolution of a different system with the same Hilbert function passes
-    # the dimension-based exactness check; the annihilator check tells them apart
+    # the direct oracle, which compares only dimensions; the annihilator check
+    # tells them apart, and so does certify_exactness, which rests on the same
+    # fact (test_exactness_fails_for_the_resolution_of_another_system)
     phi = grid_phi(3, 2)
     other = random_invsys(3, 2, seed=99)
     res_other = build_resolution(other)
@@ -462,17 +465,25 @@ def test_exactness_distinguishes_only_dimensions():
     assert not check_ann_match(Session(res_other, phi)).passed
 
 
+@pytest.mark.parametrize("d,n,seed,other", [(3, 2, 99, 1), (4, 3, 7, 1)])
+def test_exactness_fails_for_the_resolution_of_another_system(d, n, seed, other):
+    # B resolves the quotient of the system it was built from, whose Hilbert
+    # function is that of the system it is checked against; its first column
+    # does not annihilate that system, so exactness is not certified
+    report = run_checks(build_resolution(random_invsys(d, n, seed)), random_invsys(d, n, other))
+    verdicts = {r.name: r for r in report.results}
+    assert verdicts["betti"].passed and verdicts["euler"].passed
+    assert not verdicts["ann"].passed and verdicts["ann"].witness.startswith("column 0 = ")
+    assert not verdicts["exactness"].passed
+    assert verdicts["exactness"].witness == "column 0 of b_1 does not annihilate phi, so I is not in ann(phi)"
+
+
 def test_ideal_dims_growth():
     phi = grid_phi(3, 2)
     res = grid_resolution(3, 2)
-    dims = ideal_dims(Session(res, phi))
-    assert dims[0] == 0 and dims[1] == 0
-    assert dims[2] == 5
-    # matches dim S_e - HF for every degree
-    from math import comb
-
-    for e, v in dims.items():
-        assert comb(e + 2, 2) - v == hf_value(phi, e)
+    # dim I_n = dim S_n - HF(n); the degrees above follow from it
+    # (test_the_ideal_of_b1_is_ann_phi_in_every_degree)
+    assert ideal_dims(Session(res, phi)) == 5 == comb(4, 2) - hf_value(phi, 2)
 
 
 def test_rank_mod_p_small():
@@ -514,8 +525,6 @@ def test_run_checks_selection_and_errors():
 def test_exactness_against_naive_rank_oracle():
     # literal spec computation on a small case: dim ker [b_r]_e == rank [b_{r+1}]_e
     # with plain exact elimination, compared against the certified engine
-    from math import comb
-
     from gorlin.exactness import graded_piece
 
     phi = grid_phi(3, 2)
