@@ -550,6 +550,12 @@ class Session:
         return ann_degree(self.phi, self.res.n)
 
     @cached_property
+    def b1_degree_failure(self) -> tuple[int, int] | None:
+        """(column, degree) of the first term of b_1 whose degree is not n, else None, which ideal_dims requires."""
+        return next(((j, sum(m)) for j, g in sorted(self.res.matrix(1).entries[0].items())
+                     for m in g.terms if sum(m) != self.res.n), None)
+
+    @cached_property
     def b1_annihilation_failure(self) -> int | None:
         """None when every b_1 column annihilates phi, else the index of the first that does not.
 
@@ -683,6 +689,8 @@ def certify_exactness(s: Session) -> list[str]:
     from n on, so the identity is checked up to 2n and up to the last
     degree where h1k is nonzero; beyond both every term is zero.
     """
+    if s.b1_degree_failure is not None:
+        return ["column {} of b_1 has a term of degree {}, not n = {}".format(*s.b1_degree_failure, s.res.n)]
     if s.complex_failure is not None:
         r, i, j, _ = s.complex_failure
         return [f"not a complex: b_{r} b_{r + 1} has a nonzero entry at ({i}, {j})"]

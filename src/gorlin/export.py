@@ -1,12 +1,18 @@
-"""Deterministic dump formats for resolutions: text, JSON, and a CAS script."""
+"""Deterministic dump formats for resolutions: text, JSON, and a CAS script.
+
+resolution_json writes json.dumps(doc, indent=1, sort_keys=True) + "\n" of its document doc directly:
+sorted keys, a one-space indent per level, ASCII, one "\n" at the end, and a polynomial as its
+[exponent vector, str(c)] pairs in sort_key order.  The golden and benchmark pins hash these bytes.
+"""
 
 from __future__ import annotations
 
 import json
 
 from .differentials import Resolution
-from .invsys import to_json_dict
-from .polynomials import poly_str
+from .hookbasis import OrderedBasis
+from .monomials import Mono, sort_key
+from .polynomials import Scalar, poly_str
 from .verify import Report
 
 
@@ -37,34 +43,56 @@ def resolution_text(res: Resolution) -> str:
     return "\n".join(lines)
 
 
-def resolution_json_dict(res: Resolution) -> dict:
-    """Machine-readable dump; monomials appear as exponent vectors, rationals as strings."""
-    matrices = []
-    for r in range(1, res.d + 1):
-        mat = res.matrix(r)
-        cells = [[[] for _ in mat.cols] for _ in mat.rows]
-        for i, j, p in mat.nonzero():
-            cells[i][j] = [[list(m), str(c)] for m, c in p.sorted_terms()]
-        matrices.append({
-            "index": r,
-            "rows": mat.rows.labels(),
-            "cols": mat.cols.labels(),
-            "entries": cells,
-        })
-    return {
-        "d": res.d,
-        "n": res.n,
-        "delta": str(res.delta),
-        "ordering": "selfdual",
-        "betti": list(res.betti),
-        "twists": list(res.twists),
-        "inverse_system": to_json_dict(res.phi),
-        "matrices": matrices,
-    }
+def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """The encoded items as a JSON list, or an object for brackets "{}", one item a line indented by depth."""
+    pad = "\n" + " " * depth
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-1] + brackets[1] if items else brackets
+
+
+def _term_list(terms: dict[Mono, Scalar], depth: int, heads: dict[Mono, tuple]) -> str:
+    """The [exponent vector, "coefficient"] list of terms in sort_key order; heads caches each pair's text up to c."""
+    pairs = []
+    for m, c in terms.items():
+        head = heads.get(m)
+        if head is None:
+            inner = "\n" + " " * (depth + 1)
+            head = heads[m] = (sort_key(m), "[" + inner + _block([str(e) for e in m], depth + 2) + "," + inner + '"')
+        pairs.append((head, c))
+    pairs.sort()  # by the sort keys, which differ for distinct monomials
+    tail = '"\n' + " " * depth + "]"
+    return _block([f"{text}{c!s}{tail}" for (_, text), c in pairs], depth)
+
+
+def _labels(basis: OrderedBasis) -> str:
+    return _block([json.dumps(label) for label in basis.labels()], 4)
 
 
 def resolution_json(res: Resolution) -> str:
-    return json.dumps(resolution_json_dict(res), indent=1, sort_keys=True) + "\n"
+    """The JSON document of res (module docstring); a row of cells starts as "[]" each and gets its nonzero entries."""
+    heads: dict[Mono, tuple] = {}
+    matrices = []
+    for r in range(1, res.d + 1):
+        mat = res.matrix(r)
+        rows = []
+        for row in mat.entries:
+            cells = ["[]"] * len(mat.cols)
+            for j, p in row.items():
+                cells[j] = _term_list(p.terms, 6, heads)
+            rows.append(_block(cells, 5))
+        matrices.append(_block([f'"cols": {_labels(mat.cols)}', f'"entries": {_block(rows, 4)}',
+                                f'"index": {r}', f'"rows": {_labels(mat.rows)}'], 3, "{}"))
+    coefficients = _term_list(res.phi.coeffs, 3, {})
+    inverse_system = _block([f'"coefficients": {coefficients}', f'"d": {res.d}', f'"n": {res.n}'], 2, "{}")
+    return _block([
+        f'"betti": {_block([str(b) for b in res.betti], 2)}',
+        f'"d": {res.d}',
+        f'"delta": {json.dumps(str(res.delta))}',
+        f'"inverse_system": {inverse_system}',
+        f'"matrices": {_block(matrices, 2)}',
+        f'"n": {res.n}',
+        '"ordering": "selfdual"',
+        f'"twists": {_block([str(t) for t in res.twists], 2)}',
+    ], 1, "{}") + "\n"
 
 
 def resolution_cas_script(res: Resolution) -> str:

@@ -92,20 +92,6 @@ class InverseSystem:
         """The coefficient t_m = phi(m^*)."""
         return self.coeffs.get(m, Fraction(0))
 
-    def dual_element(self) -> Dual:
-        return dict(self.coeffs)
-
-    def swap_variables(self, i: int, j: int) -> "InverseSystem":
-        """The inverse system with x_i and x_j interchanged."""
-        a, b = i - 1, j - 1
-
-        def sw(m: Mono) -> Mono:
-            e = list(m)
-            e[a], e[b] = e[b], e[a]
-            return tuple(e)
-
-        return InverseSystem(self.d, self.n, {sw(m): c for m, c in self.coeffs.items()})
-
 
 def contract(m: Mono, nu: Dual) -> Dual:
     """Module action of the monomial m on a dual element (degree drops by deg m)."""

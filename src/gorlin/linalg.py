@@ -19,37 +19,12 @@ Row = list[Fraction]
 Matrix = list[Row]
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
-
-
 def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def transpose(m: Matrix) -> Matrix:
     return [list(col) for col in zip(*m)] if m else []
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    n, k, p = len(a), len(b), len(b[0])
-    out = zeros(n, p)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for j in range(k):
-            c = ai[j]
-            if c:
-                bj = b[j]
-                for t in range(p):
-                    if bj[t]:
-                        oi[t] += c * bj[t]
-    return out
 
 
 def _eliminate(a: list[list[int]], width: int, jordan: bool = False) -> tuple[list[int], int]:
@@ -135,7 +110,7 @@ def kernel_basis(m: Matrix, ncols: int | None = None) -> list[Row]:
     if not m:
         if ncols is None:
             raise ValueError("ncols required for an empty matrix")
-        return [e for e in identity(ncols)]
+        return identity(ncols)
     ncols = len(m[0])
     red, pivots = rref(m)
     free = [c for c in range(ncols) if c not in pivots]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from numbers import Rational
 
-from .monomials import Mono, mono_str, mul, sort_key, unit
+from .monomials import Mono, mono_str, mul, sort_key
 
 Scalar = Fraction | int
 
@@ -58,10 +58,6 @@ class Poly:
     @staticmethod
     def monomial(m: Mono, coeff: Scalar = 1) -> "Poly":
         return Poly(len(m), {m: coeff})
-
-    @staticmethod
-    def constant(d: int, coeff: Scalar) -> "Poly":
-        return Poly(d, {unit(d): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -132,6 +132,9 @@ def check_ann_match(s: Session) -> CheckResult:
     if j is not None:
         return CheckResult("ann", False, "a first-matrix column does not annihilate the system",
                            f"column {j} = {poly_str(res.matrix(1).entry(0, j))}")
+    if s.b1_degree_failure is not None:
+        return CheckResult("ann", False, f"a first-matrix column is not a form of degree {n}",
+                           "column {} has a term of degree {}".format(*s.b1_degree_failure))
     rank_cols = s.ideal_dim_n
     rank_oracle = len(s.ann_n)
     beta1 = res.betti[1]

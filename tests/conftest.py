@@ -7,6 +7,7 @@ from gorlin.differentials import build_resolution
 from gorlin.invsys import InverseSystem, random_invsys, sum_of_powers
 from gorlin.monomials import monomials_of_degree, unit
 from gorlin.polymatrix import PolyMatrix
+from gorlin.polynomials import Poly
 
 GRID = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
 GRID_SEEDS = {(3, 2): 1, (3, 3): 2, (4, 2): 7, (4, 3): 3, (5, 2): 5, (5, 3): 11}
@@ -67,8 +68,28 @@ def squares_resolution(d):
     return _cache[key]
 
 
+def swap_variables(phi, i, j):
+    """The inverse system phi with x_i and x_j interchanged."""
+    def sw(m):
+        e = list(m)
+        e[i - 1], e[j - 1] = e[j - 1], e[i - 1]
+        return tuple(e)
+
+    return InverseSystem(phi.d, phi.n, {sw(m): c for m, c in phi.coeffs.items()})
+
+
+def mat_mul(a, b):
+    """The product of two matrices given as lists of rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def is_homogeneous(p):
     return len({sum(m) for m in p.terms}) <= 1
+
+
+def constant(d, c):
+    """The constant polynomial c in d variables."""
+    return Poly(d, {unit(d): c})
 
 
 def constant_term(p):

@@ -37,6 +37,10 @@ another way, by a route that is slower or more literal.
   generators ``delta * mu - x1 * q(mu(lift))`` of the annihilator, written
   literally over dual elements, where ``differentials.b1_column`` writes
   their ``x1`` cofactors from the closed-form sums Q and tq.
+* ``resolution_json_dict`` builds the JSON document of a resolution as
+  nested lists and dicts, a dense list of cells per matrix, and
+  ``json.dumps(doc, indent=1, sort_keys=True) + "\\n"`` lays it out, where
+  ``export.resolution_json`` writes the same text directly.
 * ``golden_skeleton_d4_n2`` parses the mod-x1 matrices at d = 4, n = 2,
   written out entry by entry, which ``differentials.canonical_skeleton(4, 2)``
   must reproduce verbatim.
@@ -64,7 +68,7 @@ from gorlin.exactness import (
     x1_split,
 )
 from gorlin.hookbasis import BasisElement, expand_eta, expand_kappa
-from gorlin.invsys import Catalecticant, Dual, InverseSystem, delta_and_Q
+from gorlin.invsys import Catalecticant, Dual, InverseSystem, delta_and_Q, to_json_dict
 from gorlin.monomials import Mono, degree, div_var, monomials_of_degree, mul, mul_var, unit, var_divides
 from gorlin.polymatrix import denominator_lcm
 from gorlin.polynomials import Poly, coeff_rows
@@ -485,3 +489,29 @@ def tilde_contract(phi: InverseSystem, m: Mono) -> Dual:
         if c:
             out[mul_var(m2, 1)] = c
     return out
+
+
+def resolution_json_dict(res: Resolution) -> dict:
+    """The JSON document of res; monomials appear as exponent vectors, rationals as strings."""
+    matrices = []
+    for r in range(1, res.d + 1):
+        mat = res.matrix(r)
+        cells = [[[] for _ in mat.cols] for _ in mat.rows]
+        for i, j, p in mat.nonzero():
+            cells[i][j] = [[list(m), str(c)] for m, c in p.sorted_terms()]
+        matrices.append({
+            "index": r,
+            "rows": mat.rows.labels(),
+            "cols": mat.cols.labels(),
+            "entries": cells,
+        })
+    return {
+        "d": res.d,
+        "n": res.n,
+        "delta": str(res.delta),
+        "ordering": "selfdual",
+        "betti": list(res.betti),
+        "twists": list(res.twists),
+        "inverse_system": to_json_dict(res.phi),
+        "matrices": matrices,
+    }

@@ -25,7 +25,16 @@ from gorlin.monomials import monomials_of_degree
 from gorlin.polynomials import poly_str
 from gorlin.verify import check_duality, check_euler_hilbert, check_wlp
 
-from conftest import GRID, constant_term, dense, grid_phi, grid_resolution, is_homogeneous, scaled
+from conftest import (
+    GRID,
+    constant_term,
+    dense,
+    grid_phi,
+    grid_resolution,
+    is_homogeneous,
+    scaled,
+    swap_variables,
+)
 from oracles import golden_skeleton_d4_n2, route_disagreement
 
 
@@ -89,7 +98,7 @@ def test_criterion_5_annihilator_oracle():
         res = grid_resolution(d, n)
         cols = dense(res.matrix(1))[0]
         for g in cols:
-            assert contract_poly(g, phi.dual_element()) == {}
+            assert contract_poly(g, phi.coeffs) == {}
         monos = monomials_of_degree(d, n)
         midx = {m: i for i, m in enumerate(monos)}
 
@@ -151,7 +160,7 @@ def test_criterion_8_weak_lefschetz():
     for d, n in GRID:
         phi = grid_phi(d, n)
         assert check_wlp(Session(grid_resolution(d, n), phi)).passed, (d, n)
-        promoted = phi.swap_variables(1, 2)
+        promoted = swap_variables(phi, 1, 2)
         res2 = build_resolution(promoted)
         assert check_wlp(Session(res2, promoted)).passed, (d, n, "promoted x2")
     passline(8, "multiplication by the distinguished variable is surjective in the critical degree "

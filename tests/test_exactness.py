@@ -39,7 +39,7 @@ from gorlin.monomials import monomials_of_degree, mul, mul_var, unit
 from gorlin.polymatrix import PolyMatrix
 from gorlin.polynomials import Poly, poly_str
 
-from conftest import EXTRA, GRID, dense, extra_phi, grid_phi, grid_resolution
+from conftest import EXTRA, GRID, dense, extra_phi, grid_phi, grid_resolution, swap_variables
 from oracles import acyclicity_failures_by_box, dual_strand_h1k_by_ranking, ideal_dims_by_rref
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -658,7 +658,7 @@ LEMMA_CASES = {
     **{f"grid d={d} n={n}": (lambda d=d, n=n: grid_phi(d, n)) for d, n in GRID},
     **{f"d=4 n=4 seed={k}": (lambda k=k: random_invsys(4, 4, k)) for k in (1, 2, 3)},
     "fractional d=4 n=2": fractional_phi,
-    "d=4 n=3 x1<->x4": lambda: grid_phi(4, 3).swap_variables(1, 4),
+    "d=4 n=3 x1<->x4": lambda: swap_variables(grid_phi(4, 3), 1, 4),
 }
 
 
@@ -732,7 +732,7 @@ def test_annihilation_fact_agrees_with_contract_poly(bump):
     cols = dense(res.matrix(1))[0]
     entry = cols[3] if bump is None else cols[2] + bump
     bad = with_b1_column(res, 2, entry)
-    nu = phi.dual_element()
+    nu = phi.coeffs
     want = next((j for j, g in enumerate(dense(bad.matrix(1))[0]) if contract_poly(g, nu)), None)
     assert want == (None if bump is None or bump.degree() > 4 else 2)
     assert Session(bad, phi).b1_annihilation_failure == want

@@ -1,5 +1,6 @@
 """Dump formats and the command-line interface (including exit codes)."""
 
+import copy
 import json
 import random
 import subprocess
@@ -10,11 +11,14 @@ from math import prod
 import pytest
 
 from gorlin.cli import main
-from gorlin.export import resolution_cas_script, resolution_json_dict, resolution_text
-from gorlin.invsys import InverseSystem, save_invsys, sum_of_powers
-from gorlin.monomials import monomials_of_degree
+from gorlin.differentials import build_resolution
+from gorlin.export import resolution_cas_script, resolution_json, resolution_text
+from gorlin.invsys import InverseSystem, random_invsys, save_invsys, sum_of_powers
+from gorlin.monomials import monomials_of_degree, mul_var, unit
+from gorlin.polynomials import Poly
 
-from conftest import grid_resolution, squares_resolution
+from conftest import GRID, extra_phi, grid_resolution, squares_resolution
+from oracles import resolution_json_dict
 
 
 def run_cli(args):
@@ -34,7 +38,7 @@ def test_resolution_text_dump():
 
 
 def test_resolution_json_round_shape():
-    doc = resolution_json_dict(grid_resolution(4, 2))
+    doc = json.loads(resolution_json(grid_resolution(4, 2)))
     assert doc["betti"] == [1, 9, 16, 9, 1]
     assert doc["twists"] == [0, 2, 3, 4, 6]
     assert len(doc["matrices"]) == 4
@@ -43,7 +47,33 @@ def test_resolution_json_round_shape():
     # entries are term lists with exponent vectors and rational strings
     term = next(t for row in m2["entries"] for p in row for t in p)
     assert isinstance(term[0], list) and isinstance(term[1], str)
-    json.dumps(doc)  # serializable
+
+
+def with_altered_entries(res):
+    """A copy of res with the first nonzero entry of b_2 replaced by a new polynomial and the last set to zero."""
+    res = copy.deepcopy(res)
+    mat, d = res.matrix(2), res.d
+    i, j, _ = next(mat.nonzero())
+    mat.set(i, j, Poly(d, {unit(d): Fraction(-7, 3), mul_var(mul_var(unit(d), 1), d): 5}))
+    *_, (i, j, _) = mat.nonzero()
+    mat.set(i, j, Poly(d))
+    return res
+
+
+JSON_CASES = {
+    **{f"d={d} n={n}": lambda d=d, n=n: grid_resolution(d, n) for d, n in GRID},
+    "d=6 n=2 seed=1": lambda: build_resolution(random_invsys(6, 2, 1)),
+    "d=4 n=3 large-rational": lambda: build_resolution(extra_phi("d=4 n=3 large-rational")),
+    "d=4 n=2 altered": lambda: with_altered_entries(grid_resolution(4, 2)),
+}
+
+
+@pytest.mark.parametrize("case", JSON_CASES)
+def test_resolution_json_is_the_stdlib_layout_of_the_oracle_document(case):
+    res = JSON_CASES[case]()
+    # a basis with a negatively signed element, whose label the writer passes through json.dumps
+    assert any(label.startswith("-") for mat in res.matrices for label in mat.cols.labels())
+    assert resolution_json(res) == json.dumps(resolution_json_dict(res), indent=1, sort_keys=True) + "\n"
 
 
 def test_cas_script_content():
@@ -95,7 +125,7 @@ def test_resolution_json_parses_back_to_the_same_matrices():
     from gorlin.polynomials import Poly
 
     res = grid_resolution(3, 2)
-    doc = resolution_json_dict(res)
+    doc = json.loads(resolution_json(res))
     for mat_doc in doc["matrices"]:
         src = res.matrix(mat_doc["index"])
         for i, row in enumerate(mat_doc["entries"]):

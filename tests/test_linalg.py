@@ -8,12 +8,12 @@ from gorlin.linalg import (
     det_bareiss,
     identity,
     kernel_basis,
-    mat_mul,
     rank,
     rref,
     transpose,
 )
 
+from conftest import mat_mul
 from oracles import det_and_adjugate_by_solve, rref_by_fractions
 
 

@@ -7,7 +7,7 @@ from gorlin.differentials import build_resolution
 from gorlin.invsys import random_invsys
 from gorlin.polynomials import Poly, poly_str
 
-from conftest import EXTRA, constant_term, extra_phi, is_homogeneous
+from conftest import EXTRA, constant, constant_term, extra_phi, is_homogeneous
 
 
 def x(i, d=3):
@@ -56,7 +56,7 @@ def test_ring_axioms_on_random_samples():
 def test_homogeneity_and_degree():
     p = Poly(3, {(1, 1, 0): 2, (0, 0, 2): -1})
     assert is_homogeneous(p) and p.degree() == 2
-    q = p + Poly.constant(3, 1)
+    q = p + constant(3, 1)
     assert not is_homogeneous(q)
     assert constant_term(q) == 1
     assert Poly.zero(3).degree() == -1
@@ -92,7 +92,7 @@ def test_an_integral_coefficient_is_stored_as_an_int():
     assert type(Poly(3, {M: Fraction(1, 3)}).scale(6).terms[M]) is int
     assert type(Poly(3, {M: 3}).scale(Fraction(1, 3)).terms[M]) is int
     assert type(Poly.monomial(M, Fraction(5)).terms[M]) is int
-    assert type(constant_term(Poly.constant(3, Fraction(-7, 7)))) is int
+    assert type(constant_term(constant(3, Fraction(-7, 7)))) is int
 
 
 def test_int_and_fraction_coefficients_agree():

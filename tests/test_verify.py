@@ -34,14 +34,23 @@ from gorlin.verify import (
     run_checks,
 )
 
-from conftest import dense, grid_phi, grid_resolution, same_entries, squares_phi, squares_resolution
+from conftest import (
+    constant,
+    dense,
+    grid_phi,
+    grid_resolution,
+    same_entries,
+    squares_phi,
+    squares_resolution,
+    swap_variables,
+)
 from oracles import certify_exactness_direct, golden_skeleton_d4_n2, route_disagreement
 
 
 def perturbed(res, r=2, i=0, j=0, bump=None):
     bad = copy.deepcopy(res)
     d = res.d
-    bump = bump if bump is not None else Poly.constant(d, 1)
+    bump = bump if bump is not None else constant(d, 1)
     bad.matrix(r).set(i, j, bad.matrix(r).entry(i, j) + bump)
     return bad
 
@@ -232,7 +241,7 @@ def test_check_betti_catches_constant():
     zero = next((2, i, j) for i in range(len(b2.rows)) for j in range(len(b2.cols)) if not b2.entry(i, j))
     assert res.matrix(1).entry(0, 0)
     for r, i, j in (zero, (1, 0, 0)):
-        bad = perturbed(res, r=r, i=i, j=j, bump=Poly.constant(3, 1))
+        bad = perturbed(res, r=r, i=i, j=j, bump=constant(3, 1))
         out = check_betti_and_degrees(Session(bad, bad.phi))
         assert not out.passed and out.summary == "entry degree pattern broken", (r, i, j)
 
@@ -346,7 +355,7 @@ def test_check_wlp_passes_and_swapped_variable():
     phi = grid_phi(4, 2)
     res = grid_resolution(4, 2)
     assert check_wlp(Session(res, phi)).passed
-    swapped = phi.swap_variables(1, 2)
+    swapped = swap_variables(phi, 1, 2)
     res2 = build_resolution(swapped)
     assert check_wlp(Session(res2, swapped)).passed
 
@@ -425,7 +434,7 @@ def test_routes_agree_and_verdicts_survive_a_permutation(case):
         j = perm.index(k + 2)
         if j != k:
             perm[j], perm[k] = perm[k], perm[j]
-            swapped = swapped.swap_variables(k + 2, j + 2)
+            swapped = swap_variables(swapped, k + 2, j + 2)
     verdicts = [(r.name, r.passed) for r in run_checks(res, phi).results]
     res2 = build_resolution(swapped)
     assert [(r.name, r.passed) for r in run_checks(res2, swapped).results] == verdicts
@@ -476,6 +485,18 @@ def test_exactness_fails_for_the_resolution_of_another_system(d, n, seed, other)
     assert not verdicts["ann"].passed and verdicts["ann"].witness.startswith("column 0 = ")
     assert not verdicts["exactness"].passed
     assert verdicts["exactness"].witness == "column 0 of b_1 does not annihilate phi, so I is not in ann(phi)"
+
+
+def test_a_b1_term_of_the_wrong_degree_fails_the_checks_without_raising():
+    # x1^3 contracts phi to 0, so the annihilation fact holds; the degree-n piece of b_1
+    # has no row for the term, and the checks that read dim I_n used to raise KeyError
+    phi = random_invsys(3, 2, 1)
+    res = build_resolution(phi)
+    res.matrix(1).set(0, 0, res.matrix(1).entry(0, 0) + Poly.monomial((3, 0, 0)))
+    verdicts = {r.name: r for r in run_checks(res, phi).results}
+    assert not verdicts["exactness"].passed
+    assert verdicts["exactness"].witness == "column 0 of b_1 has a term of degree 3, not n = 2"
+    assert not verdicts["ann"].passed and verdicts["ann"].witness == "column 0 has a term of degree 3"
 
 
 def test_ideal_dims_growth():
