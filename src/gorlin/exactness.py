@@ -85,10 +85,11 @@ three parts with disjoint monomials.  S_r S_{r+1} = 0 needs no product:
 it follows from the strand certificate, which requires that no skeleton
 entry join an X and a Y element, so that S_r S_{r+1} is K_r K_{r+1}
 beside L_r L_{r+1}; L composes to zero, and so does K, its pairing
-transpose.  The two other parts are checked in constants; only the
-products at the ends, and an interior one whose split does not vanish, are
-multiplied out.  On a system with integer coefficients every entry of B is
-an int polynomial, and these facts are proved without Fraction arithmetic.
+transpose.  The linear part is checked in constants, and the quadratic
+part follows from the product below (complex_failure); only the end
+products, and an interior one where a hypothesis fails, are multiplied out.
+On a system with integer coefficients every entry of B is an int
+polynomial, and these facts are proved without Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .differentials import Resolution, canonical_skeleton
 from .hookbasis import BasisElement, OrderedBasis, pp_dual_element, skeleton_kos_blocks
@@ -269,44 +270,29 @@ def x1_split(mat: PolyMatrix) -> Split:
     return free, cof
 
 
-def _split_product_vanishes(s_rows, c_rows, s_next, c_next, ncols: int) -> bool:
-    """Whether S_r C_{r+1} + C_r S_{r+1} = 0 and C_r C_{r+1} = 0.
+def _linear_part_vanishes(s_rows, c_rows, s_next, c_next, ncols: int) -> bool:
+    """Whether S_r C_{r+1} + C_r S_{r+1} = 0, the part of b_r b_{r+1} linear in x1.
 
     s_rows, s_next are the rows of skeleton maps (PolyMatrix.entries), with int
     coefficients on monomials free of x1; c_rows, c_next are constant
     matrices as the x1 cofactors of x1_split, and ncols is the number of
-    columns of C_{r+1}.  Both C are cleared by one common denominator, which
-    scales the two products by nonzero integers.
-
-    Row i of S_r C_{r+1} + C_r S_{r+1} is summed in a dict, the coefficient
-    of the k-th skeleton monomial at column j under the key k * ncols + j.
-    Row i of C_r C_{r+1}, which is dense, is one int: row k of C_{r+1} is
-    packed with entry j in bits [w j, w j + w), where 2^(w-1) exceeds every
-    sum that an entry of the product can reach, and a sum of c_j 2^(w j)
-    with |c_j| < 2^(w-1) is zero only when every c_j is.
+    columns of C_{r+1}.  Row i is summed in a dict, the coefficient of the
+    k-th skeleton monomial at column j under the key k * ncols + j.
     """
-    scale = lcm(*(c.denominator for row in (*c_rows, *c_next) for c in row.values()))
-    if scale != 1:
-        c_rows, c_next = ([{j: int(c * scale) for j, c in row.items()} for row in rows] for rows in (c_rows, c_next))
-    top = max([1, *(abs(c) for row in (*c_rows, *c_next) for c in row.values())])
-    w = (len(c_next) * top * top).bit_length() + 1
-    packed = [sum(c << (w * j) for j, c in row.items()) for row in c_next]
     slots: dict[Mono, int] = {}
     firsts = [[(c_next[k], ncols * slots.setdefault(m, len(slots)), v) for k, p in row.items()
                for m, v in p.terms.items()] for row in s_rows]
     seconds = [[(ncols * slots.setdefault(m, len(slots)) + j, v) for j, p in row.items()
                 for m, v in p.terms.items()] for row in s_next]
     for first, crow in zip(firsts, c_rows):
-        quad = 0
-        lin: dict[int, int] = {}
+        lin: dict[int, Scalar] = {}
         for row, base, v in first:
             for j, c in row.items():
                 lin[base + j] = lin.get(base + j, 0) + v * c
         for k, c in crow.items():
-            quad += c * packed[k]
             for key, v in seconds[k]:
                 lin[key] = lin.get(key, 0) + c * v
-        if quad or any(lin.values()):
+        if any(lin.values()):
             return False
     return True
 
@@ -332,7 +318,7 @@ def _fine_strand(name: str, mats: dict[int, PolyMatrix]):
     """(fine degrees by position, +-1 triples by map) of one strand, or a witness.
 
     mats[r] maps position r to position r - 1; the witness names the first
-    entry that is not +-x^v with v free of x1 and c(column) = c(row) + v.
+    entry that is not +-x^v with v != 0 free of x1 and c(column) = c(row) + v.
     """
     degs = {r - 1: [fine_degree(e) for _, e in mat.rows] for r, mat in mats.items()}
     degs.update({r: [fine_degree(e) for _, e in mat.cols] for r, mat in mats.items()})
@@ -342,7 +328,7 @@ def _fine_strand(name: str, mats: dict[int, PolyMatrix]):
         for i, j, p in mat.nonzero():
             (m, c), *rest = p.terms.items()
             want = tuple(a - b for a, b in zip(degs[r][j], degs[r - 1][i]))
-            if rest or c not in (1, -1) or m[0] or m[1:] != want:
+            if rest or c not in (1, -1) or m[0] or m[1:] != want or not any(want):
                 return (f"{name} strand is not finely graded: entry ({i}, {j}) of the map out of "
                         f"position {r} is {poly_str(p)}, expected +-x^v with c(column) = c(row) + v")
             out.append((i, j, int(c)))
@@ -496,16 +482,24 @@ class Session:
         does.  The nonzero products are then symmetric under r -> d - r and
         the first lies at r <= d // 2, so only those are considered.
 
-        An interior product (2 <= r, r + 1 <= d - 1) is proved zero from the
-        x1-split when skeleton_failure is None and every term with x1 of b_r
-        and b_{r+1} is c * x1: then b_r = delta S_r + x1 C_r with C_r
-        constant, read off the matrix (x1_split), and
-            b_r b_{r+1} = delta^2 S_r S_{r+1}
-                          + delta x1 (S_r C_{r+1} + C_r S_{r+1}) + x1^2 C_r C_{r+1},
-        where S_r S_{r+1} = 0 once the cached (d, n) fact strand_certificate
-        holds, and the other two parts are checked in
-        constants (_split_product_vanishes).  Any other product, and an
-        interior one whose split does not vanish, is multiplied out, so the
+        The first nonzero product in r is returned, so b_{r-1} b_r = 0 is
+        proved when an interior product (2 <= r, r + 1 <= d - 1) is taken
+        up.  That one is proved zero by induction when skeleton_failure is
+        None, strand_certificate holds, every term with x1 of b_r and b_{r+1}
+        is c * x1, so b_r = delta S_r + x1 C_r with C_r constant (x1_split),
+        and S_r C_{r+1} + C_r S_{r+1} = 0 (_linear_part_vanishes).  Then
+        b_r b_{r+1} = x1^2 M, M = C_r C_{r+1}, as S_r S_{r+1} = 0 by the
+        certificate, and x1^2 b_{r-1} M = b_{r-1} b_r b_{r+1} = 0 gives
+        b_{r-1} M = 0.  When r >= 3, its x1-free part is delta S_{r-1} M = 0.
+        S_{r-1} is K_{r-1} beside L_{r-1}, both exact at position r - 1 >= 2
+        (L resolves R/m^n, K = Hom(L, R) has homology only at position 1),
+        and the maps into r - 1 have entries of positive degree (_fine_strand
+        refuses a constant one).  So the kernel of S_{r-1} lies in m F, with
+        no constant vector but 0, and M = 0 once delta != 0.  When r = 2, S_1
+        is zero on the X columns, but each column of M is a linear relation
+        among the beta_1 columns of b_1, so M = 0 once b1_degree_failure is
+        None and ideal_dim_n == beta_1; the linear part is checked first, as
+        it ranks nothing.  Every other product is multiplied out, so the
         witness is that of first_nonzero_product.
         """
         d, mats = self.res.d, self.res.matrices
@@ -518,13 +512,15 @@ class Session:
         return None
 
     def _interior_product_vanishes(self, r: int) -> bool:
-        """Whether b_r b_{r+1} = 0 follows from the x1-split (complex_failure)."""
+        """Whether b_r b_{r+1} = 0 follows from b_{r-1} b_r = 0, proved by the caller (complex_failure)."""
         d, n = self.res.d, self.res.n
         (_, c_r), (_, c_next) = self.x1_splits[r - 1], self.x1_splits[r]
-        if c_r is None or c_next is None or self.skeleton_failure is not None or strand_certificate(d, n):
+        if (c_r is None or c_next is None or not self.res.delta or self.skeleton_failure is not None
+                or strand_certificate(d, n)):
             return False
         skel = canonical_skeleton(d, n)
-        return _split_product_vanishes(skel[r - 1].entries, c_r, skel[r].entries, c_next, skel[r].shape[1])
+        return (_linear_part_vanishes(skel[r - 1].entries, c_r, skel[r].entries, c_next, skel[r].shape[1])
+                and (r >= 3 or (self.b1_degree_failure is None and self.ideal_dim_n == self.res.betti[1])))
 
     @cached_property
     def x1_splits(self) -> tuple[Split, ...]:
@@ -688,24 +684,27 @@ def certify_exactness(s: Session) -> list[str]:
     dim I_n = dim S_n - hf(n).  h0 vanishes from 2n - 1 on and the quotient
     from n on, so the identity is checked up to 2n and up to the last
     degree where h1k is nonzero; beyond both every term is zero.
+
+    J_j = 0 for j < n is read first, so a session that fails it ranks
+    nothing: the complex fact may rank b_1 for dim I_n.
     """
+    d, n = s.res.d, s.res.n
+    low = next((e for e in range(n) if s.hf(e) != comb(e + d - 1, d - 1)), None)
+    if low is not None:
+        return [f"Hilbert function of the quotient is {s.hf(low)} in degree {low} < n, not "
+                f"dim S_{low} = {comb(low + d - 1, d - 1)}, so ann(phi) is not known to be generated in degree n"]
     if s.b1_degree_failure is not None:
-        return ["column {} of b_1 has a term of degree {}, not n = {}".format(*s.b1_degree_failure, s.res.n)]
+        return ["column {} of b_1 has a term of degree {}, not n = {}".format(*s.b1_degree_failure, n)]
     if s.complex_failure is not None:
         r, i, j, _ = s.complex_failure
         return [f"not a complex: b_{r} b_{r + 1} has a nonzero entry at ({i}, {j})"]
     if s.skeleton_failure is not None:
         return [s.skeleton_failure]
-    d, n = s.res.d, s.res.n
     cert = strand_certificate(d, n)
     if cert:
         return list(cert)
     if s.b1_annihilation_failure is not None:
         return [f"column {s.b1_annihilation_failure} of b_1 does not annihilate phi, so I is not in ann(phi)"]
-    low = next((e for e in range(n) if s.hf(e) != comb(e + d - 1, d - 1)), None)
-    if low is not None:
-        return [f"Hilbert function of the quotient is {s.hf(low)} in degree {low} < n, not "
-                f"dim S_{low} = {comb(low + d - 1, d - 1)}, so ann(phi) is not known to be generated in degree n"]
     h = comb(n + d - 1, d - 1) - s.ideal_dim_n
     if h != s.hf(n):
         return [f"coker(b_1) has dimension {h} in degree {n}, Hilbert function of the quotient gives {s.hf(n)}"]

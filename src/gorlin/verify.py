@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import linalg
-from .differentials import Resolution
+from .differentials import Resolution, twist_list
 from .exactness import Session, certify_exactness, strand_certificate
 from .hookbasis import rank_formulas
 from .invsys import InverseSystem
@@ -81,7 +81,7 @@ def check_betti_and_degrees(s: Session) -> CheckResult:
     if res.betti != expected:
         return CheckResult("betti", False, "Betti numbers differ from the closed formula",
                            f"got {res.betti}, expected {expected}")
-    expected_twists = (0,) + tuple(n + r - 1 for r in range(1, d)) + (2 * n + d - 2,)
+    expected_twists = twist_list(d, n)
     if res.twists != expected_twists:
         return CheckResult("betti", False, "twist list is wrong",
                            f"got {res.twists}, expected {expected_twists}")

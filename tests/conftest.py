@@ -54,6 +54,16 @@ def grid_resolution(d, n):
     return _cache[key]
 
 
+def resolution_at(d, n):
+    """grid_resolution(d, n) on the grid, else the resolution of random_invsys(d, n, 1), built once."""
+    if (d, n) in GRID_SEEDS:
+        return grid_resolution(d, n)
+    key = ("res", d, n, 1)
+    if key not in _cache:
+        _cache[key] = build_resolution(random_invsys(d, n, 1))
+    return _cache[key]
+
+
 def squares_phi(d):
     key = ("sq", d)
     if key not in _cache:

@@ -18,7 +18,7 @@ from gorlin.exactness import (
     _acyclicity_failures,
     _composes_to_zero,
     _fine_strand,
-    _split_product_vanishes,
+    _linear_part_vanishes,
     certify_exactness,
     denominator_lcm,
     dual_strand_h1k,
@@ -285,23 +285,21 @@ def test_strands_are_the_diagonal_blocks_of_the_canonical_skeleton(d, n):
         assert nonzero_entries(mat) == in_strands, (d, n, r)
 
 
-def test_split_product_packs_the_rows_without_carries():
-    # the rows (2^(k+1), -1) of C_r C_{r+1} would cancel in a packing of k + 1 bits per entry
-    for k in range(1, 90):
-        assert not _split_product_vanishes([{}], [{0: 1, 1: 1}], [{}, {}], [{0: 2**k}, {0: 2**k, 1: -1}], 2)
-    # Fraction cofactors are cleared by one common denominator
-    assert _split_product_vanishes([{}], [{0: Fraction(1, 3), 1: Fraction(-1, 3)}], [{}, {}],
-                                   [{0: 5, 1: Fraction(7, 2)}, {0: 5, 1: Fraction(7, 2)}], 2)
-    assert not _split_product_vanishes([{}], [{0: Fraction(1, 3), 1: Fraction(-1, 2)}], [{}, {}],
-                                       [{0: 5}, {0: 5}], 2)
-
-
 def test_split_product_sums_the_skeleton_parts_by_monomial():
-    # S_r C_{r+1} = x2 at column 0 and C_r S_{r+1} = c * m there, while C_r C_{r+1} = 0
+    # S_r C_{r+1} = a * x2 at column 0 and C_r S_{r+1} = b * c * m there; the
+    # Fraction cofactors are summed exactly, with no common denominator
     x2, x3 = (0, 1, 0), (0, 0, 1)
-    for c, m, vanishes in [(-1, x2, True), (-2, x2, False), (-1, x3, False)]:
-        got = _split_product_vanishes([{1: Poly(3, {x2: 1})}], [{0: 1}], [{0: Poly(3, {m: c})}, {}], [{}, {0: 1}], 1)
-        assert got == vanishes, (c, m)
+    third = Fraction(1, 3)
+    for a, b, c, m, vanishes in [(1, 1, -1, x2, True), (1, 1, -2, x2, False), (1, 1, -1, x3, False),
+                                 (Fraction(7, 2), Fraction(-7, 6), 3, x2, True),
+                                 (Fraction(7, 2), Fraction(-7, 6), 2, x2, False)]:
+        got = _linear_part_vanishes([{1: Poly(3, {x2: 1})}], [{0: b}], [{0: Poly(3, {m: c})}, {}],
+                                    [{}, {0: a}], 1)
+        assert got == vanishes, (a, b, c, m)
+    # C_r S_{r+1} alone: the rows of S_{r+1} cancel under (1/3, -1/3) and not under (1/3, -1/2)
+    s_next = [{0: Poly(3, {x2: 5})}, {0: Poly(3, {x2: 5})}]
+    assert _linear_part_vanishes([{}], [{0: third, 1: -third}], s_next, [{}, {}], 1)
+    assert not _linear_part_vanishes([{}], [{0: third, 1: Fraction(-1, 2)}], s_next, [{}, {}], 1)
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 3), (5, 2)])

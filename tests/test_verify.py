@@ -39,6 +39,7 @@ from conftest import (
     dense,
     grid_phi,
     grid_resolution,
+    resolution_at,
     same_entries,
     squares_phi,
     squares_resolution,
@@ -140,13 +141,16 @@ def _entry_of_kind(res, r, kind):
 
 
 @pytest.mark.parametrize("bump", ["3*x1", "x1*x2"])
-@pytest.mark.parametrize("d,n,r,kind", [(4, 2, 3, "Y"), (5, 2, 3, "X"), (5, 3, 3, "Y"), (4, 3, 3, "X"), (5, 2, 4, "Y")])
+@pytest.mark.parametrize("d,n,r,kind", [(4, 2, 3, "Y"), (5, 2, 3, "X"), (5, 3, 3, "Y"), (4, 3, 3, "X"), (5, 2, 4, "Y"),
+                                        (6, 2, 3, "Y"), (6, 2, 4, "X")])
 def test_complex_check_on_a_changed_x1_cofactor(monkeypatch, d, n, r, kind, bump):
     # only the terms with x1 of b_r change, for an r >= 3 that leaves b_1 b_2
-    # zero: the skeleton still holds, and the split of an interior product
-    # does not vanish (3*x1) or is not read at all (x1*x2, not a multiple of
-    # x1 alone); that product is multiplied out for the witness of the full product
-    res = grid_resolution(d, n)
+    # zero: the skeleton still holds, and the linear part of an interior
+    # product does not vanish (3*x1) or is not read at all (x1*x2, not a
+    # multiple of x1 alone); that product is multiplied out for the witness of
+    # the full product.  At (6, 2) and r = 4 the witness is b_3 b_4, the first
+    # product that the r >= 3 step of the induction takes up
+    res = resolution_at(d, n)
     i, j = _entry_of_kind(res, r, kind)
     x1 = x1_power(d, 1)
     x1x2 = x1 * Poly.monomial(mul_var(unit(d), 2))
@@ -210,11 +214,47 @@ def test_complex_check_proves_the_interior_products_without_multiplying(monkeypa
     # large-rational (4, 3) system has Fraction cofactors
     from conftest import EXTRA, extra_phi
 
-    for res in (build_resolution(random_invsys(6, 2, 1)), build_resolution(extra_phi(EXTRA[1]))):
+    for res in (resolution_at(6, 2), build_resolution(extra_phi(EXTRA[1]))):
         counts = _counting_products(monkeypatch, res)
         assert Session(res, res.phi).complex_failure is None
         assert counts == Counter({"b_1 b_2": 1})
         monkeypatch.undo()
+
+
+def test_complex_check_multiplies_b2_b3_when_the_b1_columns_are_not_known_independent(monkeypatch):
+    # the r = 2 step of the induction needs dim I_n = beta_1; one short of it,
+    # b_2 b_3 is multiplied out, and it is still zero
+    res = grid_resolution(4, 2)
+    s = Session(res, res.phi)
+    s.ideal_dim_n = res.betti[1] - 1
+    counts = _counting_products(monkeypatch, res)
+    assert s.complex_failure is None
+    assert counts == Counter({"b_1 b_2": 1, "b_2 b_3": 1})
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_complex_fact_agrees_with_the_full_product_on_changed_cofactors(data):
+    # one entry of an interior C_r gains c * x1, or the whole C_r is scaled by
+    # lambda != 1: whatever the induction proves zero must be zero, so the
+    # witness is that of the full product
+    d, n = data.draw(st.sampled_from([(4, 2), (5, 2), (6, 2)]), label="(d, n)")
+    bad = copy.deepcopy(resolution_at(d, n))
+    r = data.draw(st.integers(2, d - 1), label="r")
+    mat = bad.matrix(r)
+    x1 = x1_power(d, 1)
+    (m1,) = x1.terms
+    if data.draw(st.booleans(), label="scale C_r"):
+        lam = data.draw(st.sampled_from([0, -1, 2, Fraction(1, 3)]), label="lambda")
+        for i, j, p in list(mat.nonzero()):
+            if m1 in p.terms:
+                mat.set(i, j, p + x1.scale((lam - 1) * p.terms[m1]))
+    else:
+        i = data.draw(st.integers(0, mat.shape[0] - 1), label="row")
+        j = data.draw(st.integers(0, mat.shape[1] - 1), label="column")
+        c = data.draw(st.sampled_from([-2, -1, 1, 3]), label="c")
+        mat.set(i, j, mat.entry(i, j) + x1.scale(c))
+    assert Session(bad, bad.phi).complex_failure == first_nonzero_product(dict(enumerate(bad.matrices, 1)))
 
 
 def test_complex_check_multiplies_the_interior_products_without_the_skeleton_fact(monkeypatch):
