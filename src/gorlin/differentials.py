@@ -12,10 +12,12 @@ enters only through the cofactor C_r of x1, a constant matrix for
 One writer, br_column, writes each column of an interior cofactor C_r
 directly in the standard basis elements using the closed-form coefficient
 sums in t and Q; it serves the X and the Y generators, which differ only in
-two coefficient forms.  b1_column and bd_rows write the cofactors at both
-ends.  All matrices are written in one basis family, the self-dual bases of
+two coefficient forms.  b1_column writes the cofactor of b_1.  All matrices
+are written in one basis family, the self-dual bases of
 hookbasis.duality_basis, in which the pairing between complementary
-positions is a signed permutation.
+positions is a signed permutation.  B and its skeleton are self-dual, so
+only their maps b_1..b_h, h = (d+1)//2, are written: pair_upper_half
+writes each later map from its pair.
 
 The entries are Z-linear in delta and in the coefficient sums Q, tq and W
 (BuildContext), and which sums meet in which entry depends on (d, n) alone.
@@ -23,10 +25,10 @@ So the writers run once per (d, n), on a PlanContext that names each sum by
 a key index.  A writer's coefficient is a signed key, +k or -k; it writes
 each term of C_r once, as a list of (coefficient, key index) pairs, and
 _record signs the terms by the bases and sets them beside delta * S_r.
-build_plan keeps the result: every entry of every b_r as integer
+build_plan keeps the result: every entry of b_1..b_h as integer
 combinations of the keys, in the cell format that _evaluate reads.  A
-build fills one value per key from the numeric BuildContext and evaluates
-the plan.
+build fills one value per key from the numeric BuildContext, evaluates
+the plan and pairs the upper half.
 Every coefficient is an integer numerator over one power of the lcm L of
 phi's denominators; _evaluate divides it out when it writes the entry, so
 a coefficient is an int whenever it is integral (always, for phi with
@@ -41,14 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .hookbasis import (
-    BasisElement,
-    OrderedBasis,
-    duality_basis,
-    gamma_of,
-    kos_expansion,
-    y0,
-)
+from .hookbasis import BasisElement, OrderedBasis, duality_basis, gamma_of, kos_expansion, pairing, y0
 from .invsys import Catalecticant, InverseSystem, delta_and_Q, integer_coeffs
 from .monomials import (
     Mono,
@@ -276,25 +271,6 @@ def br_column(ctx: PlanContext, r: int, elt: BasisElement) -> list[Contribution]
     return out
 
 
-def bd_rows(ctx: PlanContext) -> list[Contribution]:
-    """The x1 cofactor of the last differential on the top generator, row by row.
-
-    On a row X(d-1; 2..d; m) it is minus the sum of tq(m, m2) m2, on a row
-    Y(d-1; 2..d; m) minus the sum of Q(m1, m) m1, over the monomials of
-    degree n-1.
-    """
-    d = ctx.d
-    full = tuple(range(2, d + 1))
-    out: list[Contribution] = []
-    for m in monomials_of_degree(d, ctx.n, low_var=2):
-        x = BasisElement("X", d - 1, full, m)
-        out += [(x, m2, ((-1, ctx.tq(m, m2)),)) for m2 in ctx.nm1_all]
-    for m in monomials_of_degree(d, ctx.n - 1, low_var=2):
-        y = BasisElement("Y", d - 1, full, m)
-        out += [(y, m1, ((-1, ctx.Q(m1, m)),)) for m1 in ctx.nm1_all]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
@@ -350,12 +326,40 @@ def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions) -> PolyMatrix:
     return mat
 
 
+def pair_upper_half(bases: tuple[OrderedBasis, ...], lower: tuple[PolyMatrix, ...]) -> tuple[PolyMatrix, ...]:
+    """lower = b_1..b_h, h = (d+1)//2, followed by b_{h+1}..b_d from the pairing rule.
+
+    By b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r}, P_k the signed permutation
+    pairing(bases[k], bases[d-k]), entry (ii, kk) of b_{d-r} is (-1)^r s t
+    times entry (i, jj) of b_{r+1}, where P_r pairs i with kk by the sign s
+    and P_{r+1} pairs jj with ii by t.  For odd d the middle map b_h pairs
+    with itself.  Each entry is a new Poly, so altering one map leaves its
+    pair intact.
+    """
+    d = len(bases) - 1
+    mats = list(lower)
+    for k in range(len(lower) + 1, d + 1):
+        r, sign = d - k, (-1) ** (d - k)
+        rows_p, cols_p = pairing(bases[r], bases[k]), pairing(bases[r + 1], bases[k - 1])
+        entries: list[dict[int, Poly]] = [{} for _ in bases[k - 1]]
+        for i, row in enumerate(mats[r].entries):
+            kk, s = rows_p[i]
+            for jj, p in row.items():
+                ii, t = cols_p[jj]
+                # the terms are set, not passed to Poly(), which would check each coefficient again
+                q = Poly(d)
+                q.terms = dict(p.terms) if sign * s * t > 0 else {m: -c for m, c in p.terms.items()}
+                entries[ii][kk] = q
+        mats.append(PolyMatrix(bases[k - 1], bases[k], entries))
+    return tuple(mats)
+
+
 Cell = tuple[int, int, tuple[tuple[Mono, Pairs], ...]]
 
 
 @dataclass(frozen=True)
 class Plan:
-    """The entries of every b_r of one (d, n), as integer combinations of keys.
+    """The entries of b_1..b_h of one (d, n), h = (d+1)//2, as integer combinations of keys.
 
     keys[k - 1] is the key (name, u, v) whose value is ctx.name(u, v) on a
     BuildContext; key index DELTA stands for ctx.delta.  cells[r - 1] lists
@@ -405,21 +409,16 @@ def _record(skel: PolyMatrix, cofactors) -> tuple[Cell, ...]:
 
 @lru_cache(maxsize=None)
 def build_plan(d: int, n: int) -> Plan:
-    """The plan of every b_r at (d, n).
+    """The plan of b_1..b_h at (d, n), h = (d+1)//2.
 
-    b1_column, br_column and bd_rows run once, on a PlanContext; the plan is
-    then evaluated for each inverse system (_evaluate).
+    b1_column and br_column run once, on a PlanContext; the plan is then
+    evaluated for each inverse system (_evaluate).
     """
     ctx = PlanContext(d, n)
     bases = [duality_basis(d, n, r) for r in range(d + 1)]
     cells = []
-    for r, skel in enumerate(canonical_skeleton(d, n), 1):
-        if r == 1:
-            columns = (b1_column(ctx, e) for _, e in bases[1])
-        elif r == d:
-            columns = [bd_rows(ctx)]
-        else:
-            columns = (br_column(ctx, r, e) for _, e in bases[r])
+    for r, skel in enumerate(canonical_skeleton(d, n)[:(d + 1) // 2], 1):
+        columns = (b1_column(ctx, e) if r == 1 else br_column(ctx, r, e) for _, e in bases[r])
         # written column by column as _record places them, so no column outlives its placing
         cells.append(_record(skel, columns))
     return Plan(tuple(ctx.keys), tuple(cells))
@@ -465,7 +464,7 @@ def build_resolution(phi: InverseSystem, ordering: str = "selfdual") -> Resoluti
         phi=phi,
         delta=cat.delta,
         bases=bases,
-        matrices=_evaluate(build_plan(d, n), BuildContext(phi, cat), bases),
+        matrices=pair_upper_half(bases, _evaluate(build_plan(d, n), BuildContext(phi, cat), bases)),
         twists=twist_list(d, n),
     )
 
@@ -477,18 +476,16 @@ def canonical_skeleton(d: int, n: int) -> tuple[PolyMatrix, ...]:
     It depends on (d, n) alone.  It is the only place where the entries of
     the two Koszul strands on x2..xd are written: the monomial strand L on
     the Y elements and the dual strand K on the X elements, with no entry
-    between the two kinds.  Built in the self-dual bases of every resolution;
-    build_plan lifts these matrices to the differentials.
+    between the two kinds.  Built in the self-dual bases of every
+    resolution: the maps out of positions 1..(d+1)//2 are written here and
+    paired (pair_upper_half), and build_plan lifts them to the differentials.
     """
-    bases = [duality_basis(d, n, r) for r in range(d + 1)]
-    out = []
-    for r in range(1, d + 1):
-        rows, cols = bases[r - 1], bases[r]
+    bases = tuple(duality_basis(d, n, r) for r in range(d + 1))
+    lower = []
+    for r in range(1, (d + 1) // 2 + 1):
         if r == 1:
-            expans = [{y0(d): {mul_var(e.m, e.a[0]): 1}} if e.kind == "Y" else {} for _, e in cols]
-        elif r == d:
-            expans = [{e: {e.m: 1} for _, e in rows if e.kind == "X"}]
+            expans = [{y0(d): {mul_var(e.m, e.a[0]): 1}} if e.kind == "Y" else {} for _, e in bases[1]]
         else:
-            expans = [{t: p.terms for t, p in kos_expansion(e).items()} for _, e in cols]
-        out.append(_assemble(rows, cols, expans))
-    return tuple(out)
+            expans = [{t: p.terms for t, p in kos_expansion(e).items()} for _, e in bases[r]]
+        lower.append(_assemble(bases[r - 1], bases[r], expans))
+    return pair_upper_half(bases, tuple(lower))

@@ -38,11 +38,13 @@ each once.
 The dual strand K is not ranked.  The pairing rule (duality_failure) holds
 on the whole skeleton, and it pairs the X elements of each position with
 the Y elements of the complementary one, so K is the signed pairing
-transpose of L: Hom(L, R) up to twists.  L resolves R/m^n, a perfect module
-of grade d-1 = dim R, so Hom(L, R) has homology only at its end,
-Ext^{d-1}_R(R/m^n, R): the canonical module of R/m^n up to a shift, whose
-Hilbert function is that of R/m^n reversed (Bruns and Herzog,
-"Cohen-Macaulay Rings", sections 3.3 and 3.6).  The top element of K has
+transpose of L: Hom(L, R) up to twists.  K is that transpose by
+construction (canonical_skeleton pairs its upper half from the lower),
+except in the self-paired middle map of odd d; the rule is still checked.
+L resolves R/m^n, a perfect module of grade d-1 = dim R, so Hom(L, R) has
+homology only at its end, Ext^{d-1}_R(R/m^n, R): the canonical module of
+R/m^n up to a shift, whose Hilbert function is that of R/m^n reversed
+(Bruns and Herzog, "Cohen-Macaulay Rings", sections 3.3 and 3.6).  The top element of K has
 fine degree (1, ..., 1), that of the generator of the canonical module of
 R, so this bottom homology lies in the fine degrees -a, a >= 0, |a| < n.
 An X element of fine degree c has twist |c| + 2n - 1, so by total degree
@@ -100,7 +102,7 @@ from functools import cached_property, lru_cache
 from math import comb, gcd
 
 from .differentials import Resolution, canonical_skeleton
-from .hookbasis import BasisElement, OrderedBasis, pp_dual_element, skeleton_kos_blocks
+from .hookbasis import BasisElement, OrderedBasis, pairing, skeleton_kos_blocks
 from .invsys import InverseSystem, ann_degree, hilbert_function, integer_coeffs
 from .monomials import Mono, monomials_of_degree
 from .polymatrix import PolyMatrix, denominator_lcm, pack
@@ -411,10 +413,10 @@ def strand_certificate(d: int, n: int) -> tuple[str, ...]:
         return ("monomial strand does not compose to zero",)
     failures = _acyclicity_failures(degs, triples, n)
     skel = canonical_skeleton(d, n)
-    pairing = duality_failure((skel[0].rows, *(m.cols for m in skel)), skel)
-    if pairing is not None:
+    unpaired = duality_failure((skel[0].rows, *(m.cols for m in skel)), skel)
+    if unpaired is not None:
         failures.append("dual strand is not the pairing transpose of the monomial strand: "
-                        "the pairing rule fails at r={}, pair ({}, {})".format(*pairing))
+                        "the pairing rule fails at r={}, pair ({}, {})".format(*unpaired))
     return tuple(failures)
 
 
@@ -612,23 +614,6 @@ def skeleton_block_failure(res: Resolution, splits: tuple[Split, ...]) -> str | 
     return None
 
 
-@lru_cache(maxsize=None)
-def _pairing(basis: OrderedBasis, dual: OrderedBasis) -> tuple[tuple[int, int], ...]:
-    """The pairing of basis with the complementary dual, as (partner index, sign) per element.
-
-    In these bases the pairing is a signed permutation: each element pairs to
-    its pp_dual_element partner and to no other element.  It is kept by the
-    two bases, which a resolution and its skeleton share.
-    """
-    pos = dual.position()
-    out = []
-    for s, e in basis:
-        v, partner = pp_dual_element(e)
-        j, s2 = pos[partner]
-        out.append((j, s * s2 * v))
-    return tuple(out)
-
-
 def duality_failure(bases: tuple[OrderedBasis, ...], mats: tuple[PolyMatrix, ...]) -> tuple[int, int, int] | None:
     """Check b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} for every r, on every pair.
 
@@ -641,7 +626,7 @@ def duality_failure(bases: tuple[OrderedBasis, ...], mats: tuple[PolyMatrix, ...
     pairs where a side has a nonzero entry are compared.
     """
     d = len(mats)
-    pairings = [_pairing(bases[k], bases[d - k]) for k in range(d + 1)]
+    pairings = [pairing(bases[k], bases[d - k]) for k in range(d + 1)]
     for r in range(d):
         next_rows, comp_rows = mats[r].entries, mats[d - r - 1].entries
         bad = []
@@ -656,15 +641,11 @@ def duality_failure(bases: tuple[OrderedBasis, ...], mats: tuple[PolyMatrix, ...
                 if (got != want if s1 * s2 > 0 else
                         len(got) != len(want) or any(want.get(m) != -c for m, c in got.items())):
                     bad.append((jj, i))
-        # and every pair whose entry of b_{d-r} is nonzero and whose entry of b_{r+1} is zero
-        cols_of: dict[int, list[int]] = {}
-        rows_of: dict[int, list[int]] = {}
-        for jj, (ii, _) in enumerate(pairings[r + 1]):
-            cols_of.setdefault(ii, []).append(jj)
-        for i, (kk, _) in enumerate(pairings[r]):
-            rows_of.setdefault(kk, []).append(i)
-        bad += [(jj, i) for ii, row in enumerate(comp_rows) for kk in row
-                for jj in cols_of.get(ii, ()) for i in rows_of.get(kk, ()) if jj not in next_rows[i]]
+        # and every pair whose entry of b_{d-r} is nonzero and whose entry of b_{r+1} is zero, found
+        # by the inverse pairings: pp_dual_element is an involution, so P_{d-k} undoes P_k
+        for ii, row in enumerate(comp_rows):
+            jj = pairings[d - r - 1][ii][0]
+            bad += [(jj, i) for i in (pairings[d - r][kk][0] for kk in row) if jj not in next_rows[i]]
         if bad:
             jj, i = min(bad)
             return r, jj, pairings[r][i][0]

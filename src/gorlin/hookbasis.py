@@ -267,6 +267,23 @@ def pp_dual_element(e: BasisElement) -> tuple[int, BasisElement]:
     return v, partner
 
 
+@lru_cache(maxsize=None)
+def pairing(basis: OrderedBasis, dual: OrderedBasis) -> tuple[tuple[int, int], ...]:
+    """The pairing of basis with the complementary dual, as (partner index, sign) per element.
+
+    In these bases the pairing is a signed permutation: each element pairs to
+    its pp_dual_element partner and to no other element.  It is kept by the
+    two bases, which a resolution and its skeleton share.
+    """
+    pos = dual.position()
+    out = []
+    for s, e in basis:
+        v, partner = pp_dual_element(e)
+        j, s2 = pos[partner]
+        out.append((j, s * s2 * v))
+    return tuple(out)
+
+
 def pp_dual_basis(basis: OrderedBasis) -> OrderedBasis:
     """The ordered signed basis of the complementary module dual to the given one."""
     out: list[Signed] = []

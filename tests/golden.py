@@ -12,7 +12,8 @@ and JSON reports and the ``resolve`` JSON dump.  At each point of
 ``PLAN_POINTS`` the build plan ``differentials.build_plan(d, n)`` is pinned
 in a canonical form (``canonical_plan``) that names every key and sorts
 everything, so that how keys are interned or cells emitted does not move
-the pin, but every coefficient does.
+the pin, but every coefficient does.  The plan records the lower half of
+B; canonical_plan adds the upper half by the pairing rule before it hashes.
 The pins record the outputs of the code they were made with, so regenerate
 them only with a change that alters an output on purpose.
 """
@@ -43,6 +44,7 @@ from gorlin.export import (  # noqa: E402
     resolution_json,
     resolution_text,
 )
+from gorlin.hookbasis import duality_basis, pairing  # noqa: E402
 from gorlin.verify import run_checks  # noqa: E402
 
 
@@ -82,12 +84,15 @@ def canonical_plan(d: int, n: int) -> str:
     """build_plan(d, n) as sorted JSON: each (r, i, j) cell maps a monomial to {key name: coefficient}.
 
     A key is named by its name and arguments, delta by "delta"; a
-    coefficient that sums to zero is left out.
+    coefficient that sums to zero is left out.  The plan records b_1..b_h,
+    h = (d+1)//2; the maps above h are written here from the pairing rule,
+    in key space, so the pin covers every b_r as the writers once wrote it.
     """
     plan = build_plan(d, n)
     names = ["delta"] + [f"{name}{list(u)}{list(v)}" for name, u, v in plan.keys]
-    cells = []
-    for r, rcells in enumerate(plan.cells, 1):
+    maps: list[dict[tuple[int, int], dict[str, dict[str, int]]]] = []
+    for rcells in plan.cells:
+        cells = {}
         for i, j, terms in rcells:
             entry: dict[str, dict[str, int]] = {}
             for m, lin in terms:
@@ -95,7 +100,20 @@ def canonical_plan(d: int, n: int) -> str:
                 for c, k in lin:
                     coeffs[names[k]] = coeffs.get(names[k], 0) + c
             entry = {m: {k: c for k, c in coeffs.items() if c} for m, coeffs in entry.items()}
-            cells.append([r, i, j, {m: coeffs for m, coeffs in entry.items() if coeffs}])
+            cells[i, j] = {m: coeffs for m, coeffs in entry.items() if coeffs}
+        maps.append(cells)
+    # b_{d-r} from b_{r+1}: entry (ii, kk) is (-1)^r s t times entry (i, jj)
+    bases = [duality_basis(d, n, r) for r in range(d + 1)]
+    for k in range(len(maps) + 1, d + 1):
+        r = d - k
+        rows_p, cols_p = pairing(bases[r], bases[k]), pairing(bases[r + 1], bases[k - 1])
+        paired = {}
+        for (i, jj), entry in maps[r].items():
+            (kk, s), (ii, t) = rows_p[i], cols_p[jj]
+            sign = (-1) ** r * s * t
+            paired[ii, kk] = {m: {key: sign * c for key, c in coeffs.items()} for m, coeffs in entry.items()}
+        maps.append(paired)
+    cells = [[r, i, j, entry] for r, cells in enumerate(maps, 1) for (i, j), entry in cells.items()]
     cells.sort(key=lambda cell: cell[:3])
     return json.dumps(cells, sort_keys=True, separators=(",", ":"))
 

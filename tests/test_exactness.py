@@ -33,7 +33,7 @@ from gorlin.exactness import (
     strand_matrices,
     x1_split,
 )
-from gorlin.hookbasis import OrderedBasis
+from gorlin.hookbasis import OrderedBasis, pairing
 from gorlin.invsys import InverseSystem, contract_poly, random_invsys
 from gorlin.monomials import monomials_of_degree, mul, mul_var, unit
 from gorlin.polymatrix import PolyMatrix
@@ -535,7 +535,7 @@ def test_skeleton_complex_fact_on_a_mixed_entry_and_a_sign_flip(monkeypatch):
 def duality_failure_by_negation(bases, mats):
     """The pairing rule on Poly entries, one side negated as a Poly when the sign is negative."""
     d = len(mats)
-    pairings = [exactness._pairing(bases[k], bases[d - k]) for k in range(d + 1)]
+    pairings = [pairing(bases[k], bases[d - k]) for k in range(d + 1)]
     for r in range(d):
         for jj, (ii, s1) in enumerate(pairings[r + 1]):
             for i, (kk, s2) in enumerate(pairings[r]):
@@ -583,7 +583,7 @@ def test_pairings_are_kept_by_their_own_bases():
                                            for i, row in enumerate(b2.entries)])
     bases = (res.bases[0], flipped, *res.bases[2:])
     mats = (new_b1, new_b2, *res.matrices[2:])
-    canonical, own = exactness._pairing(res.bases[1], res.bases[3]), exactness._pairing(flipped, res.bases[3])
+    canonical, own = pairing(res.bases[1], res.bases[3]), pairing(flipped, res.bases[3])
     assert [s for _, s in own] == [-s if i == k else s for i, (_, s) in enumerate(canonical)]
     assert duality_failure(bases, mats) is None
     # and the same matrices in the canonical bases break the rule

@@ -351,14 +351,15 @@ def test_check_skeleton_fails_on_an_entry_between_an_x_and_a_y_element(monkeypat
     # so only the block scan of the strand certificate sees the mixed entry.
     # B is altered to match, so the skeleton comparison passes as well.
     from gorlin import differentials, exactness, verify
-    from gorlin.exactness import _pairing, duality_failure, strand_certificate
+    from gorlin.exactness import duality_failure, strand_certificate
+    from gorlin.hookbasis import pairing
 
     res = copy.deepcopy(grid_resolution(4, 2))
     skel = copy.deepcopy(canonical_skeleton(4, 2))
     s2 = skel[1]
     i = next(i for i, (_, e) in enumerate(s2.rows) if e.kind == "X")
     j = next(j for j, (_, e) in enumerate(s2.cols) if e.kind == "Y" and not s2.entry(i, j))
-    (ii, s1), (kk, t1) = _pairing(res.bases[2], res.bases[2])[j], _pairing(res.bases[1], res.bases[3])[i]
+    (ii, s1), (kk, t1) = pairing(res.bases[2], res.bases[2])[j], pairing(res.bases[1], res.bases[3])[i]
     x2 = Poly.monomial(mul_var(unit(4), 2))
     for (r, a, b), c in (((2, i, j), 1), ((3, ii, kk), -s1 * t1)):
         assert not skel[r - 1].entry(a, b)
