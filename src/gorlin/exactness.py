@@ -199,8 +199,8 @@ def graded_piece(mat: PolyMatrix, row_deg: int, col_deg: int, scale: int = 1) ->
     """The degree piece of mat sending (columns x S_col_deg) to (rows x S_row_deg).
 
     Entries are premultiplied by scale (a denominator-clearing integer);
-    global scaling never changes the rank.  Monomials are packed into ints
-    (PolyMatrix.packed_rows) in a base above the degree of every row
+    global scaling never changes the rank.  Each distinct monomial of mat is
+    packed into an int once, in a base above the degree of every row
     monomial and of every product of an entry term with a column monomial.
     The packing is then one-to-one on them, so a term of the wrong degree
     finds no row (KeyError) instead of landing on another one.
@@ -212,14 +212,18 @@ def graded_piece(mat: PolyMatrix, row_deg: int, col_deg: int, scale: int = 1) ->
     ncols = len(mat.cols) * len(col_monos)
     if nrows == 0 or ncols == 0:
         return Piece(nrows, ncols, [])
-    base = max(row_deg, mat.max_degree() + col_deg) + 1
+    mat = mat.cleared(scale)
+    monos = mat.monomials()
+    base = max(row_deg, max(map(sum, monos), default=0) + col_deg) + 1
+    keys = {m: pack(m, base) for m in monos}
     ridx = {pack(m, base): k for k, m in enumerate(row_monos)}
     ukeys = [pack(u, base) for u in col_monos]
     nr, nc = len(row_monos), len(col_monos)
     triples: list[tuple[int, int, int]] = []
-    for i, cells in enumerate(mat.packed_rows(scale, base)):
+    for i, row in enumerate(mat.entries):
         base_i = i * nr
-        for j, packed in cells:
+        for j, p in row.items():
+            packed = [(keys[m], c) for m, c in p.terms.items()]
             for col, ku in enumerate(ukeys, j * nc):
                 triples.extend([(base_i + ridx[km + ku], col, c) for km, c in packed])
     return Piece(nrows, ncols, triples)

@@ -161,7 +161,8 @@ def delta_and_Q(phi: InverseSystem) -> Catalecticant:
     """det T' and adj T' for the degree-(n-1) catalecticant T' = L T of L phi.
 
     This is the admissibility gate: det T' = 0 raises InadmissibleSystemError
-    after the one determinant, with no adjugate computed.
+    after the one elimination, which finds fewer pivots than rows and no
+    adjugate.
     """
     monos = monomials_of_degree(phi.d, phi.n - 1)
     scale, t = integer_coeffs(phi)

@@ -139,20 +139,23 @@ def det_bareiss(m: Matrix) -> int | Fraction:
 def det_and_adjugate(m: Matrix) -> tuple[int | Fraction, Matrix | None]:
     """(det m, adj m) with m*adj = adj*m = det*I exactly.
 
-    A singular m costs one determinant and gives (0, None).  Otherwise
-    fraction-free Gauss-Jordan on [L m | I] leaves E in the right half, with
-    E (L m) = D I for the last pivot D = sign * det(L m), so that
-    adj(L m) = sign * E and adj m = adj(L m) / L^(n-1).
+    One fraction-free Gauss-Jordan elimination on [L m | I].  Fewer than n
+    pivots in the left half mean a singular m, which gives (0, None) and no
+    adjugate.  Otherwise the last pivot D has D = sign * det(L m), so
+    det m = sign * D / L^n, and the elimination leaves E in the right half
+    with E (L m) = D I, so that adj(L m) = sign * E and
+    adj m = adj(L m) / L^(n-1).
     """
     n = len(m)
     if n == 0:
         return 1, []
-    d = det_bareiss(m)
-    if d == 0:
-        return d, None
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
     scale, a = _cleared_square(m)
     for i, row in enumerate(a):
         row.extend(int(i == j) for j in range(n))
-    _, sign = _eliminate(a, n, jordan=True)
+    pivots, sign = _eliminate(a, n, jordan=True)
+    if len(pivots) < n:
+        return 0, None
     q = scale ** (n - 1)
-    return d, [[over(sign * v, q) for v in row[n:]] for row in a]
+    return over(sign * a[n - 1][n - 1], q * scale), [[over(sign * v, q) for v in row[n:]] for row in a]

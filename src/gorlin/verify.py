@@ -74,7 +74,12 @@ def check_complex(s: Session) -> CheckResult:
 
 
 def check_betti_and_degrees(s: Session) -> CheckResult:
-    """Shapes, twists, entry degrees (n, 1, ..., 1, n), and minimality."""
+    """Shapes, twists, entry degrees (n, 1, ..., 1, n), and minimality.
+
+    The degrees are read off the distinct monomials of each matrix; only
+    when one is wrong are the entries walked in row-major order for the
+    first broken one, the witness.
+    """
     res = s.res
     d, n = res.d, res.n
     expected = (1,) + tuple(rank_formulas(d, n, r)[2] for r in range(1, d)) + (1,)
@@ -87,13 +92,14 @@ def check_betti_and_degrees(s: Session) -> CheckResult:
                            f"got {res.twists}, expected {expected_twists}")
     for r in range(1, d + 1):
         want = n if r in (1, d) else 1
-        for i, j, p in res.matrix(r).nonzero():
-            # homogeneous of degree n or 1, so no constant term: minimality follows
-            if {sum(m) for m in p.terms} != {want}:
-                return CheckResult(
-                    "betti", False, "entry degree pattern broken",
-                    f"b_{r} entry ({i}, {j}) = {poly_str(p)}, expected degree {want}",
-                )
+        mat = res.matrix(r)
+        # homogeneous of degree n or 1, so no constant term: minimality follows
+        if any(sum(m) != want for m in mat.monomials()):
+            i, j, p = next((i, j, p) for i, j, p in mat.nonzero() if any(sum(m) != want for m in p.terms))
+            return CheckResult(
+                "betti", False, "entry degree pattern broken",
+                f"b_{r} entry ({i}, {j}) = {poly_str(p)}, expected degree {want}",
+            )
     return CheckResult("betti", True,
                        f"Betti numbers {res.betti}, twists {res.twists}, degrees (n,1,...,1,n), minimal")
 

@@ -15,6 +15,9 @@ another way, by a route that is slower or more literal.
   of fine degrees, where ``exactness.strand_certificate`` proves it to be
   the pairing transpose of the monomial strand and takes its bottom
   homology from the closed form.
+* ``naive_product`` multiplies two polynomial matrices entry by entry with
+  ``Poly`` arithmetic over ``Fraction``, where ``PolyMatrix.mul`` packs the
+  columns of each row of the right factor into one int per monomial.
 * ``rref_by_fractions`` row-reduces in ``Fraction`` arithmetic, pivot by
   pivot, where ``linalg.rref`` runs the integer fraction-free Gauss-Jordan
   elimination and divides once at the end.
@@ -70,7 +73,7 @@ from gorlin.exactness import (
 from gorlin.hookbasis import BasisElement, expand_eta, expand_kappa
 from gorlin.invsys import Catalecticant, Dual, InverseSystem, delta_and_Q, to_json_dict
 from gorlin.monomials import Mono, degree, div_var, monomials_of_degree, mul, mul_var, unit, var_divides
-from gorlin.polymatrix import denominator_lcm
+from gorlin.polymatrix import PolyMatrix, denominator_lcm
 from gorlin.polynomials import Poly, coeff_rows
 
 
@@ -298,6 +301,22 @@ def dual_strand_h1k_by_ranking(d: int, n: int) -> dict[int, int]:
         assert not (h and any(x == u for x, u in zip(a, hi))), f"bottom homology on the upper face at {a}"
         h1k[sum(a) + 2 * n - 1] += h
     return {e: h for e, h in sorted(h1k.items()) if h}
+
+
+def naive_product(a: PolyMatrix, b: PolyMatrix) -> list[dict[int, Poly]]:
+    """sum_t a[i][t] * b[t][j] with Poly arithmetic over Fractions, nonzero entries only."""
+    (n, k), (_, p) = a.shape, b.shape
+    out = []
+    for i in range(n):
+        row = {}
+        for j in range(p):
+            acc = Poly.zero(a.d)
+            for t in range(k):
+                acc = acc + a.entry(i, t) * b.entry(t, j)
+            if acc:
+                row[j] = acc
+        out.append(row)
+    return out
 
 
 def rref_by_fractions(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

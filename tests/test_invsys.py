@@ -222,14 +222,20 @@ def test_grid_instances_admissible():
 
 
 def test_inadmissible_system_costs_one_determinant(monkeypatch):
-    # rank 2 middle catalecticant of size 10: refused after one determinant, no adjugate
+    # rank 2 middle catalecticant of size 10: refused after one elimination, which finds 2 pivots
     calls = []
-    det = linalg.det_bareiss
-    monkeypatch.setattr(linalg, "det_bareiss", lambda m: calls.append(len(m)) or det(m))
+    eliminate = linalg._eliminate
+
+    def counted(a, width, jordan=False):
+        out = eliminate(a, width, jordan)
+        calls.append((len(a), len(out[0])))
+        return out
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
     phi = InverseSystem(4, 3, {(4, 0, 0, 0): Fraction(1), (0, 4, 0, 0): Fraction(1)})
     with pytest.raises(InadmissibleSystemError, match="determinant 0"):
         delta_and_Q(phi)
-    assert calls == [10]
+    assert calls == [(10, 2)]
 
 
 def test_swap_variables():

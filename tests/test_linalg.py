@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gorlin.linalg import (
@@ -92,6 +93,20 @@ def test_adjugate_identity_random():
 def test_adjugate_of_singular_matrix():
     a = F([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert det_and_adjugate(a) == (0, None)
+
+
+def test_det_and_adjugate_of_empty_fractional_singular_and_swapped_matrices():
+    assert det_and_adjugate([]) == (1, [])
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert det_and_adjugate([[half, third], [Fraction(1, 4), Fraction(1, 5)]]) == (
+        Fraction(1, 60), [[Fraction(1, 5), -third], [Fraction(-1, 4), half]])
+    # rank 1 and rank 0: fewer pivots than rows
+    assert det_and_adjugate([[half, third], [Fraction(3, 2), 1]]) == (0, None)
+    assert det_and_adjugate([[0, 0], [0, 0]]) == (0, None)
+    # the first pivot is found below the diagonal, so the row swap flips the sign
+    assert det_and_adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+    with pytest.raises(ValueError):
+        det_and_adjugate([[1, 2]])
 
 
 def test_rref_and_transpose():

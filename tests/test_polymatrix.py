@@ -1,27 +1,32 @@
 """PolyMatrix: its sparse storage and its readers against a dense reference.
 
-PolyMatrix keeps the nonzero entries of each row only.  mul works on packed
-integer terms and is compared with a naive rational product; block,
-max_degree, packed_rows and denominator_lcm with the same facts read off the
-dense view (conftest.dense).
+PolyMatrix keeps the nonzero entries of each row only.  mul packs the
+columns of the right factor into ints and is compared with a naive rational
+product (oracles.naive_product), on wide, cancelling and large-coefficient
+cases too; block, monomials, cleared and denominator_lcm with the same
+facts read off the dense view (conftest.dense).
 """
 
 from fractions import Fraction
 from math import lcm
+from unittest.mock import patch
 
 from hypothesis import Phase, given, settings, strategies as st
 
+from gorlin import polymatrix
 from gorlin.exactness import first_nonzero_product
 from gorlin.hookbasis import BasisElement, OrderedBasis
-from gorlin.polymatrix import PolyMatrix, denominator_lcm, pack
+from gorlin.polymatrix import PolyMatrix, denominator_lcm
 from gorlin.polynomials import Poly
 
 from conftest import dense, sparse
+from oracles import naive_product
 
 # no shrinking: a failing case is small already, and is reported at once
 PRODUCTS = settings(max_examples=80, deadline=None, derandomize=True, database=None,
                     phases=[p for p in Phase if p is not Phase.shrink])
 BIG = 2**70
+HUGE = 2**300
 
 
 def basis(d: int, kinds: str) -> OrderedBasis:
@@ -35,37 +40,22 @@ def matrix(d: int, cells: list[list[Poly]], row_kinds: str = "", col_kinds: str 
     return sparse(basis(d, row_kinds or "X" * len(cells)), basis(d, col_kinds or "X" * len(cells[0])), cells)
 
 
-def naive_product(a: PolyMatrix, b: PolyMatrix) -> list[dict[int, Poly]]:
-    """sum_t a[i][t] * b[t][j] with Poly arithmetic over Fractions, nonzero entries only."""
-    (n, k), (_, p) = a.shape, b.shape
-    out = []
-    for i in range(n):
-        row = {}
-        for j in range(p):
-            acc = Poly.zero(a.d)
-            for t in range(k):
-                acc = acc + a.entry(i, t) * b.entry(t, j)
-            if acc:
-                row[j] = acc
-        out.append(row)
-    return out
-
-
 def stores_no_zero(mat) -> bool:
     return all(p for row in mat.entries for p in row.values())
 
 
-coefficients = st.one_of(
-    st.integers(-BIG, BIG),
-    st.fractions(min_value=-BIG, max_value=BIG, max_denominator=10**6),
-)
+def coefficients(bound: int = BIG):
+    return st.one_of(
+        st.integers(-bound, bound),
+        st.fractions(min_value=-bound, max_value=bound, max_denominator=10**6),
+    )
 
 
 @st.composite
-def dense_matrices(draw, d, nrows, ncols):
-    """A dense list of rows of sparse polynomials: some entries, and some whole rows, zero."""
+def dense_matrices(draw, d, nrows, ncols, bound=BIG):
+    """A dense list of rows of sparse polynomials of mixed degree: some entries, and some whole rows, zero."""
     mono = st.tuples(*[st.integers(0, 4)] * d)
-    poly = st.dictionaries(mono, coefficients, max_size=4).map(lambda terms: Poly(d, terms))
+    poly = st.dictionaries(mono, coefficients(bound), max_size=4).map(lambda terms: Poly(d, terms))
     empty = st.just(Poly.zero(d))
     return [[draw(poly if draw(st.booleans()) else empty) for _ in range(ncols)]
             if draw(st.integers(0, 3)) else [Poly.zero(d)] * ncols
@@ -103,6 +93,66 @@ def test_mul_equals_the_rational_product(case):
     assert a.mul(b) == naive_product(a, b)
 
 
+@st.composite
+def wide_products(draw):
+    """a (n x k) and b (k x p) with up to 24 columns of coefficients up to 2^300, the chunk size in bits.
+
+    Either factor may be zero, and rows and columns of b are often empty.
+    When cancel is drawn, each column of b is q times a Koszul syzygy of two
+    entries of row 0 of a, so every entry of that row of a b is a sum over t
+    that cancels to zero.
+    """
+    d = draw(st.integers(1, 3))
+    n, k, p = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 24))
+    bound = draw(st.sampled_from([2**8, BIG, HUGE]))
+    zero = [[Poly.zero(d)] * p for _ in range(k)]
+    cells_a = draw(dense_matrices(d, n, k, bound))
+    cancel = k >= 2 and draw(st.booleans())
+    if cancel:
+        cells_b = zero
+        q = st.dictionaries(st.tuples(*[st.integers(0, 2)] * d), coefficients(bound), max_size=2)
+        for j in range(p):
+            s, t = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+            f = Poly(d, draw(q))
+            cells_b[s][j], cells_b[t][j] = f * cells_a[0][t], -(f * cells_a[0][s])
+    else:
+        cells_b = draw(st.sampled_from([zero]) | dense_matrices(d, k, p, bound))
+    bits = draw(st.sampled_from([1, 64, polymatrix.CHUNK_BITS]))
+    return matrix(d, cells_a), matrix(d, cells_b), cancel, bits
+
+
+@PRODUCTS
+@given(wide_products())
+def test_packed_columns_equal_the_rational_product(case):
+    a, b, cancel, bits = case
+    with patch.object(polymatrix, "CHUNK_BITS", bits):
+        prod = a.mul(b)
+    assert prod == naive_product(a, b)
+    assert not cancel or prod[0] == {}
+
+
+def test_an_output_coefficient_at_the_width_bound_is_decoded():
+    # A = 3 and every L_j = 7, and the entries are 21, -21 and 21 = +-A L_j in slots of
+    # w = 21.bit_length() + 1 = 6 bits of one int: a width without its + 1 reads 21 as -11,
+    # and a decode without the signed borrow reads -21 as 43
+    x1, x2 = (1, 0), (0, 1)
+    a = matrix(2, [[Poly.monomial(x1, 3), Poly.monomial(x1, 3)]])
+    b = matrix(2, [[Poly.monomial(x2, c) for c in (5, -5, 7)], [Poly.monomial(x2, c) for c in (2, -2, 0)]])
+    prod = a.mul(b)
+    assert prod == [{0: Poly.monomial((1, 1), 21), 1: Poly.monomial((1, 1), -21), 2: Poly.monomial((1, 1), 21)}]
+    assert prod == naive_product(a, b)
+
+
+def test_a_product_wider_than_one_chunk_is_exact():
+    # 300-bit coefficients give slots of over 600 bits, so 40 columns take several chunks
+    x1, x2 = (1, 0), (0, 1)
+    a = matrix(2, [[Poly(2, {x1: HUGE - 1, x2: -HUGE}), Poly.monomial(x2, HUGE // 3)]])
+    b = matrix(2, [[Poly.monomial(x1, (-1) ** j * (HUGE - j)) for j in range(40)],
+                   [Poly(2, {x1: j, x2: HUGE + j}) for j in range(40)]])
+    assert 40 * 600 > polymatrix.CHUNK_BITS
+    assert a.mul(b) == naive_product(a, b)
+
+
 @PRODUCTS
 @given(st.data())
 def test_readers_agree_with_the_dense_view(data):
@@ -119,13 +169,13 @@ def test_readers_agree_with_the_dense_view(data):
         assert dense(blk) == [[cells[i][j] for j in cols] for i in rows]
         assert stores_no_zero(blk)
     terms = [(m, c) for row in cells for p in row for m, c in p.terms.items()]
-    assert mat.max_degree() == max((sum(m) for m, _ in terms), default=0)
     scale = lcm(*(Fraction(c).denominator for _, c in terms))
     assert denominator_lcm(mat) == scale
-    base = mat.max_degree() + 1
-    packed = {(i, j): sorted(t) for i, row in enumerate(mat.packed_rows(scale, base)) for j, t in row}
-    assert packed == {(i, j): sorted((pack(m, base), int(c * scale)) for m, c in p.terms.items())
-                      for i, row in enumerate(cells) for j, p in enumerate(row) if p}
+    assert mat.monomials() == {m for m, _ in terms}
+    cleared = mat.cleared(scale)
+    assert dense(cleared) == [[p.scale(scale) for p in row] for row in cells] and stores_no_zero(cleared)
+    assert all(type(c) is int for row in cleared.entries for p in row.values() for c in p.terms.values())
+    assert (cleared is mat) == (scale == 1)
 
 
 def test_mul_with_large_fractional_coefficients_is_exact():

@@ -286,6 +286,27 @@ def test_check_betti_catches_constant():
         assert not out.passed and out.summary == "entry degree pattern broken", (r, i, j)
 
 
+def test_check_betti_reports_the_first_broken_entry_in_row_major_order():
+    # in the last row of b_2, an x1^2 written into an empty cell left of a nonzero entry goes last
+    # in the row dict but comes first in row-major order; the constant bump right of it is not
+    # the witness.  With b_2 intact, a broken last entry of b_d is the witness.
+    res = grid_resolution(4, 2)
+    b2 = res.matrix(2)
+    i = len(b2.rows) - 1
+    j1 = max(b2.entries[i])
+    j0 = next(j for j in range(j1) if j not in b2.entries[i])
+    bad = perturbed(res, r=2, i=i, j=j1, bump=constant(4, 1))
+    bad.matrix(2).set(i, j0, x1_power(4, 2))
+    assert list(bad.matrix(2).entries[i])[-1] == j0
+    out = check_betti_and_degrees(Session(bad, bad.phi))
+    assert out.witness == f"b_2 entry ({i}, {j0}) = x1^2, expected degree 1"
+    k = len(res.matrix(4).rows) - 1
+    bad = perturbed(res, r=4, i=k, j=0, bump=x1_power(4, 3))
+    out = check_betti_and_degrees(Session(bad, bad.phi))
+    assert out.witness == f"b_4 entry ({k}, 0) = {poly_str(bad.matrix(4).entry(k, 0))}, expected degree 2"
+    assert "x1^3" in out.witness
+
+
 def test_euler_identity_values():
     # (1-t)^4 (1+4t+t^2) and (1-t)^3 (1+3t+t^2)
     out = check_euler_hilbert(Session(grid_resolution(4, 2), grid_phi(4, 2)))
