@@ -13,9 +13,11 @@ homology h1k of the dual skeleton strand over d-1 variables.  The skeleton
 depends only on (d, n): differentials.canonical_skeleton(d, n) writes it
 once.  strand_certificate proves, once per (d, n), the one fact about it:
 it is the dual strand K beside the monomial strand L, both exact, K the
-dual of L.  skeleton_block_failure compares the skeleton of each
-resolution, the terms free of x1 in the one-pass split x1_split, with delta
-times the same matrices.
+dual of L.  A built resolution is the lift b_r = delta S_r + x1 C_r of that
+skeleton (differentials.Lift), so its skeleton is delta S_r by
+construction.  On a resolution given as matrices (Resolution.from_matrices)
+skeleton_block_failure compares the terms free of x1, from the one-pass
+split x1_split, with delta times the same matrices.
 
 The monomial strand L must resolve R/m^n, for R = k[x2..xd] and m its
 maximal ideal.  A strand basis element b has the multidegree c(b) over
@@ -40,7 +42,8 @@ on the whole skeleton, and it pairs the X elements of each position with
 the Y elements of the complementary one, so K is the signed pairing
 transpose of L: Hom(L, R) up to twists.  K is that transpose by
 construction (canonical_skeleton pairs its upper half from the lower),
-except in the self-paired middle map of odd d; the rule is still checked.
+except in the self-paired middle map of odd d; strand_certificate still
+checks the rule on the whole skeleton, once per (d, n).
 L resolves R/m^n, a perfect module of grade d-1 = dim R, so Hom(L, R) has
 homology only at its end, Ext^{d-1}_R(R/m^n, R): the canonical module of
 R/m^n up to a shift, whose Hilbert function is that of R/m^n reversed
@@ -73,13 +76,18 @@ structure and the annihilation by b_1) are verdicts of their own as well.  A
 Session proves each of them once per verification run, together with the
 self-duality of B, the Hilbert function (fixed by delta != 0 and read off
 one catalecticant rank), the degree-n annihilator and dim I_n, and every
-check that needs a fact reads it there.  The complex property
+check that needs a fact reads it there.  On a built resolution three of
+them hold by construction and are read off the lift, not computed: the
+skeleton structure, the x1 split (every interior C_r is constant), and the
+pairing rule on every map but the middle one of odd d, which pairs with
+itself and is checked.  The complex property
 rests on the self-duality: the pairing rule
 b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} (duality_failure) mirrors product
 d - r onto product r, so once the rule holds only the products with
 r <= d // 2 are considered.  Of those, an interior product
-(2 <= r, r + 1 <= d - 1) is read off the x1-split of its two matrices: once
-the skeleton holds and every term with x1 is a multiple of x1 itself,
+(2 <= r, r + 1 <= d - 1) is read off the x1-split of its two matrices, or
+off the lift, where C_{r+1} past the middle is the pairing of its partner:
+once the skeleton holds and every term with x1 is a multiple of x1 itself,
 b_r = delta S_r + x1 C_r with C_r constant, and
     b_r b_{r+1} = delta^2 S_r S_{r+1} + delta x1 (S_r C_{r+1} + C_r S_{r+1})
                   + x1^2 C_r C_{r+1},
@@ -448,7 +456,7 @@ def ideal_dims(s: Session) -> int:
     from this one (module docstring, certify_exactness).
     """
     d, n = s.res.d, s.res.n
-    b1 = s.res.matrix(1)
+    b1 = s.matrix(1)
     piece = graded_piece(b1, n, 0, scale=denominator_lcm(b1))
     bound = comb(n + d - 1, d - 1) - s.hf(n)
     if s.b1_annihilation_failure is None and any(piece.rank_mod(p) == bound for p in PRIMES):
@@ -467,17 +475,46 @@ class Session:
     A session lives for one verification run.  Its facts are computed on
     first use and kept on the session, never on the resolution or the
     inverse system, so a copy of a resolution that is then altered starts
-    from nothing in a session of its own.
+    from nothing in a session of its own.  On the lift form of a resolution
+    (differentials.Lift) the session reads S_r and C_r from the lift, and
+    builds a matrix from it only when a check needs one, once (matrix).
+    Three facts then hold by construction: the skeleton, the x1 split, and
+    the pairing rule on every map but the middle one of odd d.  On the
+    matrix form (Resolution.from_matrices) every fact is computed from the
+    matrices.
     """
 
     def __init__(self, res: Resolution, phi: InverseSystem):
         self.res = res
         self.phi = phi
+        self.lift = res.lift
+        self._matrices: dict[int, PolyMatrix] = {}
+
+    def matrix(self, r: int) -> PolyMatrix:
+        """b_r, built from the lift at most once per session."""
+        mat = self._matrices.get(r)
+        if mat is None:
+            mat = self._matrices[r] = self.res.matrix(r)
+        return mat
+
+    def monomials(self, r: int) -> set[Mono]:
+        """The distinct monomials of b_r."""
+        return self.matrix(r).monomials() if self.lift is None else self.lift.monomials(r)
 
     @cached_property
     def duality_failure(self) -> tuple[int, int, int] | None:
-        """None when the pairing rule holds on every pair (module duality_failure), else (r, jj, kk)."""
-        return duality_failure(self.res.bases, self.res.matrices)
+        """None when the pairing rule holds on every pair (module duality_failure), else (r, jj, kk).
+
+        The lift writes each map past h = (d+1)//2 from its partner by the
+        rule, so only the middle map of odd d, b_h at r = d // 2, which
+        pairs with itself, is checked.
+        """
+        if self.lift is None:
+            return duality_failure(self.res.bases, self.res.matrices)
+        d = self.res.d
+        if d % 2 == 0:
+            return None
+        return duality_failure(self.res.bases, {d // 2: self.matrix(d // 2 + 1)}, (d // 2,))
 
     @cached_property
     def complex_failure(self) -> tuple[int, int, int, Poly] | None:
@@ -492,8 +529,10 @@ class Session:
         proved when an interior product (2 <= r, r + 1 <= d - 1) is taken
         up.  That one is proved zero by induction when skeleton_failure is
         None, strand_certificate holds, every term with x1 of b_r and b_{r+1}
-        is c * x1, so b_r = delta S_r + x1 C_r with C_r constant (x1_split),
-        and S_r C_{r+1} + C_r S_{r+1} = 0 (_linear_part_vanishes).  Then
+        is c * x1, so b_r = delta S_r + x1 C_r with C_r constant (cofactor:
+        x1_split on the matrix form, the lift's C_r on a built resolution,
+        C_{r+1} paired from its partner past the middle), and
+        S_r C_{r+1} + C_r S_{r+1} = 0 (_linear_part_vanishes).  Then
         b_r b_{r+1} = x1^2 M, M = C_r C_{r+1}, as S_r S_{r+1} = 0 by the
         certificate, and x1^2 b_{r-1} M = b_{r-1} b_r b_{r+1} = 0 gives
         b_{r-1} M = 0.  When r >= 3, its x1-free part is delta S_{r-1} M = 0.
@@ -508,11 +547,11 @@ class Session:
         it ranks nothing.  Every other product is multiplied out, so the
         witness is that of first_nonzero_product.
         """
-        d, mats = self.res.d, self.res.matrices
+        d = self.res.d
         last = d // 2 if self.duality_failure is None else d - 1
         for r in range(1, last + 1):
             if not (2 <= r <= d - 2 and self._interior_product_vanishes(r)):
-                found = first_nonzero_product({r: mats[r - 1], r + 1: mats[r]})
+                found = first_nonzero_product({r: self.matrix(r), r + 1: self.matrix(r + 1)})
                 if found is not None:
                     return found
         return None
@@ -520,7 +559,7 @@ class Session:
     def _interior_product_vanishes(self, r: int) -> bool:
         """Whether b_r b_{r+1} = 0 follows from b_{r-1} b_r = 0, proved by the caller (complex_failure)."""
         d, n = self.res.d, self.res.n
-        (_, c_r), (_, c_next) = self.x1_splits[r - 1], self.x1_splits[r]
+        c_r, c_next = self.cofactor(r), self.cofactor(r + 1)
         if (c_r is None or c_next is None or not self.res.delta or self.skeleton_failure is not None
                 or strand_certificate(d, n)):
             return False
@@ -530,12 +569,17 @@ class Session:
 
     @cached_property
     def x1_splits(self) -> tuple[Split, ...]:
-        """x1_split of every b_r, by r - 1."""
+        """x1_split of every b_r of the matrix form, by r - 1."""
         return tuple(x1_split(m) for m in self.res.matrices)
+
+    def cofactor(self, r: int) -> list[dict[int, Scalar]] | None:
+        """The constant x1 cofactor C_r of an interior b_r by rows, or None when a term with x1 is not c * x1."""
+        return self.x1_splits[r - 1][1] if self.lift is None else self.lift.cofactor(r)
 
     @cached_property
     def skeleton_failure(self) -> str | None:
-        return skeleton_block_failure(self.res, self.x1_splits)
+        """None when b_r = delta S_r modulo x1 for every r (skeleton_block_failure), as the lift is by construction."""
+        return skeleton_block_failure(self.res, self.x1_splits) if self.lift is None else None
 
     @cached_property
     def hilbert(self) -> list[int]:
@@ -554,7 +598,7 @@ class Session:
     @cached_property
     def b1_degree_failure(self) -> tuple[int, int] | None:
         """(column, degree) of the first term of b_1 whose degree is not n, else None, which ideal_dims requires."""
-        return next(((j, sum(m)) for j, g in sorted(self.res.matrix(1).entries[0].items())
+        return next(((j, sum(m)) for j, g in sorted(self.matrix(1).entries[0].items())
                      for m in g.terms if sum(m) != self.res.n), None)
 
     @cached_property
@@ -573,7 +617,7 @@ class Session:
         base = top + 1
         t = {pack(m, base): v for m, v in integer_coeffs(self.phi)[1].items()}
         quotients = [[pack(q, base) for q in monomials_of_degree(d, k)] for k in range(top + 1)]
-        for j, g in sorted(self.res.matrix(1).entries[0].items()):
+        for j, g in sorted(self.matrix(1).entries[0].items()):
             out: dict[int, int] = {}
             for m, c in zip(g.terms, clear_denominators(g.terms.values())[1]):
                 if sum(m) <= top:
@@ -618,20 +662,20 @@ def skeleton_block_failure(res: Resolution, splits: tuple[Split, ...]) -> str | 
     return None
 
 
-def duality_failure(bases: tuple[OrderedBasis, ...], mats: tuple[PolyMatrix, ...]) -> tuple[int, int, int] | None:
-    """Check b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} for every r, on every pair.
+def duality_failure(bases: tuple[OrderedBasis, ...], mats, rs=None) -> tuple[int, int, int] | None:
+    """Check b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} for every r in rs (default 0..d-1), on every pair.
 
     bases[k] is the basis at position k = 0..d and mats[r - 1] = b_r maps
-    position r to r - 1: a resolution, or the skeleton that
-    strand_certificate reads.  P_k is the pairing between bases[k] and
-    bases[d-k].  Returns None when the rule holds, else the first
-    (r, jj, kk) at which entry (jj, kk) of the two sides differs, first by
-    jj and then by the row i of b_{r+1} that P_r pairs with kk.  Only the
-    pairs where a side has a nonzero entry are compared.
+    position r to r - 1, for every b_r the rule at rs reads: a resolution,
+    or the skeleton that strand_certificate reads.  P_k is the pairing
+    between bases[k] and bases[d-k].  Returns None when the rule holds, else
+    the first (r, jj, kk) at which entry (jj, kk) of the two sides differs,
+    first by jj and then by the row i of b_{r+1} that P_r pairs with kk.
+    Only the pairs where a side has a nonzero entry are compared.
     """
-    d = len(mats)
+    d = len(bases) - 1
     pairings = [pairing(bases[k], bases[d - k]) for k in range(d + 1)]
-    for r in range(d):
+    for r in range(d) if rs is None else rs:
         next_rows, comp_rows = mats[r].entries, mats[d - r - 1].entries
         bad = []
         for i, row in enumerate(next_rows):

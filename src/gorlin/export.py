@@ -26,8 +26,7 @@ def resolution_text(res: Resolution) -> str:
         "basis ordering = selfdual",
         "",
     ]
-    for r in range(1, res.d + 1):
-        mat = res.matrix(r)
+    for r, mat in enumerate(res.matrices, 1):
         nrows, ncols = mat.shape
         lines.append(f"matrix b{r} ({nrows} x {ncols})")
         lines.append("  rows:")
@@ -71,8 +70,7 @@ def resolution_json(res: Resolution) -> str:
     """The JSON document of res (module docstring); a row of cells starts as "[]" each and gets its nonzero entries."""
     heads: dict[Mono, tuple] = {}
     matrices = []
-    for r in range(1, res.d + 1):
-        mat = res.matrix(r)
+    for r, mat in enumerate(res.matrices, 1):
         rows = []
         for row in mat.entries:
             cells = ["[]"] * len(mat.cols)
@@ -104,8 +102,7 @@ def resolution_cas_script(res: Resolution) -> str:
         f"R = QQ[x_1..x_{d}];",
     ]
 
-    for r in range(1, d + 1):
-        mat = res.matrix(r)
+    for r, mat in enumerate(res.matrices, 1):
         cells = [["0"] * len(mat.cols) for _ in mat.rows]
         for i, j, p in mat.nonzero():
             cells[i][j] = poly_str(p, var="x_")

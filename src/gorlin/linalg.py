@@ -5,8 +5,9 @@ determinant, adjugate and the reduced row echelon form (rref, behind
 kernel_basis) clear the denominators and run one integer fraction-free
 (Bareiss) elimination, _eliminate, in which every intermediate entry is a
 minor of the cleared matrix, so each division is exact and no Fraction is
-formed.  On an integer matrix the determinant and adjugate are ints; rref
-forms a Fraction only when it divides a row by the last pivot at the end.
+formed; the adjugate then takes one exact back-substitution.  On an integer
+matrix the determinant and adjugate are ints; rref forms a Fraction only
+when it divides a row by the last pivot at the end.
 """
 
 from __future__ import annotations
@@ -139,12 +140,14 @@ def det_bareiss(m: Matrix) -> int | Fraction:
 def det_and_adjugate(m: Matrix) -> tuple[int | Fraction, Matrix | None]:
     """(det m, adj m) with m*adj = adj*m = det*I exactly.
 
-    One fraction-free Gauss-Jordan elimination on [L m | I].  Fewer than n
-    pivots in the left half mean a singular m, which gives (0, None) and no
-    adjugate.  Otherwise the last pivot D has D = sign * det(L m), so
-    det m = sign * D / L^n, and the elimination leaves E in the right half
-    with E (L m) = D I, so that adj(L m) = sign * E and
-    adj m = adj(L m) / L^(n-1).
+    One forward fraction-free elimination on [L m | I], then back-substitution.
+    Fewer than n pivots in the left half mean a singular m, which gives
+    (0, None) and no adjugate.  Otherwise the rows are [U | R] = F [P L m | P]
+    for a row permutation P of sign s and some F, U upper triangular with
+    last pivot D = det(P L m) = s det(L m).  So (L m)^-1 = U^-1 R, and
+    X = D U^-1 R = s adj(L m) solves U X = D R: row k of X is
+    (D R_k - sum_{j>k} U_kj X_j) / U_kk, and each division is exact, as X is
+    integral.  Then det m = s D / L^n and adj m = s X / L^(n-1).
     """
     n = len(m)
     if n == 0:
@@ -154,8 +157,19 @@ def det_and_adjugate(m: Matrix) -> tuple[int | Fraction, Matrix | None]:
     scale, a = _cleared_square(m)
     for i, row in enumerate(a):
         row.extend(int(i == j) for j in range(n))
-    pivots, sign = _eliminate(a, n, jordan=True)
+    pivots, sign = _eliminate(a, n)
     if len(pivots) < n:
         return 0, None
+    top = a[n - 1][n - 1]
+    x: list[list[int]] = [[]] * n
+    for k in range(n - 1, -1, -1):
+        row = a[k]
+        acc = [top * v for v in row[n:]]
+        for j in range(k + 1, n):
+            u = row[j]
+            if u:
+                acc = [s - u * v for s, v in zip(acc, x[j])]
+        p = row[k]
+        x[k] = [s // p for s in acc]
     q = scale ** (n - 1)
-    return over(sign * a[n - 1][n - 1], q * scale), [[over(sign * v, q) for v in row[n:]] for row in a]
+    return over(sign * top, q * scale), [[over(sign * v, q) for v in row] for row in x]

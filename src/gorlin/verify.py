@@ -92,10 +92,9 @@ def check_betti_and_degrees(s: Session) -> CheckResult:
                            f"got {res.twists}, expected {expected_twists}")
     for r in range(1, d + 1):
         want = n if r in (1, d) else 1
-        mat = res.matrix(r)
         # homogeneous of degree n or 1, so no constant term: minimality follows
-        if any(sum(m) != want for m in mat.monomials()):
-            i, j, p = next((i, j, p) for i, j, p in mat.nonzero() if any(sum(m) != want for m in p.terms))
+        if any(sum(m) != want for m in s.monomials(r)):
+            i, j, p = next((i, j, p) for i, j, p in s.matrix(r).nonzero() if any(sum(m) != want for m in p.terms))
             return CheckResult(
                 "betti", False, "entry degree pattern broken",
                 f"b_{r} entry ({i}, {j}) = {poly_str(p)}, expected degree {want}",
@@ -137,7 +136,7 @@ def check_ann_match(s: Session) -> CheckResult:
     j = s.b1_annihilation_failure
     if j is not None:
         return CheckResult("ann", False, "a first-matrix column does not annihilate the system",
-                           f"column {j} = {poly_str(res.matrix(1).entry(0, j))}")
+                           f"column {j} = {poly_str(s.matrix(1).entry(0, j))}")
     if s.b1_degree_failure is not None:
         return CheckResult("ann", False, f"a first-matrix column is not a form of degree {n}",
                            "column {} has a term of degree {}".format(*s.b1_degree_failure))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gorlin.differentials import build_resolution
+from gorlin.differentials import Resolution, build_resolution
 from gorlin.invsys import InverseSystem, random_invsys, sum_of_powers
 from gorlin.monomials import monomials_of_degree, unit
 from gorlin.polymatrix import PolyMatrix
@@ -62,6 +62,17 @@ def resolution_at(d, n):
     if key not in _cache:
         _cache[key] = build_resolution(random_invsys(d, n, 1))
     return _cache[key]
+
+
+def matrix_form(res):
+    """A copy of res in matrix form (Resolution.from_matrices), every entry a Poly of its own.
+
+    It keeps the full matrix route of the checks, and a test may alter its
+    matrices; a built resolution hands out new matrices that refuse set.
+    """
+    mats = [PolyMatrix(m.rows, m.cols, [{j: Poly(m.d, p.terms) for j, p in row.items()} for row in m.entries])
+            for m in res.matrices]
+    return Resolution.from_matrices(res.phi, res.delta, res.bases, mats, res.twists)
 
 
 def squares_phi(d):

@@ -37,7 +37,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 from conftest import EXTRA, GRID, GRID_SEEDS, extra_phi, grid_phi, grid_resolution  # noqa: E402
 from gorlin import cli  # noqa: E402
-from gorlin.differentials import build_plan, build_resolution  # noqa: E402
+from gorlin.differentials import build_plan, build_resolution, canonical_skeleton  # noqa: E402
 from gorlin.export import (  # noqa: E402
     report_json,
     resolution_cas_script,
@@ -45,6 +45,7 @@ from gorlin.export import (  # noqa: E402
     resolution_text,
 )
 from gorlin.hookbasis import duality_basis, pairing  # noqa: E402
+from gorlin.monomials import mul_var  # noqa: E402
 from gorlin.verify import run_checks  # noqa: E402
 
 
@@ -84,23 +85,30 @@ def canonical_plan(d: int, n: int) -> str:
     """build_plan(d, n) as sorted JSON: each (r, i, j) cell maps a monomial to {key name: coefficient}.
 
     A key is named by its name and arguments, delta by "delta"; a
-    coefficient that sums to zero is left out.  The plan records b_1..b_h,
-    h = (d+1)//2; the maps above h are written here from the pairing rule,
-    in key space, so the pin covers every b_r as the writers once wrote it.
+    coefficient that sums to zero is left out.  The plan records the
+    cofactors C_1..C_h, h = (d+1)//2; each cell here is the entry of
+    b_r = delta * S_r + x1 * C_r, with S_r from canonical_skeleton, and the
+    maps above h are written from the pairing rule, in key space, so the pin
+    covers every b_r as the writers once wrote it.
     """
     plan = build_plan(d, n)
     names = ["delta"] + [f"{name}{list(u)}{list(v)}" for name, u, v in plan.keys]
     maps: list[dict[tuple[int, int], dict[str, dict[str, int]]]] = []
-    for rcells in plan.cells:
-        cells = {}
-        for i, j, terms in rcells:
-            entry: dict[str, dict[str, int]] = {}
-            for m, lin in terms:
+    for rcells, skel in zip(plan.cells, canonical_skeleton(d, n)):
+        raw: dict[tuple[int, int], dict[str, dict[str, int]]] = {}
+        for i, j, m, lin in rcells:
+            coeffs = raw.setdefault((i, j), {}).setdefault(str(list(mul_var(m, 1))), {})
+            for c, k in lin:
+                coeffs[names[k]] = coeffs.get(names[k], 0) + c
+        for i, j, p in skel.nonzero():
+            entry = raw.setdefault((i, j), {})
+            for m, c in p.terms.items():
                 coeffs = entry.setdefault(str(list(m)), {})
-                for c, k in lin:
-                    coeffs[names[k]] = coeffs.get(names[k], 0) + c
+                coeffs["delta"] = coeffs.get("delta", 0) + c
+        cells = {}
+        for cell, entry in raw.items():
             entry = {m: {k: c for k, c in coeffs.items() if c} for m, coeffs in entry.items()}
-            cells[i, j] = {m: coeffs for m, coeffs in entry.items() if coeffs}
+            cells[cell] = {m: coeffs for m, coeffs in entry.items() if coeffs}
         maps.append(cells)
     # b_{d-r} from b_{r+1}: entry (ii, kk) is (-1)^r s t times entry (i, jj)
     bases = [duality_basis(d, n, r) for r in range(d + 1)]

@@ -36,6 +36,11 @@ another way, by a route that is slower or more literal.
   ``differentials.br_column`` records the closed-form coefficients directly;
   ``route_disagreement`` compares the two on every interior ``C_r`` of a
   built resolution.
+* ``lift_fact_failure`` computes, on the matrices built from a lift, the
+  facts that hold by construction of the lift (the pairing rule, the x1
+  split and the skeleton), and compares the full ``run_checks`` report of
+  its matrix form with the lift route's, where a ``Session`` on the lift
+  reads S_r and C_r directly.
 * ``q_of`` and ``tilde_contract`` are the maps of the paper's degree-n
   generators ``delta * mu - x1 * q(mu(lift))`` of the annihilator, written
   literally over dual elements, where ``differentials.b1_column`` writes
@@ -66,15 +71,19 @@ from gorlin.exactness import (
     Session,
     _composes_to_zero,
     _fine_strand,
+    duality_failure,
     graded_piece,
+    skeleton_block_failure,
     strand_matrices,
     x1_split,
 )
+from gorlin.export import report_json
 from gorlin.hookbasis import BasisElement, expand_eta, expand_kappa
 from gorlin.invsys import Catalecticant, Dual, InverseSystem, delta_and_Q, to_json_dict
 from gorlin.monomials import Mono, degree, div_var, monomials_of_degree, mul, mul_var, unit, var_divides
 from gorlin.polymatrix import PolyMatrix, denominator_lcm
 from gorlin.polynomials import Poly, coeff_rows
+from gorlin.verify import run_checks
 
 
 EXACT_ENTRY_LIMIT = 1_200_000
@@ -224,6 +233,39 @@ def route_disagreement(res: Resolution) -> tuple[int, int, int] | None:
         bad = [k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0)]
         if bad:
             return (r, *min(bad))
+    return None
+
+
+def lift_fact_failure(res: Resolution) -> str | None:
+    """The first fact a built resolution holds by construction that fails on its matrices, or None.
+
+    On the matrices res.matrices, built from the lift: the pairing rule on
+    every map (duality_failure), x1_split of each interior b_r against the
+    lift's C_r and the terms with x1 of b_1 against x1 C_1, and the skeleton
+    comparison (skeleton_block_failure).  Then the text and JSON reports of
+    run_checks on the matrix form of the same matrices, every fact computed,
+    against those of the lift route.
+    """
+    mats = res.matrices
+    form = Resolution.from_matrices(res.phi, res.delta, res.bases, mats, res.twists)
+    unpaired = duality_failure(res.bases, mats)
+    if unpaired is not None:
+        return "pairing rule at r={}, pair ({}, {})".format(*unpaired)
+    splits = tuple(x1_split(m) for m in mats)
+    for r in range(2, res.d):
+        if splits[r - 1][1] != res.lift.cofactor(r):
+            return f"x1 split of b_{r}"
+    x1_part = [{j: part for j, p in row.items() if (part := {m: c for m, c in p.terms.items() if m[0]})}
+               for row in mats[0].entries]
+    if x1_part != [{j: {mul_var(m, 1): c for m, c in cof.items()} for j, cof in row.items()}
+                   for row in res.lift.cofactors[0]]:
+        return "x1 part of b_1"
+    failure = skeleton_block_failure(form, splits)
+    if failure is not None:
+        return failure
+    lift, full = run_checks(res, res.phi), run_checks(form, res.phi)
+    if (lift.to_text(), report_json(lift)) != (full.to_text(), report_json(full)):
+        return "verify report"
     return None
 
 

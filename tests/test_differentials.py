@@ -1,13 +1,14 @@
 """Resolution construction: anchors, complex property, skeleton, duality, route agreement."""
 
+import copy
 from fractions import Fraction
 
 import pytest
 
 from gorlin.differentials import (
-    DELTA,
     BuildContext,
     PlanContext,
+    Resolution,
     _pairs,
     _record,
     b1_column,
@@ -18,6 +19,7 @@ from gorlin.differentials import (
     twist_list,
 )
 from gorlin.exactness import skeleton_block_failure, x1_split
+from gorlin.export import resolution_json
 from gorlin.hookbasis import BasisElement, duality_basis, xd, y0
 from gorlin.invsys import (
     InadmissibleSystemError,
@@ -37,6 +39,7 @@ from conftest import (
     extra_phi,
     grid_phi,
     grid_resolution,
+    matrix_form,
     same_entries,
     scaled,
     squares_resolution,
@@ -90,7 +93,7 @@ def test_dual_path_equality(system):
 def test_route_disagreement_names_an_altered_cofactor():
     import copy
 
-    res = copy.deepcopy(grid_resolution(4, 2))
+    res = matrix_form(grid_resolution(4, 2))
     res.matrix(3).set(2, 1, res.matrix(3).entry(2, 1) + Poly.monomial(mul_var(unit(4), 1)))
     assert route_disagreement(res) == (3, 2, 1)
 
@@ -125,7 +128,7 @@ def test_skeleton_block_assertion_and_content():
 def test_skeleton_asserts_block_structure():
     import copy
 
-    res = copy.deepcopy(grid_resolution(4, 2))
+    res = matrix_form(grid_resolution(4, 2))
     mat = res.matrix(2)
     # plant a mixed-kind term that survives mod x1
     i, (_, re) = 0, mat.rows.elements[0]
@@ -249,10 +252,28 @@ def test_a_second_build_reuses_the_plan():
     # every build writes entries of its own, so altering one leaves the other intact
     assert all(ra[j] is not rb[j] for a, b in zip(first.matrices, res.matrices)
                for ra, rb in zip(a.entries, b.entries) for j in ra.keys() & rb.keys())
-    # an entry of b_1 altered in place leaves b_4, paired from b_1, unchanged
-    b4 = [{j: dict(p.terms) for j, p in row.items()} for row in res.matrix(4).entries]
+    # a matrix is built from the lift on each request: an entry of a returned b_1 altered in
+    # place leaves the lift, b_1 and b_4 (paired from b_1) and the dump unchanged
+    b1, b4 = ([{j: dict(p.terms) for j, p in row.items()} for row in res.matrix(r).entries] for r in (1, 4))
+    cofactors, text = copy.deepcopy(res.lift.cofactors), resolution_json(res)
     next(iter(res.matrix(1).entries[0].values())).add_term((0, 1, 1, 1), 1)
-    assert [{j: dict(p.terms) for j, p in row.items()} for row in res.matrix(4).entries] == b4
+    mats = res.matrices
+    next(iter(mats[0].entries[0].values())).add_term((0, 1, 1, 1), 1)
+    for r, want in ((1, b1), (4, b4)):
+        assert [{j: dict(p.terms) for j, p in row.items()} for row in res.matrix(r).entries] == want
+    assert [{j: dict(p.terms) for j, p in row.items()} for row in mats[3].entries] == b4
+    assert res.lift.cofactors == cofactors and resolution_json(res) == text
+
+
+def test_a_built_matrix_cannot_be_set():
+    res = build_resolution(random_invsys(4, 3, 41))
+    for mat in (res.matrix(2), res.matrices[3]):
+        with pytest.raises(TypeError, match="from_matrices"):
+            mat.set(0, 0, Poly.monomial(mul_var(unit(4), 1)))
+    # the matrix form keeps its matrices, which a caller may alter
+    form = Resolution.from_matrices(res.phi, res.delta, res.bases, res.matrices, res.twists)
+    form.matrix(2).set(0, 0, Poly.monomial(mul_var(unit(4), 1)))
+    assert form.matrix(2).entry(0, 0) == Poly.monomial(mul_var(unit(4), 1)) and form.lift is None
 
 
 def test_plan_context_keys_each_sum_once():
@@ -267,17 +288,15 @@ def test_plan_context_keys_each_sum_once():
     # sign * (plus - minus) on signed keys, as (coefficient, key index) pairs
     assert _pairs(1, t, -q) == ((1, t), (1, q)) and _pairs(-1, -t) == ((1, t),)
     assert _pairs(1, 0, t) == ((-1, t),) and _pairs(-1, t, -t) == ((-2, t),)
-    # _record signs each term by the bases and sets it beside delta times the skeleton
-    skel = canonical_skeleton(3, 2)[1]
-    (s0, e0), (s1, e1) = skel.rows.elements[:2]
-    cs, _ = skel.cols.elements[0]
+    # _record signs each term by the bases; delta times the skeleton is the lift's other part
+    bases = [duality_basis(3, 2, r) for r in range(3)]
+    (s0, e0), (s1, e1) = bases[1].elements[:2]
+    cs, _ = bases[2].elements[0]
     one = unit(3)
-    cells = _record(skel, [[(e0, one, _pairs(1, t, -q)), (e1, one, _pairs(-1, q))]] + [[]] * (len(skel.cols) - 1))
-    x1 = mul_var(one, 1)
-    assert [(i, j, terms) for i, j, terms in cells if j == 0 and i < 2] == \
-        [(i, 0, ((x1, tuple((s * cs * c, k) for c, k in pairs)),)
-          + tuple((m, ((c, DELTA),)) for m, c in skel.entry(i, 0).terms.items()))
-         for i, s, pairs in ((0, s0, ((1, t), (1, q))), (1, s1, ((-1, q),)))]
+    cells = _record(bases[1], bases[2], [[(e0, one, _pairs(1, t, -q)), (e1, one, _pairs(-1, q))]]
+                    + [[]] * (len(bases[2]) - 1))
+    assert cells == tuple((i, 0, one, tuple((s * cs * c, k) for c, k in pairs))
+                          for i, s, pairs in ((0, s0, ((1, t), (1, q))), (1, s1, ((-1, q),))))
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 3), (5, 2), (6, 2)])

@@ -39,7 +39,7 @@ from gorlin.monomials import monomials_of_degree, mul, mul_var, unit
 from gorlin.polymatrix import PolyMatrix
 from gorlin.polynomials import Poly, poly_str
 
-from conftest import EXTRA, GRID, dense, extra_phi, grid_phi, grid_resolution, swap_variables
+from conftest import EXTRA, GRID, dense, extra_phi, grid_phi, grid_resolution, matrix_form, swap_variables
 from oracles import acyclicity_failures_by_box, dual_strand_h1k_by_ranking, ideal_dims_by_rref
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -186,7 +186,7 @@ def test_empty_piece_has_rank_zero():
 
 
 def test_graded_piece_refuses_a_scale_that_leaves_a_fraction():
-    mat = copy.deepcopy(grid_resolution(3, 2).matrix(2))
+    mat = matrix_form(grid_resolution(3, 2)).matrix(2)
     mat.set(0, 0, mat.entry(0, 0) + Poly.monomial(mul_var(unit(3), 1), Fraction(1, 2)))
     with pytest.raises(AssertionError, match="leaves a fraction"):
         graded_piece(mat, 1, 0)
@@ -196,7 +196,7 @@ def test_graded_piece_refuses_a_scale_that_leaves_a_fraction():
 def test_graded_piece_refuses_a_term_of_the_wrong_degree():
     # under a packing base of row_deg + 1 = 3, x1^4 would share the key of
     # x1*x2 and land on that row; the piece must refuse the term instead
-    mat = copy.deepcopy(grid_resolution(3, 2).matrix(1))
+    mat = matrix_form(grid_resolution(3, 2)).matrix(1)
     mat.set(0, 0, mat.entry(0, 0) + Poly.monomial((4, 0, 0)))
     with pytest.raises(KeyError):
         graded_piece(mat, 2, 0)
@@ -315,7 +315,7 @@ def test_x1_split_reads_the_cofactors_of_the_interior_maps(d, n):
             for j, p in enumerate(row):
                 assert p == Poly(d, {**free[i].get(j, {}), **({x1: cof[i][j]} if j in cof[i] else {})})
     assert skeleton_block_failure(res, tuple(splits)) is None
-    bad = copy.deepcopy(res)
+    bad = matrix_form(res)
     bad.matrix(2).set(0, 0, bad.matrix(2).entry(0, 0) + Poly.monomial(mul_var(x1, 2)))
     assert x1_split(bad.matrix(2))[1] is None
 
@@ -554,7 +554,7 @@ def test_duality_failure_witness_matches_the_poly_comparison(d, n):
     rng = random.Random(d)
     seen = set()
     for _ in range(40):
-        bad = copy.deepcopy(res)
+        bad = matrix_form(res)
         mat = bad.matrix(rng.randint(1, d))
         i, j = rng.randrange(len(mat.rows)), rng.randrange(len(mat.cols))
         entry = mat.entry(i, j)
@@ -591,7 +591,7 @@ def test_pairings_are_kept_by_their_own_bases():
 
 
 def with_b1_column(res, j, entry):
-    bad = copy.deepcopy(res)
+    bad = matrix_form(res)
     bad.matrix(1).set(0, j, entry)
     return bad
 

@@ -1,6 +1,5 @@
 """Dump formats and the command-line interface (including exit codes)."""
 
-import copy
 import json
 import random
 import subprocess
@@ -17,7 +16,7 @@ from gorlin.invsys import InverseSystem, random_invsys, save_invsys, sum_of_powe
 from gorlin.monomials import monomials_of_degree, mul_var, unit
 from gorlin.polynomials import Poly
 
-from conftest import GRID, extra_phi, grid_resolution, squares_resolution
+from conftest import GRID, extra_phi, grid_resolution, matrix_form, squares_resolution
 from oracles import resolution_json_dict
 
 
@@ -51,7 +50,7 @@ def test_resolution_json_round_shape():
 
 def with_altered_entries(res):
     """A copy of res with the first nonzero entry of b_2 replaced by a new polynomial and the last set to zero."""
-    res = copy.deepcopy(res)
+    res = matrix_form(res)
     mat, d = res.matrix(2), res.d
     i, j, _ = next(mat.nonzero())
     mat.set(i, j, Poly(d, {unit(d): Fraction(-7, 3), mul_var(mul_var(unit(d), 1), d): 5}))

@@ -35,21 +35,25 @@ from gorlin.verify import (
 )
 
 from conftest import (
+    EXTRA,
+    GRID,
     constant,
+    extra_phi,
     dense,
     grid_phi,
     grid_resolution,
+    matrix_form,
     resolution_at,
     same_entries,
     squares_phi,
     squares_resolution,
     swap_variables,
 )
-from oracles import certify_exactness_direct, golden_skeleton_d4_n2, route_disagreement
+from oracles import certify_exactness_direct, golden_skeleton_d4_n2, lift_fact_failure, route_disagreement
 
 
 def perturbed(res, r=2, i=0, j=0, bump=None):
-    bad = copy.deepcopy(res)
+    bad = matrix_form(res)
     d = res.d
     bump = bump if bump is not None else constant(d, 1)
     bad.matrix(r).set(i, j, bad.matrix(r).entry(i, j) + bump)
@@ -119,13 +123,17 @@ def test_complex_check_finds_a_self_dual_defect_before_the_middle():
 
 
 def _counting_products(monkeypatch, res):
-    """Count the products b_r b_{r+1} of res that PolyMatrix.mul forms, by "b_r b_{r+1}"."""
+    """Count the products b_r b_{r+1} of res that PolyMatrix.mul forms, by "b_r b_{r+1}".
+
+    A product is known by the bases of its factors, as a built resolution
+    hands out a new matrix on each request.
+    """
     counts = Counter()
     mul = PolyMatrix.mul
 
     def counting_mul(self, other):
         for r in range(1, res.d):
-            if self is res.matrix(r) and other is res.matrix(r + 1):
+            if self.rows is res.bases[r - 1] and other.rows is res.bases[r] and other.cols is res.bases[r + 1]:
                 counts[f"b_{r} b_{r + 1}"] += 1
         return mul(self, other)
 
@@ -193,7 +201,7 @@ def test_complex_check_reads_only_multiples_of_x1_as_the_cofactor():
     # the skeleton still holds and neither matrix has a term c*x1 left, but
     # b_2 b_3 is not zero, so the split must not prove it
     res = grid_resolution(4, 2)
-    bad = copy.deepcopy(res)
+    bad = matrix_form(res)
     x1 = x1_power(4, 1)
     (m1,) = x1.terms
     for r, v in ((2, 2), (3, 3)):
@@ -212,8 +220,6 @@ def test_complex_check_reads_only_multiples_of_x1_as_the_cofactor():
 def test_complex_check_proves_the_interior_products_without_multiplying(monkeypatch):
     # (6, 2) has two interior products below the middle, and the
     # large-rational (4, 3) system has Fraction cofactors
-    from conftest import EXTRA, extra_phi
-
     for res in (resolution_at(6, 2), build_resolution(extra_phi(EXTRA[1]))):
         counts = _counting_products(monkeypatch, res)
         assert Session(res, res.phi).complex_failure is None
@@ -239,7 +245,7 @@ def test_complex_fact_agrees_with_the_full_product_on_changed_cofactors(data):
     # lambda != 1: whatever the induction proves zero must be zero, so the
     # witness is that of the full product
     d, n = data.draw(st.sampled_from([(4, 2), (5, 2), (6, 2)]), label="(d, n)")
-    bad = copy.deepcopy(resolution_at(d, n))
+    bad = matrix_form(resolution_at(d, n))
     r = data.draw(st.integers(2, d - 1), label="r")
     mat = bad.matrix(r)
     x1 = x1_power(d, 1)
@@ -329,7 +335,7 @@ def test_ann_check_and_witness():
 ])
 def test_ann_check_witness_for_a_duplicated_column(d, n, witness):
     # column 0 replaced by column 1: every column still annihilates phi
-    bad = copy.deepcopy(grid_resolution(d, n))
+    bad = matrix_form(grid_resolution(d, n))
     b1 = bad.matrix(1)
     b1.set(0, 0, b1.entry(0, 1))
     out = check_ann_match(Session(bad, grid_phi(d, n)))
@@ -375,7 +381,7 @@ def test_check_skeleton_fails_on_an_entry_between_an_x_and_a_y_element(monkeypat
     from gorlin.exactness import duality_failure, strand_certificate
     from gorlin.hookbasis import pairing
 
-    res = copy.deepcopy(grid_resolution(4, 2))
+    res = matrix_form(grid_resolution(4, 2))
     skel = copy.deepcopy(canonical_skeleton(4, 2))
     s2 = skel[1]
     i = next(i for i, (_, e) in enumerate(s2.rows) if e.kind == "X")
@@ -512,7 +518,7 @@ def test_exactness_detects_broken_complex():
 def test_exactness_detects_missing_syzygies():
     # zeroing the middle matrices keeps b b = 0 but destroys exactness
     res = grid_resolution(3, 2)
-    bad = copy.deepcopy(res)
+    bad = matrix_form(res)
     for r in (2, 3):
         for row in bad.matrix(r).entries:
             row.clear()
@@ -553,7 +559,7 @@ def test_a_b1_term_of_the_wrong_degree_fails_the_checks_without_raising():
     # x1^3 contracts phi to 0, so the annihilation fact holds; the degree-n piece of b_1
     # has no row for the term, and the checks that read dim I_n used to raise KeyError
     phi = random_invsys(3, 2, 1)
-    res = build_resolution(phi)
+    res = matrix_form(build_resolution(phi))
     res.matrix(1).set(0, 0, res.matrix(1).entry(0, 0) + Poly.monomial((3, 0, 0)))
     verdicts = {r.name: r for r in run_checks(res, phi).results}
     assert not verdicts["exactness"].passed
@@ -710,7 +716,7 @@ def test_run_checks_proves_each_fact_once(monkeypatch):
     from gorlin import exactness, invsys
 
     phi = grid_phi(4, 2)
-    res = grid_resolution(4, 2)
+    res = matrix_form(grid_resolution(4, 2))
     n = res.n
     counts = _counting_products(monkeypatch, res)
     exactness.strand_certificate.cache_clear()
@@ -735,3 +741,31 @@ def test_run_checks_proves_each_fact_once(monkeypatch):
         "hilbert_function": 1,
         "ideal_dims": 1,
     })
+
+
+@pytest.mark.parametrize("system", [f"{d}-{n}" for d, n in GRID] + list(EXTRA))
+def test_facts_by_construction_hold_on_the_matrices(system):
+    # the pairing rule, the x1 split and the skeleton, computed on the matrices built
+    # from the lift, and the full report of their matrix form against the lift route's
+    phi = extra_phi(system) if system in EXTRA else grid_phi(*map(int, system.split("-")))
+    res = build_resolution(phi)
+    assert res.lift is not None
+    assert lift_fact_failure(res) is None
+
+
+@pytest.mark.parametrize("d,n", [(4, 2), (5, 2)])
+def test_run_checks_on_the_lift_computes_no_fact_it_holds_by_construction(monkeypatch, d, n):
+    from gorlin import exactness
+
+    res = resolution_at(d, n)
+    exactness.strand_certificate(d, n)  # the skeleton's own pairing rule, a cached fact of (d, n)
+    counts = Counter()
+    _count_calls(monkeypatch, counts, "skeleton_block_failure", exactness.skeleton_block_failure)
+    _count_calls(monkeypatch, counts, "x1_split", exactness.x1_split)
+    rules = []
+    _count_calls(monkeypatch, counts, "duality_failure", exactness.duality_failure,
+                 lambda bases, mats, rs=None: rules.append(rs) or True)
+    assert run_checks(res, res.phi).passed
+    # only the middle map of odd d pairs with itself, so only its rule is checked
+    assert counts == Counter({"duality_failure": 1} if d % 2 else {})
+    assert rules == ([(d // 2,)] if d % 2 else [])
