@@ -175,9 +175,10 @@ def cmd_ann(cfg: Config) -> int:
             lines.append("inverse system is inadmissible (delta = 0); no resolution comparison")
         else:
             lines.append(f"generators from the first matrix ({res.betti[1]} columns):")
-            for j in range(res.betti[1]):
-                lines.append(f"  {poly_str(res.matrix(1).entry(0, j))}")
-            spans_equal = check_ann_match(Session(res, phi)).passed
+            session = Session(res, phi)
+            b1 = session.matrix(1)
+            lines += [f"  {poly_str(b1.entry(0, col))}" for col in range(res.betti[1])]
+            spans_equal = check_ann_match(session).passed
             lines.append(f"spans agree: {'yes' if spans_equal else 'NO'}")
     _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -17,7 +17,9 @@ are written in one basis family, the self-dual bases of
 hookbasis.duality_basis, in which the pairing between complementary
 positions is a signed permutation.  B and its skeleton are self-dual, so
 only C_1..C_h, h = (d+1)//2, are written; each later map is paired from
-its partner (paired, pair_upper_half).
+its partner (paired, pair_upper_half).  For odd d the middle map b_h pairs
+with itself, and only one side of its diagonal is written; the other is
+its mirror (mirror).
 
 The cofactors are Z-linear in the coefficient sums Q, tq and W
 (BuildContext), and which sums meet in which entry depends on (d, n) alone.
@@ -32,9 +34,8 @@ forms of C_1.  It returns the lift (Lift): delta, canonical_skeleton(d, n)
 and those cofactors, frozen.  No matrix is written then: Resolution builds
 each on request, the lower half as delta S_r beside x1 C_r and the upper
 half paired, and a Session reads S and C from the lift itself.  So the
-skeleton, the x1 split and the pairing rule hold by construction, except
-that the pairing rule of the middle map of odd d, which pairs with itself,
-is a fact of the cofactor br_column writes there.
+skeleton, the x1 split and the pairing rule on every map hold by
+construction.
 Every coefficient is an integer numerator over one power of the lcm L of
 phi's denominators; _evaluate divides it out when it writes the term, so
 a coefficient is an int whenever it is integral (always, for phi with
@@ -131,6 +132,13 @@ class PlanContext:
         self.d = d
         self.n = n
         self.nm1_all = monomials_of_degree(d, n - 1)
+        # tables of (d, n) for the monomials m of degree n-1 in x2..xd, which br_column reads in place of
+        # multiplying again in every column: low[l] those in x_l..x_d, multiples[m][s] = m x_s, and
+        # swap[m][l][s] = m x_l / x_s when x_s divides m, else None
+        self.low = {ell: monomials_of_degree(d, n - 1, low_var=ell) for ell in range(2, d + 1)}
+        self.multiples = {m: (None,) + tuple(mul_var(m, s) for s in range(1, d + 1)) for m in self.low[2]}
+        self.swap = {m: [[div_var(up[ell], s) if ell > 1 and s > 1 and m[s - 1] else None for s in range(d + 1)]
+                         for ell in range(d + 1)] for m, up in self.multiples.items()}
         self.keys: list[tuple[str, Mono, Mono]] = []
         self._index: dict[tuple[str, Mono, Mono], int] = {}
 
@@ -182,7 +190,8 @@ def b1_column(ctx: PlanContext, elt: BasisElement) -> list[Contribution]:
     return [(y, m2, ((-1, ctx.tq(u, m2)),)) for m2 in ctx.nm1_all]
 
 
-def br_column(ctx: PlanContext, r: int, elt: BasisElement) -> list[Contribution]:
+def br_column(ctx: PlanContext, r: int, elt: BasisElement, rows: dict[BasisElement, int] | None = None,
+              j: int = 0) -> list[Contribution]:
     """Column of the interior cofactor C_r on an X or Y generator, in the standard basis.
 
     The two kinds share every block and differ only in the coefficient forms
@@ -193,18 +202,26 @@ def br_column(ctx: PlanContext, r: int, elt: BasisElement) -> list[Contribution]
 
     The first Y block is empty on an X generator, whose index list starts
     with a_1 = 2.  Every target is written in one place, as
-    sign * (plus - minus) with plus and minus signed keys or 0.
+    sign * (plus - minus) with plus and minus signed keys or 0; a block
+    whose forms are all zero on this generator is passed over.  When rows
+    is given, the generator is column j and rows maps each row element to
+    its position: only the targets at positions up to j are written, one
+    side of the diagonal (build_plan).  The targets of each innermost loop
+    come in the order of the rows, so the first one past j ends the loop,
+    before any key of its coefficient is named.
     """
     if not 2 <= r <= ctx.d - 1 or elt.r != r:
         raise ValueError(f"invalid generator for degree {r}: {elt}")
-    d, n = ctx.d, ctx.n
+    d = ctx.d
     a, m = elt.a, elt.m
     g = gamma_of(a)
     a1, a2 = a[0], a[1]
     one = unit(d)
+    multiples, low, swap = ctx.multiples, ctx.low, ctx.swap
     out: list[Contribution] = []
     if elt.kind == "X":
         quot = {s: div_var(m, s) for s in range(2, d + 1) if var_divides(s, m)}
+        live = quot.keys()  # the s whose forms are not zero
 
         def eta(s: int, u: Mono) -> int:
             return ctx.tq(u, quot[s]) if s in quot else 0
@@ -212,7 +229,8 @@ def br_column(ctx: PlanContext, r: int, elt: BasisElement) -> list[Contribution]
         def kappa(u: Mono, s: int) -> int:
             return ctx.Q(u, quot[s]) if s in quot else 0
     else:
-        prod = {s: mul_var(m, s) for s in range(2, d + 1)}
+        prod = multiples[m]
+        live = range(2, d + 1)
 
         def eta(s: int, u: Mono) -> int:
             return -ctx.W(prod[s], u)
@@ -220,52 +238,83 @@ def br_column(ctx: PlanContext, r: int, elt: BasisElement) -> list[Contribution]
         def kappa(u: Mono, s: int) -> int:
             return -ctx.tq(prod[s], u)
 
-    def emit(kind: str, rest: tuple[int, ...], mono: Mono, sign: int, plus: int, minus: int = 0) -> None:
+    def emit(target: tuple, sign: int, plus: int, minus: int = 0) -> None:
         if plus != minus:
-            # the target as the plain tuple of its fields, which hashes and compares as the BasisElement
-            out.append(((kind, r - 1, rest, mono), one, _pairs(sign, plus, minus)))
+            out.append((target, one, _pairs(sign, plus, minus)))
 
+    # a target is the plain tuple of its fields, which hashes and compares as the BasisElement
     # X targets
     for ell in range(2, g + 1):
         for k in range(ell, r + 1):
             ak = a[k - 1]
-            rest = a[:k - 1] + a[k:]
-            for m2 in monomials_of_degree(d, n - 1, low_var=ell):
-                u = mul_var(m2, ell)
-                emit("X", rest, u, (-1) ** k, eta(ak, u), eta(ell, mul_var(m2, ak)))
-    for j in range(g, r + 1):
-        for k in range(j + 1, r + 1):
-            aj, ak = a[j - 1], a[k - 1]
+            if ak not in live and ell not in live:
+                continue
+            rest, sign = a[:k - 1] + a[k:], (-1) ** k
+            for m2 in low[ell]:
+                up = multiples[m2]
+                t = ("X", r - 1, rest, up[ell])
+                if rows is not None and rows[t] > j:
+                    break
+                emit(t, sign, eta(ak, up[ell]), eta(ell, up[ak]))
+    for jj in range(g, r + 1):
+        for k in range(jj + 1, r + 1):
+            aj, ak = a[jj - 1], a[k - 1]
+            if aj not in live and ak not in live:
+                continue
             rest = a[:g - 1] + (g + 1,) + tuple(x for x in a[g - 1:] if x != aj and x != ak)
-            for m2 in monomials_of_degree(d, n - 1, low_var=g + 1):
-                emit("X", rest, mul_var(m2, g + 1), (-1) ** (g + j + k),
-                     eta(ak, mul_var(m2, aj)), eta(aj, mul_var(m2, ak)))
+            sign = (-1) ** (g + jj + k)
+            for m2 in low[g + 1]:
+                up = multiples[m2]
+                t = ("X", r - 1, rest, up[g + 1])
+                if rows is not None and rows[t] > j:
+                    break
+                emit(t, sign, eta(ak, up[aj]), eta(aj, up[ak]))
+    if rows is not None and elt.kind == "Y":
+        # the middle map: column j pairs with row j, an X element, and every Y row lies after the X rows
+        return out
 
-    # Y targets
+    # Y targets; swap[m1][l][s] is m1 x_l / x_s when x_s divides m1
     for ell in range(2, a1):
-        for j in range(1, r + 1):
-            for k in range(j + 1, r + 1):
-                aj, ak = a[j - 1], a[k - 1]
+        for jj in range(1, r + 1):
+            for k in range(jj + 1, r + 1):
+                aj, ak = a[jj - 1], a[k - 1]
                 rest = (ell,) + tuple(x for x in a if x != aj and x != ak)
-                for m1 in monomials_of_degree(d, n - 1, low_var=ell):
-                    emit("Y", rest, m1, (-1) ** (j + k),
-                         kappa(div_var(mul_var(m1, ell), ak), aj) if var_divides(ak, m1) else 0,
-                         kappa(div_var(mul_var(m1, ell), aj), ak) if var_divides(aj, m1) else 0)
+                sign = (-1) ** (jj + k)
+                for m1 in low[ell]:
+                    t = ("Y", r - 1, rest, m1)
+                    if rows is not None and rows[t] > j:
+                        break
+                    sw = swap[m1][ell]
+                    emit(t, sign, kappa(sw[ak], aj) if sw[ak] else 0, kappa(sw[aj], ak) if sw[aj] else 0)
     for k in range(2, r + 1):
         ak = a[k - 1]
-        rest = a[:k - 1] + a[k:]
-        for m1 in monomials_of_degree(d, n - 1, low_var=a1):
-            emit("Y", rest, m1, (-1) ** k, kappa(m1, ak),
-                 kappa(div_var(mul_var(m1, a1), ak), a1) if var_divides(ak, m1) else 0)
+        if ak not in live and a1 not in live:
+            continue
+        rest, sign = a[:k - 1] + a[k:], (-1) ** k
+        for m1 in low[a1]:
+            t = ("Y", r - 1, rest, m1)
+            if rows is not None and rows[t] > j:
+                break
+            sw = swap[m1][a1][ak]
+            emit(t, sign, kappa(m1, ak), kappa(sw, a1) if sw else 0)
+    if a1 not in live:
+        return out
     for ell in range(a1 + 1, a2):
         for k in range(2, r + 1):
             ak = a[k - 1]
-            rest = (ell,) + a[1:k - 1] + a[k:]
-            for m1 in monomials_of_degree(d, n - 1, low_var=ell):
-                if var_divides(ak, m1):
-                    emit("Y", rest, m1, (-1) ** (k + 1), kappa(div_var(mul_var(m1, ell), ak), a1))
-    for m1 in monomials_of_degree(d, n - 1, low_var=a2):
-        emit("Y", a[1:], m1, -1, kappa(m1, a1))
+            rest, sign = (ell,) + a[1:k - 1] + a[k:], (-1) ** (k + 1)
+            for m1 in low[ell]:
+                sw = swap[m1][ell][ak]
+                if sw:
+                    t = ("Y", r - 1, rest, m1)
+                    if rows is not None and rows[t] > j:
+                        break
+                    emit(t, sign, kappa(sw, a1))
+    for m1 in low[a2]:
+        t = ("Y", r - 1, a[1:], m1)
+        if rows is not None and rows[t] > j:
+            break
+        emit(t, -1, kappa(m1, a1))
     return out
 
 
@@ -278,24 +327,24 @@ def twist_list(d: int, n: int) -> tuple[int, ...]:
     return (0,) + tuple(n + r - 1 for r in range(1, d)) + (2 * n + d - 2,)
 
 
-def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions) -> PolyMatrix:
-    """The matrix whose column j is expansions[j], signed by the bases.
+# the rows of a map: row i maps a column j to the value of the nonzero entry (i, j)
+Rows = list[dict[int, Any]]
+
+
+def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions) -> Rows:
+    """The rows of the matrix whose column j is expansions[j], signed by the bases.
 
     expansions[j] maps a target element to the int coefficients of the
-    entry's terms.  A target outside the row basis is a KeyError.
+    entry's terms, a dict that the rows take over.  A target outside the row
+    basis is a KeyError.
     """
     pos = rows.position()
-    mat = PolyMatrix(rows, cols, [{} for _ in rows])
+    out: Rows = [{} for _ in rows]
     for j, (csign, _) in enumerate(cols.elements):
         for target, terms in expansions[j].items():
             i, rsign = pos[target]
-            s = csign * rsign
-            mat.set(i, j, Poly(rows.d, {m: s * c for m, c in terms.items()}))
-    return mat
-
-
-# the rows of a map: row i maps a column j to the value of the nonzero entry (i, j)
-Rows = list[dict[int, Any]]
+            out[i][j] = terms if csign == rsign else signed_terms(terms, -1)
+    return out
 
 
 def paired(bases: tuple[OrderedBasis, ...], k: int, rows: Rows, signed: Callable[[Any, int], Any]) -> Rows:
@@ -305,8 +354,8 @@ def paired(bases: tuple[OrderedBasis, ...], k: int, rows: Rows, signed: Callable
     pairing(bases[k], bases[d-k]), entry (ii, kk) of b_{d-r} is (-1)^r s t
     times entry (i, jj) of b_{r+1}, where P_r pairs i with kk by the sign s
     and P_{r+1} pairs jj with ii by t.  signed(v, e) is a new value, v
-    times the sign e.  For odd d the middle map pairs with itself, and no
-    map is written from it.
+    times the sign e.  For odd d the middle map pairs with itself: no other
+    map is written from it, and mirror completes it.
     """
     r = len(bases) - 1 - k
     rows_p, cols_p = pairing(bases[r], bases[k]), pairing(bases[r + 1], bases[k - 1])
@@ -324,6 +373,21 @@ def pair_upper_half(bases: tuple[OrderedBasis, ...], lower: list[Rows], signed) 
     """lower = the rows of b_1..b_h, h = (d+1)//2, followed by those of b_{h+1}..b_d (paired)."""
     d = len(bases) - 1
     return lower + [paired(bases, k, lower[d - k], signed) for k in range(len(lower) + 1, d + 1)]
+
+
+def mirror(rows: Rows, e: int, signed: Callable[[Any, int], Any]) -> None:
+    """The self-paired middle map b_h of odd d, h = (d+1)//2, completed in place from its entries (i, j), i <= j.
+
+    In the self-dual bases P_{h-1} is the identity (hookbasis.duality_basis),
+    so the pairing rule at r = h - 1 reads b_h^T = (-1)^(h-1) b_h: entry
+    (j, i) is e = (-1)^(h-1) times entry (i, j), and on an antisymmetric map
+    the diagonal is empty (build_plan refuses a written diagonal cell).
+    signed(v, e) is a new value, v times the sign e.
+    """
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if j > i:
+                rows[j][i] = signed(v, e)
 
 
 def signed_terms(terms: dict[Mono, Scalar], e: int) -> dict[Mono, Scalar]:
@@ -351,9 +415,11 @@ class Lift:
     skeleton is canonical_skeleton(d, n), S_r = skeleton[r - 1], and
     cofactors[r - 1] is C_r by rows (Rows): at r = 1 a column j maps to the
     terms {m: c} of its cofactor, of degree n-1, and inside to its constant
-    c.  No term of S_r has x1, so the two parts share no monomial.  terms
-    writes new dicts, and cofactor hands out C_r itself up to h, for
-    reading; nothing alters the lift.
+    c.  For odd d the middle C_h is whole, its lower side filled from the
+    upper one (mirror), so b_h and S_h are symmetric or antisymmetric as the
+    pairing rule has them.  No term of S_r has x1, so the two parts share no
+    monomial.  terms writes new dicts, and cofactor hands out C_r itself up
+    to h, for reading; nothing alters the lift.
     """
 
     delta: Scalar
@@ -474,7 +540,9 @@ class Plan:
 
     keys[k - 1] is the key (name, u, v) whose value is ctx.name(u, v) on a
     BuildContext.  cells[r - 1] lists the terms (i, j, m, pairs) of C_r,
-    signed by the bases: m has degree n-1 at r = 1 and is 1 inside.  The
+    signed by the bases: m has degree n-1 at r = 1 and is 1 inside.  For
+    odd d the middle map b_h pairs with itself, and cells[h - 1] holds only
+    its cells with i <= j; _evaluate fills the others (mirror).  The
     other part of b_r, delta S_r, is canonical_skeleton's.  Every part is a
     tuple of ints and tuples, which the garbage collector can stop
     tracking, so the plan is not traversed again at each collection of the
@@ -507,15 +575,27 @@ def build_plan(d: int, n: int) -> Plan:
     """The plan of C_1..C_h at (d, n), h = (d+1)//2.
 
     b1_column and br_column run once, on a PlanContext; the plan is then
-    evaluated for each inverse system (_evaluate).
+    evaluated for each inverse system (_evaluate).  For odd d, br_column
+    writes the self-paired middle map C_h on one side of its diagonal only
+    (mirror); a diagonal cell written where the map is antisymmetric is a
+    defect of the writer and raises ValueError.
     """
     ctx = PlanContext(d, n)
     bases = [duality_basis(d, n, r) for r in range(d + 1)]
+    h = (d + 1) // 2
     cells = []
-    for r in range(1, (d + 1) // 2 + 1):
+    for r in range(1, h + 1):
         # written column by column as _record places them, so no column outlives its placing
-        columns = (b1_column(ctx, e) if r == 1 else br_column(ctx, r, e) for _, e in bases[r])
+        if r == 1:
+            columns = (b1_column(ctx, e) for _, e in bases[1])
+        elif d % 2 and r == h:
+            rows = {e: i for i, (_, e) in enumerate(bases[r - 1])}
+            columns = (br_column(ctx, r, e, rows, j) for j, (_, e) in enumerate(bases[r]))
+        else:
+            columns = (br_column(ctx, r, e) for _, e in bases[r])
         cells.append(_record(bases[r - 1], bases[r], columns))
+    if d % 2 and h % 2 == 0 and any(i == j for i, j, _, _ in cells[-1]):
+        raise ValueError(f"the writer put a diagonal cell on the antisymmetric middle map b_{h} at d={d}, n={n}")
     return Plan(tuple(ctx.keys), tuple(cells))
 
 
@@ -523,7 +603,8 @@ def _evaluate(plan: Plan, ctx: BuildContext, bases: tuple[OrderedBasis, ...]) ->
     """The cofactors of the plan for the inverse system of ctx, by rows as Lift keeps them.
 
     Each key is evaluated once; a term whose numerator is zero is dropped,
-    and a nonzero numerator is divided by ctx.denom (polynomials.over).
+    and a nonzero numerator is divided by ctx.denom (polynomials.over).  The
+    middle map of odd d is completed from the side the plan holds (mirror).
     """
     # key index 0 is no key (PlanContext)
     values = [0] + [getattr(ctx, name)(u, v) for name, u, v in plan.keys]
@@ -542,6 +623,9 @@ def _evaluate(plan: Plan, ctx: BuildContext, bases: tuple[OrderedBasis, ...]) ->
                 else:
                     rows[i][j] = over(num, denom)
         out.append(rows)
+    d = len(bases) - 1
+    if d % 2:
+        mirror(out[-1], (-1) ** (len(out) - 1), times)
     return tuple(out)
 
 
@@ -568,18 +652,23 @@ def canonical_skeleton(d: int, n: int) -> tuple[PolyMatrix, ...]:
     the two Koszul strands on x2..xd are written: the monomial strand L on
     the Y elements and the dual strand K on the X elements, with no entry
     between the two kinds.  Built in the self-dual bases of every
-    resolution: the maps out of positions 1..(d+1)//2 are written here and
-    the later ones paired (pair_upper_half); Lift reads them as S_r.
+    resolution: the maps out of positions 1..h, h = (d+1)//2, are written
+    here and the later ones paired (pair_upper_half); Lift reads them as
+    S_r.  For odd d the middle map S_h pairs with itself.  Its side i <= j
+    is the K block: the X elements come first in the rows, and P_{h-1}
+    pairs each with the Y element at its position in the columns.  So only
+    the X columns are written, and the L block is their mirror.
     """
     bases = tuple(duality_basis(d, n, r) for r in range(d + 1))
+    h = (d + 1) // 2
     lower = []
-    for r in range(1, (d + 1) // 2 + 1):
+    for r in range(1, h + 1):
         if r == 1:
             expans = [{y0(d): {mul_var(e.m, e.a[0]): 1}} if e.kind == "Y" else {} for _, e in bases[1]]
         else:
-            expans = [{t: p.terms for t, p in kos_expansion(e).items()} for _, e in bases[r]]
+            expans = [{} if d % 2 and r == h and e.kind == "Y" else kos_expansion(e) for _, e in bases[r]]
         lower.append(_assemble(bases[r - 1], bases[r], expans))
-    upper = pair_upper_half(bases, [[{j: p.terms for j, p in row.items()} for row in m.entries] for m in lower],
-                            signed_terms)[len(lower):]
-    return tuple(lower) + tuple(PolyMatrix(bases[k - 1], bases[k], _polys(d, rows))
-                                for k, rows in enumerate(upper, len(lower) + 1))
+    if d % 2:
+        mirror(lower[-1], (-1) ** (h - 1), signed_terms)
+    return tuple(PolyMatrix(bases[k - 1], bases[k], _polys(d, rows))
+                 for k, rows in enumerate(pair_upper_half(bases, lower, signed_terms), 1))

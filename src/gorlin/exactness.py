@@ -38,12 +38,11 @@ L_0 has one element and the entries of phi_1 are the monomials of degree n,
 each once.
 
 The dual strand K is not ranked.  The pairing rule (duality_failure) holds
-on the whole skeleton, and it pairs the X elements of each position with
-the Y elements of the complementary one, so K is the signed pairing
-transpose of L: Hom(L, R) up to twists.  K is that transpose by
-construction (canonical_skeleton pairs its upper half from the lower),
-except in the self-paired middle map of odd d; strand_certificate still
-checks the rule on the whole skeleton, once per (d, n).
+on the whole skeleton by construction: canonical_skeleton pairs its upper
+half from the lower one and mirrors the self-paired middle map of odd d.
+The rule pairs the X elements of each position with the Y elements of the
+complementary one, so K is the signed pairing transpose of L: Hom(L, R)
+up to twists.
 L resolves R/m^n, a perfect module of grade d-1 = dim R, so Hom(L, R) has
 homology only at its end, Ext^{d-1}_R(R/m^n, R): the canonical module of
 R/m^n up to a shift, whose Hilbert function is that of R/m^n reversed
@@ -79,8 +78,8 @@ one catalecticant rank), the degree-n annihilator and dim I_n, and every
 check that needs a fact reads it there.  On a built resolution three of
 them hold by construction and are read off the lift, not computed: the
 skeleton structure, the x1 split (every interior C_r is constant), and the
-pairing rule on every map but the middle one of odd d, which pairs with
-itself and is checked.  The complex property
+pairing rule on every map, the self-paired middle one of odd d included.
+The complex property
 rests on the self-duality: the pairing rule
 b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} (duality_failure) mirrors product
 d - r onto product r, so once the rule holds only the products with
@@ -108,6 +107,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, gcd
+from operator import sub
 
 from .differentials import Resolution, canonical_skeleton
 from .hookbasis import BasisElement, OrderedBasis, pairing, skeleton_kos_blocks
@@ -334,15 +334,17 @@ def _fine_strand(name: str, mats: dict[int, PolyMatrix]):
     mats[r] maps position r to position r - 1; the witness names the first
     entry that is not +-x^v with v != 0 free of x1 and c(column) = c(row) + v.
     """
-    degs = {r - 1: [fine_degree(e) for _, e in mat.rows] for r, mat in mats.items()}
-    degs.update({r: [fine_degree(e) for _, e in mat.cols] for r, mat in mats.items()})
+    bases = {r - 1: mat.rows for r, mat in mats.items()}
+    bases.update({r: mat.cols for r, mat in mats.items()})
+    degs = {k: [fine_degree(e) for _, e in basis] for k, basis in bases.items()}
     triples: dict[int, list[tuple[int, int, int]]] = {}
     for r, mat in mats.items():
         out = triples[r] = []
+        rows, cols = degs[r - 1], degs[r]
         for i, j, p in mat.nonzero():
-            (m, c), *rest = p.terms.items()
-            want = tuple(a - b for a, b in zip(degs[r][j], degs[r - 1][i]))
-            if rest or c not in (1, -1) or m[0] or m[1:] != want or not any(want):
+            m, c = next(iter(p.terms.items()))
+            want = tuple(map(sub, cols[j], rows[i]))
+            if len(p.terms) != 1 or c not in (1, -1) or m[0] or m[1:] != want or not any(want):
                 return (f"{name} strand is not finely graded: entry ({i}, {j}) of the map out of "
                         f"position {r} is {poly_str(p)}, expected +-x^v with c(column) = c(row) + v")
             out.append((i, j, int(c)))
@@ -377,14 +379,20 @@ def _acyclicity_failures(degs: dict, triples: dict[int, list[tuple[int, int, int
     """
     top = max(degs)  # the positions are 0..d-1, and R has d-1 variables
     ms = [len(degs[k]) for k in range(top + 1)]
-    # each triple with the coordinates of x2..xd that its monomial c(column) - c(row) involves
-    support = {r: [(i, k, v, {c for c, (a, b) in enumerate(zip(degs[r][k], degs[r - 1][i])) if a != b})
-                   for i, k, v in ts] for r, ts in triples.items()}
+    # the triples of each map by the one coordinate of x2..xd that their monomial c(column) - c(row)
+    # involves, the point that keeps them; a monomial in two or more variables vanishes at every point
+    at: dict[int, dict[int, list[tuple[int, int, int]]]] = {r: {} for r in triples}
+    for r, ts in triples.items():
+        rows, cols = degs[r - 1], degs[r]
+        for i, k, v in ts:
+            s = [c for c, (a, b) in enumerate(zip(cols[k], rows[i])) if a != b]
+            if len(s) == 1:
+                at[r].setdefault(s[0], []).append((i, k, v))
     failures: list[str] = []
     for t in range(top):
         rho = [0] * (top + 2)
-        for r, ts in support.items():
-            rho[r] = Piece(ms[r - 1], ms[r], [(i, k, v) for i, k, v, s in ts if s <= {t}]).rank_exact()
+        for r, by_point in at.items():
+            rho[r] = Piece(ms[r - 1], ms[r], by_point.get(t, [])).rank_exact()
         k = next((k for k in range(1, top + 1) if rho[k] + rho[k + 1] != ms[k]), None)
         if k is not None:
             failures.append(f"monomial strand fails the acyclicity criterion at the point x{t + 2} = 1: "
@@ -405,11 +413,11 @@ def strand_certificate(d: int, n: int) -> tuple[str, ...]:
     Y element, so that S_r is K_r beside L_r.  The monomial strand L must be
     finely graded, a complex, meet the acyclicity criterion by exact ranks
     at the d-1 coordinate points, and present R/m^n, R = k[x2..xd]
-    (_acyclicity_failures).  The dual strand K must be the pairing
-    transpose of L (the pairing rule on canonical_skeleton(d, n)); then it
-    is Hom(L, R) up to twists, it composes to zero as L does, and its
-    bottom homology is dual_strand_h1k(d, n).  So once the certificate
-    holds, the skeleton is a complex as well.
+    (_acyclicity_failures).  The dual strand K is the pairing transpose of
+    L by construction (canonical_skeleton pairs every map of the skeleton,
+    the module docstring); so it is Hom(L, R) up to twists, it composes to
+    zero as L does, and its bottom homology is dual_strand_h1k(d, n).  So
+    once the certificate holds, the skeleton is a complex as well.
     """
     for r, mat in enumerate(canonical_skeleton(d, n), 1):
         kinds = [e.kind for _, e in mat.cols]
@@ -423,13 +431,7 @@ def strand_certificate(d: int, n: int) -> tuple[str, ...]:
     degs, triples = strand
     if not _composes_to_zero(triples):
         return ("monomial strand does not compose to zero",)
-    failures = _acyclicity_failures(degs, triples, n)
-    skel = canonical_skeleton(d, n)
-    unpaired = duality_failure((skel[0].rows, *(m.cols for m in skel)), skel)
-    if unpaired is not None:
-        failures.append("dual strand is not the pairing transpose of the monomial strand: "
-                        "the pairing rule fails at r={}, pair ({}, {})".format(*unpaired))
-    return tuple(failures)
+    return tuple(_acyclicity_failures(degs, triples, n))
 
 
 def dual_strand_h1k(d: int, n: int) -> dict[int, int]:
@@ -479,9 +481,8 @@ class Session:
     (differentials.Lift) the session reads S_r and C_r from the lift, and
     builds a matrix from it only when a check needs one, once (matrix).
     Three facts then hold by construction: the skeleton, the x1 split, and
-    the pairing rule on every map but the middle one of odd d.  On the
-    matrix form (Resolution.from_matrices) every fact is computed from the
-    matrices.
+    the pairing rule on every map.  On the matrix form
+    (Resolution.from_matrices) every fact is computed from the matrices.
     """
 
     def __init__(self, res: Resolution, phi: InverseSystem):
@@ -505,16 +506,12 @@ class Session:
     def duality_failure(self) -> tuple[int, int, int] | None:
         """None when the pairing rule holds on every pair (module duality_failure), else (r, jj, kk).
 
-        The lift writes each map past h = (d+1)//2 from its partner by the
-        rule, so only the middle map of odd d, b_h at r = d // 2, which
-        pairs with itself, is checked.
+        The lift holds the rule by construction: each map past h = (d+1)//2
+        is written from its partner by the rule, and the middle map of odd
+        d, which pairs with itself, is mirrored (differentials.mirror).  So
+        it is checked on the matrix form only.
         """
-        if self.lift is None:
-            return duality_failure(self.res.bases, self.res.matrices)
-        d = self.res.d
-        if d % 2 == 0:
-            return None
-        return duality_failure(self.res.bases, {d // 2: self.matrix(d // 2 + 1)}, (d // 2,))
+        return duality_failure(self.res.bases, self.res.matrices) if self.lift is None else None
 
     @cached_property
     def complex_failure(self) -> tuple[int, int, int, Poly] | None:
@@ -662,12 +659,12 @@ def skeleton_block_failure(res: Resolution, splits: tuple[Split, ...]) -> str | 
     return None
 
 
-def duality_failure(bases: tuple[OrderedBasis, ...], mats, rs=None) -> tuple[int, int, int] | None:
-    """Check b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} for every r in rs (default 0..d-1), on every pair.
+def duality_failure(bases: tuple[OrderedBasis, ...], mats) -> tuple[int, int, int] | None:
+    """Check b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} for every r = 0..d-1, on every pair.
 
     bases[k] is the basis at position k = 0..d and mats[r - 1] = b_r maps
-    position r to r - 1, for every b_r the rule at rs reads: a resolution,
-    or the skeleton that strand_certificate reads.  P_k is the pairing
+    position r to r - 1: the matrices of a resolution, or of a skeleton
+    (canonical_skeleton holds the rule by construction).  P_k is the pairing
     between bases[k] and bases[d-k].  Returns None when the rule holds, else
     the first (r, jj, kk) at which entry (jj, kk) of the two sides differs,
     first by jj and then by the row i of b_{r+1} that P_r pairs with kk.
@@ -675,7 +672,7 @@ def duality_failure(bases: tuple[OrderedBasis, ...], mats, rs=None) -> tuple[int
     """
     d = len(bases) - 1
     pairings = [pairing(bases[k], bases[d - k]) for k in range(d + 1)]
-    for r in range(d) if rs is None else rs:
+    for r in range(d):
         next_rows, comp_rows = mats[r].entries, mats[d - r - 1].entries
         bad = []
         for i, row in enumerate(next_rows):

@@ -31,7 +31,6 @@ from .monomials import (
     unit,
     var_divides,
 )
-from .polynomials import Poly
 
 
 def gamma_of(a: tuple[int, ...]) -> int:
@@ -182,24 +181,30 @@ def expand_kappa(c: tuple[int, ...], m: Mono) -> list[tuple[int, BasisElement]]:
     return out
 
 
-def kos_expansion(elt: BasisElement) -> dict[BasisElement, Poly]:
-    """The Koszul contraction on the wedge factor, straightened into the standard basis.
+def kos_expansion(elt: BasisElement) -> dict[BasisElement, dict[Mono, int]]:
+    """The Koszul contraction on the wedge factor, straightened into the standard basis, as term dicts.
 
     This is the map whose d-1 variable blocks make up the skeleton of the
     resolution (without the determinant factor); the sign normalization is
-    (-1)^j on the j-th wedge slot.
+    (-1)^j on the j-th wedge slot.  Every target maps to its nonzero terms,
+    each a variable x_{a_j}.
     """
     d = elt.d
-    out: dict[BasisElement, Poly] = {}
+    out: dict[BasisElement, dict[Mono, int]] = {}
     expand = expand_eta if elt.kind == "X" else expand_kappa
     for j in range(1, elt.r + 1):
         aj = elt.a[j - 1]
         rest = elt.a[:j - 1] + elt.a[j:]
         sign = (-1) ** j
+        xj = mul_var(unit(d), aj)
         for coeff, target in expand(rest, elt.m):
-            p = out.setdefault(target, Poly.zero(d))
-            p.add_term(mul_var(unit(d), aj), sign * coeff)
-    return {t: p for t, p in out.items() if not p.is_zero()}
+            terms = out.setdefault(target, {})
+            c = terms.get(xj, 0) + sign * coeff
+            if c:
+                terms[xj] = c
+            else:
+                del terms[xj]
+    return {t: terms for t, terms in out.items() if terms}
 
 
 def skeleton_kos_blocks(mat):
@@ -248,8 +253,9 @@ def pp_value(e1: BasisElement, e2: BasisElement) -> int:
     return flip_sign * wedge_sign(seq)
 
 
+@lru_cache(maxsize=None)
 def pp_dual_element(e: BasisElement) -> tuple[int, BasisElement]:
-    """The unique signed partner f with pp(e (x) f) = +1 (the top generator)."""
+    """The unique signed partner f with pp(e (x) f) = +1 (the top generator), found once per element."""
     d = e.d
     if e.r == 0:
         return 1, xd(d)

@@ -112,7 +112,9 @@ class PolyMatrix:
         d = self.d
         scale_a, scale_b = denominator_lcm(self), denominator_lcm(other)
         denom = scale_a * scale_b
-        a, b = self.cleared(scale_a), other.cleared(scale_b)
+        # a matrix whose denominator_lcm is 1 is its own cleared(1), so it is not scanned again
+        a = self if scale_a == 1 else self.cleared(scale_a)
+        b = other if scale_b == 1 else other.cleared(scale_b)
         # each column of b with a term gets a slot, in the order the rows meet them; weight[s] is its L_j
         cols = list(dict.fromkeys(j for row in b.entries for j in row))
         slot_of = {j: s for s, j in enumerate(cols)}

@@ -175,10 +175,11 @@ def check_duality(s: Session) -> CheckResult:
     """Self-duality: b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} for every r, on every pair.
 
     P_k is the pairing between bases[k] and bases[d-k]; the rule is the
-    session fact duality_failure.  At r = 0 it says that the last matrix is
-    the transpose of the first; at d = 3 it makes the middle matrix
-    alternating, and at d = 4 it is the signed block transpose relation
-    between the two interior matrices.
+    session fact duality_failure, which a built resolution holds on every
+    map by construction and the matrix form proves on every pair.  At r = 0
+    it says that the last matrix is the transpose of the first; at d = 3 it
+    makes the middle matrix alternating, and at d = 4 it is the signed
+    block transpose relation between the two interior matrices.
     """
     if s.duality_failure is not None:
         r, jj, kk = s.duality_failure

@@ -13,7 +13,8 @@ and JSON reports and the ``resolve`` JSON dump.  At each point of
 in a canonical form (``canonical_plan``) that names every key and sorts
 everything, so that how keys are interned or cells emitted does not move
 the pin, but every coefficient does.  The plan records the lower half of
-B; canonical_plan adds the upper half by the pairing rule before it hashes.
+B, the middle map of odd d on one side of its diagonal; canonical_plan adds
+the rest by the pairing rule before it hashes.
 The pins record the outputs of the code they were made with, so regenerate
 them only with a change that alters an output on purpose.
 """
@@ -86,20 +87,33 @@ def canonical_plan(d: int, n: int) -> str:
 
     A key is named by its name and arguments, delta by "delta"; a
     coefficient that sums to zero is left out.  The plan records the
-    cofactors C_1..C_h, h = (d+1)//2; each cell here is the entry of
+    cofactors C_1..C_h, h = (d+1)//2, the self-paired C_h of odd d on one
+    side of its diagonal; each cell here is the entry of
     b_r = delta * S_r + x1 * C_r, with S_r from canonical_skeleton, and the
-    maps above h are written from the pairing rule, in key space, so the pin
-    covers every b_r as the writers once wrote it.
+    other side of C_h and the maps above h are written from the pairing
+    rule, in key space, so the pin covers every b_r as the writers once
+    wrote it.
     """
     plan = build_plan(d, n)
     names = ["delta"] + [f"{name}{list(u)}{list(v)}" for name, u, v in plan.keys]
+    bases = [duality_basis(d, n, r) for r in range(d + 1)]
     maps: list[dict[tuple[int, int], dict[str, dict[str, int]]]] = []
-    for rcells, skel in zip(plan.cells, canonical_skeleton(d, n)):
+    for r, (rcells, skel) in enumerate(zip(plan.cells, canonical_skeleton(d, n)), 1):
         raw: dict[tuple[int, int], dict[str, dict[str, int]]] = {}
         for i, j, m, lin in rcells:
             coeffs = raw.setdefault((i, j), {}).setdefault(str(list(mul_var(m, 1))), {})
             for c, k in lin:
                 coeffs[names[k]] = coeffs.get(names[k], 0) + c
+        if d % 2 and r == len(plan.cells):
+            # the middle map pairs with itself, and the plan holds one side of it: entry (ii, kk)
+            # of C_r is (-1)^(r-1) s t times entry (i, jj), the pairing rule at r - 1
+            rows_p, cols_p = pairing(bases[r - 1], bases[r]), pairing(bases[r], bases[r - 1])
+            for (i, jj), entry in list(raw.items()):
+                (kk, s), (ii, t) = rows_p[i], cols_p[jj]
+                if (ii, kk) != (i, jj):
+                    assert (ii, kk) not in raw, (r, i, jj)
+                    sign = (-1) ** (r - 1) * s * t
+                    raw[ii, kk] = {m: {key: sign * c for key, c in coeffs.items()} for m, coeffs in entry.items()}
         for i, j, p in skel.nonzero():
             entry = raw.setdefault((i, j), {})
             for m, c in p.terms.items():
@@ -111,7 +125,6 @@ def canonical_plan(d: int, n: int) -> str:
             cells[cell] = {m: coeffs for m, coeffs in entry.items() if coeffs}
         maps.append(cells)
     # b_{d-r} from b_{r+1}: entry (ii, kk) is (-1)^r s t times entry (i, jj)
-    bases = [duality_basis(d, n, r) for r in range(d + 1)]
     for k in range(len(maps) + 1, d + 1):
         r = d - k
         rows_p, cols_p = pairing(bases[r], bases[k]), pairing(bases[r + 1], bases[k - 1])

@@ -12,8 +12,9 @@ another way, by a route that is slower or more literal.
   ``exactness.strand_certificate`` ranks its maps at the d-1 coordinate
   points only, by the criterion of Buchsbaum and Eisenbud.
 * ``dual_strand_h1k_by_ranking`` ranks the dual skeleton strand over its box
-  of fine degrees, where ``exactness.strand_certificate`` proves it to be
-  the pairing transpose of the monomial strand and takes its bottom
+  of fine degrees, where ``exactness.strand_certificate`` takes it to be
+  the pairing transpose of the monomial strand, as
+  ``differentials.canonical_skeleton`` writes it, and takes its bottom
   homology from the closed form.
 * ``naive_product`` multiplies two polynomial matrices entry by entry with
   ``Poly`` arithmetic over ``Fraction``, where ``PolyMatrix.mul`` packs the

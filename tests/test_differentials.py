@@ -20,7 +20,7 @@ from gorlin.differentials import (
 )
 from gorlin.exactness import skeleton_block_failure, x1_split
 from gorlin.export import resolution_json
-from gorlin.hookbasis import BasisElement, duality_basis, xd, y0
+from gorlin.hookbasis import BasisElement, duality_basis, pairing, xd, y0
 from gorlin.invsys import (
     InadmissibleSystemError,
     InverseSystem,
@@ -40,6 +40,7 @@ from conftest import (
     grid_phi,
     grid_resolution,
     matrix_form,
+    resolution_at,
     same_entries,
     scaled,
     squares_resolution,
@@ -263,6 +264,53 @@ def test_a_second_build_reuses_the_plan():
         assert [{j: dict(p.terms) for j, p in row.items()} for row in res.matrix(r).entries] == want
     assert [{j: dict(p.terms) for j, p in row.items()} for row in mats[3].entries] == b4
     assert res.lift.cofactors == cofactors and resolution_json(res) == text
+
+
+ODD_GRID = [(d, n) for d, n in GRID if d % 2]
+
+
+@pytest.mark.parametrize("d,n", ODD_GRID + [(7, 2)])
+def test_the_middle_map_of_odd_d_is_written_on_one_side(d, n):
+    # b_h pairs with itself, h = (d+1)//2: P_{h-1} is the identity in the self-dual bases, so
+    # C_h and S_h are symmetric when h-1 is even and antisymmetric when it is odd, with an
+    # empty diagonal; the plan records the side i <= j, half of the cells br_column writes
+    h = (d + 1) // 2
+    e = (-1) ** (h - 1)
+    bases = [duality_basis(d, n, r) for r in range(d + 1)]
+    assert pairing(bases[h - 1], bases[h]) == tuple((i, 1) for i in range(len(bases[h])))
+    cells = build_plan(d, n).cells[h - 1]
+    assert all(i <= j for i, j, _, _ in cells)
+    ctx = PlanContext(d, n)
+    assert 2 * len(cells) == sum(len(br_column(ctx, h, elt)) for _, elt in bases[h])
+    if (d, n) == (5, 2):
+        assert len(cells) == 299
+    res = resolution_at(d, n)
+    cof, skel = res.lift.cofactor(h), canonical_skeleton(d, n)[h - 1].entries
+    assert any(cof) and any(skel)
+    for rows, signed in ((cof, lambda v: e * v), (skel, lambda p: p.scale(e))):
+        assert all(i not in row for i, row in enumerate(rows))
+        assert all(rows[j].get(i) == signed(v) for i, row in enumerate(rows) for j, v in row.items())
+
+
+def test_a_written_diagonal_cell_on_an_antisymmetric_middle_map_is_refused(monkeypatch, capsys):
+    # at d = 3 the middle map b_2 is antisymmetric; a writer that puts a cell on its diagonal
+    # is an internal defect: build_plan raises, and the CLI exits 4
+    from gorlin import cli, differentials
+
+    def writer(ctx, r, elt, rows=None, j=0):
+        out = br_column(ctx, r, elt, rows, j)
+        if rows is not None and j == 0:
+            target = next(t for t, i in rows.items() if i == 0)
+            out.append((target, unit(ctx.d), ((1, 1),)))
+        return out
+
+    monkeypatch.setattr(differentials, "br_column", writer)
+    with pytest.raises(ValueError, match="diagonal cell on the antisymmetric middle map b_2"):
+        build_plan.__wrapped__(3, 2)
+    assert build_plan.__wrapped__(4, 2).cells  # no map of even d pairs with itself
+    monkeypatch.setattr(differentials, "build_plan", build_plan.__wrapped__)
+    assert cli.main(["verify", "--d", "3", "--n", "2", "--seed", "1"]) == cli.EXIT_INTERNAL_ERROR
+    assert "ValueError" in capsys.readouterr().err
 
 
 def test_a_built_matrix_cannot_be_set():
