@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-from dataclasses import dataclass
 
 from .differentials import build_resolution
 from .exactness import Session
@@ -36,40 +35,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class Config:
-    command: str
-    input: str | None
-    d: int | None
-    n: int | None
-    seed: int | None
-    bound: int
-    fmt: str
-    out: str | None
-    checks: list[str] | None
-    degree: int | None
-
-    def validate(self, parser: argparse.ArgumentParser) -> None:
-        has_file = self.input is not None
-        has_params = self.d is not None or self.n is not None or self.seed is not None
-        if has_file == has_params:
-            parser.error("give exactly one input source: --input PATH, or --d/--n/--seed")
-        if has_params:
-            if self.d is None or self.n is None or self.seed is None:
-                parser.error("generated input needs all of --d, --n, --seed")
-            if self.d < 3:
-                parser.error("--d must be at least 3")
-            if self.n < 2:
-                parser.error("--n must be at least 2")
-        if self.bound < 0:
-            parser.error("--bound must be nonnegative")
-        if self.degree is not None and self.degree < 0:
-            parser.error("--degree must be nonnegative")
-        unknown = [c for c in self.checks or () if c not in CHECK_NAMES]
-        if unknown:
-            parser.error(f"unknown checks: {unknown}; available: {CHECK_NAMES}")
-
-
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", metavar="PATH", help="inverse-system file (JSON)")
     sub.add_argument("--d", type=int, help="number of variables (>= 3)")
@@ -77,6 +42,8 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="seed for the random inverse system")
     sub.add_argument("--bound", type=int, default=5, help="coefficient bound (default 5)")
     sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+    # the options that only some commands take, so that every command's namespace has them all
+    sub.set_defaults(fmt="text", checks=None, degree=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,36 +68,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Config:
-    cfg = Config(
-        command=args.command,
-        input=args.input,
-        d=args.d,
-        n=args.n,
-        seed=args.seed,
-        bound=args.bound,
-        fmt=getattr(args, "fmt", "text"),
-        out=args.out,
-        checks=args.checks.split(",") if getattr(args, "checks", None) else None,
-        degree=getattr(args, "degree", None),
-    )
-    cfg.validate(parser)
-    return cfg
+def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Check the parsed options, and split --checks into names, in place; parser.error exits with code 3."""
+    has_file = args.input is not None
+    has_params = args.d is not None or args.n is not None or args.seed is not None
+    if has_file == has_params:
+        parser.error("give exactly one input source: --input PATH, or --d/--n/--seed")
+    if has_params:
+        if args.d is None or args.n is None or args.seed is None:
+            parser.error("generated input needs all of --d, --n, --seed")
+        if args.d < 3:
+            parser.error("--d must be at least 3")
+        if args.n < 2:
+            parser.error("--n must be at least 2")
+    if args.bound < 0:
+        parser.error("--bound must be nonnegative")
+    if args.degree is not None and args.degree < 0:
+        parser.error("--degree must be nonnegative")
+    args.checks = args.checks.split(",") if args.checks else None
+    unknown = [c for c in args.checks or () if c not in CHECK_NAMES]
+    if unknown:
+        parser.error(f"unknown checks: {unknown}; available: {CHECK_NAMES}")
 
 
-def _load_phi(cfg: Config) -> InverseSystem:
-    if cfg.input is None:
-        return random_invsys(cfg.d, cfg.n, cfg.seed, cfg.bound)
+def _load_phi(args: argparse.Namespace) -> InverseSystem:
+    if args.input is None:
+        return random_invsys(args.d, args.n, args.seed, args.bound)
     try:
-        return load_invsys(cfg.input)
+        return load_invsys(args.input)
     except (OSError, ValueError) as exc:
         raise InputError(exc) from exc
 
 
-def _emit(cfg: Config, text: str) -> None:
-    if cfg.out:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
         try:
-            with open(cfg.out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
             raise InputError(exc) from exc
@@ -138,32 +111,32 @@ def _emit(cfg: Config, text: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_resolve(cfg: Config) -> int:
-    phi = _load_phi(cfg)
+def cmd_resolve(args: argparse.Namespace) -> int:
+    phi = _load_phi(args)
     res = build_resolution(phi)
     print(f"delta  = {res.delta}")
     print(f"betti  = {' '.join(str(b) for b in res.betti)}")
     print(f"twists = {' '.join(str(t) for t in res.twists)}")
-    if cfg.fmt == "text":
-        _emit(cfg, resolution_text(res))
-    elif cfg.fmt == "json":
-        _emit(cfg, resolution_json(res))
+    if args.fmt == "text":
+        _emit(args, resolution_text(res))
+    elif args.fmt == "json":
+        _emit(args, resolution_json(res))
     else:
-        _emit(cfg, resolution_cas_script(res))
+        _emit(args, resolution_cas_script(res))
     return EXIT_OK
 
 
-def cmd_verify(cfg: Config) -> int:
-    phi = _load_phi(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    phi = _load_phi(args)
     res = build_resolution(phi)
-    report = run_checks(res, phi, checks=cfg.checks)
-    _emit(cfg, report.to_text() if cfg.fmt == "text" else report_json(report))
+    report = run_checks(res, phi, checks=args.checks)
+    _emit(args, report.to_text() if args.fmt == "text" else report_json(report))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILURE
 
 
-def cmd_ann(cfg: Config) -> int:
-    phi = _load_phi(cfg)
-    j = cfg.degree if cfg.degree is not None else phi.n
+def cmd_ann(args: argparse.Namespace) -> int:
+    phi = _load_phi(args)
+    j = args.degree if args.degree is not None else phi.n
     oracle = ann_degree(phi, j)
     lines = [f"annihilator basis in degree {j} (oracle, {len(oracle)} elements):"]
     for g in oracle:
@@ -180,7 +153,7 @@ def cmd_ann(cfg: Config) -> int:
             lines += [f"  {poly_str(b1.entry(0, col))}" for col in range(res.betti[1])]
             spans_equal = check_ann_match(session).passed
             lines.append(f"spans agree: {'yes' if spans_equal else 'NO'}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -190,9 +163,9 @@ COMMANDS = {"resolve": cmd_resolve, "verify": cmd_verify, "ann": cmd_ann}
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args, parser)
+    _validate(args, parser)
     try:
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except InadmissibleSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE

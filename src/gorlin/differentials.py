@@ -15,11 +15,13 @@ sums in t and Q; it serves the X and the Y generators, which differ only in
 two coefficient forms.  b1_column writes the cofactor of b_1.  All matrices
 are written in one basis family, the self-dual bases of
 hookbasis.duality_basis, in which the pairing between complementary
-positions is a signed permutation.  B and its skeleton are self-dual, so
-only C_1..C_h, h = (d+1)//2, are written; each later map is paired from
-its partner (paired, pair_upper_half).  For odd d the middle map b_h pairs
-with itself, and only one side of its diagonal is written; the other is
-its mirror (mirror).
+positions is a signed permutation.  B and its skeleton are self-dual, and
+paired applies the pairing rule in one place: every map is its own written
+entries beside the pairing transpose of its partner's.  The skeleton
+writes the strand L and takes K from it; only C_1..C_h, h = (d+1)//2, are
+written, and each later cofactor is the transpose of its partner's.  For
+odd d the middle map b_h is its own partner: one side of its diagonal is
+written, and its transpose is the other.
 
 The cofactors are Z-linear in the coefficient sums Q, tq and W
 (BuildContext), and which sums meet in which entry depends on (d, n) alone.
@@ -32,10 +34,9 @@ that _evaluate reads.  A build fills one value per key from the numeric
 BuildContext and evaluates the plan into the constants of C_2..C_h and the
 forms of C_1.  It returns the lift (Lift): delta, canonical_skeleton(d, n)
 and those cofactors, frozen.  No matrix is written then: Resolution builds
-each on request, the lower half as delta S_r beside x1 C_r and the upper
-half paired, and a Session reads S and C from the lift itself.  So the
-skeleton, the x1 split and the pairing rule on every map hold by
-construction.
+each on request as delta S_r beside x1 C_r, and a Session reads S and C
+from the lift itself.  So the skeleton, the x1 split and the pairing rule
+on every map hold by construction.
 Every coefficient is an integer numerator over one power of the lcm L of
 phi's denominators; _evaluate divides it out when it writes the term, so
 a coefficient is an int whenever it is integral (always, for phi with
@@ -348,14 +349,19 @@ def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions) -> Rows:
 
 
 def paired(bases: tuple[OrderedBasis, ...], k: int, rows: Rows, signed: Callable[[Any, int], Any]) -> Rows:
-    """The rows of map k of a self-dual complex, k > (d+1)//2, from the rows of map d + 1 - k.
+    """The pairing transpose that map k of a self-dual complex takes from rows, the written entries of map d + 1 - k.
 
     By b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r}, P_k the signed permutation
     pairing(bases[k], bases[d-k]), entry (ii, kk) of b_{d-r} is (-1)^r s t
     times entry (i, jj) of b_{r+1}, where P_r pairs i with kk by the sign s
     and P_{r+1} pairs jj with ii by t.  signed(v, e) is a new value, v
-    times the sign e.  For odd d the middle map pairs with itself: no other
-    map is written from it, and mirror completes it.
+    times the sign e.  This is the one place the rule is applied: every map
+    is its own written entries beside the pairing transpose of its
+    partner's, for any k.  The skeleton writes L and takes K from here;
+    a cofactor past the middle is the transpose of its partner; and the
+    middle map of odd d, k = d + 1 - k, is its own partner: P_{h-1} is the
+    identity in the self-dual bases, so its transpose is its mirror,
+    (-1)^(h-1) times entry (i, j) at (j, i).
     """
     r = len(bases) - 1 - k
     rows_p, cols_p = pairing(bases[r], bases[k]), pairing(bases[r + 1], bases[k - 1])
@@ -367,27 +373,6 @@ def paired(bases: tuple[OrderedBasis, ...], k: int, rows: Rows, signed: Callable
             ii, t = cols_p[jj]
             out[ii][kk] = signed(v, s * t)
     return out
-
-
-def pair_upper_half(bases: tuple[OrderedBasis, ...], lower: list[Rows], signed) -> list[Rows]:
-    """lower = the rows of b_1..b_h, h = (d+1)//2, followed by those of b_{h+1}..b_d (paired)."""
-    d = len(bases) - 1
-    return lower + [paired(bases, k, lower[d - k], signed) for k in range(len(lower) + 1, d + 1)]
-
-
-def mirror(rows: Rows, e: int, signed: Callable[[Any, int], Any]) -> None:
-    """The self-paired middle map b_h of odd d, h = (d+1)//2, completed in place from its entries (i, j), i <= j.
-
-    In the self-dual bases P_{h-1} is the identity (hookbasis.duality_basis),
-    so the pairing rule at r = h - 1 reads b_h^T = (-1)^(h-1) b_h: entry
-    (j, i) is e = (-1)^(h-1) times entry (i, j), and on an antisymmetric map
-    the diagonal is empty (build_plan refuses a written diagonal cell).
-    signed(v, e) is a new value, v times the sign e.
-    """
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            if j > i:
-                rows[j][i] = signed(v, e)
 
 
 def signed_terms(terms: dict[Mono, Scalar], e: int) -> dict[Mono, Scalar]:
@@ -410,16 +395,17 @@ def _polys(d: int, rows: Rows) -> list[dict[int, Poly]]:
 
 @dataclass(frozen=True)
 class Lift:
-    """B as the lift of its skeleton: b_r = delta S_r + x1 C_r for r <= h = (d+1)//2, the later maps paired.
+    """B as the lift of its skeleton: b_r = delta S_r + x1 C_r for every r.
 
     skeleton is canonical_skeleton(d, n), S_r = skeleton[r - 1], and
-    cofactors[r - 1] is C_r by rows (Rows): at r = 1 a column j maps to the
-    terms {m: c} of its cofactor, of degree n-1, and inside to its constant
-    c.  For odd d the middle C_h is whole, its lower side filled from the
-    upper one (mirror), so b_h and S_h are symmetric or antisymmetric as the
-    pairing rule has them.  No term of S_r has x1, so the two parts share no
-    monomial.  terms writes new dicts, and cofactor hands out C_r itself up
-    to h, for reading; nothing alters the lift.
+    cofactors[r - 1] is C_r by rows (Rows) for r <= h = (d+1)//2: at r = 1
+    a column j maps to the terms {m: c} of its cofactor, of degree n-1, and
+    inside to its constant c.  For odd d the middle C_h is whole, its own
+    pairing transpose (paired, in _evaluate).  Past h, C_r is the pairing
+    transpose of C_{d+1-r} (cofactor), as S_r holds that of its partner's L
+    block.  No term of S_r has x1, so the two parts share no monomial.
+    terms writes new dicts, and cofactor hands out C_r itself up to h, for
+    reading; nothing alters the lift.
     """
 
     delta: Scalar
@@ -428,30 +414,28 @@ class Lift:
     cofactors: tuple[Rows, ...]
 
     def terms(self, r: int) -> Rows:
-        """The entries of b_r as term dicts."""
-        d, h = len(self.bases) - 1, len(self.cofactors)
-        if r > h:
-            return paired(self.bases, r, self.terms(d + 1 - r), signed_terms)
-        delta = self.delta
+        """The entries of b_r = delta S_r + x1 C_r as term dicts."""
+        d, delta = len(self.bases) - 1, self.delta
         rows = [{j: {m: c * delta for m, c in p.terms.items()} for j, p in row.items()}
                 for row in self.skeleton[r - 1].entries]
-        if r == 1:
-            for row, crow in zip(rows, self.cofactors[0]):
+        if r in (1, d):
+            for row, crow in zip(rows, self.cofactor(r)):
                 for j, cof in crow.items():
                     # (m[0] + 1,) + m[1:] is x1 * m
                     row.setdefault(j, {}).update({(m[0] + 1,) + m[1:]: c for m, c in cof.items()})
         else:
             x1 = (1,) + (0,) * (d - 1)
-            for row, crow in zip(rows, self.cofactors[r - 1]):
+            for row, crow in zip(rows, self.cofactor(r)):
                 for j, c in crow.items():
                     row.setdefault(j, {})[x1] = c
         return rows
 
     def cofactor(self, r: int) -> Rows:
-        """C_r for 2 <= r <= d-1, by rows; past h paired from C_{d+1-r}, as b_r is from b_{d+1-r}."""
+        """C_r by rows; past h the pairing transpose of C_{d+1-r}: forms at r = d, constants inside."""
         if r <= len(self.cofactors):
             return self.cofactors[r - 1]
-        return paired(self.bases, r, self.cofactors[len(self.bases) - 1 - r], lambda c, e: c * e)
+        d = len(self.bases) - 1
+        return paired(self.bases, r, self.cofactors[d - r], signed_terms if r == d else times)
 
     def monomials(self, r: int) -> set[Mono]:
         """The distinct monomials of b_r: those of S_r, and x1 times those of C_r (C_{d+1-r} past h)."""
@@ -506,21 +490,16 @@ class Resolution:
 
     @property
     def matrices(self) -> tuple[PolyMatrix, ...]:
-        """b_1..b_d; in lift form new matrices, the lower half built once and the upper half paired from it."""
+        """b_1..b_d; in lift form new matrices."""
         if self.lift is None:
             return self.stored
-        lower = [self.lift.terms(r) for r in range(1, len(self.lift.cofactors) + 1)]
-        return tuple(self._built(r, rows) for r, rows in
-                     enumerate(pair_upper_half(self.bases, lower, signed_terms), 1))
+        return tuple(self.matrix(r) for r in range(1, self.d + 1))
 
     def matrix(self, r: int) -> PolyMatrix:
         """The matrix of the differential out of homological degree r (1-based)."""
         if self.lift is None:
             return self.stored[r - 1]
-        return self._built(r, self.lift.terms(r))
-
-    def _built(self, r: int, rows: Rows) -> BuiltMatrix:
-        return BuiltMatrix(self.bases[r - 1], self.bases[r], _polys(self.d, rows))
+        return BuiltMatrix(self.bases[r - 1], self.bases[r], _polys(self.d, self.lift.terms(r)))
 
     @property
     def betti(self) -> tuple[int, ...]:
@@ -542,8 +521,8 @@ class Plan:
     BuildContext.  cells[r - 1] lists the terms (i, j, m, pairs) of C_r,
     signed by the bases: m has degree n-1 at r = 1 and is 1 inside.  For
     odd d the middle map b_h pairs with itself, and cells[h - 1] holds only
-    its cells with i <= j; _evaluate fills the others (mirror).  The
-    other part of b_r, delta S_r, is canonical_skeleton's.  Every part is a
+    its cells with i <= j; _evaluate adds its pairing transpose (paired).
+    The other part of b_r, delta S_r, is canonical_skeleton's.  Every part is a
     tuple of ints and tuples, which the garbage collector can stop
     tracking, so the plan is not traversed again at each collection of the
     process.
@@ -576,9 +555,10 @@ def build_plan(d: int, n: int) -> Plan:
 
     b1_column and br_column run once, on a PlanContext; the plan is then
     evaluated for each inverse system (_evaluate).  For odd d, br_column
-    writes the self-paired middle map C_h on one side of its diagonal only
-    (mirror); a diagonal cell written where the map is antisymmetric is a
-    defect of the writer and raises ValueError.
+    writes the self-paired middle map C_h on one side of its diagonal only,
+    and _evaluate adds the other by the pairing rule; a diagonal cell
+    written where the map is antisymmetric is a defect of the writer and
+    raises ValueError.
     """
     ctx = PlanContext(d, n)
     bases = [duality_basis(d, n, r) for r in range(d + 1)]
@@ -604,7 +584,9 @@ def _evaluate(plan: Plan, ctx: BuildContext, bases: tuple[OrderedBasis, ...]) ->
 
     Each key is evaluated once; a term whose numerator is zero is dropped,
     and a nonzero numerator is divided by ctx.denom (polynomials.over).  The
-    middle map of odd d is completed from the side the plan holds (mirror).
+    middle map C_h of odd d is completed by its own pairing transpose
+    (paired), which fills the side the plan does not hold; on the diagonal
+    of a symmetric C_h the two sides agree.
     """
     # key index 0 is no key (PlanContext)
     values = [0] + [getattr(ctx, name)(u, v) for name, u, v in plan.keys]
@@ -623,9 +605,10 @@ def _evaluate(plan: Plan, ctx: BuildContext, bases: tuple[OrderedBasis, ...]) ->
                 else:
                     rows[i][j] = over(num, denom)
         out.append(rows)
-    d = len(bases) - 1
-    if d % 2:
-        mirror(out[-1], (-1) ** (len(out) - 1), times)
+    if len(bases) % 2 == 0:
+        # d is odd: the last map written, C_h, is its own partner
+        for row, other in zip(out[-1], paired(bases, len(out), out[-1], times)):
+            row.update(other)
     return tuple(out)
 
 
@@ -649,26 +632,22 @@ def canonical_skeleton(d: int, n: int) -> tuple[PolyMatrix, ...]:
     """The skeleton B/x1 B without its delta factor: the maps out of positions 1..d.
 
     It depends on (d, n) alone.  It is the only place where the entries of
-    the two Koszul strands on x2..xd are written: the monomial strand L on
-    the Y elements and the dual strand K on the X elements, with no entry
-    between the two kinds.  Built in the self-dual bases of every
-    resolution: the maps out of positions 1..h, h = (d+1)//2, are written
-    here and the later ones paired (pair_upper_half); Lift reads them as
-    S_r.  For odd d the middle map S_h pairs with itself.  Its side i <= j
-    is the K block: the X elements come first in the rows, and P_{h-1}
-    pairs each with the Y element at its position in the columns.  So only
-    the X columns are written, and the L block is their mirror.
+    the two Koszul strands on x2..xd are written, in the self-dual bases of
+    every resolution; Lift reads its maps as S_r.  The monomial strand L is
+    written on the Y columns of every position: at r = 1 each Y column's
+    monomial of degree n at Y0, and past it the Koszul contraction
+    (kos_expansion).  The dual strand K on the X elements is the pairing
+    transpose of L (paired): S_k is L_k beside the transpose of
+    L_{d+1-k}.  So K_1 = 0, S_d = K_d, and the self-paired middle map of
+    odd d is L_h beside its own transpose; no entry joins the two kinds.
     """
     bases = tuple(duality_basis(d, n, r) for r in range(d + 1))
-    h = (d + 1) // 2
-    lower = []
-    for r in range(1, h + 1):
-        if r == 1:
-            expans = [{y0(d): {mul_var(e.m, e.a[0]): 1}} if e.kind == "Y" else {} for _, e in bases[1]]
-        else:
-            expans = [{} if d % 2 and r == h and e.kind == "Y" else kos_expansion(e) for _, e in bases[r]]
-        lower.append(_assemble(bases[r - 1], bases[r], expans))
-    if d % 2:
-        mirror(lower[-1], (-1) ** (h - 1), signed_terms)
-    return tuple(PolyMatrix(bases[k - 1], bases[k], _polys(d, rows))
-                 for k, rows in enumerate(pair_upper_half(bases, lower, signed_terms), 1))
+    expansions = [[{y0(d): {mul_var(e.m, e.a[0]): 1}} if e.kind == "Y" else {} for _, e in bases[1]]]
+    expansions += [[kos_expansion(e) if e.kind == "Y" else {} for _, e in bases[r]] for r in range(2, d + 1)]
+    strand = [_assemble(bases[r - 1], bases[r], expans) for r, expans in enumerate(expansions, 1)]
+    out = []
+    for k in range(1, d + 1):
+        # new rows: L_k is also the partner that map d + 1 - k is paired from
+        rows = [{**own, **dual} for own, dual in zip(strand[k - 1], paired(bases, k, strand[d - k], signed_terms))]
+        out.append(PolyMatrix(bases[k - 1], bases[k], _polys(d, rows)))
+    return tuple(out)

@@ -37,12 +37,11 @@ Eisenbud, "Commutative Algebra", Thm 20.9).  Its cokernel is R/m^n once
 L_0 has one element and the entries of phi_1 are the monomials of degree n,
 each once.
 
-The dual strand K is not ranked.  The pairing rule (duality_failure) holds
-on the whole skeleton by construction: canonical_skeleton pairs its upper
-half from the lower one and mirrors the self-paired middle map of odd d.
-The rule pairs the X elements of each position with the Y elements of the
-complementary one, so K is the signed pairing transpose of L: Hom(L, R)
-up to twists.
+The dual strand K is not ranked, nor cut from the skeleton.
+canonical_skeleton writes only L and takes K by the pairing rule
+(duality_failure; differentials.paired), which pairs the X elements of
+each position with the Y elements of the complementary one.  So K is the
+signed pairing transpose of L by construction: Hom(L, R) up to twists.
 L resolves R/m^n, a perfect module of grade d-1 = dim R, so Hom(L, R) has
 homology only at its end, Ext^{d-1}_R(R/m^n, R): the canonical module of
 R/m^n up to a shift, whose Hilbert function is that of R/m^n reversed
@@ -78,7 +77,8 @@ one catalecticant rank), the degree-n annihilator and dim I_n, and every
 check that needs a fact reads it there.  On a built resolution three of
 them hold by construction and are read off the lift, not computed: the
 skeleton structure, the x1 split (every interior C_r is constant), and the
-pairing rule on every map, the self-paired middle one of odd d included.
+pairing rule on every map, as every map is its written entries beside the
+pairing transpose of its partner's (differentials.paired).
 The complex property
 rests on the self-duality: the pairing rule
 b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} (duality_failure) mirrors product
@@ -110,7 +110,7 @@ from math import comb, gcd
 from operator import sub
 
 from .differentials import Resolution, canonical_skeleton
-from .hookbasis import BasisElement, OrderedBasis, pairing, skeleton_kos_blocks
+from .hookbasis import BasisElement, OrderedBasis, pairing
 from .invsys import InverseSystem, ann_degree, hilbert_function, integer_coeffs
 from .monomials import Mono, monomials_of_degree
 from .polymatrix import PolyMatrix, denominator_lcm, pack
@@ -203,15 +203,16 @@ class Piece:
         return len(pivots)
 
 
-def graded_piece(mat: PolyMatrix, row_deg: int, col_deg: int, scale: int = 1) -> Piece:
-    """The degree piece of mat sending (columns x S_col_deg) to (rows x S_row_deg).
+def graded_piece(mat: PolyMatrix, row_deg: int, col_deg: int) -> Piece:
+    """The degree piece of mat sending (columns x S_col_deg) to (rows x S_row_deg), cleared to ints.
 
-    Entries are premultiplied by scale (a denominator-clearing integer);
-    global scaling never changes the rank.  Each distinct monomial of mat is
-    packed into an int once, in a base above the degree of every row
-    monomial and of every product of an entry term with a column monomial.
-    The packing is then one-to-one on them, so a term of the wrong degree
-    finds no row (KeyError) instead of landing on another one.
+    Entries are premultiplied by denominator_lcm(mat), which clears every
+    denominator; global scaling never changes the rank.  Each distinct
+    monomial of mat is packed into an int once, in a base above the degree
+    of every row monomial and of every product of an entry term with a
+    column monomial.  The packing is then one-to-one on them, so a term of
+    the wrong degree finds no row (KeyError) instead of landing on another
+    one.
     """
     d = mat.d
     row_monos = monomials_of_degree(d, row_deg)
@@ -220,7 +221,8 @@ def graded_piece(mat: PolyMatrix, row_deg: int, col_deg: int, scale: int = 1) ->
     ncols = len(mat.cols) * len(col_monos)
     if nrows == 0 or ncols == 0:
         return Piece(nrows, ncols, [])
-    mat = mat.cleared(scale)
+    scale = denominator_lcm(mat)
+    mat = mat if scale == 1 else mat.cleared(scale)
     monos = mat.monomials()
     base = max(row_deg, max(map(sum, monos), default=0) + col_deg) + 1
     keys = {m: pack(m, base) for m in monos}
@@ -309,17 +311,6 @@ def _linear_part_vanishes(s_rows, c_rows, s_next, c_next, ncols: int) -> bool:
         if any(lin.values()):
             return False
     return True
-
-
-def strand_matrices(d: int, n: int) -> tuple[dict[int, PolyMatrix], dict[int, PolyMatrix]]:
-    """The two skeleton strands by position, (L maps 1..d-1, K maps 2..d).
-
-    They are the diagonal blocks of canonical_skeleton(d, n), cut by
-    skeleton_kos_blocks, so the complex certified here is the one that the
-    skeleton of every resolution is compared against.
-    """
-    blocks = {r: skeleton_kos_blocks(mat) for r, mat in enumerate(canonical_skeleton(d, n), 1)}
-    return {r: blocks[r][1] for r in range(1, d)}, {r: blocks[r][0] for r in range(2, d + 1)}
 
 
 def fine_degree(e: BasisElement) -> tuple[int, ...]:
@@ -414,17 +405,20 @@ def strand_certificate(d: int, n: int) -> tuple[str, ...]:
     finely graded, a complex, meet the acyclicity criterion by exact ranks
     at the d-1 coordinate points, and present R/m^n, R = k[x2..xd]
     (_acyclicity_failures).  The dual strand K is the pairing transpose of
-    L by construction (canonical_skeleton pairs every map of the skeleton,
-    the module docstring); so it is Hom(L, R) up to twists, it composes to
-    zero as L does, and its bottom homology is dual_strand_h1k(d, n).  So
-    once the certificate holds, the skeleton is a complex as well.
+    L by construction (canonical_skeleton writes L and takes K from
+    differentials.paired), so only the L blocks of the maps out of
+    positions 1..d-1 are cut and ranked; K is Hom(L, R) up to twists, it
+    composes to zero as L does, and its bottom homology is
+    dual_strand_h1k(d, n).  So once the certificate holds, the skeleton is
+    a complex as well.
     """
-    for r, mat in enumerate(canonical_skeleton(d, n), 1):
+    skeleton = canonical_skeleton(d, n)
+    for r, mat in enumerate(skeleton, 1):
         kinds = [e.kind for _, e in mat.cols]
         for i, ((_, e), row) in enumerate(zip(mat.rows, mat.entries)):
             if any(kinds[j] != e.kind for j in row):
                 return (f"skeleton map out of position {r} joins an X and a Y element in row {i}",)
-    lmats, _ = strand_matrices(d, n)
+    lmats = {r: mat.block("Y") for r, mat in enumerate(skeleton[:d - 1], 1)}
     strand = _fine_strand("monomial", lmats)
     if isinstance(strand, str):
         return (strand,)
@@ -459,7 +453,7 @@ def ideal_dims(s: Session) -> int:
     """
     d, n = s.res.d, s.res.n
     b1 = s.matrix(1)
-    piece = graded_piece(b1, n, 0, scale=denominator_lcm(b1))
+    piece = graded_piece(b1, n, 0)
     bound = comb(n + d - 1, d - 1) - s.hf(n)
     if s.b1_annihilation_failure is None and any(piece.rank_mod(p) == bound for p in PRIMES):
         return bound
@@ -506,10 +500,11 @@ class Session:
     def duality_failure(self) -> tuple[int, int, int] | None:
         """None when the pairing rule holds on every pair (module duality_failure), else (r, jj, kk).
 
-        The lift holds the rule by construction: each map past h = (d+1)//2
-        is written from its partner by the rule, and the middle map of odd
-        d, which pairs with itself, is mirrored (differentials.mirror).  So
-        it is checked on the matrix form only.
+        The lift holds the rule by construction: S_r and C_r past
+        h = (d+1)//2 are the pairing transposes of their partners', and the
+        middle map of odd d, which pairs with itself, is completed by its
+        own transpose (differentials.paired).  So it is checked on the
+        matrix form only.
         """
         return duality_failure(self.res.bases, self.res.matrices) if self.lift is None else None
 

@@ -15,7 +15,13 @@ another way, by a route that is slower or more literal.
   of fine degrees, where ``exactness.strand_certificate`` takes it to be
   the pairing transpose of the monomial strand, as
   ``differentials.canonical_skeleton`` writes it, and takes its bottom
-  homology from the closed form.
+  homology from the closed form.  ``strand_matrices`` cuts both strands
+  out of the skeleton for it and for the tests.
+* ``straightened_dual_strand`` writes the dual strand as the paper does, by
+  straightening the Koszul contraction of every X element
+  (``hookbasis.kos_expansion``), where ``differentials.canonical_skeleton``
+  takes it as the pairing transpose of the monomial strand;
+  ``dual_strand_disagreement`` compares the two position by position.
 * ``naive_product`` multiplies two polynomial matrices entry by entry with
   ``Poly`` arithmetic over ``Fraction``, where ``PolyMatrix.mul`` packs the
   columns of each row of the right factor into one int per monomial.
@@ -65,7 +71,7 @@ from math import comb
 import numpy as np
 
 from gorlin import linalg
-from gorlin.differentials import BuildContext, Resolution
+from gorlin.differentials import BuildContext, Resolution, _assemble, _polys, canonical_skeleton
 from gorlin.exactness import (
     PRIMES,
     Piece,
@@ -75,14 +81,13 @@ from gorlin.exactness import (
     duality_failure,
     graded_piece,
     skeleton_block_failure,
-    strand_matrices,
     x1_split,
 )
 from gorlin.export import report_json
-from gorlin.hookbasis import BasisElement, expand_eta, expand_kappa
+from gorlin.hookbasis import BasisElement, duality_basis, expand_eta, expand_kappa, kos_expansion, skeleton_kos_blocks
 from gorlin.invsys import Catalecticant, Dual, InverseSystem, delta_and_Q, to_json_dict
 from gorlin.monomials import Mono, degree, div_var, monomials_of_degree, mul, mul_var, unit, var_divides
-from gorlin.polymatrix import PolyMatrix, denominator_lcm
+from gorlin.polymatrix import PolyMatrix
 from gorlin.polynomials import Poly, coeff_rows
 from gorlin.verify import run_checks
 
@@ -148,11 +153,10 @@ def certify_exactness_direct(s: Session, dmax: int) -> list[str]:
     failures = []
     d = res.d
     twists = res.twists
-    scales = [denominator_lcm(res.matrix(r)) for r in range(1, d + 1)]
     for e in range(0, dmax + 1):
         ms = position_dims(res, e)
         pieces = {
-            r: graded_piece(res.matrix(r), e - twists[r - 1], e - twists[r], scale=scales[r - 1])
+            r: graded_piece(res.matrix(r), e - twists[r - 1], e - twists[r])
             for r in range(1, d + 1)
             if ms[r] > 0
         }
@@ -317,6 +321,49 @@ def acyclicity_failures_by_box(degs, triples, n: int) -> list[str]:
             failures.append(f"monomial strand has bottom homology {hs[0]} in multidegree {a}, "
                             "not that of the quotient")
     return failures
+
+
+def strand_matrices(d: int, n: int) -> tuple[dict[int, PolyMatrix], dict[int, PolyMatrix]]:
+    """The two skeleton strands by position, (L maps 1..d-1, K maps 2..d).
+
+    They are the diagonal blocks of canonical_skeleton(d, n), cut by
+    skeleton_kos_blocks, so the complexes read here are the ones that the
+    skeleton of every resolution is compared against.
+    """
+    blocks = {r: skeleton_kos_blocks(mat) for r, mat in enumerate(canonical_skeleton(d, n), 1)}
+    return {r: blocks[r][1] for r in range(1, d)}, {r: blocks[r][0] for r in range(2, d + 1)}
+
+
+def straightened_dual_strand(d: int, n: int) -> dict[int, PolyMatrix]:
+    """The paper's dual strand K by position r = 1..d-1, its X x X blocks written by straightening.
+
+    Map r is the Koszul contraction of every X element of position r,
+    straightened into the standard basis (hookbasis.kos_expansion), and
+    assembled in the self-dual bases; its Y columns are empty.  K_1 is zero.
+    The top map K_d is not a contraction: the top element Xd has the unit
+    monomial, not one of degree n, and K_d is the pairing transpose of L_1.
+    """
+    bases = [duality_basis(d, n, r) for r in range(d + 1)]
+    out = {}
+    for r in range(1, d):
+        rows = _assemble(bases[r - 1], bases[r], [kos_expansion(e) if e.kind == "X" else {} for _, e in bases[r]])
+        out[r] = PolyMatrix(bases[r - 1], bases[r], _polys(d, rows)).block("X")
+    return out
+
+
+def dual_strand_disagreement(d: int, n: int) -> int | None:
+    """The first r < d whose straightened K_r differs from the X x X block of canonical_skeleton, or None.
+
+    canonical_skeleton takes K as the pairing transpose of the monomial
+    strand L; this is the check that it is the straightened dual strand of
+    the paper as well.
+    """
+    def terms(mat):
+        return [{j: p.terms for j, p in row.items()} for row in mat.entries]
+
+    skeleton = canonical_skeleton(d, n)
+    return next((r for r, mat in straightened_dual_strand(d, n).items()
+                 if terms(skeleton[r - 1].block("X")) != terms(mat)), None)
 
 
 def dual_strand_h1k_by_ranking(d: int, n: int) -> dict[int, int]:

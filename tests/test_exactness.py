@@ -30,7 +30,6 @@ from gorlin.exactness import (
     rank_mod_p,
     skeleton_block_failure,
     strand_certificate,
-    strand_matrices,
     x1_split,
 )
 from gorlin.hookbasis import OrderedBasis, pairing
@@ -40,7 +39,14 @@ from gorlin.polymatrix import PolyMatrix
 from gorlin.polynomials import Poly, poly_str
 
 from conftest import EXTRA, GRID, dense, extra_phi, grid_phi, grid_resolution, matrix_form, swap_variables
-from oracles import acyclicity_failures_by_box, dual_strand_h1k_by_ranking, ideal_dims_by_rref
+from oracles import (
+    acyclicity_failures_by_box,
+    dual_strand_disagreement,
+    dual_strand_h1k_by_ranking,
+    ideal_dims_by_rref,
+    strand_matrices,
+    straightened_dual_strand,
+)
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 MUTANTS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -185,12 +191,15 @@ def test_empty_piece_has_rank_zero():
     assert piece.rank_mod(PRIMES[0]) == 0 and piece.rank_exact() == 0
 
 
-def test_graded_piece_refuses_a_scale_that_leaves_a_fraction():
+def test_graded_piece_clears_a_fraction_itself():
+    # the piece is cleared by the lcm of the denominators of mat, so a Fraction entry gives
+    # the piece of the cleared copy, all in ints
     mat = matrix_form(grid_resolution(3, 2)).matrix(2)
     mat.set(0, 0, mat.entry(0, 0) + Poly.monomial(mul_var(unit(3), 1), Fraction(1, 2)))
-    with pytest.raises(AssertionError, match="leaves a fraction"):
-        graded_piece(mat, 1, 0)
-    assert graded_piece(mat, 1, 0, scale=denominator_lcm(mat)).triples
+    piece, cleared = graded_piece(mat, 1, 0), graded_piece(mat.cleared(denominator_lcm(mat)), 1, 0)
+    assert denominator_lcm(mat) == 2 and piece.triples
+    assert (piece.nrows, piece.ncols, piece.triples) == (cleared.nrows, cleared.ncols, cleared.triples)
+    assert all(type(c) is int for _, _, c in piece.triples)
 
 
 def test_graded_piece_refuses_a_term_of_the_wrong_degree():
@@ -359,8 +368,18 @@ def unpaired_at(skel):
 @pytest.mark.parametrize("d,n", GRID + [(6, 2), (7, 2)])
 def test_canonical_skeleton_holds_the_pairing_rule(d, n):
     # the strand certificate takes the dual strand to be the pairing transpose of the monomial
-    # strand, as canonical_skeleton writes it: the upper half paired, the middle map of odd d mirrored
+    # strand, as canonical_skeleton writes it: every map is L beside the transpose of its partner's L
     assert unpaired_at(canonical_skeleton(d, n)) is None
+
+
+@pytest.mark.parametrize("d,n", GRID + [(6, 2), (7, 2)])
+def test_the_pairing_transpose_of_the_monomial_strand_is_the_straightened_dual_strand(d, n):
+    # canonical_skeleton takes K from L by the pairing rule; the paper writes K by straightening
+    # the Koszul contraction of the X elements, and the two agree at every position below d
+    straightened = straightened_dual_strand(d, n)
+    assert sorted(straightened) == list(range(1, d))
+    assert any(any(mat.entries) for mat in straightened.values())
+    assert dual_strand_disagreement(d, n) is None
 
 
 @pytest.mark.parametrize("strand,r", [("monomial", 1), ("monomial", 3), ("dual", 2), ("dual", 4)])
@@ -608,9 +627,9 @@ def ranked_degrees(monkeypatch) -> list[int]:
     degrees = []
     build = exactness.graded_piece
 
-    def record(mat, row_deg, col_deg, scale=1):
+    def record(mat, row_deg, col_deg):
         degrees.append(row_deg)
-        return build(mat, row_deg, col_deg, scale)
+        return build(mat, row_deg, col_deg)
 
     monkeypatch.setattr(exactness, "graded_piece", record)
     return degrees

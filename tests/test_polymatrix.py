@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import lcm
 from unittest.mock import patch
 
+import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from gorlin import polymatrix
@@ -176,6 +177,15 @@ def test_readers_agree_with_the_dense_view(data):
     assert dense(cleared) == [[p.scale(scale) for p in row] for row in cells] and stores_no_zero(cleared)
     assert all(type(c) is int for row in cleared.entries for p in row.values() for c in p.terms.values())
     assert (cleared is mat) == (scale == 1)
+
+
+def test_cleared_refuses_a_scale_that_leaves_a_fraction():
+    x1, x2 = (1, 0), (0, 1)
+    mat = matrix(2, [[Poly(2, {x1: 3}), Poly(2, {x2: Fraction(1, 6)})]])
+    for scale in (1, 2, 4):
+        with pytest.raises(AssertionError, match="scale .* leaves a fraction in entry \\(0, 1\\)"):
+            mat.cleared(scale)
+    assert dense(mat.cleared(12)) == [[Poly(2, {x1: 36}), Poly(2, {x2: 2})]]
 
 
 def test_mul_with_large_fractional_coefficients_is_exact():

@@ -9,7 +9,7 @@ from math import comb
 import pytest
 from hypothesis import Phase, assume, given, seed, settings, strategies as st
 
-from gorlin.differentials import build_resolution, canonical_skeleton
+from gorlin.differentials import Resolution, build_resolution, canonical_skeleton
 from gorlin.exactness import (
     Session,
     certify_exactness,
@@ -17,6 +17,7 @@ from gorlin.exactness import (
     ideal_dims,
     rank_mod_p,
 )
+from gorlin.hookbasis import OrderedBasis
 from gorlin.invsys import InverseSystem, catalecticant_matrix, hf_value, random_invsys
 from gorlin.linalg import det_bareiss
 from gorlin.monomials import monomials_of_degree, mul_var, unit
@@ -290,6 +291,27 @@ def test_check_betti_catches_constant():
         bad = perturbed(res, r=r, i=i, j=j, bump=constant(3, 1))
         out = check_betti_and_degrees(Session(bad, bad.phi))
         assert not out.passed and out.summary == "entry degree pattern broken", (r, i, j)
+
+
+def test_check_betti_catches_a_wrong_twist_list():
+    res = grid_resolution(3, 2)
+    twists = res.twists[:-1] + (res.twists[-1] + 1,)
+    bad = Resolution.from_matrices(res.phi, res.delta, res.bases, res.matrices, twists)
+    out = check_betti_and_degrees(Session(bad, bad.phi))
+    assert res.twists == (0, 2, 3, 5)
+    assert (out.passed, out.summary) == (False, "twist list is wrong")
+    assert out.witness == "got (0, 2, 3, 6), expected (0, 2, 3, 5)"
+
+
+def test_check_betti_catches_a_basis_that_lost_an_element():
+    res = grid_resolution(3, 2)
+    first = res.bases[1]
+    bases = (res.bases[0], OrderedBasis(first.d, first.n, first.r, first.elements[:-1])) + res.bases[2:]
+    bad = Resolution.from_matrices(res.phi, res.delta, bases, res.matrices, res.twists)
+    out = check_betti_and_degrees(Session(bad, bad.phi))
+    assert res.betti == (1, 5, 5, 1) and bad.betti == (1, 4, 5, 1)
+    assert (out.passed, out.summary) == (False, "Betti numbers differ from the closed formula")
+    assert out.witness == "got (1, 4, 5, 1), expected (1, 5, 5, 1)"
 
 
 def test_check_betti_reports_the_first_broken_entry_in_row_major_order():
