@@ -19,8 +19,6 @@ from .invsys import (
     InadmissibleSystemError,
     InverseSystem,
     ann_degree,
-    catalecticant_matrix,
-    contract,
     delta_and_Q,
     hilbert_function,
     load_invsys,
@@ -40,8 +38,6 @@ __all__ = [
     "Resolution",
     "ann_degree",
     "build_resolution",
-    "catalecticant_matrix",
-    "contract",
     "delta_and_Q",
     "duality_basis",
     "enumerate_basis",

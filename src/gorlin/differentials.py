@@ -54,16 +54,8 @@ from operator import mul as times
 from typing import Any, Callable
 
 from .hookbasis import BasisElement, OrderedBasis, duality_basis, gamma_of, kos_expansion, pairing, y0
-from .invsys import Catalecticant, InverseSystem, delta_and_Q, integer_coeffs
-from .monomials import (
-    Mono,
-    div_var,
-    monomials_of_degree,
-    mul,
-    mul_var,
-    unit,
-    var_divides,
-)
+from .invsys import Catalecticant, InverseSystem, delta_and_Q
+from .monomials import Mono, div_var, monomials_of_degree, mul_var, unit, var_divides
 from .polymatrix import PolyMatrix
 from .polynomials import Poly, Scalar, exact, over
 
@@ -80,21 +72,21 @@ class BuildContext:
     itself is formed once, when _evaluate writes the entry.
 
     The sums over the monomials m of degree n-2 are dot products of int rows
-    built once per phi: A[u] = [t'_{u*m}] for u of degree n, QX[w] =
-    [Q[w, x1*m]] for each w of degree n-1 by its catalecticant index, and,
-    on first use, TQX[u] = [tq(u, x1*m)].
+    built once per phi: A[u] = [t'_{u*m}] for u of degree n, the rows of the
+    table L Cat_n (InverseSystem.catalecticant), QX[w] = [Q[w, x1*m]] for
+    each w of degree n-1 by its catalecticant index, and, on first use,
+    TQX[u] = [tq(u, x1*m)].
     """
 
     def __init__(self, phi: InverseSystem, cat: Catalecticant):
         self.d, self.n = phi.d, phi.n
         nm2 = monomials_of_degree(phi.d, phi.n - 2)
-        self.scale, self.t = integer_coeffs(phi)
+        self.scale = phi.scale
         self.index = cat.index
         self.denom = self.scale ** (len(cat.monos) + 1)
         self.delta = self.scale * cat.det
         self.q = [[self.scale**2 * v for v in row] for row in cat.adj]
-        t = self.t
-        self._a = {u: [t.get(mul(u, m), 0) for m in nm2] for u in monomials_of_degree(phi.d, phi.n)}
+        self._a = dict(zip(monomials_of_degree(phi.d, phi.n), phi.catalecticant(phi.n)))
         x1 = [cat.index[mul_var(m, 1)] for m in nm2]
         self._qx = [[row[k] for k in x1] for row in self.q]
         self._qx1 = [self._qx[k] for k in x1]

@@ -67,14 +67,20 @@ refuses a term of another degree), so I = S I_n, and once
 dim I_n = dim S_n - hf(n), I = S J_n = J in every degree.  A rank
 over GF(p) (rank_mod_p) bounds dim I_n from below and dim S_n - hf(n) from
 above, so a prime whose rank meets the bound pins it; when none does, the
-piece is ranked exactly (ideal_dims).
+piece is ranked exactly (ideal_dims).  On a lift only the x1 cofactors of
+the X columns are ranked: b_1 = delta S_1 + x1 C_1, and once the strand
+certificate holds, S_1 is zero on the X columns and has the distinct
+monomials of degree n in x2..xd on the Y columns.  With delta != 0 a
+relation among the columns then has no Y part (its x1-free part is a
+relation among distinct monomials), and x1 is a nonzerodivisor, so
+dim I_n = #Y + rank(C_1 on the X columns).
 
 The facts the certificate rests on (the complex property, the skeleton
 structure and the annihilation by b_1) are verdicts of their own as well.  A
 Session proves each of them once per verification run, together with the
 self-duality of B, the Hilbert function (fixed by delta != 0 and read off
-one catalecticant rank), the degree-n annihilator and dim I_n, and every
-check that needs a fact reads it there.  On a built resolution three of
+one catalecticant rank), the dimension of the degree-n annihilator and
+dim I_n, and every check that needs a fact reads it there.  On a built resolution three of
 them hold by construction and are read off the lift, not computed: the
 skeleton structure, the x1 split (every interior C_r is constant), and the
 pairing rule on every map, as every map is its written entries beside the
@@ -107,12 +113,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, gcd
-from operator import sub
+from operator import mul, sub
 
+from . import linalg
 from .differentials import Resolution, canonical_skeleton
 from .hookbasis import BasisElement, OrderedBasis, pairing
-from .invsys import InverseSystem, ann_degree, hilbert_function, integer_coeffs
-from .monomials import Mono, monomials_of_degree
+from .invsys import InverseSystem, ann_degree, hilbert_function
+from .monomials import Mono, monomial_index, monomials_of_degree
 from .polymatrix import PolyMatrix, denominator_lcm, pack
 from .polynomials import Poly, Scalar, clear_denominators, exact, poly_str
 
@@ -445,19 +452,31 @@ def dual_strand_h1k(d: int, n: int) -> dict[int, int]:
 def ideal_dims(s: Session) -> int:
     """dim I_n, where I is the ideal of the b_1 columns: the rank of graded_piece(b_1, n, 0).
 
+    On a lift whose strand certificate holds with delta != 0 it is the
+    number of columns where S_1 is nonzero plus the rank of C_1 on the
+    others, the X columns (module docstring); only that block is ranked.
     Its rank mod p is a lower bound.  When every column annihilates phi, I
     lies in J = ann(phi) and dim S_n - hf(n) is an upper bound, so a prime
     whose rank meets it pins dim I_n.  Otherwise, and when no prime meets
-    the bound, the piece is ranked exactly.  The other degrees of I follow
-    from this one (module docstring, certify_exactness).
+    the bound, the same block is ranked exactly.  The other degrees of I
+    follow from this one (module docstring, certify_exactness).
     """
     d, n = s.res.d, s.res.n
-    b1 = s.matrix(1)
-    piece = graded_piece(b1, n, 0)
     bound = comb(n + d - 1, d - 1) - s.hf(n)
-    if s.b1_annihilation_failure is None and any(piece.rank_mod(p) == bound for p in PRIMES):
+    lift = s.lift
+    if lift is not None and lift.delta and not strand_certificate(d, n):
+        skel, cof = lift.skeleton[0].entries[0], lift.cofactors[0][0]
+        xs = [j for j in range(len(lift.bases[1])) if j not in skel]
+        rows = monomial_index(d, n - 1)
+        # the block transposed, a row per X column: rank_mod_p then keeps fewer rows
+        cells = [(k, rows[m], c) for k, j in enumerate(xs) for m, c in cof.get(j, {}).items()]
+        ints = clear_denominators(c for _, _, c in cells)[1]
+        counted, piece = len(skel), Piece(len(xs), len(rows), [(k, i, v) for (k, i, _), v in zip(cells, ints)])
+    else:
+        counted, piece = 0, graded_piece(s.matrix(1), n, 0)
+    if s.b1_annihilation_failure is None and any(counted + piece.rank_mod(p) == bound for p in PRIMES):
         return bound
-    return piece.rank_exact()
+    return counted + piece.rank_exact()
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +602,14 @@ class Session:
         return self.hilbert[e] if 0 <= e < len(self.hilbert) else 0
 
     @cached_property
+    def ann_dim_n(self) -> int:
+        """dim ann(phi)_n = dim S_n - rank Cat_n, from the pivots of one rref of the table L Cat_n."""
+        d, n = self.res.d, self.res.n
+        return comb(n + d - 1, d - 1) - len(linalg.rref(self.phi.catalecticant(n))[1])
+
+    @cached_property
     def ann_n(self) -> list[Poly]:
-        """Basis of the degree-n annihilator of phi, from the catalecticant kernel."""
+        """Basis of the degree-n annihilator of phi (catalecticant kernel), read by check_wlp's fallback only."""
         return ann_degree(self.phi, self.res.n)
 
     @cached_property
@@ -598,28 +623,23 @@ class Session:
         """None when every b_1 column annihilates phi, else the index of the first that does not.
 
         A term c_m m of a column contracts phi to sum_q c_m t_{m*q} q^* over the
-        monomials q of degree 2n-2-deg(m).  Each column is cleared by the lcm
-        of its denominators and phi by integer_coeffs; that scales the
-        contraction by a nonzero integer, so the test is made in ints
-        (invsys.contract_poly is the rational reference).  Monomials are
-        packed in base top + 1, above every exponent of m, q and m*q, so each
-        product m*q is one int addition.
+        monomials q of degree 2n-2-deg(m): c_m times the row of m in Cat_{deg m},
+        and nothing above the socle degree.  Each column is cleared by the lcm
+        of its denominators and phi by L, whose tables L Cat_j
+        (InverseSystem.catalecticant) are integer; that scales the
+        contraction by a nonzero integer, so the test is made in ints, one sum
+        of table rows per column and term degree.
         """
-        d, top = self.res.d, self.phi.socle_degree
-        base = top + 1
-        t = {pack(m, base): v for m, v in integer_coeffs(self.phi)[1].items()}
-        quotients = [[pack(q, base) for q in monomials_of_degree(d, k)] for k in range(top + 1)]
+        phi, d, top = self.phi, self.res.d, self.phi.socle_degree
         for j, g in sorted(self.matrix(1).entries[0].items()):
-            out: dict[int, int] = {}
-            for m, c in zip(g.terms, clear_denominators(g.terms.values())[1]):
-                if sum(m) <= top:
-                    km = pack(m, base)
-                    for kq in quotients[top - sum(m)]:
-                        v = t.get(km + kq)
-                        if v:
-                            out[kq] = out.get(kq, 0) + c * v
-            if any(out.values()):
-                return j
+            cs, degs = clear_denominators(g.terms.values())[1], list(map(sum, g.terms))
+            for k in set(degs):
+                if k <= top:
+                    table, index = phi.catalecticant(k), monomial_index(d, k)
+                    rows = [table[index[m]] for m, e in zip(g.terms, degs) if e == k]
+                    ck = [c for c, e in zip(cs, degs) if e == k]
+                    if any(sum(map(mul, ck, col)) for col in zip(*rows)):
+                        return j
         return None
 
     @cached_property

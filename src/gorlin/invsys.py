@@ -1,9 +1,7 @@
-"""Macaulay inverse systems, contraction, and catalecticant data (T, delta, Q).
+"""Macaulay inverse systems and their catalecticant data (T, delta, Q).
 
 An inverse system phi of socle degree 2n-2 in d variables is stored as a map
-from degree-(2n-2) monomials to rational coefficients t_m.  Dual-space
-elements sum c_m * m^* are plain dicts monomial -> Fraction; the module
-action is the coefficient-free divisibility rule x^a(m^*) = (m/x^a)^*.
+from degree-(2n-2) monomials to rational coefficients t_m.
 
 A system is admissible when its middle catalecticant T is invertible
 (delta = det T != 0).  delta_and_Q decides this by one determinant and
@@ -11,10 +9,12 @@ refuses the rest; admissibility alone fixes the Hilbert function, which is
 compressed (hilbert_function).
 
 The catalecticant data are kept in integers.  With L the lcm of the
-denominators of phi (integer_coeffs), t' = L t and T' = L T are integer,
-and delta = det T' / L^N and Q = adj T' / L^(N-1) for N = dim S_{n-1}.
-contract_poly is the rational reference for the annihilation test that
-verification makes in these integers.
+denominators of phi (InverseSystem.scale), each catalecticant L Cat_j is an
+integer table, built once per system and degree (InverseSystem.catalecticant)
+and read by every fact about phi: delta = det T' / L^N and
+Q = adj T' / L^(N-1) for T' = L Cat_{n-1} and N = dim S_{n-1}, the Hilbert
+function (ranks), the annihilator (kernels, as the rref of L M is that of M)
+and the build's sums.
 """
 
 from __future__ import annotations
@@ -24,20 +24,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 from . import linalg
-from .monomials import (
-    Mono,
-    degree,
-    div,
-    divides,
-    monomials_of_degree,
-    mul,
-    sort_key,
-)
+from .monomials import Mono, degree, monomial_index, monomials_of_degree, sort_key
+from .polymatrix import pack
 from .polynomials import Poly, clear_denominators
-
-Dual = dict[Mono, Fraction]
 
 RANDOM_TRIES = 64  # draws of random_invsys before it gives up
 
@@ -58,11 +50,16 @@ def _parse_rational(m, c) -> Fraction:
 
 @dataclass(frozen=True)
 class InverseSystem:
-    """Homogeneous inverse system of degree 2n-2 in d variables."""
+    """Homogeneous inverse system of degree 2n-2 in d variables.
+
+    coeffs is read-only, so the integer tables cached on the system
+    (catalecticant) cannot go stale.
+    """
 
     d: int
     n: int
-    coeffs: dict[Mono, Fraction] = field(default_factory=dict)
+    coeffs: MappingProxyType[Mono, Fraction] = field(default_factory=dict)
+    scale: int = field(init=False, repr=False, compare=False)  # L, the lcm of the denominators
 
     def __post_init__(self):
         if type(self.d) is not int or type(self.n) is not int:
@@ -82,7 +79,16 @@ class InverseSystem:
             c = Fraction(c)
             if c:
                 clean[m] = c
-        object.__setattr__(self, "coeffs", clean)
+        scale, ints = clear_denominators(clean.values())
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+        object.__setattr__(self, "scale", scale)
+        # L t_m by pack(m, 2n-1), a base above every exponent, and the tables built from it by degree
+        object.__setattr__(self, "_packed", {pack(m, 2 * self.n - 1): v for m, v in zip(clean, ints)})
+        object.__setattr__(self, "_tables", {})
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; the tables are rebuilt on demand
+        return InverseSystem, (self.d, self.n, dict(self.coeffs))
 
     @property
     def socle_degree(self) -> int:
@@ -92,56 +98,31 @@ class InverseSystem:
         """The coefficient t_m = phi(m^*)."""
         return self.coeffs.get(m, Fraction(0))
 
+    def catalecticant(self, j: int) -> list[list[int]]:
+        """L Cat_j, the pairing matrix (L t_{m_row * m_col}) with rows of degree j and columns of degree 2n-2-j.
 
-def contract(m: Mono, nu: Dual) -> Dual:
-    """Module action of the monomial m on a dual element (degree drops by deg m)."""
-    out: Dual = {}
-    for key, c in nu.items():
-        if divides(m, key):
-            q = div(key, m)
-            v = out.get(q, Fraction(0)) + c
-            if v:
-                out[q] = v
-            else:
-                out.pop(q, None)
-    return out
-
-
-def contract_poly(g: Poly, nu: Dual) -> Dual:
-    """Linear extension of contract to a polynomial g."""
-    out: Dual = {}
-    for m, c in g.terms.items():
-        for key, v in contract(m, nu).items():
-            w = out.get(key, Fraction(0)) + c * v
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
-    return out
-
-
-def integer_coeffs(phi: InverseSystem) -> tuple[int, dict[Mono, int]]:
-    """(L, t') with L the lcm of the denominators of phi and t'_m = L * t_m, all integers."""
-    scale, ints = clear_denominators(phi.coeffs.values())
-    return scale, dict(zip(phi.coeffs, ints))
-
-
-def catalecticant_matrix(phi: InverseSystem, j: int) -> linalg.Matrix:
-    """Pairing matrix (t_{m_row * m_col}) with rows of degree j, columns of degree 2n-2-j."""
-    if not 0 <= j <= phi.socle_degree:
-        raise ValueError(f"degree {j} out of range 0..{phi.socle_degree}")
-    rows = monomials_of_degree(phi.d, j)
-    cols = monomials_of_degree(phi.d, phi.socle_degree - j)
-    return [[phi.t(mul(mr, mc)) for mc in cols] for mr in rows]
+        The integer table is built once per degree from the packed
+        coefficients, where a product of monomials is one int addition.
+        Every reader shares it, so none may alter it.
+        """
+        table = self._tables.get(j)
+        if table is None:
+            if not 0 <= j <= self.socle_degree:
+                raise ValueError(f"degree {j} out of range 0..{self.socle_degree}")
+            rows, cols = ([pack(m, 2 * self.n - 1) for m in monomials_of_degree(self.d, k)]
+                          for k in (j, self.socle_degree - j))
+            table = self._tables[j] = [[self._packed.get(r + c, 0) for c in cols] for r in rows]
+        return table
 
 
 @dataclass(frozen=True)
 class Catalecticant:
     """The middle catalecticant in integers: T' = L T, its determinant and adjugate.
 
-    scale is L (integer_coeffs), T the integer matrix T', det = det T' != 0 and
-    adj = adj T'.  The catalecticant of phi has determinant delta = det / L^N
-    and adjugate Q = adj / L^(N-1), N = len(monos).
+    scale is L (InverseSystem.scale), T the table T' = L Cat_{n-1}
+    (InverseSystem.catalecticant), det = det T' != 0 and adj = adj T'.  The
+    catalecticant of phi has determinant delta = det / L^N and adjugate
+    Q = adj / L^(N-1), N = len(monos).
     """
 
     phi: InverseSystem
@@ -165,8 +146,7 @@ def delta_and_Q(phi: InverseSystem) -> Catalecticant:
     adjugate.
     """
     monos = monomials_of_degree(phi.d, phi.n - 1)
-    scale, t = integer_coeffs(phi)
-    T = [[t.get(mul(a, b), 0) for b in monos] for a in monos]
+    T = phi.catalecticant(phi.n - 1)
     det, adj = linalg.det_and_adjugate(T)
     if adj is None:
         raise InadmissibleSystemError(
@@ -174,23 +154,19 @@ def delta_and_Q(phi: InverseSystem) -> Catalecticant:
             "so the quotient algebra has no Gorenstein-linear minimal resolution "
             "(equivalently, the degree-(n-1) pairing is degenerate)"
         )
-    index = {m: i for i, m in enumerate(monos)}
-    return Catalecticant(phi=phi, monos=monos, scale=scale, T=T, det=det, adj=adj, index=index)
+    return Catalecticant(phi=phi, monos=monos, scale=phi.scale, T=T, det=det, adj=adj,
+                         index=monomial_index(phi.d, phi.n - 1))
 
 
 def ann_degree(phi: InverseSystem, j: int) -> list[Poly]:
-    """Exact basis of {g in S_j : g(phi) = 0}, via the kernel of the degree-j pairing."""
+    """Exact basis of {g in S_j : g(phi) = 0}: the kernel of Cat_{2n-2-j}, the transpose of the degree-j pairing."""
     if j < 0:
         raise ValueError("negative degree")
     monos = monomials_of_degree(phi.d, j)
     if j > phi.socle_degree:
         return [Poly.monomial(m) for m in monos]
-    mat = linalg.transpose(catalecticant_matrix(phi, j))
-    vecs = linalg.kernel_basis(mat, ncols=len(monos))
-    out = []
-    for v in vecs:
-        out.append(Poly(phi.d, {m: c for m, c in zip(monos, v) if c}))
-    return out
+    vecs = linalg.kernel_basis(phi.catalecticant(phi.socle_degree - j))
+    return [Poly(phi.d, {m: c for m, c in zip(monos, v) if c}) for v in vecs]
 
 
 def hilbert_function(phi: InverseSystem) -> list[int]:
@@ -218,7 +194,7 @@ def hf_value(phi: InverseSystem, e: int) -> int:
     """dim (S/ann(phi))_e for any e >= 0 (zero beyond the socle degree)."""
     if e < 0 or e > phi.socle_degree:
         return 0
-    return linalg.rank(catalecticant_matrix(phi, e))
+    return linalg.rank(phi.catalecticant(e))
 
 
 def sum_of_powers(d: int, n: int = 2) -> InverseSystem:
@@ -242,7 +218,7 @@ def random_invsys(d: int, n: int, seed: int, coeff_bound: int = 5) -> InverseSys
         rng = random.Random(seed * 1_000_003 + attempt)
         coeffs = {m: Fraction(rng.randint(-coeff_bound, coeff_bound)) for m in monos}
         phi = InverseSystem(d, n, coeffs)
-        if linalg.det_bareiss(catalecticant_matrix(phi, n - 1)) != 0:
+        if linalg.det_bareiss(phi.catalecticant(n - 1)) != 0:
             return phi
     raise InadmissibleSystemError(
         f"could not find an admissible inverse system for d={d}, n={n}, "

@@ -103,6 +103,12 @@ def monomials_of_degree(d: int, deg: int, low_var: int = 1) -> tuple[Mono, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def monomial_index(d: int, deg: int) -> dict[Mono, int]:
+    """The position of each monomial in monomials_of_degree(d, deg), one shared dict to be read only."""
+    return {m: i for i, m in enumerate(monomials_of_degree(d, deg))}
+
+
 def mono_str(m: Mono, var: str = "x") -> str:
     """Readable form, e.g. 'x1^2*x3'; '1' for the unit; var names the variables."""
     parts = []

@@ -162,5 +162,7 @@ def clear_denominators(values) -> tuple[int, list[int]]:
     The values are ints or Fractions (an int has denominator 1).
     """
     values = list(values)
+    if all(type(v) is int for v in values):
+        return 1, values
     scale = lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]

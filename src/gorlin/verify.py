@@ -127,9 +127,9 @@ def check_euler_hilbert(s: Session) -> CheckResult:
 def check_ann_match(s: Session) -> CheckResult:
     """The b_1 columns span exactly the degree-n annihilator of phi.
 
-    Once every column annihilates phi, the columns lie in the span of the
-    oracle basis, so the union has the oracle's rank, its length; the rank
-    of the columns is dim I_n of the session.
+    Once every column annihilates phi, the columns lie in the degree-n
+    annihilator, so the union has the oracle's rank, dim ann(phi)_n of the
+    session; the rank of the columns is dim I_n of the session.
     """
     res = s.res
     n = res.n
@@ -141,7 +141,7 @@ def check_ann_match(s: Session) -> CheckResult:
         return CheckResult("ann", False, f"a first-matrix column is not a form of degree {n}",
                            "column {} has a term of degree {}".format(*s.b1_degree_failure))
     rank_cols = s.ideal_dim_n
-    rank_oracle = len(s.ann_n)
+    rank_oracle = s.ann_dim_n
     beta1 = res.betti[1]
     if not rank_cols == rank_oracle == beta1:
         return CheckResult(

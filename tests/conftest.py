@@ -75,6 +75,17 @@ def matrix_form(res):
     return Resolution.from_matrices(res.phi, res.delta, res.bases, mats, res.twists)
 
 
+def fractional_phi():
+    """The (4, 2) grid system with three coefficients made fractional, one of them 70 bits wide."""
+    base = grid_phi(4, 2)
+    keys = sorted(base.coeffs)
+    coeffs = dict(base.coeffs)
+    coeffs[keys[0]] /= 3
+    coeffs[keys[1]] += Fraction(2, 7)
+    coeffs[keys[2]] = Fraction(2**70 + 1, 999)
+    return InverseSystem(4, 2, coeffs)
+
+
 def squares_phi(d):
     key = ("sq", d)
     if key not in _cache:

@@ -48,6 +48,17 @@ another way, by a route that is slower or more literal.
   split and the skeleton), and compares the full ``run_checks`` report of
   its matrix form with the lift route's, where a ``Session`` on the lift
   reads S_r and C_r directly.
+* ``catalecticant_matrix`` writes the pairing matrix Cat_j of phi in
+  ``Fraction`` arithmetic from ``phi.t(mul(...))``, where
+  ``InverseSystem.catalecticant`` builds the integer table L Cat_j once per
+  degree from packed monomial keys; ``catalecticant_disagreement`` computes
+  on it, in ``Fraction`` arithmetic, the ranks, the annihilator bases and
+  delta and Q, where ``invsys.hf_value``, ``ann_degree`` and
+  ``delta_and_Q`` read the table.
+* ``contract`` and ``contract_poly`` apply the module action of S on dual
+  elements, the coefficient-free divisibility rule x^a(m^*) = (m/x^a)^*, in
+  ``Fraction`` arithmetic, where ``Session.b1_annihilation_failure`` sums
+  rows of the integer catalecticant tables.
 * ``q_of`` and ``tilde_contract`` are the maps of the paper's degree-n
   generators ``delta * mu - x1 * q(mu(lift))`` of the annihilator, written
   literally over dual elements, where ``differentials.b1_column`` writes
@@ -66,7 +77,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -85,14 +96,36 @@ from gorlin.exactness import (
 )
 from gorlin.export import report_json
 from gorlin.hookbasis import BasisElement, duality_basis, expand_eta, expand_kappa, kos_expansion, skeleton_kos_blocks
-from gorlin.invsys import Catalecticant, Dual, InverseSystem, delta_and_Q, to_json_dict
-from gorlin.monomials import Mono, degree, div_var, monomials_of_degree, mul, mul_var, unit, var_divides
+from gorlin.invsys import (
+    Catalecticant,
+    InadmissibleSystemError,
+    InverseSystem,
+    ann_degree,
+    delta_and_Q,
+    hf_value,
+    to_json_dict,
+)
+from gorlin.monomials import (
+    Mono,
+    degree,
+    div,
+    div_var,
+    divides,
+    monomials_of_degree,
+    mul,
+    mul_var,
+    unit,
+    var_divides,
+)
 from gorlin.polymatrix import PolyMatrix
 from gorlin.polynomials import Poly, coeff_rows
 from gorlin.verify import run_checks
 
 
 EXACT_ENTRY_LIMIT = 1_200_000
+
+# a dual element sum c_m m^* of the inverse-system module, as a dict monomial -> Fraction
+Dual = dict[Mono, Fraction]
 
 
 def certify_chain(pieces: dict[int, Piece], ms: list[int], exact_from: int):
@@ -563,6 +596,79 @@ def golden_skeleton_d4_n2(d: int = 4) -> tuple[list[list[Poly]], ...]:
     b3 = parse(_GOLDEN_D4_N2_B3)
     b4 = linalg.transpose(b1)
     return b1, b2, b3, b4
+
+
+def catalecticant_matrix(phi: InverseSystem, j: int) -> list[list[Fraction]]:
+    """Pairing matrix (t_{m_row * m_col}) with rows of degree j, columns of degree 2n-2-j."""
+    if not 0 <= j <= phi.socle_degree:
+        raise ValueError(f"degree {j} out of range 0..{phi.socle_degree}")
+    rows = monomials_of_degree(phi.d, j)
+    cols = monomials_of_degree(phi.d, phi.socle_degree - j)
+    return [[phi.t(mul(mr, mc)) for mc in cols] for mr in rows]
+
+
+def catalecticant_disagreement(phi: InverseSystem, ann_degrees=None) -> str | None:
+    """The first catalecticant fact of phi that differs from the rational reference, or None.
+
+    For every j the table phi.catalecticant(j) must be L times
+    catalecticant_matrix(phi, j), L the lcm of the denominators, and
+    hf_value(phi, j) its rank; for every j in ann_degrees (default: every
+    j) ann_degree(phi, j) must be the kernel of its transpose, read off
+    rref_by_fractions.  delta_and_Q must give det and adj of Cat_{n-1}
+    (det_and_adjugate_by_solve) over the powers of L, or refuse phi when that
+    determinant is 0.
+    """
+    top, scale = phi.socle_degree, lcm(*(c.denominator for c in phi.coeffs.values()))
+    for j in range(top + 1):
+        cat = catalecticant_matrix(phi, j)
+        if phi.catalecticant(j) != [[scale * v for v in row] for row in cat]:
+            return f"the table of degree {j} is not L Cat_{j}"
+        red, pivots = rref_by_fractions(linalg.transpose(cat))
+        if hf_value(phi, j) != len(pivots):
+            return f"hf_value({j}) = {hf_value(phi, j)}, the rational rank is {len(pivots)}"
+        if ann_degrees is not None and j not in ann_degrees:
+            continue
+        monos, ann = monomials_of_degree(phi.d, j), []
+        for fc in (c for c in range(len(monos)) if c not in pivots):
+            ann.append(Poly(phi.d, {monos[fc]: 1, **{monos[pc]: -red[r][fc] for r, pc in enumerate(pivots)}}))
+        if ann_degree(phi, j) != ann:
+            return f"ann_degree({j}) differs from the rational kernel"
+    delta, adj = det_and_adjugate_by_solve(catalecticant_matrix(phi, phi.n - 1))
+    try:
+        cat = delta_and_Q(phi)
+    except InadmissibleSystemError:
+        return None if delta == 0 else "delta_and_Q refuses a system with delta != 0"
+    q = scale ** (len(cat.monos) - 1)
+    if cat.delta != delta or [[Fraction(v, q) for v in row] for row in cat.adj] != adj:
+        return "delta_and_Q differs from the rational determinant and adjugate"
+    return None
+
+
+def contract(m: Mono, nu: Dual) -> Dual:
+    """Module action of the monomial m on a dual element (degree drops by deg m)."""
+    out: Dual = {}
+    for key, c in nu.items():
+        if divides(m, key):
+            q = div(key, m)
+            v = out.get(q, Fraction(0)) + c
+            if v:
+                out[q] = v
+            else:
+                out.pop(q, None)
+    return out
+
+
+def contract_poly(g: Poly, nu: Dual) -> Dual:
+    """Linear extension of contract to a polynomial g."""
+    out: Dual = {}
+    for m, c in g.terms.items():
+        for key, v in contract(m, nu).items():
+            w = out.get(key, Fraction(0)) + c * v
+            if w:
+                out[key] = w
+            else:
+                out.pop(key, None)
+    return out
 
 
 def q_of(cat: Catalecticant, nu: Dual) -> Poly:

@@ -15,7 +15,6 @@ from gorlin.exactness import Session, certify_exactness
 from gorlin.invsys import (
     InverseSystem,
     ann_degree,
-    contract_poly,
     random_invsys,
     save_invsys,
     sum_of_powers,
@@ -35,7 +34,7 @@ from conftest import (
     scaled,
     swap_variables,
 )
-from oracles import golden_skeleton_d4_n2, route_disagreement
+from oracles import contract_poly, golden_skeleton_d4_n2, route_disagreement
 
 
 def passline(num, text):

@@ -24,7 +24,6 @@ from gorlin.hookbasis import BasisElement, duality_basis, pairing, xd, y0
 from gorlin.invsys import (
     InadmissibleSystemError,
     InverseSystem,
-    contract_poly,
     delta_and_Q,
     random_invsys,
 )
@@ -45,7 +44,7 @@ from conftest import (
     scaled,
     squares_resolution,
 )
-from oracles import br_column_alt, q_of, route_disagreement, tilde_contract
+from oracles import br_column_alt, contract_poly, q_of, route_disagreement, tilde_contract
 
 
 def test_b1_identity_catalecticant_columns():

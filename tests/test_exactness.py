@@ -1,6 +1,7 @@
 """The rank kernels, the strand certificate and the saturated ideal dimensions, where they can break."""
 
 import copy
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -33,14 +34,25 @@ from gorlin.exactness import (
     x1_split,
 )
 from gorlin.hookbasis import OrderedBasis, pairing
-from gorlin.invsys import InverseSystem, contract_poly, random_invsys
+from gorlin.invsys import InverseSystem, random_invsys
 from gorlin.monomials import monomials_of_degree, mul, mul_var, unit
 from gorlin.polymatrix import PolyMatrix
 from gorlin.polynomials import Poly, poly_str
 
-from conftest import EXTRA, GRID, dense, extra_phi, grid_phi, grid_resolution, matrix_form, swap_variables
+from conftest import (
+    EXTRA,
+    GRID,
+    dense,
+    extra_phi,
+    fractional_phi,
+    grid_phi,
+    grid_resolution,
+    matrix_form,
+    swap_variables,
+)
 from oracles import (
     acyclicity_failures_by_box,
+    contract_poly,
     dual_strand_disagreement,
     dual_strand_h1k_by_ranking,
     ideal_dims_by_rref,
@@ -637,13 +649,52 @@ def ranked_degrees(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("d,n", [*GRID, (4, 4)])
 def test_ideal_dims_rank_nothing_from_degree_2n_minus_1(d, n, monkeypatch):
-    # ann(phi) is generated in degree n, so degree n is the only piece ranked
+    # ann(phi) is generated in degree n, so degree n is the only degree ranked; on a lift
+    # that is the block of C_1 on the X columns, a row per X column and a column per monomial
+    # of degree n-1, and no piece of b_1 is cut
     phi = extra_phi(EXTRA[0]) if (d, n) == (4, 4) else grid_phi(d, n)
     s = Session(build_resolution(phi) if (d, n) == (4, 4) else grid_resolution(d, n), phi)
     degrees = ranked_degrees(monkeypatch)
+    shapes = []
+    rank_mod = Piece.rank_mod
+    monkeypatch.setattr(Piece, "rank_mod", lambda self, p: shapes.append((self.nrows, self.ncols)) or rank_mod(self, p))
     assert ideal_dims(s) == comb(n + d - 1, d - 1) - s.hf(n)
-    assert degrees == [n]
+    xs = sum(e.kind == "X" for _, e in s.res.bases[1])
+    assert degrees == [] and shapes and set(shapes) == {(xs, comb(n - 1 + d - 1, d - 1))}
     assert certify_exactness(s) == []
+
+
+@pytest.mark.parametrize("system", [f"{d}-{n}" for d, n in GRID] + list(EXTRA) + ["fractional"])
+def test_ideal_dims_of_a_lift_is_the_rank_of_the_degree_n_piece_of_b1(system):
+    # #Y + rank(C_1 on the X columns) against the exact rank of the whole degree-n piece
+    if system == "fractional":
+        phi = fractional_phi()
+    else:
+        phi = extra_phi(system) if system in EXTRA else grid_phi(*map(int, system.split("-")))
+    res = build_resolution(phi)
+    assert ideal_dims(Session(res, phi)) == graded_piece(res.matrix(1), phi.n, 0).rank_exact()
+
+
+def test_ideal_dims_of_a_lift_with_two_equal_x_cofactor_columns_is_the_exact_smaller_rank(monkeypatch):
+    # a changed lift whose C_1 repeats one X column in another: every column still
+    # annihilates phi, but dim I_n is one short of the bound, so no prime pins it
+    res = grid_resolution(4, 2)
+    lift = res.lift
+    xs = [j for j, (_, e) in enumerate(res.bases[1]) if e.kind == "X"]
+    c1 = dict(lift.cofactors[0][0])
+    c1[xs[0]] = dict(c1[xs[1]])
+    bad = dataclasses.replace(res, lift=dataclasses.replace(lift, cofactors=([c1], *lift.cofactors[1:])))
+    s = Session(bad, res.phi)
+    assert s.b1_annihilation_failure is None
+    calls = []
+    rank_exact = Piece.rank_exact
+    monkeypatch.setattr(Piece, "rank_exact", lambda self: calls.append(self) or rank_exact(self))
+    want = graded_piece(bad.matrix(1), 2, 0).rank_exact()
+    calls.clear()
+    assert ideal_dims(s) == want == comb(5, 3) - s.hf(2) - 1 == 8
+    assert len(calls) == 1 and calls[0].nrows == len(xs)
+    s.complex_failure = None
+    assert certify_exactness(s) == ["coker(b_1) has dimension 2 in degree 2, Hilbert function of the quotient gives 1"]
 
 
 @pytest.mark.parametrize("d,n", GRID)
@@ -656,17 +707,6 @@ def test_ideal_dims_saturate_and_match_the_rref_oracle(d, n, monkeypatch):
 
     monkeypatch.setattr(Piece, "rank_exact", refuse)
     assert ideal_dims(s) == want
-
-
-def fractional_phi() -> InverseSystem:
-    """The (4, 2) grid system with three coefficients made fractional, one of them 70 bits wide."""
-    base = grid_phi(4, 2)
-    keys = sorted(base.coeffs)
-    coeffs = dict(base.coeffs)
-    coeffs[keys[0]] /= 3
-    coeffs[keys[1]] += Fraction(2, 7)
-    coeffs[keys[2]] = Fraction(2**70 + 1, 999)
-    return InverseSystem(4, 2, coeffs)
 
 
 def test_ideal_dims_with_fractional_coefficients():

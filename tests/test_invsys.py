@@ -1,17 +1,17 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gorlin import linalg
 from gorlin.invsys import (
     InadmissibleSystemError,
     InverseSystem,
     ann_degree,
-    catalecticant_matrix,
-    contract,
-    contract_poly,
     delta_and_Q,
     from_json_dict,
     hf_value,
@@ -24,8 +24,8 @@ from gorlin.invsys import (
 from gorlin.monomials import monomials_of_degree, mul, unit, variable
 from gorlin.polynomials import Poly
 
-from conftest import GRID, grid_phi, mat_mul, swap_variables
-from oracles import q_of, tilde_contract
+from conftest import GRID, fractional_phi, grid_phi, mat_mul, swap_variables
+from oracles import catalecticant_disagreement, catalecticant_matrix, contract, contract_poly, q_of, tilde_contract
 
 
 def test_construction_validation():
@@ -61,6 +61,46 @@ def test_construction_validation():
         with pytest.raises(ValueError, match="malformed inverse-system document: " + why):
             from_json_dict(doc)
     assert from_json_dict({"d": 3, "n": 2, "coefficients": ok}).coeffs == {(2, 0, 0): 1, (0, 2, 0): Fraction(1, 2)}
+
+
+def test_coefficients_are_read_only_and_the_system_copies_as_before():
+    phi = InverseSystem(3, 2, {(2, 0, 0): Fraction(3, 7), (0, 1, 1): -2, (0, 0, 2): 1})
+    with pytest.raises(TypeError):
+        phi.coeffs[(2, 0, 0)] = Fraction(1)
+    with pytest.raises(TypeError):
+        del phi.coeffs[(0, 0, 2)]
+    table = phi.catalecticant(1)
+    assert phi == InverseSystem(3, 2, dict(phi.coeffs)) != InverseSystem(3, 2, {(2, 0, 0): 1})
+    assert from_json_dict(to_json_dict(phi)) == phi
+    for other in (copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
+        assert other == phi and other.coeffs == {(2, 0, 0): Fraction(3, 7), (0, 1, 1): -2, (0, 0, 2): 1}
+        assert other.catalecticant(1) == table and other.scale == phi.scale == 7
+
+
+@st.composite
+def catalecticant_systems(draw):
+    """An integer, rational or variable-permuted system at a small (d, n), or fractional_phi()."""
+    kind = draw(st.sampled_from(["integer", "rational", "permuted", "fractional_phi"]))
+    if kind == "fractional_phi":
+        return fractional_phi()
+    d, n = draw(st.sampled_from([(3, 2), (3, 3), (4, 2), (4, 3), (3, 4)]))
+    monos = monomials_of_degree(d, 2 * n - 2)
+    if kind == "rational":
+        values = st.fractions(min_value=-2**70, max_value=2**70, max_denominator=999) | st.just(Fraction(0))
+    else:
+        values = st.integers(-3, 3)
+    phi = InverseSystem(d, n, {m: Fraction(draw(values)) for m in monos})
+    if kind == "permuted":
+        i, j = draw(st.lists(st.integers(1, d), min_size=2, max_size=2, unique=True))
+        phi = swap_variables(phi, i, j)
+    return phi
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(catalecticant_systems())
+def test_the_catalecticant_tables_and_their_facts_match_the_rational_reference(phi):
+    # for every j: L Cat_j, hf_value and ann_degree; and delta_and_Q, or its refusal when delta = 0
+    assert catalecticant_disagreement(phi) is None
 
 
 def test_contract_examples():

@@ -5,7 +5,7 @@ import pytest
 
 from gorlin.differentials import build_resolution
 from gorlin.invsys import random_invsys
-from gorlin.polynomials import Poly, poly_str
+from gorlin.polynomials import Poly, clear_denominators, poly_str
 
 from conftest import EXTRA, constant, constant_term, extra_phi, is_homogeneous
 
@@ -27,6 +27,14 @@ def rand_poly(rng, d=3, terms=4, deg=3):
 def test_product_example():
     p = (x(1) + x(2)) * (x(1) - x(2))
     assert p == Poly(3, {(2, 0, 0): 1, (0, 2, 0): -1})
+
+
+def test_clear_denominators_gives_ints_with_and_without_fractions():
+    assert clear_denominators(iter([3, -2, 0])) == (1, [3, -2, 0])
+    assert clear_denominators([1, Fraction(1, 2), Fraction(-2, 3)]) == (6, [6, 3, -4])
+    scale, ints = clear_denominators([Fraction(4), 5])
+    assert (scale, ints) == (1, [4, 5]) and all(type(v) is int for v in ints)
+    assert clear_denominators([]) == (1, [])
 
 
 def test_cancellation_gives_empty_terms():

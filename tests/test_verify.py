@@ -18,7 +18,7 @@ from gorlin.exactness import (
     rank_mod_p,
 )
 from gorlin.hookbasis import OrderedBasis
-from gorlin.invsys import InverseSystem, catalecticant_matrix, hf_value, random_invsys
+from gorlin.invsys import InverseSystem, hf_value, random_invsys
 from gorlin.linalg import det_bareiss
 from gorlin.monomials import monomials_of_degree, mul_var, unit
 from gorlin.polymatrix import PolyMatrix
@@ -50,7 +50,13 @@ from conftest import (
     squares_resolution,
     swap_variables,
 )
-from oracles import certify_exactness_direct, golden_skeleton_d4_n2, lift_fact_failure, route_disagreement
+from oracles import (
+    catalecticant_matrix,
+    certify_exactness_direct,
+    golden_skeleton_d4_n2,
+    lift_fact_failure,
+    route_disagreement,
+)
 
 
 def perturbed(res, r=2, i=0, j=0, bump=None):
@@ -735,16 +741,15 @@ def _count_calls(monkeypatch, counts, name, original, wanted=lambda *args: True)
 
 
 def test_run_checks_proves_each_fact_once(monkeypatch):
-    from gorlin import exactness, invsys
+    from gorlin import exactness, invsys, linalg
 
     phi = grid_phi(4, 2)
     res = matrix_form(grid_resolution(4, 2))
-    n = res.n
     counts = _counting_products(monkeypatch, res)
     exactness.strand_certificate.cache_clear()
     _count_calls(monkeypatch, counts, "skeleton_block_failure", exactness.skeleton_block_failure)
-    _count_calls(monkeypatch, counts, "ann_degree", invsys.ann_degree,
-                 lambda p, j: p is phi and j == n)
+    # dim ann(phi)_n is read off the pivots of one rref of the degree-n catalecticant
+    _count_calls(monkeypatch, counts, "rref", linalg.rref)
     _count_calls(monkeypatch, counts, "hilbert_function", invsys.hilbert_function)
     _count_calls(monkeypatch, counts, "ideal_dims", exactness.ideal_dims)
     # only the pairing rule of the matrix form is counted; the skeleton holds its own by construction
@@ -759,10 +764,22 @@ def test_run_checks_proves_each_fact_once(monkeypatch):
         "b_1 b_2": 1,
         "duality_failure": 1,
         "skeleton_block_failure": 1,
-        "ann_degree": 1,
+        "rref": 1,
         "hilbert_function": 1,
         "ideal_dims": 1,
     })
+
+
+def test_a_passing_run_on_the_lift_cuts_no_piece_of_b1_and_forms_no_annihilator_basis(monkeypatch):
+    # dim I_n is read off the X cofactors and dim ann(phi)_n off one rref of a table
+    from gorlin import exactness, invsys
+
+    counts = Counter()
+    _count_calls(monkeypatch, counts, "graded_piece", exactness.graded_piece)
+    _count_calls(monkeypatch, counts, "ann_degree", invsys.ann_degree)
+    for d, n in GRID:
+        assert run_checks(grid_resolution(d, n), grid_phi(d, n)).passed
+    assert counts == Counter()
 
 
 @pytest.mark.parametrize("system", [f"{d}-{n}" for d, n in GRID] + list(EXTRA))
