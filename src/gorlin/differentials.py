@@ -36,7 +36,7 @@ forms of C_1.  It returns the lift (Lift): delta, canonical_skeleton(d, n)
 and those cofactors, frozen.  No matrix is written then: Resolution builds
 each on request as delta S_r beside x1 C_r, and a Session reads S and C
 from the lift itself.  So the skeleton, the x1 split and the pairing rule
-on every map hold by construction.
+on every map hold by construction, and a resolution has no other form.
 Every coefficient is an integer numerator over one power of the lcm L of
 phi's denominators; _evaluate divides it out when it writes the term, so
 a coefficient is an int whenever it is integral (always, for phi with
@@ -430,8 +430,9 @@ class Lift:
         return paired(self.bases, r, self.cofactors[d - r], signed_terms if r == d else times)
 
     def monomials(self, r: int) -> set[Mono]:
-        """The distinct monomials of b_r: those of S_r, and x1 times those of C_r (C_{d+1-r} past h)."""
-        out = self.skeleton[r - 1].monomials()
+        """The distinct monomials of b_r: those of S_r (skeleton_monomials) and x1 times those of C_r or C_{d+1-r}."""
+        basis = self.bases[0]
+        out = set(skeleton_monomials(basis.d, basis.n)[r - 1])
         r = min(r, len(self.bases) - r)
         if r == 1:
             out.update((m[0] + 1,) + m[1:] for row in self.cofactors[0] for cof in row.values() for m in cof)
@@ -440,37 +441,21 @@ class Lift:
         return out
 
 
-class BuiltMatrix(PolyMatrix):
-    """A matrix built from a lift, new on each request: set refuses, as it would alter only this copy."""
-
-    def set(self, i: int, j: int, p: Poly) -> None:
-        raise TypeError("a matrix built from a lift is read-only; alter a Resolution.from_matrices copy")
-
-
 @dataclass
 class Resolution:
     """The resolution of phi in its self-dual bases, bases[k] at position k, with its twists.
 
-    build_resolution gives the lift form: lift is the Lift it wrote, and
-    each matrix is built from it on request, a new BuiltMatrix on every
-    call, so nothing done to a matrix handed out alters the resolution, its
-    dumps or the facts a Session proves from the lift.  from_matrices gives
-    the matrix form: lift is None and the matrices are kept as given, for a
-    caller to alter; a Session proves every fact on them, the full route.
+    lift is the Lift that build_resolution wrote, and each matrix is built
+    from it on request, a new PolyMatrix on every call, so nothing done to
+    a matrix handed out alters the resolution, its dumps or the facts a
+    Session proves from the lift.
     """
 
     phi: InverseSystem
     delta: Fraction
     bases: tuple[OrderedBasis, ...]
     twists: tuple[int, ...]
-    lift: Lift | None = None
-    stored: tuple[PolyMatrix, ...] = ()
-
-    @classmethod
-    def from_matrices(cls, phi: InverseSystem, delta: Fraction, bases: tuple[OrderedBasis, ...],
-                      matrices, twists: tuple[int, ...]) -> "Resolution":
-        """The matrix form with b_r = matrices[r - 1], each kept as a mutable PolyMatrix on its rows."""
-        return cls(phi, delta, bases, twists, stored=tuple(PolyMatrix(m.rows, m.cols, m.entries) for m in matrices))
+    lift: Lift
 
     @property
     def d(self) -> int:
@@ -482,16 +467,12 @@ class Resolution:
 
     @property
     def matrices(self) -> tuple[PolyMatrix, ...]:
-        """b_1..b_d; in lift form new matrices."""
-        if self.lift is None:
-            return self.stored
+        """b_1..b_d, new matrices."""
         return tuple(self.matrix(r) for r in range(1, self.d + 1))
 
     def matrix(self, r: int) -> PolyMatrix:
-        """The matrix of the differential out of homological degree r (1-based)."""
-        if self.lift is None:
-            return self.stored[r - 1]
-        return BuiltMatrix(self.bases[r - 1], self.bases[r], _polys(self.d, self.lift.terms(r)))
+        """The matrix of the differential out of homological degree r (1-based), built from the lift."""
+        return PolyMatrix(self.bases[r - 1], self.bases[r], _polys(self.d, self.lift.terms(r)))
 
     @property
     def betti(self) -> tuple[int, ...]:
@@ -643,3 +624,9 @@ def canonical_skeleton(d: int, n: int) -> tuple[PolyMatrix, ...]:
         rows = [{**own, **dual} for own, dual in zip(strand[k - 1], paired(bases, k, strand[d - k], signed_terms))]
         out.append(PolyMatrix(bases[k - 1], bases[k], _polys(d, rows)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def skeleton_monomials(d: int, n: int) -> tuple[frozenset[Mono], ...]:
+    """The distinct monomials of each map of canonical_skeleton(d, n), by r - 1: a fact of (d, n), read once."""
+    return tuple(frozenset(mat.monomials()) for mat in canonical_skeleton(d, n))

@@ -13,11 +13,9 @@ homology h1k of the dual skeleton strand over d-1 variables.  The skeleton
 depends only on (d, n): differentials.canonical_skeleton(d, n) writes it
 once.  strand_certificate proves, once per (d, n), the one fact about it:
 it is the dual strand K beside the monomial strand L, both exact, K the
-dual of L.  A built resolution is the lift b_r = delta S_r + x1 C_r of that
+dual of L.  A resolution is the lift b_r = delta S_r + x1 C_r of that
 skeleton (differentials.Lift), so its skeleton is delta S_r by
-construction.  On a resolution given as matrices (Resolution.from_matrices)
-skeleton_block_failure compares the terms free of x1, from the one-pass
-split x1_split, with delta times the same matrices.
+construction, and the skeleton check is the strand certificate.
 
 The monomial strand L must resolve R/m^n, for R = k[x2..xd] and m its
 maximal ideal.  A strand basis element b has the multidegree c(b) over
@@ -39,7 +37,7 @@ each once.
 
 The dual strand K is not ranked, nor cut from the skeleton.
 canonical_skeleton writes only L and takes K by the pairing rule
-(duality_failure; differentials.paired), which pairs the X elements of
+(differentials.paired), which pairs the X elements of
 each position with the Y elements of the complementary one.  So K is the
 signed pairing transpose of L by construction: Hom(L, R) up to twists.
 L resolves R/m^n, a perfect module of grade d-1 = dim R, so Hom(L, R) has
@@ -75,24 +73,23 @@ relation among the columns then has no Y part (its x1-free part is a
 relation among distinct monomials), and x1 is a nonzerodivisor, so
 dim I_n = #Y + rank(C_1 on the X columns).
 
-The facts the certificate rests on (the complex property, the skeleton
-structure and the annihilation by b_1) are verdicts of their own as well.  A
-Session proves each of them once per verification run, together with the
-self-duality of B, the Hilbert function (fixed by delta != 0 and read off
-one catalecticant rank), the dimension of the degree-n annihilator and
-dim I_n, and every check that needs a fact reads it there.  On a built resolution three of
-them hold by construction and are read off the lift, not computed: the
-skeleton structure, the x1 split (every interior C_r is constant), and the
-pairing rule on every map, as every map is its written entries beside the
-pairing transpose of its partner's (differentials.paired).
+The facts the certificate rests on (the complex property and the
+annihilation by b_1) are verdicts of their own as well.  A Session proves
+each of them once per verification run, together with the Hilbert function
+(fixed by delta != 0 and read off one catalecticant rank), the dimension of
+the degree-n annihilator and dim I_n, and every check that needs a fact
+reads it there.  Three facts hold by construction of the lift and are not
+computed: the skeleton structure, the x1 split (every interior C_r is
+constant), and the pairing rule on every map, as every map is its written
+entries beside the pairing transpose of its partner's
+(differentials.paired).  The tests prove all three from the matrices
+(tests/oracles.py, the matrix form and its MatrixSession).
 The complex property
 rests on the self-duality: the pairing rule
-b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} (duality_failure) mirrors product
-d - r onto product r, so once the rule holds only the products with
-r <= d // 2 are considered.  Of those, an interior product
-(2 <= r, r + 1 <= d - 1) is read off the x1-split of its two matrices, or
-off the lift, where C_{r+1} past the middle is the pairing of its partner:
-once the skeleton holds and every term with x1 is a multiple of x1 itself,
+b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} mirrors product d - r onto
+product r, so only the products with r <= d // 2 are considered.  Of
+those, an interior product (2 <= r, r + 1 <= d - 1) is read off the lift,
+where C_{r+1} past the middle is the pairing of its partner:
 b_r = delta S_r + x1 C_r with C_r constant, and
     b_r b_{r+1} = delta^2 S_r S_{r+1} + delta x1 (S_r C_{r+1} + C_r S_{r+1})
                   + x1^2 C_r C_{r+1},
@@ -117,7 +114,7 @@ from operator import mul, sub
 
 from . import linalg
 from .differentials import Resolution, canonical_skeleton
-from .hookbasis import BasisElement, OrderedBasis, pairing
+from .hookbasis import BasisElement
 from .invsys import InverseSystem, ann_degree, hilbert_function
 from .monomials import Mono, monomial_index, monomials_of_degree
 from .polymatrix import PolyMatrix, denominator_lcm, pack
@@ -268,10 +265,12 @@ Split = tuple[list[dict[int, dict]], list[dict[int, Scalar]] | None]
 def x1_split(mat: PolyMatrix) -> Split:
     """One pass over the terms of mat: (x1-free terms, x1 cofactor) by row.
 
-    free[i] maps a column j to the terms free of x1 of entry (i, j), for the
-    entries that have any.  cof[i] maps j to c when the terms of entry
-    (i, j) that have x1 are c * x1; cof is None when some term with x1 is
-    not a multiple of x1 itself, as at both ends of B.
+    The lift holds this split by construction; the matrix form of the tests
+    (tests/oracles.py) reads it off its matrices.  free[i] maps a column j
+    to the terms free of x1 of entry (i, j), for the entries that have any.
+    cof[i] maps j to c when the terms of entry (i, j) that have x1 are
+    c * x1; cof is None when some term with x1 is not a multiple of x1
+    itself, as at both ends of B.
     """
     x1 = (1,) + (0,) * (mat.d - 1)
     free: list[dict[int, dict]] = []
@@ -298,7 +297,7 @@ def _linear_part_vanishes(s_rows, c_rows, s_next, c_next, ncols: int) -> bool:
 
     s_rows, s_next are the rows of skeleton maps (PolyMatrix.entries), with int
     coefficients on monomials free of x1; c_rows, c_next are constant
-    matrices as the x1 cofactors of x1_split, and ncols is the number of
+    matrices by rows, as Lift.cofactor gives them, and ncols is the number of
     columns of C_{r+1}.  Row i is summed in a dict, the coefficient of the
     k-th skeleton monomial at column j under the key k * ncols + j.
     """
@@ -452,9 +451,9 @@ def dual_strand_h1k(d: int, n: int) -> dict[int, int]:
 def ideal_dims(s: Session) -> int:
     """dim I_n, where I is the ideal of the b_1 columns: the rank of graded_piece(b_1, n, 0).
 
-    On a lift whose strand certificate holds with delta != 0 it is the
-    number of columns where S_1 is nonzero plus the rank of C_1 on the
-    others, the X columns (module docstring); only that block is ranked.
+    When the strand certificate holds and delta != 0 it is the number of
+    columns where S_1 is nonzero plus the rank of C_1 on the others, the X
+    columns (module docstring); only that block of the lift is ranked.
     Its rank mod p is a lower bound.  When every column annihilates phi, I
     lies in J = ann(phi) and dim S_n - hf(n) is an upper bound, so a prime
     whose rank meets it pins dim I_n.  Otherwise, and when no prime meets
@@ -464,7 +463,7 @@ def ideal_dims(s: Session) -> int:
     d, n = s.res.d, s.res.n
     bound = comb(n + d - 1, d - 1) - s.hf(n)
     lift = s.lift
-    if lift is not None and lift.delta and not strand_certificate(d, n):
+    if lift.delta and not strand_certificate(d, n):
         skel, cof = lift.skeleton[0].entries[0], lift.cofactors[0][0]
         xs = [j for j in range(len(lift.bases[1])) if j not in skel]
         rows = monomial_index(d, n - 1)
@@ -489,13 +488,11 @@ class Session:
 
     A session lives for one verification run.  Its facts are computed on
     first use and kept on the session, never on the resolution or the
-    inverse system, so a copy of a resolution that is then altered starts
-    from nothing in a session of its own.  On the lift form of a resolution
-    (differentials.Lift) the session reads S_r and C_r from the lift, and
-    builds a matrix from it only when a check needs one, once (matrix).
-    Three facts then hold by construction: the skeleton, the x1 split, and
-    the pairing rule on every map.  On the matrix form
-    (Resolution.from_matrices) every fact is computed from the matrices.
+    inverse system, so a changed copy of a resolution starts from nothing
+    in a session of its own.  The session reads S_r and C_r from the lift
+    (differentials.Lift), and builds a matrix from it only when a check
+    needs one, once (matrix).  The skeleton, the x1 split and the pairing
+    rule on every map hold by construction, so no fact stands for them.
     """
 
     def __init__(self, res: Resolution, phi: InverseSystem):
@@ -513,36 +510,27 @@ class Session:
 
     def monomials(self, r: int) -> set[Mono]:
         """The distinct monomials of b_r."""
-        return self.matrix(r).monomials() if self.lift is None else self.lift.monomials(r)
+        return self.lift.monomials(r)
 
-    @cached_property
-    def duality_failure(self) -> tuple[int, int, int] | None:
-        """None when the pairing rule holds on every pair (module duality_failure), else (r, jj, kk).
-
-        The lift holds the rule by construction: S_r and C_r past
-        h = (d+1)//2 are the pairing transposes of their partners', and the
-        middle map of odd d, which pairs with itself, is completed by its
-        own transpose (differentials.paired).  So it is checked on the
-        matrix form only.
-        """
-        return duality_failure(self.res.bases, self.res.matrices) if self.lift is None else None
+    def cofactor(self, r: int) -> list[dict[int, Scalar]]:
+        """The constant x1 cofactor C_r of an interior b_r by rows, C_{d+1-r} paired past the middle."""
+        return self.lift.cofactor(r)
 
     @cached_property
     def complex_failure(self) -> tuple[int, int, int, Poly] | None:
         """None when b_r b_{r+1} = 0 for all r, else the first (r, i, j, entry) that is not 0.
 
-        Under the pairing rule, b_{d-r} b_{d-r+1} = -P_{r+1}^{-1} (b_r b_{r+1})^T P_{r-1}
-        with P_k invertible, so product d - r vanishes exactly when product r
-        does.  The nonzero products are then symmetric under r -> d - r and
-        the first lies at r <= d // 2, so only those are considered.
+        Under the pairing rule, which every map of the lift holds,
+        b_{d-r} b_{d-r+1} = -P_{r+1}^{-1} (b_r b_{r+1})^T P_{r-1} with P_k
+        invertible, so product d - r vanishes exactly when product r does.
+        The nonzero products are then symmetric under r -> d - r and the
+        first lies at r <= d // 2, so only those are considered.
 
         The first nonzero product in r is returned, so b_{r-1} b_r = 0 is
         proved when an interior product (2 <= r, r + 1 <= d - 1) is taken
-        up.  That one is proved zero by induction when skeleton_failure is
-        None, strand_certificate holds, every term with x1 of b_r and b_{r+1}
-        is c * x1, so b_r = delta S_r + x1 C_r with C_r constant (cofactor:
-        x1_split on the matrix form, the lift's C_r on a built resolution,
-        C_{r+1} paired from its partner past the middle), and
+        up.  The lift gives b_r = delta S_r + x1 C_r with C_r constant
+        (cofactor, C_{r+1} paired from its partner past the middle), and the
+        product is proved zero by induction when strand_certificate holds and
         S_r C_{r+1} + C_r S_{r+1} = 0 (_linear_part_vanishes).  Then
         b_r b_{r+1} = x1^2 M, M = C_r C_{r+1}, as S_r S_{r+1} = 0 by the
         certificate, and x1^2 b_{r-1} M = b_{r-1} b_r b_{r+1} = 0 gives
@@ -559,8 +547,7 @@ class Session:
         witness is that of first_nonzero_product.
         """
         d = self.res.d
-        last = d // 2 if self.duality_failure is None else d - 1
-        for r in range(1, last + 1):
+        for r in range(1, d // 2 + 1):
             if not (2 <= r <= d - 2 and self._interior_product_vanishes(r)):
                 found = first_nonzero_product({r: self.matrix(r), r + 1: self.matrix(r + 1)})
                 if found is not None:
@@ -570,27 +557,12 @@ class Session:
     def _interior_product_vanishes(self, r: int) -> bool:
         """Whether b_r b_{r+1} = 0 follows from b_{r-1} b_r = 0, proved by the caller (complex_failure)."""
         d, n = self.res.d, self.res.n
-        c_r, c_next = self.cofactor(r), self.cofactor(r + 1)
-        if (c_r is None or c_next is None or not self.res.delta or self.skeleton_failure is not None
-                or strand_certificate(d, n)):
+        if not self.res.delta or strand_certificate(d, n):
             return False
         skel = canonical_skeleton(d, n)
-        return (_linear_part_vanishes(skel[r - 1].entries, c_r, skel[r].entries, c_next, skel[r].shape[1])
+        return (_linear_part_vanishes(skel[r - 1].entries, self.cofactor(r), skel[r].entries, self.cofactor(r + 1),
+                                      skel[r].shape[1])
                 and (r >= 3 or (self.b1_degree_failure is None and self.ideal_dim_n == self.res.betti[1])))
-
-    @cached_property
-    def x1_splits(self) -> tuple[Split, ...]:
-        """x1_split of every b_r of the matrix form, by r - 1."""
-        return tuple(x1_split(m) for m in self.res.matrices)
-
-    def cofactor(self, r: int) -> list[dict[int, Scalar]] | None:
-        """The constant x1 cofactor C_r of an interior b_r by rows, or None when a term with x1 is not c * x1."""
-        return self.x1_splits[r - 1][1] if self.lift is None else self.lift.cofactor(r)
-
-    @cached_property
-    def skeleton_failure(self) -> str | None:
-        """None when b_r = delta S_r modulo x1 for every r (skeleton_block_failure), as the lift is by construction."""
-        return skeleton_block_failure(self.res, self.x1_splits) if self.lift is None else None
 
     @cached_property
     def hilbert(self) -> list[int]:
@@ -649,12 +621,12 @@ class Session:
 
 
 def skeleton_block_failure(res: Resolution, splits: tuple[Split, ...]) -> str | None:
-    """Check that the mod-x1 matrices are delta times canonical_skeleton(d, n).
+    """Check that the mod-x1 matrices of res are delta times canonical_skeleton(d, n).
 
-    Returns a witness string on failure, None on success.  This both
-    validates the skeleton structure and licenses the use of the canonical
-    strand certificate for the homology of res mod x1.  The terms free of
-    x1 come from splits (x1_split of every matrix) and are compared with
+    Returns a witness string on failure, None on success.  A lift holds
+    this by construction; the matrix form of the tests (tests/oracles.py)
+    proves it here, and bench/tracer.py traces it by name.  The terms free
+    of x1 come from splits (x1_split of every matrix) and are compared with
     delta times the skeleton terms, entry by entry, with no matrix or dict
     built for the comparison.
     """
@@ -671,44 +643,6 @@ def skeleton_block_failure(res: Resolution, splits: tuple[Split, ...]) -> str | 
                    or any(a.get(m) != c * delta for m, c in b.items())]
             if bad:
                 return f"skeleton of b_{r} differs from the canonical strand form at ({i}, {min(bad)})"
-    return None
-
-
-def duality_failure(bases: tuple[OrderedBasis, ...], mats) -> tuple[int, int, int] | None:
-    """Check b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} for every r = 0..d-1, on every pair.
-
-    bases[k] is the basis at position k = 0..d and mats[r - 1] = b_r maps
-    position r to r - 1: the matrices of a resolution, or of a skeleton
-    (canonical_skeleton holds the rule by construction).  P_k is the pairing
-    between bases[k] and bases[d-k].  Returns None when the rule holds, else
-    the first (r, jj, kk) at which entry (jj, kk) of the two sides differs,
-    first by jj and then by the row i of b_{r+1} that P_r pairs with kk.
-    Only the pairs where a side has a nonzero entry are compared.
-    """
-    d = len(bases) - 1
-    pairings = [pairing(bases[k], bases[d - k]) for k in range(d + 1)]
-    for r in range(d):
-        next_rows, comp_rows = mats[r].entries, mats[d - r - 1].entries
-        bad = []
-        for i, row in enumerate(next_rows):
-            kk, s2 = pairings[r][i]
-            s2 *= (-1) ** r
-            for jj, p in row.items():
-                # entry (jj, kk) of b_{r+1}^T P_r and of (-1)^r P_{r+1} b_{d-r}, compared
-                # term by term with the sign folded in, so no negated Poly is built
-                ii, s1 = pairings[r + 1][jj]
-                got, want = p.terms, q.terms if (q := comp_rows[ii].get(kk)) else {}
-                if (got != want if s1 * s2 > 0 else
-                        len(got) != len(want) or any(want.get(m) != -c for m, c in got.items())):
-                    bad.append((jj, i))
-        # and every pair whose entry of b_{d-r} is nonzero and whose entry of b_{r+1} is zero, found
-        # by the inverse pairings: pp_dual_element is an involution, so P_{d-k} undoes P_k
-        for ii, row in enumerate(comp_rows):
-            jj = pairings[d - r - 1][ii][0]
-            bad += [(jj, i) for i in (pairings[d - r][kk][0] for kk in row) if jj not in next_rows[i]]
-        if bad:
-            jj, i = min(bad)
-            return r, jj, pairings[r][i][0]
     return None
 
 
@@ -739,8 +673,6 @@ def certify_exactness(s: Session) -> list[str]:
     if s.complex_failure is not None:
         r, i, j, _ = s.complex_failure
         return [f"not a complex: b_{r} b_{r + 1} has a nonzero entry at ({i}, {j})"]
-    if s.skeleton_failure is not None:
-        return [s.skeleton_failure]
     cert = strand_certificate(d, n)
     if cert:
         return list(cert)

@@ -1,9 +1,11 @@
+import copy
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from gorlin.differentials import Resolution, build_resolution
+from gorlin.differentials import build_resolution
 from gorlin.invsys import InverseSystem, random_invsys, sum_of_powers
 from gorlin.monomials import monomials_of_degree, unit
 from gorlin.polymatrix import PolyMatrix
@@ -64,15 +66,28 @@ def resolution_at(d, n):
     return _cache[key]
 
 
-def matrix_form(res):
-    """A copy of res in matrix form (Resolution.from_matrices), every entry a Poly of its own.
+def changed_lift(res, r, edit):
+    """res with a changed lift: edit alters a copy of the cofactor C_r in place, r <= (d+1)//2.
 
-    It keeps the full matrix route of the checks, and a test may alter its
-    matrices; a built resolution hands out new matrices that refuse set.
+    C_{d+1-r} follows by the pairing rule, as it does on a built lift.  The
+    middle map of odd d is its own pairing transpose, which an edit must keep.
     """
-    mats = [PolyMatrix(m.rows, m.cols, [{j: Poly(m.d, p.terms) for j, p in row.items()} for row in m.entries])
-            for m in res.matrices]
-    return Resolution.from_matrices(res.phi, res.delta, res.bases, mats, res.twists)
+    lift = res.lift
+    rows = copy.deepcopy(lift.cofactors[r - 1])
+    edit(rows)
+    cofactors = lift.cofactors[:r - 1] + (rows,) + lift.cofactors[r:]
+    return dataclasses.replace(res, lift=dataclasses.replace(lift, cofactors=cofactors))
+
+
+def add_to(rows, i, j, c, m=None):
+    """Add c to entry (i, j) of cofactor rows: to its term of monomial m in C_1, else to the constant; 0 is dropped."""
+    cell = rows[i].setdefault(j, {}) if m is not None else rows[i]
+    key = m if m is not None else j
+    cell[key] = cell.get(key, 0) + c
+    if not cell[key]:
+        del cell[key]
+    if m is not None and not cell:
+        del rows[i][j]
 
 
 def fractional_phi():

@@ -43,11 +43,18 @@ another way, by a route that is slower or more literal.
   ``differentials.br_column`` records the closed-form coefficients directly;
   ``route_disagreement`` compares the two on every interior ``C_r`` of a
   built resolution.
+* ``MatrixForm`` is a resolution given as matrices, kept as given for a
+  test to alter, and ``MatrixSession`` proves every fact of a ``Session``
+  from them: the x1 split of every map (``exactness.x1_split``), the
+  skeleton (``exactness.skeleton_block_failure``), the pairing rule on every
+  pair (``duality_failure``) and dim I_n on the whole degree-n piece of b_1,
+  where a ``Session`` reads them off the lift, which holds the first three
+  by construction.  ``matrix_report`` runs the eight checks on it, each
+  fact read where the lift route would have read it.
 * ``lift_fact_failure`` computes, on the matrices built from a lift, the
-  facts that hold by construction of the lift (the pairing rule, the x1
-  split and the skeleton), and compares the full ``run_checks`` report of
-  its matrix form with the lift route's, where a ``Session`` on the lift
-  reads S_r and C_r directly.
+  facts that hold by construction of the lift, and compares the
+  ``matrix_report`` of its matrix form with the ``run_checks`` report of
+  the lift.
 * ``catalecticant_matrix`` writes the pairing matrix Cat_j of phi in
   ``Fraction`` arithmetic from ``phi.t(mul(...))``, where
   ``InverseSystem.catalecticant`` builds the integer table L Cat_j once per
@@ -75,13 +82,15 @@ another way, by a route that is slower or more literal.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import comb, lcm
 
 import numpy as np
 
-from gorlin import linalg
+from gorlin import exactness, linalg
 from gorlin.differentials import BuildContext, Resolution, _assemble, _polys, canonical_skeleton
 from gorlin.exactness import (
     PRIMES,
@@ -89,13 +98,22 @@ from gorlin.exactness import (
     Session,
     _composes_to_zero,
     _fine_strand,
-    duality_failure,
+    first_nonzero_product,
     graded_piece,
     skeleton_block_failure,
     x1_split,
 )
 from gorlin.export import report_json
-from gorlin.hookbasis import BasisElement, duality_basis, expand_eta, expand_kappa, kos_expansion, skeleton_kos_blocks
+from gorlin.hookbasis import (
+    BasisElement,
+    OrderedBasis,
+    duality_basis,
+    expand_eta,
+    expand_kappa,
+    kos_expansion,
+    pairing,
+    skeleton_kos_blocks,
+)
 from gorlin.invsys import (
     Catalecticant,
     InadmissibleSystemError,
@@ -119,7 +137,20 @@ from gorlin.monomials import (
 )
 from gorlin.polymatrix import PolyMatrix
 from gorlin.polynomials import Poly, coeff_rows
-from gorlin.verify import run_checks
+from gorlin.verify import (
+    CHECK_NAMES,
+    CheckResult,
+    Report,
+    check_ann_match,
+    check_betti_and_degrees,
+    check_complex,
+    check_duality,
+    check_euler_hilbert,
+    check_exactness_up_to,
+    check_skeleton,
+    check_wlp,
+    run_checks,
+)
 
 
 EXACT_ENTRY_LIMIT = 1_200_000
@@ -249,7 +280,7 @@ def br_column_alt(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEle
 def route_disagreement(res: Resolution) -> tuple[int, int, int] | None:
     """The first (r, i, j) at which an interior cofactor C_r of res differs from br_column_alt, or None.
 
-    C_r is read off x1_split of b_r, as the complex check reads it.  The
+    C_r is read off x1_split of b_r, as MatrixSession reads it.  The
     straightening route writes each column on the numeric BuildContext of
     res.phi, as integer numerators over ctx.denom signed by the bases.  The
     two construction routes share the skeleton and both end matrices, so
@@ -274,34 +305,212 @@ def route_disagreement(res: Resolution) -> tuple[int, int, int] | None:
     return None
 
 
+@dataclass
+class MatrixForm:
+    """A resolution given as matrices, b_r = matrices[r - 1], kept as given for a test to alter.
+
+    It reads as a differentials.Resolution to the checks, the dumps and the
+    oracles, and has no lift: MatrixSession proves every fact from the
+    matrices.
+    """
+
+    phi: InverseSystem
+    delta: Fraction
+    bases: tuple[OrderedBasis, ...]
+    matrices: tuple[PolyMatrix, ...]
+    twists: tuple[int, ...]
+    lift = None  # Session keeps res.lift, which MatrixSession never reads
+
+    @property
+    def d(self) -> int:
+        return self.phi.d
+
+    @property
+    def n(self) -> int:
+        return self.phi.n
+
+    def matrix(self, r: int) -> PolyMatrix:
+        return self.matrices[r - 1]
+
+    @property
+    def betti(self) -> tuple[int, ...]:
+        return tuple(len(b) for b in self.bases)
+
+
+def matrix_form(res: Resolution) -> MatrixForm:
+    """res in matrix form: its matrices, which the lift builds new on each request, for a test to alter."""
+    return MatrixForm(res.phi, res.delta, res.bases, res.matrices, res.twists)
+
+
+def duality_failure(bases: tuple[OrderedBasis, ...], mats) -> tuple[int, int, int] | None:
+    """Check b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} for every r = 0..d-1, on every pair.
+
+    bases[k] is the basis at position k = 0..d and mats[r - 1] = b_r maps
+    position r to r - 1: the matrices of a resolution, or of a skeleton.
+    P_k is the pairing between bases[k] and bases[d-k].  Returns None when
+    the rule holds, else the first (r, jj, kk) at which entry (jj, kk) of
+    the two sides differs, first by jj and then by the row i of b_{r+1}
+    that P_r pairs with kk.  Only the pairs where a side has a nonzero
+    entry are compared.
+    """
+    d = len(bases) - 1
+    pairings = [pairing(bases[k], bases[d - k]) for k in range(d + 1)]
+    for r in range(d):
+        next_rows, comp_rows = mats[r].entries, mats[d - r - 1].entries
+        bad = []
+        for i, row in enumerate(next_rows):
+            kk, s2 = pairings[r][i]
+            s2 *= (-1) ** r
+            for jj, p in row.items():
+                # entry (jj, kk) of b_{r+1}^T P_r and of (-1)^r P_{r+1} b_{d-r}, compared
+                # term by term with the sign folded in, so no negated Poly is built
+                ii, s1 = pairings[r + 1][jj]
+                got, want = p.terms, q.terms if (q := comp_rows[ii].get(kk)) else {}
+                if (got != want if s1 * s2 > 0 else
+                        len(got) != len(want) or any(want.get(m) != -c for m, c in got.items())):
+                    bad.append((jj, i))
+        # and every pair whose entry of b_{d-r} is nonzero and whose entry of b_{r+1} is zero, found
+        # by the inverse pairings: pp_dual_element is an involution, so P_{d-k} undoes P_k
+        for ii, row in enumerate(comp_rows):
+            jj = pairings[d - r - 1][ii][0]
+            bad += [(jj, i) for i in (pairings[d - r][kk][0] for kk in row) if jj not in next_rows[i]]
+        if bad:
+            jj, i = min(bad)
+            return r, jj, pairings[r][i][0]
+    return None
+
+
+class MatrixSession(Session):
+    """The facts of a Session proved from the matrices of a MatrixForm, the full route.
+
+    The x1 split of every map, the skeleton and the pairing rule, which a
+    lift holds by construction, are facts of their own here.  complex_failure
+    considers every product when the pairing rule fails, and reads an
+    interior product off the split only when the skeleton holds and both
+    cofactors are constant; dim I_n ranks the whole degree-n piece of b_1.
+    """
+
+    def monomials(self, r: int) -> set[Mono]:
+        return self.matrix(r).monomials()
+
+    @cached_property
+    def x1_splits(self) -> tuple[exactness.Split, ...]:
+        """x1_split of every b_r, by r - 1."""
+        return tuple(x1_split(m) for m in self.res.matrices)
+
+    def cofactor(self, r: int) -> list[dict[int, Fraction]] | None:
+        """C_r read off the split of b_r, or None when a term with x1 is not c * x1."""
+        return self.x1_splits[r - 1][1]
+
+    @cached_property
+    def skeleton_failure(self) -> str | None:
+        """None when b_r = delta S_r modulo x1 for every r (skeleton_block_failure), else its witness."""
+        return skeleton_block_failure(self.res, self.x1_splits)
+
+    @cached_property
+    def duality_failure(self) -> tuple[int, int, int] | None:
+        """None when the pairing rule holds on every pair (duality_failure), else (r, jj, kk)."""
+        return duality_failure(self.res.bases, self.res.matrices)
+
+    @cached_property
+    def complex_failure(self):
+        """Session.complex_failure, past the middle as well when the pairing rule fails."""
+        d = self.res.d
+        last = d // 2 if self.duality_failure is None else d - 1
+        for r in range(1, last + 1):
+            if not (2 <= r <= d - 2 and self._interior_product_vanishes(r)):
+                found = first_nonzero_product({r: self.matrix(r), r + 1: self.matrix(r + 1)})
+                if found is not None:
+                    return found
+        return None
+
+    def _interior_product_vanishes(self, r: int) -> bool:
+        """The induction of Session, once both cofactors are constant and the skeleton holds."""
+        return (self.cofactor(r) is not None and self.cofactor(r + 1) is not None
+                and self.skeleton_failure is None and super()._interior_product_vanishes(r))
+
+    @cached_property
+    def ideal_dim_n(self) -> int:
+        """The rank of graded_piece(b_1, n, 0), pinned mod p against dim S_n - hf(n) or ranked exactly."""
+        d, n = self.res.d, self.res.n
+        bound = comb(n + d - 1, d - 1) - self.hf(n)
+        # through the module, where a test that counts the pieces patches graded_piece
+        piece = exactness.graded_piece(self.matrix(1), n, 0)
+        if self.b1_annihilation_failure is None and any(piece.rank_mod(p) == bound for p in PRIMES):
+            return bound
+        return piece.rank_exact()
+
+
+def wlp_by_rank(s: Session) -> CheckResult:
+    """The wlp check with the image of x1 ranked, as check_wlp ranks it when a fact of its proof fails."""
+    d, n = s.res.d, s.res.n
+    monos = monomials_of_degree(d, n)
+    x1_multiples = [Poly.monomial(mul_var(u, 1)) for u in monomials_of_degree(d, n - 1)]
+    image_dim = linalg.rank(coeff_rows(x1_multiples, monos) + coeff_rows(s.ann_n, monos)) - len(s.ann_n)
+    if image_dim != s.hf(n):
+        return CheckResult("wlp", False, "x1 is not a weak Lefschetz element",
+                           f"image of multiplication has dimension {image_dim}, quotient piece {s.hf(n)}")
+    return check_wlp(s)
+
+
+CHECKS = dict(zip(CHECK_NAMES, (check_complex, check_betti_and_degrees, check_euler_hilbert, check_ann_match,
+                                check_skeleton, check_duality, check_exactness_up_to, check_wlp)))
+
+
+def matrix_check(s: MatrixSession, name: str) -> CheckResult:
+    """The check name of verify on a MatrixSession, with the matrix facts read where the lift holds them.
+
+    A failed skeleton fails the skeleton check, and the exactness check after
+    the facts that certify_exactness reads before it (hf below n, the degrees
+    of b_1 and the complex fact); the wlp check then ranks the image.  A
+    failed pairing rule fails the duality check.
+    """
+    d, n = s.res.d, s.res.n
+    if s.skeleton_failure is not None:
+        if name == "skeleton":
+            return CheckResult("skeleton", False, "skeleton is not delta times the canonical strands",
+                               s.skeleton_failure)
+        if name == "exactness" and not (any(s.hf(e) != comb(e + d - 1, d - 1) for e in range(n))
+                                        or s.b1_degree_failure is not None or s.complex_failure is not None):
+            return CheckResult("exactness", False, "B is not certified to resolve S/ann(phi)", s.skeleton_failure)
+        if name == "wlp":
+            return wlp_by_rank(s)
+    if name == "duality" and s.duality_failure is not None:
+        r, jj, kk = s.duality_failure
+        return CheckResult("duality", False, "pairing product rule fails", f"r={r}, pair ({jj}, {kk})")
+    return CHECKS[name](s)
+
+
+def matrix_report(s: MatrixSession, checks=CHECK_NAMES) -> Report:
+    """The report of the selected checks on one MatrixSession, as run_checks reports them on a lift."""
+    report = Report(d=s.res.d, n=s.res.n, delta=str(s.res.delta))
+    report.results = [matrix_check(s, name) for name in CHECK_NAMES if name in checks]
+    return report
+
+
 def lift_fact_failure(res: Resolution) -> str | None:
     """The first fact a built resolution holds by construction that fails on its matrices, or None.
 
-    On the matrices res.matrices, built from the lift: the pairing rule on
-    every map (duality_failure), x1_split of each interior b_r against the
-    lift's C_r and the terms with x1 of b_1 against x1 C_1, and the skeleton
-    comparison (skeleton_block_failure).  Then the text and JSON reports of
-    run_checks on the matrix form of the same matrices, every fact computed,
-    against those of the lift route.
+    On the matrices res.matrices, built from the lift (MatrixSession): the
+    pairing rule on every map, the x1 split of each interior b_r against the
+    lift's C_r and the terms with x1 of b_1 against x1 C_1, and the skeleton.
+    Then the text and JSON reports of the checks on the matrix form, every
+    fact computed, against those of run_checks on the lift.
     """
-    mats = res.matrices
-    form = Resolution.from_matrices(res.phi, res.delta, res.bases, mats, res.twists)
-    unpaired = duality_failure(res.bases, mats)
-    if unpaired is not None:
-        return "pairing rule at r={}, pair ({}, {})".format(*unpaired)
-    splits = tuple(x1_split(m) for m in mats)
+    s = MatrixSession(matrix_form(res), res.phi)
+    if s.duality_failure is not None:
+        return "pairing rule at r={}, pair ({}, {})".format(*s.duality_failure)
     for r in range(2, res.d):
-        if splits[r - 1][1] != res.lift.cofactor(r):
+        if s.cofactor(r) != res.lift.cofactor(r):
             return f"x1 split of b_{r}"
     x1_part = [{j: part for j, p in row.items() if (part := {m: c for m, c in p.terms.items() if m[0]})}
-               for row in mats[0].entries]
+               for row in s.matrix(1).entries]
     if x1_part != [{j: {mul_var(m, 1): c for m, c in cof.items()} for j, cof in row.items()}
                    for row in res.lift.cofactors[0]]:
         return "x1 part of b_1"
-    failure = skeleton_block_failure(form, splits)
-    if failure is not None:
-        return failure
-    lift, full = run_checks(res, res.phi), run_checks(form, res.phi)
+    if s.skeleton_failure is not None:
+        return s.skeleton_failure
+    lift, full = run_checks(res, res.phi), matrix_report(s)
     if (lift.to_text(), report_json(lift)) != (full.to_text(), report_json(full)):
         return "verify report"
     return None

@@ -23,7 +23,6 @@ from gorlin.exactness import (
     certify_exactness,
     denominator_lcm,
     dual_strand_h1k,
-    duality_failure,
     fine_degree,
     first_nonzero_product,
     graded_piece,
@@ -42,20 +41,24 @@ from gorlin.polynomials import Poly, poly_str
 from conftest import (
     EXTRA,
     GRID,
+    add_to,
+    changed_lift,
     dense,
     extra_phi,
     fractional_phi,
     grid_phi,
     grid_resolution,
-    matrix_form,
     swap_variables,
 )
 from oracles import (
+    MatrixSession,
     acyclicity_failures_by_box,
     contract_poly,
+    duality_failure,
     dual_strand_disagreement,
     dual_strand_h1k_by_ranking,
     ideal_dims_by_rref,
+    matrix_form,
     strand_matrices,
     straightened_dual_strand,
 )
@@ -206,7 +209,7 @@ def test_empty_piece_has_rank_zero():
 def test_graded_piece_clears_a_fraction_itself():
     # the piece is cleared by the lcm of the denominators of mat, so a Fraction entry gives
     # the piece of the cleared copy, all in ints
-    mat = matrix_form(grid_resolution(3, 2)).matrix(2)
+    mat = grid_resolution(3, 2).matrix(2)
     mat.set(0, 0, mat.entry(0, 0) + Poly.monomial(mul_var(unit(3), 1), Fraction(1, 2)))
     piece, cleared = graded_piece(mat, 1, 0), graded_piece(mat.cleared(denominator_lcm(mat)), 1, 0)
     assert denominator_lcm(mat) == 2 and piece.triples
@@ -217,7 +220,7 @@ def test_graded_piece_clears_a_fraction_itself():
 def test_graded_piece_refuses_a_term_of_the_wrong_degree():
     # under a packing base of row_deg + 1 = 3, x1^4 would share the key of
     # x1*x2 and land on that row; the piece must refuse the term instead
-    mat = matrix_form(grid_resolution(3, 2)).matrix(1)
+    mat = grid_resolution(3, 2).matrix(1)
     mat.set(0, 0, mat.entry(0, 0) + Poly.monomial((4, 0, 0)))
     with pytest.raises(KeyError):
         graded_piece(mat, 2, 0)
@@ -336,9 +339,9 @@ def test_x1_split_reads_the_cofactors_of_the_interior_maps(d, n):
             for j, p in enumerate(row):
                 assert p == Poly(d, {**free[i].get(j, {}), **({x1: cof[i][j]} if j in cof[i] else {})})
     assert skeleton_block_failure(res, tuple(splits)) is None
-    bad = matrix_form(res)
-    bad.matrix(2).set(0, 0, bad.matrix(2).entry(0, 0) + Poly.monomial(mul_var(x1, 2)))
-    assert x1_split(bad.matrix(2))[1] is None
+    bad = res.matrix(2)  # a new matrix, which the resolution does not see altered
+    bad.set(0, 0, bad.entry(0, 0) + Poly.monomial(mul_var(x1, 2)))
+    assert x1_split(bad)[1] is None
 
 
 KIND = {"monomial": "Y", "dual": "X"}
@@ -629,6 +632,7 @@ def test_pairings_are_kept_by_their_own_bases():
 
 
 def with_b1_column(res, j, entry):
+    """A matrix-form copy of res whose column j of b_1 is entry."""
     bad = matrix_form(res)
     bad.matrix(1).set(0, j, entry)
     return bad
@@ -738,11 +742,13 @@ def test_the_ideal_of_b1_is_ann_phi_in_every_degree(label):
 
 @pytest.mark.parametrize("c", [1, prod(PRIMES)], ids=["c=1", "c=prod(PRIMES)"])
 def test_ideal_dims_of_a_column_that_does_not_annihilate_are_exact(c, monkeypatch):
-    # c * x1^3 added to a column: I is no longer in ann(phi), so dim S_3 - hf(3)
-    # bounds nothing and degree 3 is ranked exactly.  With c the product of the
-    # primes the change vanishes mod every prime, so no mod-p rank could see it.
+    # c * x1^3 added to an X column, a term c * x1^2 of C_1 on a changed lift: I is no
+    # longer in ann(phi), so dim S_3 - hf(3) bounds nothing and the X block of C_1 is
+    # ranked exactly, with no piece of b_1 cut.  With c the product of the primes the
+    # change vanishes mod every prime, so no mod-p rank could see it.
     res = grid_resolution(3, 3)
-    bad = with_b1_column(res, 0, res.matrix(1).entry(0, 0) + Poly.monomial((3, 0, 0), c))
+    bad = changed_lift(res, 1, lambda rows: add_to(rows, 0, 0, c, (2, 0, 0)))
+    assert bad.matrix(1).entry(0, 0) == res.matrix(1).entry(0, 0) + Poly.monomial((3, 0, 0), c)
     s = Session(bad, grid_phi(3, 3))
     assert s.b1_annihilation_failure == 0
     calls = []
@@ -750,24 +756,27 @@ def test_ideal_dims_of_a_column_that_does_not_annihilate_are_exact(c, monkeypatc
     monkeypatch.setattr(Piece, "rank_exact", lambda self: calls.append(self) or rank_exact(self))
     degrees = ranked_degrees(monkeypatch)
     assert ideal_dims(s) == ideal_dims_by_rref(bad, 3)[3]
-    assert degrees == [3] and len(calls) == 1
+    xs = sum(e.kind == "X" for _, e in res.bases[1])
+    assert degrees == [] and len(calls) == 1 and calls[0].nrows == xs
     # with the facts before it taken as proved, the annihilation fact fails the certificate first
-    s.complex_failure = s.skeleton_failure = None
+    s.complex_failure = None
     assert certify_exactness(s) == ["column 0 of b_1 does not annihilate phi, so I is not in ann(phi)"]
 
 
 def test_ideal_dims_of_a_duplicated_column_fall_back_to_exact_rank(monkeypatch):
-    # the columns still annihilate, but their span is one short of the bound
+    # the columns still annihilate, but their span is one short of the bound; the
+    # matrix form ranks the whole degree-n piece of b_1 (the lift's X block:
+    # test_ideal_dims_of_a_lift_with_two_equal_x_cofactor_columns_is_the_exact_smaller_rank)
     res = grid_resolution(4, 2)
-    s = Session(with_b1_column(res, 0, res.matrix(1).entry(0, 1)), grid_phi(4, 2))
+    s = MatrixSession(with_b1_column(res, 0, res.matrix(1).entry(0, 1)), grid_phi(4, 2))
     assert s.b1_annihilation_failure is None
     calls = []
     rank_exact = Piece.rank_exact
     monkeypatch.setattr(Piece, "rank_exact", lambda self: calls.append(self) or rank_exact(self))
     degrees = ranked_degrees(monkeypatch)
-    assert ideal_dims(s) == ideal_dims_by_rref(s.res, 2)[2] == 8
+    assert s.ideal_dim_n == ideal_dims_by_rref(s.res, 2)[2] == 8
     assert degrees == [2] and calls
-    s.complex_failure = s.skeleton_failure = None
+    s.complex_failure = None
     assert certify_exactness(s) == ["coker(b_1) has dimension 2 in degree 2, Hilbert function of the quotient gives 1"]
 
 
@@ -799,5 +808,5 @@ def test_annihilation_fact_agrees_with_contract_poly(bump):
     nu = phi.coeffs
     want = next((j for j, g in enumerate(dense(bad.matrix(1))[0]) if contract_poly(g, nu)), None)
     assert want == (None if bump is None or bump.degree() > 4 else 2)
-    assert Session(bad, phi).b1_annihilation_failure == want
+    assert MatrixSession(bad, phi).b1_annihilation_failure == want
     assert Session(res, phi).b1_annihilation_failure is None

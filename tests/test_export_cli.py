@@ -16,8 +16,8 @@ from gorlin.invsys import InverseSystem, random_invsys, save_invsys, sum_of_powe
 from gorlin.monomials import monomials_of_degree, mul_var, unit
 from gorlin.polynomials import Poly
 
-from conftest import GRID, extra_phi, grid_resolution, matrix_form, squares_resolution
-from oracles import resolution_json_dict
+from conftest import GRID, extra_phi, grid_resolution, squares_resolution
+from oracles import matrix_form, resolution_json_dict
 
 
 def run_cli(args):

@@ -1,15 +1,16 @@
 """The check suite: passes on good instances, fails with witnesses on broken ones."""
 
 import copy
+import dataclasses
 import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import Phase, assume, given, seed, settings, strategies as st
+from hypothesis import HealthCheck, Phase, assume, given, seed, settings, strategies as st
 
-from gorlin.differentials import Resolution, build_resolution, canonical_skeleton
+from gorlin.differentials import build_resolution, canonical_skeleton
 from gorlin.exactness import (
     Session,
     certify_exactness,
@@ -18,7 +19,7 @@ from gorlin.exactness import (
     rank_mod_p,
 )
 from gorlin.hookbasis import OrderedBasis
-from gorlin.invsys import InverseSystem, hf_value, random_invsys
+from gorlin.invsys import InadmissibleSystemError, InverseSystem, hf_value, random_invsys
 from gorlin.linalg import det_bareiss
 from gorlin.monomials import monomials_of_degree, mul_var, unit
 from gorlin.polymatrix import PolyMatrix
@@ -29,7 +30,6 @@ from gorlin.verify import (
     check_complex,
     check_duality,
     check_euler_hilbert,
-    check_exactness_up_to,
     check_skeleton,
     check_wlp,
     run_checks,
@@ -38,12 +38,14 @@ from gorlin.verify import (
 from conftest import (
     EXTRA,
     GRID,
+    add_to,
+    changed_lift,
     constant,
     extra_phi,
     dense,
+    fractional_phi,
     grid_phi,
     grid_resolution,
-    matrix_form,
     resolution_at,
     same_entries,
     squares_phi,
@@ -51,15 +53,20 @@ from conftest import (
     swap_variables,
 )
 from oracles import (
+    MatrixSession,
     catalecticant_matrix,
     certify_exactness_direct,
     golden_skeleton_d4_n2,
     lift_fact_failure,
+    matrix_check,
+    matrix_form,
+    matrix_report,
     route_disagreement,
 )
 
 
 def perturbed(res, r=2, i=0, j=0, bump=None):
+    """A matrix-form copy of res with bump added to entry (i, j) of b_r, a state that no lift need hold."""
     bad = matrix_form(res)
     d = res.d
     bump = bump if bump is not None else constant(d, 1)
@@ -87,8 +94,10 @@ def test_all_checks_pass_d4_random():
 
 
 def test_check_complex_witness():
+    # x1 more at entry (1, 2) of b_2: the lift's C_2 changes there, and C_3 with it
     res = grid_resolution(4, 2)
-    bad = perturbed(res, r=2, i=1, j=2, bump=Poly.monomial(mul_var(unit(4), 1)))
+    bad = changed_lift(res, 2, lambda rows: add_to(rows, 1, 2, 1))
+    assert bad.matrix(2).entry(1, 2) == res.matrix(2).entry(1, 2) + Poly.monomial(mul_var(unit(4), 1))
     out = check_complex(Session(bad, bad.phi))
     assert not out.passed
     assert out.witness == "b_1 b_2 at (0, 2) = -24*x1^3 - 38*x1^2*x2 - 36*x1^2*x3 - 16*x1^2*x4"
@@ -102,26 +111,24 @@ def complex_witness(res):
 
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 2), (5, 2)])
 def test_complex_check_multiplies_past_the_middle_when_duality_fails(d, n):
-    # a bump in b_d alone breaks the pairing rule at r = 0 and makes only
-    # b_{d-1} b_d nonzero, a product past the middle
+    # a bump in b_d alone breaks the pairing rule at r = 0, a state no lift
+    # holds, and makes only b_{d-1} b_d nonzero, a product past the middle
     res = grid_resolution(d, n)
     bad = perturbed(res, r=d, i=0, j=0, bump=x1_power(d, n))
-    assert Session(bad, bad.phi).duality_failure[0] == 0
+    assert MatrixSession(bad, bad.phi).duality_failure[0] == 0
     assert first_nonzero_product(dict(enumerate(bad.matrices, 1)))[0] == d - 1
-    (out,) = run_checks(bad, bad.phi, checks=["complex"]).results
+    (out,) = matrix_report(MatrixSession(bad, bad.phi), ["complex"]).results
     assert not out.passed and out.witness == complex_witness(bad)
 
 
 def test_complex_check_finds_a_self_dual_defect_before_the_middle():
-    # bump b_1 and the paired entry of b_d so that the pairing rule still
-    # holds: b_1 b_2 and its mirror b_3 b_4 are both nonzero, and the first
-    # is the witness
+    # x1^2 more in b_1, a term x1 more of C_1: the lift pairs it into b_d, so
+    # the pairing rule still holds (proved on the matrices), b_1 b_2 and its
+    # mirror b_3 b_4 are both nonzero, and the first is the witness
     res = grid_resolution(4, 2)
-    bump = x1_power(4, 2)
-    half = perturbed(res, r=1, i=0, j=0, bump=bump)
-    dual = next(cand for i in range(half.betti[3]) for sign in (1, -1)
-                if Session(cand := perturbed(half, r=4, i=i, j=0, bump=bump.scale(sign)), res.phi)
-                .duality_failure is None)
+    dual = changed_lift(res, 1, lambda rows: add_to(rows, 0, 0, 1, mul_var(unit(4), 1)))
+    assert dual.matrix(1).entry(0, 0) == res.matrix(1).entry(0, 0) + x1_power(4, 2)
+    assert MatrixSession(matrix_form(dual), res.phi).duality_failure is None
     s = Session(dual, res.phi)
     assert s.complex_failure[0] == 1
     assert dual.matrix(3).mul(dual.matrix(4)) != [[Poly.zero(4)] for _ in range(dual.betti[2])]
@@ -160,17 +167,18 @@ def _entry_of_kind(res, r, kind):
                                         (6, 2, 3, "Y"), (6, 2, 4, "X")])
 def test_complex_check_on_a_changed_x1_cofactor(monkeypatch, d, n, r, kind, bump):
     # only the terms with x1 of b_r change, for an r >= 3 that leaves b_1 b_2
-    # zero: the skeleton still holds, and the linear part of an interior
-    # product does not vanish (3*x1) or is not read at all (x1*x2, not a
-    # multiple of x1 alone); that product is multiplied out for the witness of
-    # the full product.  At (6, 2) and r = 4 the witness is b_3 b_4, the first
-    # product that the r >= 3 step of the induction takes up
+    # zero, and not those of its partner, so no lift holds it: the skeleton still
+    # holds, and the linear part of an interior product does not vanish (3*x1)
+    # or is not read at all (x1*x2, not a multiple of x1 alone); that product is
+    # multiplied out for the witness of the full product.  At (6, 2) and r = 4
+    # the witness is b_3 b_4, the first product that the r >= 3 step of the
+    # induction takes up
     res = resolution_at(d, n)
     i, j = _entry_of_kind(res, r, kind)
     x1 = x1_power(d, 1)
     x1x2 = x1 * Poly.monomial(mul_var(unit(d), 2))
     bad = perturbed(res, r=r, i=i, j=j, bump=x1.scale(3) if bump == "3*x1" else x1x2)
-    s = Session(bad, bad.phi)
+    s = MatrixSession(bad, bad.phi)
     assert s.skeleton_failure is None
     counts = _counting_products(monkeypatch, bad)
     want = first_nonzero_product(dict(enumerate(bad.matrices, 1)))
@@ -178,7 +186,7 @@ def test_complex_check_on_a_changed_x1_cofactor(monkeypatch, d, n, r, kind, bump
     assert s.complex_failure == want
     k = want[0]
     assert counts[f"b_{k} b_{k + 1}"] == 2  # once in the full product above, once as the fallback
-    (out,) = run_checks(bad, bad.phi, checks=["complex"]).results
+    (out,) = matrix_report(MatrixSession(bad, bad.phi), ["complex"]).results
     assert not out.passed and out.witness == complex_witness(bad)
 
 
@@ -191,7 +199,7 @@ def test_complex_check_on_a_changed_skeleton_term(monkeypatch, d, n, r):
     i, j = _entry_of_kind(res, r, "Y")
     (m, c), = res.matrix(r).entry(i, j).subs_x1_zero().terms.items()
     bad = perturbed(res, r=r, i=i, j=j, bump=Poly.monomial(m, -2 * c))
-    s = Session(bad, bad.phi)
+    s = MatrixSession(bad, bad.phi)
     assert s.skeleton_failure is not None
     assert all(same_entries(bad.matrix(k), res.matrix(k)) or k == r for k in range(1, d + 1))
     counts = _counting_products(monkeypatch, bad)
@@ -199,7 +207,7 @@ def test_complex_check_on_a_changed_skeleton_term(monkeypatch, d, n, r):
     assert want is not None and 2 <= want[0] <= d - 2
     assert s.complex_failure == want
     assert set(counts) == {f"b_{k} b_{k + 1}" for k in range(1, want[0] + 1)}
-    (out,) = run_checks(bad, bad.phi, checks=["complex"]).results
+    (out,) = matrix_report(MatrixSession(bad, bad.phi), ["complex"]).results
     assert not out.passed and out.witness == complex_witness(bad)
 
 
@@ -217,7 +225,7 @@ def test_complex_check_reads_only_multiples_of_x1_as_the_cofactor():
         for i, j, p in list(mat.nonzero()):
             if m1 in p.terms:
                 mat.set(i, j, p - x1.scale(p.terms[m1]) + x1xv.scale(p.terms[m1]))
-    s = Session(bad, bad.phi)
+    s = MatrixSession(bad, bad.phi)
     assert s.skeleton_failure is None
     assert not s._interior_product_vanishes(2)
     assert first_nonzero_product({2: bad.matrix(2), 3: bad.matrix(3)}) is not None
@@ -248,25 +256,24 @@ def test_complex_check_multiplies_b2_b3_when_the_b1_columns_are_not_known_indepe
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_complex_fact_agrees_with_the_full_product_on_changed_cofactors(data):
-    # one entry of an interior C_r gains c * x1, or the whole C_r is scaled by
-    # lambda != 1: whatever the induction proves zero must be zero, so the
-    # witness is that of the full product
+    # a changed lift: one entry of an interior C_r gains c, or the whole C_r is
+    # scaled by lambda != 1, and C_{d+1-r} follows by the pairing rule; whatever
+    # the induction proves zero must be zero, so the witness is that of the full
+    # product
     d, n = data.draw(st.sampled_from([(4, 2), (5, 2), (6, 2)]), label="(d, n)")
-    bad = matrix_form(resolution_at(d, n))
-    r = data.draw(st.integers(2, d - 1), label="r")
-    mat = bad.matrix(r)
-    x1 = x1_power(d, 1)
-    (m1,) = x1.terms
+    res = resolution_at(d, n)
     if data.draw(st.booleans(), label="scale C_r"):
+        # scaling keeps the self-paired middle map of odd d its own transpose
+        r = data.draw(st.integers(2, (d + 1) // 2), label="r")
         lam = data.draw(st.sampled_from([0, -1, 2, Fraction(1, 3)]), label="lambda")
-        for i, j, p in list(mat.nonzero()):
-            if m1 in p.terms:
-                mat.set(i, j, p + x1.scale((lam - 1) * p.terms[m1]))
+        bad = changed_lift(res, r, lambda rows: rows.__setitem__(
+            slice(None), [{j: lam * c for j, c in row.items()} if lam else {} for row in rows]))
     else:
-        i = data.draw(st.integers(0, mat.shape[0] - 1), label="row")
-        j = data.draw(st.integers(0, mat.shape[1] - 1), label="column")
+        r = data.draw(st.integers(2, d // 2), label="r")  # not the self-paired middle map
+        i = data.draw(st.integers(0, len(res.bases[r - 1]) - 1), label="row")
+        j = data.draw(st.integers(0, len(res.bases[r]) - 1), label="column")
         c = data.draw(st.sampled_from([-2, -1, 1, 3]), label="c")
-        mat.set(i, j, mat.entry(i, j) + x1.scale(c))
+        bad = changed_lift(res, r, lambda rows: add_to(rows, i, j, c))
     assert Session(bad, bad.phi).complex_failure == first_nonzero_product(dict(enumerate(bad.matrices, 1)))
 
 
@@ -280,10 +287,21 @@ def test_complex_check_multiplies_the_interior_products_without_the_skeleton_fac
     assert counts == Counter({"b_1 b_2": 1, "b_2 b_3": 1})
 
 
+def test_complex_check_multiplies_the_interior_products_when_delta_is_zero(monkeypatch):
+    # b_r = x1 C_r on a lift with delta = 0, where the induction does not apply: b_{r-1} M = 0
+    # gives M = 0 only through delta S_{r-1} M = 0.  With C_1 = 0 as well, so that b_1 = 0,
+    # each product is multiplied, and is zero, as C_r C_{r+1} is for the interior constants
+    res = changed_lift(resolution_at(6, 2), 1, lambda rows: rows[0].clear())
+    res = dataclasses.replace(res, delta=0, lift=dataclasses.replace(res.lift, delta=0))
+    counts = _counting_products(monkeypatch, res)
+    assert Session(res, res.phi).complex_failure is None
+    assert counts == Counter({"b_1 b_2": 1, "b_2 b_3": 1, "b_3 b_4": 1})
+
+
 def test_check_betti_catches_quadratic_entry():
     res = grid_resolution(3, 2)
     bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial((0, 2, 0)))
-    out = check_betti_and_degrees(Session(bad, bad.phi))
+    out = check_betti_and_degrees(MatrixSession(bad, bad.phi))
     assert not out.passed
 
 
@@ -295,14 +313,14 @@ def test_check_betti_catches_constant():
     assert res.matrix(1).entry(0, 0)
     for r, i, j in (zero, (1, 0, 0)):
         bad = perturbed(res, r=r, i=i, j=j, bump=constant(3, 1))
-        out = check_betti_and_degrees(Session(bad, bad.phi))
+        out = check_betti_and_degrees(MatrixSession(bad, bad.phi))
         assert not out.passed and out.summary == "entry degree pattern broken", (r, i, j)
 
 
 def test_check_betti_catches_a_wrong_twist_list():
     res = grid_resolution(3, 2)
     twists = res.twists[:-1] + (res.twists[-1] + 1,)
-    bad = Resolution.from_matrices(res.phi, res.delta, res.bases, res.matrices, twists)
+    bad = dataclasses.replace(res, twists=twists)
     out = check_betti_and_degrees(Session(bad, bad.phi))
     assert res.twists == (0, 2, 3, 5)
     assert (out.passed, out.summary) == (False, "twist list is wrong")
@@ -313,7 +331,7 @@ def test_check_betti_catches_a_basis_that_lost_an_element():
     res = grid_resolution(3, 2)
     first = res.bases[1]
     bases = (res.bases[0], OrderedBasis(first.d, first.n, first.r, first.elements[:-1])) + res.bases[2:]
-    bad = Resolution.from_matrices(res.phi, res.delta, bases, res.matrices, res.twists)
+    bad = dataclasses.replace(res, bases=bases)
     out = check_betti_and_degrees(Session(bad, bad.phi))
     assert res.betti == (1, 5, 5, 1) and bad.betti == (1, 4, 5, 1)
     assert (out.passed, out.summary) == (False, "Betti numbers differ from the closed formula")
@@ -332,11 +350,11 @@ def test_check_betti_reports_the_first_broken_entry_in_row_major_order():
     bad = perturbed(res, r=2, i=i, j=j1, bump=constant(4, 1))
     bad.matrix(2).set(i, j0, x1_power(4, 2))
     assert list(bad.matrix(2).entries[i])[-1] == j0
-    out = check_betti_and_degrees(Session(bad, bad.phi))
+    out = check_betti_and_degrees(MatrixSession(bad, bad.phi))
     assert out.witness == f"b_2 entry ({i}, {j0}) = x1^2, expected degree 1"
     k = len(res.matrix(4).rows) - 1
     bad = perturbed(res, r=4, i=k, j=0, bump=x1_power(4, 3))
-    out = check_betti_and_degrees(Session(bad, bad.phi))
+    out = check_betti_and_degrees(MatrixSession(bad, bad.phi))
     assert out.witness == f"b_4 entry ({k}, 0) = {poly_str(bad.matrix(4).entry(k, 0))}, expected degree 2"
     assert "x1^3" in out.witness
 
@@ -353,7 +371,7 @@ def test_ann_check_and_witness():
     out = check_ann_match(Session(squares_resolution(3), squares_phi(3)))
     assert out.passed
     bad = perturbed(squares_resolution(3), r=1, i=0, j=0, bump=Poly.monomial((0, 2, 0)))
-    out = check_ann_match(Session(bad, squares_phi(3)))
+    out = check_ann_match(MatrixSession(bad, squares_phi(3)))
     assert not out.passed
 
 
@@ -362,10 +380,12 @@ def test_ann_check_and_witness():
     (4, 2, "rank(columns)=8, rank(oracle)=9, rank(union)=9, beta_1=9"),
 ])
 def test_ann_check_witness_for_a_duplicated_column(d, n, witness):
-    # column 0 replaced by column 1: every column still annihilates phi
-    bad = matrix_form(grid_resolution(d, n))
-    b1 = bad.matrix(1)
-    b1.set(0, 0, b1.entry(0, 1))
+    # column 0 replaced by column 1, both X columns, where b_1 is x1 C_1: a changed
+    # C_1, and every column still annihilates phi
+    res = grid_resolution(d, n)
+    assert [e.kind for _, e in res.bases[1]][:2] == ["X", "X"]
+    bad = changed_lift(res, 1, lambda rows: rows[0].__setitem__(0, rows[0][1]))
+    assert bad.matrix(1).entry(0, 0) == res.matrix(1).entry(0, 1)
     out = check_ann_match(Session(bad, grid_phi(d, n)))
     assert not out.passed
     assert out.summary == "column span differs from the degree-n annihilator" and out.witness == witness
@@ -385,7 +405,7 @@ def test_check_skeleton_golden_and_witness():
     assert out.passed
     assert tuple(dense(m) for m in canonical_skeleton(4, 2)) == golden_skeleton_d4_n2()
     bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial((0, 1, 0, 0)))
-    out = check_skeleton(Session(bad, bad.phi))
+    out = matrix_check(MatrixSession(bad, bad.phi), "skeleton")
     assert not out.passed
 
 
@@ -404,10 +424,12 @@ def test_check_skeleton_fails_on_an_entry_between_an_x_and_a_y_element(monkeypat
     # x2 at an X-row/Y-column zero of S_2 and its pairing mirror in S_3: the
     # strands are untouched and the pairing rule still holds on the skeleton,
     # so only the block scan of the strand certificate sees the mixed entry.
-    # B is altered to match, so the skeleton comparison passes as well.
+    # B is altered to match, so the skeleton comparison of the matrix form
+    # passes as well.
     from gorlin import differentials, exactness, verify
-    from gorlin.exactness import duality_failure, strand_certificate
+    from gorlin.exactness import strand_certificate
     from gorlin.hookbasis import pairing
+    from oracles import duality_failure
 
     res = matrix_form(grid_resolution(4, 2))
     skel = copy.deepcopy(canonical_skeleton(4, 2))
@@ -424,9 +446,9 @@ def test_check_skeleton_fails_on_an_entry_between_an_x_and_a_y_element(monkeypat
     for module in (differentials, exactness):
         monkeypatch.setattr(module, "canonical_skeleton", lambda d, n: skel)
     monkeypatch.setattr(verify, "strand_certificate", strand_certificate.__wrapped__)
-    s = Session(res, res.phi)
+    s = MatrixSession(res, res.phi)
     assert s.skeleton_failure is None and s.duality_failure is None
-    out = check_skeleton(s)
+    out = matrix_check(s, "skeleton")
     assert not out.passed, out.line()
     assert out.witness == "skeleton map out of position 2 joins an X and a Y element in row 0"
 
@@ -443,7 +465,7 @@ def test_check_duality_reaches_every_pair():
     # at r = 3, both outside the 200 pairs per r a random.Random(0) sample draws
     res = grid_resolution(5, 2)
     bad = perturbed(res, r=2, i=0, j=1, bump=Poly.monomial(mul_var(unit(5), 2)))
-    out = check_duality(Session(bad, bad.phi))
+    out = matrix_check(MatrixSession(bad, bad.phi), "duality")
     assert not out.passed and out.witness == "r=1, pair (1, 0)", out.line()
 
 
@@ -466,23 +488,51 @@ def _count_ranks(monkeypatch):
 
 
 def test_check_wlp_ranks_one_matrix(monkeypatch):
-    # with a fact of the session failing (here the skeleton of b_2), the image
-    # is ranked; the annihilator rows are a kernel basis, so only the union needs a rank
+    # with a fact of the proof failing (here the skeleton of b_2 of the matrix
+    # form), the image is ranked; the annihilator rows are a kernel basis, so
+    # only the union needs a rank
     res = grid_resolution(4, 2)
     bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial(mul_var(unit(4), 2)))
-    s = Session(bad, grid_phi(4, 2))
+    s = MatrixSession(bad, grid_phi(4, 2))
     s.ann_n, s.hilbert, s.b1_annihilation_failure  # proved before counting
     assert s.skeleton_failure is not None
     calls = _count_ranks(monkeypatch)
-    out = check_wlp(s)
+    out = matrix_check(s, "wlp")
     assert out.passed, out.line()
     assert len(calls) == 1
     assert out == check_wlp(Session(res, grid_phi(4, 2)))
 
 
+@pytest.mark.parametrize("fact", ["delta", "strand certificate", "annihilation"])
+def test_check_wlp_ranks_the_image_when_a_fact_of_its_proof_fails(monkeypatch, fact):
+    # delta = 0 on a changed lift, a failed strand certificate, or a column of C_1
+    # that no longer annihilates phi: the proof does not apply, so the image is
+    # ranked, once, and x1 is still a weak Lefschetz element of phi.  With
+    # delta = 0 a Y column of b_1 is x1 C_1 alone, so the lift drops those
+    # cofactors, and every column still annihilates phi
+    from gorlin import verify
+
+    res = grid_resolution(4, 2)
+    if fact == "delta":
+        ys = [j for j, (_, e) in enumerate(res.bases[1]) if e.kind == "Y"]
+        res = changed_lift(res, 1, lambda rows: [rows[0].pop(j) for j in ys])
+        res = dataclasses.replace(res, delta=0, lift=dataclasses.replace(res.lift, delta=0))
+    elif fact == "strand certificate":
+        monkeypatch.setattr(verify, "strand_certificate", lambda d, n: ("monomial strand does not compose to zero",))
+    else:
+        res = changed_lift(res, 1, lambda rows: add_to(rows, 0, 0, 1, mul_var(unit(4), 1)))
+    s = Session(res, grid_phi(4, 2))
+    s.ann_n, s.hilbert, s.b1_annihilation_failure  # proved before counting
+    assert (s.b1_annihilation_failure is not None) == (fact == "annihilation")
+    calls = _count_ranks(monkeypatch)
+    out = check_wlp(s)
+    assert out.passed and len(calls) == 1, out.line()
+    assert out == check_wlp(Session(grid_resolution(4, 2), grid_phi(4, 2)))
+
+
 def test_check_wlp_reads_the_session_facts(monkeypatch):
-    # delta != 0, the skeleton, the strand certificate and the annihilation by b_1
-    # give S_n = J_n + x1 S_{n-1}, so an intact resolution passes with no rank
+    # delta != 0, the strand certificate and the annihilation by b_1 give
+    # S_n = J_n + x1 S_{n-1} on the lift, so an intact resolution passes with no rank
     for d, n in [(3, 2), (4, 2), (4, 3), (5, 2)]:
         s = Session(grid_resolution(d, n), grid_phi(d, n))
         s.hilbert  # proved before counting
@@ -539,7 +589,7 @@ def test_routes_agree_and_verdicts_survive_a_permutation(case):
 def test_exactness_detects_broken_complex():
     res = grid_resolution(3, 2)
     bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial((1, 0, 0)))
-    out = certify_exactness_direct(Session(bad, grid_phi(3, 2)), 7)
+    out = certify_exactness_direct(MatrixSession(bad, grid_phi(3, 2)), 7)
     assert out and "complex" in out[0]
 
 
@@ -550,12 +600,13 @@ def test_exactness_detects_missing_syzygies():
     for r in (2, 3):
         for row in bad.matrix(r).entries:
             row.clear()
-    out = certify_exactness_direct(Session(bad, grid_phi(3, 2)), 7)
+    out = certify_exactness_direct(MatrixSession(bad, grid_phi(3, 2)), 7)
     assert out and any("degree" in f for f in out)
-    out = certify_exactness(Session(bad, grid_phi(3, 2)))
-    assert out  # the skeleton no longer matches the canonical strands
-    out = check_exactness_up_to(Session(bad, grid_phi(3, 2)))
+    s = MatrixSession(bad, grid_phi(3, 2))
+    out = matrix_check(s, "exactness")
+    # the skeleton no longer matches the canonical strands
     assert not out.passed and out.summary == "B is not certified to resolve S/ann(phi)"
+    assert out.witness == s.skeleton_failure is not None
 
 
 def test_exactness_distinguishes_only_dimensions():
@@ -584,11 +635,12 @@ def test_exactness_fails_for_the_resolution_of_another_system(d, n, seed, other)
 
 
 def test_a_b1_term_of_the_wrong_degree_fails_the_checks_without_raising():
-    # x1^3 contracts phi to 0, so the annihilation fact holds; the degree-n piece of b_1
-    # has no row for the term, and the checks that read dim I_n used to raise KeyError
+    # x1^3 (x1 times a term x1^2 of C_1) contracts phi to 0, so the annihilation fact
+    # holds; the degree-n piece of b_1 has no row for the term, and the checks that
+    # read dim I_n used to raise KeyError
     phi = random_invsys(3, 2, 1)
-    res = matrix_form(build_resolution(phi))
-    res.matrix(1).set(0, 0, res.matrix(1).entry(0, 0) + Poly.monomial((3, 0, 0)))
+    res = changed_lift(build_resolution(phi), 1, lambda rows: add_to(rows, 0, 0, 1, (2, 0, 0)))
+    assert res.matrix(1).entry(0, 0) == build_resolution(phi).matrix(1).entry(0, 0) + Poly.monomial((3, 0, 0))
     verdicts = {r.name: r for r in run_checks(res, phi).results}
     assert not verdicts["exactness"].passed
     assert verdicts["exactness"].witness == "column 0 of b_1 has a term of degree 3, not n = 2"
@@ -723,7 +775,7 @@ def test_session_facts_do_not_carry_into_a_perturbed_copy():
     res = grid_resolution(4, 2)
     assert run_checks(res, phi).passed
     bad = perturbed(res, r=2, i=1, j=2, bump=Poly.monomial(mul_var(unit(4), 2)))
-    verdicts = {r.name: r.passed for r in run_checks(bad, phi).results}
+    verdicts = {r.name: r.passed for r in matrix_report(MatrixSession(bad, phi)).results}
     assert not verdicts["complex"]
     assert not verdicts["exactness"]
 
@@ -741,33 +793,35 @@ def _count_calls(monkeypatch, counts, name, original, wanted=lambda *args: True)
 
 
 def test_run_checks_proves_each_fact_once(monkeypatch):
+    import oracles
     from gorlin import exactness, invsys, linalg
 
     phi = grid_phi(4, 2)
-    res = matrix_form(grid_resolution(4, 2))
+    res = grid_resolution(4, 2)
     counts = _counting_products(monkeypatch, res)
     exactness.strand_certificate.cache_clear()
-    _count_calls(monkeypatch, counts, "skeleton_block_failure", exactness.skeleton_block_failure)
     # dim ann(phi)_n is read off the pivots of one rref of the degree-n catalecticant
     _count_calls(monkeypatch, counts, "rref", linalg.rref)
     _count_calls(monkeypatch, counts, "hilbert_function", invsys.hilbert_function)
     _count_calls(monkeypatch, counts, "ideal_dims", exactness.ideal_dims)
-    # only the pairing rule of the matrix form is counted; the skeleton holds its own by construction
-    _count_calls(monkeypatch, counts, "duality_failure", exactness.duality_failure,
-                 lambda bases, mats: mats is res.matrices)
     assert run_checks(res, phi).passed
-    # under the proved duality the products past the middle mirror those before it,
-    # and the interior product b_2 b_3 is read off the x1-split on the fact that the
+    # under the pairing rule the products past the middle mirror those before it,
+    # and the interior product b_2 b_3 is read off the lift on the fact that the
     # skeleton is a complex, part of the strand certificate, a cached fact of (d, n)
     assert exactness.strand_certificate.cache_info().misses == 1
-    assert counts == Counter({
-        "b_1 b_2": 1,
-        "duality_failure": 1,
-        "skeleton_block_failure": 1,
-        "rref": 1,
-        "hilbert_function": 1,
-        "ideal_dims": 1,
-    })
+    assert counts == Counter({"b_1 b_2": 1, "rref": 1, "hilbert_function": 1, "ideal_dims": 1})
+    # the matrix form proves the facts the lift holds by construction, each once as well
+    monkeypatch.undo()
+    form = matrix_form(res)
+    counts = _counting_products(monkeypatch, form)
+    for name in ("skeleton_block_failure", "duality_failure", "x1_split"):
+        monkeypatch.setattr(oracles, name, lambda *args, f=getattr(oracles, name), name=name:
+                            counts.update([name]) or f(*args))
+    _count_calls(monkeypatch, counts, "rref", linalg.rref)
+    _count_calls(monkeypatch, counts, "hilbert_function", invsys.hilbert_function)
+    assert matrix_report(MatrixSession(form, phi)).passed
+    assert counts == Counter({"b_1 b_2": 1, "duality_failure": 1, "skeleton_block_failure": 1, "x1_split": 4,
+                              "rref": 1, "hilbert_function": 1})
 
 
 def test_a_passing_run_on_the_lift_cuts_no_piece_of_b1_and_forms_no_annihilator_basis(monkeypatch):
@@ -787,9 +841,82 @@ def test_facts_by_construction_hold_on_the_matrices(system):
     # the pairing rule, the x1 split and the skeleton, computed on the matrices built
     # from the lift, and the full report of their matrix form against the lift route's
     phi = extra_phi(system) if system in EXTRA else grid_phi(*map(int, system.split("-")))
-    res = build_resolution(phi)
-    assert res.lift is not None
-    assert lift_fact_failure(res) is None
+    assert lift_fact_failure(build_resolution(phi)) is None
+
+
+@st.composite
+def changed_lifts(draw):
+    """(a changed lift, a label): a small system with one perturbation of its lift's cofactors.
+
+    The system has integer coefficients, Fraction ones (or is fractional_phi()),
+    or permuted variables.  The perturbation is a term of C_1, a constant of an
+    interior C_r, a term of C_1 of a degree other than n-1, or two columns of a
+    C_r swapped; r is never the self-paired middle map of odd d, so the lift
+    keeps the pairing rule.
+    """
+    kind = draw(st.sampled_from(["interior constant", "C_1 term", "wrong degree", "swapped columns"]),
+                label="perturbation")
+    system = draw(st.sampled_from(["integer", "fraction", "fractional_phi", "permuted"]), label="system")
+    if system == "fractional_phi":
+        phi = fractional_phi()
+    else:
+        points = [(3, 2), (3, 3), (4, 2), (5, 2), (6, 2)][2 if kind == "interior constant" else 0:]
+        d, n = draw(st.sampled_from(points), label="(d, n)")
+        phi = random_invsys(d, n, draw(st.integers(0, 30), label="seed"))
+        if system == "fraction":
+            phi = InverseSystem(d, n, {m: Fraction(c, draw(st.integers(1, 9))) for m, c in sorted(phi.coeffs.items())})
+        elif system == "permuted":
+            perm = draw(st.permutations(range(d)), label="permutation")
+            phi = InverseSystem(d, n, {tuple(m[k] for k in perm): c for m, c in phi.coeffs.items()})
+    try:
+        res = build_resolution(phi)
+    except InadmissibleSystemError:
+        assume(False)
+    d, n = phi.d, phi.n
+    coefficient = st.sampled_from([-2, -1, 1, 3, Fraction(1, 2)])
+    if kind == "swapped columns":
+        r = draw(st.integers(1, d // 2), label="r")
+        columns = st.lists(st.integers(0, len(res.bases[r]) - 1), min_size=2, max_size=2, unique=True)
+        j, k = draw(columns, label="columns")
+
+        def edit(rows):
+            for row in rows:
+                cells = {c: row.pop(c) for c in (j, k) if c in row}
+                row.update({k if c == j else j: v for c, v in cells.items()})
+    elif kind == "interior constant":
+        r = draw(st.integers(2, d // 2), label="r")
+        i = draw(st.integers(0, len(res.bases[r - 1]) - 1), label="row")
+        j = draw(st.integers(0, len(res.bases[r]) - 1), label="column")
+        c = draw(coefficient, label="c")
+
+        def edit(rows):
+            add_to(rows, i, j, c)
+    else:
+        r = 1
+        e = n - 1 if kind == "C_1 term" else draw(st.sampled_from(sorted({0, n - 2, n})), label="degree")
+        j = draw(st.integers(0, len(res.bases[1]) - 1), label="column")
+        m = draw(st.sampled_from(monomials_of_degree(d, e)), label="monomial")
+        c = draw(coefficient, label="c")
+
+        def edit(rows):
+            add_to(rows, 0, j, c, m)
+    return changed_lift(res, r, edit), f"{system} {kind}"
+
+
+# no shrinking, as for test_routes_agree_and_verdicts_survive_a_permutation
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          phases=[p for p in Phase if p is not Phase.shrink], suppress_health_check=[HealthCheck.filter_too_much])
+@given(changed_lifts())
+def test_the_lift_and_the_matrix_route_agree_on_a_changed_lift(case):
+    # run_checks on the lift against the eight checks on a MatrixSession of its matrices,
+    # which proves from them every fact that the lift holds by construction; the two
+    # share the induction on the interior products, so the complex witness is also
+    # that of the full product
+    res, label = case
+    lift = run_checks(res, res.phi)
+    full = matrix_report(MatrixSession(matrix_form(res), res.phi))
+    assert lift.to_text() == full.to_text(), label
+    assert lift.results[0].witness == complex_witness(res), label
 
 
 @pytest.mark.parametrize("d,n", [(4, 2), (5, 2)])
@@ -801,7 +928,6 @@ def test_run_checks_on_the_lift_computes_no_fact_it_holds_by_construction(monkey
     counts = Counter()
     _count_calls(monkeypatch, counts, "skeleton_block_failure", exactness.skeleton_block_failure)
     _count_calls(monkeypatch, counts, "x1_split", exactness.x1_split)
-    _count_calls(monkeypatch, counts, "duality_failure", exactness.duality_failure)
     assert run_checks(res, res.phi).passed
     assert exactness.strand_certificate.cache_info().misses == 1
     # the lift and the skeleton hold the pairing rule on every map, the self-paired middle
