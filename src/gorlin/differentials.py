@@ -32,11 +32,11 @@ _record signs the terms by the bases.  build_plan keeps the result: every
 term of C_1..C_h as an integer combination of the keys, in the cell format
 that _evaluate reads.  A build fills one value per key from the numeric
 BuildContext and evaluates the plan into the constants of C_2..C_h and the
-forms of C_1.  It returns the lift (Lift): delta, canonical_skeleton(d, n)
-and those cofactors, frozen.  No matrix is written then: Resolution builds
-each on request as delta S_r beside x1 C_r, and a Session reads S and C
-from the lift itself.  So the skeleton, the x1 split and the pairing rule
-on every map hold by construction, and a resolution has no other form.
+forms of C_1.  It returns phi, delta and those cofactors as one frozen
+record (Resolution); the rest is a fact of (d, n).  No matrix is written
+then: Resolution builds each on request as delta S_r beside x1 C_r, and a
+Session reads S and C from the record.  So the skeleton, the x1 split and
+the pairing rule on every map hold by construction.
 Every coefficient is an integer numerator over one power of the lcm L of
 phi's denominators; _evaluate divides it out when it writes the term, so
 a coefficient is an int whenever it is integral (always, for phi with
@@ -48,7 +48,6 @@ stored (PolyMatrix keeps the nonzero entries only).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul as times
 from typing import Any, Callable
@@ -385,30 +384,59 @@ def _polys(d: int, rows: Rows) -> list[dict[int, Poly]]:
     return out
 
 
-@dataclass(frozen=True)
-class Lift:
-    """B as the lift of its skeleton: b_r = delta S_r + x1 C_r for every r.
+@lru_cache(maxsize=None)
+def self_dual_bases(d: int, n: int) -> tuple[OrderedBasis, ...]:
+    """The self-dual bases of positions 0..d (hookbasis.duality_basis): a fact of (d, n), built once."""
+    return tuple(duality_basis(d, n, r) for r in range(d + 1))
 
-    skeleton is canonical_skeleton(d, n), S_r = skeleton[r - 1], and
-    cofactors[r - 1] is C_r by rows (Rows) for r <= h = (d+1)//2: at r = 1
-    a column j maps to the terms {m: c} of its cofactor, of degree n-1, and
-    inside to its constant c.  For odd d the middle C_h is whole, its own
-    pairing transpose (paired, in _evaluate).  Past h, C_r is the pairing
-    transpose of C_{d+1-r} (cofactor), as S_r holds that of its partner's L
-    block.  No term of S_r has x1, so the two parts share no monomial.
-    terms writes new dicts, and cofactor hands out C_r itself up to h, for
-    reading; nothing alters the lift.
+
+@dataclass(frozen=True)
+class Resolution:
+    """The resolution of phi as the lift of its skeleton: b_r = delta S_r + x1 C_r for every r.
+
+    A build decides phi, delta and the cofactors, and nothing else: the
+    bases, the twists and the skeleton S_r = skeleton[r - 1] are those of
+    (d, n) (self_dual_bases, twist_list, canonical_skeleton).  delta is an
+    int when it is integral.  cofactors[r - 1] is C_r by rows (Rows) for
+    r <= h = (d+1)//2: at r = 1 a column j maps to the terms {m: c} of its
+    cofactor, of degree n-1, and inside to its constant c.  For odd d the
+    middle C_h is whole, its own pairing transpose (paired, in _evaluate).
+    Past h, C_r is the pairing transpose of C_{d+1-r} (cofactor), as S_r
+    holds that of its partner's L block.  No term of S_r has x1, so the two
+    parts share no monomial.  terms and every matrix are built new on each
+    request, and cofactor hands out C_r itself up to h, for reading; so
+    nothing done to a matrix handed out alters the resolution, its dumps or
+    the facts a Session proves from it.
     """
 
+    phi: InverseSystem
     delta: Scalar
-    bases: tuple[OrderedBasis, ...]
-    skeleton: tuple[PolyMatrix, ...]
     cofactors: tuple[Rows, ...]
 
+    @property
+    def d(self) -> int:
+        return self.phi.d
+
+    @property
+    def n(self) -> int:
+        return self.phi.n
+
+    @property
+    def bases(self) -> tuple[OrderedBasis, ...]:
+        return self_dual_bases(self.d, self.n)
+
+    @property
+    def twists(self) -> tuple[int, ...]:
+        return twist_list(self.d, self.n)
+
+    @property
+    def skeleton(self) -> tuple[PolyMatrix, ...]:
+        return canonical_skeleton(self.d, self.n)
+
     def terms(self, r: int) -> Rows:
-        """The entries of b_r = delta S_r + x1 C_r as term dicts."""
-        d, delta = len(self.bases) - 1, self.delta
-        rows = [{j: {m: c * delta for m, c in p.terms.items()} for j, p in row.items()}
+        """The entries of b_r = delta S_r + x1 C_r as term dicts; with delta = 0 S_r leaves no term."""
+        d, delta = self.d, self.delta
+        rows = [{j: {m: c * delta for m, c in p.terms.items()} for j, p in row.items() if delta}
                 for row in self.skeleton[r - 1].entries]
         if r in (1, d):
             for row, crow in zip(rows, self.cofactor(r)):
@@ -426,44 +454,19 @@ class Lift:
         """C_r by rows; past h the pairing transpose of C_{d+1-r}: forms at r = d, constants inside."""
         if r <= len(self.cofactors):
             return self.cofactors[r - 1]
-        d = len(self.bases) - 1
+        d = self.d
         return paired(self.bases, r, self.cofactors[d - r], signed_terms if r == d else times)
 
     def monomials(self, r: int) -> set[Mono]:
-        """The distinct monomials of b_r: those of S_r (skeleton_monomials) and x1 times those of C_r or C_{d+1-r}."""
-        basis = self.bases[0]
-        out = set(skeleton_monomials(basis.d, basis.n)[r - 1])
-        r = min(r, len(self.bases) - r)
+        """The distinct monomials of b_r: those of delta S_r and x1 times those of C_r or C_{d+1-r}."""
+        d = self.d
+        out = set(skeleton_monomials(d, self.n)[r - 1]) if self.delta else set()
+        r = min(r, d + 1 - r)
         if r == 1:
             out.update((m[0] + 1,) + m[1:] for row in self.cofactors[0] for cof in row.values() for m in cof)
         elif any(self.cofactors[r - 1]):
-            out.add((1,) + (0,) * (len(self.bases) - 2))
+            out.add((1,) + (0,) * (d - 1))
         return out
-
-
-@dataclass
-class Resolution:
-    """The resolution of phi in its self-dual bases, bases[k] at position k, with its twists.
-
-    lift is the Lift that build_resolution wrote, and each matrix is built
-    from it on request, a new PolyMatrix on every call, so nothing done to
-    a matrix handed out alters the resolution, its dumps or the facts a
-    Session proves from the lift.
-    """
-
-    phi: InverseSystem
-    delta: Fraction
-    bases: tuple[OrderedBasis, ...]
-    twists: tuple[int, ...]
-    lift: Lift
-
-    @property
-    def d(self) -> int:
-        return self.phi.d
-
-    @property
-    def n(self) -> int:
-        return self.phi.n
 
     @property
     def matrices(self) -> tuple[PolyMatrix, ...]:
@@ -471,8 +474,9 @@ class Resolution:
         return tuple(self.matrix(r) for r in range(1, self.d + 1))
 
     def matrix(self, r: int) -> PolyMatrix:
-        """The matrix of the differential out of homological degree r (1-based), built from the lift."""
-        return PolyMatrix(self.bases[r - 1], self.bases[r], _polys(self.d, self.lift.terms(r)))
+        """The matrix of the differential out of homological degree r (1-based), built new from the lift."""
+        bases = self.bases
+        return PolyMatrix(bases[r - 1], bases[r], _polys(self.d, self.terms(r)))
 
     @property
     def betti(self) -> tuple[int, ...]:
@@ -534,7 +538,7 @@ def build_plan(d: int, n: int) -> Plan:
     raises ValueError.
     """
     ctx = PlanContext(d, n)
-    bases = [duality_basis(d, n, r) for r in range(d + 1)]
+    bases = self_dual_bases(d, n)
     h = (d + 1) // 2
     cells = []
     for r in range(1, h + 1):
@@ -553,7 +557,7 @@ def build_plan(d: int, n: int) -> Plan:
 
 
 def _evaluate(plan: Plan, ctx: BuildContext, bases: tuple[OrderedBasis, ...]) -> tuple[Rows, ...]:
-    """The cofactors of the plan for the inverse system of ctx, by rows as Lift keeps them.
+    """The cofactors of the plan for the inverse system of ctx, by rows as Resolution keeps them.
 
     Each key is evaluated once; a term whose numerator is zero is dropped,
     and a nonzero numerator is divided by ctx.denom (polynomials.over).  The
@@ -593,11 +597,8 @@ def build_resolution(phi: InverseSystem, ordering: str = "selfdual") -> Resoluti
     if ordering != "selfdual":
         raise ValueError(f"unknown ordering {ordering!r}; the only basis family is 'selfdual'")
     cat = delta_and_Q(phi)
-    d, n = phi.d, phi.n
-    bases = tuple(duality_basis(d, n, r) for r in range(d + 1))
-    cofactors = _evaluate(build_plan(d, n), BuildContext(phi, cat), bases)
-    lift = Lift(exact(cat.delta), bases, canonical_skeleton(d, n), cofactors)
-    return Resolution(phi, cat.delta, bases, twist_list(d, n), lift=lift)
+    cofactors = _evaluate(build_plan(phi.d, phi.n), BuildContext(phi, cat), self_dual_bases(phi.d, phi.n))
+    return Resolution(phi, exact(cat.delta), cofactors)
 
 
 @lru_cache(maxsize=None)
@@ -606,7 +607,7 @@ def canonical_skeleton(d: int, n: int) -> tuple[PolyMatrix, ...]:
 
     It depends on (d, n) alone.  It is the only place where the entries of
     the two Koszul strands on x2..xd are written, in the self-dual bases of
-    every resolution; Lift reads its maps as S_r.  The monomial strand L is
+    every resolution; Resolution reads its maps as S_r.  The monomial strand L is
     written on the Y columns of every position: at r = 1 each Y column's
     monomial of degree n at Y0, and past it the Koszul contraction
     (kos_expansion).  The dual strand K on the X elements is the pairing
@@ -614,7 +615,7 @@ def canonical_skeleton(d: int, n: int) -> tuple[PolyMatrix, ...]:
     L_{d+1-k}.  So K_1 = 0, S_d = K_d, and the self-paired middle map of
     odd d is L_h beside its own transpose; no entry joins the two kinds.
     """
-    bases = tuple(duality_basis(d, n, r) for r in range(d + 1))
+    bases = self_dual_bases(d, n)
     expansions = [[{y0(d): {mul_var(e.m, e.a[0]): 1}} if e.kind == "Y" else {} for _, e in bases[1]]]
     expansions += [[kos_expansion(e) if e.kind == "Y" else {} for _, e in bases[r]] for r in range(2, d + 1)]
     strand = [_assemble(bases[r - 1], bases[r], expans) for r, expans in enumerate(expansions, 1)]

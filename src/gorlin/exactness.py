@@ -14,7 +14,7 @@ depends only on (d, n): differentials.canonical_skeleton(d, n) writes it
 once.  strand_certificate proves, once per (d, n), the one fact about it:
 it is the dual strand K beside the monomial strand L, both exact, K the
 dual of L.  A resolution is the lift b_r = delta S_r + x1 C_r of that
-skeleton (differentials.Lift), so its skeleton is delta S_r by
+skeleton (differentials.Resolution), so its skeleton is delta S_r by
 construction, and the skeleton check is the strand certificate.
 
 The monomial strand L must resolve R/m^n, for R = k[x2..xd] and m its
@@ -118,7 +118,7 @@ from .hookbasis import BasisElement
 from .invsys import InverseSystem, ann_degree, hilbert_function
 from .monomials import Mono, monomial_index, monomials_of_degree
 from .polymatrix import PolyMatrix, denominator_lcm, pack
-from .polynomials import Poly, Scalar, clear_denominators, exact, poly_str
+from .polynomials import Poly, Scalar, clear_denominators, poly_str
 
 PRIMES = (65521, 65519, 65497, 65479, 65449)
 
@@ -297,7 +297,7 @@ def _linear_part_vanishes(s_rows, c_rows, s_next, c_next, ncols: int) -> bool:
 
     s_rows, s_next are the rows of skeleton maps (PolyMatrix.entries), with int
     coefficients on monomials free of x1; c_rows, c_next are constant
-    matrices by rows, as Lift.cofactor gives them, and ncols is the number of
+    matrices by rows, as Resolution.cofactor gives them, and ncols is the number of
     columns of C_{r+1}.  Row i is summed in a dict, the coefficient of the
     k-th skeleton monomial at column j under the key k * ncols + j.
     """
@@ -453,19 +453,19 @@ def ideal_dims(s: Session) -> int:
 
     When the strand certificate holds and delta != 0 it is the number of
     columns where S_1 is nonzero plus the rank of C_1 on the others, the X
-    columns (module docstring); only that block of the lift is ranked.
+    columns (module docstring); only that block of s.res is ranked.
     Its rank mod p is a lower bound.  When every column annihilates phi, I
     lies in J = ann(phi) and dim S_n - hf(n) is an upper bound, so a prime
     whose rank meets it pins dim I_n.  Otherwise, and when no prime meets
     the bound, the same block is ranked exactly.  The other degrees of I
     follow from this one (module docstring, certify_exactness).
     """
-    d, n = s.res.d, s.res.n
+    res = s.res
+    d, n = res.d, res.n
     bound = comb(n + d - 1, d - 1) - s.hf(n)
-    lift = s.lift
-    if lift.delta and not strand_certificate(d, n):
-        skel, cof = lift.skeleton[0].entries[0], lift.cofactors[0][0]
-        xs = [j for j in range(len(lift.bases[1])) if j not in skel]
+    if res.delta and not strand_certificate(d, n):
+        skel, cof = res.skeleton[0].entries[0], res.cofactors[0][0]
+        xs = [j for j in range(len(res.bases[1])) if j not in skel]
         rows = monomial_index(d, n - 1)
         # the block transposed, a row per X column: rank_mod_p then keeps fewer rows
         cells = [(k, rows[m], c) for k, j in enumerate(xs) for m, c in cof.get(j, {}).items()]
@@ -489,20 +489,20 @@ class Session:
     A session lives for one verification run.  Its facts are computed on
     first use and kept on the session, never on the resolution or the
     inverse system, so a changed copy of a resolution starts from nothing
-    in a session of its own.  The session reads S_r and C_r from the lift
-    (differentials.Lift), and builds a matrix from it only when a check
-    needs one, once (matrix).  The skeleton, the x1 split and the pairing
-    rule on every map hold by construction, so no fact stands for them.
+    in a session of its own.  It reads S_r and C_r from res, and builds a
+    matrix only when a check needs one, once (matrix); monomials and
+    cofactor read res, where the tests' matrix form reads its matrices.
+    The skeleton, the x1 split and the pairing rule on every map hold by
+    construction, so no fact stands for them.
     """
 
     def __init__(self, res: Resolution, phi: InverseSystem):
         self.res = res
         self.phi = phi
-        self.lift = res.lift
         self._matrices: dict[int, PolyMatrix] = {}
 
     def matrix(self, r: int) -> PolyMatrix:
-        """b_r, built from the lift at most once per session."""
+        """b_r, built from res at most once per session."""
         mat = self._matrices.get(r)
         if mat is None:
             mat = self._matrices[r] = self.res.matrix(r)
@@ -510,11 +510,11 @@ class Session:
 
     def monomials(self, r: int) -> set[Mono]:
         """The distinct monomials of b_r."""
-        return self.lift.monomials(r)
+        return self.res.monomials(r)
 
     def cofactor(self, r: int) -> list[dict[int, Scalar]]:
         """The constant x1 cofactor C_r of an interior b_r by rows, C_{d+1-r} paired past the middle."""
-        return self.lift.cofactor(r)
+        return self.res.cofactor(r)
 
     @cached_property
     def complex_failure(self) -> tuple[int, int, int, Poly] | None:
@@ -630,8 +630,7 @@ def skeleton_block_failure(res: Resolution, splits: tuple[Split, ...]) -> str | 
     delta times the skeleton terms, entry by entry, with no matrix or dict
     built for the comparison.
     """
-    delta = exact(res.delta)
-    d, n = res.d, res.n
+    delta, d, n = res.delta, res.d, res.n
     for r, skel in enumerate(canonical_skeleton(d, n), 1):
         got = res.matrix(r)
         if got.shape != skel.shape:

@@ -67,18 +67,18 @@ def _labels(basis: OrderedBasis) -> str:
 
 
 def resolution_json(res: Resolution) -> str:
-    """The JSON document of res (module docstring); a row of cells starts as "[]" each and gets its nonzero entries."""
+    """The JSON document of res (module docstring) from Resolution.terms; a row's cells start as "[]" each."""
     heads: dict[Mono, tuple] = {}
     matrices = []
-    for r, mat in enumerate(res.matrices, 1):
-        rows = []
-        for row in mat.entries:
-            cells = ["[]"] * len(mat.cols)
-            for j, p in row.items():
-                cells[j] = _term_list(p.terms, 6, heads)
-            rows.append(_block(cells, 5))
-        matrices.append(_block([f'"cols": {_labels(mat.cols)}', f'"entries": {_block(rows, 4)}',
-                                f'"index": {r}', f'"rows": {_labels(mat.rows)}'], 3, "{}"))
+    for r, (rows, cols) in enumerate(zip(res.bases, res.bases[1:]), 1):
+        entries = []
+        for row in res.terms(r):
+            cells = ["[]"] * len(cols)
+            for j, terms in row.items():
+                cells[j] = _term_list(terms, 6, heads)
+            entries.append(_block(cells, 5))
+        matrices.append(_block([f'"cols": {_labels(cols)}', f'"entries": {_block(entries, 4)}',
+                                f'"index": {r}', f'"rows": {_labels(rows)}'], 3, "{}"))
     coefficients = _term_list(res.phi.coeffs, 3, {})
     inverse_system = _block([f'"coefficients": {coefficients}', f'"d": {res.d}', f'"n": {res.n}'], 2, "{}")
     return _block([

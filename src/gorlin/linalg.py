@@ -103,15 +103,8 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return a, pivots
 
 
-def kernel_basis(m: Matrix, ncols: int | None = None) -> list[Row]:
-    """Exact basis of the right null space {v : m v = 0}.
-
-    ncols is required when m has no rows.
-    """
-    if not m:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return identity(ncols)
+def kernel_basis(m: Matrix) -> list[Row]:
+    """Exact basis of the right null space {v : m v = 0} of a matrix with at least one row."""
     ncols = len(m[0])
     red, pivots = rref(m)
     free = [c for c in range(ncols) if c not in pivots]

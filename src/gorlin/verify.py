@@ -76,9 +76,11 @@ def check_complex(s: Session) -> CheckResult:
 def check_betti_and_degrees(s: Session) -> CheckResult:
     """Shapes, twists, entry degrees (n, 1, ..., 1, n), and minimality.
 
-    The degrees are read off the distinct monomials of each matrix; only
-    when one is wrong are the entries walked in row-major order for the
-    first broken one, the witness.
+    A built resolution takes its bases and twists from (d, n), so the Betti
+    and twist comparisons hold there by construction; they bite on the
+    tests' matrix form.  The degrees are read off the distinct monomials of
+    each matrix; only when one is wrong are the entries walked in row-major
+    order for the first broken one, the witness.
     """
     res = s.res
     d, n = res.d, res.n

@@ -67,16 +67,14 @@ def resolution_at(d, n):
 
 
 def changed_lift(res, r, edit):
-    """res with a changed lift: edit alters a copy of the cofactor C_r in place, r <= (d+1)//2.
+    """res with changed cofactors: edit alters a copy of the cofactor C_r in place, r <= (d+1)//2.
 
-    C_{d+1-r} follows by the pairing rule, as it does on a built lift.  The
-    middle map of odd d is its own pairing transpose, which an edit must keep.
+    C_{d+1-r} follows by the pairing rule, as it does on a built resolution.
+    The middle map of odd d is its own pairing transpose, which an edit must keep.
     """
-    lift = res.lift
-    rows = copy.deepcopy(lift.cofactors[r - 1])
+    rows = copy.deepcopy(res.cofactors[r - 1])
     edit(rows)
-    cofactors = lift.cofactors[:r - 1] + (rows,) + lift.cofactors[r:]
-    return dataclasses.replace(res, lift=dataclasses.replace(lift, cofactors=cofactors))
+    return dataclasses.replace(res, cofactors=res.cofactors[:r - 1] + (rows,) + res.cofactors[r:])
 
 
 def add_to(rows, i, j, c, m=None):

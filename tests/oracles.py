@@ -136,7 +136,7 @@ from gorlin.monomials import (
     var_divides,
 )
 from gorlin.polymatrix import PolyMatrix
-from gorlin.polynomials import Poly, coeff_rows
+from gorlin.polynomials import Poly, Scalar, coeff_rows
 from gorlin.verify import (
     CHECK_NAMES,
     CheckResult,
@@ -311,15 +311,15 @@ class MatrixForm:
 
     It reads as a differentials.Resolution to the checks, the dumps and the
     oracles, and has no lift: MatrixSession proves every fact from the
-    matrices.
+    matrices.  Unlike a built resolution it keeps bases and twists as
+    given, so a test can break them.
     """
 
     phi: InverseSystem
-    delta: Fraction
+    delta: Scalar
     bases: tuple[OrderedBasis, ...]
     matrices: tuple[PolyMatrix, ...]
     twists: tuple[int, ...]
-    lift = None  # Session keeps res.lift, which MatrixSession never reads
 
     @property
     def d(self) -> int:
@@ -338,7 +338,7 @@ class MatrixForm:
 
 
 def matrix_form(res: Resolution) -> MatrixForm:
-    """res in matrix form: its matrices, which the lift builds new on each request, for a test to alter."""
+    """res in matrix form: its matrices, which res builds new on each request, for a test to alter."""
     return MatrixForm(res.phi, res.delta, res.bases, res.matrices, res.twists)
 
 
@@ -501,12 +501,12 @@ def lift_fact_failure(res: Resolution) -> str | None:
     if s.duality_failure is not None:
         return "pairing rule at r={}, pair ({}, {})".format(*s.duality_failure)
     for r in range(2, res.d):
-        if s.cofactor(r) != res.lift.cofactor(r):
+        if s.cofactor(r) != res.cofactor(r):
             return f"x1 split of b_{r}"
     x1_part = [{j: part for j, p in row.items() if (part := {m: c for m, c in p.terms.items() if m[0]})}
                for row in s.matrix(1).entries]
     if x1_part != [{j: {mul_var(m, 1): c for m, c in cof.items()} for j, cof in row.items()}
-                   for row in res.lift.cofactors[0]]:
+                   for row in res.cofactors[0]]:
         return "x1 part of b_1"
     if s.skeleton_failure is not None:
         return s.skeleton_failure

@@ -1,6 +1,7 @@
 """Resolution construction: anchors, complex property, skeleton, duality, route agreement."""
 
 import copy
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,10 @@ from gorlin.differentials import (
     build_plan,
     build_resolution,
     canonical_skeleton,
+    self_dual_bases,
     twist_list,
 )
-from gorlin.exactness import skeleton_block_failure, x1_split
+from gorlin.exactness import Session, skeleton_block_failure, x1_split
 from gorlin.export import resolution_json
 from gorlin.hookbasis import BasisElement, duality_basis, pairing, xd, y0
 from gorlin.invsys import (
@@ -141,7 +143,7 @@ def test_skeleton_depends_only_on_delta():
     phi2 = random_invsys(4, 2, seed=8)
     r1 = build_resolution(phi1)
     r2 = build_resolution(phi2)
-    ratio = r1.delta / r2.delta
+    ratio = Fraction(r1.delta) / r2.delta
     for r in range(1, 5):
         a = r1.matrix(r).mod_x1()
         b = scaled(r2.matrix(r).mod_x1(), ratio)
@@ -253,14 +255,34 @@ def test_a_second_build_reuses_the_plan():
     # a matrix is built from the lift on each request: an entry of a returned b_1 altered in
     # place leaves the lift, b_1 and b_4 (paired from b_1) and the dump unchanged
     b1, b4 = ([{j: dict(p.terms) for j, p in row.items()} for row in res.matrix(r).entries] for r in (1, 4))
-    cofactors, text = copy.deepcopy(res.lift.cofactors), resolution_json(res)
+    cofactors, text = copy.deepcopy(res.cofactors), resolution_json(res)
     next(iter(res.matrix(1).entries[0].values())).add_term((0, 1, 1, 1), 1)
     mats = res.matrices
     next(iter(mats[0].entries[0].values())).add_term((0, 1, 1, 1), 1)
     for r, want in ((1, b1), (4, b4)):
         assert [{j: dict(p.terms) for j, p in row.items()} for row in res.matrix(r).entries] == want
     assert [{j: dict(p.terms) for j, p in row.items()} for row in mats[3].entries] == b4
-    assert res.lift.cofactors == cofactors and resolution_json(res) == text
+    assert res.cofactors == cofactors and resolution_json(res) == text
+
+
+def test_a_built_resolution_is_one_frozen_record_of_phi_delta_and_its_cofactors():
+    # the bases, the twists and the skeleton are facts of (d, n), read from no field, so one
+    # replace of delta changes every map: with delta = 0 no map keeps a term free of x1, and
+    # the session no longer reads the interior product b_2 b_3 off the induction
+    res = resolution_at(4, 3)
+    assert [f.name for f in dataclasses.fields(res)] == ["phi", "delta", "cofactors"]
+    for name in ("phi", "delta", "cofactors"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(res, name, getattr(res, name))
+    assert res.bases == tuple(duality_basis(4, 3, r) for r in range(5)) and res.bases is self_dual_bases(4, 3)
+    assert res.twists == twist_list(4, 3) == (0, 3, 4, 5, 8)
+    assert any(not m[0] for mat in res.matrices for _, _, p in mat.nonzero() for m in p.terms)
+    assert Session(res, res.phi)._interior_product_vanishes(2)
+    zero = dataclasses.replace(res, delta=0)
+    assert zero.cofactors is res.cofactors
+    for r in range(1, 5):
+        assert all(m[0] for _, _, p in zero.matrix(r).nonzero() for m in p.terms), r
+    assert not Session(zero, zero.phi)._interior_product_vanishes(2)
 
 
 ODD_GRID = [(d, n) for d, n in GRID if d % 2]
@@ -282,7 +304,7 @@ def test_the_middle_map_of_odd_d_is_written_on_one_side(d, n):
     if (d, n) == (5, 2):
         assert len(cells) == 299
     res = resolution_at(d, n)
-    cof, skel = res.lift.cofactor(h), canonical_skeleton(d, n)[h - 1].entries
+    cof, skel = res.cofactor(h), canonical_skeleton(d, n)[h - 1].entries
     assert any(cof) and any(skel)
     for rows, signed in ((cof, lambda v: e * v), (skel, lambda p: p.scale(e))):
         assert all(i not in row for i, row in enumerate(rows))

@@ -683,11 +683,10 @@ def test_ideal_dims_of_a_lift_with_two_equal_x_cofactor_columns_is_the_exact_sma
     # a changed lift whose C_1 repeats one X column in another: every column still
     # annihilates phi, but dim I_n is one short of the bound, so no prime pins it
     res = grid_resolution(4, 2)
-    lift = res.lift
     xs = [j for j, (_, e) in enumerate(res.bases[1]) if e.kind == "X"]
-    c1 = dict(lift.cofactors[0][0])
+    c1 = dict(res.cofactors[0][0])
     c1[xs[0]] = dict(c1[xs[1]])
-    bad = dataclasses.replace(res, lift=dataclasses.replace(lift, cofactors=([c1], *lift.cofactors[1:])))
+    bad = dataclasses.replace(res, cofactors=([c1], *res.cofactors[1:]))
     s = Session(bad, res.phi)
     assert s.b1_annihilation_failure is None
     calls = []

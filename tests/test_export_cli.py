@@ -13,11 +13,10 @@ from gorlin.cli import main
 from gorlin.differentials import build_resolution
 from gorlin.export import resolution_cas_script, resolution_json, resolution_text
 from gorlin.invsys import InverseSystem, random_invsys, save_invsys, sum_of_powers
-from gorlin.monomials import monomials_of_degree, mul_var, unit
-from gorlin.polynomials import Poly
+from gorlin.monomials import monomials_of_degree
 
-from conftest import GRID, extra_phi, grid_resolution, squares_resolution
-from oracles import matrix_form, resolution_json_dict
+from conftest import GRID, changed_lift, extra_phi, grid_resolution, squares_resolution
+from oracles import resolution_json_dict
 
 
 def run_cli(args):
@@ -49,14 +48,13 @@ def test_resolution_json_round_shape():
 
 
 def with_altered_entries(res):
-    """A copy of res with the first nonzero entry of b_2 replaced by a new polynomial and the last set to zero."""
-    res = matrix_form(res)
-    mat, d = res.matrix(2), res.d
-    i, j, _ = next(mat.nonzero())
-    mat.set(i, j, Poly(d, {unit(d): Fraction(-7, 3), mul_var(mul_var(unit(d), 1), d): 5}))
-    *_, (i, j, _) = mat.nonzero()
-    mat.set(i, j, Poly(d))
-    return res
+    """A copy of res with its first nonzero C_2 entry set to -7/3 and the last form of C_1 dropped."""
+    def first_to_fraction(rows):
+        i = next(i for i, row in enumerate(rows) if row)
+        rows[i][min(rows[i])] = Fraction(-7, 3)
+
+    res = changed_lift(res, 2, first_to_fraction)
+    return changed_lift(res, 1, lambda rows: rows[0].pop(max(rows[0])))
 
 
 JSON_CASES = {

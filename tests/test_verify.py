@@ -291,8 +291,7 @@ def test_complex_check_multiplies_the_interior_products_when_delta_is_zero(monke
     # b_r = x1 C_r on a lift with delta = 0, where the induction does not apply: b_{r-1} M = 0
     # gives M = 0 only through delta S_{r-1} M = 0.  With C_1 = 0 as well, so that b_1 = 0,
     # each product is multiplied, and is zero, as C_r C_{r+1} is for the interior constants
-    res = changed_lift(resolution_at(6, 2), 1, lambda rows: rows[0].clear())
-    res = dataclasses.replace(res, delta=0, lift=dataclasses.replace(res.lift, delta=0))
+    res = dataclasses.replace(changed_lift(resolution_at(6, 2), 1, lambda rows: rows[0].clear()), delta=0)
     counts = _counting_products(monkeypatch, res)
     assert Session(res, res.phi).complex_failure is None
     assert counts == Counter({"b_1 b_2": 1, "b_2 b_3": 1, "b_3 b_4": 1})
@@ -318,10 +317,11 @@ def test_check_betti_catches_constant():
 
 
 def test_check_betti_catches_a_wrong_twist_list():
+    # a built resolution takes its twists from (d, n); the matrix form keeps them as given
     res = grid_resolution(3, 2)
     twists = res.twists[:-1] + (res.twists[-1] + 1,)
-    bad = dataclasses.replace(res, twists=twists)
-    out = check_betti_and_degrees(Session(bad, bad.phi))
+    bad = dataclasses.replace(matrix_form(res), twists=twists)
+    out = check_betti_and_degrees(MatrixSession(bad, bad.phi))
     assert res.twists == (0, 2, 3, 5)
     assert (out.passed, out.summary) == (False, "twist list is wrong")
     assert out.witness == "got (0, 2, 3, 6), expected (0, 2, 3, 5)"
@@ -331,8 +331,8 @@ def test_check_betti_catches_a_basis_that_lost_an_element():
     res = grid_resolution(3, 2)
     first = res.bases[1]
     bases = (res.bases[0], OrderedBasis(first.d, first.n, first.r, first.elements[:-1])) + res.bases[2:]
-    bad = dataclasses.replace(res, bases=bases)
-    out = check_betti_and_degrees(Session(bad, bad.phi))
+    bad = dataclasses.replace(matrix_form(res), bases=bases)
+    out = check_betti_and_degrees(MatrixSession(bad, bad.phi))
     assert res.betti == (1, 5, 5, 1) and bad.betti == (1, 4, 5, 1)
     assert (out.passed, out.summary) == (False, "Betti numbers differ from the closed formula")
     assert out.witness == "got (1, 4, 5, 1), expected (1, 5, 5, 1)"
@@ -515,8 +515,7 @@ def test_check_wlp_ranks_the_image_when_a_fact_of_its_proof_fails(monkeypatch, f
     res = grid_resolution(4, 2)
     if fact == "delta":
         ys = [j for j, (_, e) in enumerate(res.bases[1]) if e.kind == "Y"]
-        res = changed_lift(res, 1, lambda rows: [rows[0].pop(j) for j in ys])
-        res = dataclasses.replace(res, delta=0, lift=dataclasses.replace(res.lift, delta=0))
+        res = dataclasses.replace(changed_lift(res, 1, lambda rows: [rows[0].pop(j) for j in ys]), delta=0)
     elif fact == "strand certificate":
         monkeypatch.setattr(verify, "strand_certificate", lambda d, n: ("monomial strand does not compose to zero",))
     else:
