@@ -56,7 +56,7 @@ from .hookbasis import BasisElement, OrderedBasis, duality_basis, gamma_of, kos_
 from .invsys import Catalecticant, InverseSystem, delta_and_Q
 from .monomials import Mono, div_var, monomials_of_degree, mul_var, unit, var_divides
 from .polymatrix import PolyMatrix
-from .polynomials import Poly, Scalar, exact, over
+from .polynomials import Scalar, Terms, exact, over
 
 
 class BuildContext:
@@ -366,22 +366,9 @@ def paired(bases: tuple[OrderedBasis, ...], k: int, rows: Rows, signed: Callable
     return out
 
 
-def signed_terms(terms: dict[Mono, Scalar], e: int) -> dict[Mono, Scalar]:
+def signed_terms(terms: Terms, e: int) -> Terms:
     """The terms of a polynomial times the sign e, a new dict."""
     return dict(terms) if e > 0 else {m: -c for m, c in terms.items()}
-
-
-def _polys(d: int, rows: Rows) -> list[dict[int, Poly]]:
-    """Rows of term dicts as rows of Poly; each Poly takes its dict as it is, with no coefficient checked again."""
-    new = Poly.__new__
-    out = []
-    for row in rows:
-        prow = {}
-        for j, terms in row.items():
-            p = prow[j] = new(Poly)
-            p.d, p.terms = d, terms
-        out.append(prow)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -436,7 +423,7 @@ class Resolution:
     def terms(self, r: int) -> Rows:
         """The entries of b_r = delta S_r + x1 C_r as term dicts; with delta = 0 S_r leaves no term."""
         d, delta = self.d, self.delta
-        rows = [{j: {m: c * delta for m, c in p.terms.items()} for j, p in row.items() if delta}
+        rows = [{j: {m: c * delta for m, c in p.items()} for j, p in row.items() if delta}
                 for row in self.skeleton[r - 1].entries]
         if r in (1, d):
             for row, crow in zip(rows, self.cofactor(r)):
@@ -476,7 +463,7 @@ class Resolution:
     def matrix(self, r: int) -> PolyMatrix:
         """The matrix of the differential out of homological degree r (1-based), built new from the lift."""
         bases = self.bases
-        return PolyMatrix(bases[r - 1], bases[r], _polys(self.d, self.terms(r)))
+        return PolyMatrix(bases[r - 1], bases[r], self.terms(r))
 
     @property
     def betti(self) -> tuple[int, ...]:
@@ -576,7 +563,7 @@ def _evaluate(plan: Plan, ctx: BuildContext, bases: tuple[OrderedBasis, ...]) ->
             for c, k in lin:
                 num += c * values[k]
             if num:
-                # over gives an int when it is integral, as Poly stores it
+                # over gives an int when it is integral, the form of every coefficient (polynomials)
                 if r == 1:
                     rows[i].setdefault(j, {})[m] = over(num, denom)
                 else:
@@ -623,7 +610,7 @@ def canonical_skeleton(d: int, n: int) -> tuple[PolyMatrix, ...]:
     for k in range(1, d + 1):
         # new rows: L_k is also the partner that map d + 1 - k is paired from
         rows = [{**own, **dual} for own, dual in zip(strand[k - 1], paired(bases, k, strand[d - k], signed_terms))]
-        out.append(PolyMatrix(bases[k - 1], bases[k], _polys(d, rows)))
+        out.append(PolyMatrix(bases[k - 1], bases[k], rows))
     return tuple(out)
 
 

@@ -118,7 +118,7 @@ from .hookbasis import BasisElement
 from .invsys import InverseSystem, ann_degree, hilbert_function
 from .monomials import Mono, monomial_index, monomials_of_degree
 from .polymatrix import PolyMatrix, denominator_lcm, pack
-from .polynomials import Poly, Scalar, clear_denominators, poly_str
+from .polynomials import Scalar, Terms, clear_denominators, poly_str
 
 PRIMES = (65521, 65519, 65497, 65479, 65449)
 
@@ -237,7 +237,7 @@ def graded_piece(mat: PolyMatrix, row_deg: int, col_deg: int) -> Piece:
     for i, row in enumerate(mat.entries):
         base_i = i * nr
         for j, p in row.items():
-            packed = [(keys[m], c) for m, c in p.terms.items()]
+            packed = [(keys[m], c) for m, c in p.items()]
             for col, ku in enumerate(ukeys, j * nc):
                 triples.extend([(base_i + ridx[km + ku], col, c) for km, c in packed])
     return Piece(nrows, ncols, triples)
@@ -248,7 +248,7 @@ def graded_piece(mat: PolyMatrix, row_deg: int, col_deg: int) -> Piece:
 # ---------------------------------------------------------------------------
 
 
-def first_nonzero_product(mats: dict[int, PolyMatrix]) -> tuple[int, int, int, Poly] | None:
+def first_nonzero_product(mats: dict[int, PolyMatrix]) -> tuple[int, int, int, Terms] | None:
     """The first (r, i, j, entry), in row-major order, with a nonzero entry of mats[r] mats[r + 1], or None."""
     for r in sorted(mats):
         if r + 1 in mats:
@@ -259,7 +259,7 @@ def first_nonzero_product(mats: dict[int, PolyMatrix]) -> tuple[int, int, int, P
     return None
 
 
-Split = tuple[list[dict[int, dict]], list[dict[int, Scalar]] | None]
+Split = tuple[list[dict[int, Terms]], list[dict[int, Scalar]] | None]
 
 
 def x1_split(mat: PolyMatrix) -> Split:
@@ -273,13 +273,13 @@ def x1_split(mat: PolyMatrix) -> Split:
     itself, as at both ends of B.
     """
     x1 = (1,) + (0,) * (mat.d - 1)
-    free: list[dict[int, dict]] = []
+    free: list[dict[int, Terms]] = []
     cof: list[dict[int, Scalar]] | None = []
     for row in mat.entries:
-        frow: dict[int, dict] = {}
+        frow: dict[int, Terms] = {}
         crow: dict[int, Scalar] = {}
         for j, p in row.items():
-            for m, c in p.terms.items():
+            for m, c in p.items():
                 if not m[0]:
                     frow.setdefault(j, {})[m] = c
                 elif m == x1:
@@ -303,9 +303,9 @@ def _linear_part_vanishes(s_rows, c_rows, s_next, c_next, ncols: int) -> bool:
     """
     slots: dict[Mono, int] = {}
     firsts = [[(c_next[k], ncols * slots.setdefault(m, len(slots)), v) for k, p in row.items()
-               for m, v in p.terms.items()] for row in s_rows]
+               for m, v in p.items()] for row in s_rows]
     seconds = [[(ncols * slots.setdefault(m, len(slots)) + j, v) for j, p in row.items()
-                for m, v in p.terms.items()] for row in s_next]
+                for m, v in p.items()] for row in s_next]
     for first, crow in zip(firsts, c_rows):
         lin: dict[int, Scalar] = {}
         for row, base, v in first:
@@ -339,9 +339,9 @@ def _fine_strand(name: str, mats: dict[int, PolyMatrix]):
         out = triples[r] = []
         rows, cols = degs[r - 1], degs[r]
         for i, j, p in mat.nonzero():
-            m, c = next(iter(p.terms.items()))
+            m, c = next(iter(p.items()))
             want = tuple(map(sub, cols[j], rows[i]))
-            if len(p.terms) != 1 or c not in (1, -1) or m[0] or m[1:] != want or not any(want):
+            if len(p) != 1 or c not in (1, -1) or m[0] or m[1:] != want or not any(want):
                 return (f"{name} strand is not finely graded: entry ({i}, {j}) of the map out of "
                         f"position {r} is {poly_str(p)}, expected +-x^v with c(column) = c(row) + v")
             out.append((i, j, int(c)))
@@ -517,7 +517,7 @@ class Session:
         return self.res.cofactor(r)
 
     @cached_property
-    def complex_failure(self) -> tuple[int, int, int, Poly] | None:
+    def complex_failure(self) -> tuple[int, int, int, Terms] | None:
         """None when b_r b_{r+1} = 0 for all r, else the first (r, i, j, entry) that is not 0.
 
         Under the pairing rule, which every map of the lift holds,
@@ -580,7 +580,7 @@ class Session:
         return comb(n + d - 1, d - 1) - len(linalg.rref(self.phi.catalecticant(n))[1])
 
     @cached_property
-    def ann_n(self) -> list[Poly]:
+    def ann_n(self) -> list[Terms]:
         """Basis of the degree-n annihilator of phi (catalecticant kernel), read by check_wlp's fallback only."""
         return ann_degree(self.phi, self.res.n)
 
@@ -588,7 +588,7 @@ class Session:
     def b1_degree_failure(self) -> tuple[int, int] | None:
         """(column, degree) of the first term of b_1 whose degree is not n, else None, which ideal_dims requires."""
         return next(((j, sum(m)) for j, g in sorted(self.matrix(1).entries[0].items())
-                     for m in g.terms if sum(m) != self.res.n), None)
+                     for m in g if sum(m) != self.res.n), None)
 
     @cached_property
     def b1_annihilation_failure(self) -> int | None:
@@ -604,11 +604,11 @@ class Session:
         """
         phi, d, top = self.phi, self.res.d, self.phi.socle_degree
         for j, g in sorted(self.matrix(1).entries[0].items()):
-            cs, degs = clear_denominators(g.terms.values())[1], list(map(sum, g.terms))
+            cs, degs = clear_denominators(g.values())[1], list(map(sum, g))
             for k in set(degs):
                 if k <= top:
                     table, index = phi.catalecticant(k), monomial_index(d, k)
-                    rows = [table[index[m]] for m, e in zip(g.terms, degs) if e == k]
+                    rows = [table[index[m]] for m, e in zip(g, degs) if e == k]
                     ck = [c for c, e in zip(cs, degs) if e == k]
                     if any(sum(map(mul, ck, col)) for col in zip(*rows)):
                         return j
@@ -638,7 +638,7 @@ def skeleton_block_failure(res: Resolution, splits: tuple[Split, ...]) -> str | 
         for i, (got_row, want_row) in enumerate(zip(splits[r - 1][0], skel.entries)):
             # an int and a Fraction of equal value compare equal
             bad = [j for j in got_row.keys() | want_row.keys()
-                   if len(a := got_row.get(j, {})) != len(b := skel.entry(i, j).terms)
+                   if len(a := got_row.get(j, {})) != len(b := skel.entry(i, j))
                    or any(a.get(m) != c * delta for m, c in b.items())]
             if bad:
                 return f"skeleton of b_{r} differs from the canonical strand form at ({i}, {min(bad)})"

@@ -9,9 +9,10 @@ kinds of elements indexed by a strictly increasing list a_1 < ... < a_r in
 
 Degree 0 has the single generator Y0, degree d the single generator Xd.
 This module provides enumeration, rank formulas, the straightening of
-elementary wedge generators into the standard basis, the Koszul contraction
-and its strand blocks, the perfect-pairing duality between bases, and the
-self-dual family of ordered bases that every resolution is built in.
+elementary wedge generators into the standard Y elements, the Koszul
+contraction of the Y elements and the strand blocks, the perfect-pairing
+duality between bases, and the self-dual family of ordered bases that every
+resolution is built in.
 """
 
 from __future__ import annotations
@@ -143,29 +144,6 @@ def enumerate_basis(d: int, n: int, r: int) -> OrderedBasis:
     return OrderedBasis(d, n, r, tuple(elems))
 
 
-def expand_eta(c: tuple[int, ...], m: Mono) -> list[tuple[int, BasisElement]]:
-    """Straighten the elementary generator eta(x_{c_1}^..^x_{c_s} (x) m^*) into X elements.
-
-    c is strictly increasing in [2, d]; m has degree n in x2..xd; the result
-    is a signed integer combination of standard X elements of homological
-    degree s = len(c).
-    """
-    s = len(c)
-    g = gamma_of(c)
-    if least(m) <= g:
-        return [(1, BasisElement("X", s, c, m))]
-    out: list[tuple[int, BasisElement]] = []
-    # insert g+1 after the prefix [2, g], drop c_k, move x_{g+1} into the monomial
-    for k in range(g, s + 1):  # 1-based position within c
-        ck = c[k - 1]
-        if not var_divides(ck, m):
-            continue
-        new_a = c[:g - 1] + (g + 1,) + tuple(x for x in c[g - 1:] if x != ck)
-        new_m = mul_var(div_var(m, ck), g + 1)
-        out.append(((-1) ** (k + g), BasisElement("X", s, new_a, new_m)))
-    return out
-
-
 def expand_kappa(c: tuple[int, ...], m: Mono) -> list[tuple[int, BasisElement]]:
     """Straighten kappa(x_{c_1}^..^x_{c_s} (x) m) into standard Y elements."""
     s = len(c)
@@ -182,22 +160,22 @@ def expand_kappa(c: tuple[int, ...], m: Mono) -> list[tuple[int, BasisElement]]:
 
 
 def kos_expansion(elt: BasisElement) -> dict[BasisElement, dict[Mono, int]]:
-    """The Koszul contraction on the wedge factor, straightened into the standard basis, as term dicts.
+    """The Koszul contraction of a Y element, straightened into standard Y elements, as term dicts.
 
-    This is the map whose d-1 variable blocks make up the skeleton of the
-    resolution (without the determinant factor); the sign normalization is
-    (-1)^j on the j-th wedge slot.  Every target maps to its nonzero terms,
-    each a variable x_{a_j}.
+    This is the monomial strand L of the skeleton of the resolution (without
+    the determinant factor); the sign normalization is (-1)^j on the j-th
+    wedge slot.  Every target maps to its nonzero terms, each a variable
+    x_{a_j}.  The dual strand on the X elements is the pairing transpose of
+    L (differentials.canonical_skeleton), so no X element is straightened.
     """
     d = elt.d
     out: dict[BasisElement, dict[Mono, int]] = {}
-    expand = expand_eta if elt.kind == "X" else expand_kappa
     for j in range(1, elt.r + 1):
         aj = elt.a[j - 1]
         rest = elt.a[:j - 1] + elt.a[j:]
         sign = (-1) ** j
         xj = mul_var(unit(d), aj)
-        for coeff, target in expand(rest, elt.m):
+        for coeff, target in expand_kappa(rest, elt.m):
             terms = out.setdefault(target, {})
             c = terms.get(xj, 0) + sign * coeff
             if c:

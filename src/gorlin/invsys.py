@@ -29,7 +29,7 @@ from types import MappingProxyType
 from . import linalg
 from .monomials import Mono, degree, monomial_index, monomials_of_degree, sort_key
 from .polymatrix import pack
-from .polynomials import Poly, clear_denominators
+from .polynomials import Terms, clear_denominators, exact
 
 RANDOM_TRIES = 64  # draws of random_invsys before it gives up
 
@@ -158,15 +158,15 @@ def delta_and_Q(phi: InverseSystem) -> Catalecticant:
                          index=monomial_index(phi.d, phi.n - 1))
 
 
-def ann_degree(phi: InverseSystem, j: int) -> list[Poly]:
+def ann_degree(phi: InverseSystem, j: int) -> list[Terms]:
     """Exact basis of {g in S_j : g(phi) = 0}: the kernel of Cat_{2n-2-j}, the transpose of the degree-j pairing."""
     if j < 0:
         raise ValueError("negative degree")
     monos = monomials_of_degree(phi.d, j)
     if j > phi.socle_degree:
-        return [Poly.monomial(m) for m in monos]
+        return [{m: 1} for m in monos]
     vecs = linalg.kernel_basis(phi.catalecticant(phi.socle_degree - j))
-    return [Poly(phi.d, {m: c for m, c in zip(monos, v) if c}) for v in vecs]
+    return [{m: exact(c) for m, c in zip(monos, v) if c} for v in vecs]
 
 
 def hilbert_function(phi: InverseSystem) -> list[int]:

@@ -20,10 +20,6 @@ Row = list[Fraction]
 Matrix = list[Row]
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def transpose(m: Matrix) -> Matrix:
     return [list(col) for col in zip(*m)] if m else []
 

@@ -37,14 +37,6 @@ def divides(m1: Mono, m2: Mono) -> bool:
     return all(a <= b for a, b in zip(m1, m2))
 
 
-def div(m2: Mono, m1: Mono) -> Mono:
-    """m2 / m1; requires m1 | m2."""
-    q = tuple(b - a for a, b in zip(m1, m2))
-    if any(e < 0 for e in q):
-        raise ValueError(f"{m1} does not divide {m2}")
-    return q
-
-
 def var_divides(i: int, m: Mono) -> bool:
     """True when x_i | m (1-based)."""
     return m[i - 1] > 0

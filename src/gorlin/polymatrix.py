@@ -7,7 +7,7 @@ from math import lcm
 
 from .hookbasis import OrderedBasis
 from .monomials import Mono
-from .polynomials import Poly, over
+from .polynomials import Terms, over
 
 
 # PolyMatrix.mul packs the columns of a row into ints of about this many bits of slots.  Timed on
@@ -37,18 +37,19 @@ def unpack(key: int, base: int, d: int) -> Mono:
 class PolyMatrix:
     """Matrix over the polynomial ring whose rows/columns carry an OrderedBasis.
 
-    The storage is sparse: entries[i] maps a column j to the entry (i, j)
-    for the nonzero entries of row i only, and a zero is never stored.  A
-    single cell is read with entry(i, j), which gives a zero Poly for an
-    absent cell, and written with set(i, j, p), which drops a zero.  Every
-    whole-matrix reader iterates the nonzero entries alone.  A row dict keeps
-    its insertion order, so a reader whose result depends on the order
-    iterates nonzero(), which takes the columns of each row sorted.
+    The storage is sparse: entries[i] maps a column j to the term dict of
+    the entry (i, j) for the nonzero entries of row i only, and a zero (an
+    empty dict) is never stored.  A single cell is read with entry(i, j),
+    which gives {} for an absent cell, and written with set(i, j, p), which
+    drops a zero.  Every whole-matrix reader iterates the nonzero entries
+    alone.  A row dict keeps its insertion order, so a reader whose result
+    depends on the order iterates nonzero(), which takes the columns of each
+    row sorted.
     """
 
     rows: OrderedBasis
     cols: OrderedBasis
-    entries: list[dict[int, Poly]]
+    entries: list[dict[int, Terms]]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -58,10 +59,10 @@ class PolyMatrix:
     def d(self) -> int:
         return self.rows.d
 
-    def entry(self, i: int, j: int) -> Poly:
-        return self.entries[i].get(j) or Poly(self.d)
+    def entry(self, i: int, j: int) -> Terms:
+        return self.entries[i].get(j, {})
 
-    def set(self, i: int, j: int, p: Poly) -> None:
+    def set(self, i: int, j: int, p: Terms) -> None:
         if p:
             self.entries[i][j] = p
         else:
@@ -73,7 +74,7 @@ class PolyMatrix:
             for j in sorted(row):
                 yield i, j, row[j]
 
-    def mul(self, other: "PolyMatrix") -> list[dict[int, Poly]]:
+    def mul(self, other: "PolyMatrix") -> list[dict[int, Terms]]:
         """Plain product self @ other (labels are not checked), by row: column -> nonzero entry.
 
         Each operand is cleared to integers once by its denominator_lcm (a
@@ -103,9 +104,9 @@ class PolyMatrix:
         So only a nonzero accumulator is decoded, from the low slot up: v is
         e_s modulo 2^w, so x = v & mask gives e_s = x - 2^w if x >= 2^(w-1) and
         e_s = x otherwise, and v = (v - e_s) >> w holds the slots above.  A
-        Poly is built only for a nonzero output entry, divided by the two
-        denominators, so the result equals the rational product.  A row dict
-        is in no column order.
+        term is written only for a nonzero output coefficient, divided by the
+        two denominators (over), so the result equals the rational product.
+        A row dict is in no column order.
         """
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
@@ -119,15 +120,15 @@ class PolyMatrix:
         cols = list(dict.fromkeys(j for row in b.entries for j in row))
         slot_of = {j: s for s, j in enumerate(cols)}
         weight = [0] * len(cols)
-        placed = [[(slot_of[j], p.terms) for j, p in row.items()] for row in b.entries]
+        placed = [[(slot_of[j], p) for j, p in row.items()] for row in b.entries]
         for row_t in placed:
             for s, terms in row_t:
                 weight[s] += sum(map(abs, terms.values()))
         a_monos, b_monos = a.monomials(), b.monomials()
         base = max(map(sum, a_monos), default=0) + max(map(sum, b_monos), default=0) + 1
         keys = {m: pack(m, base) for m in a_monos | b_monos}
-        a_packed = [[(t, [(keys[m], c) for m, c in p.terms.items()]) for t, p in row.items()] for row in a.entries]
-        top = max((max(map(abs, p.terms.values())) for row in a.entries for p in row.values()), default=0)
+        a_packed = [[(t, [(keys[m], c) for m, c in p.items()]) for t, p in row.items()] for row in a.entries]
+        top = max((max(map(abs, p.values())) for row in a.entries for p in row.values()), default=0)
         w = (top * max(weight, default=0)).bit_length() + 1
         per = max(1, CHUNK_BITS // w)
         # chunks[k][t] maps the key of u to V[t][u] on the columns of slots k * per onward
@@ -143,7 +144,7 @@ class PolyMatrix:
         mask = full - 1
         out = []
         for cells in a_packed:
-            row: dict[int, dict] = {}
+            row: dict[int, Terms] = {}
             for lo, packed in zip(range(0, len(cols), per), chunks):
                 acc: dict[int, int] = {}
                 for t, terms in cells:
@@ -168,7 +169,7 @@ class PolyMatrix:
                             row.setdefault(cols[s], {})[m] = over(x, denom)
                         v >>= w
                         s += 1
-            out.append({j: Poly(d, terms) for j, terms in row.items()})
+            out.append(row)
         return out
 
     def monomials(self) -> set[Mono]:
@@ -176,7 +177,7 @@ class PolyMatrix:
         out: set[Mono] = set()
         for row in self.entries:
             for p in row.values():
-                out.update(p.terms)
+                out.update(p)
         return out
 
     def cleared(self, scale: int) -> "PolyMatrix":
@@ -192,7 +193,7 @@ class PolyMatrix:
             cells = {}
             for j, p in row.items():
                 terms = {}
-                for m, c in p.terms.items():
+                for m, c in p.items():
                     if type(c) is int:
                         c *= scale
                     elif scale % c.denominator:
@@ -200,13 +201,15 @@ class PolyMatrix:
                     else:
                         c = c.numerator * (scale // c.denominator)
                     terms[m] = c
-                cells[j] = Poly(self.d, terms)
+                cells[j] = terms
             entries.append(cells)
         return PolyMatrix(self.rows, self.cols, entries)
 
     def mod_x1(self) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, [{j: q for j, p in row.items() if (q := p.subs_x1_zero())}
-                                                 for row in self.entries])
+        """Reduction mod x1: each entry without its terms divisible by x1, an entry left with none dropped."""
+        entries = [{j: q for j, p in row.items() if (q := {m: c for m, c in p.items() if not m[0]})}
+                   for row in self.entries]
+        return PolyMatrix(self.rows, self.cols, entries)
 
     def block(self, kind: str) -> "PolyMatrix":
         """The submatrix on the rows and the columns of one basis kind, "X" or "Y"."""
@@ -224,5 +227,5 @@ class PolyMatrix:
 
 def denominator_lcm(mat: PolyMatrix) -> int:
     """The least common multiple of the coefficient denominators of mat."""
-    return lcm(*(c.denominator for row in mat.entries for p in row.values() for c in p.terms.values()
+    return lcm(*(c.denominator for row in mat.entries for p in row.values() for c in p.values()
                  if type(c) is not int))

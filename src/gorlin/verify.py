@@ -16,7 +16,7 @@ from .exactness import Session, certify_exactness, strand_certificate
 from .hookbasis import rank_formulas
 from .invsys import InverseSystem
 from .monomials import monomials_of_degree, mul_var
-from .polynomials import Poly, coeff_rows, poly_str
+from .polynomials import coeff_rows, poly_str
 
 CHECK_NAMES = ("complex", "betti", "euler", "ann", "skeleton", "duality", "exactness", "wlp")
 
@@ -96,7 +96,7 @@ def check_betti_and_degrees(s: Session) -> CheckResult:
         want = n if r in (1, d) else 1
         # homogeneous of degree n or 1, so no constant term: minimality follows
         if any(sum(m) != want for m in s.monomials(r)):
-            i, j, p = next((i, j, p) for i, j, p in s.matrix(r).nonzero() if any(sum(m) != want for m in p.terms))
+            i, j, p = next((i, j, p) for i, j, p in s.matrix(r).nonzero() if any(sum(m) != want for m in p))
             return CheckResult(
                 "betti", False, "entry degree pattern broken",
                 f"b_{r} entry ({i}, {j}) = {poly_str(p)}, expected degree {want}",
@@ -215,7 +215,7 @@ def check_wlp(s: Session) -> CheckResult:
     if not (s.res.delta != 0 and not strand_certificate(d, n) and s.b1_annihilation_failure is None):
         monos_n = monomials_of_degree(d, n)
         ann_rows = coeff_rows(s.ann_n, monos_n)
-        x1_multiples = [Poly.monomial(mul_var(u, 1)) for u in monomials_of_degree(d, n - 1)]
+        x1_multiples = [{mul_var(u, 1): 1} for u in monomials_of_degree(d, n - 1)]
         mult_rows = coeff_rows(x1_multiples, monos_n)
         # ann_n is a kernel basis, so its rank is its length
         image_dim = linalg.rank(mult_rows + ann_rows) - len(s.ann_n)

@@ -9,7 +9,8 @@ from gorlin.differentials import build_resolution
 from gorlin.invsys import InverseSystem, random_invsys, sum_of_powers
 from gorlin.monomials import monomials_of_degree, unit
 from gorlin.polymatrix import PolyMatrix
-from gorlin.polynomials import Poly
+
+from oracles import Poly
 
 GRID = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
 GRID_SEEDS = {(3, 2): 1, (3, 3): 2, (4, 2): 7, (4, 3): 3, (5, 2): 5, (5, 3): 11}
@@ -128,8 +129,8 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def is_homogeneous(p):
-    return len({sum(m) for m in p.terms}) <= 1
+def is_homogeneous(terms):
+    return len({sum(m) for m in terms}) <= 1
 
 
 def constant(d, c):
@@ -137,13 +138,13 @@ def constant(d, c):
     return Poly(d, {unit(d): c})
 
 
-def constant_term(p):
-    return p.terms.get(unit(p.d), 0)
+def constant_term(terms):
+    return next((c for m, c in terms.items() if not any(m)), 0)
 
 
 def scaled(mat, c):
     """mat with every entry multiplied by the scalar c."""
-    return PolyMatrix(mat.rows, mat.cols, [{j: q for j, p in row.items() if (q := p.scale(c))}
+    return PolyMatrix(mat.rows, mat.cols, [{j: q.terms for j, p in row.items() if (q := Poly(mat.d, p).scale(c))}
                                            for row in mat.entries])
 
 
@@ -153,7 +154,7 @@ def sparse(rows, cols, cells):
 
 
 def dense(mat):
-    """Every entry of mat as a list of rows, a zero Poly in each absent cell."""
+    """Every entry of mat as a list of rows, {} in each absent cell."""
     return [[mat.entry(i, j) for j in range(len(mat.cols))] for i in range(len(mat.rows))]
 
 

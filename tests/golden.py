@@ -116,7 +116,7 @@ def canonical_plan(d: int, n: int) -> str:
                     raw[ii, kk] = {m: {key: sign * c for key, c in coeffs.items()} for m, coeffs in entry.items()}
         for i, j, p in skel.nonzero():
             entry = raw.setdefault((i, j), {})
-            for m, c in p.terms.items():
+            for m, c in p.items():
                 coeffs = entry.setdefault(str(list(m)), {})
                 coeffs["delta"] = coeffs.get("delta", 0) + c
         cells = {}

@@ -19,9 +19,16 @@ another way, by a route that is slower or more literal.
   out of the skeleton for it and for the tests.
 * ``straightened_dual_strand`` writes the dual strand as the paper does, by
   straightening the Koszul contraction of every X element
-  (``hookbasis.kos_expansion``), where ``differentials.canonical_skeleton``
-  takes it as the pairing transpose of the monomial strand;
-  ``dual_strand_disagreement`` compares the two position by position.
+  (``x_contraction``, with ``expand_eta``), where
+  ``differentials.canonical_skeleton`` takes it as the pairing transpose of
+  the monomial strand; ``dual_strand_disagreement`` compares the two
+  position by position.
+* ``Poly`` is the tests' polynomial: a term dict with ring arithmetic on it,
+  each result normalised to nonzero coefficients, ints where integral,
+  where the package keeps a polynomial as its bare term dict
+  (``polynomials.Terms``), each producer writing that form itself, and
+  multiplies polynomials only inside its matrix products.  ``plus`` adds
+  one term to an entry.
 * ``naive_product`` multiplies two polynomial matrices entry by entry with
   ``Poly`` arithmetic over ``Fraction``, where ``PolyMatrix.mul`` packs the
   columns of each row of the right factor into one int per monomial.
@@ -39,7 +46,7 @@ another way, by a route that is slower or more literal.
   integer fraction-free Gauss-Jordan elimination.
 * ``br_column_alt`` writes an interior cofactor column by the contraction
   formulas on elementary wedge generators, straightened with
-  ``hookbasis.expand_eta`` / ``expand_kappa``, where
+  ``expand_eta`` / ``hookbasis.expand_kappa``, where
   ``differentials.br_column`` records the closed-form coefficients directly;
   ``route_disagreement`` compares the two on every interior ``C_r`` of a
   built resolution.
@@ -91,7 +98,7 @@ from math import comb, lcm
 import numpy as np
 
 from gorlin import exactness, linalg
-from gorlin.differentials import BuildContext, Resolution, _assemble, _polys, canonical_skeleton
+from gorlin.differentials import BuildContext, Resolution, _assemble, canonical_skeleton
 from gorlin.exactness import (
     PRIMES,
     Piece,
@@ -108,9 +115,8 @@ from gorlin.hookbasis import (
     BasisElement,
     OrderedBasis,
     duality_basis,
-    expand_eta,
     expand_kappa,
-    kos_expansion,
+    gamma_of,
     pairing,
     skeleton_kos_blocks,
 )
@@ -126,17 +132,18 @@ from gorlin.invsys import (
 from gorlin.monomials import (
     Mono,
     degree,
-    div,
     div_var,
     divides,
+    least,
     monomials_of_degree,
     mul,
     mul_var,
+    sort_key,
     unit,
     var_divides,
 )
 from gorlin.polymatrix import PolyMatrix
-from gorlin.polynomials import Poly, Scalar, coeff_rows
+from gorlin.polynomials import Scalar, Terms, coeff_rows, exact, poly_str
 from gorlin.verify import (
     CHECK_NAMES,
     CheckResult,
@@ -157,6 +164,148 @@ EXACT_ENTRY_LIMIT = 1_200_000
 
 # a dual element sum c_m m^* of the inverse-system module, as a dict monomial -> Fraction
 Dual = dict[Mono, Fraction]
+
+
+class Poly:
+    """Polynomial in x1..xd as a map monomial -> nonzero coefficient (an int or a Fraction), with arithmetic.
+
+    terms is the package's term dict (polynomials.Terms): a matrix entry is
+    read as Poly(d, entry) and written back as its terms.
+    """
+
+    __slots__ = ("d", "terms")
+
+    def __init__(self, d: int, terms: Terms | None = None):
+        self.d = d
+        self.terms: Terms = {}
+        if terms:
+            for m, c in terms.items():
+                c = exact(c)
+                if c:
+                    self.terms[m] = c
+
+    @staticmethod
+    def zero(d: int) -> "Poly":
+        return Poly(d)
+
+    @staticmethod
+    def monomial(m: Mono, coeff: Scalar = 1) -> "Poly":
+        return Poly(len(m), {m: coeff})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def add_term(self, m: Mono, c: Scalar) -> None:
+        """In-place accumulation; zero results are pruned."""
+        v = self.terms.get(m, 0) + exact(c)
+        if v:
+            self.terms[m] = exact(v)
+        else:
+            self.terms.pop(m, None)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        out = Poly(self.d, dict(self.terms))
+        for m, c in other.terms.items():
+            out.add_term(m, c)
+        return out
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        out = Poly(self.d, dict(self.terms))
+        for m, c in other.terms.items():
+            out.add_term(m, -c)
+        return out
+
+    def __neg__(self) -> "Poly":
+        return Poly(self.d, {m: -c for m, c in self.terms.items()})
+
+    def scale(self, c: Scalar) -> "Poly":
+        c = exact(c)
+        if not c:
+            return Poly.zero(self.d)
+        return Poly(self.d, {m: v * c for m, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, Poly):
+            out = Poly.zero(self.d)
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    out.add_term(mul(m1, m2), c1 * c2)
+            return out
+        return self.scale(other)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Poly) and self.d == other.d and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.d, frozenset(self.terms.items())))
+
+    def degree(self) -> int:
+        """Total degree; the zero polynomial has degree -1."""
+        return max((sum(m) for m in self.terms), default=-1)
+
+    def subs_x1_zero(self) -> "Poly":
+        """Reduction mod x1: drop every term divisible by x1."""
+        return Poly(self.d, {m: c for m, c in self.terms.items() if m[0] == 0})
+
+    def sorted_terms(self) -> list[tuple[Mono, Scalar]]:
+        return sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
+
+    def __repr__(self) -> str:
+        return f"Poly({poly_str(self.terms)})"
+
+
+def plus(terms: Terms, m: Mono, c: Scalar = 1) -> Terms:
+    """The term dict of terms + c * m, a new dict."""
+    return (Poly(len(m), terms) + Poly.monomial(m, c)).terms
+
+
+def div(m2: Mono, m1: Mono) -> Mono:
+    """m2 / m1; requires m1 | m2."""
+    q = tuple(b - a for a, b in zip(m1, m2))
+    if any(e < 0 for e in q):
+        raise ValueError(f"{m1} does not divide {m2}")
+    return q
+
+
+def expand_eta(c: tuple[int, ...], m: Mono) -> list[tuple[int, BasisElement]]:
+    """Straighten the elementary generator eta(x_{c_1}^..^x_{c_s} (x) m^*) into X elements.
+
+    c is strictly increasing in [2, d]; m has degree n in x2..xd; the result
+    is a signed integer combination of standard X elements of homological
+    degree s = len(c).
+    """
+    s = len(c)
+    g = gamma_of(c)
+    if least(m) <= g:
+        return [(1, BasisElement("X", s, c, m))]
+    out: list[tuple[int, BasisElement]] = []
+    # insert g+1 after the prefix [2, g], drop c_k, move x_{g+1} into the monomial
+    for k in range(g, s + 1):  # 1-based position within c
+        ck = c[k - 1]
+        if not var_divides(ck, m):
+            continue
+        new_a = c[:g - 1] + (g + 1,) + tuple(x for x in c[g - 1:] if x != ck)
+        new_m = mul_var(div_var(m, ck), g + 1)
+        out.append(((-1) ** (k + g), BasisElement("X", s, new_a, new_m)))
+    return out
+
+
+def x_contraction(elt: BasisElement) -> dict[BasisElement, Terms]:
+    """The Koszul contraction of an X element, straightened by expand_eta, as term dicts.
+
+    The sign is (-1)^j on the j-th wedge slot, as in hookbasis.kos_expansion,
+    which contracts the Y elements.  Every target maps to its nonzero terms.
+    """
+    out: dict[BasisElement, Terms] = {}
+    for j, aj in enumerate(elt.a, 1):
+        xj = mul_var(unit(elt.d), aj)
+        for coeff, target in expand_eta(elt.a[:j - 1] + elt.a[j:], elt.m):
+            terms = out.setdefault(target, {})
+            terms[xj] = terms.get(xj, 0) + (-1) ** j * coeff
+    return {t: kept for t, terms in out.items() if (kept := {m: c for m, c in terms.items() if c})}
 
 
 def certify_chain(pieces: dict[int, Piece], ms: list[int], exact_from: int):
@@ -363,9 +512,9 @@ def duality_failure(bases: tuple[OrderedBasis, ...], mats) -> tuple[int, int, in
             s2 *= (-1) ** r
             for jj, p in row.items():
                 # entry (jj, kk) of b_{r+1}^T P_r and of (-1)^r P_{r+1} b_{d-r}, compared
-                # term by term with the sign folded in, so no negated Poly is built
+                # term by term with the sign folded in, so no negated dict is built
                 ii, s1 = pairings[r + 1][jj]
-                got, want = p.terms, q.terms if (q := comp_rows[ii].get(kk)) else {}
+                got, want = p, comp_rows[ii].get(kk, {})
                 if (got != want if s1 * s2 > 0 else
                         len(got) != len(want) or any(want.get(m) != -c for m, c in got.items())):
                     bad.append((jj, i))
@@ -445,7 +594,7 @@ def wlp_by_rank(s: Session) -> CheckResult:
     """The wlp check with the image of x1 ranked, as check_wlp ranks it when a fact of its proof fails."""
     d, n = s.res.d, s.res.n
     monos = monomials_of_degree(d, n)
-    x1_multiples = [Poly.monomial(mul_var(u, 1)) for u in monomials_of_degree(d, n - 1)]
+    x1_multiples = [{mul_var(u, 1): 1} for u in monomials_of_degree(d, n - 1)]
     image_dim = linalg.rank(coeff_rows(x1_multiples, monos) + coeff_rows(s.ann_n, monos)) - len(s.ann_n)
     if image_dim != s.hf(n):
         return CheckResult("wlp", False, "x1 is not a weak Lefschetz element",
@@ -503,7 +652,7 @@ def lift_fact_failure(res: Resolution) -> str | None:
     for r in range(2, res.d):
         if s.cofactor(r) != res.cofactor(r):
             return f"x1 split of b_{r}"
-    x1_part = [{j: part for j, p in row.items() if (part := {m: c for m, c in p.terms.items() if m[0]})}
+    x1_part = [{j: part for j, p in row.items() if (part := {m: c for m, c in p.items() if m[0]})}
                for row in s.matrix(1).entries]
     if x1_part != [{j: {mul_var(m, 1): c for m, c in cof.items()} for j, cof in row.items()}
                    for row in res.cofactors[0]]:
@@ -580,7 +729,7 @@ def straightened_dual_strand(d: int, n: int) -> dict[int, PolyMatrix]:
     """The paper's dual strand K by position r = 1..d-1, its X x X blocks written by straightening.
 
     Map r is the Koszul contraction of every X element of position r,
-    straightened into the standard basis (hookbasis.kos_expansion), and
+    straightened into the standard basis (x_contraction), and
     assembled in the self-dual bases; its Y columns are empty.  K_1 is zero.
     The top map K_d is not a contraction: the top element Xd has the unit
     monomial, not one of degree n, and K_d is the pairing transpose of L_1.
@@ -588,8 +737,8 @@ def straightened_dual_strand(d: int, n: int) -> dict[int, PolyMatrix]:
     bases = [duality_basis(d, n, r) for r in range(d + 1)]
     out = {}
     for r in range(1, d):
-        rows = _assemble(bases[r - 1], bases[r], [kos_expansion(e) if e.kind == "X" else {} for _, e in bases[r]])
-        out[r] = PolyMatrix(bases[r - 1], bases[r], _polys(d, rows)).block("X")
+        rows = _assemble(bases[r - 1], bases[r], [x_contraction(e) if e.kind == "X" else {} for _, e in bases[r]])
+        out[r] = PolyMatrix(bases[r - 1], bases[r], rows).block("X")
     return out
 
 
@@ -600,12 +749,9 @@ def dual_strand_disagreement(d: int, n: int) -> int | None:
     strand L; this is the check that it is the straightened dual strand of
     the paper as well.
     """
-    def terms(mat):
-        return [{j: p.terms for j, p in row.items()} for row in mat.entries]
-
     skeleton = canonical_skeleton(d, n)
     return next((r for r, mat in straightened_dual_strand(d, n).items()
-                 if terms(skeleton[r - 1].block("X")) != terms(mat)), None)
+                 if skeleton[r - 1].block("X").entries != mat.entries), None)
 
 
 def dual_strand_h1k_by_ranking(d: int, n: int) -> dict[int, int]:
@@ -635,18 +781,19 @@ def dual_strand_h1k_by_ranking(d: int, n: int) -> dict[int, int]:
     return {e: h for e, h in sorted(h1k.items()) if h}
 
 
-def naive_product(a: PolyMatrix, b: PolyMatrix) -> list[dict[int, Poly]]:
-    """sum_t a[i][t] * b[t][j] with Poly arithmetic over Fractions, nonzero entries only."""
+def naive_product(a: PolyMatrix, b: PolyMatrix) -> list[dict[int, Terms]]:
+    """sum_t a[i][t] * b[t][j] with Poly arithmetic over Fractions, as term dicts of the nonzero entries only."""
     (n, k), (_, p) = a.shape, b.shape
+    d = a.d
     out = []
     for i in range(n):
         row = {}
         for j in range(p):
-            acc = Poly.zero(a.d)
+            acc = Poly.zero(d)
             for t in range(k):
-                acc = acc + a.entry(i, t) * b.entry(t, j)
+                acc = acc + Poly(d, a.entry(i, t)) * Poly(d, b.entry(t, j))
             if acc:
-                row[j] = acc
+                row[j] = acc.terms
         out.append(row)
     return out
 
@@ -775,13 +922,13 @@ _GOLDEN_D4_N2_B3 = (
 _GOLDEN_D4_N2_B1 = ("0 0 0 x2^2 x2*x3 x2*x4 x3^2 x3*x4 x4^2",)
 
 
-def _parse_entry(token: str, d: int) -> Poly:
+def _parse_entry(token: str, d: int) -> Terms:
     sign = 1
     if token.startswith("-"):
         sign = -1
         token = token[1:]
     if token == "0":
-        return Poly.zero(d)
+        return {}
     mono = unit(d)
     for factor in token.split("*"):
         if "^" in factor:
@@ -792,10 +939,10 @@ def _parse_entry(token: str, d: int) -> Poly:
         i = int(name[1:])
         for _ in range(e):
             mono = mul_var(mono, i)
-    return Poly.monomial(mono, sign)
+    return {mono: sign}
 
 
-def golden_skeleton_d4_n2(d: int = 4) -> tuple[list[list[Poly]], ...]:
+def golden_skeleton_d4_n2(d: int = 4) -> tuple[list[list[Terms]], ...]:
     """Golden mod-x1 matrices for d = 4, n = 2 (without the delta factor)."""
     def parse(rows):
         return [[_parse_entry(tok, d) for tok in line.split()] for line in rows]
@@ -839,7 +986,7 @@ def catalecticant_disagreement(phi: InverseSystem, ann_degrees=None) -> str | No
             continue
         monos, ann = monomials_of_degree(phi.d, j), []
         for fc in (c for c in range(len(monos)) if c not in pivots):
-            ann.append(Poly(phi.d, {monos[fc]: 1, **{monos[pc]: -red[r][fc] for r, pc in enumerate(pivots)}}))
+            ann.append(Poly(phi.d, {monos[fc]: 1, **{monos[pc]: -red[r][fc] for r, pc in enumerate(pivots)}}).terms)
         if ann_degree(phi, j) != ann:
             return f"ann_degree({j}) differs from the rational kernel"
     delta, adj = det_and_adjugate_by_solve(catalecticant_matrix(phi, phi.n - 1))
@@ -867,10 +1014,10 @@ def contract(m: Mono, nu: Dual) -> Dual:
     return out
 
 
-def contract_poly(g: Poly, nu: Dual) -> Dual:
-    """Linear extension of contract to a polynomial g."""
+def contract_poly(g: Terms, nu: Dual) -> Dual:
+    """Linear extension of contract to a polynomial g, given by its term dict."""
     out: Dual = {}
-    for m, c in g.terms.items():
+    for m, c in g.items():
         for key, v in contract(m, nu).items():
             w = out.get(key, Fraction(0)) + c * v
             if w:
@@ -922,7 +1069,7 @@ def resolution_json_dict(res: Resolution) -> dict:
         mat = res.matrix(r)
         cells = [[[] for _ in mat.cols] for _ in mat.rows]
         for i, j, p in mat.nonzero():
-            cells[i][j] = [[list(m), str(c)] for m, c in p.sorted_terms()]
+            cells[i][j] = [[list(m), str(c)] for m, c in Poly(res.d, p).sorted_terms()]
         matrices.append({
             "index": r,
             "rows": mat.rows.labels(),

@@ -34,7 +34,7 @@ from conftest import (
     scaled,
     swap_variables,
 )
-from oracles import contract_poly, golden_skeleton_d4_n2, route_disagreement
+from oracles import Poly, contract_poly, golden_skeleton_d4_n2, route_disagreement
 
 
 def passline(num, text):
@@ -78,7 +78,7 @@ def test_criterion_3_complex_minimality_linearity_grid():
         for r in range(1, d + 1):
             want = n if r in (1, d) else 1
             for _, _, p in res.matrix(r).nonzero():
-                assert is_homogeneous(p) and p.degree() == want
+                assert is_homogeneous(p) and Poly(d, p).degree() == want
                 assert not constant_term(p)
     elapsed = time.time() - t0
     assert elapsed < 60.0
@@ -103,7 +103,7 @@ def test_criterion_5_annihilator_oracle():
 
         def vec(p):
             v = [Fraction(0)] * len(monos)
-            for m, c in p.terms.items():
+            for m, c in p.items():
                 v[midx[m]] = c
             return v
 
@@ -145,13 +145,13 @@ def test_criterion_7_duality_suite():
     # d=3 alternating middle matrix, spelled out
     res3 = grid_resolution(3, 2)
     m = dense(res3.matrix(2))
-    assert all(m[i][j] == -m[j][i] for i in range(5) for j in range(5))
+    assert all(Poly(3, m[i][j]) == -Poly(3, m[j][i]) for i in range(5) for j in range(5))
     # d=4 block relation, spelled out
     res4 = grid_resolution(4, 2)
     half = len(res4.bases[2]) // 2
     b2, b3 = dense(res4.matrix(2)), dense(res4.matrix(3))
     blocks = transpose([row[half:] for row in b2]) + transpose([row[:half] for row in b2])
-    assert [[-p for p in row] for row in blocks] == b3
+    assert [[(-Poly(4, p)).terms for p in row] for row in blocks] == b3
     passline(7, "b_d = b_1^T in dual bases; d=3 alternating; d=4 block relation; product rule on the grid")
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gorlin import differentials, exactness, linalg
-from gorlin.differentials import build_resolution, canonical_skeleton
+from gorlin.differentials import build_resolution, canonical_skeleton, signed_terms
 from gorlin.exactness import (
     PRIMES,
     Piece,
@@ -36,7 +36,7 @@ from gorlin.hookbasis import OrderedBasis, pairing
 from gorlin.invsys import InverseSystem, random_invsys
 from gorlin.monomials import monomials_of_degree, mul, mul_var, unit
 from gorlin.polymatrix import PolyMatrix
-from gorlin.polynomials import Poly, poly_str
+from gorlin.polynomials import poly_str
 
 from conftest import (
     EXTRA,
@@ -52,6 +52,7 @@ from conftest import (
 )
 from oracles import (
     MatrixSession,
+    Poly,
     acyclicity_failures_by_box,
     contract_poly,
     duality_failure,
@@ -59,6 +60,7 @@ from oracles import (
     dual_strand_h1k_by_ranking,
     ideal_dims_by_rref,
     matrix_form,
+    plus,
     strand_matrices,
     straightened_dual_strand,
 )
@@ -210,7 +212,7 @@ def test_graded_piece_clears_a_fraction_itself():
     # the piece is cleared by the lcm of the denominators of mat, so a Fraction entry gives
     # the piece of the cleared copy, all in ints
     mat = grid_resolution(3, 2).matrix(2)
-    mat.set(0, 0, mat.entry(0, 0) + Poly.monomial(mul_var(unit(3), 1), Fraction(1, 2)))
+    mat.set(0, 0, plus(mat.entry(0, 0), mul_var(unit(3), 1), Fraction(1, 2)))
     piece, cleared = graded_piece(mat, 1, 0), graded_piece(mat.cleared(denominator_lcm(mat)), 1, 0)
     assert denominator_lcm(mat) == 2 and piece.triples
     assert (piece.nrows, piece.ncols, piece.triples) == (cleared.nrows, cleared.ncols, cleared.triples)
@@ -221,7 +223,7 @@ def test_graded_piece_refuses_a_term_of_the_wrong_degree():
     # under a packing base of row_deg + 1 = 3, x1^4 would share the key of
     # x1*x2 and land on that row; the piece must refuse the term instead
     mat = grid_resolution(3, 2).matrix(1)
-    mat.set(0, 0, mat.entry(0, 0) + Poly.monomial((4, 0, 0)))
+    mat.set(0, 0, plus(mat.entry(0, 0), (4, 0, 0)))
     with pytest.raises(KeyError):
         graded_piece(mat, 2, 0)
 
@@ -235,7 +237,7 @@ def test_graded_piece_matches_the_monomial_products(d, n):
         want = Counter()
         for j, p in b1.entries[0].items():
             for k, u in enumerate(col_monos):
-                for m, c in p.terms.items():
+                for m, c in p.items():
                     want[row_monos.index(mul(m, u)), j * len(col_monos) + k] += c
         got = Counter()
         for i, j, c in graded_piece(b1, e, e - n).triples:
@@ -317,11 +319,11 @@ def test_split_product_sums_the_skeleton_parts_by_monomial():
     for a, b, c, m, vanishes in [(1, 1, -1, x2, True), (1, 1, -2, x2, False), (1, 1, -1, x3, False),
                                  (Fraction(7, 2), Fraction(-7, 6), 3, x2, True),
                                  (Fraction(7, 2), Fraction(-7, 6), 2, x2, False)]:
-        got = _linear_part_vanishes([{1: Poly(3, {x2: 1})}], [{0: b}], [{0: Poly(3, {m: c})}, {}],
+        got = _linear_part_vanishes([{1: {x2: 1}}], [{0: b}], [{0: {m: c}}, {}],
                                     [{}, {0: a}], 1)
         assert got == vanishes, (a, b, c, m)
     # C_r S_{r+1} alone: the rows of S_{r+1} cancel under (1/3, -1/3) and not under (1/3, -1/2)
-    s_next = [{0: Poly(3, {x2: 5})}, {0: Poly(3, {x2: 5})}]
+    s_next = [{0: {x2: 5}}, {0: {x2: 5}}]
     assert _linear_part_vanishes([{}], [{0: third, 1: -third}], s_next, [{}, {}], 1)
     assert not _linear_part_vanishes([{}], [{0: third, 1: Fraction(-1, 2)}], s_next, [{}, {}], 1)
 
@@ -337,10 +339,10 @@ def test_x1_split_reads_the_cofactors_of_the_interior_maps(d, n):
         mat = res.matrix(r)
         for i, row in enumerate(dense(mat)):
             for j, p in enumerate(row):
-                assert p == Poly(d, {**free[i].get(j, {}), **({x1: cof[i][j]} if j in cof[i] else {})})
+                assert p == {**free[i].get(j, {}), **({x1: cof[i][j]} if j in cof[i] else {})}
     assert skeleton_block_failure(res, tuple(splits)) is None
     bad = res.matrix(2)  # a new matrix, which the resolution does not see altered
-    bad.set(0, 0, bad.entry(0, 0) + Poly.monomial(mul_var(x1, 2)))
+    bad.set(0, 0, plus(bad.entry(0, 0), mul_var(x1, 2)))
     assert x1_split(bad)[1] is None
 
 
@@ -407,7 +409,7 @@ def test_strand_certificate_fails_on_a_sign_flip(monkeypatch, strand, r):
     def flip(skel):
         mat = skel[r - 1]
         i, j = first_entry(mat, strand)
-        mat.set(i, j, -mat.entry(i, j))
+        mat.set(i, j, signed_terms(mat.entry(i, j), -1))
 
     cert, skel = certificate_of_mutated_skeleton(monkeypatch, 4, 2, flip)
     if strand == "monomial":
@@ -427,7 +429,7 @@ def test_strand_certificate_names_an_entry_moved_to_another_multidegree(monkeypa
         degs = {k: fine_degree(mat.cols.elements[k][1]) for k in cols}
         j2 = next(k for k in cols if not mat.entry(i, k) and degs[k] != degs[j])
         mat.set(i, j2, mat.entry(i, j))
-        mat.set(i, j, Poly.zero(4))
+        mat.set(i, j, {})
         moved.append((rows.index(i), cols.index(j2), mat.entry(i, j2)))
 
     cert, skel = certificate_of_mutated_skeleton(monkeypatch, 4, 2, move)
@@ -446,7 +448,7 @@ def test_strand_certificate_ranks_a_zeroed_column(monkeypatch):
     def zero(skel):
         _, cols = strand_cells(skel[2], "monomial")
         for i in range(len(skel[2].rows)):
-            skel[2].set(i, cols[0], Poly.zero(4))
+            skel[2].set(i, cols[0], {})
 
     cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, zero)
     assert cert
@@ -517,7 +519,7 @@ def test_coordinate_points_and_box_agree_on_mutated_strands(data):
     elif kind == "variable":
         v = data.draw(st.integers(2, d), label="variable")
         for m in mats.values():
-            m.entries = [{j: p for j, p in row.items() if not any(e[v - 1] for e in p.terms)} for row in m.entries]
+            m.entries = [{j: p for j, p in row.items() if not any(e[v - 1] for e in p)} for row in m.entries]
     elif kind == "bottom":
         b1 = mats[1]
         b1.rows = OrderedBasis(d, n, 0, b1.rows.elements * 2)
@@ -525,7 +527,7 @@ def test_coordinate_points_and_box_agree_on_mutated_strands(data):
     else:
         i, j = data.draw(st.sampled_from(_cells(mat)), label="entry")
         if kind == "flip":
-            mat.set(i, j, -mat.entry(i, j))
+            mat.set(i, j, signed_terms(mat.entry(i, j), -1))
         else:
             targets = [(a, b) for a, b in _cells(mat, zero=True) if a == i or b == j]
             assume(targets)  # the first map is one row without a zero entry
@@ -557,12 +559,12 @@ def test_skeleton_complex_fact_on_a_mixed_entry_and_a_sign_flip(monkeypatch):
         mat = skel[1]
         i = next(i for i, (_, e) in enumerate(mat.rows) if e.kind == "X")
         j = next(j for j, (_, e) in enumerate(mat.cols) if e.kind == "Y")
-        mat.set(i, j, Poly.monomial(mul_var(unit(4), 2)))
+        mat.set(i, j, {mul_var(unit(4), 2): 1})
 
     def flip(strand):
         def mutate(skel):
             i, j = first_entry(skel[1], strand)
-            skel[1].set(i, j, -skel[1].entry(i, j))
+            skel[1].set(i, j, signed_terms(skel[1].entry(i, j), -1))
         return mutate
 
     cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, mix)
@@ -580,8 +582,8 @@ def duality_failure_by_negation(bases, mats):
     for r in range(d):
         for jj, (ii, s1) in enumerate(pairings[r + 1]):
             for i, (kk, s2) in enumerate(pairings[r]):
-                want = mats[d - r - 1].entry(ii, kk)
-                if mats[r].entry(i, jj) != (want if (-1) ** r * s1 * s2 > 0 else -want):
+                want = Poly(d, mats[d - r - 1].entry(ii, kk))
+                if Poly(d, mats[r].entry(i, jj)) != (want if (-1) ** r * s1 * s2 > 0 else -want):
                     return r, jj, kk
     return None
 
@@ -600,9 +602,9 @@ def test_duality_failure_witness_matches_the_poly_comparison(d, n):
         i, j = rng.randrange(len(mat.rows)), rng.randrange(len(mat.cols))
         entry = mat.entry(i, j)
         mat.set(i, j, rng.choice([
-            entry + Poly.monomial(mul_var(unit(d), rng.randint(1, d)), rng.choice([1, -2])),
-            -entry,
-            Poly.zero(d),
+            plus(entry, mul_var(unit(d), rng.randint(1, d)), rng.choice([1, -2])),
+            signed_terms(entry, -1),
+            {},
         ]))
         want = duality_failure_by_negation(bad.bases, bad.matrices)
         assert duality_failure(bad.bases, bad.matrices) == want
@@ -619,8 +621,9 @@ def test_pairings_are_kept_by_their_own_bases():
     k = 3
     b1, b2 = res.matrix(1), res.matrix(2)
     flipped = OrderedBasis(4, 2, 1, tuple((-s if i == k else s, e) for i, (s, e) in enumerate(b1.cols)))
-    new_b1 = PolyMatrix(b1.rows, flipped, [{j: -p if j == k else p for j, p in row.items()} for row in b1.entries])
-    new_b2 = PolyMatrix(flipped, b2.cols, [({j: -p for j, p in row.items()} if i == k else row)
+    new_b1 = PolyMatrix(b1.rows, flipped, [{j: signed_terms(p, -1) if j == k else p for j, p in row.items()}
+                                           for row in b1.entries])
+    new_b2 = PolyMatrix(flipped, b2.cols, [({j: signed_terms(p, -1) for j, p in row.items()} if i == k else row)
                                            for i, row in enumerate(b2.entries)])
     bases = (res.bases[0], flipped, *res.bases[2:])
     mats = (new_b1, new_b2, *res.matrices[2:])
@@ -747,7 +750,7 @@ def test_ideal_dims_of_a_column_that_does_not_annihilate_are_exact(c, monkeypatc
     # change vanishes mod every prime, so no mod-p rank could see it.
     res = grid_resolution(3, 3)
     bad = changed_lift(res, 1, lambda rows: add_to(rows, 0, 0, c, (2, 0, 0)))
-    assert bad.matrix(1).entry(0, 0) == res.matrix(1).entry(0, 0) + Poly.monomial((3, 0, 0), c)
+    assert bad.matrix(1).entry(0, 0) == plus(res.matrix(1).entry(0, 0), (3, 0, 0), c)
     s = Session(bad, grid_phi(3, 3))
     assert s.b1_annihilation_failure == 0
     calls = []
@@ -802,7 +805,7 @@ def test_annihilation_fact_agrees_with_contract_poly(bump):
     phi = InverseSystem(4, 3, {m: c / (k % 5 + 1) for k, (m, c) in enumerate(sorted(base.coeffs.items()))})
     res = build_resolution(phi)
     cols = dense(res.matrix(1))[0]
-    entry = cols[3] if bump is None else cols[2] + bump
+    entry = cols[3] if bump is None else (Poly(4, cols[2]) + bump).terms
     bad = with_b1_column(res, 2, entry)
     nu = phi.coeffs
     want = next((j for j, g in enumerate(dense(bad.matrix(1))[0]) if contract_poly(g, nu)), None)

@@ -9,7 +9,6 @@ from gorlin.hookbasis import (
     BasisElement,
     duality_basis,
     enumerate_basis,
-    expand_eta,
     expand_kappa,
     gamma_of,
     pp_dual_basis,
@@ -23,6 +22,7 @@ from gorlin.hookbasis import (
 from gorlin.monomials import div_var, least, monomials_of_degree, mul_var, var_divides
 
 from conftest import column
+from oracles import expand_eta
 
 
 def M(*e):
@@ -203,7 +203,7 @@ def test_kos_block_column_structure():
                     nz = [p for p in column(blk, j) if p]
                     assert len(nz) <= 2 * r - 1
                     for p in nz:
-                        (m, c), = p.terms.items()
+                        (m, c), = p.items()
                         assert sum(m) == 1 and m[0] == 0 and abs(c) == 1
 
 

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from gorlin.linalg import (
     det_and_adjugate,
     det_bareiss,
-    identity,
     kernel_basis,
     rank,
     rref,
@@ -20,6 +19,10 @@ from oracles import det_and_adjugate_by_solve, rref_by_fractions
 
 def F(rows):
     return [[Fraction(v) for v in row] for row in rows]
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def rand_matrix(rng, n, m, lo=-5, hi=5):

@@ -4,7 +4,6 @@ import pytest
 
 from gorlin.monomials import (
     degree,
-    div,
     div_var,
     divides,
     least,
@@ -17,6 +16,8 @@ from gorlin.monomials import (
     var_divides,
     variable,
 )
+
+from oracles import div
 
 
 def M(*e):

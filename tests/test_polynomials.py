@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from gorlin.differentials import build_resolution
-from gorlin.invsys import random_invsys
-from gorlin.polynomials import Poly, clear_denominators, poly_str
+from gorlin.differentials import build_resolution, canonical_skeleton
+from gorlin.invsys import ann_degree, random_invsys
+from gorlin.polynomials import clear_denominators, poly_str
 
 from conftest import EXTRA, constant, constant_term, extra_phi, is_homogeneous
+from oracles import Poly, matrix_form, plus
 
 
 def x(i, d=3):
@@ -63,20 +64,30 @@ def test_ring_axioms_on_random_samples():
 
 def test_homogeneity_and_degree():
     p = Poly(3, {(1, 1, 0): 2, (0, 0, 2): -1})
-    assert is_homogeneous(p) and p.degree() == 2
+    assert is_homogeneous(p.terms) and p.degree() == 2
     q = p + constant(3, 1)
-    assert not is_homogeneous(q)
-    assert constant_term(q) == 1
+    assert not is_homogeneous(q.terms)
+    assert constant_term(q.terms) == 1
     assert Poly.zero(3).degree() == -1
 
 
-def test_poly_str_deterministic():
-    p = Poly(3, {(0, 0, 2): Fraction(-1), (2, 0, 0): Fraction(3, 2), (0, 1, 1): 1})
-    assert poly_str(p) == "3/2*x1^2 + x2*x3 - x3^2"
-    assert poly_str(Poly.zero(3)) == "0"
-
-
 M = (1, 0, 2)
+
+
+def test_poly_str_deterministic():
+    terms = {(0, 0, 2): Fraction(-1), (2, 0, 0): Fraction(3, 2), (0, 1, 1): 1}
+    assert poly_str(terms) == "3/2*x1^2 + x2*x3 - x3^2"
+    assert poly_str({}) == "0" and poly_str(Poly.zero(3).terms) == "0"
+    # the int and the Fraction form of one number: equal term dicts, equal polynomials, one text
+    ints = {M: 3, (0, 0, 3): -1}
+    fracs = {M: Fraction(3), (0, 0, 3): Fraction(-1)}
+    assert ints == fracs and hash(frozenset(ints.items())) == hash(frozenset(fracs.items()))
+    assert poly_str(ints) == poly_str(fracs) == "3*x1*x3^2 - x3^3"
+    # Poly stores both as ints; a Poly given the Fraction form directly compares and hashes as one
+    raw = Poly(3)
+    raw.terms = fracs
+    for other in (Poly(3, fracs), raw):
+        assert Poly(3, ints) == other and hash(Poly(3, ints)) == hash(other)
 
 
 def test_a_float_coefficient_is_refused():
@@ -100,27 +111,43 @@ def test_an_integral_coefficient_is_stored_as_an_int():
     assert type(Poly(3, {M: Fraction(1, 3)}).scale(6).terms[M]) is int
     assert type(Poly(3, {M: 3}).scale(Fraction(1, 3)).terms[M]) is int
     assert type(Poly.monomial(M, Fraction(5)).terms[M]) is int
-    assert type(constant_term(constant(3, Fraction(-7, 7)))) is int
+    assert type(constant_term(constant(3, Fraction(-7, 7)).terms)) is int
 
 
-def test_int_and_fraction_coefficients_agree():
-    ints = Poly(3, {M: 3, (0, 0, 3): -1})
-    fracs = Poly(3, {M: Fraction(3), (0, 0, 3): Fraction(-1)})
-    # Poly stores both as ints; bypass the constructor to compare the two forms
-    raw = Poly(3)
-    raw.terms = {M: Fraction(3), (0, 0, 3): Fraction(-1)}
-    for other in (fracs, raw):
-        assert ints == other and hash(ints) == hash(other) and poly_str(ints) == poly_str(other)
+def producer_coefficients(res, bump):
+    """Every coefficient written by each producer of term dicts, by producer, for the resolution res.
+
+    No producer is normalised after it writes, so each must write the form
+    of polynomials.Terms itself: Resolution.terms for every r, the entries of
+    canonical_skeleton, PolyMatrix.mul on b_1 b_2 with bump x_d added to
+    entry (0, 0) of b_2 (so that the product is not zero), and ann_degree.
+    """
+    d, n = res.d, res.n
+    form = matrix_form(res)
+    b1, b2 = form.matrix(1), form.matrix(2)
+    b2.set(0, 0, plus(b2.entry(0, 0), (0,) * (d - 1) + (1,), bump))
+    rows = {
+        "Resolution.terms": [row for r in range(1, d + 1) for row in res.terms(r)],
+        "canonical_skeleton": [row for mat in canonical_skeleton(d, n) for row in mat.entries],
+        "PolyMatrix.mul": b1.mul(b2),
+        "ann_degree": [dict(enumerate(ann_degree(res.phi, n)))],
+    }
+    return {name: [c for row in rs for p in row.values() for c in p.values()] for name, rs in rows.items()}
+
+
+def in_form(c) -> bool:
+    """c is a nonzero int, or a Fraction that is not integral."""
+    return c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
 
 
 def test_every_coefficient_of_an_integer_system_is_an_int():
-    res = build_resolution(random_invsys(4, 4, 0))
-    assert all(type(c) is int for mat in res.matrices for row in mat.entries for p in row.values()
-               for c in p.terms.values())
+    for name, coeffs in producer_coefficients(build_resolution(random_invsys(4, 4, 0)), 3).items():
+        assert coeffs and all(map(in_form, coeffs)), name
+        # a kernel basis vector has a pivot entry 1, so the annihilator of an integer system has fractions
+        assert name == "ann_degree" or all(type(c) is int for c in coeffs), name
 
 
 def test_the_large_rational_system_keeps_its_fractions():
-    res = build_resolution(extra_phi(EXTRA[1]))
-    coeffs = [c for mat in res.matrices for row in mat.entries for p in row.values() for c in p.terms.values()]
-    assert any(type(c) is Fraction for c in coeffs)
-    assert all(type(c) is int or c.denominator != 1 for c in coeffs)
+    for name, coeffs in producer_coefficients(build_resolution(extra_phi(EXTRA[1])), Fraction(2, 3)).items():
+        assert coeffs and all(map(in_form, coeffs)), name
+        assert name == "canonical_skeleton" or any(type(c) is Fraction for c in coeffs), name

@@ -23,7 +23,7 @@ from gorlin.invsys import InadmissibleSystemError, InverseSystem, hf_value, rand
 from gorlin.linalg import det_bareiss
 from gorlin.monomials import monomials_of_degree, mul_var, unit
 from gorlin.polymatrix import PolyMatrix
-from gorlin.polynomials import Poly, poly_str
+from gorlin.polynomials import poly_str
 from gorlin.verify import (
     check_ann_match,
     check_betti_and_degrees,
@@ -54,6 +54,7 @@ from conftest import (
 )
 from oracles import (
     MatrixSession,
+    Poly,
     catalecticant_matrix,
     certify_exactness_direct,
     golden_skeleton_d4_n2,
@@ -61,16 +62,17 @@ from oracles import (
     matrix_check,
     matrix_form,
     matrix_report,
+    plus,
     route_disagreement,
 )
 
 
 def perturbed(res, r=2, i=0, j=0, bump=None):
-    """A matrix-form copy of res with bump added to entry (i, j) of b_r, a state that no lift need hold."""
+    """A matrix-form copy of res with the Poly bump added to entry (i, j) of b_r, a state that no lift need hold."""
     bad = matrix_form(res)
     d = res.d
     bump = bump if bump is not None else constant(d, 1)
-    bad.matrix(r).set(i, j, bad.matrix(r).entry(i, j) + bump)
+    bad.matrix(r).set(i, j, (Poly(d, bad.matrix(r).entry(i, j)) + bump).terms)
     return bad
 
 
@@ -97,7 +99,7 @@ def test_check_complex_witness():
     # x1 more at entry (1, 2) of b_2: the lift's C_2 changes there, and C_3 with it
     res = grid_resolution(4, 2)
     bad = changed_lift(res, 2, lambda rows: add_to(rows, 1, 2, 1))
-    assert bad.matrix(2).entry(1, 2) == res.matrix(2).entry(1, 2) + Poly.monomial(mul_var(unit(4), 1))
+    assert bad.matrix(2).entry(1, 2) == plus(res.matrix(2).entry(1, 2), mul_var(unit(4), 1))
     out = check_complex(Session(bad, bad.phi))
     assert not out.passed
     assert out.witness == "b_1 b_2 at (0, 2) = -24*x1^3 - 38*x1^2*x2 - 36*x1^2*x3 - 16*x1^2*x4"
@@ -127,11 +129,11 @@ def test_complex_check_finds_a_self_dual_defect_before_the_middle():
     # mirror b_3 b_4 are both nonzero, and the first is the witness
     res = grid_resolution(4, 2)
     dual = changed_lift(res, 1, lambda rows: add_to(rows, 0, 0, 1, mul_var(unit(4), 1)))
-    assert dual.matrix(1).entry(0, 0) == res.matrix(1).entry(0, 0) + x1_power(4, 2)
+    assert Poly(4, dual.matrix(1).entry(0, 0)) == Poly(4, res.matrix(1).entry(0, 0)) + x1_power(4, 2)
     assert MatrixSession(matrix_form(dual), res.phi).duality_failure is None
     s = Session(dual, res.phi)
     assert s.complex_failure[0] == 1
-    assert dual.matrix(3).mul(dual.matrix(4)) != [[Poly.zero(4)] for _ in range(dual.betti[2])]
+    assert any(dual.matrix(3).mul(dual.matrix(4)))
     (out,) = run_checks(dual, res.phi, checks=["complex"]).results
     assert not out.passed and out.witness == complex_witness(dual)
 
@@ -197,7 +199,7 @@ def test_complex_check_on_a_changed_skeleton_term(monkeypatch, d, n, r):
     # at an interior r, is multiplied out; the witness is that of the full product
     res = grid_resolution(d, n)
     i, j = _entry_of_kind(res, r, "Y")
-    (m, c), = res.matrix(r).entry(i, j).subs_x1_zero().terms.items()
+    (m, c), = Poly(d, res.matrix(r).entry(i, j)).subs_x1_zero().terms.items()
     bad = perturbed(res, r=r, i=i, j=j, bump=Poly.monomial(m, -2 * c))
     s = MatrixSession(bad, bad.phi)
     assert s.skeleton_failure is not None
@@ -223,8 +225,8 @@ def test_complex_check_reads_only_multiples_of_x1_as_the_cofactor():
         x1xv = x1 * Poly.monomial(mul_var(unit(4), v))
         mat = bad.matrix(r)
         for i, j, p in list(mat.nonzero()):
-            if m1 in p.terms:
-                mat.set(i, j, p - x1.scale(p.terms[m1]) + x1xv.scale(p.terms[m1]))
+            if m1 in p:
+                mat.set(i, j, (Poly(4, p) - x1.scale(p[m1]) + x1xv.scale(p[m1])).terms)
     s = MatrixSession(bad, bad.phi)
     assert s.skeleton_failure is None
     assert not s._interior_product_vanishes(2)
@@ -348,7 +350,7 @@ def test_check_betti_reports_the_first_broken_entry_in_row_major_order():
     j1 = max(b2.entries[i])
     j0 = next(j for j in range(j1) if j not in b2.entries[i])
     bad = perturbed(res, r=2, i=i, j=j1, bump=constant(4, 1))
-    bad.matrix(2).set(i, j0, x1_power(4, 2))
+    bad.matrix(2).set(i, j0, x1_power(4, 2).terms)
     assert list(bad.matrix(2).entries[i])[-1] == j0
     out = check_betti_and_degrees(MatrixSession(bad, bad.phi))
     assert out.witness == f"b_2 entry ({i}, {j0}) = x1^2, expected degree 1"
@@ -440,8 +442,8 @@ def test_check_skeleton_fails_on_an_entry_between_an_x_and_a_y_element(monkeypat
     x2 = Poly.monomial(mul_var(unit(4), 2))
     for (r, a, b), c in (((2, i, j), 1), ((3, ii, kk), -s1 * t1)):
         assert not skel[r - 1].entry(a, b)
-        skel[r - 1].set(a, b, x2.scale(c))
-        res.matrix(r).set(a, b, res.matrix(r).entry(a, b) + x2.scale(c * res.delta))
+        skel[r - 1].set(a, b, x2.scale(c).terms)
+        res.matrix(r).set(a, b, (Poly(4, res.matrix(r).entry(a, b)) + x2.scale(c * res.delta)).terms)
     assert duality_failure(res.bases, skel) is None
     for module in (differentials, exactness):
         monkeypatch.setattr(module, "canonical_skeleton", lambda d, n: skel)
@@ -639,7 +641,7 @@ def test_a_b1_term_of_the_wrong_degree_fails_the_checks_without_raising():
     # read dim I_n used to raise KeyError
     phi = random_invsys(3, 2, 1)
     res = changed_lift(build_resolution(phi), 1, lambda rows: add_to(rows, 0, 0, 1, (2, 0, 0)))
-    assert res.matrix(1).entry(0, 0) == build_resolution(phi).matrix(1).entry(0, 0) + Poly.monomial((3, 0, 0))
+    assert res.matrix(1).entry(0, 0) == plus(build_resolution(phi).matrix(1).entry(0, 0), (3, 0, 0))
     verdicts = {r.name: r for r in run_checks(res, phi).results}
     assert not verdicts["exactness"].passed
     assert verdicts["exactness"].witness == "column 0 of b_1 has a term of degree 3, not n = 2"
