@@ -78,6 +78,9 @@ def test_poly_str_deterministic():
     terms = {(0, 0, 2): Fraction(-1), (2, 0, 0): Fraction(3, 2), (0, 1, 1): 1}
     assert poly_str(terms) == "3/2*x1^2 + x2*x3 - x3^2"
     assert poly_str({}) == "0" and poly_str(Poly.zero(3).terms) == "0"
+
+
+def test_int_and_fraction_coefficients_agree():
     # the int and the Fraction form of one number: equal term dicts, equal polynomials, one text
     ints = {M: 3, (0, 0, 3): -1}
     fracs = {M: Fraction(3), (0, 0, 3): Fraction(-1)}
