@@ -24,25 +24,26 @@ odd d the middle map b_h is its own partner: one side of its diagonal is
 written, and its transpose is the other.
 
 The cofactors are Z-linear in the coefficient sums Q, tq and W
-(BuildContext), and which sums meet in which entry depends on (d, n) alone.
-So the writers run once per (d, n), on a PlanContext that names each sum by
-a key index.  A writer's coefficient is a signed key, +k or -k; it writes
-each term of C_r once, as a list of (coefficient, key index) pairs, and
-_record signs the terms by the bases.  build_plan keeps the result: every
-term of C_1..C_h as an integer combination of the keys, in the cell format
-that _evaluate reads.  A build fills one value per key from the numeric
-BuildContext and evaluates the plan into the constants of C_2..C_h and the
-forms of C_1.  It returns phi, delta and those cofactors as one frozen
-record (Resolution); the rest is a fact of (d, n).  No matrix is written
-then: Resolution builds each on request as delta S_r beside x1 C_r, and a
-Session reads S and C from the record.  So the skeleton, the x1 split and
-the pairing rule on every map hold by construction.
-Every coefficient is an integer numerator over one power of the lcm L of
-phi's denominators; _evaluate divides it out when it writes the term, so
-a coefficient is an int whenever it is integral (always, for phi with
-integer coefficients: L = 1) and a Fraction only otherwise.  A sum that is
-zero for this phi leaves no term, and an entry left with no term is not
-stored (PolyMatrix keeps the nonzero entries only).
+(invsys.Catalecticant), and which sums meet in which entry depends on
+(d, n) alone.  So the writers run once per (d, n), on a PlanContext that
+names each sum by a key index.  A writer's coefficient is a signed key, +k
+or -k; it writes each term of C_r once, as a list of (coefficient, key
+index) pairs, and _record signs the terms by the bases.  build_plan keeps
+the result: every term of C_1..C_h as an integer combination of the keys,
+in the cell format that _evaluate reads.  A build fills one value per key
+from the Catalecticant record that delta_and_Q returns and evaluates the
+plan into the constants of C_2..C_h and the forms of C_1.  It returns phi,
+delta and those cofactors as one frozen record (Resolution); the rest is a
+fact of (d, n).  No matrix is written then: Resolution builds each on
+request as delta S_r beside x1 C_r, and a Session reads S and C from the
+record.  So the skeleton, the x1 split and the pairing rule on every map
+hold by construction.
+Every key's value is an integer numerator over the one denominator of the
+record (Catalecticant states the convention); _evaluate divides it out
+when it writes the term, so a coefficient is an int whenever it is
+integral (always, for phi with integer coefficients) and a Fraction only
+otherwise.  A sum that is zero for this phi leaves no term, and an entry
+left with no term is not stored (PolyMatrix keeps the nonzero entries only).
 """
 
 from __future__ import annotations
@@ -59,59 +60,8 @@ from .polymatrix import PolyMatrix
 from .polynomials import Scalar, Terms, exact, over
 
 
-class BuildContext:
-    """Shared catalecticant data and the coefficient sums of one build, in integers.
-
-    Every coefficient is carried as an int numerator over the one
-    denominator D = L^(N+1) (denom), where L is the lcm of phi's denominators
-    and N = dim S_{n-1}: with t' = L t, Q = adj T' / L^(N-1) and
-    delta = det T' / L^N (invsys.Catalecticant), the numerators of Q and
-    delta are L^2 adj T' and L det T', and each sum of t' times numerators
-    over D, divided by L, is again a numerator over D.  The coefficient
-    itself is formed once, when _evaluate writes the entry.
-
-    The sums over the monomials m of degree n-2 are dot products of int rows
-    built once per phi: A[u] = [t'_{u*m}] for u of degree n, the rows of the
-    table L Cat_n (InverseSystem.catalecticant), QX[w] = [Q[w, x1*m]] for
-    each w of degree n-1 by its catalecticant index, and, on first use,
-    TQX[u] = [tq(u, x1*m)].
-    """
-
-    def __init__(self, phi: InverseSystem, cat: Catalecticant):
-        self.d, self.n = phi.d, phi.n
-        nm2 = monomials_of_degree(phi.d, phi.n - 2)
-        self.scale = phi.scale
-        self.index = cat.index
-        self.denom = self.scale ** (len(cat.monos) + 1)
-        self.delta = self.scale * cat.det
-        self.q = [[self.scale**2 * v for v in row] for row in cat.adj]
-        self._a = dict(zip(monomials_of_degree(phi.d, phi.n), phi.catalecticant(phi.n)))
-        x1 = [cat.index[mul_var(m, 1)] for m in nm2]
-        self._qx = [[row[k] for k in x1] for row in self.q]
-        self._qx1 = [self._qx[k] for k in x1]
-        self._tqx: dict[Mono, list[int]] = {}
-
-    def Q(self, m1: Mono, m2: Mono) -> int:
-        return self.q[self.index[m1]][self.index[m2]]
-
-    def tq(self, u: Mono, w: Mono) -> int:
-        """sum over m of degree n-2 of t_{u*m} * Q[w, x1*m]  (u deg n, w deg n-1)."""
-        return sum(map(times, self._a[u], self._qx[self.index[w]])) // self.scale
-
-    def W(self, u: Mono, v: Mono) -> int:
-        """double sum of Q[x1*m1, x1*m2] t_{u*m2} t_{v*m1} over degree-(n-2) pairs.
-
-        The inner sum over m2 is tq(u, x1*m1), the row TQX[u].
-        """
-        row = self._tqx.get(u)
-        if row is None:
-            a = self._a[u]
-            row = self._tqx[u] = [sum(map(times, a, qx)) // self.scale for qx in self._qx1]
-        return sum(map(times, self._a[v], row)) // self.scale
-
-
 class PlanContext:
-    """The coefficient sums of a BuildContext as formal keys: the context the column writers run on.
+    """The coefficient sums of a Catalecticant as formal keys: the context the column writers run on.
 
     Q, tq and W return the index of the key (name, u, v), interned in keys
     from index 1 on; Q and W are symmetric, so their two arguments are
@@ -455,11 +405,6 @@ class Resolution:
             out.add((1,) + (0,) * (d - 1))
         return out
 
-    @property
-    def matrices(self) -> tuple[PolyMatrix, ...]:
-        """b_1..b_d, new matrices."""
-        return tuple(self.matrix(r) for r in range(1, self.d + 1))
-
     def matrix(self, r: int) -> PolyMatrix:
         """The matrix of the differential out of homological degree r (1-based), built new from the lift."""
         bases = self.bases
@@ -481,8 +426,8 @@ Cell = tuple[int, int, Mono, Pairs]
 class Plan:
     """The cofactors C_1..C_h of one (d, n), h = (d+1)//2, as integer combinations of keys.
 
-    keys[k - 1] is the key (name, u, v) whose value is ctx.name(u, v) on a
-    BuildContext.  cells[r - 1] lists the terms (i, j, m, pairs) of C_r,
+    keys[k - 1] is the key (name, u, v) whose value is cat.name(u, v) on a
+    Catalecticant.  cells[r - 1] lists the terms (i, j, m, pairs) of C_r,
     signed by the bases: m has degree n-1 at r = 1 and is 1 inside.  For
     odd d the middle map b_h pairs with itself, and cells[h - 1] holds only
     its cells with i <= j; _evaluate adds its pairing transpose (paired).
@@ -543,18 +488,18 @@ def build_plan(d: int, n: int) -> Plan:
     return Plan(tuple(ctx.keys), tuple(cells))
 
 
-def _evaluate(plan: Plan, ctx: BuildContext, bases: tuple[OrderedBasis, ...]) -> tuple[Rows, ...]:
-    """The cofactors of the plan for the inverse system of ctx, by rows as Resolution keeps them.
+def _evaluate(plan: Plan, cat: Catalecticant, bases: tuple[OrderedBasis, ...]) -> tuple[Rows, ...]:
+    """The cofactors of the plan for the inverse system of cat, by rows as Resolution keeps them.
 
     Each key is evaluated once; a term whose numerator is zero is dropped,
-    and a nonzero numerator is divided by ctx.denom (polynomials.over).  The
+    and a nonzero numerator is divided by cat.denom (polynomials.over).  The
     middle map C_h of odd d is completed by its own pairing transpose
     (paired), which fills the side the plan does not hold; on the diagonal
     of a symmetric C_h the two sides agree.
     """
     # key index 0 is no key (PlanContext)
-    values = [0] + [getattr(ctx, name)(u, v) for name, u, v in plan.keys]
-    denom = ctx.denom
+    values = [0] + [getattr(cat, name)(u, v) for name, u, v in plan.keys]
+    denom = cat.denom
     out = []
     for r, cells in enumerate(plan.cells, 1):
         rows: Rows = [{} for _ in bases[r - 1]]
@@ -584,7 +529,7 @@ def build_resolution(phi: InverseSystem, ordering: str = "selfdual") -> Resoluti
     if ordering != "selfdual":
         raise ValueError(f"unknown ordering {ordering!r}; the only basis family is 'selfdual'")
     cat = delta_and_Q(phi)
-    cofactors = _evaluate(build_plan(phi.d, phi.n), BuildContext(phi, cat), self_dual_bases(phi.d, phi.n))
+    cofactors = _evaluate(build_plan(phi.d, phi.n), cat, self_dual_bases(phi.d, phi.n))
     return Resolution(phi, exact(cat.delta), cofactors)
 
 

@@ -26,18 +26,18 @@ def resolution_text(res: Resolution) -> str:
         "basis ordering = selfdual",
         "",
     ]
-    for r, mat in enumerate(res.matrices, 1):
-        nrows, ncols = mat.shape
-        lines.append(f"matrix b{r} ({nrows} x {ncols})")
+    for r, (rows, cols) in enumerate(zip(res.bases, res.bases[1:]), 1):
+        lines.append(f"matrix b{r} ({len(rows)} x {len(cols)})")
         lines.append("  rows:")
-        for i, lbl in enumerate(mat.rows.labels()):
+        for i, lbl in enumerate(rows.labels()):
             lines.append(f"    {i + 1}: {lbl}")
         lines.append("  cols:")
-        for j, lbl in enumerate(mat.cols.labels()):
+        for j, lbl in enumerate(cols.labels()):
             lines.append(f"    {j + 1}: {lbl}")
         lines.append("  entries (row, col) -> polynomial, zeros omitted:")
-        for i, j, p in mat.nonzero():
-            lines.append(f"    ({i + 1}, {j + 1}) {poly_str(p)}")
+        for i, row in enumerate(res.terms(r)):
+            for j in sorted(row):
+                lines.append(f"    ({i + 1}, {j + 1}) {poly_str(row[j])}")
         lines.append("")
     return "\n".join(lines)
 
@@ -102,10 +102,11 @@ def resolution_cas_script(res: Resolution) -> str:
         f"R = QQ[x_1..x_{d}];",
     ]
 
-    for r, mat in enumerate(res.matrices, 1):
-        cells = [["0"] * len(mat.cols) for _ in mat.rows]
-        for i, j, p in mat.nonzero():
-            cells[i][j] = poly_str(p, var="x_")
+    for r, cols in enumerate(res.bases[1:], 1):
+        cells = [["0"] * len(cols) for _ in res.bases[r - 1]]
+        for i, row in enumerate(res.terms(r)):
+            for j, p in row.items():
+                cells[i][j] = poly_str(p, var="x_")
         rows = ",\n  ".join("{" + ", ".join(row) + "}" for row in cells)
         lines.append(f"b{r} = matrix(R, {{\n  {rows}\n}});")
     for r in range(1, d):

@@ -11,10 +11,10 @@ compressed (hilbert_function).
 The catalecticant data are kept in integers.  With L the lcm of the
 denominators of phi (InverseSystem.scale), each catalecticant L Cat_j is an
 integer table, built once per system and degree (InverseSystem.catalecticant)
-and read by every fact about phi: delta = det T' / L^N and
-Q = adj T' / L^(N-1) for T' = L Cat_{n-1} and N = dim S_{n-1}, the Hilbert
-function (ranks), the annihilator (kernels, as the rref of L M is that of M)
-and the build's sums.
+and read by every fact about phi: the Hilbert function (ranks), the
+annihilator (kernels, as the rref of L M is that of M), and delta, Q and the
+build's sums, which the record Catalecticant holds as integer numerators
+over one denominator (its docstring states the convention).
 """
 
 from __future__ import annotations
@@ -23,11 +23,13 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
+from operator import mul
 from types import MappingProxyType
 
 from . import linalg
-from .monomials import Mono, degree, monomial_index, monomials_of_degree, sort_key
+from .monomials import Mono, degree, monomial_index, monomials_of_degree, mul_var, sort_key
 from .polymatrix import pack
 from .polynomials import Terms, clear_denominators, exact
 
@@ -94,10 +96,6 @@ class InverseSystem:
     def socle_degree(self) -> int:
         return 2 * self.n - 2
 
-    def t(self, m: Mono) -> Fraction:
-        """The coefficient t_m = phi(m^*)."""
-        return self.coeffs.get(m, Fraction(0))
-
     def catalecticant(self, j: int) -> list[list[int]]:
         """L Cat_j, the pairing matrix (L t_{m_row * m_col}) with rows of degree j and columns of degree 2n-2-j.
 
@@ -117,12 +115,21 @@ class InverseSystem:
 
 @dataclass(frozen=True)
 class Catalecticant:
-    """The middle catalecticant in integers: T' = L T, its determinant and adjugate.
+    """The middle catalecticant in integers, and the coefficient sums of a build over it.
 
     scale is L (InverseSystem.scale), T the table T' = L Cat_{n-1}
     (InverseSystem.catalecticant), det = det T' != 0 and adj = adj T'.  The
     catalecticant of phi has determinant delta = det / L^N and adjugate
     Q = adj / L^(N-1), N = len(monos).
+
+    Every value a build reads is an int numerator over the one denominator
+    denom = L^(N+1): with t' = L t, the numerators of delta and of Q are
+    L det and L^2 adj, and each sum of t' times numerators, divided by L, is
+    again a numerator (exactly, as L divides it).  The sums Q, tq and W are
+    dot products of int rows built on first use, so a bare delta_and_Q
+    builds none: _a[u] = [t'_{u*m}] for u of degree n, the rows of
+    L Cat_n, _qx[w] = [Q[w, x1*m]] for w of degree n-1 by its index, and
+    _tqx[u] = [tq(u, x1*m)], over the monomials m of degree n-2.
     """
 
     phi: InverseSystem
@@ -132,10 +139,51 @@ class Catalecticant:
     det: int
     adj: list[list[int]]
     index: dict[Mono, int]
+    _tqx: dict[Mono, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def delta(self) -> Fraction:
         return Fraction(self.det, self.scale ** len(self.monos))
+
+    @property
+    def denom(self) -> int:
+        return self.scale ** (len(self.monos) + 1)
+
+    @cached_property
+    def _q(self) -> list[list[int]]:
+        return [[self.scale**2 * v for v in row] for row in self.adj]
+
+    @cached_property
+    def _a(self) -> dict[Mono, list[int]]:
+        phi = self.phi
+        return dict(zip(monomials_of_degree(phi.d, phi.n), phi.catalecticant(phi.n)))
+
+    @cached_property
+    def _x1(self) -> list[int]:
+        """The index of x1*m for each monomial m of degree n-2."""
+        return [self.index[mul_var(m, 1)] for m in monomials_of_degree(self.phi.d, self.phi.n - 2)]
+
+    @cached_property
+    def _qx(self) -> list[list[int]]:
+        return [[row[k] for k in self._x1] for row in self._q]
+
+    def Q(self, m1: Mono, m2: Mono) -> int:
+        return self._q[self.index[m1]][self.index[m2]]
+
+    def tq(self, u: Mono, w: Mono) -> int:
+        """sum over m of degree n-2 of t_{u*m} * Q[w, x1*m]  (u deg n, w deg n-1)."""
+        return sum(map(mul, self._a[u], self._qx[self.index[w]])) // self.scale
+
+    def W(self, u: Mono, v: Mono) -> int:
+        """double sum of Q[x1*m1, x1*m2] t_{u*m2} t_{v*m1} over degree-(n-2) pairs.
+
+        The inner sum over m2 is tq(u, x1*m1), the row TQX[u].
+        """
+        row = self._tqx.get(u)
+        if row is None:
+            a, qx = self._a[u], self._qx
+            row = self._tqx[u] = [sum(map(mul, a, qx[k])) // self.scale for k in self._x1]
+        return sum(map(mul, self._a[v], row)) // self.scale
 
 
 def delta_and_Q(phi: InverseSystem) -> Catalecticant:
@@ -209,16 +257,18 @@ def sum_of_powers(d: int, n: int = 2) -> InverseSystem:
 def random_invsys(d: int, n: int, seed: int, coeff_bound: int = 5) -> InverseSystem:
     """Deterministic pseudo-random admissible inverse system with integer coefficients.
 
-    Retries with a counter mixed into the stream until delta != 0 (one
-    determinant per draw); raises InadmissibleSystemError after RANDOM_TRIES
+    Retries with a counter mixed into the stream until delta != 0, that is
+    until L Cat_{n-1} has full rank (one elimination per draw, the test of
+    hilbert_function); raises InadmissibleSystemError after RANDOM_TRIES
     draws (e.g. bound 0).
     """
     monos = monomials_of_degree(d, 2 * n - 2)
+    full = comb(n - 1 + d - 1, d - 1)  # dim S_{n-1}
     for attempt in range(RANDOM_TRIES):
         rng = random.Random(seed * 1_000_003 + attempt)
         coeffs = {m: Fraction(rng.randint(-coeff_bound, coeff_bound)) for m in monos}
         phi = InverseSystem(d, n, coeffs)
-        if linalg.det_bareiss(phi.catalecticant(n - 1)) != 0:
+        if hf_value(phi, n - 1) == full:
             return phi
     raise InadmissibleSystemError(
         f"could not find an admissible inverse system for d={d}, n={n}, "

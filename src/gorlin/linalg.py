@@ -20,10 +20,6 @@ Row = list[Fraction]
 Matrix = list[Row]
 
 
-def transpose(m: Matrix) -> Matrix:
-    return [list(col) for col in zip(*m)] if m else []
-
-
 def _eliminate(a: list[list[int]], width: int, jordan: bool = False) -> tuple[list[int], int]:
     """Fraction-free elimination in place on the integer rows a; (pivot columns, sign of the row swaps).
 
@@ -67,13 +63,6 @@ def _eliminate(a: list[list[int]], width: int, jordan: bool = False) -> tuple[li
     return pivots, sign
 
 
-def _cleared_square(m: Matrix) -> tuple[int, list[list[int]]]:
-    """(L, L * m) for the square matrix m, L the lcm of its denominators."""
-    n = len(m)
-    scale, flat = clear_denominators(v for row in m for v in row)
-    return scale, [flat[i * n:(i + 1) * n] for i in range(n)]
-
-
 def rank(m: Matrix) -> int:
     """Rank, after clearing each row by the lcm of its denominators (a nonzero row scaling)."""
     if not m or not m[0]:
@@ -114,18 +103,6 @@ def kernel_basis(m: Matrix) -> list[Row]:
     return basis
 
 
-def det_bareiss(m: Matrix) -> int | Fraction:
-    """Determinant by fraction-free (Bareiss) elimination: det(L m) / L^n."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    scale, a = _cleared_square(m)
-    pivots, sign = _eliminate(a, n)
-    return over(sign * a[n - 1][n - 1], scale**n) if len(pivots) == n else 0
-
-
 def det_and_adjugate(m: Matrix) -> tuple[int | Fraction, Matrix | None]:
     """(det m, adj m) with m*adj = adj*m = det*I exactly.
 
@@ -143,9 +120,8 @@ def det_and_adjugate(m: Matrix) -> tuple[int | Fraction, Matrix | None]:
         return 1, []
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    scale, a = _cleared_square(m)
-    for i, row in enumerate(a):
-        row.extend(int(i == j) for j in range(n))
+    scale, flat = clear_denominators(v for row in m for v in row)
+    a = [flat[i * n:(i + 1) * n] + [int(i == j) for j in range(n)] for i in range(n)]
     pivots, sign = _eliminate(a, n)
     if len(pivots) < n:
         return 0, None

@@ -17,24 +17,8 @@ def unit(d: int) -> Mono:
     return (0,) * d
 
 
-def variable(d: int, i: int) -> Mono:
-    """The monomial x_i (1-based index)."""
-    if not 1 <= i <= d:
-        raise ValueError(f"variable index {i} out of range 1..{d}")
-    return tuple(1 if k == i - 1 else 0 for k in range(d))
-
-
 def degree(m: Mono) -> int:
     return sum(m)
-
-
-def mul(m1: Mono, m2: Mono) -> Mono:
-    return tuple(a + b for a, b in zip(m1, m2))
-
-
-def divides(m1: Mono, m2: Mono) -> bool:
-    """True when m1 | m2."""
-    return all(a <= b for a, b in zip(m1, m2))
 
 
 def var_divides(i: int, m: Mono) -> bool:

@@ -63,12 +63,13 @@ another way, by a route that is slower or more literal.
   ``matrix_report`` of its matrix form with the ``run_checks`` report of
   the lift.
 * ``catalecticant_matrix`` writes the pairing matrix Cat_j of phi in
-  ``Fraction`` arithmetic from ``phi.t(mul(...))``, where
+  ``Fraction`` arithmetic from ``coeff(phi, mul(...))``, where
   ``InverseSystem.catalecticant`` builds the integer table L Cat_j once per
   degree from packed monomial keys; ``catalecticant_disagreement`` computes
-  on it, in ``Fraction`` arithmetic, the ranks, the annihilator bases and
-  delta and Q, where ``invsys.hf_value``, ``ann_degree`` and
-  ``delta_and_Q`` read the table.
+  on it, in ``Fraction`` arithmetic, the ranks, the annihilator bases,
+  delta and Q and every coefficient sum of the build plan, where
+  ``invsys.hf_value``, ``ann_degree`` and ``delta_and_Q`` read the table
+  and the record ``Catalecticant`` forms the sums in integers.
 * ``contract`` and ``contract_poly`` apply the module action of S on dual
   elements, the coefficient-free divisibility rule x^a(m^*) = (m/x^a)^*, in
   ``Fraction`` arithmetic, where ``Session.b1_annihilation_failure`` sums
@@ -98,7 +99,7 @@ from math import comb, lcm
 import numpy as np
 
 from gorlin import exactness, linalg
-from gorlin.differentials import BuildContext, Resolution, _assemble, canonical_skeleton
+from gorlin.differentials import Resolution, _assemble, build_plan, canonical_skeleton
 from gorlin.exactness import (
     PRIMES,
     Piece,
@@ -133,10 +134,8 @@ from gorlin.monomials import (
     Mono,
     degree,
     div_var,
-    divides,
     least,
     monomials_of_degree,
-    mul,
     mul_var,
     sort_key,
     unit,
@@ -260,6 +259,22 @@ class Poly:
 def plus(terms: Terms, m: Mono, c: Scalar = 1) -> Terms:
     """The term dict of terms + c * m, a new dict."""
     return (Poly(len(m), terms) + Poly.monomial(m, c)).terms
+
+
+def variable(d: int, i: int) -> Mono:
+    """The monomial x_i (1-based index)."""
+    if not 1 <= i <= d:
+        raise ValueError(f"variable index {i} out of range 1..{d}")
+    return tuple(1 if k == i - 1 else 0 for k in range(d))
+
+
+def mul(m1: Mono, m2: Mono) -> Mono:
+    return tuple(a + b for a, b in zip(m1, m2))
+
+
+def divides(m1: Mono, m2: Mono) -> bool:
+    """True when m1 | m2."""
+    return all(a <= b for a, b in zip(m1, m2))
 
 
 def div(m2: Mono, m1: Mono) -> Mono:
@@ -387,11 +402,15 @@ def _add(out: dict[BasisElement, int], target: BasisElement, c: int) -> None:
         out[target] = out.get(target, 0) + c
 
 
-def br_column_alt(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisElement, int]:
-    """Interior cofactor column computed from elementary-generator contraction formulas."""
-    if not 2 <= r <= ctx.d - 1:
-        raise ValueError(f"r={r} out of range 2..{ctx.d - 1}")
-    d = ctx.d
+def br_column_alt(cat: Catalecticant, r: int, elt: BasisElement) -> dict[BasisElement, int]:
+    """Interior cofactor column computed from elementary-generator contraction formulas.
+
+    Each coefficient is an int numerator over cat.denom, as the build reads
+    the sums Q, tq and W of the record.
+    """
+    d, n = cat.phi.d, cat.phi.n
+    if not 2 <= r <= d - 1:
+        raise ValueError(f"r={r} out of range 2..{d - 1}")
     a, m = elt.a, elt.m
     out: dict[BasisElement, int] = {}
     for j in range(1, r + 1):
@@ -401,25 +420,25 @@ def br_column_alt(ctx: BuildContext, r: int, elt: BasisElement) -> dict[BasisEle
         if elt.kind == "X":
             if var_divides(aj, m):
                 w = div_var(m, aj)
-                for m2 in monomials_of_degree(d, ctx.n, low_var=2):
-                    c = ctx.tq(m2, w)
+                for m2 in monomials_of_degree(d, n, low_var=2):
+                    c = cat.tq(m2, w)
                     if c:
                         for sgn, tgt in expand_eta(rest, m2):
                             _add(out, tgt, -slot * sgn * c)
-                for m1 in monomials_of_degree(d, ctx.n - 1, low_var=2):
-                    c = ctx.Q(m1, w)
+                for m1 in monomials_of_degree(d, n - 1, low_var=2):
+                    c = cat.Q(m1, w)
                     if c:
                         for sgn, tgt in expand_kappa(rest, m1):
                             _add(out, tgt, -slot * sgn * c)
         else:
             u = mul_var(m, aj)
-            for m3 in monomials_of_degree(d, ctx.n, low_var=2):
-                c = ctx.W(u, m3)
+            for m3 in monomials_of_degree(d, n, low_var=2):
+                c = cat.W(u, m3)
                 if c:
                     for sgn, tgt in expand_eta(rest, m3):
                         _add(out, tgt, slot * sgn * c)
-            for m1 in monomials_of_degree(d, ctx.n - 1, low_var=2):
-                c = ctx.tq(u, m1)
+            for m1 in monomials_of_degree(d, n - 1, low_var=2):
+                c = cat.tq(u, m1)
                 if c:
                     for sgn, tgt in expand_kappa(rest, m1):
                         _add(out, tgt, slot * sgn * c)
@@ -430,13 +449,12 @@ def route_disagreement(res: Resolution) -> tuple[int, int, int] | None:
     """The first (r, i, j) at which an interior cofactor C_r of res differs from br_column_alt, or None.
 
     C_r is read off x1_split of b_r, as MatrixSession reads it.  The
-    straightening route writes each column on the numeric BuildContext of
-    res.phi, as integer numerators over ctx.denom signed by the bases.  The
+    straightening route writes each column on the Catalecticant record of
+    res.phi, as integer numerators over cat.denom signed by the bases.  The
     two construction routes share the skeleton and both end matrices, so
     the interior cofactors are all they could disagree on.
     """
-    phi = res.phi
-    ctx = BuildContext(phi, delta_and_Q(phi))
+    cat = delta_and_Q(res.phi)
     for r in range(2, res.d):
         mat = res.matrix(r)
         cof = x1_split(mat)[1]
@@ -445,9 +463,9 @@ def route_disagreement(res: Resolution) -> tuple[int, int, int] | None:
         want = {}
         pos = mat.rows.position()
         for j, (cs, e) in enumerate(mat.cols):
-            for target, c in br_column_alt(ctx, r, e).items():
+            for target, c in br_column_alt(cat, r, e).items():
                 i, rs = pos[target]
-                want[i, j] = Fraction(cs * rs * c, ctx.denom)
+                want[i, j] = Fraction(cs * rs * c, cat.denom)
         bad = [k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0)]
         if bad:
             return (r, *min(bad))
@@ -486,9 +504,14 @@ class MatrixForm:
         return tuple(len(b) for b in self.bases)
 
 
+def matrices(res) -> tuple[PolyMatrix, ...]:
+    """b_1..b_d of a Resolution, new matrices built from the lift, or of a MatrixForm, as kept."""
+    return tuple(res.matrix(r) for r in range(1, res.d + 1))
+
+
 def matrix_form(res: Resolution) -> MatrixForm:
     """res in matrix form: its matrices, which res builds new on each request, for a test to alter."""
-    return MatrixForm(res.phi, res.delta, res.bases, res.matrices, res.twists)
+    return MatrixForm(res.phi, res.delta, res.bases, matrices(res), res.twists)
 
 
 def duality_failure(bases: tuple[OrderedBasis, ...], mats) -> tuple[int, int, int] | None:
@@ -640,7 +663,7 @@ def matrix_report(s: MatrixSession, checks=CHECK_NAMES) -> Report:
 def lift_fact_failure(res: Resolution) -> str | None:
     """The first fact a built resolution holds by construction that fails on its matrices, or None.
 
-    On the matrices res.matrices, built from the lift (MatrixSession): the
+    On matrices(res), the matrices built from the lift (MatrixSession): the
     pairing rule on every map, the x1 split of each interior b_r against the
     lift's C_r and the terms with x1 of b_1 against x1 C_1, and the skeleton.
     Then the text and JSON reports of the checks on the matrix form, every
@@ -950,8 +973,17 @@ def golden_skeleton_d4_n2(d: int = 4) -> tuple[list[list[Terms]], ...]:
     b1 = parse(_GOLDEN_D4_N2_B1)
     b2 = parse(_GOLDEN_D4_N2_B2)
     b3 = parse(_GOLDEN_D4_N2_B3)
-    b4 = linalg.transpose(b1)
+    b4 = transpose(b1)
     return b1, b2, b3, b4
+
+
+def transpose(m: list[list]) -> list[list]:
+    return [list(col) for col in zip(*m)] if m else []
+
+
+def coeff(phi: InverseSystem, m: Mono) -> Fraction:
+    """The coefficient t_m = phi(m^*)."""
+    return phi.coeffs.get(m, Fraction(0))
 
 
 def catalecticant_matrix(phi: InverseSystem, j: int) -> list[list[Fraction]]:
@@ -960,7 +992,7 @@ def catalecticant_matrix(phi: InverseSystem, j: int) -> list[list[Fraction]]:
         raise ValueError(f"degree {j} out of range 0..{phi.socle_degree}")
     rows = monomials_of_degree(phi.d, j)
     cols = monomials_of_degree(phi.d, phi.socle_degree - j)
-    return [[phi.t(mul(mr, mc)) for mc in cols] for mr in rows]
+    return [[coeff(phi, mul(mr, mc)) for mc in cols] for mr in rows]
 
 
 def catalecticant_disagreement(phi: InverseSystem, ann_degrees=None) -> str | None:
@@ -972,14 +1004,18 @@ def catalecticant_disagreement(phi: InverseSystem, ann_degrees=None) -> str | No
     j) ann_degree(phi, j) must be the kernel of its transpose, read off
     rref_by_fractions.  delta_and_Q must give det and adj of Cat_{n-1}
     (det_and_adjugate_by_solve) over the powers of L, or refuse phi when that
-    determinant is 0.
+    determinant is 0.  Then every key (name, u, v) of build_plan(d, n), read
+    off the record as cat.name(u, v) over cat.denom, must be its rational
+    sum, with Q the rational adjugate and m, m1, m2 of degree n-2:
+    Q[u, v], tq = sum_m t_{u m} Q[v, x1 m] and
+    W = sum_{m1, m2} Q[x1 m1, x1 m2] t_{u m2} t_{v m1}.
     """
     top, scale = phi.socle_degree, lcm(*(c.denominator for c in phi.coeffs.values()))
     for j in range(top + 1):
         cat = catalecticant_matrix(phi, j)
         if phi.catalecticant(j) != [[scale * v for v in row] for row in cat]:
             return f"the table of degree {j} is not L Cat_{j}"
-        red, pivots = rref_by_fractions(linalg.transpose(cat))
+        red, pivots = rref_by_fractions(transpose(cat))
         if hf_value(phi, j) != len(pivots):
             return f"hf_value({j}) = {hf_value(phi, j)}, the rational rank is {len(pivots)}"
         if ann_degrees is not None and j not in ann_degrees:
@@ -997,6 +1033,20 @@ def catalecticant_disagreement(phi: InverseSystem, ann_degrees=None) -> str | No
     q = scale ** (len(cat.monos) - 1)
     if cat.delta != delta or [[Fraction(v, q) for v in row] for row in cat.adj] != adj:
         return "delta_and_Q differs from the rational determinant and adjugate"
+    low = monomials_of_degree(phi.d, phi.n - 2)
+
+    def Q(a: Mono, b: Mono) -> Fraction:
+        return adj[cat.index[a]][cat.index[b]]
+
+    sums = {
+        "Q": Q,
+        "tq": lambda u, v: sum(coeff(phi, mul(u, m)) * Q(v, mul_var(m, 1)) for m in low),
+        "W": lambda u, v: sum(Q(mul_var(m1, 1), mul_var(m2, 1)) * coeff(phi, mul(u, m2)) * coeff(phi, mul(v, m1))
+                              for m1 in low for m2 in low),
+    }
+    for name, u, v in build_plan(phi.d, phi.n).keys:
+        if Fraction(getattr(cat, name)(u, v), cat.denom) != sums[name](u, v):
+            return f"the build's sum {name}({u}, {v}) differs from the rational one"
     return None
 
 
@@ -1056,7 +1106,7 @@ def tilde_contract(phi: InverseSystem, m: Mono) -> Dual:
         return {}
     out: Dual = {}
     for m2 in monomials_of_degree(phi.d, phi.socle_degree - r):
-        c = phi.t(mul(m, m2))
+        c = coeff(phi, mul(m, m2))
         if c:
             out[mul_var(m2, 1)] = c
     return out

@@ -19,7 +19,7 @@ from gorlin.invsys import (
     save_invsys,
     sum_of_powers,
 )
-from gorlin.linalg import rank, transpose
+from gorlin.linalg import rank
 from gorlin.monomials import monomials_of_degree
 from gorlin.polynomials import poly_str
 from gorlin.verify import check_duality, check_euler_hilbert, check_wlp
@@ -34,7 +34,7 @@ from conftest import (
     scaled,
     swap_variables,
 )
-from oracles import Poly, contract_poly, golden_skeleton_d4_n2, route_disagreement
+from oracles import Poly, contract_poly, golden_skeleton_d4_n2, route_disagreement, transpose
 
 
 def passline(num, text):

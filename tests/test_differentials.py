@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from gorlin.differentials import (
-    BuildContext,
     PlanContext,
     _pairs,
     _record,
@@ -29,7 +28,6 @@ from gorlin.invsys import (
     random_invsys,
 )
 from gorlin.monomials import div_var, monomials_of_degree, mul_var, unit
-from gorlin.linalg import transpose
 from gorlin.polynomials import poly_str
 
 from conftest import (
@@ -44,7 +42,19 @@ from conftest import (
     scaled,
     squares_resolution,
 )
-from oracles import Poly, br_column_alt, contract_poly, matrix_form, plus, q_of, route_disagreement, tilde_contract
+from oracles import (
+    Poly,
+    br_column_alt,
+    coeff,
+    contract_poly,
+    matrices,
+    matrix_form,
+    plus,
+    q_of,
+    route_disagreement,
+    tilde_contract,
+    transpose,
+)
 
 
 def test_b1_identity_catalecticant_columns():
@@ -134,7 +144,7 @@ def test_skeleton_asserts_block_structure():
     i, (_, re) = 0, mat.rows.elements[0]
     j = next(j for j, (_, ce) in enumerate(mat.cols) if ce.kind != re.kind)
     mat.set(i, j, plus(mat.entry(i, j), (0, 1, 0, 0)))
-    witness = skeleton_block_failure(res, tuple(x1_split(m) for m in res.matrices))
+    witness = skeleton_block_failure(res, tuple(x1_split(m) for m in matrices(res)))
     assert witness == f"skeleton of b_2 differs from the canonical strand form at ({i}, {j})"
 
 
@@ -166,30 +176,31 @@ def closed_cofactor(phi, r):
     """C_r by the closed-form writers, as {(row element, column element): {monomial: value}}.
 
     The writers run on a PlanContext, and each term is evaluated key by key
-    on the numeric BuildContext, apart from _record and _evaluate.  No
+    on the Catalecticant record, apart from _record and _evaluate.  No
     writer has C_d, which the build pairs from C_1: None at r = d.
     """
     d, n = phi.d, phi.n
     if r == d:
         return None
-    ctx, num = PlanContext(d, n), BuildContext(phi, delta_and_Q(phi))
+    ctx, cat = PlanContext(d, n), delta_and_Q(phi)
     if r == 1:
         cols = [(e, b1_column(ctx, e)) for _, e in duality_basis(d, n, 1)]
     else:
         cols = [(e, br_column(ctx, r, e)) for _, e in duality_basis(d, n, r)]
-    values = [num.delta] + [getattr(num, name)(u, v) for name, u, v in ctx.keys]
+    # key index 0 is no key, as in _evaluate
+    values = [0] + [getattr(cat, name)(u, v) for name, u, v in ctx.keys]
     out = {}
     for e, contributions in cols:
         for t, m, pairs in contributions:
             entry = out.setdefault((t, e), {})
-            entry[m] = entry.get(m, 0) + Fraction(sum(c * values[k] for c, k in pairs), num.denom)
+            entry[m] = entry.get(m, 0) + Fraction(sum(c * values[k] for c, k in pairs), cat.denom)
     return out
 
 
 def straightened_cofactor(phi, r):
     """C_r by the oracles, in the form of closed_cofactor.
 
-    Inside it is br_column_alt on the numeric BuildContext; at the ends the
+    Inside it is br_column_alt on the Catalecticant record; at the ends the
     x1 cofactors of the paper's generators delta * mu - x1 * q(mu(lift)),
     q_of(nu) on a dual element nu of degree n-1, and their pairing partners.
     """
@@ -206,9 +217,8 @@ def straightened_cofactor(phi, r):
         out.update({(BasisElement("Y", d - 1, full, m), xd(d)): (-q_of(cat, {m: 1})).terms
                     for m in monomials_of_degree(d, n - 1, low_var=2)})
         return out
-    num = BuildContext(phi, cat)
-    return {(t, e): {unit(d): Fraction(c, num.denom)}
-            for _, e in duality_basis(d, n, r) for t, c in br_column_alt(num, r, e).items()}
+    return {(t, e): {unit(d): Fraction(c, cat.denom)}
+            for _, e in duality_basis(d, n, r) for t, c in br_column_alt(cat, r, e).items()}
 
 
 # the closed-form writers, and the oracles the evaluated plan must agree with
@@ -250,14 +260,14 @@ def test_a_second_build_reuses_the_plan():
     # the plan holds the lower half, b_1 and b_2; b_3 and b_4 are paired from them
     assert len(build_plan(4, 3).cells) == (4 + 1) // 2
     # every build writes entries of its own, so altering one leaves the other intact
-    assert all(ra[j] is not rb[j] for a, b in zip(first.matrices, res.matrices)
+    assert all(ra[j] is not rb[j] for a, b in zip(matrices(first), matrices(res))
                for ra, rb in zip(a.entries, b.entries) for j in ra.keys() & rb.keys())
     # a matrix is built from the lift on each request: an entry of a returned b_1 altered in
     # place leaves the lift, b_1 and b_4 (paired from b_1) and the dump unchanged
     b1, b4 = (copy.deepcopy(res.matrix(r).entries) for r in (1, 4))
     cofactors, text = copy.deepcopy(res.cofactors), resolution_json(res)
     next(iter(res.matrix(1).entries[0].values()))[(0, 1, 1, 1)] = 1
-    mats = res.matrices
+    mats = matrices(res)
     next(iter(mats[0].entries[0].values()))[(0, 1, 1, 1)] = 1
     for r, want in ((1, b1), (4, b4)):
         assert res.matrix(r).entries == want
@@ -276,7 +286,7 @@ def test_a_built_resolution_is_one_frozen_record_of_phi_delta_and_its_cofactors(
             setattr(res, name, getattr(res, name))
     assert res.bases == tuple(duality_basis(4, 3, r) for r in range(5)) and res.bases is self_dual_bases(4, 3)
     assert res.twists == twist_list(4, 3) == (0, 3, 4, 5, 8)
-    assert any(not m[0] for mat in res.matrices for _, _, p in mat.nonzero() for m in p)
+    assert any(not m[0] for mat in matrices(res) for _, _, p in mat.nonzero() for m in p)
     assert Session(res, res.phi)._interior_product_vanishes(2)
     zero = dataclasses.replace(res, delta=0)
     assert zero.cofactors is res.cofactors
@@ -335,10 +345,10 @@ def test_a_written_diagonal_cell_on_an_antisymmetric_middle_map_is_refused(monke
 def test_a_matrix_handed_out_is_a_new_copy():
     # altering a matrix handed out leaves the lift, and every matrix built from it later, as built
     res = build_resolution(random_invsys(4, 3, 41))
-    want = [dense(m) for m in res.matrices]
-    for mat in (res.matrix(2), res.matrices[3]):
+    want = [dense(m) for m in matrices(res)]
+    for mat in (res.matrix(2), matrices(res)[3]):
         mat.set(0, 0, {mul_var(unit(4), 1): 1})
-    assert [dense(m) for m in res.matrices] == want
+    assert [dense(m) for m in matrices(res)] == want
 
 
 def test_plan_context_keys_each_sum_once():
@@ -419,5 +429,5 @@ def test_deterministic_generation_anchor():
     # frozen values pin the seeded generator and the whole exact pipeline
     phi = random_invsys(3, 2, seed=1)
     assert build_resolution(phi).delta == Fraction(-75)
-    assert random_invsys(4, 2, seed=7).t((0, 2, 0, 0)) == Fraction(4)
+    assert coeff(random_invsys(4, 2, seed=7), (0, 2, 0, 0)) == Fraction(4)
     assert build_resolution(random_invsys(4, 2, seed=7)).delta == Fraction(-164)

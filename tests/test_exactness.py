@@ -34,7 +34,7 @@ from gorlin.exactness import (
 )
 from gorlin.hookbasis import OrderedBasis, pairing
 from gorlin.invsys import InverseSystem, random_invsys
-from gorlin.monomials import monomials_of_degree, mul, mul_var, unit
+from gorlin.monomials import monomials_of_degree, mul_var, unit
 from gorlin.polymatrix import PolyMatrix
 from gorlin.polynomials import poly_str
 
@@ -59,7 +59,9 @@ from oracles import (
     dual_strand_disagreement,
     dual_strand_h1k_by_ranking,
     ideal_dims_by_rref,
+    matrices,
     matrix_form,
+    mul,
     plus,
     strand_matrices,
     straightened_dual_strand,
@@ -331,7 +333,7 @@ def test_split_product_sums_the_skeleton_parts_by_monomial():
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 3), (5, 2)])
 def test_x1_split_reads_the_cofactors_of_the_interior_maps(d, n):
     res = grid_resolution(d, n)
-    splits = [x1_split(m) for m in res.matrices]
+    splits = [x1_split(m) for m in matrices(res)]
     assert splits[0][1] is None and splits[-1][1] is None  # degree-n cofactors at both ends
     x1 = mul_var(unit(d), 1)
     for r in range(2, d):
@@ -606,8 +608,8 @@ def test_duality_failure_witness_matches_the_poly_comparison(d, n):
             signed_terms(entry, -1),
             {},
         ]))
-        want = duality_failure_by_negation(bad.bases, bad.matrices)
-        assert duality_failure(bad.bases, bad.matrices) == want
+        want = duality_failure_by_negation(bad.bases, matrices(bad))
+        assert duality_failure(bad.bases, matrices(bad)) == want
         seen.add(want is None)
     assert seen == {True, False}
 
@@ -617,7 +619,7 @@ def test_pairings_are_kept_by_their_own_bases():
     # column k of b_1 and row k of b_2 negated to match, the pairing rule holds
     # again, but only under the pairing of the new bases, not the canonical one
     res = grid_resolution(4, 2)
-    assert duality_failure(res.bases, res.matrices) is None  # the canonical pairings are kept
+    assert duality_failure(res.bases, matrices(res)) is None  # the canonical pairings are kept
     k = 3
     b1, b2 = res.matrix(1), res.matrix(2)
     flipped = OrderedBasis(4, 2, 1, tuple((-s if i == k else s, e) for i, (s, e) in enumerate(b1.cols)))
@@ -626,7 +628,7 @@ def test_pairings_are_kept_by_their_own_bases():
     new_b2 = PolyMatrix(flipped, b2.cols, [({j: signed_terms(p, -1) for j, p in row.items()} if i == k else row)
                                            for i, row in enumerate(b2.entries)])
     bases = (res.bases[0], flipped, *res.bases[2:])
-    mats = (new_b1, new_b2, *res.matrices[2:])
+    mats = (new_b1, new_b2, *matrices(res)[2:])
     canonical, own = pairing(res.bases[1], res.bases[3]), pairing(flipped, res.bases[3])
     assert [s for _, s in own] == [-s if i == k else s for i, (_, s) in enumerate(canonical)]
     assert duality_failure(bases, mats) is None

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gorlin import linalg
 from gorlin.invsys import (
+    RANDOM_TRIES,
     InadmissibleSystemError,
     InverseSystem,
     ann_degree,
@@ -21,17 +22,21 @@ from gorlin.invsys import (
     save_invsys,
     to_json_dict,
 )
-from gorlin.monomials import monomials_of_degree, mul, unit, variable
+from gorlin.monomials import monomials_of_degree, unit
 
-from conftest import GRID, fractional_phi, grid_phi, mat_mul, swap_variables
+from conftest import GRID, extra_phi, fractional_phi, grid_phi, mat_mul, swap_variables
 from oracles import (
     Poly,
     catalecticant_disagreement,
     catalecticant_matrix,
+    coeff,
     contract,
     contract_poly,
+    mul,
     q_of,
     tilde_contract,
+    transpose,
+    variable,
 )
 
 
@@ -52,7 +57,7 @@ def test_construction_validation():
     for bad in (0.1, True, False):
         with pytest.raises(TypeError, match=r"\(2, 0, 0\)"):
             InverseSystem(3, 2, {(2, 0, 0): bad})
-    assert InverseSystem(3, 2, {(2, 0, 0): 3}).t((2, 0, 0)) == 3
+    assert coeff(InverseSystem(3, 2, {(2, 0, 0): 3}), (2, 0, 0)) == 3
     # d and n are ints, and every exponent is a nonnegative int, though (3, -1, 0) has degree 2
     for d, n in ((3.7, 2), (3, 2.0), (True, 2), (3, True)):
         with pytest.raises(ValueError, match="must be ints"):
@@ -114,6 +119,20 @@ def test_the_catalecticant_tables_and_their_facts_match_the_rational_reference(p
     assert catalecticant_disagreement(phi) is None
 
 
+KEY_SYSTEMS = {**{f"{d}-{n}": (lambda d=d, n=n: grid_phi(d, n)) for d, n in GRID},
+               "fractional_phi": fractional_phi,
+               "d=4 n=3 large-rational": lambda: extra_phi("d=4 n=3 large-rational")}
+
+
+@pytest.mark.parametrize("system", KEY_SYSTEMS)
+def test_every_sum_of_the_build_plan_matches_the_rational_reference(system):
+    # every key (name, u, v) of build_plan(d, n) as cat.name(u, v) over cat.denom; the two
+    # fractional systems (L = 6993 and 13860) are where the powers of L in the numerators show
+    phi = KEY_SYSTEMS[system]()
+    assert (phi.scale > 1) == (system in ("fractional_phi", "d=4 n=3 large-rational"))
+    assert catalecticant_disagreement(phi) is None
+
+
 def test_contract_examples():
     star = {(2, 1, 0): Fraction(1)}  # (x1^2 x2)^*
     assert contract((1, 0, 0), star) == {(1, 1, 0): Fraction(1)}
@@ -132,7 +151,7 @@ def test_catalecticant_examples(d3_squares):
 def test_catalecticant_symmetric_middle():
     phi = random_invsys(4, 3, seed=2)
     t = catalecticant_matrix(phi, phi.n - 1)
-    assert t == linalg.transpose(t)
+    assert t == transpose(t)
 
 
 def test_delta_and_q(d3_squares):
@@ -153,8 +172,9 @@ def test_delta_and_q_clear_denominators():
     assert cat.scale == 6 and all(isinstance(v, int) for row in cat.T + cat.adj for v in row)
     T = catalecticant_matrix(phi, 1)
     assert cat.T == [[6 * v for v in row] for row in T]
-    assert cat.delta == linalg.det_bareiss(T) == Fraction(cat.det, 6**3)
-    assert linalg.det_and_adjugate(T)[1] == [[Fraction(v, 6**2) for v in row] for row in cat.adj]
+    det, adj = linalg.det_and_adjugate(T)
+    assert cat.delta == det == Fraction(cat.det, 6**3)
+    assert adj == [[Fraction(v, 6**2) for v in row] for row in cat.adj]
 
 
 def test_q_map_identities():
@@ -222,7 +242,7 @@ def test_ann_vanishes_below_generation_degree():
 def test_catalecticant_degree_zero_row_values():
     phi = grid_phi(3, 2)
     row = catalecticant_matrix(phi, 0)[0]
-    assert row == [phi.t(m) for m in monomials_of_degree(3, 2)]
+    assert row == [coeff(phi, m) for m in monomials_of_degree(3, 2)]
 
 
 def test_hilbert_function(d3_squares):
@@ -287,13 +307,18 @@ def test_inadmissible_system_costs_one_determinant(monkeypatch):
     with pytest.raises(InadmissibleSystemError, match="determinant 0"):
         delta_and_Q(phi)
     assert calls == [(10, 2)]
+    # random_invsys ranks L Cat_{n-1} once per draw: bound 0 draws phi = 0 every time, rank 0
+    calls.clear()
+    with pytest.raises(InadmissibleSystemError):
+        random_invsys(4, 3, seed=1, coeff_bound=0)
+    assert calls == [(10, 0)] * RANDOM_TRIES
 
 
 def test_swap_variables():
     phi = random_invsys(3, 2, seed=1)
     sw = swap_variables(phi, 1, 2)
-    assert sw.t((2, 0, 0)) == phi.t((0, 2, 0))
-    assert sw.t((1, 1, 0)) == phi.t((1, 1, 0))
+    assert coeff(sw, (2, 0, 0)) == coeff(phi, (0, 2, 0))
+    assert coeff(sw, (1, 1, 0)) == coeff(phi, (1, 1, 0))
     assert delta_and_Q(sw).delta in (delta_and_Q(phi).delta, -delta_and_Q(phi).delta)
 
 

@@ -5,19 +5,16 @@ import pytest
 from gorlin.monomials import (
     degree,
     div_var,
-    divides,
     least,
     mono_str,
     monomials_of_degree,
-    mul,
     mul_var,
     sort_key,
     unit,
     var_divides,
-    variable,
 )
 
-from oracles import div
+from oracles import div, divides, mul, variable
 
 
 def M(*e):
