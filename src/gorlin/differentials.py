@@ -27,12 +27,12 @@ The cofactors are Z-linear in the coefficient sums Q, tq and W
 (invsys.Catalecticant), and which sums meet in which entry depends on
 (d, n) alone.  So the writers run once per (d, n), on a PlanContext that
 names each sum by a key index.  A writer's coefficient is a signed key, +k
-or -k; it writes each term of C_r once, as a list of (coefficient, key
-index) pairs, and _record signs the terms by the bases.  build_plan keeps
-the result: every term of C_1..C_h as an integer combination of the keys,
-in the cell format that _evaluate reads.  A build fills one value per key
-from the Catalecticant record that delta_and_Q returns and evaluates the
-plan into the constants of C_2..C_h and the forms of C_1.  It returns phi,
+or -k, and it writes each term of C_r once, as sign * (plus - minus) on two
+signed keys; _record signs the terms by the bases.  build_plan keeps the
+result: every term of C_1..C_h in that one form, the cell that _evaluate
+reads.  A build fills one value per key from the Catalecticant record that
+delta_and_Q returns and evaluates the plan into the constants of C_2..C_h
+and the forms of C_1.  It returns phi,
 delta and those cofactors as one frozen record (Resolution); the rest is a
 fact of (d, n).  No matrix is written then: Resolution builds each on
 request as delta S_r beside x1 C_r, and a Session reads S and C from the
@@ -66,8 +66,8 @@ class PlanContext:
     Q, tq and W return the index of the key (name, u, v), interned in keys
     from index 1 on; Q and W are symmetric, so their two arguments are
     keyed in sorted order.  A writer's coefficient is a signed key: k or -k
-    for plus or minus the sum of key k, 0 for none.  Signed keys are negated
-    and multiplied by signs, never added: _pairs writes a difference of two.
+    for plus or minus the sum of key k, 0 for none.  Signed keys are negated,
+    never added: a term is sign * (plus - minus), and _evaluate reads it so.
     """
 
     def __init__(self, d: int, n: int):
@@ -101,20 +101,9 @@ class PlanContext:
         return self._key(("W", u, v) if u <= v else ("W", v, u))
 
 
-# an integer combination of keys, as (coefficient, key index) pairs: the cell format of a Plan
-Pairs = tuple[tuple[int, int], ...]
-# (target, m, pairs): the term of monomial m of the cofactor entry at target, with coefficient pairs
-Contribution = tuple[BasisElement, Mono, Pairs]
-
-
-def _pairs(sign: int, plus: int, minus: int = 0) -> Pairs:
-    """sign * (plus - minus) as pairs, for signed keys plus != minus (0 for none)."""
-    if plus == -minus:
-        sign, minus = 2 * sign, 0
-    out = ((sign, plus) if plus > 0 else (-sign, -plus),) if plus else ()
-    if minus:
-        out += ((-sign, minus) if minus > 0 else (sign, -minus),)
-    return out
+# (target, m, sign, plus, minus): the term sign * (plus - minus) of monomial m of the cofactor entry at
+# target, plus and minus signed keys (0 for none) with plus != minus, and sign 1 or -1
+Contribution = tuple[BasisElement, Mono, int, int, int]
 
 
 def b1_column(ctx: PlanContext, elt: BasisElement) -> list[Contribution]:
@@ -127,9 +116,9 @@ def b1_column(ctx: PlanContext, elt: BasisElement) -> list[Contribution]:
     y = y0(ctx.d)
     if elt.kind == "X":
         w = div_var(elt.m, elt.a[0])
-        return [(y, m1, ((1, ctx.Q(m1, w)),)) for m1 in ctx.nm1_all]
+        return [(y, m1, 1, ctx.Q(m1, w), 0) for m1 in ctx.nm1_all]
     u = mul_var(elt.m, elt.a[0])
-    return [(y, m2, ((-1, ctx.tq(u, m2)),)) for m2 in ctx.nm1_all]
+    return [(y, m2, -1, ctx.tq(u, m2), 0) for m2 in ctx.nm1_all]
 
 
 def br_column(ctx: PlanContext, r: int, elt: BasisElement, rows: dict[BasisElement, int] | None = None,
@@ -182,7 +171,7 @@ def br_column(ctx: PlanContext, r: int, elt: BasisElement, rows: dict[BasisEleme
 
     def emit(target: tuple, sign: int, plus: int, minus: int = 0) -> None:
         if plus != minus:
-            out.append((target, one, _pairs(sign, plus, minus)))
+            out.append((target, one, sign, plus, minus))
 
     # a target is the plain tuple of its fields, which hashes and compares as the BasisElement
     # X targets
@@ -418,23 +407,23 @@ class Resolution:
         return f"Resolution(d={self.d}, n={self.n}, delta={self.delta}, betti={self.betti})"
 
 
-# (i, j, m, pairs): the term of monomial m of entry (i, j) of a cofactor, with its coefficient pairs
-Cell = tuple[int, int, Mono, Pairs]
+# (i, j, m, sign, plus, minus): the term sign * (plus - minus) of monomial m of entry (i, j) of a cofactor
+Cell = tuple[int, int, Mono, int, int, int]
 
 
 @dataclass(frozen=True)
 class Plan:
-    """The cofactors C_1..C_h of one (d, n), h = (d+1)//2, as integer combinations of keys.
+    """The cofactors C_1..C_h of one (d, n), h = (d+1)//2, as signed sums of keys.
 
     keys[k - 1] is the key (name, u, v) whose value is cat.name(u, v) on a
-    Catalecticant.  cells[r - 1] lists the terms (i, j, m, pairs) of C_r,
-    signed by the bases: m has degree n-1 at r = 1 and is 1 inside.  For
-    odd d the middle map b_h pairs with itself, and cells[h - 1] holds only
-    its cells with i <= j; _evaluate adds its pairing transpose (paired).
-    The other part of b_r, delta S_r, is canonical_skeleton's.  Every part is a
-    tuple of ints and tuples, which the garbage collector can stop
-    tracking, so the plan is not traversed again at each collection of the
-    process.
+    Catalecticant.  cells[r - 1] lists the terms (i, j, m, sign, plus, minus)
+    of C_r, signed by the bases (_record): m has degree n-1 at r = 1 and is
+    1 inside.  For odd d the middle map b_h pairs with itself, and
+    cells[h - 1] holds only its cells with i <= j; _evaluate adds its
+    pairing transpose (paired).  The other part of b_r, delta S_r, is
+    canonical_skeleton's.  Every part is a tuple of ints and tuples, which
+    the garbage collector can stop tracking, so the plan is not traversed
+    again at each collection of the process.
     """
 
     keys: tuple[tuple[str, Mono, Mono], ...]
@@ -445,16 +434,17 @@ def _record(rows: OrderedBasis, cols: OrderedBasis, cofactors) -> tuple[Cell, ..
     """The cells of the cofactor C whose column j is the sum of cofactors[j], signed by the bases.
 
     cofactors[j] lists the contributions of column j, signed as written.  A
-    writer reaches each term once and sums its keys itself (_pairs), so a
-    term is placed, not added to.  A target outside the row basis is a
+    writer reaches each term once as sign * (plus - minus), so a term is
+    placed, not added to: its signed keys are kept and its sign is
+    multiplied by the two basis signs.  A target outside the row basis is a
     KeyError.
     """
     pos = rows.position()
     out: list[Cell] = []
     for j, ((csign, _), col) in enumerate(zip(cols, cofactors)):
-        for target, m, pairs in col:
+        for target, m, sign, plus, minus in col:
             i, rsign = pos[target]
-            out.append((i, j, m, pairs if csign == rsign else tuple([(-c, k) for c, k in pairs])))
+            out.append((i, j, m, sign * csign * rsign, plus, minus))
     return tuple(out)
 
 
@@ -483,7 +473,7 @@ def build_plan(d: int, n: int) -> Plan:
         else:
             columns = (br_column(ctx, r, e) for _, e in bases[r])
         cells.append(_record(bases[r - 1], bases[r], columns))
-    if d % 2 and h % 2 == 0 and any(i == j for i, j, _, _ in cells[-1]):
+    if d % 2 and h % 2 == 0 and any(cell[0] == cell[1] for cell in cells[-1]):
         raise ValueError(f"the writer put a diagonal cell on the antisymmetric middle map b_{h} at d={d}, n={n}")
     return Plan(tuple(ctx.keys), tuple(cells))
 
@@ -491,22 +481,23 @@ def build_plan(d: int, n: int) -> Plan:
 def _evaluate(plan: Plan, cat: Catalecticant, bases: tuple[OrderedBasis, ...]) -> tuple[Rows, ...]:
     """The cofactors of the plan for the inverse system of cat, by rows as Resolution keeps them.
 
-    Each key is evaluated once; a term whose numerator is zero is dropped,
-    and a nonzero numerator is divided by cat.denom (polynomials.over).  The
+    Each key is evaluated once, into one list indexed by signed key:
+    values[-k] is -values[k] and values[0] is 0, so a cell's numerator is
+    sign * (values[plus] - values[minus]), which doubles the sum of key k
+    when plus = -minus = k.  A term whose numerator is zero is dropped, and
+    a nonzero numerator is divided by cat.denom (polynomials.over).  The
     middle map C_h of odd d is completed by its own pairing transpose
     (paired), which fills the side the plan does not hold; on the diagonal
     of a symmetric C_h the two sides agree.
     """
-    # key index 0 is no key (PlanContext)
-    values = [0] + [getattr(cat, name)(u, v) for name, u, v in plan.keys]
+    values = [getattr(cat, name)(u, v) for name, u, v in plan.keys]
+    values = [0] + values + [-v for v in reversed(values)]
     denom = cat.denom
     out = []
     for r, cells in enumerate(plan.cells, 1):
         rows: Rows = [{} for _ in bases[r - 1]]
-        for i, j, m, lin in cells:
-            num = 0
-            for c, k in lin:
-                num += c * values[k]
+        for i, j, m, sign, plus, minus in cells:
+            num = sign * (values[plus] - values[minus])
             if num:
                 # over gives an int when it is integral, the form of every coefficient (polynomials)
                 if r == 1:

@@ -85,8 +85,11 @@ def extra_outputs(label: str) -> dict[str, str]:
 def canonical_plan(d: int, n: int) -> str:
     """build_plan(d, n) as sorted JSON: each (r, i, j) cell maps a monomial to {key name: coefficient}.
 
-    A key is named by its name and arguments, delta by "delta"; a
-    coefficient that sums to zero is left out.  The plan records the
+    A key is named by its name and arguments, delta by "delta".  A plan
+    cell sign * (plus - minus) on signed keys adds sign to key plus and
+    -sign to key minus, the signed key -k as -1 times key k, so
+    plus = -minus doubles one key; a coefficient that sums to zero is left
+    out.  The plan records the
     cofactors C_1..C_h, h = (d+1)//2, the self-paired C_h of odd d on one
     side of its diagonal; each cell here is the entry of
     b_r = delta * S_r + x1 * C_r, with S_r from canonical_skeleton, and the
@@ -100,10 +103,13 @@ def canonical_plan(d: int, n: int) -> str:
     maps: list[dict[tuple[int, int], dict[str, dict[str, int]]]] = []
     for r, (rcells, skel) in enumerate(zip(plan.cells, canonical_skeleton(d, n)), 1):
         raw: dict[tuple[int, int], dict[str, dict[str, int]]] = {}
-        for i, j, m, lin in rcells:
+        for i, j, m, sign, plus, minus in rcells:
             coeffs = raw.setdefault((i, j), {}).setdefault(str(list(mul_var(m, 1))), {})
-            for c, k in lin:
-                coeffs[names[k]] = coeffs.get(names[k], 0) + c
+            # sign * (plus - minus) on signed keys: key k counts +1 at +k and -1 at -k, none at 0
+            for key, c in ((plus, sign), (minus, -sign)):
+                if key:
+                    name = names[abs(key)]
+                    coeffs[name] = coeffs.get(name, 0) + (c if key > 0 else -c)
         if d % 2 and r == len(plan.cells):
             # the middle map pairs with itself, and the plan holds one side of it: entry (ii, kk)
             # of C_r is (-1)^(r-1) s t times entry (i, jj), the pairing rule at r - 1

@@ -3,12 +3,14 @@
 import copy
 import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from gorlin.differentials import (
+    Plan,
     PlanContext,
-    _pairs,
+    _evaluate,
     _record,
     b1_column,
     br_column,
@@ -187,13 +189,17 @@ def closed_cofactor(phi, r):
         cols = [(e, b1_column(ctx, e)) for _, e in duality_basis(d, n, 1)]
     else:
         cols = [(e, br_column(ctx, r, e)) for _, e in duality_basis(d, n, r)]
-    # key index 0 is no key, as in _evaluate
+    # key index 0 is no key, and the signed key -k is minus the sum of key k
     values = [0] + [getattr(cat, name)(u, v) for name, u, v in ctx.keys]
+
+    def value(k):
+        return values[k] if k >= 0 else -values[-k]
+
     out = {}
     for e, contributions in cols:
-        for t, m, pairs in contributions:
+        for t, m, sign, plus, minus in contributions:
             entry = out.setdefault((t, e), {})
-            entry[m] = entry.get(m, 0) + Fraction(sum(c * values[k] for c, k in pairs), cat.denom)
+            entry[m] = entry.get(m, 0) + Fraction(sign * (value(plus) - value(minus)), cat.denom)
     return out
 
 
@@ -308,7 +314,7 @@ def test_the_middle_map_of_odd_d_is_written_on_one_side(d, n):
     bases = [duality_basis(d, n, r) for r in range(d + 1)]
     assert pairing(bases[h - 1], bases[h]) == tuple((i, 1) for i in range(len(bases[h])))
     cells = build_plan(d, n).cells[h - 1]
-    assert all(i <= j for i, j, _, _ in cells)
+    assert all(i <= j for i, j, _m, _sign, _plus, _minus in cells)
     ctx = PlanContext(d, n)
     assert 2 * len(cells) == sum(len(br_column(ctx, h, elt)) for _, elt in bases[h])
     if (d, n) == (5, 2):
@@ -330,7 +336,7 @@ def test_a_written_diagonal_cell_on_an_antisymmetric_middle_map_is_refused(monke
         out = br_column(ctx, r, elt, rows, j)
         if rows is not None and j == 0:
             target = next(t for t, i in rows.items() if i == 0)
-            out.append((target, unit(ctx.d), ((1, 1),)))
+            out.append((target, unit(ctx.d), 1, 1, 0))
         return out
 
     monkeypatch.setattr(differentials, "br_column", writer)
@@ -360,18 +366,33 @@ def test_plan_context_keys_each_sum_once():
     assert len(ctx.keys) == 4
     q, t = ctx.Q(u, v), ctx.tq(u, v)
     assert (ctx.keys[q - 1], ctx.keys[t - 1]) == (("Q", v, u), ("tq", u, v))
-    # sign * (plus - minus) on signed keys, as (coefficient, key index) pairs
-    assert _pairs(1, t, -q) == ((1, t), (1, q)) and _pairs(-1, -t) == ((1, t),)
-    assert _pairs(1, 0, t) == ((-1, t),) and _pairs(-1, t, -t) == ((-2, t),)
-    # _record signs each term by the bases; delta times the skeleton is the lift's other part
+    # _record keeps a term's signed keys and multiplies its sign by the row and column signs of the
+    # bases (cs = -1 here); delta times the skeleton is the lift's other part
     bases = [duality_basis(3, 2, r) for r in range(3)]
     (s0, e0), (s1, e1) = bases[1].elements[:2]
     cs, _ = bases[2].elements[0]
+    assert cs == -1
     one = unit(3)
-    cells = _record(bases[1], bases[2], [[(e0, one, _pairs(1, t, -q)), (e1, one, _pairs(-1, q))]]
+    cells = _record(bases[1], bases[2], [[(e0, one, 1, t, -q), (e1, one, -1, q, 0)]]
                     + [[]] * (len(bases[2]) - 1))
-    assert cells == tuple((i, 0, one, tuple((s * cs * c, k) for c, k in pairs))
-                          for i, s, pairs in ((0, s0, ((1, t), (1, q))), (1, s1, ((-1, q),))))
+    assert cells == ((0, 0, one, s0 * cs, t, -q), (1, 0, one, -s1 * cs, q, 0))
+
+
+def test_evaluate_reads_a_cell_as_sign_times_plus_minus_minus_on_signed_keys():
+    # two keys whose sums are 5 and 3 over the denominator 2; the signed key -k reads minus key k
+    u, v = (0, 1, 0, 0), (0, 0, 1, 0)
+    cat = SimpleNamespace(Q=lambda a, b: 5, tq=lambda a, b: 3, denom=2)
+    one = unit(4)
+    cells = ((0, 0, one, 1, 1, -1),   # plus = -minus doubles key 1: 2 * 5
+             (0, 1, one, -1, 0, 2),   # no plus key: -(0 - 3)
+             (1, 0, one, 1, 2, -1),   # a negative minus: 3 + 5
+             (1, 1, one, -1, -2, 1),  # -(-3 - 5)
+             (2, 0, one, 1, 1, 2))    # 5 - 3
+    plan = Plan((("Q", u, v), ("tq", u, v)), ((), cells))
+    _, c2 = _evaluate(plan, cat, self_dual_bases(4, 2))
+    assert c2[:3] == [{0: 5, 1: Fraction(3, 2)}, {0: 4, 1: 4}, {0: 1}] and not any(c2[3:])
+    # over(num, denom) gives an int when denom divides num, and a Fraction only otherwise
+    assert [type(c2[0][j]) for j in (0, 1)] == [int, Fraction]
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 3), (5, 2), (6, 2)])
@@ -381,8 +402,8 @@ def test_writers_reach_each_term_once(d, n):
     columns = [b1_column(ctx, e) for _, e in duality_basis(d, n, 1)]
     columns += [br_column(ctx, r, e) for r in range(2, d) for _, e in duality_basis(d, n, r)]
     for col in columns:
-        assert len({(t, m) for t, m, _ in col}) == len(col)
-        assert all(pairs and len({k for _, k in pairs}) == len(pairs) for _, _, pairs in col)
+        assert len({(t, m) for t, m, *_ in col}) == len(col)
+        assert all(plus != minus and sign in (1, -1) for _, _, sign, plus, minus in col)
 
 
 def test_column_input_validation():
