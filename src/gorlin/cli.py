@@ -1,19 +1,21 @@
 """Command-line front end: build, verify, and inspect resolutions.
 
 Exit codes: 0 success, 1 check failure, 2 inadmissible inverse system,
-3 malformed input, unwritable output or bad arguments, 4 internal error
-(the traceback goes to stderr).
+3 malformed input, unwritable output (--out or stdout) or bad arguments,
+4 internal error (the traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
+from typing import Iterable
 
 from .differentials import build_resolution
 from .exactness import Session
-from .export import report_json, resolution_cas_script, resolution_json, resolution_text
+from .export import FRAGMENTS, report_json
 from .invsys import InadmissibleSystemError, InverseSystem, ann_degree, load_invsys, random_invsys
 from .polynomials import poly_str
 from .verify import CHECK_NAMES, check_ann_match, run_checks
@@ -100,29 +102,46 @@ def _load_phi(args: argparse.Namespace) -> InverseSystem:
         raise InputError(exc) from exc
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _write_stdout(fragments: Iterable[str]) -> None:
+    """Write the fragments to stdout and flush it; a write error is an InputError.
+
+    After a write error stdout is pointed at the null device, so that the
+    flush at exit finds nowhere to fail and prints no second error.
+    """
+    try:
+        for text in fragments:
+            sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        try:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        except (OSError, ValueError):  # a stdout with no file descriptor
+            pass
+        raise InputError(exc) from exc
+
+
+def _emit(args: argparse.Namespace, fragments: Iterable[str]) -> None:
+    """Write the fragments to --out, or else to stdout, each as it comes; a write error is an InputError."""
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                for text in fragments:
+                    fh.write(text)
         except OSError as exc:
             raise InputError(exc) from exc
     else:
-        sys.stdout.write(text)
+        _write_stdout(fragments)
 
 
 def cmd_resolve(args: argparse.Namespace) -> int:
     phi = _load_phi(args)
     res = build_resolution(phi)
-    print(f"delta  = {res.delta}")
-    print(f"betti  = {' '.join(str(b) for b in res.betti)}")
-    print(f"twists = {' '.join(str(t) for t in res.twists)}")
-    if args.fmt == "text":
-        _emit(args, resolution_text(res))
-    elif args.fmt == "json":
-        _emit(args, resolution_json(res))
-    else:
-        _emit(args, resolution_cas_script(res))
+    _write_stdout([f"delta  = {res.delta}\n",
+                   f"betti  = {' '.join(str(b) for b in res.betti)}\n",
+                   f"twists = {' '.join(str(t) for t in res.twists)}\n"])
+    _emit(args, FRAGMENTS[args.fmt](res))
     return EXIT_OK
 
 
@@ -130,7 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     phi = _load_phi(args)
     res = build_resolution(phi)
     report = run_checks(res, phi, checks=args.checks)
-    _emit(args, report.to_text() if args.fmt == "text" else report_json(report))
+    _emit(args, [report.to_text() if args.fmt == "text" else report_json(report)])
     return EXIT_OK if report.passed else EXIT_CHECK_FAILURE
 
 
@@ -153,7 +172,7 @@ def cmd_ann(args: argparse.Namespace) -> int:
             lines += [f"  {poly_str(b1.entry(0, col))}" for col in range(res.betti[1])]
             spans_equal = check_ann_match(session).passed
             lines.append(f"spans agree: {'yes' if spans_equal else 'NO'}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul as times
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .hookbasis import BasisElement, OrderedBasis, duality_basis, gamma_of, kos_expansion, pairing, y0
 from .invsys import Catalecticant, InverseSystem, delta_and_Q
@@ -329,8 +329,8 @@ class Resolution:
     middle C_h is whole, its own pairing transpose (paired, in _evaluate).
     Past h, C_r is the pairing transpose of C_{d+1-r} (cofactor), as S_r
     holds that of its partner's L block.  No term of S_r has x1, so the two
-    parts share no monomial.  terms and every matrix are built new on each
-    request, and cofactor hands out C_r itself up to h, for reading; so
+    parts share no monomial.  Every row terms yields and every matrix are
+    built new on each request, and cofactor hands out C_r itself up to h, for reading; so
     nothing done to a matrix handed out alters the resolution, its dumps or
     the facts a Session proves from it.
     """
@@ -359,22 +359,23 @@ class Resolution:
     def skeleton(self) -> tuple[PolyMatrix, ...]:
         return canonical_skeleton(self.d, self.n)
 
-    def terms(self, r: int) -> Rows:
-        """The entries of b_r = delta S_r + x1 C_r as term dicts; with delta = 0 S_r leaves no term."""
+    def terms(self, r: int) -> Iterator[dict[int, Terms]]:
+        """The rows of b_r = delta S_r + x1 C_r, one new row of term dicts at a time; with delta = 0 S_r leaves no term.
+
+        C_r past the middle is paired once, before the first row.
+        """
         d, delta = self.d, self.delta
-        rows = [{j: {m: c * delta for m, c in p.items()} for j, p in row.items() if delta}
-                for row in self.skeleton[r - 1].entries]
-        if r in (1, d):
-            for row, crow in zip(rows, self.cofactor(r)):
-                for j, cof in crow.items():
+        forms = r in (1, d)
+        x1 = (1,) + (0,) * (d - 1)
+        for srow, crow in zip(self.skeleton[r - 1].entries, self.cofactor(r)):
+            row = {j: {m: c * delta for m, c in p.items()} for j, p in srow.items()} if delta else {}
+            for j, cof in crow.items():
+                if forms:
                     # (m[0] + 1,) + m[1:] is x1 * m
                     row.setdefault(j, {}).update({(m[0] + 1,) + m[1:]: c for m, c in cof.items()})
-        else:
-            x1 = (1,) + (0,) * (d - 1)
-            for row, crow in zip(rows, self.cofactor(r)):
-                for j, c in crow.items():
-                    row.setdefault(j, {})[x1] = c
-        return rows
+                else:
+                    row.setdefault(j, {})[x1] = cof
+            yield row
 
     def cofactor(self, r: int) -> Rows:
         """C_r by rows; past h the pairing transpose of C_{d+1-r}: forms at r = d, constants inside."""
@@ -397,7 +398,7 @@ class Resolution:
     def matrix(self, r: int) -> PolyMatrix:
         """The matrix of the differential out of homological degree r (1-based), built new from the lift."""
         bases = self.bases
-        return PolyMatrix(bases[r - 1], bases[r], self.terms(r))
+        return PolyMatrix(bases[r - 1], bases[r], list(self.terms(r)))
 
     @property
     def betti(self) -> tuple[int, ...]:

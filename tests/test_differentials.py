@@ -357,6 +357,25 @@ def test_a_matrix_handed_out_is_a_new_copy():
     assert [dense(m) for m in matrices(res)] == want
 
 
+def test_terms_yields_the_rows_of_each_map_and_pairs_a_cofactor_once(monkeypatch):
+    # the dumps read b_r one row at a time; a cofactor past the middle is paired before the first row
+    from gorlin import differentials
+
+    res = grid_resolution(5, 3)
+    want = [res.matrix(r).entries for r in range(1, 6)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return paired(*args)
+
+    paired = differentials.paired
+    monkeypatch.setattr(differentials, "paired", counted)
+    for r in range(1, 6):
+        assert list(res.terms(r)) == want[r - 1]
+    assert calls == [4, 5]
+
+
 def test_plan_context_keys_each_sum_once():
     # Q and W are symmetric, so an unordered pair has one key; tq is not
     ctx = PlanContext(4, 2)
