@@ -7,251 +7,64 @@ Every differential is the lift b_r = delta * S_r + x1 * C_r of its skeleton
 S_r = canonical_skeleton(d, n)[r - 1]: the Koszul strands on x2..xd, which
 depend on (d, n) alone and are written once, there.  The inverse system
 enters only through the cofactor C_r of x1, a constant matrix for
-2 <= r <= d-1 and of degree n-1 for r = 1 and r = d.
-
-One writer, br_column, writes each column of an interior cofactor C_r
-directly in the standard basis elements using the closed-form coefficient
-sums in t and Q; it serves the X and the Y generators, which differ only in
-two coefficient forms.  b1_column writes the cofactor of b_1.  All matrices
-are written in one basis family, the self-dual bases of
+2 <= r <= d-1 and of degree n-1 for r = 1 and r = d.  All matrices are
+written in one basis family, the self-dual bases of
 hookbasis.duality_basis, in which the pairing between complementary
-positions is a signed permutation.  B and its skeleton are self-dual, and
-paired applies the pairing rule in one place: every map is its own written
-entries beside the pairing transpose of its partner's.  The skeleton
-writes the strand L and takes K from it; only C_1..C_h, h = (d+1)//2, are
-written, and each later cofactor is the transpose of its partner's.  For
-odd d the middle map b_h is its own partner: one side of its diagonal is
-written, and its transpose is the other.
+positions is a signed permutation, and paired applies the pairing rule in
+one place.  The skeleton writes the strand L and takes K from it, and a
+cofactor past the middle, h = (d+1)//2, is the pairing transpose of its
+partner's.
 
-The cofactors are Z-linear in the coefficient sums Q, tq and W
-(invsys.Catalecticant), and which sums meet in which entry depends on
-(d, n) alone.  So the writers run once per (d, n), on a PlanContext that
-names each sum by a key index.  A writer's coefficient is a signed key, +k
-or -k, and it writes each term of C_r once, as sign * (plus - minus) on two
-signed keys; _record signs the terms by the bases.  build_plan keeps the
-result: every term of C_1..C_h in that one form, the cell that _evaluate
-reads.  A build fills one value per key from the Catalecticant record that
-delta_and_Q returns and evaluates the plan into the constants of C_2..C_h
-and the forms of C_1.  It returns phi,
-delta and those cofactors as one frozen record (Resolution); the rest is a
-fact of (d, n).  No matrix is written then: Resolution builds each on
-request as delta S_r beside x1 C_r, and a Session reads S and C from the
-record.  So the skeleton, the x1 split and the pairing rule on every map
-hold by construction.
-Every key's value is an integer numerator over the one denominator of the
-record (Catalecticant states the convention); _evaluate divides it out
-when it writes the term, so a coefficient is an int whenever it is
-integral (always, for phi with integer coefficients) and a Fraction only
-otherwise.  A sum that is zero for this phi leaves no term, and an entry
-left with no term is not stored (PolyMatrix keeps the nonzero entries only).
+As the paper says, B amounts to a minimal generating set of the ideal and
+the x1 coefficients of the interior maps, and those coefficients are forced
+by B being a complex.  So a build writes C_1 alone and reads the rest out:
+
+* C_1 is the x1 cofactor of the generators of ann(phi)_n: on X(1; 2; m)
+  the sum of Q(m1, m/x2) m1, on Y(1; a; m) minus the sum of
+  tq(m x_a, m2) m2, over the monomials of degree n-1 (the sums of the
+  Catalecticant record).
+* C_2 comes out of b_1 b_2 = x1 N, N = b_1 C_2 + delta C_1 S_2, as
+  S_1 S_2 = 0.  N = 0, and its part free of x1 fixes the Y rows of C_2,
+  since S_1 has the distinct monomials of degree n in x2..xd on its Y
+  columns; its part in x1, multiplied by the invertible Cat_{n-1}, fixes
+  the X rows at the coordinates free of x1 (_first_cofactors).
+* Each C_{r+1}, 2 <= r < h, comes out of the part of b_r b_{r+1} linear
+  in x1, LP(r): S_r C_{r+1} + C_r S_{r+1} = 0.  Every column of S_r has a
+  private entry +-x_v, one no other column has in its row, so the x_v
+  coefficient of LP(r) there gives a row of C_{r+1} from one row of C_r
+  (_read_out).  For odd d this yields the middle map C_h whole, which is
+  its own partner; a Session compares it with its pairing transpose
+  (exactness.Session.duality_failure).
+
+Each readout solves an equation that B satisfies, with a unique solution,
+so it is B's cofactor; verify proves the equations again (b_1 b_2 is
+multiplied out and every LP(r) is checked).  The tables that the readouts
+read (readout_tables) are facts of (d, n), built once.
+
+A build returns phi, delta and C_1..C_h as one frozen record (Resolution);
+the rest is a fact of (d, n).  No matrix is written then: Resolution
+builds each on request as delta S_r beside x1 C_r, and a Session reads S
+and C from the record.  So the skeleton, the x1 split and the pairing rule
+on every map but the middle one of odd d hold by construction.  Every
+value is computed as an integer numerator over the one denominator of the
+record (Catalecticant states the convention) and divided once at the end,
+so a coefficient is an int whenever it is integral (always, for phi with
+integer coefficients) and a Fraction only otherwise.  An entry that is
+zero is not stored (PolyMatrix keeps the nonzero entries only).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul as times
+from operator import itemgetter, mul as times
 from typing import Any, Callable, Iterator
 
-from .hookbasis import BasisElement, OrderedBasis, duality_basis, gamma_of, kos_expansion, pairing, y0
+from .hookbasis import OrderedBasis, duality_basis, kos_expansion, pairing, y0
 from .invsys import Catalecticant, InverseSystem, delta_and_Q
-from .monomials import Mono, div_var, monomials_of_degree, mul_var, unit, var_divides
+from .monomials import Mono, div_var, monomial_index, monomials_of_degree, mul_var
 from .polymatrix import PolyMatrix
 from .polynomials import Scalar, Terms, exact, over
-
-
-class PlanContext:
-    """The coefficient sums of a Catalecticant as formal keys: the context the column writers run on.
-
-    Q, tq and W return the index of the key (name, u, v), interned in keys
-    from index 1 on; Q and W are symmetric, so their two arguments are
-    keyed in sorted order.  A writer's coefficient is a signed key: k or -k
-    for plus or minus the sum of key k, 0 for none.  Signed keys are negated,
-    never added: a term is sign * (plus - minus), and _evaluate reads it so.
-    """
-
-    def __init__(self, d: int, n: int):
-        self.d = d
-        self.n = n
-        self.nm1_all = monomials_of_degree(d, n - 1)
-        # tables of (d, n) for the monomials m of degree n-1 in x2..xd, which br_column reads in place of
-        # multiplying again in every column: low[l] those in x_l..x_d, multiples[m][s] = m x_s, and
-        # swap[m][l][s] = m x_l / x_s when x_s divides m, else None
-        self.low = {ell: monomials_of_degree(d, n - 1, low_var=ell) for ell in range(2, d + 1)}
-        self.multiples = {m: (None,) + tuple(mul_var(m, s) for s in range(1, d + 1)) for m in self.low[2]}
-        self.swap = {m: [[div_var(up[ell], s) if ell > 1 and s > 1 and m[s - 1] else None for s in range(d + 1)]
-                         for ell in range(d + 1)] for m, up in self.multiples.items()}
-        self.keys: list[tuple[str, Mono, Mono]] = []
-        self._index: dict[tuple[str, Mono, Mono], int] = {}
-
-    def _key(self, key: tuple[str, Mono, Mono]) -> int:
-        k = self._index.get(key)
-        if k is None:
-            self.keys.append(key)
-            k = self._index[key] = len(self.keys)
-        return k
-
-    def Q(self, m1: Mono, m2: Mono) -> int:
-        return self._key(("Q", m1, m2) if m1 <= m2 else ("Q", m2, m1))
-
-    def tq(self, u: Mono, w: Mono) -> int:
-        return self._key(("tq", u, w))
-
-    def W(self, u: Mono, v: Mono) -> int:
-        return self._key(("W", u, v) if u <= v else ("W", v, u))
-
-
-# (target, m, sign, plus, minus): the term sign * (plus - minus) of monomial m of the cofactor entry at
-# target, plus and minus signed keys (0 for none) with plus != minus, and sign 1 or -1
-Contribution = tuple[BasisElement, Mono, int, int, int]
-
-
-def b1_column(ctx: PlanContext, elt: BasisElement) -> list[Contribution]:
-    """The x1 cofactor of the degree-n generator of the ideal attached to a degree-1 basis element.
-
-    On an X element X(1; a; m) it is the sum of Q(m1, m/x_a) m1, on a Y
-    element Y(1; a; m) minus the sum of tq(m x_a, m2) m2, over the monomials
-    of degree n-1.
-    """
-    y = y0(ctx.d)
-    if elt.kind == "X":
-        w = div_var(elt.m, elt.a[0])
-        return [(y, m1, 1, ctx.Q(m1, w), 0) for m1 in ctx.nm1_all]
-    u = mul_var(elt.m, elt.a[0])
-    return [(y, m2, -1, ctx.tq(u, m2), 0) for m2 in ctx.nm1_all]
-
-
-def br_column(ctx: PlanContext, r: int, elt: BasisElement, rows: dict[BasisElement, int] | None = None,
-              j: int = 0) -> list[Contribution]:
-    """Column of the interior cofactor C_r on an X or Y generator, in the standard basis.
-
-    The two kinds share every block and differ only in the coefficient forms
-    of the X targets, eta(s, u), and of the Y targets, kappa(u, s):
-
-      X generator:  eta(s, u) = [x_s | m] tq(u, m/x_s),  kappa(u, s) = [x_s | m] Q(u, m/x_s);
-      Y generator:  eta(s, u) = -W(m*x_s, u),            kappa(u, s) = -tq(m*x_s, u).
-
-    The first Y block is empty on an X generator, whose index list starts
-    with a_1 = 2.  Every target is written in one place, as
-    sign * (plus - minus) with plus and minus signed keys or 0; a block
-    whose forms are all zero on this generator is passed over.  When rows
-    is given, the generator is column j and rows maps each row element to
-    its position: only the targets at positions up to j are written, one
-    side of the diagonal (build_plan).  The targets of each innermost loop
-    come in the order of the rows, so the first one past j ends the loop,
-    before any key of its coefficient is named.
-    """
-    if not 2 <= r <= ctx.d - 1 or elt.r != r:
-        raise ValueError(f"invalid generator for degree {r}: {elt}")
-    d = ctx.d
-    a, m = elt.a, elt.m
-    g = gamma_of(a)
-    a1, a2 = a[0], a[1]
-    one = unit(d)
-    multiples, low, swap = ctx.multiples, ctx.low, ctx.swap
-    out: list[Contribution] = []
-    if elt.kind == "X":
-        quot = {s: div_var(m, s) for s in range(2, d + 1) if var_divides(s, m)}
-        live = quot.keys()  # the s whose forms are not zero
-
-        def eta(s: int, u: Mono) -> int:
-            return ctx.tq(u, quot[s]) if s in quot else 0
-
-        def kappa(u: Mono, s: int) -> int:
-            return ctx.Q(u, quot[s]) if s in quot else 0
-    else:
-        prod = multiples[m]
-        live = range(2, d + 1)
-
-        def eta(s: int, u: Mono) -> int:
-            return -ctx.W(prod[s], u)
-
-        def kappa(u: Mono, s: int) -> int:
-            return -ctx.tq(prod[s], u)
-
-    def emit(target: tuple, sign: int, plus: int, minus: int = 0) -> None:
-        if plus != minus:
-            out.append((target, one, sign, plus, minus))
-
-    # a target is the plain tuple of its fields, which hashes and compares as the BasisElement
-    # X targets
-    for ell in range(2, g + 1):
-        for k in range(ell, r + 1):
-            ak = a[k - 1]
-            if ak not in live and ell not in live:
-                continue
-            rest, sign = a[:k - 1] + a[k:], (-1) ** k
-            for m2 in low[ell]:
-                up = multiples[m2]
-                t = ("X", r - 1, rest, up[ell])
-                if rows is not None and rows[t] > j:
-                    break
-                emit(t, sign, eta(ak, up[ell]), eta(ell, up[ak]))
-    for jj in range(g, r + 1):
-        for k in range(jj + 1, r + 1):
-            aj, ak = a[jj - 1], a[k - 1]
-            if aj not in live and ak not in live:
-                continue
-            rest = a[:g - 1] + (g + 1,) + tuple(x for x in a[g - 1:] if x != aj and x != ak)
-            sign = (-1) ** (g + jj + k)
-            for m2 in low[g + 1]:
-                up = multiples[m2]
-                t = ("X", r - 1, rest, up[g + 1])
-                if rows is not None and rows[t] > j:
-                    break
-                emit(t, sign, eta(ak, up[aj]), eta(aj, up[ak]))
-    if rows is not None and elt.kind == "Y":
-        # the middle map: column j pairs with row j, an X element, and every Y row lies after the X rows
-        return out
-
-    # Y targets; swap[m1][l][s] is m1 x_l / x_s when x_s divides m1
-    for ell in range(2, a1):
-        for jj in range(1, r + 1):
-            for k in range(jj + 1, r + 1):
-                aj, ak = a[jj - 1], a[k - 1]
-                rest = (ell,) + tuple(x for x in a if x != aj and x != ak)
-                sign = (-1) ** (jj + k)
-                for m1 in low[ell]:
-                    t = ("Y", r - 1, rest, m1)
-                    if rows is not None and rows[t] > j:
-                        break
-                    sw = swap[m1][ell]
-                    emit(t, sign, kappa(sw[ak], aj) if sw[ak] else 0, kappa(sw[aj], ak) if sw[aj] else 0)
-    for k in range(2, r + 1):
-        ak = a[k - 1]
-        if ak not in live and a1 not in live:
-            continue
-        rest, sign = a[:k - 1] + a[k:], (-1) ** k
-        for m1 in low[a1]:
-            t = ("Y", r - 1, rest, m1)
-            if rows is not None and rows[t] > j:
-                break
-            sw = swap[m1][a1][ak]
-            emit(t, sign, kappa(m1, ak), kappa(sw, a1) if sw else 0)
-    if a1 not in live:
-        return out
-    for ell in range(a1 + 1, a2):
-        for k in range(2, r + 1):
-            ak = a[k - 1]
-            rest, sign = (ell,) + a[1:k - 1] + a[k:], (-1) ** (k + 1)
-            for m1 in low[ell]:
-                sw = swap[m1][ell][ak]
-                if sw:
-                    t = ("Y", r - 1, rest, m1)
-                    if rows is not None and rows[t] > j:
-                        break
-                    emit(t, sign, kappa(sw, a1))
-    for m1 in low[a2]:
-        t = ("Y", r - 1, a[1:], m1)
-        if rows is not None and rows[t] > j:
-            break
-        emit(t, -1, kappa(m1, a1))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Assembly
-# ---------------------------------------------------------------------------
 
 
 def twist_list(d: int, n: int) -> tuple[int, ...]:
@@ -285,13 +98,12 @@ def paired(bases: tuple[OrderedBasis, ...], k: int, rows: Rows, signed: Callable
     pairing(bases[k], bases[d-k]), entry (ii, kk) of b_{d-r} is (-1)^r s t
     times entry (i, jj) of b_{r+1}, where P_r pairs i with kk by the sign s
     and P_{r+1} pairs jj with ii by t.  signed(v, e) is a new value, v
-    times the sign e.  This is the one place the rule is applied: every map
-    is its own written entries beside the pairing transpose of its
-    partner's, for any k.  The skeleton writes L and takes K from here;
-    a cofactor past the middle is the transpose of its partner; and the
-    middle map of odd d, k = d + 1 - k, is its own partner: P_{h-1} is the
-    identity in the self-dual bases, so its transpose is its mirror,
-    (-1)^(h-1) times entry (i, j) at (j, i).
+    times the sign e.  This is the one place the rule is applied, for any
+    k.  The skeleton writes L and takes K from here; a cofactor past the
+    middle is the transpose of its partner; and the middle map of odd d,
+    k = d + 1 - k, is its own partner: P_{h-1} is the identity in the
+    self-dual bases, so its transpose is its mirror, (-1)^(h-1) times entry
+    (i, j) at (j, i), which the middle cofactor must equal.
     """
     r = len(bases) - 1 - k
     rows_p, cols_p = pairing(bases[r], bases[k]), pairing(bases[r + 1], bases[k - 1])
@@ -326,7 +138,8 @@ class Resolution:
     int when it is integral.  cofactors[r - 1] is C_r by rows (Rows) for
     r <= h = (d+1)//2: at r = 1 a column j maps to the terms {m: c} of its
     cofactor, of degree n-1, and inside to its constant c.  For odd d the
-    middle C_h is whole, its own pairing transpose (paired, in _evaluate).
+    middle C_h is whole, and a Session compares it with its own pairing
+    transpose (exactness.Session.duality_failure).
     Past h, C_r is the pairing transpose of C_{d+1-r} (cofactor), as S_r
     holds that of its partner's L block.  No term of S_r has x1, so the two
     parts share no monomial.  Every row terms yields and every matrix are
@@ -408,121 +221,168 @@ class Resolution:
         return f"Resolution(d={self.d}, n={self.n}, delta={self.delta}, betti={self.betti})"
 
 
-# (i, j, m, sign, plus, minus): the term sign * (plus - minus) of monomial m of entry (i, j) of a cofactor
-Cell = tuple[int, int, Mono, int, int, int]
+# the cofactors by their int numerators over the one denominator of the record (Catalecticant)
+Numerators = list[dict[int, int]]
 
 
 @dataclass(frozen=True)
-class Plan:
-    """The cofactors C_1..C_h of one (d, n), h = (d+1)//2, as signed sums of keys.
+class ReadoutTables:
+    """The index tables of (d, n) that a build reads its cofactors with (build_resolution); none holds a value of phi.
 
-    keys[k - 1] is the key (name, u, v) whose value is cat.name(u, v) on a
-    Catalecticant.  cells[r - 1] lists the terms (i, j, m, sign, plus, minus)
-    of C_r, signed by the bases (_record): m has degree n-1 at r = 1 and is
-    1 inside.  For odd d the middle map b_h pairs with itself, and
-    cells[h - 1] holds only its cells with i <= j; _evaluate adds its
-    pairing transpose (paired).  The other part of b_r, delta S_r, is
-    canonical_skeleton's.  Every part is a tuple of ints and tuples, which
-    the garbage collector can stop tracking, so the plan is not traversed
-    again at each collection of the process.
+    Positions are those of the self-dual bases, C_r maps position r to
+    r - 1, and S_r is canonical_skeleton(d, n)[r - 1].  Below, w runs over
+    the monomials of degree n-1 in x2..xd, by their index in
+    monomials_of_degree(d, n-1), and S_1 has the distinct monomials u[t] of
+    degree n in x2..xd on its Y columns, t = 0, 1, ... in column order.
+
+    * first[l] is (i, t) for column l of b_1: X(1; 2; x2 w), i the index of
+      w and t = -1, or the Y column of u[t] and i = -1.
+    * low lists the indices of the w.
+    * gather[v] picks, for each row of C_2, the entry of a source vector
+      over the w, the u[t] and a 0 (_first_cofactors) that it reads at x_v.
+    * s2[j] lists (l, v, s) for every term s x_v of column j of S_2, in row l.
+    * interior[r - 2], 2 <= r < h = (d+1)//2, is (pivots, xrows): pivots[k]
+      is (i, v, s) for a private entry s x_v of column k of S_r (no other
+      column of S_r has x_v in row i), and xrows[v][l] lists (j, c) for the
+      terms c x_v of row l of S_{r+1}.
     """
 
-    keys: tuple[tuple[str, Mono, Mono], ...]
-    cells: tuple[tuple[Cell, ...], ...]
+    u: tuple[Mono, ...]
+    first: tuple[tuple[int, int], ...]
+    low: tuple[int, ...]
+    gather: dict[int, Callable]
+    s2: tuple[tuple[tuple[int, int, int], ...], ...]
+    interior: tuple[tuple[tuple[tuple[int, int, int], ...], dict[int, tuple]], ...]
 
 
-def _record(rows: OrderedBasis, cols: OrderedBasis, cofactors) -> tuple[Cell, ...]:
-    """The cells of the cofactor C whose column j is the sum of cofactors[j], signed by the bases.
-
-    cofactors[j] lists the contributions of column j, signed as written.  A
-    writer reaches each term once as sign * (plus - minus), so a term is
-    placed, not added to: its signed keys are kept and its sign is
-    multiplied by the two basis signs.  A target outside the row basis is a
-    KeyError.
-    """
-    pos = rows.position()
-    out: list[Cell] = []
-    for j, ((csign, _), col) in enumerate(zip(cols, cofactors)):
-        for target, m, sign, plus, minus in col:
-            i, rsign = pos[target]
-            out.append((i, j, m, sign * csign * rsign, plus, minus))
-    return tuple(out)
+def _linear_terms(mat: PolyMatrix) -> Iterator[tuple[int, int, int, int]]:
+    """(i, j, v, c) for every term c x_v of a skeleton map, row by row."""
+    for i, row in enumerate(mat.entries):
+        for j, p in row.items():
+            for m, c in p.items():
+                yield i, j, m.index(1) + 1, c
 
 
 @lru_cache(maxsize=None)
-def build_plan(d: int, n: int) -> Plan:
-    """The plan of C_1..C_h at (d, n), h = (d+1)//2.
+def readout_tables(d: int, n: int) -> ReadoutTables:
+    """The tables of (d, n) that build_resolution reads the cofactors with, built once.
 
-    b1_column and br_column run once, on a PlanContext; the plan is then
-    evaluated for each inverse system (_evaluate).  For odd d, br_column
-    writes the self-paired middle map C_h on one side of its diagonal only,
-    and _evaluate adds the other by the pairing rule; a diagonal cell
-    written where the map is antisymmetric is a defect of the writer and
-    raises ValueError.
+    A column of S_r, 2 <= r < h, with no private entry of coefficient +-1
+    leaves C_{r+1} unread, a defect of the skeleton: ValueError, which the
+    CLI reports as an internal error.
     """
-    ctx = PlanContext(d, n)
-    bases = self_dual_bases(d, n)
-    h = (d + 1) // 2
-    cells = []
-    for r in range(1, h + 1):
-        # written column by column as _record places them, so no column outlives its placing
-        if r == 1:
-            columns = (b1_column(ctx, e) for _, e in bases[1])
-        elif d % 2 and r == h:
-            rows = {e: i for i, (_, e) in enumerate(bases[r - 1])}
-            columns = (br_column(ctx, r, e, rows, j) for j, (_, e) in enumerate(bases[r]))
-        else:
-            columns = (br_column(ctx, r, e) for _, e in bases[r])
-        cells.append(_record(bases[r - 1], bases[r], columns))
-    if d % 2 and h % 2 == 0 and any(cell[0] == cell[1] for cell in cells[-1]):
-        raise ValueError(f"the writer put a diagonal cell on the antisymmetric middle map b_{h} at d={d}, n={n}")
-    return Plan(tuple(ctx.keys), tuple(cells))
+    bases, skel = self_dual_bases(d, n), canonical_skeleton(d, n)
+    index = monomial_index(d, n - 1)
+    u = tuple(next(iter(p)) for _, p in sorted(skel[0].entries[0].items()))
+    t_of = {m: t for t, m in enumerate(u)}
+    low = monomials_of_degree(d, n - 1, low_var=2)
+    w_at, zero = {w: i for i, w in enumerate(low)}, len(low) + len(u)
+    first = tuple((index[div_var(el.m, 2)], -1) if el.kind == "X" else (-1, t_of[mul_var(el.m, el.a[0])])
+                  for _, el in bases[1])
+    monos, gather = monomials_of_degree(d, n - 1), {}
+    for v in range(2, d + 1):
+        # an X row of w reads the u[t] = w x_v, a Y row of u the w = u / x_v, or 0 when x_v does not divide u
+        picks = [len(low) + t_of[mul_var(monos[i], v)] if t < 0 else w_at[div_var(u[t], v)] if u[t][v - 1] else zero
+                 for i, t in first]
+        gather[v] = itemgetter(*picks)
+    s2: list[list[tuple[int, int, int]]] = [[] for _ in bases[2]]
+    for i, j, v, c in _linear_terms(skel[1]):
+        s2[j].append((i, v, c))
+    interior = []
+    for r in range(2, (d + 1) // 2):
+        seen: dict[tuple[int, int], list] = {}
+        for i, j, v, c in _linear_terms(skel[r - 1]):
+            seen.setdefault((i, v), []).append((j, c))
+        pivots: list = [None] * len(bases[r])
+        for (i, v), cols in seen.items():
+            if len(cols) == 1 and cols[0][1] in (1, -1) and pivots[cols[0][0]] is None:
+                pivots[cols[0][0]] = (i, v, cols[0][1])
+        if None in pivots:
+            raise ValueError(f"column {pivots.index(None)} of S_{r} has no private entry at d={d}, n={n}")
+        xrows: dict[int, list[list]] = {v: [[] for _ in bases[r]] for v in range(2, d + 1)}
+        for i, j, v, c in _linear_terms(skel[r]):
+            xrows[v][i].append((j, c))
+        interior.append((tuple(pivots), {v: tuple(map(tuple, rows)) for v, rows in xrows.items()}))
+    return ReadoutTables(u, first, tuple(index[w] for w in low), gather, tuple(map(tuple, s2)), tuple(interior))
 
 
-def _evaluate(plan: Plan, cat: Catalecticant, bases: tuple[OrderedBasis, ...]) -> tuple[Rows, ...]:
-    """The cofactors of the plan for the inverse system of cat, by rows as Resolution keeps them.
+def _first_cofactors(cat: Catalecticant, tabs: ReadoutTables) -> tuple[list[list[int]], Numerators]:
+    """The numerators of C_1 by column, over the monomials of degree n-1 (Catalecticant.monos), and of C_2 by row.
 
-    Each key is evaluated once, into one list indexed by signed key:
-    values[-k] is -values[k] and values[0] is 0, so a cell's numerator is
-    sign * (values[plus] - values[minus]), which doubles the sum of key k
-    when plus = -minus = k.  A term whose numerator is zero is dropped, and
-    a nonzero numerator is divided by cat.denom (polynomials.over).  The
-    middle map C_h of odd d is completed by its own pairing transpose
-    (paired), which fills the side the plan does not hold; on the diagonal
-    of a symmetric C_h the two sides agree.
+    The column of X(1; 2; x2 w) is Q e_w, the sum of Q(m1, w) m1, and that of
+    the Y column of u = m x_a is minus the sum of tq(u, m2) m2.  At
+    position 1 the bases are the standard ones, of sign 1, and S_1 is u on
+    the Y column of u.
+
+    C_2 comes out of N = b_1 C_2 + delta C_1 S_2 = 0, as b_1 b_2 = x1 N.
+    Write C_1 = C_1^0 + x1 C_1', C_1^0 free of x1.  The part of N free of x1
+    is delta (S_1 C_2 + C_1^0 S_2): so the row of C_2 on the Y column of u
+    is minus the u coefficient of C_1^0 S_2.  The rest of N is
+    x1 (C_1 C_2 + delta F), F = C_1' S_2.  Times T = Cat_{n-1}, a Y column of
+    C_1 vanishes at every w free of x1 (T tq(u, .) is delta times
+    t_{u w / x1}), and an X column Q e_w is delta e_w: so the row of C_2 on
+    X(1; 2; x2 w) is -(T F)[w].  (T x_v C_1')[w] is the row w x_v of Cat_n
+    against C_1', which is tq(w x_v, w') on the X column of w' and
+    -W(u, w x_v) on the Y column of u.  The source vector of a column of
+    C_1 holds minus its C_1^0 at the w and minus these at the u[t].
     """
-    values = [getattr(cat, name)(u, v) for name, u, v in plan.keys]
-    values = [0] + values + [-v for v in reversed(values)]
-    denom = cat.denom
-    out = []
-    for r, cells in enumerate(plan.cells, 1):
-        rows: Rows = [{} for _ in bases[r - 1]]
-        for i, j, m, sign, plus, minus in cells:
-            num = sign * (values[plus] - values[minus])
-            if num:
-                # over gives an int when it is integral, the form of every coefficient (polynomials)
-                if r == 1:
-                    rows[i].setdefault(j, {})[m] = over(num, denom)
-                else:
-                    rows[i][j] = over(num, denom)
-        out.append(rows)
-    if len(bases) % 2 == 0:
-        # d is odd: the last map written, C_h, is its own partner
-        for row, other in zip(out[-1], paired(bases, len(out), out[-1], times)):
-            row.update(other)
-    return tuple(out)
+    tq, W = cat.sums(tabs.u)
+    c1, sources = [], []
+    for i, t in tabs.first:
+        col, tail = (cat.q[i], [-row[i] for row in tq]) if t < 0 else ([-c for c in tq[t]], W[t])
+        c1.append(col)
+        sources.append([-col[w] for w in tabs.low] + tail + [0])
+    rows: Numerators = [{} for _ in c1]
+    for j, ((l, v, s), *rest) in enumerate(tabs.s2):
+        acc = [s * g for g in tabs.gather[v](sources[l])]
+        for l, v, s in rest:
+            acc = [c + s * g for c, g in zip(acc, tabs.gather[v](sources[l]))]
+        for k, c in enumerate(acc):
+            if c:
+                rows[k][j] = c
+    return c1, rows
+
+
+def _read_out(rows: Numerators, pivots, xrows) -> Numerators:
+    """C_{r+1} by rows from C_r, by LP(r): S_r C_{r+1} + C_r S_{r+1} = 0.
+
+    Take the x_v coefficient of LP(r) at row i for a private entry
+    (i, v, s) of column k of S_r: s times row k of C_{r+1} plus row i of C_r
+    times the x_v coefficients of S_{r+1}.  With s = +-1, row k is -s times
+    that product, signed additions of the entries of C_r.
+    """
+    out: Numerators = []
+    for i, v, s in pivots:
+        acc: dict[int, int] = {}
+        xv = xrows[v]
+        for l, c in rows[i].items():
+            for j, e in xv[l]:
+                acc[j] = acc.get(j, 0) + e * c
+        out.append({j: -s * c for j, c in acc.items() if c})
+    return out
 
 
 def build_resolution(phi: InverseSystem, ordering: str = "selfdual") -> Resolution:
-    """The resolution of phi in lift form, from the closed-form column formulas, in the self-dual bases.
+    """The resolution of phi in lift form, in the self-dual bases: C_1 from its closed form, the rest read out.
 
-    ordering names the basis family; "selfdual" (duality_basis) is the only one.
+    C_1 is written from the sums Q and tq of the Catalecticant record,
+    C_2 is read out of N = 0 and each C_{r+1}, 2 <= r < h, out of LP(r)
+    (module docstring).  ordering names the basis family; "selfdual"
+    (duality_basis) is the only one.
     """
     if ordering != "selfdual":
         raise ValueError(f"unknown ordering {ordering!r}; the only basis family is 'selfdual'")
     cat = delta_and_Q(phi)
-    cofactors = _evaluate(build_plan(phi.d, phi.n), cat, self_dual_bases(phi.d, phi.n))
-    return Resolution(phi, exact(cat.delta), cofactors)
+    tabs = readout_tables(phi.d, phi.n)
+    c1, c2 = _first_cofactors(cat, tabs)
+    nums = [c2]
+    for pivots, xrows in tabs.interior:
+        nums.append(_read_out(nums[-1], pivots, xrows))
+    denom, monos = cat.denom, cat.monos
+    # over gives an int when it is integral, the form of every coefficient (polynomials)
+    first = {j: {monos[i]: over(c, denom) for i, c in enumerate(col) if c} for j, col in enumerate(c1) if any(col)}
+    inside = nums if denom == 1 else [[{j: over(c, denom) for j, c in row.items()} for row in rows] for rows in nums]
+    return Resolution(phi, exact(cat.delta), ([first], *inside))
 
 
 @lru_cache(maxsize=None)

@@ -80,9 +80,11 @@ each of them once per verification run, together with the Hilbert function
 the degree-n annihilator and dim I_n, and every check that needs a fact
 reads it there.  Three facts hold by construction of the lift and are not
 computed: the skeleton structure, the x1 split (every interior C_r is
-constant), and the pairing rule on every map, as every map is its written
-entries beside the pairing transpose of its partner's
-(differentials.paired).  The tests prove all three from the matrices
+constant), and the pairing rule on every map but one, as every map is its
+written entries beside the pairing transpose of its partner's
+(differentials.paired).  The one is the middle map of odd d, its own
+partner, whose cofactor is read out whole: duality_failure compares it with
+its pairing transpose.  The tests prove all three from the matrices
 (tests/oracles.py, the matrix form and its MatrixSession).
 The complex property
 rests on the self-duality: the pairing rule
@@ -113,7 +115,7 @@ from math import comb, gcd
 from operator import mul, sub
 
 from . import linalg
-from .differentials import Resolution, canonical_skeleton
+from .differentials import Resolution, canonical_skeleton, paired
 from .hookbasis import BasisElement
 from .invsys import InverseSystem, ann_degree, hilbert_function
 from .monomials import Mono, monomial_index, monomials_of_degree
@@ -260,36 +262,6 @@ def first_nonzero_product(mats: dict[int, PolyMatrix]) -> tuple[int, int, int, T
 
 
 Split = tuple[list[dict[int, Terms]], list[dict[int, Scalar]] | None]
-
-
-def x1_split(mat: PolyMatrix) -> Split:
-    """One pass over the terms of mat: (x1-free terms, x1 cofactor) by row.
-
-    The lift holds this split by construction; the matrix form of the tests
-    (tests/oracles.py) reads it off its matrices.  free[i] maps a column j
-    to the terms free of x1 of entry (i, j), for the entries that have any.
-    cof[i] maps j to c when the terms of entry (i, j) that have x1 are
-    c * x1; cof is None when some term with x1 is not a multiple of x1
-    itself, as at both ends of B.
-    """
-    x1 = (1,) + (0,) * (mat.d - 1)
-    free: list[dict[int, Terms]] = []
-    cof: list[dict[int, Scalar]] | None = []
-    for row in mat.entries:
-        frow: dict[int, Terms] = {}
-        crow: dict[int, Scalar] = {}
-        for j, p in row.items():
-            for m, c in p.items():
-                if not m[0]:
-                    frow.setdefault(j, {})[m] = c
-                elif m == x1:
-                    crow[j] = c
-                else:
-                    cof = None
-        free.append(frow)
-        if cof is not None:
-            cof.append(crow)
-    return free, cof
 
 
 def _linear_part_vanishes(s_rows, c_rows, s_next, c_next, ncols: int) -> bool:
@@ -492,8 +464,8 @@ class Session:
     in a session of its own.  It reads S_r and C_r from res, and builds a
     matrix only when a check needs one, once (matrix); monomials and
     cofactor read res, where the tests' matrix form reads its matrices.
-    The skeleton, the x1 split and the pairing rule on every map hold by
-    construction, so no fact stands for them.
+    The skeleton, the x1 split and the pairing rule on every map but the
+    middle one of odd d hold by construction, so no fact stands for them.
     """
 
     def __init__(self, res: Resolution, phi: InverseSystem):
@@ -517,14 +489,36 @@ class Session:
         return self.res.cofactor(r)
 
     @cached_property
+    def duality_failure(self) -> tuple[int, int, int] | None:
+        """None when the pairing rule holds on every map, else the first (r, jj, kk) where it fails.
+
+        Every map of the lift is its written entries beside the pairing
+        transpose of its partner's, but the middle map b_h of odd d,
+        h = (d+1)//2, is its own partner, and C_h is read out whole.  S_h is
+        its own transpose, so the rule holds on b_h when C_h equals its
+        mirror (differentials.paired).  A failure is the least pair (jj, kk)
+        where entry (kk, jj) of C_h differs, at r = h - 1.
+        """
+        d = self.res.d
+        if d % 2 == 0:
+            return None
+        h = (d + 1) // 2
+        cof = self.cofactor(h)
+        mirror = paired(self.res.bases, h, cof, mul)
+        bad = [(jj, kk) for kk, (row, other) in enumerate(zip(cof, mirror)) for jj in row.keys() | other.keys()
+               if row.get(jj) != other.get(jj)]
+        return (h - 1, *min(bad)) if bad else None
+
+    @cached_property
     def complex_failure(self) -> tuple[int, int, int, Terms] | None:
         """None when b_r b_{r+1} = 0 for all r, else the first (r, i, j, entry) that is not 0.
 
-        Under the pairing rule, which every map of the lift holds,
+        Under the pairing rule (duality_failure is None),
         b_{d-r} b_{d-r+1} = -P_{r+1}^{-1} (b_r b_{r+1})^T P_{r-1} with P_k
         invertible, so product d - r vanishes exactly when product r does.
         The nonzero products are then symmetric under r -> d - r and the
-        first lies at r <= d // 2, so only those are considered.
+        first lies at r <= d // 2, so only those are considered; when the
+        rule fails, every product is.
 
         The first nonzero product in r is returned, so b_{r-1} b_r = 0 is
         proved when an interior product (2 <= r, r + 1 <= d - 1) is taken
@@ -547,7 +541,8 @@ class Session:
         witness is that of first_nonzero_product.
         """
         d = self.res.d
-        for r in range(1, d // 2 + 1):
+        last = d // 2 if self.duality_failure is None else d - 1
+        for r in range(1, last + 1):
             if not (2 <= r <= d - 2 and self._interior_product_vanishes(r)):
                 found = first_nonzero_product({r: self.matrix(r), r + 1: self.matrix(r + 1)})
                 if found is not None:
@@ -626,7 +621,7 @@ def skeleton_block_failure(res: Resolution, splits: tuple[Split, ...]) -> str | 
     Returns a witness string on failure, None on success.  A lift holds
     this by construction; the matrix form of the tests (tests/oracles.py)
     proves it here, and bench/tracer.py traces it by name.  The terms free
-    of x1 come from splits (x1_split of every matrix) and are compared with
+    of x1 come from splits (the x1 split of every matrix) and are compared with
     delta times the skeleton terms, entry by entry, with no matrix or dict
     built for the comparison.
     """

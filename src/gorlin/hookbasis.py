@@ -50,8 +50,7 @@ class BasisElement(NamedTuple):
 
     A tuple, hashed and compared in C.  It is not checked when it is made:
     the bases are formed only by enumerate_basis and duality_basis, and
-    differentials._assemble and differentials._record refuse any target
-    outside them.
+    differentials._assemble refuses any target outside them.
     """
 
     kind: str  # "X" or "Y"

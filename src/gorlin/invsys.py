@@ -55,7 +55,7 @@ class InverseSystem:
     """Homogeneous inverse system of degree 2n-2 in d variables.
 
     coeffs is read-only, so the integer tables cached on the system
-    (catalecticant) cannot go stale.
+    (catalecticant) and the ranks kept of them (hf_value) cannot go stale.
     """
 
     d: int
@@ -87,6 +87,7 @@ class InverseSystem:
         # L t_m by pack(m, 2n-1), a base above every exponent, and the tables built from it by degree
         object.__setattr__(self, "_packed", {pack(m, 2 * self.n - 1): v for m, v in zip(clean, ints)})
         object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_ranks", {})  # rank of L Cat_j by j, once it is known
 
     def __reduce__(self):
         # a mappingproxy does not pickle; the tables are rebuilt on demand
@@ -124,12 +125,10 @@ class Catalecticant:
 
     Every value a build reads is an int numerator over the one denominator
     denom = L^(N+1): with t' = L t, the numerators of delta and of Q are
-    L det and L^2 adj, and each sum of t' times numerators, divided by L, is
-    again a numerator (exactly, as L divides it).  The sums Q, tq and W are
-    dot products of int rows built on first use, so a bare delta_and_Q
-    builds none: _a[u] = [t'_{u*m}] for u of degree n, the rows of
-    L Cat_n, _qx[w] = [Q[w, x1*m]] for w of degree n-1 by its index, and
-    _tqx[u] = [tq(u, x1*m)], over the monomials m of degree n-2.
+    L det and L^2 adj (q, by index), and each sum of t' times numerators,
+    divided by L, is again a numerator (exactly, as L divides it): the sums
+    tq and W (sums).  q is built on first use and the sums on request, so
+    a bare delta_and_Q builds neither.
     """
 
     phi: InverseSystem
@@ -139,7 +138,6 @@ class Catalecticant:
     det: int
     adj: list[list[int]]
     index: dict[Mono, int]
-    _tqx: dict[Mono, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def delta(self) -> Fraction:
@@ -150,40 +148,27 @@ class Catalecticant:
         return self.scale ** (len(self.monos) + 1)
 
     @cached_property
-    def _q(self) -> list[list[int]]:
+    def q(self) -> list[list[int]]:
         return [[self.scale**2 * v for v in row] for row in self.adj]
 
-    @cached_property
-    def _a(self) -> dict[Mono, list[int]]:
-        phi = self.phi
-        return dict(zip(monomials_of_degree(phi.d, phi.n), phi.catalecticant(phi.n)))
+    def sums(self, us: tuple[Mono, ...]) -> tuple[list[list[int]], list[list[int]]]:
+        """(tq, W) over the monomials us of degree n: tq[s][i] = tq(us[s], monos[i]), W[s][t] = W(us[s], us[t]).
 
-    @cached_property
-    def _x1(self) -> list[int]:
-        """The index of x1*m for each monomial m of degree n-2."""
-        return [self.index[mul_var(m, 1)] for m in monomials_of_degree(self.phi.d, self.phi.n - 2)]
-
-    @cached_property
-    def _qx(self) -> list[list[int]]:
-        return [[row[k] for k in self._x1] for row in self._q]
-
-    def Q(self, m1: Mono, m2: Mono) -> int:
-        return self._q[self.index[m1]][self.index[m2]]
-
-    def tq(self, u: Mono, w: Mono) -> int:
-        """sum over m of degree n-2 of t_{u*m} * Q[w, x1*m]  (u deg n, w deg n-1)."""
-        return sum(map(mul, self._a[u], self._qx[self.index[w]])) // self.scale
-
-    def W(self, u: Mono, v: Mono) -> int:
-        """double sum of Q[x1*m1, x1*m2] t_{u*m2} t_{v*m1} over degree-(n-2) pairs.
-
-        The inner sum over m2 is tq(u, x1*m1), the row TQX[u].
+        With m, m1, m2 of degree n-2, tq(u, w) is the sum of t_{u*m} Q[w, x1*m],
+        and W(u, v) the double sum of Q[x1*m1, x1*m2] t_{u*m2} t_{v*m1}, that
+        is the sum of t_{v*m} tq(u, x1*m).  Each is a dot product of int rows:
+        t'_{u*m} is row u of L Cat_n.  W is symmetric, so one half of it is
+        summed and the other mirrored.
         """
-        row = self._tqx.get(u)
-        if row is None:
-            a, qx = self._a[u], self._qx
-            row = self._tqx[u] = [sum(map(mul, a, qx[k])) // self.scale for k in self._x1]
-        return sum(map(mul, self._a[v], row)) // self.scale
+        phi, scale = self.phi, self.scale
+        cat_n, index_n = phi.catalecticant(phi.n), monomial_index(phi.d, phi.n)
+        x1 = [self.index[mul_var(m, 1)] for m in monomials_of_degree(phi.d, phi.n - 2)]
+        a = [cat_n[index_n[u]] for u in us]
+        qx = [[row[k] for k in x1] for row in self.q]
+        tq = [[sum(map(mul, au, row)) // scale for row in qx] for au in a]
+        tqx = [[row[k] for k in x1] for row in tq]
+        half = [[sum(map(mul, a[t], tqx[s])) // scale for t in range(s + 1)] for s in range(len(us))]
+        return tq, [row + [half[t][s] for t in range(s + 1, len(us))] for s, row in enumerate(half)]
 
 
 def delta_and_Q(phi: InverseSystem) -> Catalecticant:
@@ -202,6 +187,8 @@ def delta_and_Q(phi: InverseSystem) -> Catalecticant:
             "so the quotient algebra has no Gorenstein-linear minimal resolution "
             "(equivalently, the degree-(n-1) pairing is degenerate)"
         )
+    # det != 0: T has full rank, which hf_value(phi, n - 1) reads
+    phi._ranks[phi.n - 1] = len(monos)
     return Catalecticant(phi=phi, monos=monos, scale=phi.scale, T=T, det=det, adj=adj,
                          index=monomial_index(phi.d, phi.n - 1))
 
@@ -229,7 +216,8 @@ def hilbert_function(phi: InverseSystem) -> list[int]:
 
     (Iarrobino and Kanev, "Power Sums, Gorenstein Algebras, and
     Determinantal Loci", 1999.)  hf_value ranks any one catalecticant and
-    stays the reference.
+    stays the reference; the rank of T is kept from delta_and_Q or
+    random_invsys when either has proved delta != 0 for this system.
     """
     d, top = phi.d, phi.socle_degree
     hf = [comb(min(j, top - j) + d - 1, d - 1) for j in range(top + 1)]
@@ -239,10 +227,13 @@ def hilbert_function(phi: InverseSystem) -> list[int]:
 
 
 def hf_value(phi: InverseSystem, e: int) -> int:
-    """dim (S/ann(phi))_e for any e >= 0 (zero beyond the socle degree)."""
+    """dim (S/ann(phi))_e for any e >= 0 (zero beyond the socle degree), the rank of L Cat_e, kept on phi."""
     if e < 0 or e > phi.socle_degree:
         return 0
-    return linalg.rank(phi.catalecticant(e))
+    rank = phi._ranks.get(e)
+    if rank is None:
+        rank = phi._ranks[e] = linalg.rank(phi.catalecticant(e))
+    return rank
 
 
 def sum_of_powers(d: int, n: int = 2) -> InverseSystem:
@@ -259,8 +250,8 @@ def random_invsys(d: int, n: int, seed: int, coeff_bound: int = 5) -> InverseSys
 
     Retries with a counter mixed into the stream until delta != 0, that is
     until L Cat_{n-1} has full rank (one elimination per draw, the test of
-    hilbert_function); raises InadmissibleSystemError after RANDOM_TRIES
-    draws (e.g. bound 0).
+    hilbert_function, which reads the rank kept on the system); raises
+    InadmissibleSystemError after RANDOM_TRIES draws (e.g. bound 0).
     """
     monos = monomials_of_degree(d, 2 * n - 2)
     full = comb(n - 1 + d - 1, d - 1)  # dim S_{n-1}

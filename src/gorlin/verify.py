@@ -175,13 +175,16 @@ def check_duality(s: Session) -> CheckResult:
     """Self-duality: b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} for every r, on every pair.
 
     P_k is the pairing between bases[k] and bases[d-k].  The rule holds by
-    construction: every map of the lift is its written entries beside the
-    pairing transpose of its partner's (differentials.paired), the
-    self-paired middle map of odd d included.  At r = 0 it says that the
-    last matrix is the transpose of the first; at d = 3 it makes the middle
-    matrix alternating, and at d = 4 it is the signed block transpose
-    relation between the two interior matrices.
+    construction on every map of the lift but the self-paired middle map of
+    odd d, which the session compares with its own pairing transpose
+    (Session.duality_failure).  At r = 0 it says that the last matrix is
+    the transpose of the first; at d = 3 it makes the middle matrix
+    alternating, and at d = 4 it is the signed block transpose relation
+    between the two interior matrices.
     """
+    if s.duality_failure is not None:
+        r, jj, kk = s.duality_failure
+        return CheckResult("duality", False, "pairing product rule fails", f"r={r}, pair ({jj}, {kk})")
     return CheckResult("duality", True,
                        "pairing product rule b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} on all pairs")
 

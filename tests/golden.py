@@ -9,7 +9,7 @@ For each system of ``conftest.EXTRA`` (the d=4, n=4 benchmark point, a
 system with mixed denominators and numerators near 2^70, and a d=7, n=2
 point whose matrices are mostly zero cells) they are the ``verify`` text
 and JSON reports and the ``resolve`` JSON dump.  At each point of
-``PLAN_POINTS`` the build plan ``differentials.build_plan(d, n)`` is pinned
+``PLAN_POINTS`` the closed-form plan ``oracles.build_plan(d, n)`` is pinned
 in a canonical form (``canonical_plan``) that names every key and sorts
 everything, so that how keys are interned or cells emitted does not move
 the pin, but every coefficient does.  The plan records the lower half of
@@ -38,7 +38,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 from conftest import EXTRA, GRID, GRID_SEEDS, extra_phi, grid_phi, grid_resolution  # noqa: E402
 from gorlin import cli  # noqa: E402
-from gorlin.differentials import build_plan, build_resolution, canonical_skeleton  # noqa: E402
+from gorlin.differentials import build_resolution, canonical_skeleton  # noqa: E402
 from gorlin.export import (  # noqa: E402
     report_json,
     resolution_cas_script,
@@ -48,6 +48,7 @@ from gorlin.export import (  # noqa: E402
 from gorlin.hookbasis import duality_basis, pairing  # noqa: E402
 from gorlin.monomials import mul_var  # noqa: E402
 from gorlin.verify import run_checks  # noqa: E402
+from oracles import build_plan  # noqa: E402
 
 
 def outputs(d: int, n: int) -> dict[str, str]:

@@ -44,15 +44,21 @@ another way, by a route that is slower or more literal.
   in ``Fraction`` arithmetic and the adjugate by solving ``m X = det * I``
   with ``rref_by_fractions``, where ``linalg.det_and_adjugate`` runs one
   integer fraction-free Gauss-Jordan elimination.
+* ``build_plan`` writes the cofactors ``C_1..C_h`` by the paper's closed
+  forms: ``b1_column`` and ``br_column`` run once per ``(d, n)`` on a
+  ``PlanContext`` that names each coefficient sum (``Sums``) by a key, and
+  ``evaluate_plan`` fills in the sums of one system.  The build writes
+  ``C_1`` alone and reads ``C_2..C_h`` out of the complex property
+  (``differentials.build_resolution``); the golden plan digests pin this
+  plan, and the tests compare the readouts with it.
 * ``br_column_alt`` writes an interior cofactor column by the contraction
   formulas on elementary wedge generators, straightened with
-  ``expand_eta`` / ``hookbasis.expand_kappa``, where
-  ``differentials.br_column`` records the closed-form coefficients directly;
-  ``route_disagreement`` compares the two on every interior ``C_r`` of a
-  built resolution.
+  ``expand_eta`` / ``hookbasis.expand_kappa``, where the build reads it
+  out; ``route_disagreement`` compares the two on every interior ``C_r``
+  of a built resolution.
 * ``MatrixForm`` is a resolution given as matrices, kept as given for a
   test to alter, and ``MatrixSession`` proves every fact of a ``Session``
-  from them: the x1 split of every map (``exactness.x1_split``), the
+  from them: the x1 split of every map (``x1_split``), the
   skeleton (``exactness.skeleton_block_failure``), the pairing rule on every
   pair (``duality_failure``) and dim I_n on the whole degree-n piece of b_1,
   where a ``Session`` reads them off the lift, which holds the first three
@@ -67,7 +73,7 @@ another way, by a route that is slower or more literal.
   ``InverseSystem.catalecticant`` builds the integer table L Cat_j once per
   degree from packed monomial keys; ``catalecticant_disagreement`` computes
   on it, in ``Fraction`` arithmetic, the ranks, the annihilator bases,
-  delta and Q and every coefficient sum of the build plan, where
+  delta and Q and every coefficient sum of the closed-form plan, where
   ``invsys.hf_value``, ``ann_degree`` and ``delta_and_Q`` read the table
   and the record ``Catalecticant`` forms the sums in integers.
 * ``contract`` and ``contract_poly`` apply the module action of S on dual
@@ -76,8 +82,8 @@ another way, by a route that is slower or more literal.
   rows of the integer catalecticant tables.
 * ``q_of`` and ``tilde_contract`` are the maps of the paper's degree-n
   generators ``delta * mu - x1 * q(mu(lift))`` of the annihilator, written
-  literally over dual elements, where ``differentials.b1_column`` writes
-  their ``x1`` cofactors from the closed-form sums Q and tq.
+  literally over dual elements, where ``differentials.build_resolution``
+  writes their ``x1`` cofactors ``C_1`` from the closed-form sums Q and tq.
 * ``resolution_json_dict`` builds the JSON document of a resolution as
   nested lists and dicts, a dense list of cells per matrix, and
   ``json.dumps(doc, indent=1, sort_keys=True) + "\\n"`` lays it out, where
@@ -92,24 +98,23 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from math import comb, lcm
+from operator import mul as times
 
 import numpy as np
 
 from gorlin import exactness, linalg
-from gorlin.differentials import Resolution, _assemble, build_plan, canonical_skeleton
+from gorlin.differentials import Resolution, Rows, _assemble, canonical_skeleton, paired, self_dual_bases
 from gorlin.exactness import (
     PRIMES,
     Piece,
     Session,
     _composes_to_zero,
     _fine_strand,
-    first_nonzero_product,
     graded_piece,
     skeleton_block_failure,
-    x1_split,
 )
 from gorlin.export import report_json
 from gorlin.hookbasis import (
@@ -120,6 +125,7 @@ from gorlin.hookbasis import (
     gamma_of,
     pairing,
     skeleton_kos_blocks,
+    y0,
 )
 from gorlin.invsys import (
     Catalecticant,
@@ -142,7 +148,7 @@ from gorlin.monomials import (
     var_divides,
 )
 from gorlin.polymatrix import PolyMatrix
-from gorlin.polynomials import Scalar, Terms, coeff_rows, exact, poly_str
+from gorlin.polynomials import Scalar, Terms, coeff_rows, exact, over, poly_str
 from gorlin.verify import (
     CHECK_NAMES,
     CheckResult,
@@ -402,13 +408,13 @@ def _add(out: dict[BasisElement, int], target: BasisElement, c: int) -> None:
         out[target] = out.get(target, 0) + c
 
 
-def br_column_alt(cat: Catalecticant, r: int, elt: BasisElement) -> dict[BasisElement, int]:
+def br_column_alt(sums: Sums, r: int, elt: BasisElement) -> dict[BasisElement, int]:
     """Interior cofactor column computed from elementary-generator contraction formulas.
 
-    Each coefficient is an int numerator over cat.denom, as the build reads
-    the sums Q, tq and W of the record.
+    Each coefficient is an int numerator over sums.denom, as the build
+    reads the sums Q, tq and W of the record.
     """
-    d, n = cat.phi.d, cat.phi.n
+    d, n = sums.phi.d, sums.phi.n
     if not 2 <= r <= d - 1:
         raise ValueError(f"r={r} out of range 2..{d - 1}")
     a, m = elt.a, elt.m
@@ -421,24 +427,24 @@ def br_column_alt(cat: Catalecticant, r: int, elt: BasisElement) -> dict[BasisEl
             if var_divides(aj, m):
                 w = div_var(m, aj)
                 for m2 in monomials_of_degree(d, n, low_var=2):
-                    c = cat.tq(m2, w)
+                    c = sums.tq(m2, w)
                     if c:
                         for sgn, tgt in expand_eta(rest, m2):
                             _add(out, tgt, -slot * sgn * c)
                 for m1 in monomials_of_degree(d, n - 1, low_var=2):
-                    c = cat.Q(m1, w)
+                    c = sums.Q(m1, w)
                     if c:
                         for sgn, tgt in expand_kappa(rest, m1):
                             _add(out, tgt, -slot * sgn * c)
         else:
             u = mul_var(m, aj)
             for m3 in monomials_of_degree(d, n, low_var=2):
-                c = cat.W(u, m3)
+                c = sums.W(u, m3)
                 if c:
                     for sgn, tgt in expand_eta(rest, m3):
                         _add(out, tgt, slot * sgn * c)
             for m1 in monomials_of_degree(d, n - 1, low_var=2):
-                c = cat.tq(u, m1)
+                c = sums.tq(u, m1)
                 if c:
                     for sgn, tgt in expand_kappa(rest, m1):
                         _add(out, tgt, slot * sgn * c)
@@ -449,12 +455,14 @@ def route_disagreement(res: Resolution) -> tuple[int, int, int] | None:
     """The first (r, i, j) at which an interior cofactor C_r of res differs from br_column_alt, or None.
 
     C_r is read off x1_split of b_r, as MatrixSession reads it.  The
-    straightening route writes each column on the Catalecticant record of
-    res.phi, as integer numerators over cat.denom signed by the bases.  The
-    two construction routes share the skeleton and both end matrices, so
-    the interior cofactors are all they could disagree on.
+    straightening route writes each column on the sums of the
+    Catalecticant record of res.phi, as integer numerators over their
+    denominator signed by the bases.  The two construction routes share the
+    skeleton and both end matrices, so the interior cofactors are all they
+    could disagree on: this is the cross-check of the readouts of C_2..C_h,
+    which derive them from C_1.
     """
-    cat = delta_and_Q(res.phi)
+    cat = Sums(delta_and_Q(res.phi))
     for r in range(2, res.d):
         mat = res.matrix(r)
         cof = x1_split(mat)[1]
@@ -470,6 +478,330 @@ def route_disagreement(res: Resolution) -> tuple[int, int, int] | None:
         if bad:
             return (r, *min(bad))
     return None
+
+
+# ---------------------------------------------------------------------------
+# the closed-form plan of the cofactors
+# ---------------------------------------------------------------------------
+
+
+class Sums:
+    """The coefficient sums Q, tq and W of a Catalecticant record, one pair at a time.
+
+    Each is the int numerator over denom that the build reads: Q off the
+    record's table q, and tq and W off Catalecticant.sums over every
+    monomial of degree n in x2..xd, the first argument of every tq and both
+    of every W that a writer names.
+    """
+
+    def __init__(self, cat: Catalecticant):
+        self.cat, self.phi, self.denom = cat, cat.phi, cat.denom
+        us = monomials_of_degree(cat.phi.d, cat.phi.n, low_var=2)
+        self.at = {u: t for t, u in enumerate(us)}
+        self.tq_table, self.w_table = cat.sums(us)
+
+    def Q(self, m1: Mono, m2: Mono) -> int:
+        return self.cat.q[self.cat.index[m1]][self.cat.index[m2]]
+
+    def tq(self, u: Mono, w: Mono) -> int:
+        return self.tq_table[self.at[u]][self.cat.index[w]]
+
+    def W(self, u: Mono, v: Mono) -> int:
+        return self.w_table[self.at[u]][self.at[v]]
+
+
+class PlanContext:
+    """The coefficient sums of a Catalecticant as formal keys: the context the column writers run on.
+
+    Q, tq and W return the index of the key (name, u, v), interned in keys
+    from index 1 on; Q and W are symmetric, so their two arguments are
+    keyed in sorted order.  A writer's coefficient is a signed key: k or -k
+    for plus or minus the sum of key k, 0 for none.  Signed keys are negated,
+    never added: a term is sign * (plus - minus), and evaluate_plan reads it so.
+    """
+
+    def __init__(self, d: int, n: int):
+        self.d = d
+        self.n = n
+        self.nm1_all = monomials_of_degree(d, n - 1)
+        # tables of (d, n) for the monomials m of degree n-1 in x2..xd, which br_column reads in place of
+        # multiplying again in every column: low[l] those in x_l..x_d, multiples[m][s] = m x_s, and
+        # swap[m][l][s] = m x_l / x_s when x_s divides m, else None
+        self.low = {ell: monomials_of_degree(d, n - 1, low_var=ell) for ell in range(2, d + 1)}
+        self.multiples = {m: (None,) + tuple(mul_var(m, s) for s in range(1, d + 1)) for m in self.low[2]}
+        self.swap = {m: [[div_var(up[ell], s) if ell > 1 and s > 1 and m[s - 1] else None for s in range(d + 1)]
+                         for ell in range(d + 1)] for m, up in self.multiples.items()}
+        self.keys: list[tuple[str, Mono, Mono]] = []
+        self._index: dict[tuple[str, Mono, Mono], int] = {}
+
+    def _key(self, key: tuple[str, Mono, Mono]) -> int:
+        k = self._index.get(key)
+        if k is None:
+            self.keys.append(key)
+            k = self._index[key] = len(self.keys)
+        return k
+
+    def Q(self, m1: Mono, m2: Mono) -> int:
+        return self._key(("Q", m1, m2) if m1 <= m2 else ("Q", m2, m1))
+
+    def tq(self, u: Mono, w: Mono) -> int:
+        return self._key(("tq", u, w))
+
+    def W(self, u: Mono, v: Mono) -> int:
+        return self._key(("W", u, v) if u <= v else ("W", v, u))
+
+
+# (target, m, sign, plus, minus): the term sign * (plus - minus) of monomial m of the cofactor entry at
+# target, plus and minus signed keys (0 for none) with plus != minus, and sign 1 or -1
+Contribution = tuple[BasisElement, Mono, int, int, int]
+
+
+def b1_column(ctx: PlanContext, elt: BasisElement) -> list[Contribution]:
+    """The x1 cofactor of the degree-n generator of the ideal attached to a degree-1 basis element.
+
+    On an X element X(1; a; m) it is the sum of Q(m1, m/x_a) m1, on a Y
+    element Y(1; a; m) minus the sum of tq(m x_a, m2) m2, over the monomials
+    of degree n-1.
+    """
+    y = y0(ctx.d)
+    if elt.kind == "X":
+        w = div_var(elt.m, elt.a[0])
+        return [(y, m1, 1, ctx.Q(m1, w), 0) for m1 in ctx.nm1_all]
+    u = mul_var(elt.m, elt.a[0])
+    return [(y, m2, -1, ctx.tq(u, m2), 0) for m2 in ctx.nm1_all]
+
+
+def br_column(ctx: PlanContext, r: int, elt: BasisElement, rows: dict[BasisElement, int] | None = None,
+              j: int = 0) -> list[Contribution]:
+    """Column of the interior cofactor C_r on an X or Y generator, in the standard basis.
+
+    The two kinds share every block and differ only in the coefficient forms
+    of the X targets, eta(s, u), and of the Y targets, kappa(u, s):
+
+      X generator:  eta(s, u) = [x_s | m] tq(u, m/x_s),  kappa(u, s) = [x_s | m] Q(u, m/x_s);
+      Y generator:  eta(s, u) = -W(m*x_s, u),            kappa(u, s) = -tq(m*x_s, u).
+
+    The first Y block is empty on an X generator, whose index list starts
+    with a_1 = 2.  Every target is written in one place, as
+    sign * (plus - minus) with plus and minus signed keys or 0; a block
+    whose forms are all zero on this generator is passed over.  When rows
+    is given, the generator is column j and rows maps each row element to
+    its position: only the targets at positions up to j are written, one
+    side of the diagonal (build_plan).  The targets of each innermost loop
+    come in the order of the rows, so the first one past j ends the loop,
+    before any key of its coefficient is named.
+    """
+    if not 2 <= r <= ctx.d - 1 or elt.r != r:
+        raise ValueError(f"invalid generator for degree {r}: {elt}")
+    d = ctx.d
+    a, m = elt.a, elt.m
+    g = gamma_of(a)
+    a1, a2 = a[0], a[1]
+    one = unit(d)
+    multiples, low, swap = ctx.multiples, ctx.low, ctx.swap
+    out: list[Contribution] = []
+    if elt.kind == "X":
+        quot = {s: div_var(m, s) for s in range(2, d + 1) if var_divides(s, m)}
+        live = quot.keys()  # the s whose forms are not zero
+
+        def eta(s: int, u: Mono) -> int:
+            return ctx.tq(u, quot[s]) if s in quot else 0
+
+        def kappa(u: Mono, s: int) -> int:
+            return ctx.Q(u, quot[s]) if s in quot else 0
+    else:
+        prod = multiples[m]
+        live = range(2, d + 1)
+
+        def eta(s: int, u: Mono) -> int:
+            return -ctx.W(prod[s], u)
+
+        def kappa(u: Mono, s: int) -> int:
+            return -ctx.tq(prod[s], u)
+
+    def emit(target: tuple, sign: int, plus: int, minus: int = 0) -> None:
+        if plus != minus:
+            out.append((target, one, sign, plus, minus))
+
+    # a target is the plain tuple of its fields, which hashes and compares as the BasisElement
+    # X targets
+    for ell in range(2, g + 1):
+        for k in range(ell, r + 1):
+            ak = a[k - 1]
+            if ak not in live and ell not in live:
+                continue
+            rest, sign = a[:k - 1] + a[k:], (-1) ** k
+            for m2 in low[ell]:
+                up = multiples[m2]
+                t = ("X", r - 1, rest, up[ell])
+                if rows is not None and rows[t] > j:
+                    break
+                emit(t, sign, eta(ak, up[ell]), eta(ell, up[ak]))
+    for jj in range(g, r + 1):
+        for k in range(jj + 1, r + 1):
+            aj, ak = a[jj - 1], a[k - 1]
+            if aj not in live and ak not in live:
+                continue
+            rest = a[:g - 1] + (g + 1,) + tuple(x for x in a[g - 1:] if x != aj and x != ak)
+            sign = (-1) ** (g + jj + k)
+            for m2 in low[g + 1]:
+                up = multiples[m2]
+                t = ("X", r - 1, rest, up[g + 1])
+                if rows is not None and rows[t] > j:
+                    break
+                emit(t, sign, eta(ak, up[aj]), eta(aj, up[ak]))
+    if rows is not None and elt.kind == "Y":
+        # the middle map: column j pairs with row j, an X element, and every Y row lies after the X rows
+        return out
+
+    # Y targets; swap[m1][l][s] is m1 x_l / x_s when x_s divides m1
+    for ell in range(2, a1):
+        for jj in range(1, r + 1):
+            for k in range(jj + 1, r + 1):
+                aj, ak = a[jj - 1], a[k - 1]
+                rest = (ell,) + tuple(x for x in a if x != aj and x != ak)
+                sign = (-1) ** (jj + k)
+                for m1 in low[ell]:
+                    t = ("Y", r - 1, rest, m1)
+                    if rows is not None and rows[t] > j:
+                        break
+                    sw = swap[m1][ell]
+                    emit(t, sign, kappa(sw[ak], aj) if sw[ak] else 0, kappa(sw[aj], ak) if sw[aj] else 0)
+    for k in range(2, r + 1):
+        ak = a[k - 1]
+        if ak not in live and a1 not in live:
+            continue
+        rest, sign = a[:k - 1] + a[k:], (-1) ** k
+        for m1 in low[a1]:
+            t = ("Y", r - 1, rest, m1)
+            if rows is not None and rows[t] > j:
+                break
+            sw = swap[m1][a1][ak]
+            emit(t, sign, kappa(m1, ak), kappa(sw, a1) if sw else 0)
+    if a1 not in live:
+        return out
+    for ell in range(a1 + 1, a2):
+        for k in range(2, r + 1):
+            ak = a[k - 1]
+            rest, sign = (ell,) + a[1:k - 1] + a[k:], (-1) ** (k + 1)
+            for m1 in low[ell]:
+                sw = swap[m1][ell][ak]
+                if sw:
+                    t = ("Y", r - 1, rest, m1)
+                    if rows is not None and rows[t] > j:
+                        break
+                    emit(t, sign, kappa(sw, a1))
+    for m1 in low[a2]:
+        t = ("Y", r - 1, a[1:], m1)
+        if rows is not None and rows[t] > j:
+            break
+        emit(t, -1, kappa(m1, a1))
+    return out
+
+
+# (i, j, m, sign, plus, minus): the term sign * (plus - minus) of monomial m of entry (i, j) of a cofactor
+Cell = tuple[int, int, Mono, int, int, int]
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The cofactors C_1..C_h of one (d, n), h = (d+1)//2, as signed sums of keys.
+
+    keys[k - 1] is the key (name, u, v) whose value is sums.name(u, v) on
+    the Sums of a Catalecticant.  cells[r - 1] lists the terms (i, j, m,
+    sign, plus, minus) of C_r, signed by the bases (record_cells): m has
+    degree n-1 at r = 1 and is 1 inside.  For odd d the middle map b_h pairs
+    with itself, and cells[h - 1] holds only its cells with i <= j;
+    evaluate_plan adds its pairing transpose (paired).  The other part of b_r, delta S_r, is
+    canonical_skeleton's.  Every part is a tuple of ints and tuples, which
+    the garbage collector can stop tracking, so the plan is not traversed
+    again at each collection of the process.
+    """
+
+    keys: tuple[tuple[str, Mono, Mono], ...]
+    cells: tuple[tuple[Cell, ...], ...]
+
+
+def record_cells(rows: OrderedBasis, cols: OrderedBasis, cofactors) -> tuple[Cell, ...]:
+    """The cells of the cofactor C whose column j is the sum of cofactors[j], signed by the bases.
+
+    cofactors[j] lists the contributions of column j, signed as written.  A
+    writer reaches each term once as sign * (plus - minus), so a term is
+    placed, not added to: its signed keys are kept and its sign is
+    multiplied by the two basis signs.  A target outside the row basis is a
+    KeyError.
+    """
+    pos = rows.position()
+    out: list[Cell] = []
+    for j, ((csign, _), col) in enumerate(zip(cols, cofactors)):
+        for target, m, sign, plus, minus in col:
+            i, rsign = pos[target]
+            out.append((i, j, m, sign * csign * rsign, plus, minus))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def build_plan(d: int, n: int) -> Plan:
+    """The plan of C_1..C_h at (d, n), h = (d+1)//2.
+
+    b1_column and br_column run once, on a PlanContext; the plan is then
+    evaluated for each inverse system (evaluate_plan).  For odd d, br_column
+    writes the self-paired middle map C_h on one side of its diagonal only,
+    and evaluate_plan adds the other by the pairing rule; a diagonal cell
+    written where the map is antisymmetric is a defect of the writer and
+    raises ValueError.
+    """
+    ctx = PlanContext(d, n)
+    bases = self_dual_bases(d, n)
+    h = (d + 1) // 2
+    cells = []
+    for r in range(1, h + 1):
+        # written column by column as record_cells places them, so no column outlives its placing
+        if r == 1:
+            columns = (b1_column(ctx, e) for _, e in bases[1])
+        elif d % 2 and r == h:
+            rows = {e: i for i, (_, e) in enumerate(bases[r - 1])}
+            columns = (br_column(ctx, r, e, rows, j) for j, (_, e) in enumerate(bases[r]))
+        else:
+            columns = (br_column(ctx, r, e) for _, e in bases[r])
+        cells.append(record_cells(bases[r - 1], bases[r], columns))
+    if d % 2 and h % 2 == 0 and any(cell[0] == cell[1] for cell in cells[-1]):
+        raise ValueError(f"the writer put a diagonal cell on the antisymmetric middle map b_{h} at d={d}, n={n}")
+    return Plan(tuple(ctx.keys), tuple(cells))
+
+
+def evaluate_plan(plan: Plan, sums: Sums, bases: tuple[OrderedBasis, ...]) -> tuple[Rows, ...]:
+    """The cofactors of the plan for the inverse system of sums, by rows as Resolution keeps them.
+
+    Each key is evaluated once, into one list indexed by signed key:
+    values[-k] is -values[k] and values[0] is 0, so a cell's numerator is
+    sign * (values[plus] - values[minus]), which doubles the sum of key k
+    when plus = -minus = k.  A term whose numerator is zero is dropped, and
+    a nonzero numerator is divided by sums.denom (polynomials.over).  The
+    middle map C_h of odd d is completed by its own pairing transpose
+    (paired), which fills the side the plan does not hold; on the diagonal
+    of a symmetric C_h the two sides agree.
+    """
+    values = [getattr(sums, name)(u, v) for name, u, v in plan.keys]
+    values = [0] + values + [-v for v in reversed(values)]
+    denom = sums.denom
+    out = []
+    for r, cells in enumerate(plan.cells, 1):
+        rows: Rows = [{} for _ in bases[r - 1]]
+        for i, j, m, sign, plus, minus in cells:
+            num = sign * (values[plus] - values[minus])
+            if num:
+                # over gives an int when it is integral, the form of every coefficient (polynomials)
+                if r == 1:
+                    rows[i].setdefault(j, {})[m] = over(num, denom)
+                else:
+                    rows[i][j] = over(num, denom)
+        out.append(rows)
+    if len(bases) % 2 == 0:
+        # d is odd: the last map written, C_h, is its own partner
+        for row, other in zip(out[-1], paired(bases, len(out), out[-1], times)):
+            row.update(other)
+    return tuple(out)
 
 
 @dataclass
@@ -552,14 +884,45 @@ def duality_failure(bases: tuple[OrderedBasis, ...], mats) -> tuple[int, int, in
     return None
 
 
+def x1_split(mat: PolyMatrix) -> exactness.Split:
+    """One pass over the terms of mat: (x1-free terms, x1 cofactor) by row.
+
+    The lift holds this split by construction; the matrix form reads it
+    off its matrices.  free[i] maps a column j
+    to the terms free of x1 of entry (i, j), for the entries that have any.
+    cof[i] maps j to c when the terms of entry (i, j) that have x1 are
+    c * x1; cof is None when some term with x1 is not a multiple of x1
+    itself, as at both ends of B.
+    """
+    x1 = (1,) + (0,) * (mat.d - 1)
+    free: list[dict[int, Terms]] = []
+    cof: list[dict[int, Scalar]] | None = []
+    for row in mat.entries:
+        frow: dict[int, Terms] = {}
+        crow: dict[int, Scalar] = {}
+        for j, p in row.items():
+            for m, c in p.items():
+                if not m[0]:
+                    frow.setdefault(j, {})[m] = c
+                elif m == x1:
+                    crow[j] = c
+                else:
+                    cof = None
+        free.append(frow)
+        if cof is not None:
+            cof.append(crow)
+    return free, cof
+
+
 class MatrixSession(Session):
     """The facts of a Session proved from the matrices of a MatrixForm, the full route.
 
     The x1 split of every map, the skeleton and the pairing rule, which a
-    lift holds by construction, are facts of their own here.  complex_failure
-    considers every product when the pairing rule fails, and reads an
-    interior product off the split only when the skeleton holds and both
-    cofactors are constant; dim I_n ranks the whole degree-n piece of b_1.
+    lift holds by construction, are facts of their own here: the pairing
+    rule on every pair, so that complex_failure considers every product when
+    it fails.  An interior product is read off the split only when the
+    skeleton holds and both cofactors are constant; dim I_n ranks the whole
+    degree-n piece of b_1.
     """
 
     def monomials(self, r: int) -> set[Mono]:
@@ -583,18 +946,6 @@ class MatrixSession(Session):
     def duality_failure(self) -> tuple[int, int, int] | None:
         """None when the pairing rule holds on every pair (duality_failure), else (r, jj, kk)."""
         return duality_failure(self.res.bases, self.res.matrices)
-
-    @cached_property
-    def complex_failure(self):
-        """Session.complex_failure, past the middle as well when the pairing rule fails."""
-        d = self.res.d
-        last = d // 2 if self.duality_failure is None else d - 1
-        for r in range(1, last + 1):
-            if not (2 <= r <= d - 2 and self._interior_product_vanishes(r)):
-                found = first_nonzero_product({r: self.matrix(r), r + 1: self.matrix(r + 1)})
-                if found is not None:
-                    return found
-        return None
 
     def _interior_product_vanishes(self, r: int) -> bool:
         """The induction of Session, once both cofactors are constant and the skeleton holds."""
@@ -634,8 +985,7 @@ def matrix_check(s: MatrixSession, name: str) -> CheckResult:
 
     A failed skeleton fails the skeleton check, and the exactness check after
     the facts that certify_exactness reads before it (hf below n, the degrees
-    of b_1 and the complex fact); the wlp check then ranks the image.  A
-    failed pairing rule fails the duality check.
+    of b_1 and the complex fact); the wlp check then ranks the image.
     """
     d, n = s.res.d, s.res.n
     if s.skeleton_failure is not None:
@@ -647,9 +997,6 @@ def matrix_check(s: MatrixSession, name: str) -> CheckResult:
             return CheckResult("exactness", False, "B is not certified to resolve S/ann(phi)", s.skeleton_failure)
         if name == "wlp":
             return wlp_by_rank(s)
-    if name == "duality" and s.duality_failure is not None:
-        r, jj, kk = s.duality_failure
-        return CheckResult("duality", False, "pairing product rule fails", f"r={r}, pair ({jj}, {kk})")
     return CHECKS[name](s)
 
 
@@ -1004,9 +1351,10 @@ def catalecticant_disagreement(phi: InverseSystem, ann_degrees=None) -> str | No
     j) ann_degree(phi, j) must be the kernel of its transpose, read off
     rref_by_fractions.  delta_and_Q must give det and adj of Cat_{n-1}
     (det_and_adjugate_by_solve) over the powers of L, or refuse phi when that
-    determinant is 0.  Then every key (name, u, v) of build_plan(d, n), read
-    off the record as cat.name(u, v) over cat.denom, must be its rational
-    sum, with Q the rational adjugate and m, m1, m2 of degree n-2:
+    determinant is 0.  Then every key (name, u, v) of the closed-form plan
+    build_plan(d, n), read off the record's tables as Sums(cat).name(u, v)
+    over cat.denom, must be its rational sum, with Q the rational adjugate
+    and m, m1, m2 of degree n-2:
     Q[u, v], tq = sum_m t_{u m} Q[v, x1 m] and
     W = sum_{m1, m2} Q[x1 m1, x1 m2] t_{u m2} t_{v m1}.
     """
@@ -1044,8 +1392,9 @@ def catalecticant_disagreement(phi: InverseSystem, ann_degrees=None) -> str | No
         "W": lambda u, v: sum(Q(mul_var(m1, 1), mul_var(m2, 1)) * coeff(phi, mul(u, m2)) * coeff(phi, mul(v, m1))
                               for m1 in low for m2 in low),
     }
+    read = Sums(cat)
     for name, u, v in build_plan(phi.d, phi.n).keys:
-        if Fraction(getattr(cat, name)(u, v), cat.denom) != sums[name](u, v):
+        if Fraction(getattr(read, name)(u, v), cat.denom) != sums[name](u, v):
             return f"the build's sum {name}({u}, {v}) differs from the rational one"
     return None
 

@@ -8,19 +8,13 @@ from types import SimpleNamespace
 import pytest
 
 from gorlin.differentials import (
-    Plan,
-    PlanContext,
-    _evaluate,
-    _record,
-    b1_column,
-    br_column,
-    build_plan,
     build_resolution,
     canonical_skeleton,
+    readout_tables,
     self_dual_bases,
     twist_list,
 )
-from gorlin.exactness import Session, skeleton_block_failure, x1_split
+from gorlin.exactness import Session, skeleton_block_failure
 from gorlin.export import resolution_json
 from gorlin.hookbasis import BasisElement, duality_basis, pairing, xd, y0
 from gorlin.invsys import (
@@ -30,13 +24,18 @@ from gorlin.invsys import (
     random_invsys,
 )
 from gorlin.monomials import div_var, monomials_of_degree, mul_var, unit
+from gorlin.polymatrix import PolyMatrix
 from gorlin.polynomials import poly_str
+from gorlin.verify import run_checks
 
 from conftest import (
     EXTRA,
     GRID,
+    add_to,
+    changed_lift,
     dense,
     extra_phi,
+    fractional_phi,
     grid_phi,
     grid_resolution,
     resolution_at,
@@ -45,17 +44,26 @@ from conftest import (
     squares_resolution,
 )
 from oracles import (
+    Plan,
+    PlanContext,
     Poly,
+    Sums,
+    b1_column,
+    br_column,
     br_column_alt,
+    build_plan,
     coeff,
     contract_poly,
+    evaluate_plan,
     matrices,
     matrix_form,
     plus,
     q_of,
+    record_cells,
     route_disagreement,
     tilde_contract,
     transpose,
+    x1_split,
 )
 
 
@@ -177,14 +185,15 @@ def test_bd_rows_vs_b1_on_identity_instance():
 def closed_cofactor(phi, r):
     """C_r by the closed-form writers, as {(row element, column element): {monomial: value}}.
 
-    The writers run on a PlanContext, and each term is evaluated key by key
-    on the Catalecticant record, apart from _record and _evaluate.  No
-    writer has C_d, which the build pairs from C_1: None at r = d.
+    The writers of the tests' oracle run on a PlanContext, and each term is
+    evaluated key by key on the sums of the Catalecticant record, apart from
+    record_cells and evaluate_plan.  No writer has C_d, which the build
+    pairs from C_1: None at r = d.
     """
     d, n = phi.d, phi.n
     if r == d:
         return None
-    ctx, cat = PlanContext(d, n), delta_and_Q(phi)
+    ctx, cat = PlanContext(d, n), Sums(delta_and_Q(phi))
     if r == 1:
         cols = [(e, b1_column(ctx, e)) for _, e in duality_basis(d, n, 1)]
     else:
@@ -212,7 +221,7 @@ def straightened_cofactor(phi, r):
     """
     d, n = phi.d, phi.n
     cat = delta_and_Q(phi)
-    full = tuple(range(2, d + 1))
+    sums, full = Sums(cat), tuple(range(2, d + 1))
     if r == 1:
         return {(y0(d), e): (q_of(cat, {div_var(e.m, e.a[0]): 1}) if e.kind == "X"
                              else -q_of(cat, tilde_contract(phi, mul_var(e.m, e.a[0])))).terms
@@ -224,10 +233,10 @@ def straightened_cofactor(phi, r):
                     for m in monomials_of_degree(d, n - 1, low_var=2)})
         return out
     return {(t, e): {unit(d): Fraction(c, cat.denom)}
-            for _, e in duality_basis(d, n, r) for t, c in br_column_alt(cat, r, e).items()}
+            for _, e in duality_basis(d, n, r) for t, c in br_column_alt(sums, r, e).items()}
 
 
-# the closed-form writers, and the oracles the evaluated plan must agree with
+# the closed-form writers, and the oracles the built cofactors must agree with
 ROUTES = {"closed": closed_cofactor, "straightening": straightened_cofactor}
 
 
@@ -236,8 +245,9 @@ ROUTES = {"closed": closed_cofactor, "straightening": straightened_cofactor}
 def test_matrices_are_the_lift_of_the_skeleton(system, route):
     # b_r = delta * S_r + x1 * C_r, C_r constant inside and of degree n-1 at both ends;
     # each C_r of the built matrices is compared, entry by entry, with the
-    # writers evaluated term by term, and with the oracles; br_column still
-    # writes the interior maps that the build pairs, so it checks them too
+    # closed-form writers evaluated term by term, and with the straightening
+    # oracles; br_column writes the interior maps that the build pairs, so it
+    # checks them too
     phi = _system(system)
     d, n = phi.d, phi.n
     res = build_resolution(phi)
@@ -257,14 +267,14 @@ def test_matrices_are_the_lift_of_the_skeleton(system, route):
                 assert rest == x1 * c, (r, i, j)
 
 
-def test_a_second_build_reuses_the_plan():
+def test_a_second_build_reuses_the_readout_tables():
     first = build_resolution(random_invsys(4, 3, 40))
-    before = build_plan.cache_info()
+    before = readout_tables.cache_info()
     res = build_resolution(random_invsys(4, 3, 41))
-    after = build_plan.cache_info()
+    after = readout_tables.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    # the plan holds the lower half, b_1 and b_2; b_3 and b_4 are paired from them
-    assert len(build_plan(4, 3).cells) == (4 + 1) // 2
+    # the record holds the lower half, C_1 and C_2; C_3 and C_4 are paired from them
+    assert len(res.cofactors) == (4 + 1) // 2
     # every build writes entries of its own, so altering one leaves the other intact
     assert all(ra[j] is not rb[j] for a, b in zip(matrices(first), matrices(res))
                for ra, rb in zip(a.entries, b.entries) for j in ra.keys() & rb.keys())
@@ -308,7 +318,8 @@ ODD_GRID = [(d, n) for d, n in GRID if d % 2]
 def test_the_middle_map_of_odd_d_is_written_on_one_side(d, n):
     # b_h pairs with itself, h = (d+1)//2: P_{h-1} is the identity in the self-dual bases, so
     # C_h and S_h are symmetric when h-1 is even and antisymmetric when it is odd, with an
-    # empty diagonal; the plan records the side i <= j, half of the cells br_column writes
+    # empty diagonal; the oracle's plan records the side i <= j, half of the cells br_column
+    # writes, and the build reads the middle map out whole, which is its own mirror
     h = (d + 1) // 2
     e = (-1) ** (h - 1)
     bases = [duality_basis(d, n, r) for r in range(d + 1)]
@@ -327,10 +338,10 @@ def test_the_middle_map_of_odd_d_is_written_on_one_side(d, n):
         assert all(rows[j].get(i) == signed(v) for i, row in enumerate(rows) for j, v in row.items())
 
 
-def test_a_written_diagonal_cell_on_an_antisymmetric_middle_map_is_refused(monkeypatch, capsys):
-    # at d = 3 the middle map b_2 is antisymmetric; a writer that puts a cell on its diagonal
-    # is an internal defect: build_plan raises, and the CLI exits 4
-    from gorlin import cli, differentials
+def test_a_written_diagonal_cell_on_an_antisymmetric_middle_map_is_refused(monkeypatch):
+    # at d = 3 the middle map b_2 is antisymmetric; a writer of the oracle's plan that puts a cell
+    # on its diagonal is refused, and a record whose middle map has one fails the duality check
+    import oracles
 
     def writer(ctx, r, elt, rows=None, j=0):
         out = br_column(ctx, r, elt, rows, j)
@@ -339,13 +350,64 @@ def test_a_written_diagonal_cell_on_an_antisymmetric_middle_map_is_refused(monke
             out.append((target, unit(ctx.d), 1, 1, 0))
         return out
 
-    monkeypatch.setattr(differentials, "br_column", writer)
+    monkeypatch.setattr(oracles, "br_column", writer)
     with pytest.raises(ValueError, match="diagonal cell on the antisymmetric middle map b_2"):
         build_plan.__wrapped__(3, 2)
     assert build_plan.__wrapped__(4, 2).cells  # no map of even d pairs with itself
-    monkeypatch.setattr(differentials, "build_plan", build_plan.__wrapped__)
-    assert cli.main(["verify", "--d", "3", "--n", "2", "--seed", "1"]) == cli.EXIT_INTERNAL_ERROR
-    assert "ValueError" in capsys.readouterr().err
+    res = changed_lift(grid_resolution(3, 2), 2, lambda rows: add_to(rows, 0, 0, 1))
+    s = Session(res, res.phi)
+    assert s.duality_failure == (1, 0, 0)
+    assert run_checks(res, res.phi).results[5].line() == "FAIL duality: pairing product rule fails [r=1, pair (0, 0)]"
+
+
+def test_a_column_without_a_private_entry_is_an_internal_error(monkeypatch, capsys):
+    # C_3 at d = 5 is read out of LP(2) through a private entry of every column of S_2; a skeleton
+    # where column 1 shares every entry of column 0 leaves column 0 none, and the CLI exits 4
+    from gorlin import cli, differentials
+
+    skel = list(canonical_skeleton(5, 2))
+    rows = [{**row, 1: {**row.get(1, {}), **row[0]}} if 0 in row else row for row in skel[1].entries]
+    skel[1] = PolyMatrix(skel[1].rows, skel[1].cols, rows)
+    monkeypatch.setattr(differentials, "canonical_skeleton", lambda d, n: tuple(skel))
+    monkeypatch.setattr(differentials, "readout_tables", readout_tables.__wrapped__)
+    with pytest.raises(ValueError, match="column 0 of S_2 has no private entry at d=5, n=2"):
+        readout_tables.__wrapped__(5, 2)
+    assert cli.main(["verify", "--d", "5", "--n", "2", "--seed", "1"]) == cli.EXIT_INTERNAL_ERROR
+    assert "no private entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d,n", GRID + [(6, 2), (7, 2)])
+def test_every_column_of_an_interior_skeleton_map_has_a_private_entry(d, n):
+    # column k of S_r, 2 <= r <= h-1, has a term s x_v, s = +-1, in a row i where no other column
+    # has x_v: the pivot that reads row k of C_{r+1} out of LP(r)
+    h = (d + 1) // 2
+    skel = canonical_skeleton(d, n)
+    tables = readout_tables(d, n).interior
+    assert len(tables) == max(h - 2, 0)
+    for r, (pivots, _) in enumerate(tables, 2):
+        entries = skel[r - 1].entries
+        assert len(pivots) == skel[r - 1].shape[1]
+        for k, (i, v, s) in enumerate(pivots):
+            x_v = mul_var(unit(d), v)
+            assert entries[i][k].get(x_v) == s and s in (1, -1), (r, k)
+            assert [j for j, p in entries[i].items() if x_v in p] == [k], (r, k)
+
+
+@pytest.mark.parametrize("system", [f"{d}-{n}" for d, n in GRID] + ["fractional", *EXTRA])
+def test_the_readout_cofactors_equal_the_closed_form_plan(system):
+    # C_1 written from Q and tq, and C_2 read out of N = 0, against the oracle's plan evaluated on
+    # the same record, on the grid and on both fractional systems; every value is an int when it
+    # is integral (polynomials.exact), and a Fraction only otherwise
+    phi = fractional_phi() if system == "fractional" else _system(system)
+    d, n = phi.d, phi.n
+    res = build_resolution(phi)
+    want = evaluate_plan(build_plan(d, n), Sums(delta_and_Q(phi)), self_dual_bases(d, n))
+    assert res.cofactors[:2] == want[:2]
+    values = [c for row in res.cofactors[0] for cof in row.values() for c in cof.values()]
+    values += [c for row in res.cofactors[1] for c in row.values()]
+    assert values and all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in values)
+    if system in ("fractional", "d=4 n=3 large-rational"):
+        assert any(type(c) is Fraction for c in values)
 
 
 def test_a_matrix_handed_out_is_a_new_copy():
@@ -385,15 +447,15 @@ def test_plan_context_keys_each_sum_once():
     assert len(ctx.keys) == 4
     q, t = ctx.Q(u, v), ctx.tq(u, v)
     assert (ctx.keys[q - 1], ctx.keys[t - 1]) == (("Q", v, u), ("tq", u, v))
-    # _record keeps a term's signed keys and multiplies its sign by the row and column signs of the
-    # bases (cs = -1 here); delta times the skeleton is the lift's other part
+    # record_cells keeps a term's signed keys and multiplies its sign by the row and column signs of
+    # the bases (cs = -1 here); delta times the skeleton is the lift's other part
     bases = [duality_basis(3, 2, r) for r in range(3)]
     (s0, e0), (s1, e1) = bases[1].elements[:2]
     cs, _ = bases[2].elements[0]
     assert cs == -1
     one = unit(3)
-    cells = _record(bases[1], bases[2], [[(e0, one, 1, t, -q), (e1, one, -1, q, 0)]]
-                    + [[]] * (len(bases[2]) - 1))
+    cells = record_cells(bases[1], bases[2], [[(e0, one, 1, t, -q), (e1, one, -1, q, 0)]]
+                         + [[]] * (len(bases[2]) - 1))
     assert cells == ((0, 0, one, s0 * cs, t, -q), (1, 0, one, -s1 * cs, q, 0))
 
 
@@ -408,7 +470,7 @@ def test_evaluate_reads_a_cell_as_sign_times_plus_minus_minus_on_signed_keys():
              (1, 1, one, -1, -2, 1),  # -(-3 - 5)
              (2, 0, one, 1, 1, 2))    # 5 - 3
     plan = Plan((("Q", u, v), ("tq", u, v)), ((), cells))
-    _, c2 = _evaluate(plan, cat, self_dual_bases(4, 2))
+    _, c2 = evaluate_plan(plan, cat, self_dual_bases(4, 2))
     assert c2[:3] == [{0: 5, 1: Fraction(3, 2)}, {0: 4, 1: 4}, {0: 1}] and not any(c2[3:])
     # over(num, denom) gives an int when denom divides num, and a Fraction only otherwise
     assert [type(c2[0][j]) for j in (0, 1)] == [int, Fraction]
@@ -416,7 +478,7 @@ def test_evaluate_reads_a_cell_as_sign_times_plus_minus_minus_on_signed_keys():
 
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 3), (5, 2), (6, 2)])
 def test_writers_reach_each_term_once(d, n):
-    # _record places the term a writer gives and does not add to it
+    # record_cells places the term a writer gives and does not add to it
     ctx = PlanContext(d, n)
     columns = [b1_column(ctx, e) for _, e in duality_basis(d, n, 1)]
     columns += [br_column(ctx, r, e) for r in range(2, d) for _, e in duality_basis(d, n, r)]

@@ -30,7 +30,6 @@ from gorlin.exactness import (
     rank_mod_p,
     skeleton_block_failure,
     strand_certificate,
-    x1_split,
 )
 from gorlin.hookbasis import OrderedBasis, pairing
 from gorlin.invsys import InverseSystem, random_invsys
@@ -65,6 +64,7 @@ from oracles import (
     plus,
     strand_matrices,
     straightened_dual_strand,
+    x1_split,
 )
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -1,4 +1,4 @@
-"""The verify reports, the resolve/ann dumps and the build plans match their pins.
+"""The verify reports, the resolve/ann dumps and the closed-form plans of the tests' oracle match their pins.
 
 The pins are in golden.json; ``python3 tests/golden.py --write`` remakes them.
 """

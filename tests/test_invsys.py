@@ -126,8 +126,9 @@ KEY_SYSTEMS = {**{f"{d}-{n}": (lambda d=d, n=n: grid_phi(d, n)) for d, n in GRID
 
 @pytest.mark.parametrize("system", KEY_SYSTEMS)
 def test_every_sum_of_the_build_plan_matches_the_rational_reference(system):
-    # every key (name, u, v) of build_plan(d, n) as cat.name(u, v) over cat.denom; the two
-    # fractional systems (L = 6993 and 13860) are where the powers of L in the numerators show
+    # every key (name, u, v) of the oracle's closed-form plan, read off the record's tables over
+    # cat.denom; the two fractional systems (L = 6993 and 13860) are where the powers of L in the
+    # numerators show
     phi = KEY_SYSTEMS[system]()
     assert (phi.scale > 1) == (system in ("fractional_phi", "d=4 n=3 large-rational"))
     assert catalecticant_disagreement(phi) is None
@@ -268,6 +269,28 @@ def test_hilbert_function_is_read_off_one_catalecticant(monkeypatch):
         assert hilbert_function(phi) == want
         monkeypatch.undo()
         assert calls == [phi.n - 1]
+
+
+def test_delta_is_proved_nonzero_once_per_system(monkeypatch):
+    # the rank of L Cat_{n-1} is kept on the system by random_invsys, by delta_and_Q (full, as
+    # det != 0) and by a first hf_value, so hilbert_function ranks nothing after any of them
+    from gorlin import invsys
+
+    ranked = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda m: ranked.append(len(m)) or rank(m))
+    seeded = random_invsys(4, 3, seed=5)
+    assert ranked == [10]
+    from_delta = InverseSystem(4, 3, dict(seeded.coeffs))
+    delta_and_Q(from_delta)
+    unranked = InverseSystem(4, 3, dict(seeded.coeffs))
+    assert hf_value(unranked, 2) == 10 and ranked == [10, 10]
+    for phi in (seeded, from_delta, unranked):
+        assert hilbert_function(phi) == [1, 4, 10, 4, 1]
+    assert ranked == [10, 10]
+    # a rank once kept is read again by hf_value, and a system that copies the coefficients starts afresh
+    assert hf_value(unranked, 1) == 4 and hf_value(unranked, 1) == 4 and ranked == [10, 10, 4]
+    assert invsys.hf_value(copy.deepcopy(unranked), 1) == 4 and ranked == [10, 10, 4, 4]
 
 
 def test_hilbert_needs_admissible():

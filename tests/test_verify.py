@@ -463,6 +463,20 @@ def test_check_duality(d, n):
     assert out.passed, out.line()
 
 
+@pytest.mark.parametrize("d,n,h", [(3, 2, 2), (5, 2, 3), (5, 3, 3)])
+def test_a_middle_cofactor_that_is_not_its_own_mirror_fails_duality_as_on_the_matrices(d, n, h):
+    # the middle map of odd d is read out whole, so the session compares C_h with its pairing
+    # transpose; a changed entry off its mirror fails duality and lets the complex check reach past
+    # the middle, with the reports of the matrix route, which proves the rule on every pair
+    res = grid_resolution(d, n)
+    bad = changed_lift(res, h, lambda rows: add_to(rows, 1, 0, 1))
+    s, full = Session(bad, bad.phi), MatrixSession(matrix_form(bad), bad.phi)
+    assert s.duality_failure == full.duality_failure == (h - 1, 0, 1)
+    lift, matrix = run_checks(bad, bad.phi), matrix_report(full)
+    assert not lift.passed and lift.to_text() == matrix.to_text()
+    assert lift.results[0].witness == complex_witness(bad)
+
+
 def test_check_duality_reaches_every_pair():
     # b_2 entry (0, 1) enters the product rule only at r = 1, pair (1, 0), and
     # at r = 3, both outside the 200 pairs per r a random.Random(0) sample draws
@@ -929,9 +943,9 @@ def test_run_checks_on_the_lift_computes_no_fact_it_holds_by_construction(monkey
     exactness.strand_certificate.cache_clear()  # so that the certificate runs under the counts
     counts = Counter()
     _count_calls(monkeypatch, counts, "skeleton_block_failure", exactness.skeleton_block_failure)
-    _count_calls(monkeypatch, counts, "x1_split", exactness.x1_split)
     assert run_checks(res, res.phi).passed
     assert exactness.strand_certificate.cache_info().misses == 1
-    # the lift and the skeleton hold the pairing rule on every map, the self-paired middle
-    # map of odd d included, so neither the session nor the strand certificate checks it
+    # the lift holds the skeleton and the x1 split by construction (the x1 split of a matrix is
+    # read by the tests' matrix form alone), and so does the pairing rule on every map but the
+    # middle one of odd d, which the session compares with its own transpose
     assert counts == Counter()
