@@ -2,6 +2,7 @@
 
 invsys.delta_and_Q is the admissibility gate: every build starts there, and
 an inverse system with delta = 0 is refused before any matrix is written.
+A Resolution refuses delta = 0 as well, so every record holds delta != 0.
 
 Every differential is the lift b_r = delta * S_r + x1 * C_r of its skeleton
 S_r = canonical_skeleton(d, n)[r - 1]: the Koszul strands on x2..xd, which
@@ -135,7 +136,9 @@ class Resolution:
     A build decides phi, delta and the cofactors, and nothing else: the
     bases, the twists and the skeleton S_r = skeleton[r - 1] are those of
     (d, n) (self_dual_bases, twist_list, canonical_skeleton).  delta is an
-    int when it is integral.  cofactors[r - 1] is C_r by rows (Rows) for
+    int when it is integral, and never 0: delta_and_Q refuses such a phi
+    first, so __post_init__ refuses delta = 0 as a defect (ValueError).
+    cofactors[r - 1] is C_r by rows (Rows) for
     r <= h = (d+1)//2: at r = 1 a column j maps to the terms {m: c} of its
     cofactor, of degree n-1, and inside to its constant c.  For odd d the
     middle C_h is whole, and a Session compares it with its own pairing
@@ -151,6 +154,10 @@ class Resolution:
     phi: InverseSystem
     delta: Scalar
     cofactors: tuple[Rows, ...]
+
+    def __post_init__(self):
+        if self.delta == 0:
+            raise ValueError("a resolution needs delta != 0, which delta_and_Q proves before every build")
 
     @property
     def d(self) -> int:
@@ -173,7 +180,7 @@ class Resolution:
         return canonical_skeleton(self.d, self.n)
 
     def terms(self, r: int) -> Iterator[dict[int, Terms]]:
-        """The rows of b_r = delta S_r + x1 C_r, one new row of term dicts at a time; with delta = 0 S_r leaves no term.
+        """The rows of b_r = delta S_r + x1 C_r, one new row of term dicts at a time.
 
         C_r past the middle is paired once, before the first row.
         """
@@ -181,7 +188,7 @@ class Resolution:
         forms = r in (1, d)
         x1 = (1,) + (0,) * (d - 1)
         for srow, crow in zip(self.skeleton[r - 1].entries, self.cofactor(r)):
-            row = {j: {m: c * delta for m, c in p.items()} for j, p in srow.items()} if delta else {}
+            row = {j: {m: c * delta for m, c in p.items()} for j, p in srow.items()}
             for j, cof in crow.items():
                 if forms:
                     # (m[0] + 1,) + m[1:] is x1 * m
@@ -200,7 +207,7 @@ class Resolution:
     def monomials(self, r: int) -> set[Mono]:
         """The distinct monomials of b_r: those of delta S_r and x1 times those of C_r or C_{d+1-r}."""
         d = self.d
-        out = set(skeleton_monomials(d, self.n)[r - 1]) if self.delta else set()
+        out = set(skeleton_monomials(d, self.n)[r - 1])
         r = min(r, d + 1 - r)
         if r == 1:
             out.update((m[0] + 1,) + m[1:] for row in self.cofactors[0] for cof in row.values() for m in cof)

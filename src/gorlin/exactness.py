@@ -60,21 +60,26 @@ Each x_k A_i - x_i A_k kills phi and has degree 2n-e < n, so it is 0.  By
 the exactness of the Koszul complex, A_i = x_i B for one B, so
 x_i o (Psi - B o phi) = 0 for every i, and Psi = B o phi lies in J_e^perp.
 So J = S J_n.  When every b_1 column annihilates phi (checked exactly by
-contraction), I lies in J; the columns are forms of degree n (graded_piece
-refuses a term of another degree), so I = S I_n, and once
-dim I_n = dim S_n - hf(n), I = S J_n = J in every degree.  A rank
-over GF(p) (rank_mod_p) bounds dim I_n from below and dim S_n - hf(n) from
-above, so a prime whose rank meets the bound pins it; when none does, the
-piece is ranked exactly (ideal_dims).  On a lift only the x1 cofactors of
-the X columns are ranked: b_1 = delta S_1 + x1 C_1, and once the strand
-certificate holds, S_1 is zero on the X columns and has the distinct
-monomials of degree n in x2..xd on the Y columns.  With delta != 0 a
-relation among the columns then has no Y part (its x1-free part is a
-relation among distinct monomials), and x1 is a nonzerodivisor, so
-dim I_n = #Y + rank(C_1 on the X columns).
+contraction), I lies in J; the columns are forms of degree n (a Session
+proves it, b1_degree_failure), so I = S I_n, and once
+dim I_n = dim S_n - hf(n), I = S J_n = J in every degree.  Only the x1
+cofactors of the X columns are ranked: b_1 = delta S_1 + x1 C_1, and as
+the strand certificate holds, S_1 is zero on the X columns and has the
+distinct monomials of degree n in x2..xd on the Y columns.  With
+delta != 0 a relation among the columns then has no Y part (its x1-free
+part is a relation among distinct monomials), and x1 is a nonzerodivisor,
+so dim I_n = #Y + rank(C_1 on the X columns).  A rank over GF(p)
+(rank_mod_p) of that block bounds dim I_n from below and dim S_n - hf(n)
+from above, so a prime whose rank meets the bound pins it; when none does,
+the block is ranked exactly (ideal_dims).
 
-The facts the certificate rests on (the complex property and the
-annihilation by b_1) are verdicts of their own as well.  A Session proves
+Two premises hold in every Session, and no fact has a route for their
+failure: delta != 0, which delta_and_Q and Resolution enforce, and the
+strand certificate, a fact of (d, n) alone, which a Session refuses to start
+without.  Neither can fail on any input, so either failure is a defect.
+
+The facts the exactness certificate rests on (the complex property and
+the annihilation by b_1) are verdicts of their own as well.  A Session proves
 each of them once per verification run, together with the Hilbert function
 (fixed by delta != 0 and read off one catalecticant rank), the dimension of
 the degree-n annihilator and dim I_n, and every check that needs a fact
@@ -101,7 +106,7 @@ entry join an X and a Y element, so that S_r S_{r+1} is K_r K_{r+1}
 beside L_r L_{r+1}; L composes to zero, and so does K, its pairing
 transpose.  The linear part is checked in constants, and the quadratic
 part follows from the product below (complex_failure); only the end
-products, and an interior one where a hypothesis fails, are multiplied out.
+products, and an interior one whose induction fails, are multiplied out.
 On a system with integer coefficients every entry of B is an int
 polynomial, and these facts are proved without Fraction arithmetic.
 """
@@ -117,7 +122,7 @@ from operator import mul, sub
 from . import linalg
 from .differentials import Resolution, canonical_skeleton, paired
 from .hookbasis import BasisElement
-from .invsys import InverseSystem, ann_degree, hilbert_function
+from .invsys import InverseSystem, hilbert_function
 from .monomials import Mono, monomial_index, monomials_of_degree
 from .polymatrix import PolyMatrix, denominator_lcm, pack
 from .polynomials import Scalar, Terms, clear_denominators, poly_str
@@ -218,7 +223,8 @@ def graded_piece(mat: PolyMatrix, row_deg: int, col_deg: int) -> Piece:
     of every row monomial and of every product of an entry term with a
     column monomial.  The packing is then one-to-one on them, so a term of
     the wrong degree finds no row (KeyError) instead of landing on another
-    one.
+    one.  Only the tests' matrix form (tests/oracles.py) ranks pieces with
+    it, as ideal_dims ranks the X block of C_1; bench/tracer.py traces it.
     """
     d = mat.d
     row_monos = monomials_of_degree(d, row_deg)
@@ -421,33 +427,29 @@ def dual_strand_h1k(d: int, n: int) -> dict[int, int]:
 
 
 def ideal_dims(s: Session) -> int:
-    """dim I_n, where I is the ideal of the b_1 columns: the rank of graded_piece(b_1, n, 0).
+    """dim I_n, where I is the ideal of the b_1 columns: #Y plus the rank of C_1 on the X columns.
 
-    When the strand certificate holds and delta != 0 it is the number of
-    columns where S_1 is nonzero plus the rank of C_1 on the others, the X
-    columns (module docstring); only that block of s.res is ranked.
-    Its rank mod p is a lower bound.  When every column annihilates phi, I
-    lies in J = ann(phi) and dim S_n - hf(n) is an upper bound, so a prime
-    whose rank meets it pins dim I_n.  Otherwise, and when no prime meets
-    the bound, the same block is ranked exactly.  The other degrees of I
-    follow from this one (module docstring, certify_exactness).
+    By the session's premises this is the rank of the degree-n piece of b_1
+    (module docstring).  The block's rank mod p is a lower bound.  When
+    every column annihilates phi, I lies in J = ann(phi) and
+    dim S_n - hf(n) is an upper bound, so a prime whose rank meets it pins
+    dim I_n.  Otherwise, and when no prime meets the bound, the block is
+    ranked exactly.  The other degrees of I follow from this one (module
+    docstring, certify_exactness).
     """
     res = s.res
     d, n = res.d, res.n
     bound = comb(n + d - 1, d - 1) - s.hf(n)
-    if res.delta and not strand_certificate(d, n):
-        skel, cof = res.skeleton[0].entries[0], res.cofactors[0][0]
-        xs = [j for j in range(len(res.bases[1])) if j not in skel]
-        rows = monomial_index(d, n - 1)
-        # the block transposed, a row per X column: rank_mod_p then keeps fewer rows
-        cells = [(k, rows[m], c) for k, j in enumerate(xs) for m, c in cof.get(j, {}).items()]
-        ints = clear_denominators(c for _, _, c in cells)[1]
-        counted, piece = len(skel), Piece(len(xs), len(rows), [(k, i, v) for (k, i, _), v in zip(cells, ints)])
-    else:
-        counted, piece = 0, graded_piece(s.matrix(1), n, 0)
-    if s.b1_annihilation_failure is None and any(counted + piece.rank_mod(p) == bound for p in PRIMES):
+    skel, cof = res.skeleton[0].entries[0], res.cofactors[0][0]
+    xs = [j for j in range(len(res.bases[1])) if j not in skel]
+    rows = monomial_index(d, n - 1)
+    # the block transposed, a row per X column: rank_mod_p then keeps fewer rows
+    cells = [(k, rows[m], c) for k, j in enumerate(xs) for m, c in cof.get(j, {}).items()]
+    ints = clear_denominators(c for _, _, c in cells)[1]
+    piece = Piece(len(xs), len(rows), [(k, i, v) for (k, i, _), v in zip(cells, ints)])
+    if s.b1_annihilation_failure is None and any(len(skel) + piece.rank_mod(p) == bound for p in PRIMES):
         return bound
-    return counted + piece.rank_exact()
+    return len(skel) + piece.rank_exact()
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +468,13 @@ class Session:
     cofactor read res, where the tests' matrix form reads its matrices.
     The skeleton, the x1 split and the pairing rule on every map but the
     middle one of odd d hold by construction, so no fact stands for them.
+    A failed strand certificate, a premise, is refused here (ValueError).
     """
 
     def __init__(self, res: Resolution, phi: InverseSystem):
+        cert = strand_certificate(res.d, res.n)
+        if cert:
+            raise ValueError(f"canonical_skeleton({res.d}, {res.n}) fails its strand certificate: {cert[0]}")
         self.res = res
         self.phi = phi
         self._matrices: dict[int, PolyMatrix] = {}
@@ -524,7 +530,7 @@ class Session:
         proved when an interior product (2 <= r, r + 1 <= d - 1) is taken
         up.  The lift gives b_r = delta S_r + x1 C_r with C_r constant
         (cofactor, C_{r+1} paired from its partner past the middle), and the
-        product is proved zero by induction when strand_certificate holds and
+        product is proved zero by induction, as strand_certificate holds, when
         S_r C_{r+1} + C_r S_{r+1} = 0 (_linear_part_vanishes).  Then
         b_r b_{r+1} = x1^2 M, M = C_r C_{r+1}, as S_r S_{r+1} = 0 by the
         certificate, and x1^2 b_{r-1} M = b_{r-1} b_r b_{r+1} = 0 gives
@@ -551,10 +557,7 @@ class Session:
 
     def _interior_product_vanishes(self, r: int) -> bool:
         """Whether b_r b_{r+1} = 0 follows from b_{r-1} b_r = 0, proved by the caller (complex_failure)."""
-        d, n = self.res.d, self.res.n
-        if not self.res.delta or strand_certificate(d, n):
-            return False
-        skel = canonical_skeleton(d, n)
+        skel = canonical_skeleton(self.res.d, self.res.n)
         return (_linear_part_vanishes(skel[r - 1].entries, self.cofactor(r), skel[r].entries, self.cofactor(r + 1),
                                       skel[r].shape[1])
                 and (r >= 3 or (self.b1_degree_failure is None and self.ideal_dim_n == self.res.betti[1])))
@@ -573,11 +576,6 @@ class Session:
         """dim ann(phi)_n = dim S_n - rank Cat_n, from the pivots of one rref of the table L Cat_n."""
         d, n = self.res.d, self.res.n
         return comb(n + d - 1, d - 1) - len(linalg.rref(self.phi.catalecticant(n))[1])
-
-    @cached_property
-    def ann_n(self) -> list[Terms]:
-        """Basis of the degree-n annihilator of phi (catalecticant kernel), read by check_wlp's fallback only."""
-        return ann_degree(self.phi, self.res.n)
 
     @cached_property
     def b1_degree_failure(self) -> tuple[int, int] | None:
@@ -654,22 +652,15 @@ def certify_exactness(s: Session) -> list[str]:
     from n on, so the identity is checked up to 2n and up to the last
     degree where h1k is nonzero; beyond both every term is zero.
 
-    J_j = 0 for j < n is read first, so a session that fails it ranks
-    nothing: the complex fact may rank b_1 for dim I_n.
+    J_j = 0 for j < n follows from delta != 0, which hilbert_function
+    tests, and the strand certificate is the session's premise.
     """
     d, n = s.res.d, s.res.n
-    low = next((e for e in range(n) if s.hf(e) != comb(e + d - 1, d - 1)), None)
-    if low is not None:
-        return [f"Hilbert function of the quotient is {s.hf(low)} in degree {low} < n, not "
-                f"dim S_{low} = {comb(low + d - 1, d - 1)}, so ann(phi) is not known to be generated in degree n"]
     if s.b1_degree_failure is not None:
         return ["column {} of b_1 has a term of degree {}, not n = {}".format(*s.b1_degree_failure, n)]
     if s.complex_failure is not None:
         r, i, j, _ = s.complex_failure
         return [f"not a complex: b_{r} b_{r + 1} has a nonzero entry at ({i}, {j})"]
-    cert = strand_certificate(d, n)
-    if cert:
-        return list(cert)
     if s.b1_annihilation_failure is not None:
         return [f"column {s.b1_annihilation_failure} of b_1 does not annihilate phi, so I is not in ann(phi)"]
     h = comb(n + d - 1, d - 1) - s.ideal_dim_n

@@ -62,18 +62,6 @@ def poly_str(terms: Terms, var: str = "x") -> str:
     return " ".join(parts)
 
 
-def coeff_rows(polys: list[Terms], monos) -> list[list[Scalar]]:
-    """The coefficient vector of each polynomial over the monomials monos, one row each."""
-    index = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for p in polys:
-        row = [0] * len(monos)
-        for m, c in p.items():
-            row[index[m]] = c
-        rows.append(row)
-    return rows
-
-
 def clear_denominators(values) -> tuple[int, list[int]]:
     """(L, [L * v for v in values]) for L the lcm of the denominators; the list holds ints.
 

@@ -62,8 +62,12 @@ another way, by a route that is slower or more literal.
   skeleton (``exactness.skeleton_block_failure``), the pairing rule on every
   pair (``duality_failure``) and dim I_n on the whole degree-n piece of b_1,
   where a ``Session`` reads them off the lift, which holds the first three
-  by construction.  ``matrix_report`` runs the eight checks on it, each
-  fact read where the lift route would have read it.
+  by construction.  Unlike a ``Session`` it starts without the premises
+  delta != 0 and the strand certificate, and its facts test them where
+  they rest on them.  ``matrix_report`` runs the eight checks on it, each
+  fact read where the lift route would have read it; ``wlp_by_rank`` ranks
+  the image of x1 on the annihilator (``coeff_rows``), where
+  ``verify.check_wlp`` reads the Hilbert function alone.
 * ``lift_fact_failure`` computes, on the matrices built from a lift, the
   facts that hold by construction of the lift, and compares the
   ``matrix_report`` of its matrix form with the ``run_checks`` report of
@@ -148,7 +152,7 @@ from gorlin.monomials import (
     var_divides,
 )
 from gorlin.polymatrix import PolyMatrix
-from gorlin.polynomials import Scalar, Terms, coeff_rows, exact, over, poly_str
+from gorlin.polynomials import Scalar, Terms, exact, over, poly_str
 from gorlin.verify import (
     CHECK_NAMES,
     CheckResult,
@@ -920,10 +924,17 @@ class MatrixSession(Session):
     The x1 split of every map, the skeleton and the pairing rule, which a
     lift holds by construction, are facts of their own here: the pairing
     rule on every pair, so that complex_failure considers every product when
-    it fails.  An interior product is read off the split only when the
-    skeleton holds and both cofactors are constant; dim I_n ranks the whole
-    degree-n piece of b_1.
+    it fails.  The premises of a Session are not taken: a matrix form may
+    have delta = 0, and the strand certificate may be patched to fail.  An
+    interior product is read off the split only when delta != 0, the
+    certificate and the skeleton hold and both cofactors are constant; dim
+    I_n ranks the whole degree-n piece of b_1.
     """
+
+    def __init__(self, res: MatrixForm, phi: InverseSystem):
+        self.res = res
+        self.phi = phi
+        self._matrices: dict[int, PolyMatrix] = {}
 
     def monomials(self, r: int) -> set[Mono]:
         return self.matrix(r).monomials()
@@ -948,8 +959,10 @@ class MatrixSession(Session):
         return duality_failure(self.res.bases, self.res.matrices)
 
     def _interior_product_vanishes(self, r: int) -> bool:
-        """The induction of Session, once both cofactors are constant and the skeleton holds."""
-        return (self.cofactor(r) is not None and self.cofactor(r + 1) is not None
+        """The induction of Session, once delta != 0, the certificate, the skeleton and constant cofactors hold."""
+        # through the module, where a test that fails the certificate patches strand_certificate
+        return (bool(self.res.delta) and not exactness.strand_certificate(self.res.d, self.res.n)
+                and self.cofactor(r) is not None and self.cofactor(r + 1) is not None
                 and self.skeleton_failure is None and super()._interior_product_vanishes(r))
 
     @cached_property
@@ -965,11 +978,13 @@ class MatrixSession(Session):
 
 
 def wlp_by_rank(s: Session) -> CheckResult:
-    """The wlp check with the image of x1 ranked, as check_wlp ranks it when a fact of its proof fails."""
+    """The wlp check with the image of x1 from degree n-1 ranked beside the degree-n annihilator, else check_wlp's."""
     d, n = s.res.d, s.res.n
     monos = monomials_of_degree(d, n)
     x1_multiples = [{mul_var(u, 1): 1} for u in monomials_of_degree(d, n - 1)]
-    image_dim = linalg.rank(coeff_rows(x1_multiples, monos) + coeff_rows(s.ann_n, monos)) - len(s.ann_n)
+    ann = ann_degree(s.phi, n)
+    # ann is a kernel basis, so its rank is its length
+    image_dim = linalg.rank(coeff_rows(x1_multiples, monos) + coeff_rows(ann, monos)) - len(ann)
     if image_dim != s.hf(n):
         return CheckResult("wlp", False, "x1 is not a weak Lefschetz element",
                            f"image of multiplication has dimension {image_dim}, quotient piece {s.hf(n)}")
@@ -984,16 +999,14 @@ def matrix_check(s: MatrixSession, name: str) -> CheckResult:
     """The check name of verify on a MatrixSession, with the matrix facts read where the lift holds them.
 
     A failed skeleton fails the skeleton check, and the exactness check after
-    the facts that certify_exactness reads before it (hf below n, the degrees
-    of b_1 and the complex fact); the wlp check then ranks the image.
+    the facts that certify_exactness reads before it (the degrees of b_1 and
+    the complex fact); the wlp check then ranks the image (wlp_by_rank).
     """
-    d, n = s.res.d, s.res.n
     if s.skeleton_failure is not None:
         if name == "skeleton":
             return CheckResult("skeleton", False, "skeleton is not delta times the canonical strands",
                                s.skeleton_failure)
-        if name == "exactness" and not (any(s.hf(e) != comb(e + d - 1, d - 1) for e in range(n))
-                                        or s.b1_degree_failure is not None or s.complex_failure is not None):
+        if name == "exactness" and s.b1_degree_failure is None and s.complex_failure is None:
             return CheckResult("exactness", False, "B is not certified to resolve S/ann(phi)", s.skeleton_failure)
         if name == "wlp":
             return wlp_by_rank(s)
@@ -1219,6 +1232,18 @@ def det_and_adjugate_by_solve(m: list[list[Fraction]]):
     red, pivots = rref_by_fractions(aug)
     assert pivots[:n] == list(range(n))
     return det, [row[n:] for row in red]
+
+
+def coeff_rows(polys: list[Terms], monos) -> list[list[Scalar]]:
+    """The coefficient vector of each polynomial over the monomials monos, one row each."""
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for p in polys:
+        row = [0] * len(monos)
+        for m, c in p.items():
+            row[index[m]] = c
+        rows.append(row)
+    return rows
 
 
 def ideal_dims_by_rref(res: Resolution, dmax: int) -> dict[int, int]:

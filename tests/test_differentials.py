@@ -293,8 +293,9 @@ def test_a_second_build_reuses_the_readout_tables():
 
 def test_a_built_resolution_is_one_frozen_record_of_phi_delta_and_its_cofactors():
     # the bases, the twists and the skeleton are facts of (d, n), read from no field, so one
-    # replace of delta changes every map: with delta = 0 no map keeps a term free of x1, and
-    # the session no longer reads the interior product b_2 b_3 off the induction
+    # replace of delta changes every map: its terms free of x1 scale with delta.  delta = 0
+    # is refused, as delta_and_Q refuses it before a build (the matrix form of a record with
+    # delta = 0, which no lift holds: test_verify.py)
     res = resolution_at(4, 3)
     assert [f.name for f in dataclasses.fields(res)] == ["phi", "delta", "cofactors"]
     for name in ("phi", "delta", "cofactors"):
@@ -304,11 +305,14 @@ def test_a_built_resolution_is_one_frozen_record_of_phi_delta_and_its_cofactors(
     assert res.twists == twist_list(4, 3) == (0, 3, 4, 5, 8)
     assert any(not m[0] for mat in matrices(res) for _, _, p in mat.nonzero() for m in p)
     assert Session(res, res.phi)._interior_product_vanishes(2)
-    zero = dataclasses.replace(res, delta=0)
-    assert zero.cofactors is res.cofactors
+    double = dataclasses.replace(res, delta=2 * res.delta)
+    assert double.cofactors is res.cofactors
     for r in range(1, 5):
-        assert all(m[0] for _, _, p in zero.matrix(r).nonzero() for m in p), r
-    assert not Session(zero, zero.phi)._interior_product_vanishes(2)
+        want = [{j: {m: c if m[0] else 2 * c for m, c in p.items()} for j, p in row.items()}
+                for row in res.matrix(r).entries]
+        assert double.matrix(r).entries == want, r
+    with pytest.raises(ValueError, match="delta != 0"):
+        dataclasses.replace(res, delta=0)
 
 
 ODD_GRID = [(d, n) for d, n in GRID if d % 2]

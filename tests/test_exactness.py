@@ -32,7 +32,7 @@ from gorlin.exactness import (
     strand_certificate,
 )
 from gorlin.hookbasis import OrderedBasis, pairing
-from gorlin.invsys import InverseSystem, random_invsys
+from gorlin.invsys import InadmissibleSystemError, InverseSystem, hf_value, random_invsys
 from gorlin.monomials import monomials_of_degree, mul_var, unit
 from gorlin.polymatrix import PolyMatrix
 from gorlin.polynomials import poly_str
@@ -785,14 +785,20 @@ def test_ideal_dims_of_a_duplicated_column_fall_back_to_exact_rank(monkeypatch):
 
 
 def test_exactness_without_a_compressed_hilbert_function_fails_the_lemma_hypothesis(monkeypatch):
-    # hf(1) = 1 < dim S_1 puts a linear form in ann(phi), which is then not generated
-    # in degree n (phi = Y_1^[2n-2] has hf = [1, 1, 1]); nothing is ranked
-    s = Session(grid_resolution(4, 2), grid_phi(4, 2))
-    s.hilbert = [1, 1, 1]
+    # phi = Y_1^[2n-2] has hf = [1, 1, 1]: hf(1) = 1 < dim S_1 puts a linear form in ann(phi),
+    # which is then not generated in degree n.  The Hilbert function is compressed exactly when
+    # delta != 0, and hilbert_function refuses delta = 0, so the lemma's hypothesis is never
+    # tested by certify_exactness: it raises before it ranks anything
+    phi = InverseSystem(4, 2, {(2, 0, 0, 0): Fraction(1)})
+    assert [hf_value(phi, e) for e in range(3)] == [1, 1, 1]
+    s = Session(grid_resolution(4, 2), phi)
     degrees = ranked_degrees(monkeypatch)
-    assert certify_exactness(s) == ["Hilbert function of the quotient is 1 in degree 1 < n, not dim S_1 = 4, "
-                                    "so ann(phi) is not known to be generated in degree n"]
-    assert degrees == []
+    ranked = []
+    rank_mod = Piece.rank_mod
+    monkeypatch.setattr(Piece, "rank_mod", lambda self, p: ranked.append(self) or rank_mod(self, p))
+    with pytest.raises(InadmissibleSystemError, match="delta != 0"):
+        certify_exactness(s)
+    assert degrees == ranked == []
 
 
 @pytest.mark.parametrize("bump", [

@@ -334,6 +334,41 @@ def test_cli_internal_error_is_not_an_input_error(monkeypatch, capsys):
     assert "Traceback" in err and "shape mismatch" in err
 
 
+@pytest.mark.parametrize("premise", ["delta", "strand certificate"])
+def test_a_failed_premise_of_the_checks_is_an_internal_error(monkeypatch, capsys, premise):
+    # no input can give a record with delta = 0 (delta_and_Q refuses phi first) or a (d, n)
+    # whose skeleton fails its strand certificate, so either is a defect: a gate that let
+    # delta = 0 through, where Resolution refuses the record, or a skeleton that a session
+    # refuses to start on; both exit 4 with a traceback, never as bad input
+    import dataclasses
+
+    import gorlin.cli as cli
+    from gorlin import differentials, exactness
+    from gorlin.invsys import delta_and_Q
+
+    if premise == "delta":
+        monkeypatch.setattr(differentials, "delta_and_Q", lambda phi: dataclasses.replace(delta_and_Q(phi), det=0))
+    else:
+        monkeypatch.setattr(exactness, "strand_certificate", lambda d, n: ("monomial strand does not compose to zero",))
+    assert cli.main(["verify", "--d", "3", "--n", "2", "--seed", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" in err and "ValueError" in err
+    assert ("a resolution needs delta != 0" if premise == "delta" else "fails its strand certificate") in err
+    assert "inadmissible" not in err and "malformed" not in err
+
+
+@pytest.mark.parametrize("d,n,text", [
+    (3, 2, "verification report (d=3, n=2, delta=-75)\n"
+           "PASS wlp: x1 * (degree 1) covers degree 2 of the quotient (dimension 1)\nALL CHECKS PASSED\n"),
+    (4, 3, "verification report (d=4, n=3, delta=-491209165)\n"
+           "PASS wlp: x1 * (degree 2) covers degree 3 of the quotient (dimension 4)\nALL CHECKS PASSED\n"),
+])
+def test_cli_verify_wlp_alone_keeps_its_report(capsys, d, n, text):
+    # the same report, byte for byte, as when check_wlp read the b_1 facts and ranked on their failure
+    assert main(["verify", "--d", str(d), "--n", str(n), "--seed", str(GRID_SEEDS[d, n]), "--checks", "wlp"]) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_cli_argument_and_output_errors_exit_3(tmp_path):
     code, _, stderr = run_cli(["verify", "--d", "3", "--n", "2", "--seed", "1", "--checks", "nope"])
     assert code == 3 and "nope" in stderr

@@ -65,6 +65,8 @@ from oracles import (
     matrix_report,
     plus,
     route_disagreement,
+    rref_by_fractions,
+    wlp_by_rank,
 )
 
 
@@ -75,6 +77,15 @@ def perturbed(res, r=2, i=0, j=0, bump=None):
     bump = bump if bump is not None else constant(d, 1)
     bad.matrix(r).set(i, j, (Poly(d, bad.matrix(r).entry(i, j)) + bump).terms)
     return bad
+
+
+def with_delta_zero(lift):
+    """The matrix form of lift with delta = 0, b_r = x1 C_r: a record that no lift holds, as Resolution refuses it."""
+    form = matrix_form(lift)
+    x1_parts = tuple(PolyMatrix(mat.rows, mat.cols, [
+        {j: part for j, p in row.items() if (part := {m: c for m, c in p.items() if m[0]})} for row in mat.entries])
+        for mat in form.matrices)
+    return dataclasses.replace(form, delta=0, matrices=x1_parts)
 
 
 def x1_power(d, e):
@@ -281,22 +292,31 @@ def test_complex_fact_agrees_with_the_full_product_on_changed_cofactors(data):
 
 
 def test_complex_check_multiplies_the_interior_products_without_the_skeleton_fact(monkeypatch):
+    # a session on a lift refuses to start without the strand certificate, its premise; the
+    # matrix route takes no premise, and multiplies the interior product that the induction reads
     from gorlin import exactness
 
     res = grid_resolution(5, 2)
-    counts = _counting_products(monkeypatch, res)
+    form = matrix_form(res)
+    counts = _counting_products(monkeypatch, form)
     monkeypatch.setattr(exactness, "strand_certificate", lambda d, n: ("dual strand does not compose to zero",))
-    assert Session(res, res.phi).complex_failure is None
+    with pytest.raises(ValueError, match="fails its strand certificate: dual strand"):
+        Session(res, res.phi)
+    assert MatrixSession(form, res.phi).complex_failure is None
     assert counts == Counter({"b_1 b_2": 1, "b_2 b_3": 1})
 
 
 def test_complex_check_multiplies_the_interior_products_when_delta_is_zero(monkeypatch):
-    # b_r = x1 C_r on a lift with delta = 0, where the induction does not apply: b_{r-1} M = 0
-    # gives M = 0 only through delta S_{r-1} M = 0.  With C_1 = 0 as well, so that b_1 = 0,
-    # each product is multiplied, and is zero, as C_r C_{r+1} is for the interior constants
-    res = dataclasses.replace(changed_lift(resolution_at(6, 2), 1, lambda rows: rows[0].clear()), delta=0)
-    counts = _counting_products(monkeypatch, res)
-    assert Session(res, res.phi).complex_failure is None
+    # a record with delta = 0 is refused.  Its matrix form b_r = x1 C_r is a state where the
+    # induction does not apply: b_{r-1} M = 0 gives M = 0 only through delta S_{r-1} M = 0.
+    # With C_1 = 0 as well, so that b_1 = 0, each product is multiplied, and is zero, as
+    # C_r C_{r+1} is for the interior constants
+    lift = changed_lift(resolution_at(6, 2), 1, lambda rows: rows[0].clear())
+    with pytest.raises(ValueError, match="delta != 0"):
+        dataclasses.replace(lift, delta=0)
+    form = with_delta_zero(lift)
+    counts = _counting_products(monkeypatch, form)
+    assert MatrixSession(form, lift.phi).complex_failure is None
     assert counts == Counter({"b_1 b_2": 1, "b_2 b_3": 1, "b_3 b_4": 1})
 
 
@@ -511,7 +531,7 @@ def test_check_wlp_ranks_one_matrix(monkeypatch):
     res = grid_resolution(4, 2)
     bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial(mul_var(unit(4), 2)))
     s = MatrixSession(bad, grid_phi(4, 2))
-    s.ann_n, s.hilbert, s.b1_annihilation_failure  # proved before counting
+    s.hilbert, s.b1_annihilation_failure  # proved before counting
     assert s.skeleton_failure is not None
     calls = _count_ranks(monkeypatch)
     out = matrix_check(s, "wlp")
@@ -521,34 +541,38 @@ def test_check_wlp_ranks_one_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("fact", ["delta", "strand certificate", "annihilation"])
-def test_check_wlp_ranks_the_image_when_a_fact_of_its_proof_fails(monkeypatch, fact):
-    # delta = 0 on a changed lift, a failed strand certificate, or a column of C_1
-    # that no longer annihilates phi: the proof does not apply, so the image is
-    # ranked, once, and x1 is still a weak Lefschetz element of phi.  With
-    # delta = 0 a Y column of b_1 is x1 C_1 alone, so the lift drops those
-    # cofactors, and every column still annihilates phi
-    from gorlin import verify
+def test_check_wlp_holds_when_a_fact_of_its_old_proof_fails(monkeypatch, fact):
+    # WLP is a fact of phi, from delta(phi) != 0 alone, so it holds whatever B is: on the matrix
+    # form of a record with delta = 0 (b_1 = x1 C_1 with the Y cofactors dropped, so every column
+    # still annihilates phi), on the matrix form with a failed strand certificate (a lift's
+    # session refuses to start then), and on a lift whose C_1 no longer annihilates phi.  check_wlp
+    # ranks nothing on each, and the image of x1, ranked once beside the annihilator, agrees
+    from gorlin import exactness
 
     res = grid_resolution(4, 2)
+    intact = check_wlp(Session(res, grid_phi(4, 2)))
     if fact == "delta":
         ys = [j for j, (_, e) in enumerate(res.bases[1]) if e.kind == "Y"]
-        res = dataclasses.replace(changed_lift(res, 1, lambda rows: [rows[0].pop(j) for j in ys]), delta=0)
+        s = MatrixSession(with_delta_zero(changed_lift(res, 1, lambda rows: [rows[0].pop(j) for j in ys])),
+                          grid_phi(4, 2))
     elif fact == "strand certificate":
-        monkeypatch.setattr(verify, "strand_certificate", lambda d, n: ("monomial strand does not compose to zero",))
+        monkeypatch.setattr(exactness, "strand_certificate", lambda d, n: ("monomial strand does not compose to zero",))
+        with pytest.raises(ValueError, match="strand certificate"):
+            Session(res, grid_phi(4, 2))
+        s = MatrixSession(matrix_form(res), grid_phi(4, 2))
     else:
-        res = changed_lift(res, 1, lambda rows: add_to(rows, 0, 0, 1, mul_var(unit(4), 1)))
-    s = Session(res, grid_phi(4, 2))
-    s.ann_n, s.hilbert, s.b1_annihilation_failure  # proved before counting
+        s = Session(changed_lift(res, 1, lambda rows: add_to(rows, 0, 0, 1, mul_var(unit(4), 1))), grid_phi(4, 2))
+    s.hilbert, s.b1_annihilation_failure  # proved before counting
     assert (s.b1_annihilation_failure is not None) == (fact == "annihilation")
     calls = _count_ranks(monkeypatch)
     out = check_wlp(s)
-    assert out.passed and len(calls) == 1, out.line()
-    assert out == check_wlp(Session(grid_resolution(4, 2), grid_phi(4, 2)))
+    assert out.passed and not calls, out.line()
+    assert wlp_by_rank(s) == out == intact and len(calls) == 1
 
 
 def test_check_wlp_reads_the_session_facts(monkeypatch):
-    # delta != 0, the strand certificate and the annihilation by b_1 give
-    # S_n = J_n + x1 S_{n-1} on the lift, so an intact resolution passes with no rank
+    # delta != 0 gives every nonzero linear form maximal rank in every degree (check_wlp), and
+    # the session's Hilbert function refuses delta = 0, so an intact resolution passes with no rank
     for d, n in [(3, 2), (4, 2), (4, 3), (5, 2)]:
         s = Session(grid_resolution(d, n), grid_phi(d, n))
         s.hilbert  # proved before counting
@@ -556,6 +580,58 @@ def test_check_wlp_reads_the_session_facts(monkeypatch):
         out = check_wlp(s)
         assert out.passed and not calls, (d, n)
         assert out.summary == f"x1 * (degree {n - 1}) covers degree {n} of the quotient (dimension {s.hf(n)})"
+
+
+@pytest.mark.parametrize("system", [f"{d}-{n}" for d, n in GRID] + ["fractional"])
+def test_every_nonzero_linear_form_has_maximal_rank_in_every_degree(system):
+    # check_wlp's proof from delta != 0 alone, against ranks in Fraction arithmetic: for l = x1, a
+    # bare other variable and random integer forms, g -> (l g) o phi on S_i has the rank
+    # min(hf(i), hf(i+1)) for every i = 0..2n-3, hf(i) the rank of Cat_i
+    import random
+
+    phi = fractional_phi() if system == "fractional" else grid_phi(*map(int, system.split("-")))
+    d, n = phi.d, phi.n
+    rng = random.Random(system)
+    forms = [[int(k == 0) for k in range(d)], [int(k == d - 1) for k in range(d)]]
+    while len(forms) < 5:
+        form = [rng.randint(-3, 3) for _ in range(d)]
+        if any(form):
+            forms.append(form)
+    cats = [catalecticant_matrix(phi, j) for j in range(2 * n - 1)]
+    hf = [len(rref_by_fractions(cat)[1]) for cat in cats]
+    for i in range(2 * n - 2):
+        rows = {m: k for k, m in enumerate(monomials_of_degree(d, i + 1))}
+        for form in forms:
+            # row g: the coefficients of (l g) o phi, the sum of l_k times row x_k g of Cat_{i+1}
+            image = [[sum(c * cats[i + 1][rows[mul_var(g, k + 1)]][col] for k, c in enumerate(form) if c)
+                      for col in range(len(cats[i + 1][0]))] for g in monomials_of_degree(d, i)]
+            assert len(rref_by_fractions(image)[1]) == min(hf[i], hf[i + 1]), (form, i)
+    res = build_resolution(phi)
+    assert run_checks(res, phi, ["wlp"]).passed
+
+
+def test_the_wlp_check_alone_reads_no_fact_of_b(monkeypatch):
+    # run_checks(["wlp"]) reads the Hilbert function, whose one rank delta_and_Q keeps on the
+    # system: it builds no matrix, proves no fact of b_1 or of the products, and ranks nothing.
+    # The strand certificate is read once, by the session, as its premise
+    from gorlin import exactness
+    from gorlin.differentials import Resolution
+
+    phi = random_invsys(4, 3, 5)
+    res = build_resolution(phi)
+    counts = Counter()
+    _count_calls(monkeypatch, counts, "strand_certificate", exactness.strand_certificate)
+    for name in ("matrix", "terms"):
+        monkeypatch.setattr(Resolution, name, lambda *args, f=getattr(Resolution, name), name=name:
+                            counts.update([name]) or f(*args))
+    for name in ("complex_failure", "duality_failure", "ann_dim_n", "b1_degree_failure", "b1_annihilation_failure",
+                 "ideal_dim_n"):
+        fact = vars(Session)[name].func
+        monkeypatch.setattr(Session, name, property(lambda s, f=fact, name=name: counts.update([name]) or f(s)))
+    calls = _count_ranks(monkeypatch)
+    report = run_checks(res, phi, ["wlp"])
+    assert report.passed and not calls
+    assert counts == Counter({"strand_certificate": 1})
 
 
 def test_exactness_methods_agree():
