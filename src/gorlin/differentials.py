@@ -33,14 +33,15 @@ by B being a complex.  So a build writes C_1 alone and reads the rest out:
   in x1, LP(r): S_r C_{r+1} + C_r S_{r+1} = 0.  Every column of S_r has a
   private entry +-x_v, one no other column has in its row, so the x_v
   coefficient of LP(r) there gives a row of C_{r+1} from one row of C_r
-  (_read_out).  For odd d this yields the middle map C_h whole, which is
+  (read_out).  For odd d this yields the middle map C_h whole, which is
   its own partner; a Session compares it with its pairing transpose
   (exactness.Session.duality_failure).
 
 Each readout solves an equation that B satisfies, with a unique solution,
-so it is B's cofactor; verify proves the equations again (b_1 b_2 is
-multiplied out and every LP(r) is checked).  The tables that the readouts
-read (readout_tables) are facts of (d, n), built once.
+so it is B's cofactor.  verify multiplies out b_1 b_2 and proves each
+LP(r), 2 <= r <= d // 2, by its readout (exactness.Session.complex_failure),
+at r = h of even d against the pairing transpose of C_h.  The tables that
+the readouts read (readout_tables) are facts of (d, n), built once.
 
 A build returns phi, delta and C_1..C_h as one frozen record (Resolution);
 the rest is a fact of (d, n).  No matrix is written then: Resolution
@@ -248,10 +249,10 @@ class ReadoutTables:
     * gather[v] picks, for each row of C_2, the entry of a source vector
       over the w, the u[t] and a 0 (_first_cofactors) that it reads at x_v.
     * s2[j] lists (l, v, s) for every term s x_v of column j of S_2, in row l.
-    * interior[r - 2], 2 <= r < h = (d+1)//2, is (pivots, xrows): pivots[k]
-      is (i, v, s) for a private entry s x_v of column k of S_r (no other
+    * interior[r - 2], 2 <= r <= d // 2, is (pivots, xrows): pivots[k] is
+      (i, v, s) for a private entry s x_v of column k of S_r (no other
       column of S_r has x_v in row i), and xrows[v][l] lists (j, c) for the
-      terms c x_v of row l of S_{r+1}.
+      terms c x_v of row l of S_{r+1}.  A build reads with those of r < h.
     """
 
     u: tuple[Mono, ...]
@@ -274,7 +275,7 @@ def _linear_terms(mat: PolyMatrix) -> Iterator[tuple[int, int, int, int]]:
 def readout_tables(d: int, n: int) -> ReadoutTables:
     """The tables of (d, n) that build_resolution reads the cofactors with, built once.
 
-    A column of S_r, 2 <= r < h, with no private entry of coefficient +-1
+    A column of S_r, 2 <= r <= d // 2, with no private entry of coefficient +-1
     leaves C_{r+1} unread, a defect of the skeleton: ValueError, which the
     CLI reports as an internal error.
     """
@@ -296,7 +297,7 @@ def readout_tables(d: int, n: int) -> ReadoutTables:
     for i, j, v, c in _linear_terms(skel[1]):
         s2[j].append((i, v, c))
     interior = []
-    for r in range(2, (d + 1) // 2):
+    for r in range(2, d // 2 + 1):
         seen: dict[tuple[int, int], list] = {}
         for i, j, v, c in _linear_terms(skel[r - 1]):
             seen.setdefault((i, v), []).append((j, c))
@@ -350,13 +351,13 @@ def _first_cofactors(cat: Catalecticant, tabs: ReadoutTables) -> tuple[list[list
     return c1, rows
 
 
-def _read_out(rows: Numerators, pivots, xrows) -> Numerators:
+def read_out(rows: Numerators, pivots, xrows) -> Numerators:
     """C_{r+1} by rows from C_r, by LP(r): S_r C_{r+1} + C_r S_{r+1} = 0.
 
     Take the x_v coefficient of LP(r) at row i for a private entry
     (i, v, s) of column k of S_r: s times row k of C_{r+1} plus row i of C_r
     times the x_v coefficients of S_{r+1}.  With s = +-1, row k is -s times
-    that product, signed additions of the entries of C_r.
+    that product, signed additions of C_r, linear: it reads values as it reads numerators.
     """
     out: Numerators = []
     for i, v, s in pivots:
@@ -383,8 +384,8 @@ def build_resolution(phi: InverseSystem, ordering: str = "selfdual") -> Resoluti
     tabs = readout_tables(phi.d, phi.n)
     c1, c2 = _first_cofactors(cat, tabs)
     nums = [c2]
-    for pivots, xrows in tabs.interior:
-        nums.append(_read_out(nums[-1], pivots, xrows))
+    for pivots, xrows in tabs.interior[:(phi.d + 1) // 2 - 2]:
+        nums.append(read_out(nums[-1], pivots, xrows))
     denom, monos = cat.denom, cat.monos
     # over gives an int when it is integral, the form of every coefficient (polynomials)
     first = {j: {monos[i]: over(c, denom) for i, c in enumerate(col) if c} for j, col in enumerate(c1) if any(col)}

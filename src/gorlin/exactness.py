@@ -91,22 +91,17 @@ written entries beside the pairing transpose of its partner's
 partner, whose cofactor is read out whole: duality_failure compares it with
 its pairing transpose.  The tests prove all three from the matrices
 (tests/oracles.py, the matrix form and its MatrixSession).
-The complex property
-rests on the self-duality: the pairing rule
+The complex property rests on the self-duality: the pairing rule
 b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} mirrors product d - r onto
-product r, so only the products with r <= d // 2 are considered.  Of
-those, an interior product (2 <= r, r + 1 <= d - 1) is read off the lift,
-where C_{r+1} past the middle is the pairing of its partner:
-b_r = delta S_r + x1 C_r with C_r constant, and
-    b_r b_{r+1} = delta^2 S_r S_{r+1} + delta x1 (S_r C_{r+1} + C_r S_{r+1})
-                  + x1^2 C_r C_{r+1},
-three parts with disjoint monomials.  S_r S_{r+1} = 0 needs no product:
-it follows from the strand certificate, which requires that no skeleton
-entry join an X and a Y element, so that S_r S_{r+1} is K_r K_{r+1}
-beside L_r L_{r+1}; L composes to zero, and so does K, its pairing
-transpose.  The linear part is checked in constants, and the quadratic
-part follows from the product below (complex_failure); only the end
-products, and an interior one whose induction fails, are multiplied out.
+product r, so only the products with r <= d // 2 are considered.
+S_r S_{r+1} = 0 needs no product: it follows from the strand certificate,
+which requires that no skeleton entry join an X and a Y element, so that
+S_r S_{r+1} is K_r K_{r+1} beside L_r L_{r+1}; L composes to zero, and so
+does K, its pairing transpose.  So an interior product of the lift is
+x1 (delta LP(r) + x1 C_r C_{r+1}), and LP(r), the equation that the build
+reads C_{r+1} out of (differentials.read_out), is proved by that readout
+(complex_failure).  Only the end products, and an interior one whose
+readout or premise fails, are multiplied out.
 On a system with integer coefficients every entry of B is an int
 polynomial, and these facts are proved without Fraction arithmetic.
 """
@@ -120,8 +115,8 @@ from math import comb, gcd
 from operator import mul, sub
 
 from . import linalg
-from .differentials import Resolution, canonical_skeleton, paired
-from .hookbasis import BasisElement
+from .differentials import Resolution, canonical_skeleton, read_out, readout_tables
+from .hookbasis import BasisElement, pairing
 from .invsys import InverseSystem, hilbert_function
 from .monomials import Mono, monomial_index, monomials_of_degree
 from .polymatrix import PolyMatrix, denominator_lcm, pack
@@ -268,33 +263,6 @@ def first_nonzero_product(mats: dict[int, PolyMatrix]) -> tuple[int, int, int, T
 
 
 Split = tuple[list[dict[int, Terms]], list[dict[int, Scalar]] | None]
-
-
-def _linear_part_vanishes(s_rows, c_rows, s_next, c_next, ncols: int) -> bool:
-    """Whether S_r C_{r+1} + C_r S_{r+1} = 0, the part of b_r b_{r+1} linear in x1.
-
-    s_rows, s_next are the rows of skeleton maps (PolyMatrix.entries), with int
-    coefficients on monomials free of x1; c_rows, c_next are constant
-    matrices by rows, as Resolution.cofactor gives them, and ncols is the number of
-    columns of C_{r+1}.  Row i is summed in a dict, the coefficient of the
-    k-th skeleton monomial at column j under the key k * ncols + j.
-    """
-    slots: dict[Mono, int] = {}
-    firsts = [[(c_next[k], ncols * slots.setdefault(m, len(slots)), v) for k, p in row.items()
-               for m, v in p.items()] for row in s_rows]
-    seconds = [[(ncols * slots.setdefault(m, len(slots)) + j, v) for j, p in row.items()
-                for m, v in p.items()] for row in s_next]
-    for first, crow in zip(firsts, c_rows):
-        lin: dict[int, Scalar] = {}
-        for row, base, v in first:
-            for j, c in row.items():
-                lin[base + j] = lin.get(base + j, 0) + v * c
-        for k, c in crow.items():
-            for key, v in seconds[k]:
-                lin[key] = lin.get(key, 0) + c * v
-        if any(lin.values()):
-            return False
-    return True
 
 
 def fine_degree(e: BasisElement) -> tuple[int, ...]:
@@ -502,17 +470,26 @@ class Session:
         transpose of its partner's, but the middle map b_h of odd d,
         h = (d+1)//2, is its own partner, and C_h is read out whole.  S_h is
         its own transpose, so the rule holds on b_h when C_h equals its
-        mirror (differentials.paired).  A failure is the least pair (jj, kk)
-        where entry (kk, jj) of C_h differs, at r = h - 1.
+        mirror (differentials.paired).  The pairing of positions h - 1 and h,
+        read both ways, is a signed permutation and its inverse, so each
+        entry is compared in place with its partner, and both differ when one
+        does.  A failure is the least pair (jj, kk) where entry (kk, jj) of
+        C_h differs, at r = h - 1.
         """
         d = self.res.d
         if d % 2 == 0:
             return None
         h = (d + 1) // 2
-        cof = self.cofactor(h)
-        mirror = paired(self.res.bases, h, cof, mul)
-        bad = [(jj, kk) for kk, (row, other) in enumerate(zip(cof, mirror)) for jj in row.keys() | other.keys()
-               if row.get(jj) != other.get(jj)]
+        bases, cof = self.res.bases, self.cofactor(h)
+        rows_p, cols_p = pairing(bases[h - 1], bases[h]), pairing(bases[h], bases[h - 1])
+        bad = []
+        for i, row in enumerate(cof):
+            kk, s = rows_p[i]
+            s *= (-1) ** (h - 1)
+            for jj, v in row.items():
+                ii, t = cols_p[jj]
+                if cof[ii].get(kk) != s * t * v:
+                    bad += [(jj, i), (kk, ii)]
         return (h - 1, *min(bad)) if bad else None
 
     @cached_property
@@ -522,45 +499,55 @@ class Session:
         Under the pairing rule (duality_failure is None),
         b_{d-r} b_{d-r+1} = -P_{r+1}^{-1} (b_r b_{r+1})^T P_{r-1} with P_k
         invertible, so product d - r vanishes exactly when product r does.
-        The nonzero products are then symmetric under r -> d - r and the
-        first lies at r <= d // 2, so only those are considered; when the
-        rule fails, every product is.
+        So only the products with r <= d // 2 are considered; when the rule
+        fails, every product is, and no readout table reaches past d // 2.
 
-        The first nonzero product in r is returned, so b_{r-1} b_r = 0 is
-        proved when an interior product (2 <= r, r + 1 <= d - 1) is taken
-        up.  The lift gives b_r = delta S_r + x1 C_r with C_r constant
-        (cofactor, C_{r+1} paired from its partner past the middle), and the
-        product is proved zero by induction, as strand_certificate holds, when
-        S_r C_{r+1} + C_r S_{r+1} = 0 (_linear_part_vanishes).  Then
-        b_r b_{r+1} = x1^2 M, M = C_r C_{r+1}, as S_r S_{r+1} = 0 by the
-        certificate, and x1^2 b_{r-1} M = b_{r-1} b_r b_{r+1} = 0 gives
-        b_{r-1} M = 0.  When r >= 3, its x1-free part is delta S_{r-1} M = 0.
-        S_{r-1} is K_{r-1} beside L_{r-1}, both exact at position r - 1 >= 2
-        (L resolves R/m^n, K = Hom(L, R) has homology only at position 1),
-        and the maps into r - 1 have entries of positive degree (_fine_strand
-        refuses a constant one).  So the kernel of S_{r-1} lies in m F, with
-        no constant vector but 0, and M = 0 once delta != 0.  When r = 2, S_1
-        is zero on the X columns, but each column of M is a linear relation
-        among the beta_1 columns of b_1, so M = 0 once b1_degree_failure is
-        None and ideal_dim_n == beta_1; the linear part is checked first, as
-        it ranks nothing.  Every other product is multiplied out, so the
+        Products are taken in r, so those below an interior one
+        (2 <= r <= d // 2) are zero.  With b_r = delta S_r + x1 C_r, C_r
+        constant (cofactor), b_r b_{r+1} = x1 (delta LP + x1 M), where
+        LP = S_r C_{r+1} + C_r S_{r+1} and M = C_r C_{r+1}.  A constant X with
+        S_r X + C_r S_{r+1} = 0 is the readout of C_r, as the private pivots
+        of S_r fix its rows (differentials.read_out).  So once LP = 0 has a
+        constant solution, C_{r+1} is the readout exactly when LP = 0
+        (_interior_product_vanishes).  Both strands are exact at r - 1 >= 2
+        (L resolves R/m^n, K = Hom(L, R) has homology only at position 1)
+        with no constant entry (_fine_strand), so S_{r-1} kills no nonzero
+        constant vector.
+        * r >= 3: the x1-linear part of b_{r-1} b_r = 0 gives
+          S_{r-1} C_r S_{r+1} = -D S_r S_{r+1} = 0, D the x1-free part of the
+          x1 cofactor of b_{r-1}, so the columns of C_r S_{r+1} lie in
+          ker S_{r-1} = im S_r, and by degree LP = 0 has a constant solution.
+          With LP = 0, b_{r-1} x1^2 M = 0 has the x1-free part
+          delta S_{r-1} M = 0, so M = 0.
+        * r = 2: under the facts of I that _interior_product_vanishes reads,
+          I = J = S J_n (module docstring), so b_1 has
+          beta_1 d - dim J_{n+1} = beta_2 independent linear syzygies, and
+          the columns of b_2, independent as S_2 kills no constant vector,
+          are a basis.  b_1 b_2 b_3 = 0 gives delta LP + x1 M = b_2 Y, Y
+          constant, so LP = S_2 Y, M = C_2 Y, and C_3 - Y is the readout:
+          C_3 equal to it gives Y = 0, LP = 0 and M = 0.
+        A failed readout or premise multiplies the product out, so the
         witness is that of first_nonzero_product.
         """
         d = self.res.d
         last = d // 2 if self.duality_failure is None else d - 1
         for r in range(1, last + 1):
-            if not (2 <= r <= d - 2 and self._interior_product_vanishes(r)):
+            if not (2 <= r <= d // 2 and self._interior_product_vanishes(r)):
                 found = first_nonzero_product({r: self.matrix(r), r + 1: self.matrix(r + 1)})
                 if found is not None:
                     return found
         return None
 
     def _interior_product_vanishes(self, r: int) -> bool:
-        """Whether b_r b_{r+1} = 0 follows from b_{r-1} b_r = 0, proved by the caller (complex_failure)."""
-        skel = canonical_skeleton(self.res.d, self.res.n)
-        return (_linear_part_vanishes(skel[r - 1].entries, self.cofactor(r), skel[r].entries, self.cofactor(r + 1),
-                                      skel[r].shape[1])
-                and (r >= 3 or (self.b1_degree_failure is None and self.ideal_dim_n == self.res.betti[1])))
+        """Whether b_r b_{r+1} = 0 follows from the products below it (complex_failure), 2 <= r <= d // 2."""
+        d, n, betti = self.res.d, self.res.n, self.res.betti
+        # at r = 2: I = J, dim J_n = beta_1 and beta_1 d - dim J_{n+1} = beta_2
+        if r == 2 and not (self.b1_degree_failure is None
+                           and self.ideal_dim_n == betti[1] == comb(n + d - 1, d - 1) - self.hf(n)
+                           and self.b1_annihilation_failure is None
+                           and betti[1] * d - (comb(n + d, d - 1) - self.hf(n + 1)) == betti[2]):
+            return False
+        return read_out(self.cofactor(r), *readout_tables(d, n).interior[r - 2]) == self.cofactor(r + 1)
 
     @cached_property
     def hilbert(self) -> list[int]:

@@ -68,6 +68,10 @@ another way, by a route that is slower or more literal.
   fact read where the lift route would have read it; ``wlp_by_rank`` ranks
   the image of x1 on the annihilator (``coeff_rows``), where
   ``verify.check_wlp`` reads the Hilbert function alone.
+* ``linear_part_vanishes`` multiplies out the part S_r C_{r+1} + C_r S_{r+1}
+  of b_r b_{r+1} linear in x1, LP(r), where ``exactness.Session`` compares
+  C_{r+1} with the readout of C_r (``differentials.read_out``), which
+  holds exactly when LP(r) does, given the products below it.
 * ``lift_fact_failure`` computes, on the matrices built from a lift, the
   facts that hold by construction of the lift, and compares the
   ``matrix_report`` of its matrix form with the ``run_checks`` report of
@@ -886,6 +890,33 @@ def duality_failure(bases: tuple[OrderedBasis, ...], mats) -> tuple[int, int, in
             jj, i = min(bad)
             return r, jj, pairings[r][i][0]
     return None
+
+
+def linear_part_vanishes(s_rows, c_rows, s_next, c_next, ncols: int) -> bool:
+    """Whether S_r C_{r+1} + C_r S_{r+1} = 0, the part of b_r b_{r+1} linear in x1.
+
+    s_rows, s_next are the rows of skeleton maps (PolyMatrix.entries), with int
+    coefficients on monomials free of x1; c_rows, c_next are constant
+    matrices by rows, as Resolution.cofactor gives them, and ncols is the number of
+    columns of C_{r+1}.  Row i is summed in a dict, the coefficient of the
+    k-th skeleton monomial at column j under the key k * ncols + j.
+    """
+    slots: dict[Mono, int] = {}
+    firsts = [[(c_next[k], ncols * slots.setdefault(m, len(slots)), v) for k, p in row.items()
+               for m, v in p.items()] for row in s_rows]
+    seconds = [[(ncols * slots.setdefault(m, len(slots)) + j, v) for j, p in row.items()
+                for m, v in p.items()] for row in s_next]
+    for first, crow in zip(firsts, c_rows):
+        lin: dict[int, Scalar] = {}
+        for row, base, v in first:
+            for j, c in row.items():
+                lin[base + j] = lin.get(base + j, 0) + v * c
+        for k, c in crow.items():
+            for key, v in seconds[k]:
+                lin[key] = lin.get(key, 0) + c * v
+        if any(lin.values()):
+            return False
+    return True
 
 
 def x1_split(mat: PolyMatrix) -> exactness.Split:

@@ -380,14 +380,14 @@ def test_a_column_without_a_private_entry_is_an_internal_error(monkeypatch, caps
     assert "no private entry" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("d,n", GRID + [(6, 2), (7, 2)])
+@pytest.mark.parametrize("d,n", GRID + [(4, 4), (6, 2), (7, 2), (8, 2)])
 def test_every_column_of_an_interior_skeleton_map_has_a_private_entry(d, n):
-    # column k of S_r, 2 <= r <= h-1, has a term s x_v, s = +-1, in a row i where no other column
-    # has x_v: the pivot that reads row k of C_{r+1} out of LP(r)
-    h = (d + 1) // 2
+    # column k of S_r, 2 <= r <= d // 2, has a term s x_v, s = +-1, in a row i where no other column
+    # has x_v: the pivot that reads row k of C_{r+1} out of LP(r).  The build reads with those of
+    # r < h, and a session checks LP(r) with all of them, at r = h of even d as well
     skel = canonical_skeleton(d, n)
     tables = readout_tables(d, n).interior
-    assert len(tables) == max(h - 2, 0)
+    assert len(tables) == max(d // 2 - 1, 0)
     for r, (pivots, _) in enumerate(tables, 2):
         entries = skel[r - 1].entries
         assert len(pivots) == skel[r - 1].shape[1]

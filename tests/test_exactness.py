@@ -19,7 +19,6 @@ from gorlin.exactness import (
     _acyclicity_failures,
     _composes_to_zero,
     _fine_strand,
-    _linear_part_vanishes,
     certify_exactness,
     denominator_lcm,
     dual_strand_h1k,
@@ -58,6 +57,7 @@ from oracles import (
     dual_strand_disagreement,
     dual_strand_h1k_by_ranking,
     ideal_dims_by_rref,
+    linear_part_vanishes,
     matrices,
     matrix_form,
     mul,
@@ -321,13 +321,13 @@ def test_split_product_sums_the_skeleton_parts_by_monomial():
     for a, b, c, m, vanishes in [(1, 1, -1, x2, True), (1, 1, -2, x2, False), (1, 1, -1, x3, False),
                                  (Fraction(7, 2), Fraction(-7, 6), 3, x2, True),
                                  (Fraction(7, 2), Fraction(-7, 6), 2, x2, False)]:
-        got = _linear_part_vanishes([{1: {x2: 1}}], [{0: b}], [{0: {m: c}}, {}],
-                                    [{}, {0: a}], 1)
+        got = linear_part_vanishes([{1: {x2: 1}}], [{0: b}], [{0: {m: c}}, {}],
+                                   [{}, {0: a}], 1)
         assert got == vanishes, (a, b, c, m)
     # C_r S_{r+1} alone: the rows of S_{r+1} cancel under (1/3, -1/3) and not under (1/3, -1/2)
     s_next = [{0: {x2: 5}}, {0: {x2: 5}}]
-    assert _linear_part_vanishes([{}], [{0: third, 1: -third}], s_next, [{}, {}], 1)
-    assert not _linear_part_vanishes([{}], [{0: third, 1: Fraction(-1, 2)}], s_next, [{}, {}], 1)
+    assert linear_part_vanishes([{}], [{0: third, 1: -third}], s_next, [{}, {}], 1)
+    assert not linear_part_vanishes([{}], [{0: third, 1: Fraction(-1, 2)}], s_next, [{}, {}], 1)
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 3), (5, 2)])

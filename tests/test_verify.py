@@ -59,6 +59,7 @@ from oracles import (
     certify_exactness_direct,
     golden_skeleton_d4_n2,
     lift_fact_failure,
+    linear_part_vanishes,
     matrices,
     matrix_check,
     matrix_form,
@@ -247,9 +248,11 @@ def test_complex_check_reads_only_multiples_of_x1_as_the_cofactor():
 
 
 def test_complex_check_proves_the_interior_products_without_multiplying(monkeypatch):
-    # (6, 2) has two interior products below the middle, and the
-    # large-rational (4, 3) system has Fraction cofactors
-    for res in (resolution_at(6, 2), build_resolution(extra_phi(EXTRA[1]))):
+    # (6, 2) has two interior products below the middle, the large-rational (4, 3) system
+    # has Fraction cofactors, (4, 4) has its one interior product at r = 2 = h, checked
+    # against the pairing transpose of C_2, and (8, 2) has three, the last at r = h
+    for res in (resolution_at(6, 2), build_resolution(extra_phi(EXTRA[1])), resolution_at(4, 4),
+                resolution_at(8, 2)):
         counts = _counting_products(monkeypatch, res)
         assert Session(res, res.phi).complex_failure is None
         assert counts == Counter({"b_1 b_2": 1})
@@ -265,6 +268,74 @@ def test_complex_check_multiplies_b2_b3_when_the_b1_columns_are_not_known_indepe
     counts = _counting_products(monkeypatch, res)
     assert s.complex_failure is None
     assert counts == Counter({"b_1 b_2": 1, "b_2 b_3": 1})
+
+
+@pytest.mark.parametrize("premise", ["degree", "annihilation", "hf(n)", "hf(n+1)"])
+def test_complex_check_multiplies_b2_b3_when_a_fact_of_the_ideal_fails(monkeypatch, premise):
+    # the r = 2 step of the induction needs I = J = S J_n and beta_2 linear syzygies of b_1 (the
+    # test above fails its dim I_n = beta_1): every column of degree n, every column annihilating
+    # phi, dim I_n = dim S_n - hf(n), and beta_1 d - dim J_{n+1} = beta_2.  With any one failed,
+    # b_2 b_3 is multiplied out, and it is still zero
+    res = grid_resolution(4, 2)
+    s = Session(res, res.phi)
+    n = res.n
+    if premise == "degree":
+        s.b1_degree_failure = (0, n + 1)
+    elif premise == "annihilation":
+        s.b1_annihilation_failure = 0
+    else:
+        e, hf = (n if premise == "hf(n)" else n + 1), s.hf
+        s.hf = lambda k: hf(k) + (k == e)
+    counts = _counting_products(monkeypatch, res)
+    assert s.complex_failure is None
+    assert counts == Counter({"b_1 b_2": 1, "b_2 b_3": 1})
+
+
+@pytest.mark.parametrize("d,n", [(5, 2), (6, 2), (7, 2), (5, 3)])
+def test_complex_check_compares_a_changed_c3_with_its_readout(monkeypatch, d, n):
+    # one entry of C_3 gains 1, so b_1 b_2 stays zero and b_2 b_3 is the first nonzero product
+    # (at d = 5, C_3 is the self-paired middle map, and the pairing rule fails as well): the r = 2
+    # step compares C_3 with the readout of C_2, fails, and multiplies b_2 b_3 for the witness of
+    # the full product
+    bad = changed_lift(resolution_at(d, n), 3, lambda rows: add_to(rows, 0, 0, 1))
+    want = first_nonzero_product(dict(enumerate(matrices(bad), 1)))
+    assert want[0] == 2
+    verdicts = []
+    vanishes = Session._interior_product_vanishes
+
+    def recording(self, r):
+        verdicts.append((r, vanishes(self, r)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(Session, "_interior_product_vanishes", recording)
+    counts = _counting_products(monkeypatch, bad)
+    assert Session(bad, bad.phi).complex_failure == want
+    assert verdicts == [(2, False)]
+    assert counts == Counter({"b_1 b_2": 1, "b_2 b_3": 1})
+    (out,) = run_checks(bad, bad.phi, checks=["complex"]).results
+    assert not out.passed and out.witness == complex_witness(bad)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_readout_verdict_agrees_with_the_linear_part_on_changed_lifts(data):
+    # one entry of C_r, 3 <= r <= h, gains c, so b_{r-1} b_r is the first nonzero product: at every
+    # r' from 2 to r - 1, the session's verdict, the readout of C_{r'} against C_{r'+1}, is that of
+    # the linear part multiplied out (oracles.linear_part_vanishes), False at r' = r - 1 alone
+    d, n = data.draw(st.sampled_from([(5, 2), (6, 2), (7, 2), (5, 3)]), label="(d, n)")
+    res = resolution_at(d, n)
+    r = data.draw(st.integers(3, (d + 1) // 2), label="r")
+    i = data.draw(st.integers(0, len(res.bases[r - 1]) - 1), label="row")
+    j = data.draw(st.integers(0, len(res.bases[r]) - 1), label="column")
+    c = data.draw(st.sampled_from([-2, -1, 1, Fraction(1, 3)]), label="c")
+    bad = changed_lift(res, r, lambda rows: add_to(rows, i, j, c))
+    s, skel = Session(bad, bad.phi), canonical_skeleton(d, n)
+    assert first_nonzero_product(dict(enumerate(matrices(bad), 1)))[0] == r - 1
+    for k in range(2, r):
+        want = linear_part_vanishes(skel[k - 1].entries, bad.cofactor(k), skel[k].entries, bad.cofactor(k + 1),
+                                    skel[k].shape[1])
+        assert want == (k < r - 1)
+        assert s._interior_product_vanishes(k) == want, k
 
 
 @settings(max_examples=25, deadline=None)
