@@ -5,16 +5,15 @@ an inverse system with delta = 0 is refused before any matrix is written.
 A Resolution refuses delta = 0 as well, so every record holds delta != 0.
 
 Every differential is the lift b_r = delta * S_r + x1 * C_r of its skeleton
-S_r = canonical_skeleton(d, n)[r - 1]: the Koszul strands on x2..xd, which
-depend on (d, n) alone and are written once, there.  The inverse system
-enters only through the cofactor C_r of x1, a constant matrix for
-2 <= r <= d-1 and of degree n-1 for r = 1 and r = d.  All matrices are
-written in one basis family, the self-dual bases of
-hookbasis.duality_basis, in which the pairing between complementary
-positions is a signed permutation, and paired applies the pairing rule in
-one place.  The skeleton writes the strand L and takes K from it, and a
-cofactor past the middle, h = (d+1)//2, is the pairing transpose of its
-partner's.
+S_r, map r of canonical_skeleton(d, n): the Koszul strands on x2..xd, which
+depend on (d, n) alone and are written once, there, as index tables.  The
+inverse system enters only through the cofactor C_r of x1, a constant matrix
+for 2 <= r <= d-1 and of degree n-1 for r = 1 and r = d.  All matrices are
+written in one basis family, the self-dual bases of hookbasis.duality_basis,
+in which the pairing between complementary positions is a signed
+permutation, and paired applies the pairing rule in one place.  The skeleton
+writes the strand L and takes K from it, and a cofactor past the middle,
+h = (d+1)//2, is the pairing transpose of its partner's.
 
 As the paper says, B amounts to a minimal generating set of the ideal and
 the x1 coefficients of the interior maps, and those coefficients are forced
@@ -59,12 +58,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from operator import itemgetter, mul as times
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
-from .hookbasis import OrderedBasis, duality_basis, kos_expansion, pairing, y0
+from .hookbasis import OrderedBasis, duality_basis, kos_expansion, pairing
 from .invsys import Catalecticant, InverseSystem, delta_and_Q
-from .monomials import Mono, div_var, monomial_index, monomials_of_degree, mul_var
+from .monomials import Mono, div_var, monomial_index, monomials_of_degree, mul_var, unit
 from .polymatrix import PolyMatrix
 from .polynomials import Scalar, Terms, exact, over
 
@@ -77,32 +77,16 @@ def twist_list(d: int, n: int) -> tuple[int, ...]:
 Rows = list[dict[int, Any]]
 
 
-def _assemble(rows: OrderedBasis, cols: OrderedBasis, expansions) -> Rows:
-    """The rows of the matrix whose column j is expansions[j], signed by the bases.
-
-    expansions[j] maps a target element to the int coefficients of the
-    entry's terms, a dict that the rows take over.  A target outside the row
-    basis is a KeyError.
-    """
-    pos = rows.position()
-    out: Rows = [{} for _ in rows]
-    for j, (csign, _) in enumerate(cols.elements):
-        for target, terms in expansions[j].items():
-            i, rsign = pos[target]
-            out[i][j] = terms if csign == rsign else signed_terms(terms, -1)
-    return out
-
-
 def paired(bases: tuple[OrderedBasis, ...], k: int, rows: Rows, signed: Callable[[Any, int], Any]) -> Rows:
     """The pairing transpose that map k of a self-dual complex takes from rows, the written entries of map d + 1 - k.
 
     By b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r}, P_k the signed permutation
     pairing(bases[k], bases[d-k]), entry (ii, kk) of b_{d-r} is (-1)^r s t
     times entry (i, jj) of b_{r+1}, where P_r pairs i with kk by the sign s
-    and P_{r+1} pairs jj with ii by t.  signed(v, e) is a new value, v
-    times the sign e.  This is the one place the rule is applied, for any
-    k.  The skeleton writes L and takes K from here; a cofactor past the
-    middle is the transpose of its partner; and the middle map of odd d,
+    and P_{r+1} pairs jj with ii by t.  signed(v, e) is v times the sign e.
+    This is the one place the rule is applied, for any k.  The skeleton
+    writes L and takes K from here; a cofactor past the middle is the
+    transpose of its partner; and the middle map of odd d,
     k = d + 1 - k, is its own partner: P_{h-1} is the identity in the
     self-dual bases, so its transpose is its mirror, (-1)^(h-1) times entry
     (i, j) at (j, i), which the middle cofactor must equal.
@@ -135,21 +119,21 @@ class Resolution:
     """The resolution of phi as the lift of its skeleton: b_r = delta S_r + x1 C_r for every r.
 
     A build decides phi, delta and the cofactors, and nothing else: the
-    bases, the twists and the skeleton S_r = skeleton[r - 1] are those of
-    (d, n) (self_dual_bases, twist_list, canonical_skeleton).  delta is an
-    int when it is integral, and never 0: delta_and_Q refuses such a phi
-    first, so __post_init__ refuses delta = 0 as a defect (ValueError).
-    cofactors[r - 1] is C_r by rows (Rows) for
-    r <= h = (d+1)//2: at r = 1 a column j maps to the terms {m: c} of its
-    cofactor, of degree n-1, and inside to its constant c.  For odd d the
-    middle C_h is whole, and a Session compares it with its own pairing
-    transpose (exactness.Session.duality_failure).
-    Past h, C_r is the pairing transpose of C_{d+1-r} (cofactor), as S_r
-    holds that of its partner's L block.  No term of S_r has x1, so the two
-    parts share no monomial.  Every row terms yields and every matrix are
-    built new on each request, and cofactor hands out C_r itself up to h, for reading; so
-    nothing done to a matrix handed out alters the resolution, its dumps or
-    the facts a Session proves from it.
+    bases, the twists and the skeleton S_r are those of (d, n)
+    (self_dual_bases, twist_list, skeleton_rows).  delta is an int when it
+    is integral, and never 0: delta_and_Q refuses such a phi first, so
+    __post_init__ refuses delta = 0 as a defect (ValueError).
+    cofactors[r - 1] is C_r by rows (Rows) for r <= h = (d+1)//2: at r = 1
+    a column j maps to the terms {m: c} of its cofactor, of degree n-1, and
+    inside to its constant c.  For odd d the middle C_h is whole, and a
+    Session compares it with its own pairing transpose
+    (exactness.Session.duality_failure).  Past h, C_r is the pairing
+    transpose of C_{d+1-r} (cofactor), as S_r holds that of its partner's L
+    block.  No term of S_r has x1, so the two parts share no monomial.
+    Every row terms yields and every matrix are built new on each request,
+    and cofactor hands out C_r itself up to h, for reading; so nothing done
+    to a matrix handed out alters the resolution, its dumps or the facts a
+    Session proves from it.
     """
 
     phi: InverseSystem
@@ -176,10 +160,6 @@ class Resolution:
     def twists(self) -> tuple[int, ...]:
         return twist_list(self.d, self.n)
 
-    @property
-    def skeleton(self) -> tuple[PolyMatrix, ...]:
-        return canonical_skeleton(self.d, self.n)
-
     def terms(self, r: int) -> Iterator[dict[int, Terms]]:
         """The rows of b_r = delta S_r + x1 C_r, one new row of term dicts at a time.
 
@@ -188,8 +168,7 @@ class Resolution:
         d, delta = self.d, self.delta
         forms = r in (1, d)
         x1 = (1,) + (0,) * (d - 1)
-        for srow, crow in zip(self.skeleton[r - 1].entries, self.cofactor(r)):
-            row = {j: {m: c * delta for m, c in p.items()} for j, p in srow.items()}
+        for row, crow in zip(skeleton_rows(d, self.n, r, delta), self.cofactor(r)):
             for j, cof in crow.items():
                 if forms:
                     # (m[0] + 1,) + m[1:] is x1 * m
@@ -207,8 +186,8 @@ class Resolution:
 
     def monomials(self, r: int) -> set[Mono]:
         """The distinct monomials of b_r: those of delta S_r and x1 times those of C_r or C_{d+1-r}."""
-        d = self.d
-        out = set(skeleton_monomials(d, self.n)[r - 1])
+        d, skel = self.d, canonical_skeleton(self.d, self.n)
+        out = set(skel.u) if r in (1, d) else {mul_var(unit(d), v) for v in set(map(itemgetter(2), skel.inner[r - 2]))}
         r = min(r, d + 1 - r)
         if r == 1:
             out.update((m[0] + 1,) + m[1:] for row in self.cofactors[0] for cof in row.values() for m in cof)
@@ -237,11 +216,11 @@ Numerators = list[dict[int, int]]
 class ReadoutTables:
     """The index tables of (d, n) that a build reads its cofactors with (build_resolution); none holds a value of phi.
 
-    Positions are those of the self-dual bases, C_r maps position r to
-    r - 1, and S_r is canonical_skeleton(d, n)[r - 1].  Below, w runs over
-    the monomials of degree n-1 in x2..xd, by their index in
-    monomials_of_degree(d, n-1), and S_1 has the distinct monomials u[t] of
-    degree n in x2..xd on its Y columns, t = 0, 1, ... in column order.
+    Positions are those of the self-dual bases, C_r maps position r to r - 1,
+    and S_r is map r of canonical_skeleton(d, n), read off its triples.  w
+    runs over the monomials of degree n-1 in x2..xd, by their index in
+    monomials_of_degree(d, n-1), and u[t] is the monomial of S_1 on its Y
+    column t, t = 0, 1, ... in column order.
 
     * first[l] is (i, t) for column l of b_1: X(1; 2; x2 w), i the index of
       w and t = -1, or the Y column of u[t] and i = -1.
@@ -263,14 +242,6 @@ class ReadoutTables:
     interior: tuple[tuple[tuple[tuple[int, int, int], ...], dict[int, tuple]], ...]
 
 
-def _linear_terms(mat: PolyMatrix) -> Iterator[tuple[int, int, int, int]]:
-    """(i, j, v, c) for every term c x_v of a skeleton map, row by row."""
-    for i, row in enumerate(mat.entries):
-        for j, p in row.items():
-            for m, c in p.items():
-                yield i, j, m.index(1) + 1, c
-
-
 @lru_cache(maxsize=None)
 def readout_tables(d: int, n: int) -> ReadoutTables:
     """The tables of (d, n) that build_resolution reads the cofactors with, built once.
@@ -280,8 +251,7 @@ def readout_tables(d: int, n: int) -> ReadoutTables:
     CLI reports as an internal error.
     """
     bases, skel = self_dual_bases(d, n), canonical_skeleton(d, n)
-    index = monomial_index(d, n - 1)
-    u = tuple(next(iter(p)) for _, p in sorted(skel[0].entries[0].items()))
+    index, u = monomial_index(d, n - 1), skel.u
     t_of = {m: t for t, m in enumerate(u)}
     low = monomials_of_degree(d, n - 1, low_var=2)
     w_at, zero = {w: i for i, w in enumerate(low)}, len(low) + len(u)
@@ -294,12 +264,12 @@ def readout_tables(d: int, n: int) -> ReadoutTables:
                  for i, t in first]
         gather[v] = itemgetter(*picks)
     s2: list[list[tuple[int, int, int]]] = [[] for _ in bases[2]]
-    for i, j, v, c in _linear_terms(skel[1]):
+    for i, j, v, c in skel.inner[0]:
         s2[j].append((i, v, c))
     interior = []
     for r in range(2, d // 2 + 1):
         seen: dict[tuple[int, int], list] = {}
-        for i, j, v, c in _linear_terms(skel[r - 1]):
+        for i, j, v, c in skel.inner[r - 2]:
             seen.setdefault((i, v), []).append((j, c))
         pivots: list = [None] * len(bases[r])
         for (i, v), cols in seen.items():
@@ -308,7 +278,7 @@ def readout_tables(d: int, n: int) -> ReadoutTables:
         if None in pivots:
             raise ValueError(f"column {pivots.index(None)} of S_{r} has no private entry at d={d}, n={n}")
         xrows: dict[int, list[list]] = {v: [[] for _ in bases[r]] for v in range(2, d + 1)}
-        for i, j, v, c in _linear_terms(skel[r]):
+        for i, j, v, c in skel.inner[r - 1]:
             xrows[v][i].append((j, c))
         interior.append((tuple(pivots), {v: tuple(map(tuple, rows)) for v, rows in xrows.items()}))
     return ReadoutTables(u, first, tuple(index[w] for w in low), gather, tuple(map(tuple, s2)), tuple(interior))
@@ -393,33 +363,55 @@ def build_resolution(phi: InverseSystem, ordering: str = "selfdual") -> Resoluti
     return Resolution(phi, exact(cat.delta), ([first], *inside))
 
 
+class Skeleton(NamedTuple):  # the index tables of canonical_skeleton, which says what they hold
+    u: tuple[Mono, ...]
+    inner: tuple[tuple[tuple[int, int, int, int], ...], ...]
+
+
 @lru_cache(maxsize=None)
-def canonical_skeleton(d: int, n: int) -> tuple[PolyMatrix, ...]:
-    """The skeleton B/x1 B without its delta factor: the maps out of positions 1..d.
+def canonical_skeleton(d: int, n: int) -> Skeleton:
+    """The skeleton B/x1 B without its delta factor, the maps out of positions 1..d, as index tables.
 
     It depends on (d, n) alone.  It is the only place where the entries of
     the two Koszul strands on x2..xd are written, in the self-dual bases of
-    every resolution; Resolution reads its maps as S_r.  The monomial strand L is
-    written on the Y columns of every position: at r = 1 each Y column's
-    monomial of degree n at Y0, and past it the Koszul contraction
-    (kos_expansion).  The dual strand K on the X elements is the pairing
-    transpose of L (paired): S_k is L_k beside the transpose of
-    L_{d+1-k}.  So K_1 = 0, S_d = K_d, and the self-paired middle map of
-    odd d is L_h beside its own transpose; no entry joins the two kinds.
+    every resolution; Resolution reads its maps as S_r (skeleton_rows).  The
+    monomial strand L is written on the Y columns: u[t] is the monomial of
+    degree n of S_1 on its Y column t, and inner[r - 2] lists (i, j, v, s)
+    for each term s x_v of entry (i, j) of S_r, 2 <= r <= d-1, row by row,
+    L from the Koszul contraction (kos_expansion).  The dual strand K on the
+    X elements is the pairing transpose of L (paired), taken once: S_k is
+    L_k beside the transpose of L_{d+1-k}.  So K_1 = 0, S_d = K_d is the
+    transpose of S_1, and the self-paired middle map of odd d is L_h beside
+    its own transpose.
     """
-    bases = self_dual_bases(d, n)
-    expansions = [[{y0(d): {mul_var(e.m, e.a[0]): 1}} if e.kind == "Y" else {} for _, e in bases[1]]]
-    expansions += [[kos_expansion(e) if e.kind == "Y" else {} for _, e in bases[r]] for r in range(2, d + 1)]
-    strand = [_assemble(bases[r - 1], bases[r], expans) for r, expans in enumerate(expansions, 1)]
-    out = []
-    for k in range(1, d + 1):
-        # new rows: L_k is also the partner that map d + 1 - k is paired from
-        rows = [{**own, **dual} for own, dual in zip(strand[k - 1], paired(bases, k, strand[d - k], signed_terms))]
-        out.append(PolyMatrix(bases[k - 1], bases[k], rows))
-    return tuple(out)
+    bases, strand = self_dual_bases(d, n), []  # L_r, 2 <= r <= d-1, by rows: a Y column j to {v: c} for c x_v
+    for r in range(2, d):
+        pos, rows = bases[r - 1].position(), [{} for _ in bases[r - 1]]
+        for j, (csign, e) in enumerate(bases[r]):
+            for target, terms in (kos_expansion(e) if e.kind == "Y" else {}).items():
+                i, rsign = pos[target]  # a target outside the basis is a KeyError
+                rows[i][j] = terms if csign == rsign else signed_terms(terms, -1)
+        strand.append(rows)
+    inner = []
+    for k in range(2, d):
+        # flattened at once, so a term dict of sign +1 is kept, not copied
+        dual = paired(bases, k, strand[d - 1 - k], lambda terms, e: terms if e > 0 else signed_terms(terms, e))
+        inner.append(tuple([(i, j, v, s) for i, rows in enumerate(zip(strand[k - 2], dual))
+                            for row in rows for j, terms in row.items() for v, s in terms.items()]))
+    return Skeleton(tuple(mul_var(e.m, e.a[0]) for _, e in bases[1] if e.kind == "Y"), tuple(inner))
 
 
-@lru_cache(maxsize=None)
-def skeleton_monomials(d: int, n: int) -> tuple[frozenset[Mono], ...]:
-    """The distinct monomials of each map of canonical_skeleton(d, n), by r - 1: a fact of (d, n), read once."""
-    return tuple(frozenset(mat.monomials()) for mat in canonical_skeleton(d, n))
+def skeleton_rows(d: int, n: int, r: int, scale: Scalar) -> Iterator[dict[int, Terms]]:
+    """The rows of scale S_r, S_r the map out of position r of canonical_skeleton(d, n), one new row at a time."""
+    skel, bases = canonical_skeleton(d, n), self_dual_bases(d, n)
+    if r in (1, d):
+        first = [{j: {m: scale} for j, m in zip((j for j, (_, e) in enumerate(bases[1]) if e.kind == "Y"), skel.u)}]
+        yield from first if r == 1 else paired(bases, d, first, signed_terms)
+        return
+    xs = {v: mul_var(unit(d), v) for v in range(1, d + 1)}
+    by_row = {i: list(cells) for i, cells in groupby(skel.inner[r - 2], itemgetter(0))}
+    for i in range(len(bases[r - 1])):
+        row: dict[int, Terms] = {}
+        for _, j, v, s in by_row.get(i, ()):
+            row.setdefault(j, {})[xs[v]] = s * scale
+        yield row

@@ -11,11 +11,11 @@ e, while positions 1 and 0 reduce to small exact computations: the
 degree-n piece of the ideal generated by the first matrix, and the bottom
 homology h1k of the dual skeleton strand over d-1 variables.  The skeleton
 depends only on (d, n): differentials.canonical_skeleton(d, n) writes it
-once.  strand_certificate proves, once per (d, n), the one fact about it:
-it is the dual strand K beside the monomial strand L, both exact, K the
-dual of L.  A resolution is the lift b_r = delta S_r + x1 C_r of that
-skeleton (differentials.Resolution), so its skeleton is delta S_r by
-construction, and the skeleton check is the strand certificate.
+once, as index tables.  strand_certificate proves on them, once per (d, n),
+the one fact about it: it is the dual strand K beside the monomial strand L,
+both exact, K the dual of L.  A resolution is its lift b_r = delta S_r + x1 C_r
+(differentials.Resolution), so its skeleton is delta S_r by construction,
+and the skeleton check is the strand certificate.
 
 The monomial strand L must resolve R/m^n, for R = k[x2..xd] and m its
 maximal ideal.  A strand basis element b has the multidegree c(b) over
@@ -108,17 +108,16 @@ polynomial, and these facts are proved without Fraction arithmetic.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, gcd
 from operator import mul, sub
 
 from . import linalg
-from .differentials import Resolution, canonical_skeleton, read_out, readout_tables
+from .differentials import Resolution, canonical_skeleton, read_out, readout_tables, self_dual_bases, skeleton_rows
 from .hookbasis import BasisElement, pairing
 from .invsys import InverseSystem, hilbert_function
-from .monomials import Mono, monomial_index, monomials_of_degree
+from .monomials import Mono, monomial_index, monomials_of_degree, mul_var, unit
 from .polymatrix import PolyMatrix, denominator_lcm, pack
 from .polynomials import Scalar, Terms, clear_denominators, poly_str
 
@@ -268,29 +267,33 @@ Split = tuple[list[dict[int, Terms]], list[dict[int, Scalar]] | None]
 def fine_degree(e: BasisElement) -> tuple[int, ...]:
     """c(e) over x2..xd: the unit vectors of the index list plus the monomial (Y) or minus it (X)."""
     sign = 1 if e.kind == "Y" else -1
-    return tuple((i in e.a) + sign * e.m[i - 1] for i in range(2, e.d + 1))
+    return tuple((i in e.a) + sign * m for i, m in enumerate(e.m[1:], 2))
 
 
-def _fine_strand(name: str, mats: dict[int, PolyMatrix]):
-    """(fine degrees by position, +-1 triples by map) of one strand, or a witness.
+def _monomial_strand(d: int, n: int):
+    """(fine degrees by position, +-1 triples by map) of the monomial strand of canonical_skeleton(d, n), or a witness.
 
-    mats[r] maps position r to position r - 1; the witness names the first
-    entry that is not +-x^v with v != 0 free of x1 and c(column) = c(row) + v.
+    L is u and the triples in the Y rows of the interior maps, indexed in the Y blocks.  The witness names
+    the first entry that is not one term +-x^v with v != 0 free of x1 and c(column) = c(row) + v.
     """
-    bases = {r - 1: mat.rows for r, mat in mats.items()}
-    bases.update({r: mat.cols for r, mat in mats.items()})
-    degs = {k: [fine_degree(e) for _, e in basis] for k, basis in bases.items()}
+    skel, bases, xs = canonical_skeleton(d, n), self_dual_bases(d, n), {v: mul_var(unit(d), v) for v in range(1, d + 1)}
+    ys = [{i: k for k, i in enumerate(i for i, (_, e) in enumerate(basis) if e.kind == "Y")} for basis in bases[:d]]
+    degs = {k: [fine_degree(bases[k].elements[i][1]) for i in y] for k, y in enumerate(ys)}
+    terms = {1: [(0, t, m, 1) for t, m in enumerate(skel.u)]}
+    terms.update({r: [(ys[r - 1][i], ys[r][j], xs[v], s) for i, j, v, s in skel.inner[r - 2] if i in ys[r - 1]]
+                  for r in range(2, d)})
     triples: dict[int, list[tuple[int, int, int]]] = {}
-    for r, mat in mats.items():
-        out = triples[r] = []
-        rows, cols = degs[r - 1], degs[r]
-        for i, j, p in mat.nonzero():
-            m, c = next(iter(p.items()))
+    for r, ts in terms.items():
+        rows, cols, seen, out = degs[r - 1], degs[r], set(), triples.setdefault(r, [])
+        for i, j, m, c in ts:
             want = tuple(map(sub, cols[j], rows[i]))
-            if len(p) != 1 or c not in (1, -1) or m[0] or m[1:] != want or not any(want):
-                return (f"{name} strand is not finely graded: entry ({i}, {j}) of the map out of "
+            if c not in (1, -1) or m[0] or m[1:] != want or not any(want) or (i, j) in seen:
+                cell = [(m2, c2) for i2, j2, m2, c2 in ts if (i2, j2) == (i, j)]
+                p = {m2: sum(c2 for m3, c2 in cell if m3 == m2) for m2, _ in cell}
+                return (f"monomial strand is not finely graded: entry ({i}, {j}) of the map out of "
                         f"position {r} is {poly_str(p)}, expected +-x^v with c(column) = c(row) + v")
-            out.append((i, j, int(c)))
+            seen.add((i, j))
+            out.append((i, j, c))
     return degs, triples
 
 
@@ -305,17 +308,17 @@ def _composes_to_zero(triples: dict[int, list[tuple[int, int, int]]]) -> bool:
         by_row: dict[int, list[tuple[int, int]]] = {}
         for j, k, b in triples.get(r + 1, ()):
             by_row.setdefault(j, []).append((k, b))
-        sums: Counter[tuple[int, int]] = Counter()
+        sums: dict[tuple[int, int], int] = {}
         for i, j, a in first:
             for k, b in by_row.get(j, ()):
-                sums[i, k] += a * b
+                sums[i, k] = sums.get((i, k), 0) + a * b
         if any(sums.values()):
             return False
     return True
 
 
 def _acyclicity_failures(degs: dict, triples: dict[int, list[tuple[int, int, int]]], n: int) -> list[str]:
-    """Why a finely graded complex (from _fine_strand) is not proved to resolve R/m^n; [] when it is.
+    """Why a finely graded complex (from _monomial_strand) is not proved to resolve R/m^n; [] when it is.
 
     The criterion at the coordinate points is in the module docstring; a
     failing point names its variable x_j and its first failing position k.
@@ -326,11 +329,11 @@ def _acyclicity_failures(degs: dict, triples: dict[int, list[tuple[int, int, int
     # involves, the point that keeps them; a monomial in two or more variables vanishes at every point
     at: dict[int, dict[int, list[tuple[int, int, int]]]] = {r: {} for r in triples}
     for r, ts in triples.items():
-        rows, cols = degs[r - 1], degs[r]
+        rows, cols, by_point = degs[r - 1], degs[r], at[r]
         for i, k, v in ts:
-            s = [c for c, (a, b) in enumerate(zip(cols[k], rows[i])) if a != b]
-            if len(s) == 1:
-                at[r].setdefault(s[0], []).append((i, k, v))
+            a = tuple(map(sub, cols[k], rows[i]))
+            if a.count(0) == len(a) - 1:  # then the one nonzero coordinate holds the sum
+                by_point.setdefault(a.index(sum(a)), []).append((i, k, v))
     failures: list[str] = []
     for t in range(top):
         rho = [0] * (top + 2)
@@ -352,26 +355,24 @@ def _acyclicity_failures(degs: dict, triples: dict[int, list[tuple[int, int, int
 def strand_certificate(d: int, n: int) -> tuple[str, ...]:
     """Why canonical_skeleton(d, n) is not proved to be K beside L, both exact; () when it is.
 
-    The argument is in the module docstring.  No entry may join an X and a
-    Y element, so that S_r is K_r beside L_r.  The monomial strand L must be
-    finely graded, a complex, meet the acyclicity criterion by exact ranks
-    at the d-1 coordinate points, and present R/m^n, R = k[x2..xd]
-    (_acyclicity_failures).  The dual strand K is the pairing transpose of
-    L by construction (canonical_skeleton writes L and takes K from
-    differentials.paired), so only the L blocks of the maps out of
-    positions 1..d-1 are cut and ranked; K is Hom(L, R) up to twists, it
-    composes to zero as L does, and its bottom homology is
-    dual_strand_h1k(d, n).  So once the certificate holds, the skeleton is
-    a complex as well.
+    The argument is in the module docstring; every test reads the tables.
+    No triple may join an X and a Y element (S_1 is u on the Y columns, S_d
+    its transpose), so that S_r is K_r beside L_r.  The monomial strand L
+    must be finely graded (_monomial_strand), a complex, meet the acyclicity
+    criterion by exact ranks at the d-1 coordinate points, and present
+    R/m^n, R = k[x2..xd] (_acyclicity_failures).  The dual strand K is the
+    pairing transpose of L by construction (canonical_skeleton takes it from
+    differentials.paired), so only the triples in the Y rows, L, are read and
+    ranked; K is Hom(L, R) up to twists, it composes to zero as L does, and
+    its bottom homology is dual_strand_h1k(d, n).  So once the certificate
+    holds, the skeleton is a complex as well.
     """
-    skeleton = canonical_skeleton(d, n)
-    for r, mat in enumerate(skeleton, 1):
-        kinds = [e.kind for _, e in mat.cols]
-        for i, ((_, e), row) in enumerate(zip(mat.rows, mat.entries)):
-            if any(kinds[j] != e.kind for j in row):
-                return (f"skeleton map out of position {r} joins an X and a Y element in row {i}",)
-    lmats = {r: mat.block("Y") for r, mat in enumerate(skeleton[:d - 1], 1)}
-    strand = _fine_strand("monomial", lmats)
+    skel, kinds = canonical_skeleton(d, n), [[e.kind for _, e in basis] for basis in self_dual_bases(d, n)]
+    for r, cells in enumerate(skel.inner, 2):
+        i = next((i for i, j, _, _ in cells if kinds[r - 1][i] != kinds[r][j]), None)
+        if i is not None:
+            return (f"skeleton map out of position {r} joins an X and a Y element in row {i}",)
+    strand = _monomial_strand(d, n)
     if isinstance(strand, str):
         return (strand,)
     degs, triples = strand
@@ -408,16 +409,16 @@ def ideal_dims(s: Session) -> int:
     res = s.res
     d, n = res.d, res.n
     bound = comb(n + d - 1, d - 1) - s.hf(n)
-    skel, cof = res.skeleton[0].entries[0], res.cofactors[0][0]
-    xs = [j for j in range(len(res.bases[1])) if j not in skel]
+    ys, cof = len(canonical_skeleton(d, n).u), res.cofactors[0][0]
+    xs = [j for j, (_, e) in enumerate(res.bases[1]) if e.kind == "X"]
     rows = monomial_index(d, n - 1)
     # the block transposed, a row per X column: rank_mod_p then keeps fewer rows
     cells = [(k, rows[m], c) for k, j in enumerate(xs) for m, c in cof.get(j, {}).items()]
     ints = clear_denominators(c for _, _, c in cells)[1]
     piece = Piece(len(xs), len(rows), [(k, i, v) for (k, i, _), v in zip(cells, ints)])
-    if s.b1_annihilation_failure is None and any(len(skel) + piece.rank_mod(p) == bound for p in PRIMES):
+    if s.b1_annihilation_failure is None and any(ys + piece.rank_mod(p) == bound for p in PRIMES):
         return bound
-    return len(skel) + piece.rank_exact()
+    return ys + piece.rank_exact()
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +512,7 @@ class Session:
         constant solution, C_{r+1} is the readout exactly when LP = 0
         (_interior_product_vanishes).  Both strands are exact at r - 1 >= 2
         (L resolves R/m^n, K = Hom(L, R) has homology only at position 1)
-        with no constant entry (_fine_strand), so S_{r-1} kills no nonzero
+        with no constant entry (_monomial_strand), so S_{r-1} kills no nonzero
         constant vector.
         * r >= 3: the x1-linear part of b_{r-1} b_r = 0 gives
           S_{r-1} C_r S_{r+1} = -D S_r S_{r+1} = 0, D the x1-free part of the
@@ -606,20 +607,17 @@ def skeleton_block_failure(res: Resolution, splits: tuple[Split, ...]) -> str | 
     Returns a witness string on failure, None on success.  A lift holds
     this by construction; the matrix form of the tests (tests/oracles.py)
     proves it here, and bench/tracer.py traces it by name.  The terms free
-    of x1 come from splits (the x1 split of every matrix) and are compared with
-    delta times the skeleton terms, entry by entry, with no matrix or dict
-    built for the comparison.
+    of x1 come from splits (the x1 split of every matrix) and are compared
+    with the rows of delta S_r (skeleton_rows), entry by entry.
     """
-    delta, d, n = res.delta, res.d, res.n
-    for r, skel in enumerate(canonical_skeleton(d, n), 1):
-        got = res.matrix(r)
-        if got.shape != skel.shape:
-            return f"skeleton of b_{r} has shape {got.shape}, the canonical strand form {skel.shape}"
-        for i, (got_row, want_row) in enumerate(zip(splits[r - 1][0], skel.entries)):
-            # an int and a Fraction of equal value compare equal
-            bad = [j for j in got_row.keys() | want_row.keys()
-                   if len(a := got_row.get(j, {})) != len(b := skel.entry(i, j))
-                   or any(a.get(m) != c * delta for m, c in b.items())]
+    delta, d, n, bases = res.delta, res.d, res.n, self_dual_bases(res.d, res.n)
+    for r in range(1, d + 1):
+        got, want = res.matrix(r), (len(bases[r - 1]), len(bases[r]))
+        if got.shape != want:
+            return f"skeleton of b_{r} has shape {got.shape}, the canonical strand form {want}"
+        # an int and a Fraction of equal value compare equal
+        for i, (got_row, want_row) in enumerate(zip(splits[r - 1][0], skeleton_rows(d, n, r, delta))):
+            bad = [j for j in got_row.keys() | want_row.keys() if got_row.get(j, {}) != want_row.get(j, {})]
             if bad:
                 return f"skeleton of b_{r} differs from the canonical strand form at ({i}, {min(bad)})"
     return None
@@ -642,7 +640,7 @@ def certify_exactness(s: Session) -> list[str]:
     J_j = 0 for j < n follows from delta != 0, which hilbert_function
     tests, and the strand certificate is the session's premise.
     """
-    d, n = s.res.d, s.res.n
+    d, n, hf_n = s.res.d, s.res.n, s.hf(s.res.n)  # hf first: it refuses delta = 0, whatever was read before
     if s.b1_degree_failure is not None:
         return ["column {} of b_1 has a term of degree {}, not n = {}".format(*s.b1_degree_failure, n)]
     if s.complex_failure is not None:
@@ -651,8 +649,8 @@ def certify_exactness(s: Session) -> list[str]:
     if s.b1_annihilation_failure is not None:
         return [f"column {s.b1_annihilation_failure} of b_1 does not annihilate phi, so I is not in ann(phi)"]
     h = comb(n + d - 1, d - 1) - s.ideal_dim_n
-    if h != s.hf(n):
-        return [f"coker(b_1) has dimension {h} in degree {n}, Hilbert function of the quotient gives {s.hf(n)}"]
+    if h != hf_n:
+        return [f"coker(b_1) has dimension {h} in degree {n}, Hilbert function of the quotient gives {hf_n}"]
     h1k = dual_strand_h1k(d, n)
     failures = []
     for e in range(0, max([2 * n, *h1k]) + 1):

@@ -50,7 +50,7 @@ class BasisElement(NamedTuple):
 
     A tuple, hashed and compared in C.  It is not checked when it is made:
     the bases are formed only by enumerate_basis and duality_basis, and
-    differentials._assemble refuses any target outside them.
+    differentials.canonical_skeleton refuses any target outside them.
     """
 
     kind: str  # "X" or "Y"
@@ -120,6 +120,20 @@ def rank_formulas(d: int, n: int, r: int) -> tuple[int, int, int]:
     return k, ell, beta
 
 
+def least_range(kind: str, a: tuple[int, ...], d: int) -> range:
+    """The values of least(m) that the standard elements of one kind and index list allow (module docstring)."""
+    return range(2, gamma_of(a) + 1) if kind == "X" else range(a[0], d + 1)
+
+
+def is_standard(e: BasisElement, n: int) -> bool:
+    """Whether e is an element of enumerate_basis(e.d, n, e.r): its shape, and least(m) in least_range."""
+    (kind, r, a, m), d = e, e.d
+    if r in (0, d):
+        return e in (y0(d), xd(d))
+    return (kind in ("X", "Y") and 0 < r == len(a) < d and 1 < a[0] and a[-1] <= d and a == tuple(sorted(set(a)))
+            and not m[0] and min(m) >= 0 and sum(m) == n - (kind == "Y") and least(m) in least_range(kind, a, d))
+
+
 @lru_cache(maxsize=None)
 def enumerate_basis(d: int, n: int, r: int) -> OrderedBasis:
     """The standard basis, X block then Y block, each ordered by index list then monomial."""
@@ -129,17 +143,10 @@ def enumerate_basis(d: int, n: int, r: int) -> OrderedBasis:
         return OrderedBasis(d, n, 0, ((1, y0(d)),))
     if r == d:
         return OrderedBasis(d, n, d, ((1, xd(d)),))
-    elems: list[Signed] = []
-    for a in combinations(range(2, d + 1), r):
-        g = gamma_of(a)
-        for m in monomials_of_degree(d, n, low_var=2):
-            if least(m) <= g:
-                elems.append((1, BasisElement("X", r, a, m)))
-    for a in combinations(range(2, d + 1), r):
-        for m in monomials_of_degree(d, n - 1, low_var=a[0]):
-            elems.append((1, BasisElement("Y", r, a, m)))
-    k, ell, beta = rank_formulas(d, n, r)
-    assert len(elems) == beta
+    elems: list[Signed] = [(1, BasisElement(kind, r, a, m)) for kind, deg in (("X", n), ("Y", n - 1))
+                           for a in combinations(range(2, d + 1), r) for ok in [least_range(kind, a, d)]
+                           for m in monomials_of_degree(d, deg, ok.start) if least(m) in ok]
+    assert len(elems) == rank_formulas(d, n, r)[2]
     return OrderedBasis(d, n, r, tuple(elems))
 
 
@@ -158,29 +165,27 @@ def expand_kappa(c: tuple[int, ...], m: Mono) -> list[tuple[int, BasisElement]]:
     return out
 
 
-def kos_expansion(elt: BasisElement) -> dict[BasisElement, dict[Mono, int]]:
-    """The Koszul contraction of a Y element, straightened into standard Y elements, as term dicts.
+def kos_expansion(elt: BasisElement) -> dict[BasisElement, dict[int, int]]:
+    """The Koszul contraction of a Y element, straightened into standard Y elements, by variable.
 
     This is the monomial strand L of the skeleton of the resolution (without
     the determinant factor); the sign normalization is (-1)^j on the j-th
-    wedge slot.  Every target maps to its nonzero terms, each a variable
-    x_{a_j}.  The dual strand on the X elements is the pairing transpose of
-    L (differentials.canonical_skeleton), so no X element is straightened.
+    wedge slot.  Every target maps v = a_j to the nonzero c of its term c x_v.
+    The dual strand on the X elements is the pairing transpose of L
+    (differentials.canonical_skeleton), so no X element is straightened.
     """
-    d = elt.d
-    out: dict[BasisElement, dict[Mono, int]] = {}
+    out: dict[BasisElement, dict[int, int]] = {}
     for j in range(1, elt.r + 1):
         aj = elt.a[j - 1]
         rest = elt.a[:j - 1] + elt.a[j:]
         sign = (-1) ** j
-        xj = mul_var(unit(d), aj)
         for coeff, target in expand_kappa(rest, elt.m):
             terms = out.setdefault(target, {})
-            c = terms.get(xj, 0) + sign * coeff
+            c = terms.get(aj, 0) + sign * coeff
             if c:
-                terms[xj] = c
+                terms[aj] = c
             else:
-                del terms[xj]
+                del terms[aj]
     return {t: terms for t, terms in out.items() if terms}
 
 
@@ -256,8 +261,12 @@ def pairing(basis: OrderedBasis, dual: OrderedBasis) -> tuple[tuple[int, int], .
 
     In these bases the pairing is a signed permutation: each element pairs to
     its pp_dual_element partner and to no other element.  It is kept by the
-    two bases, which a resolution and its skeleton share.
+    two bases, which a resolution and its skeleton share.  Past the middle it
+    is the inverse of the one of dual, as pp(f (x) e) = (-1)^(r(d-r)) pp(e (x) f).
     """
+    if 2 * basis.r > basis.d:
+        inverse = {j: (i, (-1) ** (basis.r * dual.r) * s) for i, (j, s) in enumerate(pairing(dual, basis))}
+        return tuple(inverse[j] for j in range(len(basis)))
     pos = dual.position()
     out = []
     for s, e in basis:
@@ -288,13 +297,14 @@ def duality_basis(d: int, n: int, r: int) -> OrderedBasis:
     """
     if not 0 <= r <= d:
         raise ValueError(f"r={r} out of range 0..{d}")
-    standard = enumerate_basis(d, n, r)
     if 2 * r < d:
-        return standard
+        return enumerate_basis(d, n, r)
     if 2 * r > d:
         out = pp_dual_basis(duality_basis(d, n, d - r))
     else:
-        xs = standard.part("X")
+        xs = enumerate_basis(d, n, r).part("X")
         out = OrderedBasis(d, n, r, xs.elements + pp_dual_basis(xs).elements)
-    assert len(out) == len(standard) and {e for _, e in out} == {e for _, e in standard}, (d, n, r)
+    # the partners are the standard basis, checked with no second enumeration
+    size = rank_formulas(d, n, r)[2] if r < d else 1
+    assert len({e for _, e in out}) == len(out) == size and all(is_standard(e, n) for _, e in out), (d, n, r)
     return out

@@ -38,7 +38,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 from conftest import EXTRA, GRID, GRID_SEEDS, extra_phi, grid_phi, grid_resolution  # noqa: E402
 from gorlin import cli  # noqa: E402
-from gorlin.differentials import build_resolution, canonical_skeleton  # noqa: E402
+from gorlin.differentials import build_resolution  # noqa: E402
 from gorlin.export import (  # noqa: E402
     report_json,
     resolution_cas_script,
@@ -48,7 +48,7 @@ from gorlin.export import (  # noqa: E402
 from gorlin.hookbasis import duality_basis, pairing  # noqa: E402
 from gorlin.monomials import mul_var  # noqa: E402
 from gorlin.verify import run_checks  # noqa: E402
-from oracles import build_plan  # noqa: E402
+from oracles import build_plan, skeleton_matrices  # noqa: E402
 
 
 def outputs(d: int, n: int) -> dict[str, str]:
@@ -93,16 +93,16 @@ def canonical_plan(d: int, n: int) -> str:
     out.  The plan records the
     cofactors C_1..C_h, h = (d+1)//2, the self-paired C_h of odd d on one
     side of its diagonal; each cell here is the entry of
-    b_r = delta * S_r + x1 * C_r, with S_r from canonical_skeleton, and the
-    other side of C_h and the maps above h are written from the pairing
-    rule, in key space, so the pin covers every b_r as the writers once
-    wrote it.
+    b_r = delta * S_r + x1 * C_r, with S_r the tables of canonical_skeleton
+    written out (skeleton_matrices), and the other side of C_h and the maps
+    above h are written from the pairing rule, in key space, so the pin
+    covers every b_r as the writers once wrote it.
     """
     plan = build_plan(d, n)
     names = ["delta"] + [f"{name}{list(u)}{list(v)}" for name, u, v in plan.keys]
     bases = [duality_basis(d, n, r) for r in range(d + 1)]
     maps: list[dict[tuple[int, int], dict[str, dict[str, int]]]] = []
-    for r, (rcells, skel) in enumerate(zip(plan.cells, canonical_skeleton(d, n)), 1):
+    for r, (rcells, skel) in enumerate(zip(plan.cells, skeleton_matrices(d, n)), 1):
         raw: dict[tuple[int, int], dict[str, dict[str, int]]] = {}
         for i, j, m, sign, plus, minus in rcells:
             coeffs = raw.setdefault((i, j), {}).setdefault(str(list(mul_var(m, 1))), {})

@@ -15,8 +15,11 @@ another way, by a route that is slower or more literal.
   of fine degrees, where ``exactness.strand_certificate`` takes it to be
   the pairing transpose of the monomial strand, as
   ``differentials.canonical_skeleton`` writes it, and takes its bottom
-  homology from the closed form.  ``strand_matrices`` cuts both strands
-  out of the skeleton for it and for the tests.
+  homology from the closed form.  ``skeleton_matrices`` writes the index
+  tables of the skeleton out as matrices, ``strand_matrices`` cuts both
+  strands out of them for it and for the tests, and ``fine_strand`` reads a
+  strand given as matrices, where ``exactness.strand_certificate`` reads
+  the monomial strand off the tables.
 * ``straightened_dual_strand`` writes the dual strand as the paper does, by
   straightening the Koszul contraction of every X element
   (``x_contraction``, with ``expand_eta``), where
@@ -97,8 +100,9 @@ another way, by a route that is slower or more literal.
   ``json.dumps(doc, indent=1, sort_keys=True) + "\\n"`` lays it out, where
   ``export.resolution_json`` writes the same text directly.
 * ``golden_skeleton_d4_n2`` parses the mod-x1 matrices at d = 4, n = 2,
-  written out entry by entry, which ``differentials.canonical_skeleton(4, 2)``
-  must reproduce verbatim.
+  written out entry by entry, which the tables of
+  ``differentials.canonical_skeleton(4, 2)``, written out by
+  ``skeleton_matrices``, must reproduce verbatim.
 """
 
 from __future__ import annotations
@@ -114,13 +118,13 @@ from operator import mul as times
 import numpy as np
 
 from gorlin import exactness, linalg
-from gorlin.differentials import Resolution, Rows, _assemble, canonical_skeleton, paired, self_dual_bases
+from gorlin.differentials import Resolution, Rows, paired, self_dual_bases, signed_terms, skeleton_rows
 from gorlin.exactness import (
     PRIMES,
     Piece,
     Session,
     _composes_to_zero,
-    _fine_strand,
+    fine_degree,
     graded_piece,
     skeleton_block_failure,
 )
@@ -1108,7 +1112,7 @@ def _box_pieces(degs: dict[int, list[tuple[int, ...]]], triples: dict[int, list[
 
 
 def acyclicity_failures_by_box(degs, triples, n: int) -> list[str]:
-    """Why a finely graded complex (as from _fine_strand) does not resolve R/m^n, by ranking its box.
+    """Why a finely graded complex (as from fine_strand) does not resolve R/m^n, by ranking its box.
 
     Every piece of the box is ranked exactly, and the homology must be that
     of R/m^n at every point.  The box reaches n in every coordinate, so the
@@ -1128,15 +1132,63 @@ def acyclicity_failures_by_box(degs, triples, n: int) -> list[str]:
     return failures
 
 
+def skeleton_matrices(d: int, n: int) -> tuple[PolyMatrix, ...]:
+    """S_1..S_d as matrices, new on each call: the tables of canonical_skeleton(d, n) written out (skeleton_rows)."""
+    bases = self_dual_bases(d, n)
+    return tuple(PolyMatrix(bases[r - 1], bases[r], list(skeleton_rows(d, n, r, 1))) for r in range(1, d + 1))
+
+
 def strand_matrices(d: int, n: int) -> tuple[dict[int, PolyMatrix], dict[int, PolyMatrix]]:
     """The two skeleton strands by position, (L maps 1..d-1, K maps 2..d).
 
-    They are the diagonal blocks of canonical_skeleton(d, n), cut by
+    They are the diagonal blocks of skeleton_matrices(d, n), cut by
     skeleton_kos_blocks, so the complexes read here are the ones that the
     skeleton of every resolution is compared against.
     """
-    blocks = {r: skeleton_kos_blocks(mat) for r, mat in enumerate(canonical_skeleton(d, n), 1)}
+    blocks = {r: skeleton_kos_blocks(mat) for r, mat in enumerate(skeleton_matrices(d, n), 1)}
     return {r: blocks[r][1] for r in range(1, d)}, {r: blocks[r][0] for r in range(2, d + 1)}
+
+
+def fine_strand(name: str, mats: dict[int, PolyMatrix]):
+    """(fine degrees by position, +-1 triples by map) of one strand given as matrices, or a witness.
+
+    mats[r] maps position r to position r - 1; the witness names the first
+    entry that is not +-x^v with v != 0 free of x1 and c(column) = c(row) + v,
+    in the words of exactness.strand_certificate, which reads the monomial
+    strand off the tables of canonical_skeleton instead.
+    """
+    bases = {r - 1: mat.rows for r, mat in mats.items()}
+    bases.update({r: mat.cols for r, mat in mats.items()})
+    degs = {k: [fine_degree(e) for _, e in basis] for k, basis in bases.items()}
+    triples: dict[int, list[tuple[int, int, int]]] = {}
+    for r, mat in mats.items():
+        out = triples[r] = []
+        rows, cols = degs[r - 1], degs[r]
+        for i, j, p in mat.nonzero():
+            m, c = next(iter(p.items()))
+            want = tuple(a - b for a, b in zip(cols[j], rows[i]))
+            if len(p) != 1 or c not in (1, -1) or m[0] or m[1:] != want or not any(want):
+                return (f"{name} strand is not finely graded: entry ({i}, {j}) of the map out of "
+                        f"position {r} is {poly_str(p)}, expected +-x^v with c(column) = c(row) + v")
+            out.append((i, j, int(c)))
+    return degs, triples
+
+
+def assemble(rows: OrderedBasis, cols: OrderedBasis, expansions) -> Rows:
+    """The rows of the matrix whose column j is expansions[j], signed by the bases.
+
+    expansions[j] maps a target element to the terms of its entry, a dict
+    that the rows take over, as differentials.canonical_skeleton places the
+    Koszul contraction of each Y column.  A target outside the row basis is
+    a KeyError.
+    """
+    pos = rows.position()
+    out: Rows = [{} for _ in rows]
+    for j, (csign, _) in enumerate(cols.elements):
+        for target, terms in expansions[j].items():
+            i, rsign = pos[target]
+            out[i][j] = terms if csign == rsign else signed_terms(terms, -1)
+    return out
 
 
 def straightened_dual_strand(d: int, n: int) -> dict[int, PolyMatrix]:
@@ -1151,19 +1203,19 @@ def straightened_dual_strand(d: int, n: int) -> dict[int, PolyMatrix]:
     bases = [duality_basis(d, n, r) for r in range(d + 1)]
     out = {}
     for r in range(1, d):
-        rows = _assemble(bases[r - 1], bases[r], [x_contraction(e) if e.kind == "X" else {} for _, e in bases[r]])
+        rows = assemble(bases[r - 1], bases[r], [x_contraction(e) if e.kind == "X" else {} for _, e in bases[r]])
         out[r] = PolyMatrix(bases[r - 1], bases[r], rows).block("X")
     return out
 
 
 def dual_strand_disagreement(d: int, n: int) -> int | None:
-    """The first r < d whose straightened K_r differs from the X x X block of canonical_skeleton, or None.
+    """The first r < d whose straightened K_r differs from the X x X block of the skeleton, or None.
 
     canonical_skeleton takes K as the pairing transpose of the monomial
     strand L; this is the check that it is the straightened dual strand of
     the paper as well.
     """
-    skeleton = canonical_skeleton(d, n)
+    skeleton = skeleton_matrices(d, n)
     return next((r for r, mat in straightened_dual_strand(d, n).items()
                  if skeleton[r - 1].block("X").entries != mat.entries), None)
 
@@ -1180,7 +1232,7 @@ def dual_strand_h1k_by_ranking(d: int, n: int) -> dict[int, int]:
     Nonzero dimensions only.
     """
     _, kmats = strand_matrices(d, n)
-    strand = _fine_strand("dual", kmats)
+    strand = fine_strand("dual", kmats)
     assert not isinstance(strand, str), strand
     degs, triples = strand
     assert _composes_to_zero(triples)

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from gorlin.differentials import (
+    Skeleton,
     build_resolution,
     canonical_skeleton,
     readout_tables,
@@ -24,7 +25,6 @@ from gorlin.invsys import (
     random_invsys,
 )
 from gorlin.monomials import div_var, monomials_of_degree, mul_var, unit
-from gorlin.polymatrix import PolyMatrix
 from gorlin.polynomials import poly_str
 from gorlin.verify import run_checks
 
@@ -61,6 +61,7 @@ from oracles import (
     q_of,
     record_cells,
     route_disagreement,
+    skeleton_matrices,
     tilde_contract,
     transpose,
     x1_split,
@@ -130,7 +131,7 @@ def test_interior_columns_reduce_to_kos_blocks():
     # mod x1, interior matrices become delta times the canonical strands
     for d, n in [(3, 2), (4, 2), (4, 3)]:
         res = grid_resolution(d, n)
-        expected = canonical_skeleton(d, n)
+        expected = skeleton_matrices(d, n)
         for r in range(1, d + 1):
             assert same_entries(res.matrix(r).mod_x1(), scaled(expected[r - 1], res.delta)), (d, n, r)
 
@@ -252,7 +253,7 @@ def test_matrices_are_the_lift_of_the_skeleton(system, route):
     d, n = phi.d, phi.n
     res = build_resolution(phi)
     x1 = Poly.monomial(mul_var(unit(d), 1))
-    for r, skel in enumerate(canonical_skeleton(d, n), 1):
+    for r, skel in enumerate(skeleton_matrices(d, n), 1):
         cof = ROUTES[route](phi, r)
         if cof is None:
             continue
@@ -265,6 +266,29 @@ def test_matrices_are_the_lift_of_the_skeleton(system, route):
                 rest = Poly(d, mat.entry(i, j)) - Poly(d, skel.entry(i, j)).scale(res.delta)
                 assert all(m[0] >= 1 and sum(m) == cdeg + 1 for m in rest.terms), (r, i, j)
                 assert rest == x1 * c, (r, i, j)
+
+
+def test_the_skeleton_tables_keep_few_bytes_per_entry():
+    # what canonical_skeleton keeps at (7, 2), its bases and pairings built first, under tracemalloc:
+    # an (i, j, v, s) tuple of small ints takes 72 bytes and its slot in the map 8, and an index above
+    # 256 is one int shared by the row.  81 bytes per interior entry were measured (Python 3.11),
+    # against 345 for the term dicts of a PolyMatrix; the bound leaves room for the int objects
+    import gc
+    import tracemalloc
+
+    canonical_skeleton(7, 2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tables = canonical_skeleton.__wrapped__(7, 2)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = sum(map(len, tables.inner))
+    assert entries == 2208
+    assert kept / entries < 120, kept / entries
 
 
 def test_a_second_build_reuses_the_readout_tables():
@@ -335,7 +359,7 @@ def test_the_middle_map_of_odd_d_is_written_on_one_side(d, n):
     if (d, n) == (5, 2):
         assert len(cells) == 299
     res = resolution_at(d, n)
-    cof, skel = res.cofactor(h), canonical_skeleton(d, n)[h - 1].entries
+    cof, skel = res.cofactor(h), skeleton_matrices(d, n)[h - 1].entries
     assert any(cof) and any(skel)
     for rows, signed in ((cof, lambda v: e * v), (skel, lambda p: {m: e * c for m, c in p.items()})):
         assert all(i not in row for i, row in enumerate(rows))
@@ -369,10 +393,13 @@ def test_a_column_without_a_private_entry_is_an_internal_error(monkeypatch, caps
     # where column 1 shares every entry of column 0 leaves column 0 none, and the CLI exits 4
     from gorlin import cli, differentials
 
-    skel = list(canonical_skeleton(5, 2))
-    rows = [{**row, 1: {**row.get(1, {}), **row[0]}} if 0 in row else row for row in skel[1].entries]
-    skel[1] = PolyMatrix(skel[1].rows, skel[1].cols, rows)
-    monkeypatch.setattr(differentials, "canonical_skeleton", lambda d, n: tuple(skel))
+    skel = canonical_skeleton(5, 2)
+    # column 0's term at x_v in row i replaces column 1's there, or joins its row
+    shared = {(i, v): s for i, j, v, s in skel.inner[0] if j == 0}
+    cells = [t for t in skel.inner[0] if not (t[1] == 1 and (t[0], t[2]) in shared)]
+    cells += [(i, 1, v, s) for (i, v), s in shared.items()]
+    tables = Skeleton(skel.u, (tuple(sorted(cells, key=lambda t: t[0])), *skel.inner[1:]))
+    monkeypatch.setattr(differentials, "canonical_skeleton", lambda d, n: tables)
     monkeypatch.setattr(differentials, "readout_tables", readout_tables.__wrapped__)
     with pytest.raises(ValueError, match="column 0 of S_2 has no private entry at d=5, n=2"):
         readout_tables.__wrapped__(5, 2)
@@ -385,7 +412,7 @@ def test_every_column_of_an_interior_skeleton_map_has_a_private_entry(d, n):
     # column k of S_r, 2 <= r <= d // 2, has a term s x_v, s = +-1, in a row i where no other column
     # has x_v: the pivot that reads row k of C_{r+1} out of LP(r).  The build reads with those of
     # r < h, and a session checks LP(r) with all of them, at r = h of even d as well
-    skel = canonical_skeleton(d, n)
+    skel = skeleton_matrices(d, n)
     tables = readout_tables(d, n).interior
     assert len(tables) == max(d // 2 - 1, 0)
     for r, (pivots, _) in enumerate(tables, 2):
@@ -424,7 +451,8 @@ def test_a_matrix_handed_out_is_a_new_copy():
 
 
 def test_terms_yields_the_rows_of_each_map_and_pairs_a_cofactor_once(monkeypatch):
-    # the dumps read b_r one row at a time; a cofactor past the middle is paired before the first row
+    # the dumps read b_r one row at a time; a cofactor past the middle is paired before the first row,
+    # and at r = d the skeleton S_d as well, from S_1
     from gorlin import differentials
 
     res = grid_resolution(5, 3)
@@ -439,7 +467,7 @@ def test_terms_yields_the_rows_of_each_map_and_pairs_a_cofactor_once(monkeypatch
     monkeypatch.setattr(differentials, "paired", counted)
     for r in range(1, 6):
         assert list(res.terms(r)) == want[r - 1]
-    assert calls == [4, 5]
+    assert calls == [4, 5, 5]
 
 
 def test_plan_context_keys_each_sum_once():

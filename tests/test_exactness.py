@@ -1,6 +1,5 @@
 """The rank kernels, the strand certificate and the saturated ideal dimensions, where they can break."""
 
-import copy
 import dataclasses
 import random
 from collections import Counter
@@ -11,14 +10,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gorlin import differentials, exactness, linalg
-from gorlin.differentials import build_resolution, canonical_skeleton, signed_terms
+from gorlin.differentials import Skeleton, build_resolution, canonical_skeleton, self_dual_bases, signed_terms
 from gorlin.exactness import (
     PRIMES,
     Piece,
     Session,
     _acyclicity_failures,
     _composes_to_zero,
-    _fine_strand,
+    _monomial_strand,
     certify_exactness,
     denominator_lcm,
     dual_strand_h1k,
@@ -56,12 +55,14 @@ from oracles import (
     duality_failure,
     dual_strand_disagreement,
     dual_strand_h1k_by_ranking,
+    fine_strand,
     ideal_dims_by_rref,
     linear_part_vanishes,
     matrices,
     matrix_form,
     mul,
     plus,
+    skeleton_matrices,
     strand_matrices,
     straightened_dual_strand,
     x1_split,
@@ -299,7 +300,7 @@ def nonzero_entries(mat):
 
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 2), (4, 3), (5, 2)])
 def test_strands_are_the_diagonal_blocks_of_the_canonical_skeleton(d, n):
-    skel = canonical_skeleton(d, n)
+    skel = skeleton_matrices(d, n)
     assert first_nonzero_product(dict(enumerate(skel, 1))) is None
     lmats, kmats = strand_matrices(d, n)
     assert sorted(lmats) == list(range(1, d)) and sorted(kmats) == list(range(2, d + 1))
@@ -352,34 +353,48 @@ KIND = {"monomial": "Y", "dual": "X"}
 
 
 def certificate_of_mutated_skeleton(monkeypatch, d, n, mutate):
-    """(strand_certificate(d, n) computed afresh, the skeleton it read) for a mutated skeleton.
+    """(strand_certificate(d, n) computed afresh, the tables it read) for mutated skeleton tables.
 
-    mutate alters a deep copy of canonical_skeleton(d, n) in place.  The
-    certificate scans the skeleton rows for an entry between an X and a Y
-    element and cuts the monomial strand from the skeleton, so both read the
-    mutated copy.
+    mutate alters inner, the interior maps of canonical_skeleton(d, n) as
+    lists of (i, j, v, s), inner[r - 2] for S_r, in place, keeping each in
+    row order.  Both modules read the mutated tables: the certificate scans
+    and cuts them, and skeleton_matrices writes them out.
     """
-    skel = copy.deepcopy(canonical_skeleton(d, n))
-    mutate(skel)
+    skel = canonical_skeleton(d, n)
+    inner = [list(cells) for cells in skel.inner]
+    mutate(inner)
+    tables = Skeleton(skel.u, tuple(map(tuple, inner)))
     for module in (differentials, exactness):
-        monkeypatch.setattr(module, "canonical_skeleton", lambda d, n: skel)
-    return strand_certificate.__wrapped__(d, n), skel
+        monkeypatch.setattr(module, "canonical_skeleton", lambda d, n: tables)
+    return strand_certificate.__wrapped__(d, n), tables
 
 
-def strand_cells(mat, strand):
-    """The row and column indices of a skeleton map that hold the elements of one strand."""
-    kind = KIND[strand]
-    return ([i for i, (_, e) in enumerate(mat.rows) if e.kind == kind],
-            [j for j, (_, e) in enumerate(mat.cols) if e.kind == kind])
+def strand_cells(d, n, r, strand):
+    """The row and column indices of the map out of position r that hold the elements of one strand."""
+    kind, bases = KIND[strand], self_dual_bases(d, n)
+    return ([i for i, (_, e) in enumerate(bases[r - 1]) if e.kind == kind],
+            [j for j, (_, e) in enumerate(bases[r]) if e.kind == kind])
 
 
-def first_entry(mat, strand):
-    rows, cols = strand_cells(mat, strand)
-    return next((i, j) for i in rows for j in cols if mat.entry(i, j))
+def first_triple(d, n, r, strand):
+    """(k, (i, j, v, s)) for the first triple of the table of S_r, 2 <= r <= d-1, in a row of one strand."""
+    rows = set(strand_cells(d, n, r, strand)[0])
+    return next((k, t) for k, t in enumerate(canonical_skeleton(d, n).inner[r - 2]) if t[0] in rows)
+
+
+def flipped(inner, r, k):
+    """inner with the sign of triple k of S_r flipped, in place."""
+    i, j, v, s = inner[r - 2][k]
+    inner[r - 2][k] = (i, j, v, -s)
+
+
+def inserted(cells, cell):
+    """cells with cell inserted after the cells of its row and the rows above it, in place."""
+    cells.insert(next((k for k, c in enumerate(cells) if c[0] > cell[0]), len(cells)), cell)
 
 
 def unpaired_at(skel):
-    """The r of the first pair at which the pairing rule fails on a skeleton, or None."""
+    """The r of the first pair at which the pairing rule fails on skeleton matrices, or None."""
     found = duality_failure((skel[0].rows, *(m.cols for m in skel)), skel)
     return found and found[0]
 
@@ -388,7 +403,7 @@ def unpaired_at(skel):
 def test_canonical_skeleton_holds_the_pairing_rule(d, n):
     # the strand certificate takes the dual strand to be the pairing transpose of the monomial
     # strand, as canonical_skeleton writes it: every map is L beside the transpose of its partner's L
-    assert unpaired_at(canonical_skeleton(d, n)) is None
+    assert unpaired_at(skeleton_matrices(d, n)) is None
 
 
 @pytest.mark.parametrize("d,n", GRID + [(6, 2), (7, 2)])
@@ -401,56 +416,84 @@ def test_the_pairing_transpose_of_the_monomial_strand_is_the_straightened_dual_s
     assert dual_strand_disagreement(d, n) is None
 
 
-@pytest.mark.parametrize("strand,r", [("monomial", 1), ("monomial", 3), ("dual", 2), ("dual", 4)])
+@pytest.mark.parametrize("strand,r", [("monomial", 2), ("monomial", 3), ("dual", 2), ("dual", 3)])
 def test_strand_certificate_fails_on_a_sign_flip(monkeypatch, strand, r):
-    # a flipped monomial map is still finely graded, so the complex property
+    # a flipped monomial triple is still finely graded, so the complex property
     # on its +-1 triples is what fails.  The certificate does not read the
     # dual strand, the pairing transpose of L by construction of
-    # canonical_skeleton; a flipped dual map breaks that pairing rule where
-    # map r first enters it, as b_{r'+1} or as b_{d-r'}
-    def flip(skel):
-        mat = skel[r - 1]
-        i, j = first_entry(mat, strand)
-        mat.set(i, j, signed_terms(mat.entry(i, j), -1))
-
-    cert, skel = certificate_of_mutated_skeleton(monkeypatch, 4, 2, flip)
+    # canonical_skeleton; a flipped dual triple breaks that pairing rule where
+    # map r first enters it, as b_{r'+1} or as b_{d-r'}.  The end maps S_1 and
+    # S_d carry no sign in the tables: S_1 is u, and S_d its pairing transpose
+    cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, lambda inner: flipped(
+        inner, r, first_triple(4, 2, r, strand)[0]))
     if strand == "monomial":
         assert cert == ("monomial strand does not compose to zero",)
     else:
-        assert cert == () and unpaired_at(skel) == min(r - 1, 4 - r)
+        assert cert == () and unpaired_at(skeleton_matrices(4, 2)) == min(r - 1, 4 - r)
+
+
+@pytest.mark.parametrize("d,n", [(4, 2), (5, 2), (4, 3)])
+def test_every_flip_of_a_monomial_triple_fails_the_certificate(monkeypatch, d, n):
+    # each sign of L is forced: flipping any one triple of an interior map in a Y row breaks
+    # the complex property, the first test after the fine grading
+    rows = {r: set(strand_cells(d, n, r, "monomial")[0]) for r in range(2, d)}
+    flips = [(r, k) for r in rows for k, t in enumerate(canonical_skeleton(d, n).inner[r - 2]) if t[0] in rows[r]]
+    assert len(flips) == {(4, 2): 26, (5, 2): 108, (4, 3): 51}[d, n]
+    for r, k in flips:
+        with monkeypatch.context() as patch:
+            cert, _ = certificate_of_mutated_skeleton(patch, d, n, lambda inner: flipped(inner, r, k))
+        assert cert == ("monomial strand does not compose to zero",), (r, k)
+
+
+@pytest.mark.parametrize("d,n", [(4, 2), (5, 2), (4, 3)])
+def test_a_monomial_triple_moved_to_another_multidegree_is_named(monkeypatch, d, n):
+    # the first monomial triple of each interior map, moved along its row to an empty column of
+    # another fine degree: the certificate names it by its indices in the strand and its entry
+    for r in range(2, d):
+        rows, cols = strand_cells(d, n, r, "monomial")
+        k, (i, j, v, s) = first_triple(d, n, r, "monomial")
+        cells = canonical_skeleton(d, n).inner[r - 2]
+        degs = {c: fine_degree(self_dual_bases(d, n)[r].elements[c][1]) for c in cols}
+        j2 = next(c for c in cols if degs[c] != degs[j] and (i, c) not in {t[:2] for t in cells})
+
+        def move(inner):
+            inner[r - 2][k] = (i, j2, v, s)
+
+        with monkeypatch.context() as patch:
+            cert, _ = certificate_of_mutated_skeleton(patch, d, n, move)
+        x_v = poly_str({mul_var(unit(d), v): s})
+        assert cert == (f"monomial strand is not finely graded: entry ({rows.index(i)}, {cols.index(j2)}) of the map "
+                        f"out of position {r} is {x_v}, expected +-x^v with c(column) = c(row) + v",), (d, n, r)
 
 
 @pytest.mark.parametrize("strand,r", [("monomial", 2), ("dual", 3)])
 def test_strand_certificate_names_an_entry_moved_to_another_multidegree(monkeypatch, strand, r):
     moved = []
 
-    def move(skel):
-        mat = skel[r - 1]
-        rows, cols = strand_cells(mat, strand)
-        i, j = first_entry(mat, strand)
-        degs = {k: fine_degree(mat.cols.elements[k][1]) for k in cols}
-        j2 = next(k for k in cols if not mat.entry(i, k) and degs[k] != degs[j])
-        mat.set(i, j2, mat.entry(i, j))
-        mat.set(i, j, {})
-        moved.append((rows.index(i), cols.index(j2), mat.entry(i, j2)))
+    def move(inner):
+        rows, cols = strand_cells(4, 2, r, strand)
+        k, (i, j, v, s) = first_triple(4, 2, r, strand)
+        degs = {c: fine_degree(self_dual_bases(4, 2)[r].elements[c][1]) for c in cols}
+        j2 = next(c for c in cols if degs[c] != degs[j] and (i, c) not in {t[:2] for t in inner[r - 2]})
+        inner[r - 2][k] = (i, j2, v, s)
+        moved.append((rows.index(i), cols.index(j2), {mul_var(unit(4), v): s}))
 
-    cert, skel = certificate_of_mutated_skeleton(monkeypatch, 4, 2, move)
+    cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, move)
     (i, j2, p), = moved
     if strand == "monomial":
         assert cert == (f"monomial strand is not finely graded: entry ({i}, {j2}) of the map out of "
                         f"position {r} is {poly_str(p)}, expected +-x^v with c(column) = c(row) + v",)
     else:
         # the dual strand is not read by the certificate (test_strand_certificate_fails_on_a_sign_flip)
-        assert cert == () and unpaired_at(skel) == min(r - 1, 4 - r)
+        assert cert == () and unpaired_at(skeleton_matrices(4, 2)) == min(r - 1, 4 - r)
 
 
 def test_strand_certificate_ranks_a_zeroed_column(monkeypatch):
     # still finely graded and a complex, so the ranks at the coordinate
     # points fail it
-    def zero(skel):
-        _, cols = strand_cells(skel[2], "monomial")
-        for i in range(len(skel[2].rows)):
-            skel[2].set(i, cols[0], {})
+    def zero(inner):
+        _, cols = strand_cells(4, 2, 3, "monomial")
+        inner[1] = [t for t in inner[1] if t[1] != cols[0]]
 
     cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, zero)
     assert cert
@@ -467,20 +510,23 @@ def test_strand_certificate_fails_on_an_unreached_bottom_element(monkeypatch, st
     # a copy of the bottom element that no map reaches: the strand stays
     # finely graded, a complex, and meets the rank criterion at every
     # coordinate point, but its cokernel is no longer R/m^n, which the
-    # count of bottom elements rejects
-    def extend(skel):
-        mat = skel[r - 1]
-        rows, _ = strand_cells(mat, strand)
-        mat.rows = OrderedBasis(mat.rows.d, mat.rows.n, mat.rows.r, mat.rows.elements + (mat.rows.elements[rows[0]],))
-        mat.entries.append({})
-
-    cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, extend)
+    # count of bottom elements rejects.  The bases are facts of (d, n), so
+    # both modules read the extended ones
+    bases = list(self_dual_bases(4, 2))
+    rows = bases[r - 1]
+    copy_of = rows.elements[strand_cells(4, 2, r, strand)[0][0]]
+    bases[r - 1] = OrderedBasis(rows.d, rows.n, rows.r, rows.elements + (copy_of,))
+    for module in (differentials, exactness):
+        monkeypatch.setattr(module, "self_dual_bases", lambda d, n: tuple(bases))
+    cert = strand_certificate.__wrapped__(4, 2)
     assert cert and cert[0] == first
 
 
 @pytest.mark.parametrize("d,n", [*GRID, (4, 4), (6, 2)])
 def test_coordinate_points_and_box_give_the_same_verdict(d, n):
-    degs, triples = _fine_strand("monomial", strand_matrices(d, n)[0])
+    # the certificate reads the strand off the tables as the matrix reader reads it off the matrices
+    degs, triples = fine_strand("monomial", strand_matrices(d, n)[0])
+    assert _monomial_strand(d, n) == (degs, triples)
     assert _acyclicity_failures(degs, triples, n) == acyclicity_failures_by_box(degs, triples, n) == []
     assert strand_certificate(d, n) == ()
 
@@ -537,7 +583,7 @@ def test_coordinate_points_and_box_agree_on_mutated_strands(data):
             p, q = mat.entry(i, j), mat.entry(i2, j2)
             mat.set(i, j, q)
             mat.set(i2, j2, p)
-    strand = _fine_strand("monomial", mats)
+    strand = fine_strand("monomial", mats)
     ranked = not isinstance(strand, str) and _composes_to_zero(strand[1])
     if kind in ("map", "variable", "bottom"):
         assert ranked
@@ -557,24 +603,20 @@ def test_skeleton_complex_fact_on_a_mixed_entry_and_a_sign_flip(monkeypatch):
     # construction and the certificate does not read
     assert strand_certificate(4, 2) == ()
 
-    def mix(skel):
-        mat = skel[1]
-        i = next(i for i, (_, e) in enumerate(mat.rows) if e.kind == "X")
-        j = next(j for j, (_, e) in enumerate(mat.cols) if e.kind == "Y")
-        mat.set(i, j, {mul_var(unit(4), 2): 1})
+    def mix(inner):
+        rows, _ = strand_cells(4, 2, 2, "dual")
+        _, cols = strand_cells(4, 2, 2, "monomial")
+        inserted(inner[0], (rows[0], cols[0], 2, 1))
 
     def flip(strand):
-        def mutate(skel):
-            i, j = first_entry(skel[1], strand)
-            skel[1].set(i, j, signed_terms(skel[1].entry(i, j), -1))
-        return mutate
+        return lambda inner: flipped(inner, 2, first_triple(4, 2, 2, strand)[0])
 
     cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, mix)
     assert cert[0].startswith("skeleton map out of position 2 joins an X and a Y element in row ")
     cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, flip("monomial"))
     assert cert[0] == "monomial strand does not compose to zero"
-    cert, skel = certificate_of_mutated_skeleton(monkeypatch, 4, 2, flip("dual"))
-    assert cert == () and unpaired_at(skel) == 1
+    cert, _ = certificate_of_mutated_skeleton(monkeypatch, 4, 2, flip("dual"))
+    assert cert == () and unpaired_at(skeleton_matrices(4, 2)) == 1
 
 
 def duality_failure_by_negation(bases, mats):
@@ -799,6 +841,18 @@ def test_exactness_without_a_compressed_hilbert_function_fails_the_lemma_hypothe
     with pytest.raises(InadmissibleSystemError, match="delta != 0"):
         certify_exactness(s)
     assert degrees == ranked == []
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_exactness_refuses_delta_zero_before_it_reads_any_other_fact(d):
+    # phi = Y_1^[2] has delta = 0.  certify_exactness reads the session's Hilbert function
+    # first, so the refusal does not wait for the r = 2 step of the complex fact, which d = 3
+    # does not have: there the annihilation verdict came first
+    phi = InverseSystem(d, 2, {(2,) + (0,) * (d - 1): Fraction(1)})
+    s = Session(grid_resolution(d, 2), phi)
+    with pytest.raises(InadmissibleSystemError, match="delta != 0"):
+        certify_exactness(s)
+    assert not {"b1_degree_failure", "complex_failure", "b1_annihilation_failure", "ideal_dim_n"} & vars(s).keys()
 
 
 @pytest.mark.parametrize("bump", [

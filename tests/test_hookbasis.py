@@ -4,13 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from gorlin.differentials import _assemble, canonical_skeleton
 from gorlin.hookbasis import (
     BasisElement,
     duality_basis,
     enumerate_basis,
     expand_kappa,
     gamma_of,
+    is_standard,
     pp_dual_basis,
     pp_dual_element,
     pp_value,
@@ -22,7 +22,7 @@ from gorlin.hookbasis import (
 from gorlin.monomials import div_var, least, monomials_of_degree, mul_var, var_divides
 
 from conftest import column
-from oracles import expand_eta
+from oracles import assemble, expand_eta, skeleton_matrices
 
 
 def M(*e):
@@ -168,26 +168,58 @@ def test_enumerate_counts_match_rank_formulas(d, n):
         assert len(basis.part("Y")) == ell
         assert len(basis) == beta
         assert all(s == 1 for s, _ in basis)
+        # the rule that duality_basis checks the partners past the middle by
+        assert all(is_standard(e, n) for _, e in basis)
+        assert not any(is_standard(e, n + 1) for _, e in basis)
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 3), (5, 2)])
+def test_the_membership_rule_picks_the_standard_basis(d, n):
+    # every kind, index list of r entries in 1..d+1 and monomial in x1..xd of degree n or n-1, at
+    # every r: the rule keeps exactly the elements that enumerate_basis lists
+    candidates = {BasisElement(kind, r, a, m) for r in range(d + 1) for kind, deg in (("X", n), ("Y", n - 1))
+                  for a in combinations(range(1, d + 2), r) for m in monomials_of_degree(d, deg)}
+    candidates |= {y0(d), xd(d)}
+    standard = {e for r in range(d + 1) for _, e in enumerate_basis(d, n, r)}
+    assert {e for e in candidates if is_standard(e, n)} == standard
+
+
+def test_duality_basis_refuses_partners_that_are_not_the_standard_basis(monkeypatch):
+    # past the middle the basis is the partners of its complement: a repeated partner, or one
+    # off the membership rule with the count kept, fails the assertion
+    from gorlin import hookbasis
+
+    real, first = pp_dual_element, enumerate_basis(5, 2, 2).elements[0][1]
+    off_rule = BasisElement("X", 3, (3, 4, 5), M(0, 0, 1, 1, 0))  # least(m) = 3 > gamma = 1
+    assert not is_standard(off_rule, 2)
+    for fake in (lambda e: real(first), lambda e: (1, off_rule) if e == first else real(e)):
+        monkeypatch.setattr(hookbasis, "pp_dual_element", fake)
+        with pytest.raises(AssertionError):
+            duality_basis.__wrapped__(5, 2, 3)
+    monkeypatch.setattr(hookbasis, "pp_dual_element", real)
+    assert duality_basis.__wrapped__(5, 2, 3) == duality_basis(5, 2, 3)
 
 
 def test_basis_element_validation():
-    # a malformed element is not a basis element, so assembly refuses it as a target
+    # a malformed element is not a basis element: the membership rule rejects it, and assembly
+    # refuses it as a target
     for elt in [
         BasisElement("X", 2, (3, 4), M(0, 0, 1, 1)),  # least(m)=3 > gamma=1
         BasisElement("Y", 2, (3, 4), M(0, 1, 0, 0)),  # least(m)=2 < a1
         BasisElement("X", 2, (3, 2), M(0, 2, 0, 0)),  # unsorted index list
         BasisElement("Y", 1, (2,), M(1, 1, 0, 0)),  # x1 in the monomial
     ]:
+        assert not is_standard(elt, 2)
         rows, cols = duality_basis(4, 2, elt.r), duality_basis(4, 2, elt.r + 1)
         with pytest.raises(KeyError):
-            _assemble(rows, cols, [{elt: {M(0, 0, 0, 0): 1}}] + [{}] * (len(cols) - 1))
+            assemble(rows, cols, [{elt: {M(0, 0, 0, 0): 1}}] + [{}] * (len(cols) - 1))
 
 
 def test_kos_blocks_compose_to_zero():
     for d, n in [(4, 2), (5, 3)]:
         for r in range(2, d - 1):
-            k_hi, l_hi = skeleton_kos_blocks(canonical_skeleton(d, n)[r])
-            k_lo, l_lo = skeleton_kos_blocks(canonical_skeleton(d, n)[r - 1])
+            k_hi, l_hi = skeleton_kos_blocks(skeleton_matrices(d, n)[r])
+            k_lo, l_lo = skeleton_kos_blocks(skeleton_matrices(d, n)[r - 1])
             for lo, hi in [(k_lo, k_hi), (l_lo, l_hi)]:
                 assert not any(lo.mul(hi))
 
@@ -198,7 +230,7 @@ def test_kos_block_column_structure():
     # 2r-1 entries (not r: that bound only holds before straightening)
     for d, n in [(4, 2), (5, 3)]:
         for r in range(2, d):
-            for blk in skeleton_kos_blocks(canonical_skeleton(d, n)[r - 1]):
+            for blk in skeleton_kos_blocks(skeleton_matrices(d, n)[r - 1]):
                 for j in range(len(blk.cols)):
                     nz = [p for p in column(blk, j) if p]
                     assert len(nz) <= 2 * r - 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gorlin.differentials import build_resolution, canonical_skeleton
+from gorlin.differentials import build_resolution, skeleton_rows
 from gorlin.invsys import ann_degree, random_invsys
 from gorlin.polynomials import clear_denominators, poly_str
 
@@ -121,8 +121,9 @@ def producer_coefficients(res, bump):
     """Every coefficient written by each producer of term dicts, by producer, for the resolution res.
 
     No producer is normalised after it writes, so each must write the form
-    of polynomials.Terms itself: Resolution.terms for every r, the entries of
-    canonical_skeleton, PolyMatrix.mul on b_1 b_2 with bump x_d added to
+    of polynomials.Terms itself: Resolution.terms for every r, the skeleton
+    tables written out by skeleton_rows with scale 1 (the signs of
+    canonical_skeleton), PolyMatrix.mul on b_1 b_2 with bump x_d added to
     entry (0, 0) of b_2 (so that the product is not zero), and ann_degree.
     """
     d, n = res.d, res.n
@@ -131,7 +132,7 @@ def producer_coefficients(res, bump):
     b2.set(0, 0, plus(b2.entry(0, 0), (0,) * (d - 1) + (1,), bump))
     rows = {
         "Resolution.terms": [row for r in range(1, d + 1) for row in res.terms(r)],
-        "canonical_skeleton": [row for mat in canonical_skeleton(d, n) for row in mat.entries],
+        "skeleton_rows": [row for r in range(1, d + 1) for row in skeleton_rows(d, n, r, 1)],
         "PolyMatrix.mul": b1.mul(b2),
         "ann_degree": [dict(enumerate(ann_degree(res.phi, n)))],
     }
@@ -153,4 +154,4 @@ def test_every_coefficient_of_an_integer_system_is_an_int():
 def test_the_large_rational_system_keeps_its_fractions():
     for name, coeffs in producer_coefficients(build_resolution(extra_phi(EXTRA[1])), Fraction(2, 3)).items():
         assert coeffs and all(map(in_form, coeffs)), name
-        assert name == "canonical_skeleton" or any(type(c) is Fraction for c in coeffs), name
+        assert name == "skeleton_rows" or any(type(c) is Fraction for c in coeffs), name

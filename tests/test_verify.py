@@ -1,6 +1,5 @@
 """The check suite: passes on good instances, fails with witnesses on broken ones."""
 
-import copy
 import dataclasses
 import sys
 from collections import Counter
@@ -67,6 +66,7 @@ from oracles import (
     plus,
     route_disagreement,
     rref_by_fractions,
+    skeleton_matrices,
     wlp_by_rank,
 )
 
@@ -105,7 +105,7 @@ def test_all_checks_pass_d4_random():
     res = grid_resolution(4, 2)
     report = run_checks(res, phi)
     assert report.passed, report.to_text()
-    assert tuple(dense(m) for m in canonical_skeleton(4, 2)) == golden_skeleton_d4_n2()
+    assert tuple(dense(m) for m in skeleton_matrices(4, 2)) == golden_skeleton_d4_n2()
 
 
 def test_check_complex_witness():
@@ -329,7 +329,7 @@ def test_readout_verdict_agrees_with_the_linear_part_on_changed_lifts(data):
     j = data.draw(st.integers(0, len(res.bases[r]) - 1), label="column")
     c = data.draw(st.sampled_from([-2, -1, 1, Fraction(1, 3)]), label="c")
     bad = changed_lift(res, r, lambda rows: add_to(rows, i, j, c))
-    s, skel = Session(bad, bad.phi), canonical_skeleton(d, n)
+    s, skel = Session(bad, bad.phi), skeleton_matrices(d, n)
     assert first_nonzero_product(dict(enumerate(matrices(bad), 1)))[0] == r - 1
     for k in range(2, r):
         want = linear_part_vanishes(skel[k - 1].entries, bad.cofactor(k), skel[k].entries, bad.cofactor(k + 1),
@@ -497,7 +497,7 @@ def test_check_skeleton_golden_and_witness():
     res = grid_resolution(4, 2)
     out = check_skeleton(Session(res, res.phi))
     assert out.passed
-    assert tuple(dense(m) for m in canonical_skeleton(4, 2)) == golden_skeleton_d4_n2()
+    assert tuple(dense(m) for m in skeleton_matrices(4, 2)) == golden_skeleton_d4_n2()
     bad = perturbed(res, r=2, i=0, j=0, bump=Poly.monomial((0, 1, 0, 0)))
     out = matrix_check(MatrixSession(bad, bad.phi), "skeleton")
     assert not out.passed
@@ -515,30 +515,32 @@ def test_check_skeleton_names_the_failed_strand(monkeypatch):
 
 
 def test_check_skeleton_fails_on_an_entry_between_an_x_and_a_y_element(monkeypatch):
-    # x2 at an X-row/Y-column zero of S_2 and its pairing mirror in S_3: the
-    # strands are untouched and the pairing rule still holds on the skeleton,
-    # so only the block scan of the strand certificate sees the mixed entry.
-    # B is altered to match, so the skeleton comparison of the matrix form
-    # passes as well.
+    # x2 at an X-row/Y-column zero of S_2 and its pairing mirror in S_3, two triples added to the
+    # tables: the strands are untouched and the pairing rule still holds on the skeleton, so only
+    # the block scan of the strand certificate sees the mixed entry.  B is altered to match, so
+    # the skeleton comparison of the matrix form passes as well.
     from gorlin import differentials, exactness, verify
+    from gorlin.differentials import Skeleton
     from gorlin.exactness import strand_certificate
     from gorlin.hookbasis import pairing
     from oracles import duality_failure
 
     res = matrix_form(grid_resolution(4, 2))
-    skel = copy.deepcopy(canonical_skeleton(4, 2))
-    s2 = skel[1]
+    skel, s2 = canonical_skeleton(4, 2), skeleton_matrices(4, 2)[1]
     i = next(i for i, (_, e) in enumerate(s2.rows) if e.kind == "X")
     j = next(j for j, (_, e) in enumerate(s2.cols) if e.kind == "Y" and not s2.entry(i, j))
     (ii, s1), (kk, t1) = pairing(res.bases[2], res.bases[2])[j], pairing(res.bases[1], res.bases[3])[i]
     x2 = Poly.monomial(mul_var(unit(4), 2))
+    inner = [list(cells) for cells in skel.inner]
     for (r, a, b), c in (((2, i, j), 1), ((3, ii, kk), -s1 * t1)):
-        assert not skel[r - 1].entry(a, b)
-        skel[r - 1].set(a, b, x2.scale(c).terms)
+        assert (a, b) not in {t[:2] for t in inner[r - 2]}
+        # after the triples of row a, so each table stays in row order
+        inner[r - 2].insert(sum(t[0] <= a for t in inner[r - 2]), (a, b, 2, c))
         res.matrix(r).set(a, b, (Poly(4, res.matrix(r).entry(a, b)) + x2.scale(c * res.delta)).terms)
-    assert duality_failure(res.bases, skel) is None
+    tables = Skeleton(skel.u, tuple(map(tuple, inner)))
     for module in (differentials, exactness):
-        monkeypatch.setattr(module, "canonical_skeleton", lambda d, n: skel)
+        monkeypatch.setattr(module, "canonical_skeleton", lambda d, n: tables)
+    assert duality_failure(res.bases, skeleton_matrices(4, 2)) is None
     monkeypatch.setattr(verify, "strand_certificate", strand_certificate.__wrapped__)
     s = MatrixSession(res, res.phi)
     assert s.skeleton_failure is None and s.duality_failure is None
