@@ -11,9 +11,8 @@ inverse system enters only through the cofactor C_r of x1, a constant matrix
 for 2 <= r <= d-1 and of degree n-1 for r = 1 and r = d.  All matrices are
 written in one basis family, the self-dual bases of hookbasis.duality_basis,
 in which the pairing between complementary positions is a signed
-permutation, and paired applies the pairing rule in one place.  The skeleton
-writes the strand L and takes K from it, and a cofactor past the middle,
-h = (d+1)//2, is the pairing transpose of its partner's.
+permutation, and paired applies the pairing rule in one place: the skeleton
+takes K from L, and a cofactor past h = (d+1)//2 is its partner's transpose.
 
 As the paper says, B amounts to a minimal generating set of the ideal and
 the x1 coefficients of the interior maps, and those coefficients are forced
@@ -37,28 +36,30 @@ by B being a complex.  So a build writes C_1 alone and reads the rest out:
   (exactness.Session.duality_failure).
 
 Each readout solves an equation that B satisfies, with a unique solution,
-so it is B's cofactor.  verify multiplies out b_1 b_2 and proves each
-LP(r), 2 <= r <= d // 2, by its readout (exactness.Session.complex_failure),
-at r = h of even d against the pairing transpose of C_h.  The tables that
-the readouts read (readout_tables) are facts of (d, n), built once.
+so it is B's cofactor.  The record reads C_3..C_h out of C_2 itself
+(Resolution), so LP(r), 2r < d, holds by construction; verify multiplies
+out b_1 b_2 and compares one readout, at r = h of even d, with the pairing
+transpose of C_h (exactness.Session.complex_failure).  The tables that the
+readouts read (readout_tables) are facts of (d, n), built once.
 
-A build returns phi, delta and C_1..C_h as one frozen record (Resolution);
-the rest is a fact of (d, n).  No matrix is written then: Resolution
+A build returns phi, delta, C_1 and C_2 as one frozen record; the rest is
+a fact of (d, n) or a readout.  No matrix is written then: Resolution
 builds each on request as delta S_r beside x1 C_r, and a Session reads S
 and C from the record.  So the skeleton, the x1 split and the pairing rule
 on every map but the middle one of odd d hold by construction.  Every
-value is computed as an integer numerator over the one denominator of the
-record (Catalecticant states the convention) and divided once at the end,
-so a coefficient is an int whenever it is integral (always, for phi with
-integer coefficients) and a Fraction only otherwise.  An entry that is
-zero is not stored (PolyMatrix keeps the nonzero entries only).
+value is computed as an integer numerator over one denominator (the
+record's, as Catalecticant states it, or the lcm of those of C_2) and
+divided once at the end, so a coefficient is an int whenever it is
+integral (always, for phi with integer coefficients) and a Fraction only
+otherwise.  An entry that is zero is not stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
+from math import lcm
 from operator import itemgetter, mul as times
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -84,10 +85,8 @@ def paired(bases: tuple[OrderedBasis, ...], k: int, rows: Rows, signed: Callable
     pairing(bases[k], bases[d-k]), entry (ii, kk) of b_{d-r} is (-1)^r s t
     times entry (i, jj) of b_{r+1}, where P_r pairs i with kk by the sign s
     and P_{r+1} pairs jj with ii by t.  signed(v, e) is v times the sign e.
-    This is the one place the rule is applied, for any k.  The skeleton
-    writes L and takes K from here; a cofactor past the middle is the
-    transpose of its partner; and the middle map of odd d,
-    k = d + 1 - k, is its own partner: P_{h-1} is the identity in the
+    This is the one place the rule is applied, for any k.  The middle map of
+    odd d, k = d + 1 - k, is its own partner: P_{h-1} is the identity in the
     self-dual bases, so its transpose is its mirror, (-1)^(h-1) times entry
     (i, j) at (j, i), which the middle cofactor must equal.
     """
@@ -118,10 +117,11 @@ def self_dual_bases(d: int, n: int) -> tuple[OrderedBasis, ...]:
 class Resolution:
     """The resolution of phi as the lift of its skeleton: b_r = delta S_r + x1 C_r for every r.
 
-    A build decides phi, delta and the cofactors, and nothing else: the
-    bases, the twists and the skeleton S_r are those of (d, n)
-    (self_dual_bases, twist_list, skeleton_rows).  delta is an int when it
-    is integral, and never 0: delta_and_Q refuses such a phi first, so
+    A build decides phi, delta, C_1 and C_2, and nothing else: the bases,
+    the twists and the skeleton S_r are those of (d, n) (self_dual_bases,
+    twist_list, skeleton_rows), and __post_init__ reads C_3..C_h out of C_2
+    (read_out), so a replace of C_2 reads them again.  delta is an int when
+    it is integral, and never 0: delta_and_Q refuses such a phi first, so
     __post_init__ refuses delta = 0 as a defect (ValueError).
     cofactors[r - 1] is C_r by rows (Rows) for r <= h = (d+1)//2: at r = 1
     a column j maps to the terms {m: c} of its cofactor, of degree n-1, and
@@ -138,11 +138,21 @@ class Resolution:
 
     phi: InverseSystem
     delta: Scalar
-    cofactors: tuple[Rows, ...]
+    c1: Rows
+    c2: Rows
+    cofactors: tuple[Rows, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.delta == 0:
             raise ValueError("a resolution needs delta != 0, which delta_and_Q proves before every build")
+        tables, chain = readout_tables(self.d, self.n).interior[:(self.d + 1) // 2 - 2], [self.c2]
+        # read out in int numerators over the lcm of the denominators of C_2, divided once
+        denom = lcm(*(c.denominator for row in self.c2 for c in row.values() if type(c) is not int)) if tables else 1
+        nums = self.c2 if denom == 1 else [{j: int(c * denom) for j, c in row.items()} for row in self.c2]
+        for pivots, xrows in tables:
+            nums = read_out(nums, pivots, xrows)
+            chain.append(nums if denom == 1 else [{j: over(c, denom) for j, c in row.items()} for row in nums])
+        object.__setattr__(self, "cofactors", (self.c1, *chain))
 
     @property
     def d(self) -> int:
@@ -181,8 +191,7 @@ class Resolution:
         """C_r by rows; past h the pairing transpose of C_{d+1-r}: forms at r = d, constants inside."""
         if r <= len(self.cofactors):
             return self.cofactors[r - 1]
-        d = self.d
-        return paired(self.bases, r, self.cofactors[d - r], signed_terms if r == d else times)
+        return paired(self.bases, r, self.cofactors[self.d - r], signed_terms if r == self.d else times)
 
     def monomials(self, r: int) -> set[Mono]:
         """The distinct monomials of b_r: those of delta S_r and x1 times those of C_r or C_{d+1-r}."""
@@ -231,7 +240,7 @@ class ReadoutTables:
     * interior[r - 2], 2 <= r <= d // 2, is (pivots, xrows): pivots[k] is
       (i, v, s) for a private entry s x_v of column k of S_r (no other
       column of S_r has x_v in row i), and xrows[v][l] lists (j, c) for the
-      terms c x_v of row l of S_{r+1}.  A build reads with those of r < h.
+      terms c x_v of row l of S_{r+1}.  A Resolution reads with those of r < h.
     """
 
     u: tuple[Mono, ...]
@@ -343,24 +352,20 @@ def read_out(rows: Numerators, pivots, xrows) -> Numerators:
 def build_resolution(phi: InverseSystem, ordering: str = "selfdual") -> Resolution:
     """The resolution of phi in lift form, in the self-dual bases: C_1 from its closed form, the rest read out.
 
-    C_1 is written from the sums Q and tq of the Catalecticant record,
-    C_2 is read out of N = 0 and each C_{r+1}, 2 <= r < h, out of LP(r)
-    (module docstring).  ordering names the basis family; "selfdual"
-    (duality_basis) is the only one.
+    C_1 is written from the sums Q and tq of the Catalecticant record and
+    C_2 is read out of N = 0 (module docstring); the record reads out the
+    rest.  ordering names the basis family; "selfdual" (duality_basis) is
+    the only one.
     """
     if ordering != "selfdual":
         raise ValueError(f"unknown ordering {ordering!r}; the only basis family is 'selfdual'")
     cat = delta_and_Q(phi)
-    tabs = readout_tables(phi.d, phi.n)
-    c1, c2 = _first_cofactors(cat, tabs)
-    nums = [c2]
-    for pivots, xrows in tabs.interior[:(phi.d + 1) // 2 - 2]:
-        nums.append(read_out(nums[-1], pivots, xrows))
+    c1, c2 = _first_cofactors(cat, readout_tables(phi.d, phi.n))
     denom, monos = cat.denom, cat.monos
     # over gives an int when it is integral, the form of every coefficient (polynomials)
     first = {j: {monos[i]: over(c, denom) for i, c in enumerate(col) if c} for j, col in enumerate(c1) if any(col)}
-    inside = nums if denom == 1 else [[{j: over(c, denom) for j, c in row.items()} for row in rows] for rows in nums]
-    return Resolution(phi, exact(cat.delta), ([first], *inside))
+    second = c2 if denom == 1 else [{j: over(c, denom) for j, c in row.items()} for row in c2]
+    return Resolution(phi, exact(cat.delta), [first], second)
 
 
 class Skeleton(NamedTuple):  # the index tables of canonical_skeleton, which says what they hold

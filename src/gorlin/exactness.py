@@ -98,10 +98,10 @@ S_r S_{r+1} = 0 needs no product: it follows from the strand certificate,
 which requires that no skeleton entry join an X and a Y element, so that
 S_r S_{r+1} is K_r K_{r+1} beside L_r L_{r+1}; L composes to zero, and so
 does K, its pairing transpose.  So an interior product of the lift is
-x1 (delta LP(r) + x1 C_r C_{r+1}), and LP(r), the equation that the build
-reads C_{r+1} out of (differentials.read_out), is proved by that readout
-(complex_failure).  Only the end products, and an interior one whose
-readout or premise fails, are multiplied out.
+x1 (delta LP(r) + x1 C_r C_{r+1}).  LP(r) holds by construction below the
+middle, as the record reads C_{r+1} out of it, and by one comparison at
+r = h of even d (complex_failure).  Only the end products, and an interior
+one whose comparison or premise fails, are multiplied out.
 On a system with integer coefficients every entry of B is an int
 polynomial, and these facts are proved without Fraction arithmetic.
 """
@@ -435,8 +435,6 @@ class Session:
     in a session of its own.  It reads S_r and C_r from res, and builds a
     matrix only when a check needs one, once (matrix); monomials and
     cofactor read res, where the tests' matrix form reads its matrices.
-    The skeleton, the x1 split and the pairing rule on every map but the
-    middle one of odd d hold by construction, so no fact stands for them.
     A failed strand certificate, a premise, is refused here (ValueError).
     """
 
@@ -527,7 +525,9 @@ class Session:
           are a basis.  b_1 b_2 b_3 = 0 gives delta LP + x1 M = b_2 Y, Y
           constant, so LP = S_2 Y, M = C_2 Y, and C_3 - Y is the readout:
           C_3 equal to it gives Y = 0, LP = 0 and M = 0.
-        A failed readout or premise multiplies the product out, so the
+        Below the middle (2r < d) the record's C_{r+1} is that readout; at
+        r = h of even d, C_{h+1} is paired from C_h, and the two are compared.
+        A failed comparison or premise multiplies the product out, so the
         witness is that of first_nonzero_product.
         """
         d = self.res.d
@@ -548,7 +548,7 @@ class Session:
                            and self.b1_annihilation_failure is None
                            and betti[1] * d - (comb(n + d, d - 1) - self.hf(n + 1)) == betti[2]):
             return False
-        return read_out(self.cofactor(r), *readout_tables(d, n).interior[r - 2]) == self.cofactor(r + 1)
+        return 2 * r < d or read_out(self.cofactor(r), *readout_tables(d, n).interior[r - 2]) == self.cofactor(r + 1)
 
     @cached_property
     def hilbert(self) -> list[int]:

@@ -170,23 +170,16 @@ def kos_expansion(elt: BasisElement) -> dict[BasisElement, dict[int, int]]:
 
     This is the monomial strand L of the skeleton of the resolution (without
     the determinant factor); the sign normalization is (-1)^j on the j-th
-    wedge slot.  Every target maps v = a_j to the nonzero c of its term c x_v.
-    The dual strand on the X elements is the pairing transpose of L
-    (differentials.canonical_skeleton), so no X element is straightened.
+    wedge slot.  Every target maps v = a_j to the nonzero c of its term c x_v;
+    no two terms meet.  Only the first slot can straighten, as a standard Y
+    element has a_1 <= least(m).  The dual strand on the X elements is the
+    pairing transpose of L (differentials.canonical_skeleton).
     """
-    out: dict[BasisElement, dict[int, int]] = {}
-    for j in range(1, elt.r + 1):
-        aj = elt.a[j - 1]
-        rest = elt.a[:j - 1] + elt.a[j:]
-        sign = (-1) ** j
-        for coeff, target in expand_kappa(rest, elt.m):
-            terms = out.setdefault(target, {})
-            c = terms.get(aj, 0) + sign * coeff
-            if c:
-                terms[aj] = c
-            else:
-                del terms[aj]
-    return {t: terms for t, terms in out.items() if terms}
+    a, m = elt.a, elt.m
+    out = {target: {a[0]: -c} for c, target in expand_kappa(a[1:], m)}
+    for j in range(2, elt.r + 1):
+        out.setdefault(BasisElement("Y", elt.r - 1, a[:j - 1] + a[j:], m), {})[a[j - 1]] = (-1) ** j
+    return out
 
 
 def skeleton_kos_blocks(mat):

@@ -27,14 +27,16 @@ def var_divides(i: int, m: Mono) -> bool:
 
 
 def div_var(m: Mono, i: int) -> Mono:
-    """m / x_i; requires x_i | m."""
-    if m[i - 1] == 0:
+    """m / x_i; requires 1 <= i <= len(m) and x_i | m."""
+    if not (1 <= i <= len(m) and m[i - 1]):
         raise ValueError(f"x{i} does not divide {m}")
     return m[:i - 1] + (m[i - 1] - 1,) + m[i:]
 
 
 def mul_var(m: Mono, i: int) -> Mono:
-    """m * x_i."""
+    """m * x_i; requires 1 <= i <= len(m)."""
+    if not 1 <= i <= len(m):
+        raise ValueError(f"no variable x{i} among x1..x{len(m)}")
     return m[:i - 1] + (m[i - 1] + 1,) + m[i:]
 
 

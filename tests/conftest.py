@@ -10,7 +10,7 @@ from gorlin.invsys import InverseSystem, random_invsys, sum_of_powers
 from gorlin.monomials import monomials_of_degree, unit
 from gorlin.polymatrix import PolyMatrix
 
-from oracles import Poly
+from oracles import Poly, lift_form
 
 GRID = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
 GRID_SEEDS = {(3, 2): 1, (3, 3): 2, (4, 2): 7, (4, 3): 3, (5, 2): 5, (5, 3): 11}
@@ -68,14 +68,26 @@ def resolution_at(d, n):
 
 
 def changed_lift(res, r, edit):
-    """res with changed cofactors: edit alters a copy of the cofactor C_r in place, r <= (d+1)//2.
+    """res with a changed cofactor: edit alters a copy of C_r in place, r = 1 or 2.
 
-    C_{d+1-r} follows by the pairing rule, as it does on a built resolution.
-    The middle map of odd d is its own pairing transpose, which an edit must keep.
+    The record reads C_3..C_h out of the C_2 it is given, and C_{d+1-r}
+    follows by the pairing rule, as on a built resolution.  At d = 3, C_2 is
+    the self-paired middle map.
     """
     rows = copy.deepcopy(res.cofactors[r - 1])
     edit(rows)
-    return dataclasses.replace(res, cofactors=res.cofactors[:r - 1] + (rows,) + res.cofactors[r:])
+    return dataclasses.replace(res, **{f"c{r}": rows})
+
+
+def changed_form(res, r, edit):
+    """The matrix form of res with a changed cofactor: edit alters a copy of C_r in place, r <= (d+1)//2.
+
+    Only C_r and its partner C_{d+1-r} change (oracles.lift_form): a state
+    that no record holds for r >= 3, as a record reads C_3..C_h out of C_2.
+    """
+    rows = copy.deepcopy(res.cofactors[r - 1])
+    edit(rows)
+    return lift_form(res, res.cofactors[:r - 1] + (rows,) + res.cofactors[r:])
 
 
 def add_to(rows, i, j, c, m=None):

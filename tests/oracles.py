@@ -51,9 +51,10 @@ another way, by a route that is slower or more literal.
   forms: ``b1_column`` and ``br_column`` run once per ``(d, n)`` on a
   ``PlanContext`` that names each coefficient sum (``Sums``) by a key, and
   ``evaluate_plan`` fills in the sums of one system.  The build writes
-  ``C_1`` alone and reads ``C_2..C_h`` out of the complex property
-  (``differentials.build_resolution``); the golden plan digests pin this
-  plan, and the tests compare the readouts with it.
+  ``C_1`` alone and reads ``C_2`` out of the complex property
+  (``differentials.build_resolution``), and the record reads ``C_3..C_h``
+  out of ``C_2`` (``differentials.Resolution``); the golden plan digests
+  pin this plan, and the tests compare the readouts with it.
 * ``br_column_alt`` writes an interior cofactor column by the contraction
   formulas on elementary wedge generators, straightened with
   ``expand_eta`` / ``hookbasis.expand_kappa``, where the build reads it
@@ -63,16 +64,19 @@ another way, by a route that is slower or more literal.
   test to alter, and ``MatrixSession`` proves every fact of a ``Session``
   from them: the x1 split of every map (``x1_split``), the
   skeleton (``exactness.skeleton_block_failure``), the pairing rule on every
-  pair (``duality_failure``) and dim I_n on the whole degree-n piece of b_1,
-  where a ``Session`` reads them off the lift, which holds the first three
-  by construction.  Unlike a ``Session`` it starts without the premises
+  pair (``duality_failure``), every interior cofactor against the readout
+  of the one below it, and dim I_n on the whole degree-n piece of b_1,
+  where a ``Session`` reads them off the lift, which holds the first four
+  by construction.  ``lift_form`` writes the matrices of a lift of any
+  cofactors ``C_1..C_h``, which a record, reading ``C_3..C_h`` out of
+  ``C_2``, cannot hold.  Unlike a ``Session`` it starts without the premises
   delta != 0 and the strand certificate, and its facts test them where
   they rest on them.  ``matrix_report`` runs the eight checks on it, each
   fact read where the lift route would have read it; ``wlp_by_rank`` ranks
   the image of x1 on the annihilator (``coeff_rows``), where
   ``verify.check_wlp`` reads the Hilbert function alone.
 * ``linear_part_vanishes`` multiplies out the part S_r C_{r+1} + C_r S_{r+1}
-  of b_r b_{r+1} linear in x1, LP(r), where ``exactness.Session`` compares
+  of b_r b_{r+1} linear in x1, LP(r), where ``MatrixSession`` compares
   C_{r+1} with the readout of C_r (``differentials.read_out``), which
   holds exactly when LP(r) does, given the products below it.
 * ``lift_fact_failure`` computes, on the matrices built from a lift, the
@@ -118,7 +122,16 @@ from operator import mul as times
 import numpy as np
 
 from gorlin import exactness, linalg
-from gorlin.differentials import Resolution, Rows, paired, self_dual_bases, signed_terms, skeleton_rows
+from gorlin.differentials import (
+    Resolution,
+    Rows,
+    paired,
+    read_out,
+    readout_tables,
+    self_dual_bases,
+    signed_terms,
+    skeleton_rows,
+)
 from gorlin.exactness import (
     PRIMES,
     Piece,
@@ -858,6 +871,26 @@ def matrix_form(res: Resolution) -> MatrixForm:
     return MatrixForm(res.phi, res.delta, res.bases, matrices(res), res.twists)
 
 
+def lift_form(res: Resolution, cofactors: tuple[Rows, ...]) -> MatrixForm:
+    """The matrix form of the lift b_r = delta S_r + x1 C_r of res's skeleton and the cofactors C_1..C_h.
+
+    C_r past h = (d+1)//2 is the pairing transpose of C_{d+1-r}, as in a
+    record.  A record reads C_3..C_h out of C_2, so interior cofactors that
+    are not those readouts are held only here, as matrices.
+    """
+    d, bases, x1 = res.d, res.bases, variable(res.d, 1)
+    mats = []
+    for r in range(1, d + 1):
+        cof = (cofactors[r - 1] if r <= len(cofactors) else
+               paired(bases, r, cofactors[d - r], signed_terms if r == d else times))
+        rows = list(skeleton_rows(d, res.n, r, res.delta))
+        for row, crow in zip(rows, cof):
+            for j, c in crow.items():
+                row.setdefault(j, {}).update({mul(x1, m): v for m, v in c.items()} if r in (1, d) else {x1: c})
+        mats.append(PolyMatrix(bases[r - 1], bases[r], rows))
+    return MatrixForm(res.phi, res.delta, bases, tuple(mats), res.twists)
+
+
 def duality_failure(bases: tuple[OrderedBasis, ...], mats) -> tuple[int, int, int] | None:
     """Check b_{r+1}^T P_r = (-1)^r P_{r+1} b_{d-r} for every r = 0..d-1, on every pair.
 
@@ -994,11 +1027,19 @@ class MatrixSession(Session):
         return duality_failure(self.res.bases, self.res.matrices)
 
     def _interior_product_vanishes(self, r: int) -> bool:
-        """The induction of Session, once delta != 0, the certificate, the skeleton and constant cofactors hold."""
+        """The induction of Session, once delta != 0, the certificate, the skeleton and constant cofactors hold.
+
+        A record reads C_3..C_h out of C_2, so a Session compares a readout at
+        r = h of even d alone; matrices may hold any C_{r+1}, so here it is
+        compared with the readout of C_r below the middle as well.
+        """
+        d, n = self.res.d, self.res.n
         # through the module, where a test that fails the certificate patches strand_certificate
-        return (bool(self.res.delta) and not exactness.strand_certificate(self.res.d, self.res.n)
+        return (bool(self.res.delta) and not exactness.strand_certificate(d, n)
                 and self.cofactor(r) is not None and self.cofactor(r + 1) is not None
-                and self.skeleton_failure is None and super()._interior_product_vanishes(r))
+                and self.skeleton_failure is None and super()._interior_product_vanishes(r)
+                and (2 * r == d or read_out(self.cofactor(r), *readout_tables(d, n).interior[r - 2])
+                     == self.cofactor(r + 1)))
 
     @cached_property
     def ideal_dim_n(self) -> int:

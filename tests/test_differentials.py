@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from gorlin.differentials import (
+    Resolution,
     Skeleton,
     build_resolution,
     canonical_skeleton,
@@ -296,7 +297,8 @@ def test_a_second_build_reuses_the_readout_tables():
     before = readout_tables.cache_info()
     res = build_resolution(random_invsys(4, 3, 41))
     after = readout_tables.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    # the build reads C_2 with them, and the record C_3..C_h, none at d = 4
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
     # the record holds the lower half, C_1 and C_2; C_3 and C_4 are paired from them
     assert len(res.cofactors) == (4 + 1) // 2
     # every build writes entries of its own, so altering one leaves the other intact
@@ -319,24 +321,60 @@ def test_a_built_resolution_is_one_frozen_record_of_phi_delta_and_its_cofactors(
     # the bases, the twists and the skeleton are facts of (d, n), read from no field, so one
     # replace of delta changes every map: its terms free of x1 scale with delta.  delta = 0
     # is refused, as delta_and_Q refuses it before a build (the matrix form of a record with
-    # delta = 0, which no lift holds: test_verify.py)
+    # delta = 0, which no lift holds: test_verify.py).  The record takes C_1 and C_2 and reads
+    # the rest of its cofactors out, so no replace can hand it other interior cofactors
     res = resolution_at(4, 3)
-    assert [f.name for f in dataclasses.fields(res)] == ["phi", "delta", "cofactors"]
-    for name in ("phi", "delta", "cofactors"):
+    assert [f.name for f in dataclasses.fields(res) if f.init] == ["phi", "delta", "c1", "c2"]
+    assert res.cofactors[0] is res.c1 and res.cofactors[1] is res.c2
+    for name in ("phi", "delta", "c1", "c2", "cofactors"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(res, name, getattr(res, name))
+    with pytest.raises(ValueError, match="cofactors"):
+        dataclasses.replace(res, cofactors=res.cofactors)
     assert res.bases == tuple(duality_basis(4, 3, r) for r in range(5)) and res.bases is self_dual_bases(4, 3)
     assert res.twists == twist_list(4, 3) == (0, 3, 4, 5, 8)
     assert any(not m[0] for mat in matrices(res) for _, _, p in mat.nonzero() for m in p)
     assert Session(res, res.phi)._interior_product_vanishes(2)
     double = dataclasses.replace(res, delta=2 * res.delta)
-    assert double.cofactors is res.cofactors
+    assert double.cofactors == res.cofactors and double.c2 is res.c2
     for r in range(1, 5):
         want = [{j: {m: c if m[0] else 2 * c for m, c in p.items()} for j, p in row.items()}
                 for row in res.matrix(r).entries]
         assert double.matrix(r).entries == want, r
     with pytest.raises(ValueError, match="delta != 0"):
         dataclasses.replace(res, delta=0)
+
+
+def _fractional(phi):
+    """phi with its coefficients divided by 1..7 in turn, so that its record has Fraction cofactors."""
+    coeffs = sorted(phi.coeffs.items())
+    return InverseSystem(phi.d, phi.n, {m: Fraction(c, k % 7 + 1) for k, (m, c) in enumerate(coeffs)})
+
+
+@pytest.mark.parametrize("system", [f"{d}-{n}" for d, n in GRID if d >= 5]
+                         + ["6-2", "7-2", "8-2", "5-4", "fractional 5-2"])
+def test_a_record_reads_its_interior_cofactors_out_of_c2(system):
+    # a record made from C_1 and C_2 alone holds C_3..C_h of the closed-form plan, C_h whole at odd d;
+    # on Fraction cofactors it reads them in int numerators over one denominator, an int where integral
+    d, n = map(int, system.split()[-1].split("-"))
+    res = build_resolution(_fractional(resolution_at(d, n).phi)) if "fractional" in system else resolution_at(d, n)
+    want = evaluate_plan(build_plan(d, n), Sums(delta_and_Q(res.phi)), self_dual_bases(d, n))
+    record = Resolution(res.phi, res.delta, res.c1, res.c2)
+    assert len(record.cofactors) == (d + 1) // 2 and record.cofactors == res.cofactors == want
+    values = [c for rows in record.cofactors[1:] for row in rows for c in row.values()]
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in values)
+    assert any(type(c) is Fraction for c in values) == ("fractional" in system)
+
+
+@pytest.mark.parametrize("d,n,lam", [(5, 2, -2), (5, 2, Fraction(1, 3)), (7, 2, Fraction(-3, 2))])
+def test_a_replace_of_c2_reads_the_chain_out_again(d, n, lam):
+    # C_2 scaled by lambda: every readout is linear in C_2, so C_3..C_h scale by lambda
+    res = resolution_at(d, n)
+    scaled = dataclasses.replace(res, c2=[{j: lam * c for j, c in row.items()} for row in res.c2])
+    assert scaled.c1 is res.c1 and len(scaled.cofactors) == len(res.cofactors) == (d + 1) // 2
+    for got, was in zip(scaled.cofactors[2:], res.cofactors[2:]):
+        assert got == [{j: lam * c for j, c in row.items()} for row in was]
+        assert all(type(c) is int or c.denominator > 1 for row in got for c in row.values())
 
 
 ODD_GRID = [(d, n) for d, n in GRID if d % 2]

@@ -64,6 +64,16 @@ def test_arithmetic():
     assert variable(3, 2) == M(0, 1, 0)
 
 
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_a_variable_outside_x1_to_xd_is_refused(i):
+    # x_0 would slice m[:-1] and read m[-1], giving 2d exponents; x_{d+1} would append one
+    m = M(1, 1, 1)
+    with pytest.raises(ValueError, match=f"x{i}"):
+        mul_var(m, i)
+    with pytest.raises(ValueError, match=f"x{i} does not divide"):
+        div_var(m, i)
+
+
 def test_least_and_str():
     assert least(M(0, 0, 2, 1)) == 3
     with pytest.raises(ValueError):

@@ -38,6 +38,7 @@ from conftest import (
     EXTRA,
     GRID,
     add_to,
+    changed_form,
     changed_lift,
     constant,
     extra_phi,
@@ -52,6 +53,7 @@ from conftest import (
     swap_variables,
 )
 from oracles import (
+    MatrixForm,
     MatrixSession,
     Poly,
     catalecticant_matrix,
@@ -259,6 +261,19 @@ def test_complex_check_proves_the_interior_products_without_multiplying(monkeypa
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("d,n", [(5, 2), (6, 2), (7, 2), (8, 2), (4, 4)])
+def test_a_session_reads_out_only_the_middle_product_of_even_d(monkeypatch, d, n):
+    # a record reads C_3..C_h out of C_2, so LP(r) holds by construction below the middle, and
+    # a session reads out one cofactor, C_h at r = h of even d, to compare with the paired C_{h+1}
+    from gorlin import exactness
+
+    res, calls = resolution_at(d, n), []
+    read_out = exactness.read_out
+    monkeypatch.setattr(exactness, "read_out", lambda rows, *tables: calls.append(rows) or read_out(rows, *tables))
+    assert Session(res, res.phi).complex_failure is None
+    assert calls == ([res.cofactor(d // 2)] if d % 2 == 0 else [])
+
+
 def test_complex_check_multiplies_b2_b3_when_the_b1_columns_are_not_known_independent(monkeypatch):
     # the r = 2 step of the induction needs dim I_n = beta_1; one short of it,
     # b_2 b_3 is multiplied out, and it is still zero
@@ -294,45 +309,46 @@ def test_complex_check_multiplies_b2_b3_when_a_fact_of_the_ideal_fails(monkeypat
 @pytest.mark.parametrize("d,n", [(5, 2), (6, 2), (7, 2), (5, 3)])
 def test_complex_check_compares_a_changed_c3_with_its_readout(monkeypatch, d, n):
     # one entry of C_3 gains 1, so b_1 b_2 stays zero and b_2 b_3 is the first nonzero product
-    # (at d = 5, C_3 is the self-paired middle map, and the pairing rule fails as well): the r = 2
-    # step compares C_3 with the readout of C_2, fails, and multiplies b_2 b_3 for the witness of
-    # the full product
-    bad = changed_lift(resolution_at(d, n), 3, lambda rows: add_to(rows, 0, 0, 1))
+    # (at d = 5, C_3 is the self-paired middle map, and the pairing rule fails as well): a record
+    # reads C_3 out of C_2, so only the matrix form holds this, and its r = 2 step compares C_3
+    # with the readout of C_2, fails, and multiplies b_2 b_3 for the witness of the full product
+    bad = changed_form(resolution_at(d, n), 3, lambda rows: add_to(rows, 0, 0, 1))
     want = first_nonzero_product(dict(enumerate(matrices(bad), 1)))
     assert want[0] == 2
     verdicts = []
-    vanishes = Session._interior_product_vanishes
+    vanishes = MatrixSession._interior_product_vanishes
 
     def recording(self, r):
         verdicts.append((r, vanishes(self, r)))
         return verdicts[-1][1]
 
-    monkeypatch.setattr(Session, "_interior_product_vanishes", recording)
+    monkeypatch.setattr(MatrixSession, "_interior_product_vanishes", recording)
     counts = _counting_products(monkeypatch, bad)
-    assert Session(bad, bad.phi).complex_failure == want
+    assert MatrixSession(bad, bad.phi).complex_failure == want
     assert verdicts == [(2, False)]
     assert counts == Counter({"b_1 b_2": 1, "b_2 b_3": 1})
-    (out,) = run_checks(bad, bad.phi, checks=["complex"]).results
+    (out,) = matrix_report(MatrixSession(bad, bad.phi), ["complex"]).results
     assert not out.passed and out.witness == complex_witness(bad)
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_readout_verdict_agrees_with_the_linear_part_on_changed_lifts(data):
-    # one entry of C_r, 3 <= r <= h, gains c, so b_{r-1} b_r is the first nonzero product: at every
-    # r' from 2 to r - 1, the session's verdict, the readout of C_{r'} against C_{r'+1}, is that of
-    # the linear part multiplied out (oracles.linear_part_vanishes), False at r' = r - 1 alone
+    # one entry of C_r, 3 <= r <= h, gains c in the matrix form (no record holds it), so
+    # b_{r-1} b_r is the first nonzero product: at every r' from 2 to r - 1, the verdict of the
+    # matrix route, the readout of C_{r'} against C_{r'+1}, is that of the linear part multiplied
+    # out (oracles.linear_part_vanishes), False at r' = r - 1 alone
     d, n = data.draw(st.sampled_from([(5, 2), (6, 2), (7, 2), (5, 3)]), label="(d, n)")
     res = resolution_at(d, n)
     r = data.draw(st.integers(3, (d + 1) // 2), label="r")
     i = data.draw(st.integers(0, len(res.bases[r - 1]) - 1), label="row")
     j = data.draw(st.integers(0, len(res.bases[r]) - 1), label="column")
     c = data.draw(st.sampled_from([-2, -1, 1, Fraction(1, 3)]), label="c")
-    bad = changed_lift(res, r, lambda rows: add_to(rows, i, j, c))
-    s, skel = Session(bad, bad.phi), skeleton_matrices(d, n)
+    bad = changed_form(res, r, lambda rows: add_to(rows, i, j, c))
+    s, skel = MatrixSession(bad, bad.phi), skeleton_matrices(d, n)
     assert first_nonzero_product(dict(enumerate(matrices(bad), 1)))[0] == r - 1
     for k in range(2, r):
-        want = linear_part_vanishes(skel[k - 1].entries, bad.cofactor(k), skel[k].entries, bad.cofactor(k + 1),
+        want = linear_part_vanishes(skel[k - 1].entries, s.cofactor(k), skel[k].entries, s.cofactor(k + 1),
                                     skel[k].shape[1])
         assert want == (k < r - 1)
         assert s._interior_product_vanishes(k) == want, k
@@ -344,22 +360,28 @@ def test_complex_fact_agrees_with_the_full_product_on_changed_cofactors(data):
     # a changed lift: one entry of an interior C_r gains c, or the whole C_r is
     # scaled by lambda != 1, and C_{d+1-r} follows by the pairing rule; whatever
     # the induction proves zero must be zero, so the witness is that of the full
-    # product
+    # product.  A record re-reads C_3..C_h out of a changed C_2; a changed C_r,
+    # r >= 3, is held by the matrix form alone
     d, n = data.draw(st.sampled_from([(4, 2), (5, 2), (6, 2)]), label="(d, n)")
     res = resolution_at(d, n)
     if data.draw(st.booleans(), label="scale C_r"):
         # scaling keeps the self-paired middle map of odd d its own transpose
         r = data.draw(st.integers(2, (d + 1) // 2), label="r")
         lam = data.draw(st.sampled_from([0, -1, 2, Fraction(1, 3)]), label="lambda")
-        bad = changed_lift(res, r, lambda rows: rows.__setitem__(
-            slice(None), [{j: lam * c for j, c in row.items()} if lam else {} for row in rows]))
+
+        def edit(rows):
+            rows[:] = [{j: lam * c for j, c in row.items()} if lam else {} for row in rows]
     else:
         r = data.draw(st.integers(2, d // 2), label="r")  # not the self-paired middle map
         i = data.draw(st.integers(0, len(res.bases[r - 1]) - 1), label="row")
         j = data.draw(st.integers(0, len(res.bases[r]) - 1), label="column")
         c = data.draw(st.sampled_from([-2, -1, 1, 3]), label="c")
-        bad = changed_lift(res, r, lambda rows: add_to(rows, i, j, c))
-    assert Session(bad, bad.phi).complex_failure == first_nonzero_product(dict(enumerate(matrices(bad), 1)))
+
+        def edit(rows):
+            add_to(rows, i, j, c)
+    bad = changed_lift(res, r, edit) if r <= 2 else changed_form(res, r, edit)
+    s = Session(bad, bad.phi) if r <= 2 else MatrixSession(bad, bad.phi)
+    assert s.complex_failure == first_nonzero_product(dict(enumerate(matrices(bad), 1)))
 
 
 def test_complex_check_multiplies_the_interior_products_without_the_skeleton_fact(monkeypatch):
@@ -560,11 +582,21 @@ def test_check_duality(d, n):
 def test_a_middle_cofactor_that_is_not_its_own_mirror_fails_duality_as_on_the_matrices(d, n, h):
     # the middle map of odd d is read out whole, so the session compares C_h with its pairing
     # transpose; a changed entry off its mirror fails duality and lets the complex check reach past
-    # the middle, with the reports of the matrix route, which proves the rule on every pair
+    # the middle, with the reports of the matrix route, which proves the rule on every pair.  At
+    # d = 5 a record reads C_3 out of C_2, so the changed C_3 is held by the matrix form alone, and
+    # a record with a changed C_2 reads out a C_3 that is not its own mirror
     res = grid_resolution(d, n)
-    bad = changed_lift(res, h, lambda rows: add_to(rows, 1, 0, 1))
-    s, full = Session(bad, bad.phi), MatrixSession(matrix_form(bad), bad.phi)
-    assert s.duality_failure == full.duality_failure == (h - 1, 0, 1)
+    bad = (changed_lift if h == 2 else changed_form)(res, h, lambda rows: add_to(rows, 1, 0, 1))
+    full = MatrixSession(matrix_form(bad) if h == 2 else bad, bad.phi)
+    assert full.duality_failure == (h - 1, 0, 1)
+    matrix = matrix_report(full)
+    assert not matrix.passed and matrix.results[0].witness == complex_witness(bad)
+    if h > 2:
+        bad = changed_lift(res, 2, lambda rows: add_to(rows, 0, 0, 1))
+        full = MatrixSession(matrix_form(bad), bad.phi)
+        assert full.duality_failure is not None and full.duality_failure[0] == h - 1
+    s = Session(bad, bad.phi)
+    assert s.duality_failure == full.duality_failure
     lift, matrix = run_checks(bad, bad.phi), matrix_report(full)
     assert not lift.passed and lift.to_text() == matrix.to_text()
     assert lift.results[0].witness == complex_witness(bad)
@@ -1017,7 +1049,8 @@ def changed_lifts(draw):
     or permuted variables.  The perturbation is a term of C_1, a constant of an
     interior C_r, a term of C_1 of a degree other than n-1, or two columns of a
     C_r swapped; r is never the self-paired middle map of odd d, so the lift
-    keeps the pairing rule.
+    keeps the pairing rule.  A changed C_r, r >= 3, is held by the matrix form
+    alone (changed_form), as a record reads C_3..C_h out of C_2.
     """
     kind = draw(st.sampled_from(["interior constant", "C_1 term", "wrong degree", "swapped columns"]),
                 label="perturbation")
@@ -1065,7 +1098,7 @@ def changed_lifts(draw):
 
         def edit(rows):
             add_to(rows, 0, j, c, m)
-    return changed_lift(res, r, edit), f"{system} {kind}"
+    return (changed_lift if r <= 2 else changed_form)(res, r, edit), f"{system} {kind}"
 
 
 # no shrinking, as for test_routes_agree_and_verdicts_survive_a_permutation
@@ -1076,12 +1109,12 @@ def test_the_lift_and_the_matrix_route_agree_on_a_changed_lift(case):
     # run_checks on the lift against the eight checks on a MatrixSession of its matrices,
     # which proves from them every fact that the lift holds by construction; the two
     # share the induction on the interior products, so the complex witness is also
-    # that of the full product
+    # that of the full product.  A matrix form has no lift to compare
     res, label = case
-    lift = run_checks(res, res.phi)
-    full = matrix_report(MatrixSession(matrix_form(res), res.phi))
-    assert lift.to_text() == full.to_text(), label
-    assert lift.results[0].witness == complex_witness(res), label
+    full = matrix_report(MatrixSession(res if isinstance(res, MatrixForm) else matrix_form(res), res.phi))
+    if not isinstance(res, MatrixForm):
+        assert run_checks(res, res.phi).to_text() == full.to_text(), label
+    assert full.results[0].witness == complex_witness(res), label
 
 
 @pytest.mark.parametrize("d,n", [(4, 2), (5, 2)])
