@@ -171,27 +171,11 @@ class Resolution:
         return twist_list(self.d, self.n)
 
     def terms(self, r: int) -> Iterator[dict[int, Terms]]:
-        """The rows of b_r = delta S_r + x1 C_r, one new row of term dicts at a time.
+        """The rows of b_r (lift_rows); C_r past the middle is paired once, before the first row."""
+        return lift_rows(self.d, self.n, r, self.delta, self.cofactor(r))
 
-        C_r past the middle is paired once, before the first row.
-        """
-        d, delta = self.d, self.delta
-        forms = r in (1, d)
-        x1 = (1,) + (0,) * (d - 1)
-        for row, crow in zip(skeleton_rows(d, self.n, r, delta), self.cofactor(r)):
-            for j, cof in crow.items():
-                if forms:
-                    # (m[0] + 1,) + m[1:] is x1 * m
-                    row.setdefault(j, {}).update({(m[0] + 1,) + m[1:]: c for m, c in cof.items()})
-                else:
-                    row.setdefault(j, {})[x1] = cof
-            yield row
-
-    def cofactor(self, r: int) -> Rows:
-        """C_r by rows; past h the pairing transpose of C_{d+1-r}: forms at r = d, constants inside."""
-        if r <= len(self.cofactors):
-            return self.cofactors[r - 1]
-        return paired(self.bases, r, self.cofactors[self.d - r], signed_terms if r == self.d else times)
+    def cofactor(self, r: int) -> Rows:  # C_r by rows (cofactor_rows)
+        return cofactor_rows(self.bases, self.cofactors, r)
 
     def monomials(self, r: int) -> set[Mono]:
         """The distinct monomials of b_r: those of delta S_r and x1 times those of C_r or C_{d+1-r}."""
@@ -206,8 +190,7 @@ class Resolution:
 
     def matrix(self, r: int) -> PolyMatrix:
         """The matrix of the differential out of homological degree r (1-based), built new from the lift."""
-        bases = self.bases
-        return PolyMatrix(bases[r - 1], bases[r], list(self.terms(r)))
+        return PolyMatrix(self.bases[r - 1], self.bases[r], list(self.terms(r)))
 
     @property
     def betti(self) -> tuple[int, ...]:
@@ -215,6 +198,25 @@ class Resolution:
 
     def __repr__(self) -> str:
         return f"Resolution(d={self.d}, n={self.n}, delta={self.delta}, betti={self.betti})"
+
+
+def cofactor_rows(bases: tuple[OrderedBasis, ...], cofactors: tuple[Rows, ...], r: int) -> Rows:
+    """C_r by rows from C_1..C_h; past h the pairing transpose of C_{d+1-r}: forms at r = d, constants inside."""
+    d, h = len(bases) - 1, len(cofactors)
+    return cofactors[r - 1] if r <= h else paired(bases, r, cofactors[d - r], signed_terms if r == d else times)
+
+
+def lift_rows(d: int, n: int, r: int, delta: Scalar, cofactor: Rows) -> Iterator[dict[int, Terms]]:
+    """The rows of b_r = delta S_r + x1 C_r, C_r = cofactor by rows, one new row of term dicts at a time."""
+    forms, x1 = r in (1, d), (1,) + (0,) * (d - 1)
+    for row, crow in zip(skeleton_rows(d, n, r, delta), cofactor):
+        for j, cof in crow.items():
+            if forms:
+                # (m[0] + 1,) + m[1:] is x1 * m
+                row.setdefault(j, {}).update({(m[0] + 1,) + m[1:]: c for m, c in cof.items()})
+            else:
+                row.setdefault(j, {})[x1] = cof
+        yield row
 
 
 # the cofactors by their int numerators over the one denominator of the record (Catalecticant)

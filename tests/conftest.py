@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from gorlin.differentials import build_resolution
+from gorlin.exactness import Session
 from gorlin.invsys import InverseSystem, random_invsys, sum_of_powers
 from gorlin.monomials import monomials_of_degree, unit
 from gorlin.polymatrix import PolyMatrix
 
-from oracles import Poly, lift_form
+from oracles import MatrixSession, Poly, lift_form
 
 GRID = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
 GRID_SEEDS = {(3, 2): 1, (3, 3): 2, (4, 2): 7, (4, 3): 3, (5, 2): 5, (5, 3): 11}
@@ -88,6 +89,16 @@ def changed_form(res, r, edit):
     rows = copy.deepcopy(res.cofactors[r - 1])
     edit(rows)
     return lift_form(res, res.cofactors[:r - 1] + (rows,) + res.cofactors[r:])
+
+
+def changed(res, r, edit):
+    """(res with a changed C_r, the session class that proves its facts): edit alters a copy of C_r in place.
+
+    For r <= 2 it is a record (changed_lift) and a Session; for r >= 3 the
+    matrix form (changed_form) and a MatrixSession, as a record reads
+    C_3..C_h out of C_2.
+    """
+    return (changed_lift(res, r, edit), Session) if r <= 2 else (changed_form(res, r, edit), MatrixSession)
 
 
 def add_to(rows, i, j, c, m=None):

@@ -125,6 +125,8 @@ from gorlin import exactness, linalg
 from gorlin.differentials import (
     Resolution,
     Rows,
+    cofactor_rows,
+    lift_rows,
     paired,
     read_out,
     readout_tables,
@@ -875,20 +877,14 @@ def lift_form(res: Resolution, cofactors: tuple[Rows, ...]) -> MatrixForm:
     """The matrix form of the lift b_r = delta S_r + x1 C_r of res's skeleton and the cofactors C_1..C_h.
 
     C_r past h = (d+1)//2 is the pairing transpose of C_{d+1-r}, as in a
-    record.  A record reads C_3..C_h out of C_2, so interior cofactors that
-    are not those readouts are held only here, as matrices.
+    record (cofactor_rows, lift_rows).  A record reads C_3..C_h out of C_2,
+    so interior cofactors that are not those readouts are held only here, as
+    matrices.
     """
-    d, bases, x1 = res.d, res.bases, variable(res.d, 1)
-    mats = []
-    for r in range(1, d + 1):
-        cof = (cofactors[r - 1] if r <= len(cofactors) else
-               paired(bases, r, cofactors[d - r], signed_terms if r == d else times))
-        rows = list(skeleton_rows(d, res.n, r, res.delta))
-        for row, crow in zip(rows, cof):
-            for j, c in crow.items():
-                row.setdefault(j, {}).update({mul(x1, m): v for m, v in c.items()} if r in (1, d) else {x1: c})
-        mats.append(PolyMatrix(bases[r - 1], bases[r], rows))
-    return MatrixForm(res.phi, res.delta, bases, tuple(mats), res.twists)
+    d, bases = res.d, res.bases
+    rows = (lift_rows(d, res.n, r, res.delta, cofactor_rows(bases, cofactors, r)) for r in range(1, d + 1))
+    mats = tuple(PolyMatrix(bases[r], bases[r + 1], list(b)) for r, b in enumerate(rows))
+    return MatrixForm(res.phi, res.delta, bases, mats, res.twists)
 
 
 def duality_failure(bases: tuple[OrderedBasis, ...], mats) -> tuple[int, int, int] | None:

@@ -38,6 +38,7 @@ from conftest import (
     EXTRA,
     GRID,
     add_to,
+    changed,
     changed_form,
     changed_lift,
     constant,
@@ -53,7 +54,6 @@ from conftest import (
     swap_variables,
 )
 from oracles import (
-    MatrixForm,
     MatrixSession,
     Poly,
     catalecticant_matrix,
@@ -379,9 +379,8 @@ def test_complex_fact_agrees_with_the_full_product_on_changed_cofactors(data):
 
         def edit(rows):
             add_to(rows, i, j, c)
-    bad = changed_lift(res, r, edit) if r <= 2 else changed_form(res, r, edit)
-    s = Session(bad, bad.phi) if r <= 2 else MatrixSession(bad, bad.phi)
-    assert s.complex_failure == first_nonzero_product(dict(enumerate(matrices(bad), 1)))
+    bad, session = changed(res, r, edit)
+    assert session(bad, bad.phi).complex_failure == first_nonzero_product(dict(enumerate(matrices(bad), 1)))
 
 
 def test_complex_check_multiplies_the_interior_products_without_the_skeleton_fact(monkeypatch):
@@ -586,8 +585,8 @@ def test_a_middle_cofactor_that_is_not_its_own_mirror_fails_duality_as_on_the_ma
     # d = 5 a record reads C_3 out of C_2, so the changed C_3 is held by the matrix form alone, and
     # a record with a changed C_2 reads out a C_3 that is not its own mirror
     res = grid_resolution(d, n)
-    bad = (changed_lift if h == 2 else changed_form)(res, h, lambda rows: add_to(rows, 1, 0, 1))
-    full = MatrixSession(matrix_form(bad) if h == 2 else bad, bad.phi)
+    bad, _ = changed(res, h, lambda rows: add_to(rows, 1, 0, 1))
+    full = MatrixSession(matrix_form(bad), bad.phi)
     assert full.duality_failure == (h - 1, 0, 1)
     matrix = matrix_report(full)
     assert not matrix.passed and matrix.results[0].witness == complex_witness(bad)
@@ -1043,14 +1042,14 @@ def test_facts_by_construction_hold_on_the_matrices(system):
 
 @st.composite
 def changed_lifts(draw):
-    """(a changed lift, a label): a small system with one perturbation of its lift's cofactors.
+    """(a changed lift, its session class, a label): a small system with one perturbation of its lift's cofactors.
 
     The system has integer coefficients, Fraction ones (or is fractional_phi()),
     or permuted variables.  The perturbation is a term of C_1, a constant of an
     interior C_r, a term of C_1 of a degree other than n-1, or two columns of a
     C_r swapped; r is never the self-paired middle map of odd d, so the lift
     keeps the pairing rule.  A changed C_r, r >= 3, is held by the matrix form
-    alone (changed_form), as a record reads C_3..C_h out of C_2.
+    alone, with a MatrixSession (conftest.changed).
     """
     kind = draw(st.sampled_from(["interior constant", "C_1 term", "wrong degree", "swapped columns"]),
                 label="perturbation")
@@ -1098,7 +1097,7 @@ def changed_lifts(draw):
 
         def edit(rows):
             add_to(rows, 0, j, c, m)
-    return (changed_lift if r <= 2 else changed_form)(res, r, edit), f"{system} {kind}"
+    return *changed(res, r, edit), f"{system} {kind}"
 
 
 # no shrinking, as for test_routes_agree_and_verdicts_survive_a_permutation
@@ -1110,9 +1109,9 @@ def test_the_lift_and_the_matrix_route_agree_on_a_changed_lift(case):
     # which proves from them every fact that the lift holds by construction; the two
     # share the induction on the interior products, so the complex witness is also
     # that of the full product.  A matrix form has no lift to compare
-    res, label = case
-    full = matrix_report(MatrixSession(res if isinstance(res, MatrixForm) else matrix_form(res), res.phi))
-    if not isinstance(res, MatrixForm):
+    res, session, label = case
+    full = matrix_report(MatrixSession(matrix_form(res), res.phi))
+    if session is Session:
         assert run_checks(res, res.phi).to_text() == full.to_text(), label
     assert full.results[0].witness == complex_witness(res), label
 
