@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
 from typing import Iterable
 
 from .differentials import build_resolution
@@ -192,6 +191,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception:
+        import traceback  # here alone: a run that ends well does not pay for its import
+
         traceback.print_exc()
         return EXIT_INTERNAL_ERROR
 

@@ -56,7 +56,6 @@ otherwise.  An entry that is zero is not stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
 from math import lcm
@@ -68,6 +67,7 @@ from .invsys import Catalecticant, InverseSystem, delta_and_Q
 from .monomials import Mono, div_var, monomial_index, monomials_of_degree, mul_var, unit
 from .polymatrix import PolyMatrix
 from .polynomials import Scalar, Terms, exact, over
+from .record import Record
 
 
 def twist_list(d: int, n: int) -> tuple[int, ...]:
@@ -113,16 +113,16 @@ def self_dual_bases(d: int, n: int) -> tuple[OrderedBasis, ...]:
     return tuple(duality_basis(d, n, r) for r in range(d + 1))
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(Record):
     """The resolution of phi as the lift of its skeleton: b_r = delta S_r + x1 C_r for every r.
 
     A build decides phi, delta, C_1 and C_2, and nothing else: the bases,
     the twists and the skeleton S_r are those of (d, n) (self_dual_bases,
-    twist_list, skeleton_rows), and __post_init__ reads C_3..C_h out of C_2
-    (read_out), so a replace of C_2 reads them again.  delta is an int when
-    it is integral, and never 0: delta_and_Q refuses such a phi first, so
-    __post_init__ refuses delta = 0 as a defect (ValueError).
+    twist_list, skeleton_rows), and the record reads C_3..C_h out of C_2
+    (read_out) when it is made, so a replace of C_2 reads them again.  Its
+    attributes are read-only (Record).  delta is an int when it is
+    integral, and never 0: delta_and_Q refuses such a phi first, so the
+    record refuses delta = 0 as a defect (ValueError).
     cofactors[r - 1] is C_r by rows (Rows) for r <= h = (d+1)//2: at r = 1
     a column j maps to the terms {m: c} of its cofactor, of degree n-1, and
     inside to its constant c.  For odd d the middle C_h is whole, and a
@@ -136,23 +136,23 @@ class Resolution:
     Session proves from it.
     """
 
-    phi: InverseSystem
-    delta: Scalar
-    c1: Rows
-    c2: Rows
-    cofactors: tuple[Rows, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("phi", "delta", "c1", "c2", "cofactors")
 
-    def __post_init__(self):
-        if self.delta == 0:
+    def __init__(self, phi: InverseSystem, delta: Scalar, c1: Rows, c2: Rows):
+        if delta == 0:
             raise ValueError("a resolution needs delta != 0, which delta_and_Q proves before every build")
-        tables, chain = readout_tables(self.d, self.n).interior[:(self.d + 1) // 2 - 2], [self.c2]
+        tables, chain = readout_tables(phi.d, phi.n).interior[:(phi.d + 1) // 2 - 2], [c2]
         # read out in int numerators over the lcm of the denominators of C_2, divided once
-        denom = lcm(*(c.denominator for row in self.c2 for c in row.values() if type(c) is not int)) if tables else 1
-        nums = self.c2 if denom == 1 else [{j: int(c * denom) for j, c in row.items()} for row in self.c2]
+        denom = lcm(*(c.denominator for row in c2 for c in row.values() if type(c) is not int)) if tables else 1
+        nums = c2 if denom == 1 else [{j: int(c * denom) for j, c in row.items()} for row in c2]
         for pivots, xrows in tables:
             nums = read_out(nums, pivots, xrows)
             chain.append(nums if denom == 1 else [{j: over(c, denom) for j, c in row.items()} for row in nums])
-        object.__setattr__(self, "cofactors", (self.c1, *chain))
+        self._set(phi=phi, delta=delta, c1=c1, c2=c2, cofactors=(c1, *chain))
+
+    def replace(self, **fields) -> Resolution:
+        """A new record with some of phi, delta, c1 and c2 changed, which reads C_3..C_h out of its C_2 again."""
+        return Resolution(**{"phi": self.phi, "delta": self.delta, "c1": self.c1, "c2": self.c2, **fields})
 
     @property
     def d(self) -> int:
@@ -223,8 +223,7 @@ def lift_rows(d: int, n: int, r: int, delta: Scalar, cofactor: Rows) -> Iterator
 Numerators = list[dict[int, int]]
 
 
-@dataclass(frozen=True)
-class ReadoutTables:
+class ReadoutTables(NamedTuple):
     """The index tables of (d, n) that a build reads its cofactors with (build_resolution); none holds a value of phi.
 
     Positions are those of the self-dual bases, C_r maps position r to r - 1,

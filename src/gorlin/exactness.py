@@ -108,10 +108,10 @@ polynomial, and these facts are proved without Fraction arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, gcd
 from operator import mul, sub
+from typing import NamedTuple
 
 from . import linalg
 from .differentials import Resolution, canonical_skeleton, read_out, readout_tables, self_dual_bases, skeleton_rows
@@ -156,8 +156,7 @@ def rank_mod_p(nrows: int, ncols: int, triples, p: int) -> int:
     return len(pivots)
 
 
-@dataclass
-class Piece:
+class Piece(NamedTuple):
     """One graded piece of a matrix of homogeneous polynomials, as integer triples."""
 
     nrows: int

@@ -17,7 +17,6 @@ resolution is built in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -32,6 +31,7 @@ from .monomials import (
     unit,
     var_divides,
 )
+from .record import Record
 
 
 def gamma_of(a: tuple[int, ...]) -> int:
@@ -81,14 +81,25 @@ def xd(d: int) -> BasisElement:
 Signed = tuple[int, BasisElement]
 
 
-@dataclass(frozen=True)
-class OrderedBasis:
-    """An ordered, signed basis of the free module in homological degree r."""
+class OrderedBasis(Record):
+    """An ordered, signed basis of the free module in homological degree r.
 
-    d: int
-    n: int
-    r: int
-    elements: tuple[Signed, ...]
+    Bases are equal, and hash equal, when their fields are: pairing caches on them.
+    """
+
+    __slots__ = ("d", "n", "r", "elements")
+
+    def __init__(self, d: int, n: int, r: int, elements: tuple[Signed, ...]):
+        self._set(d=d, n=n, r=r, elements=elements)
+
+    def _key(self) -> tuple:
+        return self.d, self.n, self.r, self.elements
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is OrderedBasis else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
         return len(self.elements)

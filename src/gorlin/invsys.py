@@ -21,17 +21,18 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 from operator import mul
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import linalg
 from .monomials import Mono, degree, monomial_index, monomials_of_degree, mul_var, sort_key
 from .polymatrix import pack
 from .polynomials import Terms, clear_denominators, exact
+from .record import Record
 
 RANDOM_TRIES = 64  # draws of random_invsys before it gives up
 
@@ -50,44 +51,48 @@ def _parse_rational(m, c) -> Fraction:
         raise ValueError(f"coefficient of {m} is {c!r}, which has denominator 0") from None
 
 
-@dataclass(frozen=True)
-class InverseSystem:
+class InverseSystem(Record):
     """Homogeneous inverse system of degree 2n-2 in d variables.
 
-    coeffs is read-only, so the integer tables cached on the system
-    (catalecticant) and the ranks kept of them (hf_value) cannot go stale.
+    Every attribute is read-only and coeffs a read-only view, so the integer
+    tables cached on the system (catalecticant) and the ranks kept of them
+    (hf_value) cannot go stale.  scale is L, the lcm of the denominators.
+    Two systems are equal when d, n and coeffs are.
     """
 
-    d: int
-    n: int
-    coeffs: MappingProxyType[Mono, Fraction] = field(default_factory=dict)
-    scale: int = field(init=False, repr=False, compare=False)  # L, the lcm of the denominators
+    __slots__ = ("d", "n", "coeffs", "scale", "_packed", "_tables", "_ranks")
 
-    def __post_init__(self):
-        if type(self.d) is not int or type(self.n) is not int:
-            raise ValueError(f"d and n must be ints, got {self.d!r} and {self.n!r}")
-        if self.d < 3:
-            raise ValueError(f"d must be at least 3, got {self.d}")
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
+    def __init__(self, d: int, n: int, coeffs: Mapping[Mono, Fraction] | None = None):
+        if type(d) is not int or type(n) is not int:
+            raise ValueError(f"d and n must be ints, got {d!r} and {n!r}")
+        if d < 3:
+            raise ValueError(f"d must be at least 3, got {d}")
+        if n < 2:
+            raise ValueError(f"n must be at least 2, got {n}")
         clean: dict[Mono, Fraction] = {}
-        for m, c in self.coeffs.items():
+        for m, c in (coeffs or {}).items():
             m = tuple(m)
             # a monomial has nonnegative int exponents, so (3, -1, 0) is not a degree-2 monomial
-            if len(m) != self.d or any(type(e) is not int or e < 0 for e in m) or degree(m) != 2 * self.n - 2:
-                raise ValueError(f"coefficient key {m} is not a degree-{2 * self.n - 2} monomial in {self.d} variables")
+            if len(m) != d or any(type(e) is not int or e < 0 for e in m) or degree(m) != 2 * n - 2:
+                raise ValueError(f"coefficient key {m} is not a degree-{2 * n - 2} monomial in {d} variables")
             if type(c) is not int and not isinstance(c, Fraction):
                 raise TypeError(f"coefficient of {m} must be an int or a Fraction, got {c!r}")
             c = Fraction(c)
             if c:
                 clean[m] = c
         scale, ints = clear_denominators(clean.values())
-        object.__setattr__(self, "coeffs", MappingProxyType(clean))
-        object.__setattr__(self, "scale", scale)
-        # L t_m by pack(m, 2n-1), a base above every exponent, and the tables built from it by degree
-        object.__setattr__(self, "_packed", {pack(m, 2 * self.n - 1): v for m, v in zip(clean, ints)})
-        object.__setattr__(self, "_tables", {})
-        object.__setattr__(self, "_ranks", {})  # rank of L Cat_j by j, once it is known
+        # _packed: L t_m by pack(m, 2n-1), a base above every exponent; _tables: the tables built from it by
+        # degree; _ranks: the rank of L Cat_j by j, once it is known
+        self._set(d=d, n=n, coeffs=MappingProxyType(clean), scale=scale,
+                  _packed={pack(m, 2 * n - 1): v for m, v in zip(clean, ints)}, _tables={}, _ranks={})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not InverseSystem:
+            return NotImplemented
+        return (self.d, self.n, self.coeffs) == (other.d, other.n, other.coeffs)
+
+    def __repr__(self) -> str:
+        return f"InverseSystem(d={self.d}, n={self.n}, coeffs={dict(self.coeffs)!r})"
 
     def __reduce__(self):
         # a mappingproxy does not pickle; the tables are rebuilt on demand
@@ -114,8 +119,7 @@ class InverseSystem:
         return table
 
 
-@dataclass(frozen=True)
-class Catalecticant:
+class Catalecticant(NamedTuple):
     """The middle catalecticant in integers, and the coefficient sums of a build over it.
 
     scale is L (InverseSystem.scale), T the table T' = L Cat_{n-1}
@@ -127,8 +131,8 @@ class Catalecticant:
     denom = L^(N+1): with t' = L t, the numerators of delta and of Q are
     L det and L^2 adj (q, by index), and each sum of t' times numerators,
     divided by L, is again a numerator (exactly, as L divides it): the sums
-    tq and W (sums).  q is built on first use and the sums on request, so
-    a bare delta_and_Q builds neither.
+    tq and W (sums).  The sums are built on request, so a bare
+    delta_and_Q builds none.
     """
 
     phi: InverseSystem
@@ -138,6 +142,7 @@ class Catalecticant:
     det: int
     adj: list[list[int]]
     index: dict[Mono, int]
+    q: list[list[int]]  # L^2 adj, the numerators of Q
 
     @property
     def delta(self) -> Fraction:
@@ -146,10 +151,6 @@ class Catalecticant:
     @property
     def denom(self) -> int:
         return self.scale ** (len(self.monos) + 1)
-
-    @cached_property
-    def q(self) -> list[list[int]]:
-        return [[self.scale**2 * v for v in row] for row in self.adj]
 
     def sums(self, us: tuple[Mono, ...]) -> tuple[list[list[int]], list[list[int]]]:
         """(tq, W) over the monomials us of degree n: tq[s][i] = tq(us[s], monos[i]), W[s][t] = W(us[s], us[t]).
@@ -189,8 +190,8 @@ def delta_and_Q(phi: InverseSystem) -> Catalecticant:
         )
     # det != 0: T has full rank, which hf_value(phi, n - 1) reads
     phi._ranks[phi.n - 1] = len(monos)
-    return Catalecticant(phi=phi, monos=monos, scale=phi.scale, T=T, det=det, adj=adj,
-                         index=monomial_index(phi.d, phi.n - 1))
+    return Catalecticant(phi, monos, phi.scale, T, det, adj, monomial_index(phi.d, phi.n - 1),
+                         [[phi.scale**2 * v for v in row] for row in adj])
 
 
 def ann_degree(phi: InverseSystem, j: int) -> list[Terms]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .hookbasis import OrderedBasis
@@ -33,7 +32,6 @@ def unpack(key: int, base: int, d: int) -> Mono:
     return tuple(out)
 
 
-@dataclass
 class PolyMatrix:
     """Matrix over the polynomial ring whose rows/columns carry an OrderedBasis.
 
@@ -47,9 +45,10 @@ class PolyMatrix:
     row sorted.
     """
 
-    rows: OrderedBasis
-    cols: OrderedBasis
-    entries: list[dict[int, Terms]]
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: OrderedBasis, cols: OrderedBasis, entries: list[dict[int, Terms]]):
+        self.rows, self.cols, self.entries = rows, cols, entries
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -7,7 +7,6 @@ numerical approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
 from .differentials import Resolution, twist_list
@@ -19,12 +18,19 @@ from .polynomials import poly_str
 CHECK_NAMES = ("complex", "betti", "euler", "ann", "skeleton", "duality", "exactness", "wlp")
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    summary: str
-    witness: str | None = None
+    __slots__ = ("name", "passed", "summary", "witness")
+
+    def __init__(self, name: str, passed: bool, summary: str, witness: str | None = None):
+        self.name, self.passed, self.summary, self.witness = name, passed, summary, witness
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not CheckResult:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"<CheckResult {self.line()}>"
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -32,12 +38,12 @@ class CheckResult:
         return f"{status} {self.name}: {self.summary}{extra}"
 
 
-@dataclass
 class Report:
-    d: int
-    n: int
-    delta: str
-    results: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("d", "n", "delta", "results")
+
+    def __init__(self, d: int, n: int, delta: str):
+        self.d, self.n, self.delta = d, n, delta
+        self.results: list[CheckResult] = []
 
     @property
     def passed(self) -> bool:

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -77,7 +76,7 @@ def changed_lift(res, r, edit):
     """
     rows = copy.deepcopy(res.cofactors[r - 1])
     edit(rows)
-    return dataclasses.replace(res, **{f"c{r}": rows})
+    return res.replace(**{f"c{r}": rows})
 
 
 def changed_form(res, r, edit):

@@ -1,7 +1,8 @@
 """Resolution construction: anchors, complex property, skeleton, duality, route agreement."""
 
 import copy
-import dataclasses
+import inspect
+import pickle
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -322,27 +323,32 @@ def test_a_built_resolution_is_one_frozen_record_of_phi_delta_and_its_cofactors(
     # replace of delta changes every map: its terms free of x1 scale with delta.  delta = 0
     # is refused, as delta_and_Q refuses it before a build (the matrix form of a record with
     # delta = 0, which no lift holds: test_verify.py).  The record takes C_1 and C_2 and reads
-    # the rest of its cofactors out, so no replace can hand it other interior cofactors
+    # the rest of its cofactors out, so no replace can hand it other interior cofactors, and no
+    # attribute can be set, deleted or added after it is made
     res = resolution_at(4, 3)
-    assert [f.name for f in dataclasses.fields(res) if f.init] == ["phi", "delta", "c1", "c2"]
+    assert list(inspect.signature(Resolution).parameters) == ["phi", "delta", "c1", "c2"]
     assert res.cofactors[0] is res.c1 and res.cofactors[1] is res.c2
-    for name in ("phi", "delta", "c1", "c2", "cofactors"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(res, name, getattr(res, name))
-    with pytest.raises(ValueError, match="cofactors"):
-        dataclasses.replace(res, cofactors=res.cofactors)
+    for name in ("phi", "delta", "c1", "c2", "cofactors", "extra"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(res, name, getattr(res, name, None))
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(res, name)
+    with pytest.raises(TypeError, match="cofactors"):
+        res.replace(cofactors=res.cofactors)
+    for same in (copy.copy(res), copy.deepcopy(res), pickle.loads(pickle.dumps(res))):
+        assert same.phi == res.phi and same.c1 == res.c1 and same.cofactors == res.cofactors
     assert res.bases == tuple(duality_basis(4, 3, r) for r in range(5)) and res.bases is self_dual_bases(4, 3)
     assert res.twists == twist_list(4, 3) == (0, 3, 4, 5, 8)
     assert any(not m[0] for mat in matrices(res) for _, _, p in mat.nonzero() for m in p)
     assert Session(res, res.phi)._interior_product_vanishes(2)
-    double = dataclasses.replace(res, delta=2 * res.delta)
+    double = res.replace(delta=2 * res.delta)
     assert double.cofactors == res.cofactors and double.c2 is res.c2
     for r in range(1, 5):
         want = [{j: {m: c if m[0] else 2 * c for m, c in p.items()} for j, p in row.items()}
                 for row in res.matrix(r).entries]
         assert double.matrix(r).entries == want, r
     with pytest.raises(ValueError, match="delta != 0"):
-        dataclasses.replace(res, delta=0)
+        res.replace(delta=0)
 
 
 def _fractional(phi):
@@ -370,7 +376,7 @@ def test_a_record_reads_its_interior_cofactors_out_of_c2(system):
 def test_a_replace_of_c2_reads_the_chain_out_again(d, n, lam):
     # C_2 scaled by lambda: every readout is linear in C_2, so C_3..C_h scale by lambda
     res = resolution_at(d, n)
-    scaled = dataclasses.replace(res, c2=[{j: lam * c for j, c in row.items()} for row in res.c2])
+    scaled = res.replace(c2=[{j: lam * c for j, c in row.items()} for row in res.c2])
     assert scaled.c1 is res.c1 and len(scaled.cofactors) == len(res.cofactors) == (d + 1) // 2
     for got, was in zip(scaled.cofactors[2:], res.cofactors[2:]):
         assert got == [{j: lam * c for j, c in row.items()} for row in was]

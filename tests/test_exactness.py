@@ -1,16 +1,26 @@
 """The rank kernels, the strand certificate and the saturated ideal dimensions, where they can break."""
 
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
 from math import comb, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gorlin import differentials, exactness, linalg
-from gorlin.differentials import Skeleton, build_resolution, canonical_skeleton, self_dual_bases, signed_terms
+from gorlin.differentials import (
+    Resolution,
+    Skeleton,
+    _first_cofactors,
+    build_resolution,
+    canonical_skeleton,
+    read_out,
+    readout_tables,
+    self_dual_bases,
+    signed_terms,
+)
 from gorlin.exactness import (
     PRIMES,
     Piece,
@@ -733,7 +743,7 @@ def test_ideal_dims_of_a_lift_with_two_equal_x_cofactor_columns_is_the_exact_sma
     xs = [j for j, (_, e) in enumerate(res.bases[1]) if e.kind == "X"]
     c1 = dict(res.cofactors[0][0])
     c1[xs[0]] = dict(c1[xs[1]])
-    bad = dataclasses.replace(res, c1=[c1])
+    bad = res.replace(c1=[c1])
     s = Session(bad, res.phi)
     assert s.b1_annihilation_failure is None
     calls = []
@@ -874,3 +884,54 @@ def test_annihilation_fact_agrees_with_contract_poly(bump):
     assert want == (None if bump is None or bump.degree() > 4 else 2)
     assert MatrixSession(bad, phi).b1_annihilation_failure == want
     assert Session(res, phi).b1_annihilation_failure is None
+
+
+def middle_comparison_holds(phi, q, tq, w):
+    """The middle comparison of a record whose C_2 is read out of the sums (q, tq, w) in place of a Catalecticant.
+
+    The comparison is that of a session: at even d the readout of C_h
+    against C_{h+1}, the pairing transpose of C_h; at odd d, C_h against its
+    own mirror (Session.duality_failure).  C_1 is not read by either.
+    """
+    d, h, tabs = phi.d, (phi.d + 1) // 2, readout_tables(phi.d, phi.n)
+    _, c2 = _first_cofactors(SimpleNamespace(q=q, sums=lambda us: (tq, w)), tabs)
+    res = Resolution(phi, 1, [{}], c2)
+    if d % 2:
+        return Session(res, phi).duality_failure is None
+    return read_out(res.cofactor(h), *tabs.interior[h - 2]) == res.cofactor(h + 1)
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 2), (5, 2), (4, 3), (6, 2), (5, 3)])
+def test_the_middle_comparison_holds_on_a_basis_of_symmetric_q_any_tq_and_symmetric_w(d, n):
+    # C_2, the chain and the middle comparison are linear in the sums (Q, tq, W) that
+    # _first_cofactors reads, so a comparison that holds on every basis vector of
+    # V = {Q symmetric} x {tq arbitrary} x {W symmetric} holds on all of V: exhaustive and
+    # exact, a proof at this (d, n) that the comparison needs nothing of phi but the symmetry
+    # of Q and W.  A non-symmetric Q or W fails it, so it is not vacuous
+    phi = random_invsys(d, n, 1)
+    size, u = len(monomials_of_degree(d, n - 1)), len(readout_tables(d, n).u)
+
+    def table(rows, cols, cells=()):
+        out = [[0] * cols for _ in range(rows)]
+        for i, j in cells:
+            out[i][j] = 1
+        return out
+
+    q0, tq0, w0 = table(size, size), table(u, size), table(u, u)
+    basis = [(table(size, size, {(i, j), (j, i)}), tq0, w0) for i in range(size) for j in range(i, size)]
+    basis += [(q0, table(u, size, {(s, t)}), w0) for s in range(u) for t in range(size)]
+    basis += [(q0, tq0, table(u, u, {(s, t), (t, s)})) for s in range(u) for t in range(s, u)]
+    assert len(basis) == size * (size + 1) // 2 + u * size + u * (u + 1) // 2
+    assert all(middle_comparison_holds(phi, *vector) for vector in basis)
+    rng = random.Random(0)
+    q = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+    w = [[rng.randint(-3, 3) for _ in range(u)] for _ in range(u)]
+    assert q != [list(col) for col in zip(*q)] and w != [list(col) for col in zip(*w)]
+    assert not middle_comparison_holds(phi, q, tq0, w0)
+    assert not middle_comparison_holds(phi, q0, tq0, w)
+
+    def symmetric_part(m):  # m + m^T, in V
+        return [[a + b for a, b in zip(row, col)] for row, col in zip(m, zip(*m))]
+
+    assert middle_comparison_holds(phi, symmetric_part(q), tq0, w0)
+    assert middle_comparison_holds(phi, q0, tq0, symmetric_part(w))

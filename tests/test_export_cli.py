@@ -340,14 +340,12 @@ def test_a_failed_premise_of_the_checks_is_an_internal_error(monkeypatch, capsys
     # whose skeleton fails its strand certificate, so either is a defect: a gate that let
     # delta = 0 through, where Resolution refuses the record, or a skeleton that a session
     # refuses to start on; both exit 4 with a traceback, never as bad input
-    import dataclasses
-
     import gorlin.cli as cli
     from gorlin import differentials, exactness
     from gorlin.invsys import delta_and_Q
 
     if premise == "delta":
-        monkeypatch.setattr(differentials, "delta_and_Q", lambda phi: dataclasses.replace(delta_and_Q(phi), det=0))
+        monkeypatch.setattr(differentials, "delta_and_Q", lambda phi: delta_and_Q(phi)._replace(det=0))
     else:
         monkeypatch.setattr(exactness, "strand_certificate", lambda d, n: ("monomial strand does not compose to zero",))
     assert cli.main(["verify", "--d", "3", "--n", "2", "--seed", "1"]) == 4

@@ -405,7 +405,7 @@ def test_complex_check_multiplies_the_interior_products_when_delta_is_zero(monke
     # C_r C_{r+1} is for the interior constants
     lift = changed_lift(resolution_at(6, 2), 1, lambda rows: rows[0].clear())
     with pytest.raises(ValueError, match="delta != 0"):
-        dataclasses.replace(lift, delta=0)
+        lift.replace(delta=0)
     form = with_delta_zero(lift)
     counts = _counting_products(monkeypatch, form)
     assert MatrixSession(form, lift.phi).complex_failure is None
